@@ -40,9 +40,8 @@ grep -q "auto-scheduler picked: outer-dim" <<<"$quickstart_default_out"
 echo "==> trace smoke: quickstart --skew 0.95 --trace, validated by trace_check"
 # The skewed parallel run must record ≥1 steal and ≥1 auto-decision event
 # (plus spans, launches, cache traffic, and model-timeline events), and —
-# since the quickstart drives SpMV over a CSR tensor, a blessed pair in
-# the specialized kernel table (docs/kernels.md) — a kernel-dispatch
-# event naming the monomorphized kernel.
+# since the quickstart drives SpMV over a CSR tensor, a blessed pair
+# (docs/kernels.md) — a kernel-dispatch event naming the blessed kernel.
 cargo run --release -q --example quickstart -- --skew 0.95 --trace /tmp/spd_trace.json |
   grep "^run_report_json="
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_trace.json --summary \
@@ -106,5 +105,13 @@ echo "==> spd-harness: ci bench suite, merged reports, regression gate"
 # exits nonzero if any histogram mean regressed past SPD_BENCH_TOLERANCE
 # versus the committed trajectory point. See docs/benchmarking.md.
 cargo run --release -q -p spdistal-bench --bin spd-harness -- run --suite ci
+
+echo "==> benchmark/check.sh: the repo benchmark builds against this tree and every op matches the reference"
+# The benchmark package (BENCHMARK.json) compiles against pinned public
+# names of the workspace crates and checks every op of its five workloads
+# against spdistal_sparse::reference, so a renamed name or a wrong kernel
+# fails here rather than in a benchmark run: fmt, clippy, its unit tests,
+# and a 6 s smoke of each workload in both passes.
+benchmark/check.sh
 
 echo "ci.sh: all green"

@@ -78,7 +78,7 @@ pub struct Plan {
     /// The tensor driving iteration (the sparse operand).
     pub driver: String,
     /// `Format::levels_signature()` of the driver's declared format — the
-    /// specialized-kernel-table key ([`crate::kernels::specialized`]),
+    /// blessed-kernel lookup key ([`crate::kernels::specialized::lookup`]),
     /// derived here at compile time and resolved once per prepared plan.
     pub driver_levels: String,
     pub inputs: Vec<PlannedInput>,

@@ -1,16 +1,17 @@
-//! Monomorphized matrix leaf loops: SpMV / SpMM / SDDMM over CSR
-//! `{Dense,Compressed}`, DCSR `{Compressed,Compressed}`, and COO
-//! `{Compressed,Singleton}` drivers.
+//! Matrix leaf loops: SpMV / SpMM / SDDMM, each as one row-keyed source
+//! (generic over the driver's [`TopLevel`]: CSR `{Dense,Compressed}` and
+//! DCSR `{Compressed,Compressed}`) plus one COO `{Compressed,Singleton}`
+//! source.
 //!
 //! Shape of every kernel here: resolve the task's per-level bounds once
-//! through [`LevelClamps`], then walk the format's own `pos`/`crd`/`vals`
-//! arrays with nested `intersect_rect` rect iteration — contiguous
-//! position runs drive branch-free inner loops over plain slices, with no
+//! through [`LevelClamps`], let [`for_rows`] / [`for_coo_runs`] walk the
+//! driver's top level, and handle each row's (or run's) contiguous
+//! position ranges with branch-free inner loops over plain slices — no
 //! per-row allocation and no per-entry indirect call. Entry visit order,
 //! per-element accumulation order, and integer op counts are exactly the
 //! generic walker's (the bit-identity contract of the module docs).
 //!
-//! SpMV on CSR/DCSR folds each *fully owned* row into a local accumulator
+//! Row-keyed SpMV folds each *fully owned* row into a local accumulator
 //! before one `out[i] +=`. That is bitwise identical to the walker's
 //! per-entry adds: when the clamp covers the whole stored row, this task
 //! is the slot's only writer (position partitions are disjoint), so
@@ -20,13 +21,12 @@
 //! non-zero position split can cut mid-row) may share `out[i]` with
 //! another color, where `(P + x1) + x2` and `P + (x1 + x2)` round
 //! differently — those rows keep the walker's per-entry read-modify-write
-//! order. COO rows repeat per stored entry, so COO kernels are always
-//! per-entry.
+//! order.
 
 use spdistal_runtime::{IntervalSet, Rect1};
 use spdistal_sparse::SpTensor;
 
-use super::{compressed, prefetch_read, singleton};
+use super::{compressed, for_coo_runs, for_rows, prefetch_read, singleton, TopLevel};
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
@@ -73,8 +73,8 @@ fn spmv_row(
     n
 }
 
-/// SpMV over a CSR driver: `a(i) += B(i,j) * c(j)`.
-pub fn spmv_csr(
+/// SpMV over a row-keyed driver: `a(i) += B(i,j) * c(j)`.
+pub(super) fn spmv<T: TopLevel>(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -82,33 +82,17 @@ pub fn spmv_csr(
     c: &[f64],
     out: &OutVals,
 ) -> f64 {
-    let (pos, crd) = compressed(b, 1);
+    let (_, crd) = compressed(b, 1);
     let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
-    let (rows, cols) = (clamps.level(0), clamps.level(1));
-    let nrows = b.dims()[0] as i64;
-    let mut ops = 0u64;
-    for rr in rows.intersect_rect(Rect1::new(0, nrows - 1)) {
-        for i in rr.lo..=rr.hi {
-            if i < rr.hi {
-                let next = pos[(i + 1) as usize];
-                if !next.is_empty() {
-                    prefetch_read(crd, next.lo as usize);
-                    prefetch_read(vals, next.lo as usize);
-                }
-            }
-            let range = pos[i as usize];
-            if range.is_empty() {
-                continue;
-            }
-            ops += spmv_row(i as usize, range, cols, crd, vals, c, out);
-        }
-    }
-    ops as f64
+    let cols = clamps.level(1);
+    for_rows::<T>(b, clamps.level(0), |i, range| {
+        spmv_row(i, range, cols, crd, vals, c, out)
+    }) as f64
 }
 
-/// SpMV over a DCSR driver.
-pub fn spmv_dcsr(
+/// SpMV over a COO driver.
+pub(super) fn spmv_coo(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -116,61 +100,14 @@ pub fn spmv_dcsr(
     c: &[f64],
     out: &OutVals,
 ) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
-    let (pos1, crd1) = compressed(b, 1);
-    let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let (rows, cols) = (clamps.level(0), clamps.level(1));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for rr in rows.intersect_rect(root) {
-        for q0 in rr.lo..=rr.hi {
-            let i = crd0[q0 as usize] as usize;
-            let range = pos1[q0 as usize];
-            if range.is_empty() {
-                continue;
-            }
-            ops += spmv_row(i, range, cols, crd1, vals, c, out);
-        }
-    }
-    ops as f64
-}
-
-/// SpMV over a COO driver. Level-1 singleton entries share the level-0
-/// entry index, so the two clamps compose into one set intersected with
-/// the root range — one flat, branch-free pass over the stored triplets.
-pub fn spmv_coo(
-    b: &SpTensor,
-    part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-    c: &[f64],
-    out: &OutVals,
-) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
+    let (_, crd0) = compressed(b, 0);
     let crd1 = singleton(b, 1);
     let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let both = clamps.level(0).intersect(clamps.level(1));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for r in both.intersect_rect(root) {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
-        let vs = &vals[lo..=hi];
-        let is = &crd0[lo..=hi];
-        let js = &crd1[lo..=hi];
-        for ((v, &i), &j) in vs.iter().zip(is).zip(js) {
+    for_coo_runs(b, part, color, span, |lo, hi| {
+        for ((v, &i), &j) in vals[lo..=hi].iter().zip(&crd0[lo..=hi]).zip(&crd1[lo..=hi]) {
             out.add(i as usize, v * c[j as usize]);
         }
-        ops += vs.len() as u64;
-    }
-    ops as f64
+    }) as f64
 }
 
 /// How many stored entries ahead of the current one to prefetch the
@@ -181,165 +118,120 @@ const PF_DIST: usize = 4;
 /// `f64`s per 64-byte cache line, the stride between prefetch hints.
 const FLOATS_PER_LINE: usize = 8;
 
-/// Stored entries folded per unrolled SpMM step (see [`spmm_row_body`]).
+/// Stored entries folded per unrolled SpMM step (see [`SpMmRows::row`]).
 const CHUNK: usize = 4;
 
-/// One SpMM row: apply the clamped slice of stored row `range` to the
-/// output row at `row_start`, entry by entry in position order — the
-/// walker's exact update sequence, so bit-identity holds unconditionally.
-/// The row is borrowed once through [`OutVals::row_mut`]: one bounds
-/// check and a noalias `&mut` row the compiler can keep vectorized,
-/// instead of a checked raw-pointer `add_scaled` per entry. The stored
-/// column indices are effectively random, so each entry's dense `C` row
-/// is a likely cache miss — the loop issues a prefetch `PF_DIST` entries
-/// ahead to overlap those misses with the current row's work. Returns
-/// the entry count.
-///
-/// `#[inline(always)]` so [`spmm_row_wide`] recompiles this exact body
-/// under its widened target features.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn spmm_row_body(
-    row_start: usize,
-    range: Rect1,
-    cols: &IntervalSet,
-    crd: &[i64],
-    vals: &[f64],
-    c: &[f64],
+/// The per-task operands of the row-keyed SpMM update, bundled so the
+/// baseline and AVX-widened row loops share one body.
+struct SpMmRows<'a> {
+    cols: &'a IntervalSet,
+    crd: &'a [i64],
+    vals: &'a [f64],
+    c: &'a [f64],
     jdim: usize,
-    out: &OutVals,
-) -> u64 {
-    // SAFETY: the dependence graph serializes tasks whose output rows
-    // overlap and concurrent tasks touch disjoint elements (the OutVals
-    // contract), so this task is the row's only accessor.
-    let out_row = unsafe { out.row_mut(row_start, jdim) };
-    let mut n = 0u64;
-    for cr in cols.intersect_rect(range) {
-        let (lo, hi) = (cr.lo as usize, cr.hi as usize);
-        let vs = &vals[lo..=hi];
-        let ks = &crd[lo..=hi];
-        // Four entries per step: `out[j] += a; out[j] += b; ...` is the
-        // element-wise fold `(((out[j] + a) + b) + c) + d`, so keeping
-        // `out[j]` in a register across the chunk preserves the walker's
-        // per-element op order exactly while quartering the output row's
-        // load/store traffic.
-        let mut idx = 0;
-        while idx + CHUNK <= vs.len() {
-            if let Some(&knext) = ks.get(idx + PF_DIST) {
-                // A dense row spans several cache lines (jdim * 8
-                // bytes); hint every line, not just the first.
-                let base = knext as usize * jdim;
-                let mut off = 0;
-                while off < jdim {
-                    prefetch_read(c, base + off);
-                    off += FLOATS_PER_LINE;
+    out: &'a OutVals<'a>,
+}
+
+impl SpMmRows<'_> {
+    /// One SpMM row: apply the clamped slice of stored row `range` to
+    /// output row `i`, entry by entry in position order — the walker's
+    /// exact update sequence, so bit-identity holds unconditionally. The
+    /// row is borrowed once through [`OutVals::row_mut`]: one bounds check
+    /// and a noalias `&mut` row the compiler can keep vectorized, instead
+    /// of a checked raw-pointer `add_scaled` per entry. The stored column
+    /// indices are effectively random, so each entry's dense `C` row is a
+    /// likely cache miss — the loop issues a prefetch `PF_DIST` entries
+    /// ahead to overlap those misses with the current row's work. Returns
+    /// the entry count.
+    ///
+    /// `#[inline(always)]` so [`SpMmRows::row_wide`] recompiles this exact
+    /// body under its widened target features.
+    #[inline(always)]
+    fn row(&self, i: usize, range: Rect1) -> u64 {
+        let SpMmRows {
+            cols,
+            crd,
+            vals,
+            c,
+            jdim,
+            out,
+        } = *self;
+        // SAFETY: the dependence graph serializes tasks whose output rows
+        // overlap and concurrent tasks touch disjoint elements (the OutVals
+        // contract), so this task is the row's only accessor.
+        let out_row = unsafe { out.row_mut(i * jdim, jdim) };
+        let mut n = 0u64;
+        for cr in cols.intersect_rect(range) {
+            let (lo, hi) = (cr.lo as usize, cr.hi as usize);
+            let vs = &vals[lo..=hi];
+            let ks = &crd[lo..=hi];
+            // Four entries per step: `out[j] += a; out[j] += b; ...` is the
+            // element-wise fold `(((out[j] + a) + b) + c) + d`, so keeping
+            // `out[j]` in a register across the chunk preserves the walker's
+            // per-element op order exactly while quartering the output row's
+            // load/store traffic.
+            let mut idx = 0;
+            while idx + CHUNK <= vs.len() {
+                if let Some(&knext) = ks.get(idx + PF_DIST) {
+                    // A dense row spans several cache lines (jdim * 8
+                    // bytes); hint every line, not just the first.
+                    let base = knext as usize * jdim;
+                    let mut off = 0;
+                    while off < jdim {
+                        prefetch_read(c, base + off);
+                        off += FLOATS_PER_LINE;
+                    }
+                }
+                let (v0, v1, v2, v3) = (vs[idx], vs[idx + 1], vs[idx + 2], vs[idx + 3]);
+                let k0 = ks[idx] as usize * jdim;
+                let k1 = ks[idx + 1] as usize * jdim;
+                let k2 = ks[idx + 2] as usize * jdim;
+                let k3 = ks[idx + 3] as usize * jdim;
+                let c0 = &c[k0..k0 + jdim];
+                let c1 = &c[k1..k1 + jdim];
+                let c2 = &c[k2..k2 + jdim];
+                let c3 = &c[k3..k3 + jdim];
+                for j in 0..jdim {
+                    let mut t = out_row[j];
+                    t += v0 * c0[j];
+                    t += v1 * c1[j];
+                    t += v2 * c2[j];
+                    t += v3 * c3[j];
+                    out_row[j] = t;
+                }
+                idx += CHUNK;
+            }
+            for (v, &k) in vs[idx..].iter().zip(&ks[idx..]) {
+                let k = k as usize;
+                let crow = &c[k * jdim..(k + 1) * jdim];
+                for (a, cj) in out_row.iter_mut().zip(crow) {
+                    *a += v * cj;
                 }
             }
-            let (v0, v1, v2, v3) = (vs[idx], vs[idx + 1], vs[idx + 2], vs[idx + 3]);
-            let k0 = ks[idx] as usize * jdim;
-            let k1 = ks[idx + 1] as usize * jdim;
-            let k2 = ks[idx + 2] as usize * jdim;
-            let k3 = ks[idx + 3] as usize * jdim;
-            let c0 = &c[k0..k0 + jdim];
-            let c1 = &c[k1..k1 + jdim];
-            let c2 = &c[k2..k2 + jdim];
-            let c3 = &c[k3..k3 + jdim];
-            for j in 0..jdim {
-                let mut t = out_row[j];
-                t += v0 * c0[j];
-                t += v1 * c1[j];
-                t += v2 * c2[j];
-                t += v3 * c3[j];
-                out_row[j] = t;
-            }
-            idx += CHUNK;
+            n += vs.len() as u64;
         }
-        for (v, &k) in vs[idx..].iter().zip(&ks[idx..]) {
-            let k = k as usize;
-            let crow = &c[k * jdim..(k + 1) * jdim];
-            for (a, cj) in out_row.iter_mut().zip(crow) {
-                *a += v * cj;
-            }
-        }
-        n += vs.len() as u64;
+        n
     }
-    n
-}
 
-/// [`spmm_row_body`] at the build's baseline target features.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn spmm_row(
-    row_start: usize,
-    range: Rect1,
-    cols: &IntervalSet,
-    crd: &[i64],
-    vals: &[f64],
-    c: &[f64],
-    jdim: usize,
-    out: &OutVals,
-) -> u64 {
-    spmm_row_body(row_start, range, cols, crd, vals, c, jdim, out)
-}
-
-/// [`spmm_row_body`] recompiled with 256-bit AVX enabled (the baseline
-/// x86-64 target is SSE2, two `f64` lanes). The row update is purely
-/// element-wise — each `out[j] += v * c[j]` is an independent
-/// mul-then-add with no cross-lane reduction and no FMA contraction
-/// (`fma` stays disabled) — so widening the lanes changes which elements
-/// share an instruction, never any element's op sequence: results stay
-/// bit-identical to the scalar walker.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn spmm_row_wide(
-    row_start: usize,
-    range: Rect1,
-    cols: &IntervalSet,
-    crd: &[i64],
-    vals: &[f64],
-    c: &[f64],
-    jdim: usize,
-    out: &OutVals,
-) -> u64 {
-    spmm_row_body(row_start, range, cols, crd, vals, c, jdim, out)
-}
-
-/// Non-x86 stand-in for the widened row loop (never selected — see
-/// [`wide_rows_available`]); `unsafe` only for signature parity.
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-unsafe fn spmm_row_wide(
-    row_start: usize,
-    range: Rect1,
-    cols: &IntervalSet,
-    crd: &[i64],
-    vals: &[f64],
-    c: &[f64],
-    jdim: usize,
-    out: &OutVals,
-) -> u64 {
-    spmm_row_body(row_start, range, cols, crd, vals, c, jdim, out)
-}
-
-/// Whether [`spmm_row_wide`]'s widened lanes are usable on this CPU.
-#[inline]
-fn wide_rows_available() -> bool {
+    /// [`SpMmRows::row`] recompiled with 256-bit AVX enabled (the baseline
+    /// x86-64 target is SSE2, two `f64` lanes). The row update is purely
+    /// element-wise — each `out[j] += v * c[j]` is an independent
+    /// mul-then-add with no cross-lane reduction and no FMA contraction
+    /// (`fma` stays disabled) — so widening the lanes changes which
+    /// elements share an instruction, never any element's op sequence:
+    /// results stay bit-identical to the scalar walker.
     #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+    #[target_feature(enable = "avx")]
+    unsafe fn row_wide(&self, i: usize, range: Rect1) -> u64 {
+        self.row(i, range)
     }
 }
 
-/// SpMM over a CSR driver: `A(i,j) += B(i,k) * C(k,j)`, dense row-major
-/// `C` of width `jdim`. Per-row exclusive output borrow with per-entry
-/// updates in the walker's order (see [`spmm_row_body`]), through the
-/// AVX-widened loop when the CPU has it.
-pub fn spmm_csr(
+/// SpMM over a row-keyed driver: `A(i,j) += B(i,k) * C(k,j)`, dense
+/// row-major `C` of width `jdim`. Per-row exclusive output borrow with
+/// per-entry updates in the walker's order (see [`SpMmRows::row`]),
+/// through the AVX-widened loop when the CPU has it.
+pub(super) fn spmm<T: TopLevel>(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -348,80 +240,28 @@ pub fn spmm_csr(
     jdim: usize,
     out: &OutVals,
 ) -> f64 {
-    let (pos, crd) = compressed(b, 1);
-    let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
-    let (rows, cols) = (clamps.level(0), clamps.level(1));
-    let nrows = b.dims()[0] as i64;
-    let wide = wide_rows_available();
-    let mut ops = 0u64;
-    for rr in rows.intersect_rect(Rect1::new(0, nrows - 1)) {
-        for i in rr.lo..=rr.hi {
-            if i < rr.hi {
-                let next = pos[(i + 1) as usize];
-                if !next.is_empty() {
-                    prefetch_read(crd, next.lo as usize);
-                    prefetch_read(vals, next.lo as usize);
-                }
-            }
-            let range = pos[i as usize];
-            if range.is_empty() {
-                continue;
-            }
-            let n = if wide {
-                // SAFETY: `wide` proves AVX support at runtime.
-                unsafe { spmm_row_wide(i as usize * jdim, range, cols, crd, vals, c, jdim, out) }
-            } else {
-                spmm_row(i as usize * jdim, range, cols, crd, vals, c, jdim, out)
-            };
-            ops += jdim as u64 * n;
-        }
+    let rows = SpMmRows {
+        cols: clamps.level(1),
+        crd: compressed(b, 1).1,
+        vals: b.vals(),
+        c,
+        jdim,
+        out,
+    };
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX support was detected on the line above.
+        let n = for_rows::<T>(b, clamps.level(0), |i, range| unsafe {
+            rows.row_wide(i, range)
+        });
+        return (jdim as u64 * n) as f64;
     }
-    ops as f64
-}
-
-/// SpMM over a DCSR driver.
-pub fn spmm_dcsr(
-    b: &SpTensor,
-    part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-    c: &[f64],
-    jdim: usize,
-    out: &OutVals,
-) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
-    let (pos1, crd1) = compressed(b, 1);
-    let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let (rows, cols) = (clamps.level(0), clamps.level(1));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let wide = wide_rows_available();
-    let mut ops = 0u64;
-    for rr in rows.intersect_rect(root) {
-        for q0 in rr.lo..=rr.hi {
-            let range = pos1[q0 as usize];
-            if range.is_empty() {
-                continue;
-            }
-            let row_start = crd0[q0 as usize] as usize * jdim;
-            let n = if wide {
-                // SAFETY: `wide` proves AVX support at runtime.
-                unsafe { spmm_row_wide(row_start, range, cols, crd1, vals, c, jdim, out) }
-            } else {
-                spmm_row(row_start, range, cols, crd1, vals, c, jdim, out)
-            };
-            ops += jdim as u64 * n;
-        }
-    }
-    ops as f64
+    (jdim as u64 * for_rows::<T>(b, clamps.level(0), |i, range| rows.row(i, range))) as f64
 }
 
 /// SpMM over a COO driver.
-pub fn spmm_coo(
+pub(super) fn spmm_coo(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -430,34 +270,33 @@ pub fn spmm_coo(
     jdim: usize,
     out: &OutVals,
 ) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
+    let (_, crd0) = compressed(b, 0);
     let crd1 = singleton(b, 1);
     let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let both = clamps.level(0).intersect(clamps.level(1));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for r in both.intersect_rect(root) {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
-        let vs = &vals[lo..=hi];
-        let is = &crd0[lo..=hi];
-        let ks = &crd1[lo..=hi];
-        for ((v, &i), &k) in vs.iter().zip(is).zip(ks) {
+    let n = for_coo_runs(b, part, color, span, |lo, hi| {
+        for ((v, &i), &k) in vals[lo..=hi].iter().zip(&crd0[lo..=hi]).zip(&crd1[lo..=hi]) {
             let k = k as usize;
             out.add_scaled(i as usize * jdim, *v, &c[k * jdim..(k + 1) * jdim]);
         }
-        ops += jdim as u64 * vs.len() as u64;
-    }
-    ops as f64
+    });
+    (jdim as u64 * n) as f64
 }
 
-/// SDDMM over a CSR driver: `A(i,j) = B(i,j) * (C(i,:) · D(:,j))`,
+/// `C(i,:) · D(:,j)` for SDDMM, accumulated in ascending `k` — the
+/// walker's order.
+#[inline(always)]
+fn dot_col(crow: &[f64], d: &[f64], jdim: usize, j: usize) -> f64 {
+    let mut dot = 0.0;
+    for (k, ck) in crow.iter().enumerate() {
+        dot += ck * d[k * jdim + j];
+    }
+    dot
+}
+
+/// SDDMM over a row-keyed driver: `A(i,j) = B(i,j) * (C(i,:) · D(:,j))`,
 /// position-aligned output values.
 #[allow(clippy::too_many_arguments)]
-pub fn sddmm_csr(
+pub(super) fn sddmm<T: TopLevel>(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -468,91 +307,28 @@ pub fn sddmm_csr(
     jdim: usize,
     out_vals: &OutVals,
 ) -> f64 {
-    let (pos, crd) = compressed(b, 1);
+    let (_, crd) = compressed(b, 1);
     let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
-    let (rows, cols) = (clamps.level(0), clamps.level(1));
-    let nrows = b.dims()[0] as i64;
-    let mut ops = 0u64;
-    for rr in rows.intersect_rect(Rect1::new(0, nrows - 1)) {
-        for i in rr.lo..=rr.hi {
-            let range = pos[i as usize];
-            if range.is_empty() {
-                continue;
+    let cols = clamps.level(1);
+    let n = for_rows::<T>(b, clamps.level(0), |i, range| {
+        let crow = &c[i * kdim..(i + 1) * kdim];
+        let mut n = 0u64;
+        for cr in cols.intersect_rect(range) {
+            let (lo, hi) = (cr.lo as usize, cr.hi as usize);
+            for (q, (v, &j)) in (lo..).zip(vals[lo..=hi].iter().zip(&crd[lo..=hi])) {
+                out_vals.set(q, v * dot_col(crow, d, jdim, j as usize));
             }
-            let crow = &c[i as usize * kdim..(i as usize + 1) * kdim];
-            for cr in cols.intersect_rect(range) {
-                let (lo, hi) = (cr.lo as usize, cr.hi as usize);
-                let vs = &vals[lo..=hi];
-                let js = &crd[lo..=hi];
-                for (q_off, (v, &j)) in vs.iter().zip(js).enumerate() {
-                    let j = j as usize;
-                    let mut dot = 0.0;
-                    for (k, ck) in crow.iter().enumerate() {
-                        dot += ck * d[k * jdim + j];
-                    }
-                    out_vals.set(lo + q_off, v * dot);
-                }
-                ops += kdim as u64 * vs.len() as u64;
-            }
+            n += cr.len();
         }
-    }
-    ops as f64
-}
-
-/// SDDMM over a DCSR driver.
-#[allow(clippy::too_many_arguments)]
-pub fn sddmm_dcsr(
-    b: &SpTensor,
-    part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-    c: &[f64],
-    d: &[f64],
-    kdim: usize,
-    jdim: usize,
-    out_vals: &OutVals,
-) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
-    let (pos1, crd1) = compressed(b, 1);
-    let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let (rows, cols) = (clamps.level(0), clamps.level(1));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for rr in rows.intersect_rect(root) {
-        for q0 in rr.lo..=rr.hi {
-            let range = pos1[q0 as usize];
-            if range.is_empty() {
-                continue;
-            }
-            let i = crd0[q0 as usize] as usize;
-            let crow = &c[i * kdim..(i + 1) * kdim];
-            for cr in cols.intersect_rect(range) {
-                let (lo, hi) = (cr.lo as usize, cr.hi as usize);
-                let vs = &vals[lo..=hi];
-                let js = &crd1[lo..=hi];
-                for (q_off, (v, &j)) in vs.iter().zip(js).enumerate() {
-                    let j = j as usize;
-                    let mut dot = 0.0;
-                    for (k, ck) in crow.iter().enumerate() {
-                        dot += ck * d[k * jdim + j];
-                    }
-                    out_vals.set(lo + q_off, v * dot);
-                }
-                ops += kdim as u64 * vs.len() as u64;
-            }
-        }
-    }
-    ops as f64
+        n
+    });
+    (kdim as u64 * n) as f64
 }
 
 /// SDDMM over a COO driver.
 #[allow(clippy::too_many_arguments)]
-pub fn sddmm_coo(
+pub(super) fn sddmm_coo(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -563,30 +339,15 @@ pub fn sddmm_coo(
     jdim: usize,
     out_vals: &OutVals,
 ) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
+    let (_, crd0) = compressed(b, 0);
     let crd1 = singleton(b, 1);
     let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let both = clamps.level(0).intersect(clamps.level(1));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for r in both.intersect_rect(root) {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
-        let vs = &vals[lo..=hi];
-        let is = &crd0[lo..=hi];
-        let js = &crd1[lo..=hi];
-        for (q_off, ((v, &i), &j)) in vs.iter().zip(is).zip(js).enumerate() {
-            let (i, j) = (i as usize, j as usize);
-            let mut dot = 0.0;
-            for k in 0..kdim {
-                dot += c[i * kdim + k] * d[k * jdim + j];
-            }
-            out_vals.set(lo + q_off, v * dot);
+    let n = for_coo_runs(b, part, color, span, |lo, hi| {
+        let coords = crd0[lo..=hi].iter().zip(&crd1[lo..=hi]);
+        for (q, (v, (&i, &j))) in (lo..).zip(vals[lo..=hi].iter().zip(coords)) {
+            let crow = &c[i as usize * kdim..(i as usize + 1) * kdim];
+            out_vals.set(q, v * dot_col(crow, d, jdim, j as usize));
         }
-        ops += kdim as u64 * vs.len() as u64;
-    }
-    ops as f64
+    });
+    (kdim as u64 * n) as f64
 }

@@ -1,63 +1,64 @@
-//! The specialized kernel layer: monomorphized, span-aware leaf loops for
-//! blessed (kernel, storage format) pairs.
+//! The specialized kernel layer: span-aware leaf loops over the flat
+//! `pos`/`crd`/`vals` slices of blessed driver layouts, written once per
+//! *kernel body* and instantiated per *level kind*.
 //!
-//! The paper's pitch is that scheduling is separable from *generated fast
-//! code*. The generic walker ([`crate::kernels::walk_partitioned_span`])
-//! is the library half of that story: it iterates any coordinate tree by
-//! matching on [`Level`] at every node and calling a `dyn FnMut` per
-//! stored entry, allocating a clamp vector per row along the way. This
-//! module is the generated half: one hand-monomorphized loop per blessed
-//! kernel × format combination, operating on the flat `pos`/`crd`/`vals`
-//! slices directly — branch-free inner loops over contiguous position
-//! ranges, with row-block prefetch where the driver level is row-keyed.
+//! | | |
+//! |---|---|
+//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`), the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` level kinds, and the `(kernel, signature)` [`lookup`] / [`resolve`] |
+//! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
+//! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
+//! | **Does not own** | output aliasing — shared buffer vs. per-color partials is decided in `plan.rs`; a kernel only sees the [`OutVals`] it is handed |
+//! | **Does not own** | the generic walker (`kernels::{matrix,tensor3}::*_color`) — the test oracle, and the path of `SpTtv`, `SpAdd3` and unblessed layouts |
 //!
-//! ## The kernel table
+//! ## Kernel bodies × level kinds
 //!
-//! [`lookup`] keys [`TABLE`] by `(kernel name, Format::levels_signature())`
-//! — the storage half of the same [`Format::signature`] the `Program`
-//! plan cache embeds in its keys. Blessed today:
+//! A format is a list of level kinds, and the blessed layouts differ only
+//! in how level 0 yields `(row coordinate, child position range)`:
+//!
+//! * **row-keyed** drivers (CSR, DCSR, CSF, doubly-compressed CSF) have a
+//!   compressed level 1 under a dense or compressed level 0. One source
+//!   per kernel, generic over `TopLevel`, driven by `for_rows`; the
+//!   compiler emits the `DenseTop` and `CompressedTop` variants.
+//! * **COO** drivers (`{Compressed,Singleton,..}`) share one entry index
+//!   across all levels. One source per kernel, driven by
+//!   `for_coo_runs`.
 //!
 //! | kernel     | `{Dense,Compressed}` (CSR) | `{Compressed,Compressed}` (DCSR) | `{Compressed,Singleton}` (COO) |
-//! |------------|---------------------------|----------------------------------|--------------------------------|
-//! | `SpMv`     | ✓                         | ✓                                | ✓                              |
-//! | `SpMm`     | ✓                         | ✓                                | ✓                              |
-//! | `Sddmm`    | ✓                         | ✓                                | ✓                              |
+//! |------------|----------------------------|----------------------------------|--------------------------------|
+//! | `SpMv`     | `spmv::<DenseTop>`         | `spmv::<CompressedTop>`          | `spmv_coo`                     |
+//! | `SpMm`     | `spmm::<DenseTop>`         | `spmm::<CompressedTop>`          | `spmm_coo`                     |
+//! | `Sddmm`    | `sddmm::<DenseTop>`        | `sddmm::<CompressedTop>`         | `sddmm_coo`                    |
 //!
-//! plus the order-3 driver analogues for `SpMttkrp`: CSF
-//! `{Dense,Compressed,Compressed}`, doubly-compressed CSF
-//! `{Compressed,Compressed,Compressed}`, and COO
-//! `{Compressed,Singleton,Singleton}`. Everything else (`SpTtv`,
-//! `SpAdd3`, `Generic`, unblessed layouts) resolves to the generic walker
-//! and counts a `kernel.fallback`.
+//! plus the order-3 analogues for `SpMttkrp`: `spmttkrp::<DenseTop>` on
+//! CSF `{Dense,Compressed,Compressed}`, `spmttkrp::<CompressedTop>` on
+//! `{Compressed,Compressed,Compressed}`, and `spmttkrp_coo` on
+//! `{Compressed,Singleton,Singleton}`. Everything else resolves to the
+//! generic walker and counts a `kernel.fallback`.
 //!
 //! ## Contract
 //!
-//! Every specialized kernel is **bit-identical** to its generic
-//! counterpart (`matrix::*_color` / `tensor3::*_color`) for every
-//! partition, color, and [`KernelSpan`]: it resolves its iteration bounds
-//! through the same [`LevelClamps`] seam, visits stored entries in the
-//! same ascending order, and performs the same per-element floating-point
-//! accumulation sequence. It also returns the same exact integer op count,
-//! so the discrete-event cost model cannot observe which path ran. See
-//! `docs/kernels.md` for how to bless a new pair and the identity bar it
-//! must clear.
+//! Every kernel here is **bit-identical** to its generic counterpart
+//! (`matrix::*_color` / `tensor3::*_color`) for every partition, color,
+//! and [`KernelSpan`]: it resolves its iteration bounds through
+//! `LevelClamps`, visits stored entries in the same ascending order, and
+//! performs the same per-element floating-point accumulation sequence. It
+//! also returns the same exact integer op count, so the discrete-event
+//! cost model cannot observe which path ran. See `docs/kernels.md` for how
+//! to add a kernel body or a level kind and the identity bar it must
+//! clear.
 
 mod matrix;
 mod tensor3;
 
-pub use matrix::{
-    sddmm_coo, sddmm_csr, sddmm_dcsr, spmm_coo, spmm_csr, spmm_dcsr, spmv_coo, spmv_csr, spmv_dcsr,
-};
-pub use tensor3::{spmttkrp_coo3, spmttkrp_csf, spmttkrp_dcsf};
-
+use spdistal_runtime::{IntervalSet, Rect1};
 use spdistal_sparse::{Level, SpTensor};
 
 use super::{KernelSpan, LeafKernel, OutVals};
-use crate::level_funcs::TensorPartition;
+use crate::level_funcs::{LevelClamps, TensorPartition};
 
-/// A monomorphized leaf implementation, same contract as the generic
-/// `*_color` walkers: compute one `(color, span)` task's contribution and
-/// return the modeled op count.
+/// A blessed leaf implementation, same contract as the generic `*_color`
+/// walkers: compute one `(color, span)` task's contribution and return the
+/// modeled op count.
 pub type SpMvFn =
     fn(&SpTensor, &TensorPartition, usize, Option<&KernelSpan>, &[f64], &OutVals) -> f64;
 pub type SpMmFn =
@@ -84,8 +85,8 @@ pub type SpMttkrpFn = fn(
     &OutVals,
 ) -> f64;
 
-/// One resolved table entry: the kernel-shaped function pointer the
-/// per-span execution path calls directly.
+/// One resolved `(kernel, signature)` pair: the kernel-shaped function
+/// pointer `PreparedPlan::new` binds into the plan's leaf.
 #[derive(Clone, Copy)]
 pub enum SpecializedKernel {
     SpMv(SpMvFn),
@@ -94,73 +95,113 @@ pub enum SpecializedKernel {
     SpMttkrp(SpMttkrpFn),
 }
 
-/// The blessed (kernel, storage signature) pairs. Keys are
-/// [`kernel_name`] and `Format::levels_signature()`.
-pub const TABLE: &[(&str, &str, SpecializedKernel)] = &[
-    (
-        "SpMv",
-        "{Dense,Compressed}",
-        SpecializedKernel::SpMv(matrix::spmv_csr),
-    ),
-    (
-        "SpMv",
-        "{Compressed,Compressed}",
-        SpecializedKernel::SpMv(matrix::spmv_dcsr),
-    ),
-    (
-        "SpMv",
-        "{Compressed,Singleton}",
-        SpecializedKernel::SpMv(matrix::spmv_coo),
-    ),
-    (
-        "SpMm",
-        "{Dense,Compressed}",
-        SpecializedKernel::SpMm(matrix::spmm_csr),
-    ),
-    (
-        "SpMm",
-        "{Compressed,Compressed}",
-        SpecializedKernel::SpMm(matrix::spmm_dcsr),
-    ),
-    (
-        "SpMm",
-        "{Compressed,Singleton}",
-        SpecializedKernel::SpMm(matrix::spmm_coo),
-    ),
-    (
-        "Sddmm",
-        "{Dense,Compressed}",
-        SpecializedKernel::Sddmm(matrix::sddmm_csr),
-    ),
-    (
-        "Sddmm",
-        "{Compressed,Compressed}",
-        SpecializedKernel::Sddmm(matrix::sddmm_dcsr),
-    ),
-    (
-        "Sddmm",
-        "{Compressed,Singleton}",
-        SpecializedKernel::Sddmm(matrix::sddmm_coo),
-    ),
-    (
-        "SpMttkrp",
-        "{Dense,Compressed,Compressed}",
-        SpecializedKernel::SpMttkrp(tensor3::spmttkrp_csf),
-    ),
-    (
-        "SpMttkrp",
-        "{Compressed,Compressed,Compressed}",
-        SpecializedKernel::SpMttkrp(tensor3::spmttkrp_dcsf),
-    ),
-    (
-        "SpMttkrp",
-        "{Compressed,Singleton,Singleton}",
-        SpecializedKernel::SpMttkrp(tensor3::spmttkrp_coo3),
-    ),
-];
+/// How a row-keyed driver's level 0 yields row coordinates — the one thing
+/// CSR and DCSR (CSF and doubly-compressed CSF) loops differ in. The
+/// implementors are zero-sized; the methods are associated functions so a
+/// kernel instantiated at one of them is still a plain `fn` item.
+trait TopLevel {
+    /// The level-0 entries under the root, and the level's stored
+    /// coordinate array (empty when coordinates are implicit).
+    fn open(t: &SpTensor) -> (Rect1, &[i64]);
+    /// The row coordinate of level-0 entry `entry`, given `open`'s array.
+    fn coord(crd: &[i64], entry: i64) -> usize;
+}
 
-/// The table-key name of a leaf kernel (every variant, blessed or not —
-/// also the `kernel` field of `kernel-dispatch` trace events).
+/// Dense level 0: every row is an entry, and the entry *is* the coordinate.
+struct DenseTop;
+/// Compressed level 0: one entry per stored row, coordinates in `crd`.
+struct CompressedTop;
+
+impl TopLevel for DenseTop {
+    #[inline(always)]
+    fn open(t: &SpTensor) -> (Rect1, &[i64]) {
+        (Rect1::new(0, t.dims()[0] as i64 - 1), &[])
+    }
+    #[inline(always)]
+    fn coord(_: &[i64], entry: i64) -> usize {
+        entry as usize
+    }
+}
+
+impl TopLevel for CompressedTop {
+    #[inline(always)]
+    fn open(t: &SpTensor) -> (Rect1, &[i64]) {
+        let (pos, crd) = compressed(t, 0);
+        (pos[0], crd)
+    }
+    #[inline(always)]
+    fn coord(crd: &[i64], entry: i64) -> usize {
+        crd[entry as usize] as usize
+    }
+}
+
+/// The row walker every row-keyed kernel shares: visit the level-0
+/// entries of `b` inside the clamp `rows` in ascending order, skip rows
+/// with no stored children, and hand `row(coordinate, level-1 position
+/// range)` to the kernel body. Returns the sum of the body's results (its
+/// stored-entry counts).
+///
+/// While a row streams, the head of the next row's level-1 `crd` block
+/// (and of its values, when level 1 is the leaf) is prefetched: row-keyed
+/// drivers jump between discontiguous blocks, and the lookahead hides the
+/// first-line miss of each.
+#[inline(always)]
+fn for_rows<T: TopLevel>(
+    b: &SpTensor,
+    rows: &IntervalSet,
+    mut row: impl FnMut(usize, Rect1) -> u64,
+) -> u64 {
+    let (root, crd0) = T::open(b);
+    let (pos1, crd1) = compressed(b, 1);
+    let leaf_vals = if b.order() == 2 { b.vals() } else { &[] };
+    let mut n = 0u64;
+    for rr in rows.intersect_rect(root) {
+        for e in rr.lo..=rr.hi {
+            if e < rr.hi {
+                let next = pos1[(e + 1) as usize];
+                if !next.is_empty() {
+                    prefetch_read(crd1, next.lo as usize);
+                    prefetch_read(leaf_vals, next.lo as usize);
+                }
+            }
+            let children = pos1[e as usize];
+            if !children.is_empty() {
+                n += row(T::coord(crd0, e), children);
+            }
+        }
+    }
+    n
+}
+
+/// The run walker every COO kernel shares. Singleton levels reuse the
+/// level-0 entry index, so all per-level clamps compose into one set
+/// intersected with the root range: `run(lo, hi)` receives each maximal
+/// contiguous entry run (inclusive), in ascending order — one flat pass
+/// over the stored tuples. COO rows repeat per stored entry, so COO
+/// kernels always update per entry. Returns the entries visited.
+#[inline(always)]
+fn for_coo_runs(
+    b: &SpTensor,
+    part: &TensorPartition,
+    color: usize,
+    span: Option<&KernelSpan>,
+    mut run: impl FnMut(usize, usize),
+) -> u64 {
+    let clamps = LevelClamps::new(part, color, span);
+    let mut all = clamps.level(0).intersect(clamps.level(1));
+    for level in 2..b.order() {
+        all = all.intersect(clamps.level(level));
+    }
+    let mut n = 0u64;
+    for r in all.intersect_rect(compressed(b, 0).0[0]) {
+        run(r.lo as usize, r.hi as usize);
+        n += r.len();
+    }
+    n
+}
+
+/// The kernel's name in `kernel-dispatch` trace events (every variant,
+/// blessed or not).
 pub fn kernel_name(kernel: &LeafKernel) -> &'static str {
     match kernel {
         LeafKernel::SpMv => "SpMv",
@@ -173,25 +214,55 @@ pub fn kernel_name(kernel: &LeafKernel) -> &'static str {
     }
 }
 
-/// Look up the specialized implementation of `(kernel, levels_signature)`,
+/// The blessed storage signatures, as `Format::levels_signature()` spells
+/// them.
+const CSR: &str = "{Dense,Compressed}";
+const DCSR: &str = "{Compressed,Compressed}";
+const COO: &str = "{Compressed,Singleton}";
+const CSF: &str = "{Dense,Compressed,Compressed}";
+const DCSF: &str = "{Compressed,Compressed,Compressed}";
+const COO3: &str = "{Compressed,Singleton,Singleton}";
+
+/// Look up the blessed implementation of `(kernel, levels_signature)`,
 /// where `levels_signature` is `Format::levels_signature()` of the driver
 /// tensor's declared format. `None`: not blessed, use the generic walker.
 pub fn lookup(kernel: &LeafKernel, levels_signature: &str) -> Option<SpecializedKernel> {
-    let name = kernel_name(kernel);
-    TABLE
-        .iter()
-        .find(|(k, sig, _)| *k == name && *sig == levels_signature)
-        .map(|(_, _, f)| *f)
+    use LeafKernel as L;
+    use SpecializedKernel as K;
+    Some(match (kernel, levels_signature) {
+        (L::SpMv, CSR) => K::SpMv(matrix::spmv::<DenseTop>),
+        (L::SpMv, DCSR) => K::SpMv(matrix::spmv::<CompressedTop>),
+        (L::SpMv, COO) => K::SpMv(matrix::spmv_coo),
+        (L::SpMm { .. }, CSR) => K::SpMm(matrix::spmm::<DenseTop>),
+        (L::SpMm { .. }, DCSR) => K::SpMm(matrix::spmm::<CompressedTop>),
+        (L::SpMm { .. }, COO) => K::SpMm(matrix::spmm_coo),
+        (L::Sddmm { .. }, CSR) => K::Sddmm(matrix::sddmm::<DenseTop>),
+        (L::Sddmm { .. }, DCSR) => K::Sddmm(matrix::sddmm::<CompressedTop>),
+        (L::Sddmm { .. }, COO) => K::Sddmm(matrix::sddmm_coo),
+        (L::SpMttkrp { .. }, CSF) => K::SpMttkrp(tensor3::spmttkrp::<DenseTop>),
+        (L::SpMttkrp { .. }, DCSF) => K::SpMttkrp(tensor3::spmttkrp::<CompressedTop>),
+        (L::SpMttkrp { .. }, COO3) => K::SpMttkrp(tensor3::spmttkrp_coo),
+        _ => return None,
+    })
+}
+
+/// A stored level's kind, as `Format::levels_signature()` spells it.
+fn level_kind(level: &Level) -> &'static str {
+    match level {
+        Level::Dense { .. } => "Dense",
+        Level::Compressed { .. } => "Compressed",
+        Level::Singleton { .. } => "Singleton",
+    }
 }
 
 /// The storage signature of a tensor's *actual* levels, in the same
 /// notation as `Format::levels_signature()`.
 pub fn storage_signature(t: &SpTensor) -> String {
-    let levels: Vec<String> = t.formats().iter().map(|l| format!("{l:?}")).collect();
-    format!("{{{}}}", levels.join(","))
+    let kinds: Vec<&str> = t.levels().iter().map(level_kind).collect();
+    format!("{{{}}}", kinds.join(","))
 }
 
-/// Resolve `(kernel, levels_signature)` against the table, verifying that
+/// Resolve `(kernel, levels_signature)`, verifying level by level that
 /// `driver`'s stored levels really match the declared signature — a
 /// mismatch (a tensor whose data was swapped under its format) must fall
 /// back to the walker rather than read the wrong arrays.
@@ -200,7 +271,14 @@ pub fn resolve(
     levels_signature: &str,
     driver: &SpTensor,
 ) -> Option<SpecializedKernel> {
-    if storage_signature(driver) != levels_signature {
+    let inner = levels_signature.strip_prefix('{')?.strip_suffix('}')?;
+    let mut declared = inner.split(',');
+    let stored_as_declared = driver
+        .levels()
+        .iter()
+        .all(|l| declared.next() == Some(level_kind(l)))
+        && declared.next().is_none();
+    if !stored_as_declared {
         return None;
     }
     lookup(kernel, levels_signature)
@@ -223,10 +301,8 @@ fn singleton(t: &SpTensor, level: usize) -> &[i64] {
     }
 }
 
-/// Hint the prefetcher at the head of the next row's column/value data
-/// while the current row streams — row-keyed drivers (CSR, CSF) jump
-/// between discontiguous `crd`/`vals` blocks, so the lookahead hides the
-/// first-line miss of each block. No-op off x86-64.
+/// Hint the prefetcher at `slice[index]` (a pure cache hint: no-op when
+/// out of range, and off x86-64).
 #[inline(always)]
 fn prefetch_read<T>(slice: &[T], index: usize) {
     #[cfg(target_arch = "x86_64")]
@@ -249,12 +325,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_keys_are_unique() {
-        for (i, (k1, s1, _)) in TABLE.iter().enumerate() {
-            for (k2, s2, _) in &TABLE[i + 1..] {
-                assert!(!(k1 == k2 && s1 == s2), "duplicate table key {k1} {s1}");
+    fn lookup_blesses_exactly_twelve_pairs() {
+        let kernels = [
+            LeafKernel::SpMv,
+            LeafKernel::SpMm { jdim: 4 },
+            LeafKernel::SpAdd3,
+            LeafKernel::Sddmm { kdim: 4 },
+            LeafKernel::SpTtv,
+            LeafKernel::SpMttkrp { ldim: 4 },
+            LeafKernel::Generic,
+        ];
+        let kinds = ["Dense", "Compressed", "Singleton"];
+        let mut blessed = 0;
+        for k in &kernels {
+            for a in kinds {
+                for b in kinds {
+                    blessed += lookup(k, &format!("{{{a},{b}}}")).is_some() as usize;
+                    for c in kinds {
+                        blessed += lookup(k, &format!("{{{a},{b},{c}}}")).is_some() as usize;
+                    }
+                }
             }
         }
+        assert_eq!(blessed, 12);
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! Monomorphized SpMTTKRP loops over the order-3 driver layouts: CSF
-//! `{Dense,Compressed,Compressed}`, doubly-compressed CSF
-//! `{Compressed,Compressed,Compressed}`, and COO
-//! `{Compressed,Singleton,Singleton}`.
+//! SpMTTKRP leaf loops over the order-3 driver layouts: one row-keyed
+//! source (generic over the driver's [`TopLevel`]: CSF
+//! `{Dense,Compressed,Compressed}` and doubly-compressed CSF
+//! `{Compressed,Compressed,Compressed}`) plus one COO
+//! `{Compressed,Singleton,Singleton}` source.
 //!
 //! `A(i,l) += B(i,j,k) * C(j,l) * D(k,l)` with dense row-major factors of
 //! width `ldim`. Per-entry factor-row updates keep the accumulation order
 //! exactly the generic walker's; op accounting is `2 * ldim` per stored
 //! entry, as in [`crate::kernels::tensor3::spmttkrp_color`].
 
-use spdistal_runtime::Rect1;
 use spdistal_sparse::SpTensor;
 
-use super::{compressed, prefetch_read, singleton};
+use super::{compressed, for_coo_runs, for_rows, singleton, TopLevel};
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
-/// SpMTTKRP over a CSF driver (dense slices, compressed fibers).
+/// SpMTTKRP over a row-keyed driver (slices over compressed fibers).
 #[allow(clippy::too_many_arguments)]
-pub fn spmttkrp_csf(
+pub(super) fn spmttkrp<T: TopLevel>(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -27,59 +27,35 @@ pub fn spmttkrp_csf(
     ldim: usize,
     out: &OutVals,
 ) -> f64 {
-    let (pos1, crd1) = compressed(b, 1);
+    let (_, crd1) = compressed(b, 1);
     let (pos2, crd2) = compressed(b, 2);
     let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
-    let (l0, l1, l2) = (clamps.level(0), clamps.level(1), clamps.level(2));
-    let nslices = b.dims()[0] as i64;
-    let mut ops = 0u64;
-    for rr in l0.intersect_rect(Rect1::new(0, nslices - 1)) {
-        for i in rr.lo..=rr.hi {
-            if i < rr.hi {
-                let next = pos1[(i + 1) as usize];
-                if !next.is_empty() {
-                    prefetch_read(crd1, next.lo as usize);
-                }
-            }
-            let fibers = pos1[i as usize];
-            if fibers.is_empty() {
-                continue;
-            }
-            let row_start = i as usize * ldim;
-            for fr in l1.intersect_rect(fibers) {
-                for q1 in fr.lo..=fr.hi {
-                    let j = crd1[q1 as usize] as usize;
-                    let leaves = pos2[q1 as usize];
-                    if leaves.is_empty() {
-                        continue;
+    let (l1, l2) = (clamps.level(1), clamps.level(2));
+    let n = for_rows::<T>(b, clamps.level(0), |i, fibers| {
+        let mut n = 0u64;
+        for fr in l1.intersect_rect(fibers) {
+            for q1 in fr.lo as usize..=fr.hi as usize {
+                let j = crd1[q1] as usize;
+                let crow = &c[j * ldim..(j + 1) * ldim];
+                for lr in l2.intersect_rect(pos2[q1]) {
+                    let (lo, hi) = (lr.lo as usize, lr.hi as usize);
+                    for (v, &k) in vals[lo..=hi].iter().zip(&crd2[lo..=hi]) {
+                        let k = k as usize;
+                        out.add_scaled_product(i * ldim, *v, crow, &d[k * ldim..(k + 1) * ldim]);
                     }
-                    let crow = &c[j * ldim..(j + 1) * ldim];
-                    for lr in l2.intersect_rect(leaves) {
-                        let (lo, hi) = (lr.lo as usize, lr.hi as usize);
-                        let vs = &vals[lo..=hi];
-                        let ks = &crd2[lo..=hi];
-                        for (v, &k) in vs.iter().zip(ks) {
-                            let k = k as usize;
-                            out.add_scaled_product(
-                                row_start,
-                                *v,
-                                crow,
-                                &d[k * ldim..(k + 1) * ldim],
-                            );
-                        }
-                        ops += 2 * ldim as u64 * vs.len() as u64;
-                    }
+                    n += lr.len();
                 }
             }
         }
-    }
-    ops as f64
+        n
+    });
+    (2 * ldim as u64 * n) as f64
 }
 
-/// SpMTTKRP over a doubly-compressed CSF driver (compressed slice level).
+/// SpMTTKRP over an order-3 COO driver.
 #[allow(clippy::too_many_arguments)]
-pub fn spmttkrp_dcsf(
+pub(super) fn spmttkrp_coo(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -89,89 +65,12 @@ pub fn spmttkrp_dcsf(
     ldim: usize,
     out: &OutVals,
 ) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
-    let (pos1, crd1) = compressed(b, 1);
-    let (pos2, crd2) = compressed(b, 2);
+    let (_, crd0) = compressed(b, 0);
+    let (crd1, crd2) = (singleton(b, 1), singleton(b, 2));
     let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let (l0, l1, l2) = (clamps.level(0), clamps.level(1), clamps.level(2));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for rr in l0.intersect_rect(root) {
-        for q0 in rr.lo..=rr.hi {
-            let fibers = pos1[q0 as usize];
-            if fibers.is_empty() {
-                continue;
-            }
-            let row_start = crd0[q0 as usize] as usize * ldim;
-            for fr in l1.intersect_rect(fibers) {
-                for q1 in fr.lo..=fr.hi {
-                    let j = crd1[q1 as usize] as usize;
-                    let leaves = pos2[q1 as usize];
-                    if leaves.is_empty() {
-                        continue;
-                    }
-                    let crow = &c[j * ldim..(j + 1) * ldim];
-                    for lr in l2.intersect_rect(leaves) {
-                        let (lo, hi) = (lr.lo as usize, lr.hi as usize);
-                        let vs = &vals[lo..=hi];
-                        let ks = &crd2[lo..=hi];
-                        for (v, &k) in vs.iter().zip(ks) {
-                            let k = k as usize;
-                            out.add_scaled_product(
-                                row_start,
-                                *v,
-                                crow,
-                                &d[k * ldim..(k + 1) * ldim],
-                            );
-                        }
-                        ops += 2 * ldim as u64 * vs.len() as u64;
-                    }
-                }
-            }
-        }
-    }
-    ops as f64
-}
-
-/// SpMTTKRP over an order-3 COO driver. The singleton levels share the
-/// level-0 entry index, so all three clamps compose into one set
-/// intersected with the root range.
-#[allow(clippy::too_many_arguments)]
-pub fn spmttkrp_coo3(
-    b: &SpTensor,
-    part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-    c: &[f64],
-    d: &[f64],
-    ldim: usize,
-    out: &OutVals,
-) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
-    let crd1 = singleton(b, 1);
-    let crd2 = singleton(b, 2);
-    let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let all = clamps
-        .level(0)
-        .intersect(clamps.level(1))
-        .intersect(clamps.level(2));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for r in all.intersect_rect(root) {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
-        let vs = &vals[lo..=hi];
-        let is = &crd0[lo..=hi];
-        let js = &crd1[lo..=hi];
-        let ks = &crd2[lo..=hi];
-        for (((v, &i), &j), &k) in vs.iter().zip(is).zip(js).zip(ks) {
+    let n = for_coo_runs(b, part, color, span, |lo, hi| {
+        let coords = crd0[lo..=hi].iter().zip(&crd1[lo..=hi]).zip(&crd2[lo..=hi]);
+        for (v, ((&i, &j), &k)) in vals[lo..=hi].iter().zip(coords) {
             let (j, k) = (j as usize, k as usize);
             out.add_scaled_product(
                 i as usize * ldim,
@@ -180,7 +79,6 @@ pub fn spmttkrp_coo3(
                 &d[k * ldim..(k + 1) * ldim],
             );
         }
-        ops += 2 * ldim as u64 * vs.len() as u64;
-    }
-    ops as f64
+    });
+    (2 * ldim as u64 * n) as f64
 }

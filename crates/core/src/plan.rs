@@ -81,7 +81,8 @@ use spdistal_sparse::{dense_vector, CooTensor, Level, SpTensor};
 
 use crate::codegen::{OutKind, Plan, PlannedInput};
 use crate::dist_tensor::{procs_for_color, Context, Error, LevelRegions, VAL_BYTES};
-use crate::kernels::{self, matrix, specialized, tensor3, KernelSpan, LeafKernel, OutVals};
+use crate::kernels::specialized::{self, SpecializedKernel};
+use crate::kernels::{self, matrix, tensor3, KernelSpan, LeafKernel, OutVals};
 use crate::level_funcs::{entry_counts, TensorPartition};
 use crate::streaming::DirtyMap;
 
@@ -251,32 +252,20 @@ enum PointResult {
     Failed(String),
 }
 
-/// Kernel-specific borrowed operands of one prepared plan.
+/// The leaf of a dense-output plan, bound once at describe time: runs one
+/// `(point, span clamp)` task into the given output view and returns its
+/// modeled op count. Covers both dispatch outcomes — a blessed
+/// [`specialized`] kernel or the generic walker — with the operands
+/// already captured.
+type Leaf<'a> = Box<dyn Fn(usize, Option<&KernelSpan>, &OutVals) -> f64 + Send + Sync + 'a>;
+
+/// What one span of a prepared plan executes.
 enum Body<'a> {
-    SpMv {
-        c: &'a [f64],
-    },
-    SpMm {
-        c: &'a [f64],
-        jdim: usize,
-    },
-    Sddmm {
-        c: &'a [f64],
-        d: &'a [f64],
-        kdim: usize,
-        jdim: usize,
-    },
+    /// Dense or pattern-aligned output written in place through [`OutVals`].
+    Dense(Leaf<'a>),
     SpAdd3 {
         c: &'a SpTensor,
         d: &'a SpTensor,
-    },
-    SpTtv {
-        c: &'a [f64],
-    },
-    SpMttkrp {
-        c: &'a [f64],
-        d: &'a [f64],
-        ldim: usize,
     },
     Interp {
         bindings: Bindings<'a>,
@@ -348,10 +337,6 @@ pub(crate) struct PreparedPlan<'a> {
     /// `span_offsets[point]`: flat slot index of the point's first span.
     span_offsets: Vec<usize>,
     body: Body<'a>,
-    /// The leaf dispatch, resolved once at describe time: blessed
-    /// (kernel, driver-format) pairs run their monomorphized loop via a
-    /// direct call per span; `None` falls back to the generic walker.
-    specialized: Option<specialized::SpecializedKernel>,
     out_len: usize,
     shared: Option<SharedOut>,
     /// Whether a caller-provided seed became the shared output allocation
@@ -392,49 +377,64 @@ impl<'a> PreparedPlan<'a> {
             .unwrap()
             .part;
 
-        let (body, out_len) = match &plan.kernel {
-            LeafKernel::SpMv => (
-                Body::SpMv {
-                    c: data(&accesses[1].tensor)?.vals(),
-                },
-                driver.dims()[0],
-            ),
-            LeafKernel::SpMm { jdim } => (
-                Body::SpMm {
-                    c: data(&accesses[1].tensor)?.vals(),
-                    jdim: *jdim,
-                },
-                driver.dims()[0] * jdim,
-            ),
-            LeafKernel::Sddmm { kdim } => (
-                Body::Sddmm {
-                    c: data(&accesses[1].tensor)?.vals(),
-                    d: data(&accesses[2].tensor)?.vals(),
-                    kdim: *kdim,
-                    jdim: driver.dims()[1],
-                },
-                driver.num_stored(),
-            ),
+        // Leaf dispatch: resolve the (kernel, driver-format) pair exactly
+        // once and bind the result — blessed kernel or generic walker —
+        // with its operands into the plan's leaf, so per-span execution is
+        // one indirect call (see docs/kernels.md). Either way the decision
+        // is traced and counted below.
+        let blessed = specialized::resolve(&plan.kernel, &plan.driver_levels, driver);
+        let operand = |k: usize| data(&accesses[k].tensor).map(SpTensor::vals);
+        let (body, out_len): (Body<'a>, usize) = match plan.kernel {
+            LeafKernel::SpMv => {
+                let c = operand(1)?;
+                let f = match blessed {
+                    Some(SpecializedKernel::SpMv(f)) => f,
+                    _ => matrix::spmv_color,
+                };
+                let leaf: Leaf = Box::new(move |p, sp, out| f(driver, part, p, sp, c, out));
+                (Body::Dense(leaf), driver.dims()[0])
+            }
+            LeafKernel::SpMm { jdim } => {
+                let c = operand(1)?;
+                let f = match blessed {
+                    Some(SpecializedKernel::SpMm(f)) => f,
+                    _ => matrix::spmm_color,
+                };
+                let leaf: Leaf = Box::new(move |p, sp, out| f(driver, part, p, sp, c, jdim, out));
+                (Body::Dense(leaf), driver.dims()[0] * jdim)
+            }
+            LeafKernel::Sddmm { kdim } => {
+                let (c, d, jdim) = (operand(1)?, operand(2)?, driver.dims()[1]);
+                let f = match blessed {
+                    Some(SpecializedKernel::Sddmm(f)) => f,
+                    _ => matrix::sddmm_color,
+                };
+                let leaf: Leaf =
+                    Box::new(move |p, sp, out| f(driver, part, p, sp, c, d, kdim, jdim, out));
+                (Body::Dense(leaf), driver.num_stored())
+            }
+            LeafKernel::SpTtv => {
+                let c = operand(1)?;
+                let leaf: Leaf =
+                    Box::new(move |p, sp, out| tensor3::spttv_color(driver, part, p, sp, c, out));
+                (Body::Dense(leaf), entry_counts(driver)[1] as usize)
+            }
+            LeafKernel::SpMttkrp { ldim } => {
+                let (c, d) = (operand(1)?, operand(2)?);
+                let f = match blessed {
+                    Some(SpecializedKernel::SpMttkrp(f)) => f,
+                    _ => tensor3::spmttkrp_color,
+                };
+                let leaf: Leaf =
+                    Box::new(move |p, sp, out| f(driver, part, p, sp, c, d, ldim, out));
+                (Body::Dense(leaf), driver.dims()[0] * ldim)
+            }
             LeafKernel::SpAdd3 => (
                 Body::SpAdd3 {
                     c: data(&accesses[1].tensor)?,
                     d: data(&accesses[2].tensor)?,
                 },
                 0,
-            ),
-            LeafKernel::SpTtv => (
-                Body::SpTtv {
-                    c: data(&accesses[1].tensor)?.vals(),
-                },
-                entry_counts(driver)[1] as usize,
-            ),
-            LeafKernel::SpMttkrp { ldim } => (
-                Body::SpMttkrp {
-                    c: data(&accesses[1].tensor)?.vals(),
-                    d: data(&accesses[2].tensor)?.vals(),
-                    ldim: *ldim,
-                },
-                driver.dims()[0] * ldim,
             ),
             LeafKernel::Generic => {
                 let mut bindings = Bindings::new();
@@ -447,18 +447,12 @@ impl<'a> PreparedPlan<'a> {
                 (Body::Interp { bindings, out_dims }, 0)
             }
         };
-
-        // Leaf dispatch: resolve the (kernel, driver-format) pair against
-        // the specialized kernel table exactly once, so per-span execution
-        // is a direct call (see docs/kernels.md). Unblessed pairs keep the
-        // generic walker; either way the decision is traced and counted.
-        let specialized = specialized::resolve(&plan.kernel, &plan.driver_levels, driver);
         let trace = ctx.trace();
         if trace.is_enabled() {
             trace.kernel_dispatch(
                 specialized::kernel_name(&plan.kernel),
                 &ctx.tensor(&plan.driver)?.format.signature(),
-                specialized.is_some(),
+                blessed.is_some(),
             );
         }
 
@@ -535,7 +529,6 @@ impl<'a> PreparedPlan<'a> {
             spans,
             span_offsets,
             body,
-            specialized,
             out_len,
             shared,
             seeded,
@@ -561,63 +554,12 @@ impl<'a> PreparedPlan<'a> {
     pub(crate) fn run_point(&self, point: usize, span: usize) {
         let clamp = self.spans[point][span].as_ref();
         let result = match &self.body {
-            Body::SpMv { c } => self.dense_point(point, |out| match self.specialized {
-                Some(specialized::SpecializedKernel::SpMv(f)) => {
-                    f(self.driver, self.part, point, clamp, c, out)
-                }
-                _ => matrix::spmv_color(self.driver, self.part, point, clamp, c, out),
-            }),
-            Body::SpMm { c, jdim } => self.dense_point(point, |out| match self.specialized {
-                Some(specialized::SpecializedKernel::SpMm(f)) => {
-                    f(self.driver, self.part, point, clamp, c, *jdim, out)
-                }
-                _ => matrix::spmm_color(self.driver, self.part, point, clamp, c, *jdim, out),
-            }),
-            Body::Sddmm { c, d, kdim, jdim } => {
-                self.dense_point(point, |out| match self.specialized {
-                    Some(specialized::SpecializedKernel::Sddmm(f)) => f(
-                        self.driver,
-                        self.part,
-                        point,
-                        clamp,
-                        c,
-                        d,
-                        *kdim,
-                        *jdim,
-                        out,
-                    ),
-                    _ => matrix::sddmm_color(
-                        self.driver,
-                        self.part,
-                        point,
-                        clamp,
-                        c,
-                        d,
-                        *kdim,
-                        *jdim,
-                        out,
-                    ),
-                })
-            }
-            Body::SpTtv { c } => self.dense_point(point, |out| {
-                tensor3::spttv_color(self.driver, self.part, point, clamp, c, out)
-            }),
-            Body::SpMttkrp { c, d, ldim } => {
-                self.dense_point(point, |out| match self.specialized {
-                    Some(specialized::SpecializedKernel::SpMttkrp(f)) => {
-                        f(self.driver, self.part, point, clamp, c, d, *ldim, out)
-                    }
-                    _ => tensor3::spmttkrp_color(
-                        self.driver,
-                        self.part,
-                        point,
-                        clamp,
-                        c,
-                        d,
-                        *ldim,
-                        out,
-                    ),
-                })
+            Body::Dense(leaf) => {
+                let out = match &self.shared {
+                    Some(shared) => shared.writer(),
+                    None => self.reduce_parts[point].writer(),
+                };
+                PointResult::Ops(leaf(point, clamp, &out))
             }
             Body::SpAdd3 { c, d } => {
                 let (rows, sym, num) =
@@ -685,14 +627,6 @@ impl<'a> PreparedPlan<'a> {
     /// retained values and it contributes zero modeled ops.
     fn skip_point(&self, point: usize, span: usize) {
         *self.slots[self.span_offsets[point] + span].lock().unwrap() = Some(PointResult::Ops(0.0));
-    }
-
-    fn dense_point(&self, point: usize, kernel: impl FnOnce(&OutVals) -> f64) -> PointResult {
-        let ops = match &self.shared {
-            Some(shared) => kernel(&shared.writer()),
-            None => kernel(&self.reduce_parts[point].writer()),
-        };
-        PointResult::Ops(ops)
     }
 
     /// Fold the per-span results into the computed output and the

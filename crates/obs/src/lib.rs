@@ -272,13 +272,11 @@ impl Trace {
         self.plan_cache_lookup(key, None, false, false);
     }
 
-    /// One plan-cache lookup with tenant attribution: records the legacy
-    /// `PlanCacheHit`/`PlanCacheMiss` event and `plan_cache_hits`/
-    /// `plan_cache_misses` counters (so existing traces are unchanged),
-    /// plus the namespaced `plan_cache.{hit,miss}` counters, a per-tenant
-    /// `tenant.<name>.plan_cache.{hit,miss}` counter when a tenant label is
-    /// given, and `plan_cache.hit.cross_tenant` when the hit reused a plan
-    /// some *other* tenant compiled.
+    /// One plan-cache lookup with tenant attribution: records the
+    /// `PlanCacheHit`/`PlanCacheMiss` event and the `plan_cache.{hit,miss}`
+    /// counters, a per-tenant `tenant.<name>.plan_cache.{hit,miss}` counter
+    /// when a tenant label is given, and `plan_cache.hit.cross_tenant` when
+    /// the hit reused a plan some *other* tenant compiled.
     pub fn plan_cache_lookup(
         &self,
         key: &str,
@@ -292,14 +290,12 @@ impl Trace {
         let sym = self.intern(key);
         if hit {
             self.record(Event::PlanCacheHit { key: sym });
-            self.add("plan_cache_hits", 1);
             self.add("plan_cache.hit", 1);
             if cross_tenant {
                 self.add("plan_cache.hit.cross_tenant", 1);
             }
         } else {
             self.record(Event::PlanCacheMiss { key: sym });
-            self.add("plan_cache_misses", 1);
             self.add("plan_cache.miss", 1);
         }
         if let Some(t) = tenant {
@@ -547,12 +543,9 @@ mod tests {
         t.plan_cache_lookup("k", Some("t1"), false, false);
         t.plan_cache_lookup("k", Some("t2"), true, true);
         t.plan_cache_lookup("k", Some("t1"), true, false);
-        t.plan_cache_hit("k"); // legacy helper: untenanted hit
+        t.plan_cache_hit("k"); // untenanted hit
         let m = t.metrics().unwrap();
-        // Legacy counters keep counting every lookup.
-        assert_eq!(m.counter("plan_cache_hits").get(), 3);
-        assert_eq!(m.counter("plan_cache_misses").get(), 1);
-        // Namespaced totals plus cross-tenant attribution.
+        // Totals plus cross-tenant attribution.
         assert_eq!(m.counter("plan_cache.hit").get(), 3);
         assert_eq!(m.counter("plan_cache.miss").get(), 1);
         assert_eq!(m.counter("plan_cache.hit.cross_tenant").get(), 1);

@@ -123,38 +123,13 @@ impl LogHistogram {
         h
     }
 
-    /// The value at quantile `q` in `[0, 1]`, resolved to its bucket's
-    /// upper bound. 0.0 on an empty histogram — never NaN.
+    /// The value at quantile `q` in `[0, 1]` (see [`HistSnapshot::quantile`]).
     pub fn quantile(&self, q: f64) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            return 0.0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            cum += bucket.load(Ordering::Relaxed);
-            if cum >= target {
-                return bucket_value(b);
-            }
-        }
-        self.max.load(Ordering::Relaxed) as f64
+        self.snapshot().quantile(q)
     }
 
     pub fn summarize(&self) -> HistSummary {
-        let count = self.count();
-        HistSummary {
-            count,
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-            mean: if count == 0 {
-                0.0
-            } else {
-                self.sum.load(Ordering::Relaxed) as f64 / count as f64
-            },
-            max: self.max.load(Ordering::Relaxed) as f64,
-        }
+        self.snapshot().summarize()
     }
 }
 
@@ -274,7 +249,9 @@ impl HistSnapshot {
     }
 
     /// The value at quantile `q` in `[0, 1]`, resolved to its bucket's
-    /// upper bound. 0.0 on an empty snapshot — never NaN.
+    /// upper bound clamped to the observed maximum (the top bucket's bound
+    /// can lie past every observation). 0.0 on an empty snapshot — never
+    /// NaN.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -284,7 +261,7 @@ impl HistSnapshot {
         for &(b, c) in &self.buckets {
             cum += c;
             if cum >= target {
-                return bucket_value(b as usize);
+                return bucket_value(b as usize).min(self.max as f64);
             }
         }
         self.max as f64
@@ -476,12 +453,23 @@ mod tests {
         }
         let s = h.summarize();
         assert_eq!(s.count, 1000);
-        assert!(s.p50 <= s.p95 && s.p95 <= s.p99);
+        assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
         // p50 of 1..=1000 is 500, bucketed to its power-of-two upper bound.
         assert!(s.p50 >= 500.0 && s.p50 <= 1023.0, "p50 = {}", s.p50);
         assert!(s.p99 >= 990.0, "p99 = {}", s.p99);
         assert_eq!(s.max, 1000.0);
         assert!((s.mean - 500.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_observed_max() {
+        // 17 lands in bucket [16, 31]; the bucket's upper bound must not
+        // leak into the summary.
+        let h = LogHistogram::default();
+        h.observe(17);
+        let s = h.summarize();
+        assert_eq!((s.p50, s.p95, s.p99, s.max), (17.0, 17.0, 17.0, 17.0));
+        assert_eq!(h.snapshot().summarize(), s);
     }
 
     #[test]

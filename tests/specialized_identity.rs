@@ -1,5 +1,5 @@
 //! The specialized-kernel bit-identity bar: for every blessed
-//! `(kernel, format)` pair in [`specialized::TABLE`], the monomorphized
+//! `(kernel, format)` pair [`specialized::lookup`] resolves, the blessed
 //! kernel must produce **bit-identical** output values and **exactly
 //! equal** op counts to the generic partitioned walker — across driver
 //! formats, partition kinds (outer-dim row blocks and mid-row non-zero
@@ -8,8 +8,12 @@
 //!
 //! The sweep drives the leaf functions directly, span by span, exactly as
 //! `PreparedPlan::run_point` does — the crispest form of the contract,
-//! with no plan-level machinery between the two implementations. Random
-//! pattern coverage rides on a proptest sweep at the bottom.
+//! with no plan-level machinery between the two implementations. Every
+//! row-keyed pair runs through one shared row walker and every COO pair
+//! through one shared run walker, so a degenerate-driver sweep (no
+//! entries, no rows, no columns, more colors than rows, empty rows around
+//! color boundaries, width-1 dense operands) covers all 12 pairs too.
+//! Random pattern coverage rides on a proptest sweep at the bottom.
 
 use proptest::prelude::*;
 
@@ -227,6 +231,156 @@ fn spmttkrp_specialized_matches_walker_all_formats() {
             );
         }
     }
+}
+
+/// A driver of shape `dims` holding exactly `entries`, built in the
+/// dense-top row-keyed layout (CSR / CSF).
+fn driver(dims: &[usize], entries: &[&[i64]]) -> SpTensor {
+    let mut coo = CooTensor::new(dims.to_vec());
+    for (n, coords) in entries.iter().enumerate() {
+        coo.push(coords, 0.5 + n as f64);
+    }
+    let mut formats = vec![LevelFormat::Compressed; dims.len()];
+    formats[0] = LevelFormat::Dense;
+    coo.build(&formats)
+}
+
+/// All three matrix kernels × all three blessed layouts of `base`, at the
+/// given dense-operand widths.
+fn assert_matrix_pairs_identical(label: &str, base: &SpTensor, jdim: usize, kdim: usize) {
+    let (rows, cols) = (base.dims()[0], base.dims()[1]);
+    let cv = generate::dense_vec(cols, 3);
+    let cm = generate::dense_vec(cols * jdim, 5);
+    let cs = generate::dense_vec(rows * kdim, 7);
+    let ds = generate::dense_vec(kdim * cols, 9);
+    for (fname, t) in matrix_formats(base) {
+        let SpecializedKernel::SpMv(fv) = blessed(&LeafKernel::SpMv, &t, fname) else {
+            panic!("SpMv {fname}: wrong table variant");
+        };
+        assert_leaf_identical(
+            &t,
+            &LeafKernel::SpMv,
+            rows,
+            &|t, p, col, sp, o| matrix::spmv_color(t, p, col, sp, &cv, o),
+            &|t, p, col, sp, o| fv(t, p, col, sp, &cv, o),
+            &format!("SpMv {label}/{fname}"),
+        );
+        let SpecializedKernel::SpMm(fm) = blessed(&LeafKernel::SpMm { jdim }, &t, fname) else {
+            panic!("SpMm {fname}: wrong table variant");
+        };
+        assert_leaf_identical(
+            &t,
+            &LeafKernel::SpMm { jdim },
+            rows * jdim,
+            &|t, p, col, sp, o| matrix::spmm_color(t, p, col, sp, &cm, jdim, o),
+            &|t, p, col, sp, o| fm(t, p, col, sp, &cm, jdim, o),
+            &format!("SpMm {label}/{fname}"),
+        );
+        let SpecializedKernel::Sddmm(fs) = blessed(&LeafKernel::Sddmm { kdim }, &t, fname) else {
+            panic!("Sddmm {fname}: wrong table variant");
+        };
+        assert_leaf_identical(
+            &t,
+            &LeafKernel::Sddmm { kdim },
+            t.num_stored(),
+            &|t, p, col, sp, o| matrix::sddmm_color(t, p, col, sp, &cs, &ds, kdim, cols, o),
+            &|t, p, col, sp, o| fs(t, p, col, sp, &cs, &ds, kdim, cols, o),
+            &format!("Sddmm {label}/{fname}"),
+        );
+    }
+}
+
+/// SpMTTKRP × all three blessed order-3 layouts of `base`.
+fn assert_tensor3_pairs_identical(label: &str, base: &SpTensor, ldim: usize) {
+    let c = generate::dense_vec(base.dims()[1] * ldim, 41);
+    let d = generate::dense_vec(base.dims()[2] * ldim, 43);
+    let formats = vec![
+        ("csf", base.clone()),
+        (
+            "dcsf",
+            convert::with_formats(base, &[LevelFormat::Compressed; 3]),
+        ),
+        ("coo3", convert::to_coo_format(base)),
+    ];
+    for (fname, t) in formats {
+        let SpecializedKernel::SpMttkrp(f) = blessed(&LeafKernel::SpMttkrp { ldim }, &t, fname)
+        else {
+            panic!("SpMttkrp {fname}: wrong table variant");
+        };
+        assert_leaf_identical(
+            &t,
+            &LeafKernel::SpMttkrp { ldim },
+            t.dims()[0] * ldim,
+            &|t, p, col, sp, o| tensor3::spmttkrp_color(t, p, col, sp, &c, &d, ldim, o),
+            &|t, p, col, sp, o| f(t, p, col, sp, &c, &d, ldim, o),
+            &format!("SpMttkrp {label}/{fname}"),
+        );
+    }
+}
+
+/// Degenerate drivers through all 12 pairs (× both partition kinds × every
+/// split policy, via `assert_leaf_identical`). `both_partitions` cuts
+/// level 0 into 4 coordinate blocks and the leaf into 3 position blocks,
+/// so "more colors than rows" needs fewer than 3 rows and entries, and the
+/// 8-row drivers put empty rows on both sides of the 1|2 and 3|4 block
+/// boundaries and on one side of 5|6.
+#[test]
+fn degenerate_drivers_match_walker_all_pairs() {
+    let matrices = [
+        ("no-entries", driver(&[6, 5], &[])),
+        ("no-rows", driver(&[0, 5], &[])),
+        ("no-cols", driver(&[6, 0], &[])),
+        ("colors>rows", driver(&[2, 5], &[&[0, 3], &[1, 1]])),
+        ("one-entry", driver(&[1, 1], &[&[0, 0]])),
+        (
+            "empty-rows-at-boundaries",
+            driver(
+                &[8, 6],
+                &[&[0, 1], &[0, 4], &[5, 0], &[5, 2], &[5, 5], &[7, 3]],
+            ),
+        ),
+    ];
+    for (name, base) in &matrices {
+        for width in [1, 3] {
+            assert_matrix_pairs_identical(&format!("{name}/w{width}"), base, width, width);
+        }
+    }
+    let tensors = [
+        ("no-entries", driver(&[6, 4, 3], &[])),
+        ("no-slices", driver(&[0, 4, 3], &[])),
+        ("no-fibers", driver(&[6, 0, 3], &[])),
+        ("no-leaves", driver(&[6, 4, 0], &[])),
+        (
+            "colors>slices",
+            driver(&[2, 4, 3], &[&[0, 1, 2], &[1, 3, 0]]),
+        ),
+        (
+            "empty-slices-at-boundaries",
+            driver(
+                &[8, 4, 3],
+                &[
+                    &[0, 1, 0],
+                    &[0, 1, 2],
+                    &[0, 3, 1],
+                    &[5, 0, 0],
+                    &[5, 2, 1],
+                    &[7, 3, 2],
+                ],
+            ),
+        ),
+    ];
+    for (name, base) in &tensors {
+        for width in [1, 3] {
+            assert_tensor3_pairs_identical(&format!("{name}/w{width}"), base, width);
+        }
+    }
+    // Width-1 dense operands over ordinary inputs.
+    assert_matrix_pairs_identical("uniform/w1", &generate::uniform(48, 40, 320, 11), 1, 1);
+    assert_tensor3_pairs_identical(
+        "uniform/w1",
+        &generate::tensor3_uniform([20, 18, 16], 600, 31),
+        1,
+    );
 }
 
 /// Strategy: an arbitrary small sparse matrix in CSR (mirrors
