@@ -56,11 +56,13 @@ echo "==> streaming smoke: delta batches drive incremental recompute"
 # The streaming example feeds ~1%-of-nnz delta batches through
 # update_batch + run_incremental and bit-compares against a fresh full
 # program; the trace must show at least one incremental run that skipped
-# spans (the fast path actually engaged, not 15 silent fallbacks).
+# spans (the fast path actually engaged, not 15 silent fallbacks) and — the
+# example ends on a structural batch — one that fell back: the merge, skip
+# and fallback arms of the one run path.
 cargo run --release -q --example streaming -- --trace /tmp/spd_stream_trace.json |
   grep "^run_report_json="
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_stream_trace.json \
-  --require incremental --require incremental-skip
+  --require incremental --require incremental-skip --require incremental-fallback
 rm -f /tmp/spd_stream_trace.json
 
 echo "==> serving smoke: spd-server on a UDS, two tenants share the plan cache"
@@ -104,7 +106,13 @@ echo "==> spd-harness: ci bench suite, merged reports, regression gate"
 # pinned scale/threads), merges repeats into BENCH_<scenario>.json, and
 # exits nonzero if any histogram mean regressed past SPD_BENCH_TOLERANCE
 # versus the committed trajectory point. See docs/benchmarking.md.
-cargo run --release -q -p spdistal-bench --bin spd-harness -- run --suite ci
+# Baselines are read from, and fresh points written to, a scratch copy of
+# the committed files, so a ci run leaves the tree clean (moving a baseline
+# is a deliberate `spd-harness run` in the repo root).
+bench_dir="$(mktemp -d)"
+cp BENCH_*.json "$bench_dir"/
+cargo run --release -q -p spdistal-bench --bin spd-harness -- run --suite ci --out-dir "$bench_dir"
+rm -rf "$bench_dir"
 
 echo "==> benchmark/check.sh: the repo benchmark builds against this tree and every op matches the reference"
 # The benchmark package (BENCHMARK.json) compiles against pinned public
@@ -113,5 +121,8 @@ echo "==> benchmark/check.sh: the repo benchmark builds against this tree and ev
 # fails here rather than in a benchmark run: fmt, clippy, its unit tests,
 # and a 6 s smoke of each workload in both passes.
 benchmark/check.sh
+
+echo "==> the committed BENCH_*.json are untouched"
+git diff --quiet -- 'BENCH_*.json'
 
 echo "ci.sh: all green"

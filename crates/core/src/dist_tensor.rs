@@ -341,6 +341,14 @@ impl Context {
             coo.push(c, *v);
         }
         let data = coo.build(&formats);
+        // A value-only batch rebuilds the very same pattern: keep the
+        // registered one, and with it the memoised hash that keys cached
+        // plans, instead of re-hashing the coordinate tree.
+        let data = if data.levels() == t.data.levels() {
+            t.data.with_vals(data.into_vals())
+        } else {
+            data
+        };
         // Carry the dirty state across the replacement (which, like any
         // re-registration, clears it), then extend it with this batch.
         let prev = self.streaming.take_dirty(name);

@@ -20,12 +20,13 @@
 //!   [`Program`](crate::Program) builders.
 //!
 //! Sharing plans across [`Context`](crate::Context)s is sound because a
-//! [`Plan`] holds no runtime region handles: `PreparedPlan::new` re-resolves
-//! every tensor *by name* against the executing context. The caching caveat
-//! from the [program docs](crate::program) still applies — a cached plan
-//! embeds partitions derived from the driver's sparsity pattern, so two
-//! tenants sharing a key must have registered pattern-identical tensors
-//! (a server enforces this by keying on declarations it materialized).
+//! [`Plan`] holds no runtime region handles — `PreparedPlan::new`
+//! re-resolves every tensor *by name* against the executing context — and
+//! because the key a [`Program`] builds carries, for every tensor the
+//! statement reads, its dims and a hash of its sparsity pattern (the
+//! [program docs](crate::program)' caching caveat): a cached plan embeds
+//! partitions derived from that pattern, so only tenants whose data agrees
+//! on it share an entry; anyone else compiles their own.
 //!
 //! ```
 //! use spdistal::prelude::*;
@@ -73,7 +74,8 @@ pub struct PlanKey {
     /// (`"<unselected>"` before selection).
     pub schedule: String,
     /// `name=<levels signature> <dist>` for every referenced tensor,
-    /// `"; "`-joined in statement order.
+    /// `"; "`-joined in statement order. The [`Program`] front-end appends
+    /// ` @<dims>#<pattern hash>` for each tensor the statement reads.
     pub format_sig: String,
 }
 
@@ -185,16 +187,6 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Drop one cached plan — used when a tracked *structural* tensor
-    /// mutation (see [`crate::streaming`]) invalidates the partitions a
-    /// plan embedded, without throwing away every other tenant's entries.
-    pub fn remove(&self, key: &PlanKey) {
-        self.entries
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(key);
-    }
-
     /// Drop every cached plan. Affects every program sharing this cache —
     /// see [`CompiledProgram::clear_plan_cache`](crate::CompiledProgram::clear_plan_cache).
     pub fn clear(&self) {
@@ -294,7 +286,7 @@ mod tests {
     use crate::session::Session;
     use spdistal_ir::Format;
     use spdistal_runtime::MachineProfile;
-    use spdistal_sparse::{dense_vector, generate};
+    use spdistal_sparse::{dense_vector, generate, SpTensor};
 
     /// Compile-time Send/Sync audit of the shared engine core. `Context`
     /// and `Session` must be `Send` (a server executes tenant programs on
@@ -329,23 +321,63 @@ mod tests {
     }
 
     fn spmv(e: &Engine, tenant: &str) -> CompiledProgram {
-        let b = generate::banded(64, 5, 0);
+        spmv_over(e, tenant, generate::banded(64, 5, 0))
+    }
+
+    fn spmv_over(e: &Engine, tenant: &str, b: SpTensor) -> CompiledProgram {
+        let (rows, cols) = (b.dims()[0], b.dims()[1]);
         e.tenant(tenant)
             .tensor(
                 "a",
                 Format::blocked_dense_vec(),
-                dense_vector(vec![0.0; 64]),
+                dense_vector(vec![0.0; rows]),
             )
             .tensor("B", Format::blocked_csr(), b)
             .tensor(
                 "c",
                 Format::replicated_dense_vec(),
-                dense_vector(vec![1.0; 64]),
+                dense_vector(vec![1.0; cols]),
             )
             .stmt("a(i) = B(i,j) * c(j)")
             .schedule(ScheduleSpec::outer_dim())
             .build()
             .unwrap()
+    }
+
+    /// Tenant t1 runs SpMV over `first`, tenant t2 over `second`, on one
+    /// engine: t2 must compile its own plan (the shared one embeds t1's
+    /// partitions) and match a solo engine bit for bit.
+    fn second_tenant_is_not_served_the_first_ones_plan(first: SpTensor, second: SpTensor) {
+        let bits = |p: &CompiledProgram| -> Vec<u64> {
+            let vals = p.value(0).unwrap().as_tensor().unwrap().vals();
+            vals.iter().map(|v| v.to_bits()).collect()
+        };
+        let e = engine();
+        spmv_over(&e, "t1", first).run().unwrap();
+        let mut shared = spmv_over(&e, "t2", second.clone());
+        shared.run().unwrap();
+        assert_eq!(shared.report().compiles, 1, "t2 must not reuse t1's plan");
+        assert_eq!(shared.report().cache_hits, 0);
+        assert_eq!(e.plan_cache().len(), 2);
+        let mut solo = spmv_over(&engine(), "t2", second);
+        solo.run().unwrap();
+        assert_eq!(bits(&shared), bits(&solo));
+    }
+
+    #[test]
+    fn tenants_with_different_dims_do_not_share_a_plan() {
+        second_tenant_is_not_served_the_first_ones_plan(
+            generate::banded(64, 5, 0),
+            generate::banded(256, 5, 0),
+        );
+    }
+
+    #[test]
+    fn tenants_with_different_patterns_do_not_share_a_plan() {
+        second_tenant_is_not_served_the_first_ones_plan(
+            generate::uniform(128, 128, 900, 1),
+            generate::uniform(128, 128, 900, 2),
+        );
     }
 
     #[test]

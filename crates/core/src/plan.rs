@@ -15,12 +15,22 @@
 //! * **describe** — [`PreparedPlan::new`] resolves the plan against the
 //!   context's tensor table: per-point region requirements (the same
 //!   metadata the model phase will name) plus borrowed views of every
-//!   operand the leaf kernels need. Nothing has executed yet.
-//! * **run** — [`PreparedPlan::run_point`] executes one color's leaf kernel;
-//!   any dependence-respecting driver may call it, from the single-launch
-//!   path in [`execute`] to the multi-launch pipeline. [`PreparedPlan::
-//!   finish`] then folds the per-color results into the computed output,
-//!   and [`finish_model`] replays the launch against the discrete-event
+//!   operand the leaf kernels need. Nothing has executed yet. An optional
+//!   `MergeSeed` — the previous output of this same plan plus the driver
+//!   rows that changed since — turns the describe into an *incremental*
+//!   one: the seed's buffer becomes the shared output allocation, the
+//!   colors whose driver rows intersect the dirty set are zeroed, and a
+//!   per-color `rerun` mask records which colors those are. A seed the
+//!   plan cannot honour (reduction, assembled or interpreted output, or a
+//!   buffer of the wrong length) is dropped and every color re-runs;
+//!   [`MergeReport::merged`] says which happened.
+//! * **run** — [`PreparedPlan::run_point`] executes one span of one color's
+//!   leaf kernel — or, for a color the `rerun` mask clears, records a
+//!   zero-op result and leaves the seeded values in place; any
+//!   dependence-respecting driver may call it, from the single-launch path
+//!   in [`execute`] to the multi-launch pipeline. [`PreparedPlan::finish`]
+//!   then folds the per-color results into the computed output, and
+//!   [`finish_model`] replays the launch against the discrete-event
 //!   simulator and writes the output back.
 //!
 //! ## Real parallel execution
@@ -109,6 +119,38 @@ impl OutputValue {
             OutputValue::Dense(_) => None,
         }
     }
+
+    /// Consume the value, keeping only its flat values buffer.
+    pub fn into_vals(self) -> Vec<f64> {
+        match self {
+            OutputValue::Dense(v) => v,
+            OutputValue::Tensor(t) => t.into_vals(),
+        }
+    }
+}
+
+/// The merge base of an incremental execution: the bit-exact output buffer
+/// of this same plan's previous run, and the driver rows that changed
+/// since. Callers own eligibility beyond plan shape — every input other
+/// than value-only driver deltas must be unchanged (see
+/// [`crate::streaming`]).
+pub(crate) struct MergeSeed {
+    pub vals: Vec<f64>,
+    pub dirty: DirtyMap,
+}
+
+/// How one execution's leaf spans split between running and being served
+/// from a merge seed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MergeReport {
+    /// A seed became the output allocation and clean colors were skipped.
+    /// `false` for every unseeded execution, and for a seeded one whose
+    /// plan has no in-place output of the seed's length.
+    pub merged: bool,
+    /// Leaf spans that ran (all of them unless `merged`).
+    pub spans_reexecuted: usize,
+    /// Leaf spans served from the seed without running.
+    pub spans_skipped: usize,
 }
 
 /// Result of executing a plan once.
@@ -140,6 +182,8 @@ pub struct ExecResult {
     /// pipelined execution this is the report of the whole batch drain the
     /// plan was part of.
     pub sched: ExecReport,
+    /// This plan's own span counts, and whether it merged into a seed.
+    pub merge: MergeReport,
     pub output: OutputValue,
 }
 
@@ -153,87 +197,13 @@ pub fn execute(ctx: &mut Context, plan: &Plan) -> Result<ExecResult, Error> {
     let (report, timings) = pipeline.run_traced(ctx.exec_mode(), &trace, |_, point, span| {
         prepared.run_point(point, span)
     });
-    let (computed, ops) = prepared.finish()?;
-    finish_model(ctx, plan, computed, ops, report, timings, None)
+    let finished = prepared.finish()?;
+    finish_model(ctx, plan, finished, report, timings, None)
 }
 
 /// Synthetic region id standing in for the output region (created only
 /// after the compute phase sizes it) when deriving the compute DAG.
 pub(crate) const DAG_OUT_REGION: RegionId = RegionId(u32::MAX);
-
-/// What [`execute_incremental`] did beyond the plain [`ExecResult`].
-pub(crate) struct IncrementalOutcome {
-    pub result: ExecResult,
-    pub spans_reexecuted: usize,
-    pub spans_skipped: usize,
-}
-
-/// Execute `plan` incrementally: seed the shared in-place output with the
-/// retained buffer of the previous run, re-execute only the colors whose
-/// driver rows intersect `dirty` (zeroing their output slices first — the
-/// dense leaf kernels accumulate into a zeroed buffer), and record every
-/// skipped span as a zero-op result so the launch bookkeeping stays whole.
-///
-/// The retained buffer is taken by value and becomes the shared output
-/// allocation itself — an incremental pass never zero-fills or copies an
-/// output-sized buffer on the way in, which matters when the skipped work
-/// is the point.
-///
-/// Returns `Ok(None)` when the plan cannot merge in place (reduction /
-/// assembled / interpreted output, or a retained buffer of the wrong
-/// length) — the caller falls back to a full [`execute`]. Callers are
-/// responsible for eligibility beyond plan shape: `retained` must be the
-/// bit-exact output of this same plan against the pre-delta data, and every
-/// input other than value-only driver deltas must be unchanged (see
-/// [`crate::streaming`]).
-pub(crate) fn execute_incremental(
-    ctx: &mut Context,
-    plan: &Plan,
-    dirty: &DirtyMap,
-    retained: Vec<f64>,
-) -> Result<Option<IncrementalOutcome>, Error> {
-    let trace = ctx.trace().clone();
-    let mut prepared = PreparedPlan::new(ctx, plan, DAG_OUT_REGION, Some(retained))?;
-    if !prepared.seeded {
-        return Ok(None);
-    }
-    // Color granularity: a color re-runs iff its driver rows intersect the
-    // dirty set; unmappable colors (no level-0 row range) run defensively.
-    let rerun: Vec<bool> = (0..prepared.spans.len())
-        .map(|c| match prepared.color_row_range(c) {
-            Some((lo, hi)) => dirty.intersects_range(lo, hi),
-            None => true,
-        })
-        .collect();
-    for (c, rerun_c) in rerun.iter().enumerate() {
-        if *rerun_c {
-            prepared.zero_color_output(c);
-        }
-    }
-    let (mut reexec, mut skipped) = (0usize, 0usize);
-    for (c, spans) in prepared.spans.iter().enumerate() {
-        if rerun[c] {
-            reexec += spans.len();
-        } else {
-            skipped += spans.len();
-        }
-    }
-    let pipeline = Pipeline::new(vec![prepared.take_launch_desc()]);
-    let (report, timings) = pipeline.run_traced(ctx.exec_mode(), &trace, |_, point, span| {
-        if rerun[point] {
-            prepared.run_point(point, span);
-        } else {
-            prepared.skip_point(point, span);
-        }
-    });
-    let (computed, ops) = prepared.finish()?;
-    let result = finish_model(ctx, plan, computed, ops, report, timings, None)?;
-    Ok(Some(IncrementalOutcome {
-        result,
-        spans_reexecuted: reexec,
-        spans_skipped: skipped,
-    }))
-}
 
 /// One span's computed contribution, parked until [`PreparedPlan::finish`].
 enum PointResult {
@@ -285,9 +255,10 @@ struct SharedOut {
 }
 
 // SAFETY (`Sync`): `&SharedOut` only exposes writes through the
-// element-disjoint [`OutVals`] discipline — `ptr` is derived once from
-// `buf` at construction and `buf` is never reborrowed (no `&mut` alias is
-// ever created while writer views are live), and the launch's dependence
+// element-disjoint [`OutVals`] discipline — `ptr` is derived from `buf` at
+// construction and `buf` is reborrowed only by `zero_range`, which takes
+// `&mut self` (so no writer view, which borrows `&self`, can be live) and
+// re-derives `ptr` afterwards — and the launch's dependence
 // graph guarantees that two concurrently running tasks never touch the
 // same element (overlapping, non-commuting output requirements are
 // serialized into different batches).
@@ -312,6 +283,14 @@ impl SharedOut {
         // references for the view's lifetime; concurrent element
         // disjointness is the dependence graph's contract.
         unsafe { OutVals::from_raw(self.ptr, self.len) }
+    }
+
+    /// Zero the closed element range `[lo, hi]`. Goes through the owning
+    /// `Vec`, so the writer pointer is re-derived afterwards (`&mut self`:
+    /// no writer view is live).
+    fn zero_range(&mut self, lo: usize, hi: usize) {
+        self.buf[lo..=hi].fill(0.0);
+        self.ptr = self.buf.as_mut_ptr();
     }
 
     fn into_vec(self) -> Vec<f64> {
@@ -339,9 +318,11 @@ pub(crate) struct PreparedPlan<'a> {
     body: Body<'a>,
     out_len: usize,
     shared: Option<SharedOut>,
-    /// Whether a caller-provided seed became the shared output allocation
-    /// (see [`PreparedPlan::new`]); the incremental path's precondition.
-    seeded: bool,
+    /// Whether a [`MergeSeed`] became the shared output allocation.
+    merged: bool,
+    /// `rerun[point]`: whether the color's spans execute. All `true` unless
+    /// `merged`; a cleared color keeps its seeded output values.
+    rerun: Vec<bool>,
     /// Reduction plans: one private partial per color, written in place by
     /// the color's spans (disjoint elements), combined in color order at
     /// [`PreparedPlan::finish`]. Empty for in-place/assembled/interp plans.
@@ -356,16 +337,17 @@ impl<'a> PreparedPlan<'a> {
     /// compute-phase requirements; drivers coordinating several plans give
     /// each a distinct id.
     ///
-    /// `seed`, when given, becomes the shared output allocation itself
-    /// (no zero-fill, no copy) — the incremental path's retained buffer.
-    /// It is honored only when the plan has a shared in-place output of
-    /// exactly that length; `seeded` records whether it took effect, and
-    /// callers that required seeding must fall back when it did not.
+    /// `seed`, when given, makes this an incremental execution: its buffer
+    /// becomes the shared output allocation itself (no zero-fill, no copy)
+    /// and only the colors whose driver rows intersect its dirty set
+    /// re-run. It is honored only when the plan has a shared in-place
+    /// output of exactly that length; otherwise every color runs into a
+    /// fresh buffer, and [`MergeReport::merged`] reports `false`.
     pub(crate) fn new(
         ctx: &'a Context,
         plan: &'a Plan,
         out_region: RegionId,
-        seed: Option<Vec<f64>>,
+        seed: Option<MergeSeed>,
     ) -> Result<Self, Error> {
         let accesses = plan.stmt.rhs.accesses();
         let data = |name: &str| ctx.tensor(name).map(|t| &t.data);
@@ -465,17 +447,15 @@ impl<'a> PreparedPlan<'a> {
             per_color
         };
 
-        let mut seeded = false;
-        let shared = match &plan.kernel {
-            LeafKernel::SpAdd3 | LeafKernel::Generic => None,
-            _ if plan.output.reduce => None,
-            _ => Some(SharedOut::new(match seed {
-                Some(vals) if vals.len() == out_len => {
-                    seeded = true;
-                    vals
+        let (shared, dirty) = match &plan.kernel {
+            LeafKernel::SpAdd3 | LeafKernel::Generic => (None, None),
+            _ if plan.output.reduce => (None, None),
+            _ => match seed {
+                Some(seed) if seed.vals.len() == out_len => {
+                    (Some(SharedOut::new(seed.vals)), Some(seed.dirty))
                 }
-                _ => vec![0.0; out_len],
-            })),
+                _ => (Some(SharedOut::new(vec![0.0; out_len])), None),
+            },
         };
         // Aliased (reduce) outputs: the color partials the unsplit path
         // allocated per point task, hoisted to describe time so a split
@@ -521,20 +501,37 @@ impl<'a> PreparedPlan<'a> {
         }
 
         let slots = (0..total_spans).map(|_| Mutex::new(None)).collect();
-        Ok(PreparedPlan {
+        let mut prepared = PreparedPlan {
             plan,
             driver,
             part,
             point_reqs,
+            rerun: vec![true; spans.len()],
             spans,
             span_offsets,
             body,
             out_len,
             shared,
-            seeded,
+            merged: dirty.is_some(),
             reduce_parts,
             slots,
-        })
+        };
+        // Color granularity: a color re-runs iff its driver rows intersect
+        // the dirty set (unmappable colors run defensively), from a zeroed
+        // output slice — the dense leaf kernels accumulate — so it rebuilds
+        // exactly the bits a full run would.
+        if let Some(dirty) = &dirty {
+            for color in 0..prepared.rerun.len() {
+                let rerun = prepared
+                    .color_row_range(color)
+                    .is_none_or(|(lo, hi)| dirty.intersects_range(lo, hi));
+                prepared.rerun[color] = rerun;
+                if rerun {
+                    prepared.zero_color_output(color);
+                }
+            }
+        }
+        Ok(prepared)
     }
 
     /// The launch descriptor of this plan's compute phase: the per-point
@@ -551,9 +548,13 @@ impl<'a> PreparedPlan<'a> {
     /// (point, span), under a driver that serializes the conflicting point
     /// pairs named by the launch descriptor's requirements; spans of one
     /// point may run concurrently (they touch disjoint output elements).
+    /// A span of a color the `rerun` mask clears does not execute: its
+    /// output elements keep the seeded values and it contributes zero
+    /// modeled ops, so the launch bookkeeping stays whole.
     pub(crate) fn run_point(&self, point: usize, span: usize) {
         let clamp = self.spans[point][span].as_ref();
         let result = match &self.body {
+            Body::Dense(_) if !self.rerun[point] => PointResult::Ops(0.0),
             Body::Dense(leaf) => {
                 let out = match &self.shared {
                     Some(shared) => shared.writer(),
@@ -603,35 +604,39 @@ impl<'a> PreparedPlan<'a> {
     /// color's accumulating kernels rebuild it from scratch (exactly as a
     /// full run would).
     fn zero_color_output(&mut self, color: usize) {
-        let subset = match &self.plan.output.kind {
-            OutKind::DenseVec | OutKind::PatternVals { .. } => {
-                self.plan.output.part.subset(color).clone()
-            }
-            OutKind::DenseMat { width } => scale_set(self.plan.output.part.subset(color), *width),
-            OutKind::SparseAssembled => return,
-        };
         let Some(shared) = &mut self.shared else {
             return;
         };
-        for r in subset.rects() {
+        for r in out_subset(self.plan, color).rects() {
             let lo = r.lo.max(0) as usize;
             let hi = (r.hi.min(shared.len as i64 - 1)).max(-1);
             if hi < 0 {
                 continue;
             }
-            shared.buf[lo..=hi as usize].fill(0.0);
+            shared.zero_range(lo, hi as usize);
         }
-    }
-
-    /// Record one span as skipped: its output elements keep the seeded
-    /// retained values and it contributes zero modeled ops.
-    fn skip_point(&self, point: usize, span: usize) {
-        *self.slots[self.span_offsets[point] + span].lock().unwrap() = Some(PointResult::Ops(0.0));
     }
 
     /// Fold the per-span results into the computed output and the
     /// per-color modeled op counts. Call after every span ran.
-    pub(crate) fn finish(self) -> Result<(Computed, Vec<f64>), Error> {
+    pub(crate) fn finish(self) -> Result<Finished, Error> {
+        let colors = self.spans.iter().zip(&self.rerun);
+        let spans_skipped = colors.filter(|(_, r)| !**r).map(|(s, _)| s.len()).sum();
+        let merge = MergeReport {
+            merged: self.merged,
+            spans_reexecuted: self.slots.len() - spans_skipped,
+            spans_skipped,
+        };
+        let (computed, ops) = self.fold()?;
+        Ok(Finished {
+            computed,
+            ops,
+            merge,
+        })
+    }
+
+    /// The per-kernel half of [`PreparedPlan::finish`].
+    fn fold(self) -> Result<(Computed, Vec<f64>), Error> {
         // Group the flat span results back per point, in span order.
         let mut flat: Vec<PointResult> = self
             .slots
@@ -748,12 +753,16 @@ impl<'a> PreparedPlan<'a> {
 pub(crate) fn finish_model(
     ctx: &mut Context,
     plan: &Plan,
-    computed: Computed,
-    ops: Vec<f64>,
+    finished: Finished,
     sched: ExecReport,
     launches: Vec<LaunchTiming>,
     model_preds: Option<&[LaunchId]>,
 ) -> Result<ExecResult, Error> {
+    let Finished {
+        computed,
+        ops,
+        merge,
+    } = finished;
     let time0 = ctx.runtime().now();
     let stats0 = (
         ctx.runtime().stats().comm_bytes,
@@ -778,17 +787,8 @@ pub(crate) fn finish_model(
     };
 
     // Output subsets per color.
-    let out_subsets: Vec<IntervalSet> = match (&plan.output.kind, &computed) {
-        (OutKind::DenseVec, _) => (0..plan.colors)
-            .map(|c| plan.output.part.subset(c).clone())
-            .collect(),
-        (OutKind::DenseMat { width }, _) => (0..plan.colors)
-            .map(|c| scale_set(plan.output.part.subset(c), *width))
-            .collect(),
-        (OutKind::PatternVals { .. }, _) => (0..plan.colors)
-            .map(|c| plan.output.part.subset(c).clone())
-            .collect(),
-        (OutKind::SparseAssembled, Computed::Assembled { per_color_nnz, .. }) => {
+    let out_subsets: Vec<IntervalSet> = match &computed {
+        Computed::Assembled { per_color_nnz, .. } => {
             // Colors own contiguous output ranges in color order.
             let mut off = 0i64;
             per_color_nnz
@@ -804,7 +804,7 @@ pub(crate) fn finish_model(
                 })
                 .collect()
         }
-        (OutKind::SparseAssembled, _) => unreachable!("assembled output shape"),
+        _ => (0..plan.colors).map(|c| out_subset(plan, c)).collect(),
     };
 
     let mk_tasks =
@@ -925,6 +925,7 @@ pub(crate) fn finish_model(
         ops: stats.total_ops - stats0.2,
         records: stats.records[stats0.3..].to_vec(),
         sched,
+        merge,
         output,
     })
 }
@@ -966,15 +967,7 @@ fn dag_reqs(
         for input in &plan.inputs {
             push_input_reqs(ctx, input, color, &mut reqs)?;
         }
-        let out_subset = match &plan.output.kind {
-            OutKind::DenseVec | OutKind::PatternVals { .. } => {
-                plan.output.part.subset(color).clone()
-            }
-            OutKind::DenseMat { width } => scale_set(plan.output.part.subset(color), *width),
-            // Assembled outputs are built from task-private rows; there is
-            // no shared output buffer during the compute phase.
-            OutKind::SparseAssembled => IntervalSet::new(),
-        };
+        let out_subset = out_subset(plan, color);
         if !out_subset.is_empty() {
             reqs.push(RegionReq {
                 region: out_region,
@@ -1059,6 +1052,18 @@ fn push_input_reqs(
     Ok(())
 }
 
+/// The elements of the in-place output buffer that `color` owns under the
+/// plan's output partition. Empty for assembled outputs: they are built
+/// from task-private rows, so there is no shared output buffer during the
+/// compute phase (the model phase sizes their ranges from the result).
+fn out_subset(plan: &Plan, color: usize) -> IntervalSet {
+    match &plan.output.kind {
+        OutKind::DenseVec | OutKind::PatternVals { .. } => plan.output.part.subset(color).clone(),
+        OutKind::DenseMat { width } => scale_set(plan.output.part.subset(color), *width),
+        OutKind::SparseAssembled => IntervalSet::new(),
+    }
+}
+
 /// Scale a coordinate set by a row width (row-major linearization).
 fn scale_set(s: &IntervalSet, width: usize) -> IntervalSet {
     let w = width as i64;
@@ -1068,6 +1073,14 @@ fn scale_set(s: &IntervalSet, width: usize) -> IntervalSet {
             .map(|r| Rect1::new(r.lo * w, (r.hi + 1) * w - 1))
             .collect(),
     )
+}
+
+/// What [`PreparedPlan::finish`] hands to [`finish_model`]: the computed
+/// output, the per-color modeled op counts, and the span accounting.
+pub(crate) struct Finished {
+    computed: Computed,
+    ops: Vec<f64>,
+    merge: MergeReport,
 }
 
 pub(crate) enum Computed {

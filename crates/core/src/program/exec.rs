@@ -1,0 +1,726 @@
+//! The drive loop: one pass of a compiled program through a [`Session`].
+//!
+//! | Step of [`CompiledProgram::pass`] | Responsibility |
+//! |------|----------------|
+//! | schedules | ask `auto` for drift re-selection and any missing schedule |
+//! | plans | one [`PlanKey`] and one cache lookup (or compile) per statement |
+//! | run modes | [`eligibility`]: per statement, merge into the previous output or run full — decided up front from pre-pass state, never during execution |
+//! | session | submit every statement (with its merge seed, if any); one flush when pipelined, one per statement otherwise |
+//! | bookkeeping | move results out of the session, record retention proofs, consume dirty state, fold flush reports — once |
+//!
+//! ```text
+//! run / run_iters / run_iters_with ─┐
+//!                                   ├─► iterate ─► pass(merge) ─► hook ─► warm-up feedback
+//! run_incremental ──────────────────┘
+//! ```
+//!
+//! ## Ownership
+//!
+//! - Owns the four run verbs, the plan-cache key text, the retention
+//!   *proof* ([`RetainedOutput`]: versions and key, no values), the typed
+//!   [`Fallback`] reasons, and `ProgramReport`'s cumulative counters.
+//! - Does NOT own the retained *values*: a merging pass takes them out of
+//!   the previous pass's [`ExecResult`], which it replaces anyway.
+//! - Does NOT own the merge mechanism (seeding, zeroing, the per-color
+//!   `rerun` mask — [`crate::plan`]), batching or model replay
+//!   ([`crate::session`]), versions and dirty maps ([`crate::streaming`]),
+//!   or schedule choice (`auto`).
+//! - A full run is the degenerate incremental run: `run()` is a pass in
+//!   which every statement's mode is [`Fallback::FullRequested`] — the
+//!   simulator must charge every color, which is the paper's cost model.
+
+use std::fmt;
+use std::sync::Arc;
+use std::time::Instant;
+
+use spdistal_ir::ParallelUnit;
+
+use super::auto::{Chosen, ChosenKind};
+use super::{CompiledProgram, ProgramReport, ScheduleSpec, StmtReport};
+use crate::codegen::Plan;
+use crate::dist_tensor::{Context, Error};
+use crate::engine::PlanKey;
+use crate::plan::MergeSeed;
+use crate::session::{FlushReport, Session, TensorFuture};
+use crate::streaming::{DirtyMap, IncrementalStats, TensorDirty, FALLBACK_DIRTY_RATIO};
+
+/// What a pass records per statement, before it runs: the statement's
+/// inputs and the tensor states its output is about to be computed from (a
+/// rewrite during the pass therefore invalidates it). The next pass's
+/// [`eligibility`] compares it with its own. The output values themselves
+/// stay in the pass's [`ExecResult`](crate::ExecResult).
+#[derive(Clone, Debug)]
+pub(crate) struct RetainedOutput {
+    /// The tensor the statement writes.
+    pub output: String,
+    /// The distinct tensors it reads, in right-hand-side order, each with
+    /// its version.
+    pub reads: Vec<(String, u64)>,
+    /// The first sparse one of those — the operand whose rows key the
+    /// colors, and the only one whose tracked deltas can be merged.
+    pub driver: Option<String>,
+    /// Plan-cache key the statement runs under; a schedule, format or
+    /// pattern change re-keys the plan and drops eligibility.
+    pub plan_key: String,
+}
+
+/// Why a statement ran in full instead of merging into its previous
+/// output. `Display` is the text of
+/// [`IncrementalStats::reason`](crate::IncrementalStats); the `String`s
+/// name the tensor at fault.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Fallback {
+    /// The pass was not entered through `run_incremental`.
+    FullRequested,
+    OutputOnRhs,
+    /// An earlier statement of the same program writes this input, so it
+    /// changes during the pass — known from the statement list alone.
+    InputRewrittenInPass(String),
+    NoRetainedProof,
+    Structural(String),
+    PlanKeyChanged,
+    /// A non-driver input's version: `(input, now, retained)`.
+    ForeignInputMoved(String, u64, u64),
+    DriverMutatedOutside(String),
+    LineageBroken(String),
+    DirtyRatio(f64),
+    /// Decided by the prepared plan, not by [`eligibility`]: reduction,
+    /// assembled and interpreted outputs have no shared buffer to seed.
+    NoInPlaceOutput,
+}
+
+impl fmt::Display for Fallback {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use Fallback::*;
+        match self {
+            FullRequested => write!(f, "full pass requested"),
+            OutputOnRhs => write!(f, "output tensor also appears on the right-hand side"),
+            InputRewrittenInPass(t) => {
+                write!(f, "input '{t}' is rewritten earlier in the same pass")
+            }
+            NoRetainedProof => write!(f, "no retained output from a previous run"),
+            Structural(t) => write!(f, "structural deltas on driver '{t}'"),
+            PlanKeyChanged => write!(f, "schedule or format changed since the retained run"),
+            ForeignInputMoved(t, now, was) => {
+                write!(f, "input '{t}' changed (version {now} != retained {was})")
+            }
+            DriverMutatedOutside(t) => write!(f, "driver '{t}' mutated outside update_batch"),
+            LineageBroken(t) => {
+                write!(
+                    f,
+                    "driver '{t}' version lineage broken by an untracked mutation"
+                )
+            }
+            DirtyRatio(r) => write!(f, "dirty ratio {r:.2} > {FALLBACK_DIRTY_RATIO:.2}"),
+            NoInPlaceOutput => write!(f, "plan has no in-place output to merge into"),
+        }
+    }
+}
+
+/// May statement `k` merge into its previous output, and if so which driver
+/// rows must re-run? Pure: compares what the statement recorded last pass
+/// (`retained`) with what every statement records for this one (`now`) and
+/// the driver's tracked deltas; executes nothing.
+///
+/// `Ok` means every observable input is provably what the previous output
+/// was computed from, except value-only tracked deltas on the driver — the
+/// returned rows (none for a clean driver: every color skips).
+pub(crate) fn eligibility(
+    merge: bool,
+    now: &[RetainedOutput],
+    k: usize,
+    retained: Option<&RetainedOutput>,
+    tracked: Option<&TensorDirty>,
+) -> Result<DirtyMap, Fallback> {
+    let this = &now[k];
+    if !merge {
+        return Err(Fallback::FullRequested);
+    }
+    if this.reads.iter().any(|(t, _)| *t == this.output) {
+        return Err(Fallback::OutputOnRhs);
+    }
+    let rewritten = |t: &str| now[..k].iter().any(|earlier| earlier.output == t);
+    if let Some((t, _)) = this.reads.iter().find(|(t, _)| rewritten(t)) {
+        return Err(Fallback::InputRewrittenInPass(t.clone()));
+    }
+    let Some(ret) = retained else {
+        return Err(Fallback::NoRetainedProof);
+    };
+    let driver = this.driver.as_deref().unwrap_or_default();
+    // Before the key check: a structural delta also re-keys the plan (the
+    // pattern is part of the key), and this is the more useful reason.
+    if tracked.is_some_and(|td| td.structural) {
+        return Err(Fallback::Structural(driver.to_string()));
+    }
+    if ret.plan_key != this.plan_key {
+        return Err(Fallback::PlanKeyChanged);
+    }
+    let version = |of: &RetainedOutput, t: &str| {
+        let read = of.reads.iter().find(|(name, _)| name == t);
+        read.map_or(0, |(_, v)| *v)
+    };
+    for (t, was) in ret.reads.iter().filter(|(t, _)| t != driver) {
+        let current = version(this, t);
+        if current != *was {
+            return Err(Fallback::ForeignInputMoved(t.clone(), current, *was));
+        }
+    }
+    let (was, current) = (version(ret, driver), version(this, driver));
+    match tracked {
+        None if current != was => Err(Fallback::DriverMutatedOutside(driver.to_string())),
+        None => Ok(DirtyMap::default()),
+        Some(td) if td.from_version != was || current != td.tracked_version => {
+            Err(Fallback::LineageBroken(driver.to_string()))
+        }
+        Some(td) if td.map.ratio() > FALLBACK_DIRTY_RATIO => {
+            Err(Fallback::DirtyRatio(td.map.ratio()))
+        }
+        Some(td) => Ok(td.map.clone()),
+    }
+}
+
+/// Submit every statement and flush: once when pipelined (independent
+/// statements share a batch, RAW chains cut it), after each statement
+/// otherwise. On an error `futures` holds what was submitted so far.
+fn drive(
+    session: &mut Session<'_>,
+    queued: Vec<(Arc<Plan>, Option<MergeSeed>)>,
+    pipelined: bool,
+    futures: &mut Vec<TensorFuture>,
+) -> Result<Vec<FlushReport>, Error> {
+    let mut flushes = Vec::new();
+    for (plan, seed) in queued {
+        futures.push(session.submit_merging(&plan, seed));
+        if !pipelined {
+            flushes.push(session.flush()?);
+        }
+    }
+    if pipelined {
+        flushes.push(session.flush()?);
+    }
+    Ok(flushes)
+}
+
+impl CompiledProgram {
+    /// Execute the whole program once, every color of every statement — a
+    /// full pass, whatever deltas are tracked (the simulator charges what
+    /// runs, and a full run is the paper's cost model). Statements flow
+    /// through one deferred [`Session`] flush (unless built
+    /// [`launch_at_a_time`](super::Program::launch_at_a_time)), so
+    /// independent statements overlap and RAW chains cut batches exactly as
+    /// [`Session`] documents — outputs are bit-identical to launch-at-a-
+    /// time serial execution.
+    pub fn run(&mut self) -> Result<&ProgramReport, Error> {
+        self.run_iters(1)
+    }
+
+    /// Execute the whole program `iters` times. Every (statement,
+    /// schedule, formats) triple compiles **exactly once** across all
+    /// iterations; the auto-scheduler's warm-up feedback runs after the
+    /// first iteration and may re-select schedules for the rest.
+    pub fn run_iters(&mut self, iters: usize) -> Result<&ProgramReport, Error> {
+        self.run_iters_with(iters, |_, _| Ok(()))
+    }
+
+    /// [`run_iters`](CompiledProgram::run_iters) with a between-iteration
+    /// hook: `hook(ctx, iter)` runs after iteration `iter`'s flush (all
+    /// write-backs landed) and before the next iteration — the place for
+    /// CP-ALS-style factor updates that feed one sweep into the next:
+    ///
+    /// ```
+    /// # use spdistal::prelude::*;
+    /// # use spdistal_sparse::{dense_vector, generate};
+    /// # let b = generate::banded(32, 3, 1);
+    /// # let mut p = Program::on(Machine::grid1d(4, MachineProfile::lassen_cpu()))
+    /// #     .tensor("a", Format::blocked_dense_vec(), dense_vector(vec![0.0; 32]))
+    /// #     .tensor("B", Format::blocked_csr(), b)
+    /// #     .tensor("c", Format::replicated_dense_vec(), dense_vector(vec![1.0; 32]))
+    /// #     .stmt("a(i) = B(i,j) * c(j)")
+    /// #     .build()
+    /// #     .unwrap();
+    /// p.run_iters_with(3, |ctx, _iter| {
+    ///     // Feed this iteration's output back into the next one's input.
+    ///     let a = ctx.tensor("a")?.data.vals().to_vec();
+    ///     ctx.tensor_data_mut("c")?.vals_mut().copy_from_slice(&a);
+    ///     Ok(())
+    /// })
+    /// .unwrap();
+    /// assert_eq!(p.report().compiles, 1); // still one compile
+    /// ```
+    pub fn run_iters_with(
+        &mut self,
+        iters: usize,
+        mut hook: impl FnMut(&mut Context, usize) -> Result<(), Error>,
+    ) -> Result<&ProgramReport, Error> {
+        for _ in 0..iters {
+            self.iterate(false, &mut hook)?;
+        }
+        Ok(&self.report)
+    }
+
+    /// Execute the whole program once, re-using each statement's previous
+    /// output where the tracked delta state proves it sound: only the
+    /// colors whose driver rows intersect the dirty set re-execute, the
+    /// rest keep their values. Statements that cannot take the fast path
+    /// fall back to a full recompute — either way the result is
+    /// bit-identical to [`run`](CompiledProgram::run) on the same data, and
+    /// statements batch and pipeline exactly as they do there.
+    ///
+    /// Every pass is trace-instrumented with
+    /// `incremental.{runs,rows_dirty,spans_reexecuted,spans_skipped,fallbacks}`
+    /// counters and an `Event::IncrementalRun` per statement, and
+    /// [`last_incremental`](CompiledProgram::last_incremental) reports
+    /// per-statement what happened and why (see `docs/streaming.md` for the
+    /// table of fallback reasons).
+    pub fn run_incremental(&mut self) -> Result<&ProgramReport, Error> {
+        self.iterate(true, &mut |_, _| Ok(()))?;
+        Ok(&self.report)
+    }
+
+    /// Telemetry of statement `k`'s most recent
+    /// [`run_incremental`](CompiledProgram::run_incremental) pass (`None`
+    /// before the first incremental run).
+    pub fn last_incremental(&self, k: usize) -> Option<&IncrementalStats> {
+        self.last_incremental.get(k)?.as_ref()
+    }
+
+    /// One iteration, whichever verb asked for it: the pass, the
+    /// between-iteration hook, and — after iteration 0 only — the
+    /// auto-scheduler's warm-up feedback.
+    fn iterate(
+        &mut self,
+        merge: bool,
+        hook: &mut impl FnMut(&mut Context, usize) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let iter = self.report.iterations;
+        self.pass(merge)?;
+        hook(&mut self.ctx, iter)?;
+        if iter == 0 {
+            self.warmup_feedback();
+        }
+        Ok(())
+    }
+
+    /// One whole-program pass through a deferred session. `merge` lets
+    /// eligible statements re-run only their dirty colors. A statement
+    /// whose pass fails is left with no result and no retention proof.
+    fn pass(&mut self, merge: bool) -> Result<(), Error> {
+        let t0 = Instant::now();
+        // Accumulated streamed deltas can invalidate an earlier outer-dim
+        // pick on either verb.
+        self.drift_reselect()?;
+        self.ensure_schedules()?;
+        let n = self.stmts.len();
+        let plans: Vec<(PlanKey, Arc<Plan>)> = (0..n)
+            .map(|k| self.ensure_plan(k))
+            .collect::<Result<_, _>>()?;
+
+        // Decide every statement's run mode up front, from pre-pass state.
+        let proofs: Vec<RetainedOutput> = (0..n).map(|k| self.proof(k, &plans[k].0)).collect();
+        let mut fallbacks = Vec::with_capacity(n);
+        let mut queued = Vec::with_capacity(n);
+        for (k, (_, plan)) in plans.into_iter().enumerate() {
+            let (retained, previous) = (self.retained[k].take(), self.last_results[k].take());
+            let tracked = self.tracked(&proofs[k]);
+            let mode = eligibility(merge, &proofs, k, retained.as_ref(), tracked);
+            let (seed, fallback) = match (mode, previous) {
+                (Ok(dirty), Some(previous)) => {
+                    let vals = previous.output.into_vals();
+                    (Some(MergeSeed { vals, dirty }), None)
+                }
+                (Ok(_), None) => (None, Some(Fallback::NoRetainedProof)),
+                (Err(fallback), _) => (None, Some(fallback)),
+            };
+            fallbacks.push(fallback);
+            queued.push((plan, seed));
+        }
+
+        let mut futures = Vec::with_capacity(n);
+        let flushes = {
+            let mut session = Session::new(&mut self.ctx);
+            let flushes = drive(&mut session, queued, self.pipelined, &mut futures);
+            let mut results = futures.iter().map(|f| session.take(f).ok());
+            self.last_results.fill_with(|| results.next().flatten());
+            flushes?
+        };
+        if merge {
+            self.record_incremental(&proofs, fallbacks);
+        }
+        self.retained = proofs.into_iter().map(Some).collect();
+        // Every consumer is now up to date with every tracked delta.
+        self.ctx.clear_all_dirty();
+
+        let r = &mut self.report;
+        r.iterations += 1;
+        r.launches.clear();
+        for f in flushes {
+            r.wall_seconds += f.wall_seconds;
+            r.batches += f.batches;
+            r.tasks += f.tasks;
+            r.spans += f.spans;
+            r.steals += f.steals;
+            r.threads = r.threads.max(f.threads);
+            r.model_seq_sum += f.model_seq_sum();
+            r.model_makespan += f.model_makespan();
+            r.launches.extend(f.launches);
+        }
+        self.update_stmt_reports();
+        let trace = self.ctx.trace();
+        trace.observe_ns("iter_ns", t0.elapsed().as_nanos() as u64);
+        trace.add("iterations", 1);
+        Ok(())
+    }
+
+    /// Publish what an incremental pass did, per statement: the stats
+    /// behind [`last_incremental`](CompiledProgram::last_incremental), the
+    /// `Event::IncrementalRun` and the `incremental.*` counters. Reads the
+    /// dirty state, so it runs before the pass consumes it.
+    fn record_incremental(&mut self, proofs: &[RetainedOutput], fallbacks: Vec<Option<Fallback>>) {
+        for (k, fallback) in fallbacks.into_iter().enumerate() {
+            let Some(merge) = self.last_results[k].as_ref().map(|r| r.merge) else {
+                continue;
+            };
+            let fallback =
+                fallback.or_else(|| (!merge.merged).then_some(Fallback::NoInPlaceOutput));
+            let stats = IncrementalStats {
+                stmt: k,
+                rows_dirty: self.tracked(&proofs[k]).map_or(0, |td| td.map.dirty_rows()),
+                spans_reexecuted: merge.spans_reexecuted,
+                spans_skipped: merge.spans_skipped,
+                fallback: fallback.is_some(),
+                reason: fallback.map_or_else(
+                    || {
+                        format!(
+                            "incremental: {} span(s) re-executed, {} skipped",
+                            merge.spans_reexecuted, merge.spans_skipped
+                        )
+                    },
+                    |f| f.to_string(),
+                ),
+            };
+            self.ctx.trace().incremental_run(
+                k as u32,
+                stats.rows_dirty as u64,
+                stats.spans_reexecuted as u64,
+                stats.spans_skipped as u64,
+                stats.fallback,
+            );
+            self.last_incremental[k] = Some(stats);
+        }
+    }
+
+    /// Refresh [`ProgramReport::stmts`] from the current selections and
+    /// `last_results`.
+    fn update_stmt_reports(&mut self) {
+        self.report.stmts = self
+            .stmts
+            .iter()
+            .zip(&self.last_results)
+            .map(|(ps, result)| {
+                let (chosen, r) = (ps.chosen.as_ref(), result.as_ref());
+                StmtReport {
+                    stmt: ps.stmt.to_string(),
+                    schedule_kind: chosen.map_or("unselected", |c| c.kind.label()),
+                    schedule: ps.schedule_text(),
+                    time: r.map_or(0.0, |r| r.time),
+                    wall_time: r.map_or(0.0, |r| r.wall_time),
+                    task_skew: r.map_or(0.0, |r| r.sched.task_skew()),
+                }
+            })
+            .collect();
+    }
+
+    // ---- plan cache -----------------------------------------------------
+
+    /// The cache key of statement `k`'s current selection: statement text,
+    /// schedule text, and per referenced tensor its format signature —
+    /// plus, for every tensor the statement *reads*, its dims and
+    /// [`pattern_hash`](spdistal_sparse::SpTensor::pattern_hash), because the plan
+    /// embeds partitions derived from exactly that. A tensor that is only
+    /// written contributes no hash, so per-run output write-backs cost
+    /// nothing here.
+    pub(super) fn cache_key(&self, k: usize) -> PlanKey {
+        let ps = &self.stmts[k];
+        let reads = ps.stmt.rhs.accesses();
+        let formats: Vec<String> = ps
+            .stmt
+            .tensor_names()
+            .iter()
+            .map(|name| match self.ctx.tensor(name) {
+                Ok(t) if reads.iter().any(|a| a.tensor == *name) => {
+                    let (sig, dims, hash) =
+                        (t.format.signature(), t.data.dims(), t.data.pattern_hash());
+                    format!("{name}={sig} @{dims:?}#{hash:016x}")
+                }
+                Ok(t) => format!("{name}={}", t.format.signature()),
+                Err(_) => format!("{name}=<unknown>"),
+            })
+            .collect();
+        PlanKey::new(ps.stmt.to_string(), ps.schedule_text(), formats.join("; "))
+    }
+
+    /// [`PlanCache::lookup`](crate::PlanCache::lookup) with this program's
+    /// trace and tenant label, folding a hit into the program report.
+    fn lookup_plan(&mut self, key: &PlanKey) -> Option<Arc<Plan>> {
+        let plan = self
+            .cache
+            .lookup(key, self.ctx.trace(), self.tenant.as_deref());
+        if plan.is_some() {
+            self.report.cache_hits += 1;
+        }
+        plan
+    }
+
+    /// Statement `k`'s plan and the key it is cached under, compiling on a
+    /// miss. An `Auto` non-zero selection that fails to compile falls back
+    /// to the outer-dimension schedule (recorded as a decision).
+    fn ensure_plan(&mut self, k: usize) -> Result<(PlanKey, Arc<Plan>), Error> {
+        let key = self.cache_key(k);
+        if let Some(plan) = self.lookup_plan(&key) {
+            return Ok((key, plan));
+        }
+        let chosen = self.stmts[k]
+            .chosen
+            .as_ref()
+            .expect("schedule selected before compile");
+        let compiled = self.ctx.compile(&self.stmts[k].stmt, &chosen.schedule);
+        let plan = match compiled {
+            Ok(plan) => plan,
+            Err(e)
+                if chosen.kind == ChosenKind::Nonzero
+                    && matches!(self.stmts[k].spec, ScheduleSpec::Auto) =>
+            {
+                // Fall back: the auto-picked non-zero mapping does not
+                // lower for this statement; outer-dim always does.
+                let reason = format!("non-zero plan failed to compile ({e})");
+                let (stmt, pieces) = (self.stmts[k].stmt.clone(), self.default_pieces());
+                let unit = ParallelUnit::CpuThread;
+                self.stmts[k].chosen = Some(Chosen::outer_dim(&mut self.ctx, &stmt, pieces, unit));
+                self.stmts[k].tuned = true;
+                self.push_decision(k, "outer-dim", reason);
+                return self.ensure_plan(k);
+            }
+            Err(e) => return Err(e),
+        };
+        self.report.compiles += 1;
+        let plan = self.cache.insert(key.clone(), plan, self.tenant.as_deref());
+        Ok((key, plan))
+    }
+
+    // ---- retention ------------------------------------------------------
+
+    /// What statement `k` records for the pass about to run under `key`:
+    /// the current version of everything it reads.
+    fn proof(&self, k: usize, key: &PlanKey) -> RetainedOutput {
+        let stmt = &self.stmts[k].stmt;
+        let mut reads: Vec<(String, u64)> = Vec::new();
+        for a in stmt.rhs.accesses() {
+            if !reads.iter().any(|(t, _)| *t == a.tensor) {
+                reads.push((a.tensor.clone(), self.ctx.tensor_version(&a.tensor)));
+            }
+        }
+        RetainedOutput {
+            output: stmt.lhs.tensor.clone(),
+            reads,
+            driver: self.sparse_driver(stmt),
+            plan_key: key.to_string(),
+        }
+    }
+
+    /// The deltas tracked on a statement's driver since the last pass.
+    fn tracked(&self, proof: &RetainedOutput) -> Option<&TensorDirty> {
+        self.ctx.dirty_state(proof.driver.as_deref()?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{bits, spmv_program};
+    use super::*;
+    use crate::streaming::CoordDelta;
+    use spdistal_sparse::generate;
+
+    fn proof(
+        output: &str,
+        reads: &[(&str, u64)],
+        driver: Option<&str>,
+        key: &str,
+    ) -> RetainedOutput {
+        RetainedOutput {
+            output: output.to_string(),
+            reads: reads.iter().map(|(t, v)| (t.to_string(), *v)).collect(),
+            driver: driver.map(str::to_string),
+            plan_key: key.to_string(),
+        }
+    }
+
+    /// `dirty` of 100 driver rows tracked from version `from` to version `to`.
+    fn deltas(dirty: usize, structural: bool, from: u64, to: u64) -> TensorDirty {
+        let mut map = DirtyMap::new(100);
+        (0..dirty as i64).for_each(|row| map.mark(row));
+        TensorDirty {
+            map,
+            structural,
+            from_version: from,
+            tracked_version: to,
+            deltas_applied: dirty as u64,
+        }
+    }
+
+    /// One row per [`Fallback`] variant `eligibility` can return, plus the
+    /// two `Ok` rows — plain values only, nothing compiled or executed.
+    #[test]
+    fn eligibility_table() {
+        use Fallback::*;
+        // `a = B * c`, last run under key "k" with B at version 3, c at 1.
+        let spmv = |b: u64, c: u64, key: &str| proof("a", &[("B", b), ("c", c)], Some("B"), key);
+        let last = spmv(3, 1, "k");
+        let (same, rekeyed, c_moved) =
+            ([spmv(3, 1, "k")], [spmv(3, 1, "other")], [spmv(3, 2, "k")]);
+        let (b_moved, b_moved_twice) = ([spmv(4, 1, "k")], [spmv(5, 1, "k")]);
+        let chain = [
+            proof("x1", &[("B", 3), ("x0", 1)], Some("B"), "k0"),
+            proof("x2", &[("B", 3), ("x1", 2)], Some("B"), "k"),
+        ];
+        let accumulate = [proof("a", &[("a", 1), ("B", 3)], Some("B"), "k")];
+        let broken = "driver 'B' version lineage broken by an untracked mutation";
+        type Row<'a> = (
+            bool,
+            &'a [RetainedOutput],
+            Option<&'a RetainedOutput>,
+            Option<TensorDirty>,
+            Result<usize, (Fallback, &'a str)>,
+        );
+        #[rustfmt::skip]
+        let rows: Vec<Row> = vec![
+            (false, &same, Some(&last), None, Err((FullRequested, "full pass requested"))),
+            (true, &accumulate, Some(&last), None,
+             Err((OutputOnRhs, "output tensor also appears on the right-hand side"))),
+            (true, &chain, Some(&last), None,
+             Err((InputRewrittenInPass("x1".into()), "input 'x1' is rewritten earlier in the same pass"))),
+            (true, &same, None, None, Err((NoRetainedProof, "no retained output from a previous run"))),
+            (true, &rekeyed, Some(&last), None,
+             Err((PlanKeyChanged, "schedule or format changed since the retained run"))),
+            (true, &c_moved, Some(&last), None,
+             Err((ForeignInputMoved("c".into(), 2, 1), "input 'c' changed (version 2 != retained 1)"))),
+            (true, &b_moved, Some(&last), None,
+             Err((DriverMutatedOutside("B".into()), "driver 'B' mutated outside update_batch"))),
+            (true, &b_moved, Some(&last), Some(deltas(2, true, 3, 4)),
+             Err((Structural("B".into()), "structural deltas on driver 'B'"))),
+            (true, &b_moved, Some(&last), Some(deltas(2, false, 2, 4)), Err((LineageBroken("B".into()), broken))),
+            (true, &b_moved_twice, Some(&last), Some(deltas(2, false, 3, 4)),
+             Err((LineageBroken("B".into()), broken))),
+            (true, &b_moved, Some(&last), Some(deltas(60, false, 3, 4)),
+             Err((DirtyRatio(0.6), "dirty ratio 0.60 > 0.50"))),
+            // Clean driver: nothing to re-run. Mergeable: exactly the tracked rows.
+            (true, &same, Some(&last), None, Ok(0)),
+            (true, &b_moved, Some(&last), Some(deltas(2, false, 3, 4)), Ok(2)),
+        ];
+        for (merge, now, retained, tracked, expect) in rows {
+            let got = eligibility(merge, now, now.len() - 1, retained, tracked.as_ref());
+            match expect {
+                Ok(dirty_rows) => assert_eq!(got.unwrap().dirty_rows(), dirty_rows),
+                Err((fallback, text)) => {
+                    assert_eq!(fallback.to_string(), text);
+                    assert_eq!(got.unwrap_err(), fallback);
+                }
+            }
+        }
+    }
+
+    /// The one fallback `eligibility` cannot see: a reduction output (the
+    /// non-zero schedule's) has no shared buffer to seed. The seed is
+    /// dropped by the prepared plan itself — one prepare per pass.
+    #[test]
+    fn reduction_output_falls_back_without_a_second_prepare() {
+        let b = generate::rmat_default(7, 900, 2);
+        let mut p = spmv_program(b, ScheduleSpec::nonzero())
+            .trace(crate::Trace::enabled())
+            .build()
+            .unwrap();
+        p.run().unwrap();
+        let full = bits(&p, 0);
+        p.run_incremental().unwrap();
+        let stats = p.last_incremental(0).unwrap();
+        assert!(stats.fallback);
+        assert_eq!(stats.reason, Fallback::NoInPlaceOutput.to_string());
+        assert_eq!(stats.reason, "plan has no in-place output to merge into");
+        assert_eq!(stats.spans_skipped, 0);
+        assert_eq!(bits(&p, 0), full);
+        let m = p.trace().metrics().unwrap();
+        let prepares = m.counter("kernel.specialized").get() + m.counter("kernel.fallback").get();
+        assert_eq!(prepares, 2, "one prepare per pass");
+    }
+
+    #[test]
+    fn run_incremental_is_bit_identical_and_skips_clean_colors() {
+        let b = generate::banded(96, 5, 3);
+        let mut p = spmv_program(b, ScheduleSpec::outer_dim()).build().unwrap();
+        p.run().unwrap();
+        // Value-only deltas confined to the first few rows: one of four
+        // colors is dirty, three are served from the retained output.
+        let deltas: Vec<CoordDelta> = (0..4)
+            .map(|i| CoordDelta::overwrite(vec![i, i], 7.5 + i as f64))
+            .collect();
+        let rep = p.update_batch("B", &deltas).unwrap();
+        assert!(!rep.structural);
+        assert_eq!(rep.overwritten, 4);
+        assert_eq!(rep.rows_dirty, 4);
+        p.run_incremental().unwrap();
+        let stats = p.last_incremental(0).unwrap().clone();
+        assert!(!stats.fallback, "unexpected fallback: {}", stats.reason);
+        assert_eq!(stats.rows_dirty, 4);
+        assert!(stats.spans_reexecuted > 0);
+        assert!(stats.spans_skipped > 0, "clean colors must be skipped");
+        // Bit-identical to a full recompute over the post-delta data.
+        let b2 = p.context().tensor("B").unwrap().data.clone();
+        let mut full = spmv_program(b2, ScheduleSpec::outer_dim()).build().unwrap();
+        full.run().unwrap();
+        assert_eq!(bits(&p, 0), bits(&full, 0));
+        // Trace counters observed the pass.
+        let m = p.trace().metrics();
+        if let Some(m) = m {
+            assert_eq!(m.counter("incremental.runs").get(), 1);
+        }
+    }
+
+    #[test]
+    fn run_incremental_without_deltas_skips_every_span() {
+        let b = generate::banded(96, 5, 3);
+        let mut p = spmv_program(b, ScheduleSpec::outer_dim()).build().unwrap();
+        p.run().unwrap();
+        let before = bits(&p, 0);
+        p.run_incremental().unwrap();
+        let stats = p.last_incremental(0).unwrap();
+        assert!(!stats.fallback, "unexpected fallback: {}", stats.reason);
+        assert_eq!(stats.spans_reexecuted, 0);
+        assert!(stats.spans_skipped > 0);
+        assert_eq!(bits(&p, 0), before);
+    }
+
+    #[test]
+    fn structural_deltas_fall_back_and_recompile_bit_identically() {
+        let b = generate::banded(96, 5, 3);
+        let mut p = spmv_program(b, ScheduleSpec::outer_dim()).build().unwrap();
+        p.run().unwrap();
+        assert_eq!(p.report().compiles, 1);
+        // Inserts outside the band change the sparsity pattern: the cached
+        // plan's partitions are stale and must be recompiled.
+        let deltas = vec![
+            CoordDelta::insert(vec![0, 90], 3.25),
+            CoordDelta::delete(vec![1, 1]),
+            CoordDelta::delete(vec![95, 0]), // absent -> ignored
+        ];
+        let rep = p.update_batch("B", &deltas).unwrap();
+        assert!(rep.structural);
+        assert_eq!((rep.inserted, rep.deleted, rep.ignored), (1, 1, 1));
+        p.run_incremental().unwrap();
+        let stats = p.last_incremental(0).unwrap();
+        assert!(stats.fallback);
+        assert_eq!(p.report().compiles, 2, "structural deltas must recompile");
+        let b2 = p.context().tensor("B").unwrap().data.clone();
+        let mut full = spmv_program(b2, ScheduleSpec::outer_dim()).build().unwrap();
+        full.run().unwrap();
+        assert_eq!(bits(&p, 0), bits(&full, 0));
+    }
+}

@@ -50,7 +50,7 @@ use spdistal_sparse::SpTensor;
 
 use crate::codegen::Plan;
 use crate::dist_tensor::{Context, Error};
-use crate::plan::{finish_model, writeback_reqs, ExecResult, OutputValue, PreparedPlan};
+use crate::plan::{finish_model, writeback_reqs, ExecResult, MergeSeed, OutputValue, PreparedPlan};
 
 /// A handle to the (possibly not yet computed) result of one submitted
 /// plan. Force it with [`Session::wait`] or [`Session::value`].
@@ -172,6 +172,9 @@ struct Queued {
     ticket: usize,
     plan: Plan,
     issued: Instant,
+    /// The previous output to merge into, if the submitter proved one valid
+    /// (see [`Session::submit_merging`]).
+    seed: Option<MergeSeed>,
 }
 
 /// A deferred-execution context wrapper. See the module docs.
@@ -231,12 +234,21 @@ impl<'c> Session<'c> {
     /// is captured by value: later schedule or context changes do not
     /// affect it (tensor *data* changes do — they force a flush first).
     pub fn submit(&mut self, plan: &Plan) -> TensorFuture {
+        self.submit_merging(plan, None)
+    }
+
+    /// [`Session::submit`] with an optional merge seed: the plan's previous
+    /// output and the driver rows that changed since. Only the colors those
+    /// rows touch re-run; [`ExecResult::merge`] reports what happened. The
+    /// submitter vouches that every other input is unchanged.
+    pub(crate) fn submit_merging(&mut self, plan: &Plan, seed: Option<MergeSeed>) -> TensorFuture {
         let ticket = self.slots.len();
         self.slots.push(Slot::Pending);
         self.queue.push_back(Queued {
             ticket,
             plan: plan.clone(),
             issued: Instant::now(),
+            seed,
         });
         TensorFuture { ticket }
     }
@@ -256,8 +268,8 @@ impl<'c> Session<'c> {
         };
         while !self.queue.is_empty() {
             let n = self.next_batch_len();
-            let batch: Vec<Queued> = self.queue.drain(..n).collect();
-            if let Err(e) = self.run_batch(&batch, &mut report) {
+            let mut batch: Vec<Queued> = self.queue.drain(..n).collect();
+            if let Err(e) = self.run_batch(&mut batch, &mut report) {
                 // Poison everything that never completed, drop the queue.
                 let msg = e.to_string();
                 for q in batch.iter().chain(self.queue.iter()) {
@@ -287,6 +299,17 @@ impl<'c> Session<'c> {
             Slot::Done(result) => Ok(result),
             Slot::Aborted(msg) => Err(Error::Aborted(msg.clone())),
             Slot::Pending => unreachable!("flushed future still pending"),
+        }
+    }
+
+    /// Force the future and move its result out of the session. A second
+    /// `take`/`wait` of the same future is an [`Error::Aborted`].
+    pub fn take(&mut self, future: &TensorFuture) -> Result<ExecResult, Error> {
+        self.wait(future)?;
+        let taken = Slot::Aborted("result already taken".to_string());
+        match std::mem::replace(&mut self.slots[future.ticket], taken) {
+            Slot::Done(result) => Ok(*result),
+            _ => unreachable!("wait() returned Ok for an unfinished future"),
         }
     }
 
@@ -337,7 +360,7 @@ impl<'c> Session<'c> {
     /// graph, so gating each launch behind its graph predecessors (plus
     /// everything the previous batch issued) replays the model phase
     /// launch-graph-ordered.
-    fn run_batch(&mut self, batch: &[Queued], report: &mut FlushReport) -> Result<(), Error> {
+    fn run_batch(&mut self, batch: &mut [Queued], report: &mut FlushReport) -> Result<(), Error> {
         let mode = self.ctx.exec_mode();
         let trace = self.ctx.trace().clone();
         let batch_t0 = Instant::now();
@@ -345,14 +368,14 @@ impl<'c> Session<'c> {
             let ctx: &Context = self.ctx;
             let mut prepared = Vec::with_capacity(batch.len());
             let mut launches = Vec::with_capacity(batch.len());
-            for (k, q) in batch.iter().enumerate() {
+            for (k, Queued { plan, seed, .. }) in batch.iter_mut().enumerate() {
                 // Distinct synthetic output region per plan, counting down
                 // from the top of the id space (real ids count up from 0).
                 let out_region = RegionId(u32::MAX - k as u32);
-                let mut p = PreparedPlan::new(ctx, &q.plan, out_region, None)?;
+                let mut p = PreparedPlan::new(ctx, plan, out_region, seed.take())?;
                 launches.push(
                     p.take_launch_desc()
-                        .with_extra_reqs(writeback_reqs(ctx, &q.plan)?),
+                        .with_extra_reqs(writeback_reqs(ctx, plan)?),
                 );
                 prepared.push(p);
             }
@@ -376,7 +399,7 @@ impl<'c> Session<'c> {
         let run_offset = batch_t0.duration_since(self.epoch).as_secs_f64();
         let timings: Vec<LaunchTiming> = timings
             .into_iter()
-            .zip(batch)
+            .zip(batch.iter())
             .map(|(t, q)| LaunchTiming {
                 name: t.name,
                 issue: q.issued.duration_since(self.epoch).as_secs_f64(),
@@ -389,7 +412,7 @@ impl<'c> Session<'c> {
         // Model-timeline launches issued per plan of this batch, for
         // intra-batch graph gating.
         let mut plan_ids: Vec<Vec<LaunchId>> = Vec::with_capacity(batch.len());
-        for (k, ((q, (computed, ops)), timing)) in batch
+        for (k, ((q, finished), timing)) in batch
             .iter()
             .zip(finished)
             .zip(timings.iter().cloned())
@@ -402,8 +425,7 @@ impl<'c> Session<'c> {
             let result = finish_model(
                 self.ctx,
                 &q.plan,
-                computed,
-                ops,
+                finished,
                 exec_report,
                 vec![timing],
                 Some(&preds),

@@ -7,9 +7,15 @@
 //! applies a batch of [`CoordDelta`]s to a registered tensor and maintains a
 //! per-row-block [`DirtyMap`] of which driver rows changed;
 //! [`CompiledProgram::run_incremental`](crate::CompiledProgram::run_incremental)
-//! then consults that map against the prepared plan's color/span → row-block
-//! mapping and re-executes only the affected colors, merging their output
-//! into the retained buffer of the previous run.
+//! then consults that map against the prepared plan's color → row mapping
+//! and re-executes only the affected colors, merging their output into the
+//! previous pass's output buffer.
+//!
+//! This module owns the *state* — versions, dirty maps, the telemetry
+//! types. The *rule* that reads it (which statements may merge, and why
+//! not) is `program::exec`'s `eligibility` function; the *mechanism*
+//! (seeding the output, the per-color `rerun` mask) is
+//! [`plan`](crate::plan)'s.
 //!
 //! ## Correctness model
 //!
@@ -17,8 +23,8 @@
 //! a statement is provably unchanged except for value-only (`overwrite`)
 //! deltas on the driver, tracked here. Each registered tensor carries a
 //! monotonically increasing **version** (bumped on any registration,
-//! replacement, or mutable-data access); a retained output records the
-//! versions of all tensors its statement read. At `run_incremental` time a
+//! replacement, or mutable-data access); every pass records, per statement,
+//! the versions of all tensors it read. At `run_incremental` time a
 //! statement is eligible only if every non-driver input version matches and
 //! the driver's changes are exactly the tracked dirty set (same version
 //! lineage, no structural inserts/deletes). Anything else — format
@@ -205,29 +211,12 @@ pub struct IncrementalStats {
     pub rows_dirty: usize,
     /// Leaf spans re-executed (on the fast path) or total spans (fallback).
     pub spans_reexecuted: usize,
-    /// Leaf spans served from the retained output without running.
+    /// Leaf spans served from the previous output without running.
     pub spans_skipped: usize,
     /// The statement fell back to a full recompute.
     pub fallback: bool,
     /// Why the fast path was or wasn't taken (human-readable).
     pub reason: String,
-}
-
-/// A retained statement output: the dense buffer of the last run plus the
-/// version snapshot proving which tensor states it was computed from.
-#[derive(Clone, Debug)]
-pub(crate) struct RetainedOutput {
-    /// The raw output buffer (shared in-place layout: dense vector, dense
-    /// row-major matrix, or pattern-aligned values).
-    pub vals: Vec<f64>,
-    /// Driver tensor version the buffer was computed at.
-    pub driver_version: u64,
-    /// Version of every non-driver input tensor read by the statement,
-    /// captured before the run (so any same-program rewrite invalidates).
-    pub input_versions: Vec<(String, u64)>,
-    /// Plan-cache key the buffer was computed under; a schedule change
-    /// (e.g. drift re-selection) re-keys the plan and drops eligibility.
-    pub plan_key: String,
 }
 
 /// Versions and dirty state of a context's tensors — one side table, owned

@@ -428,6 +428,9 @@ fn register_tensor(
         }
     }
     let data = tensor_from_wire(dims, coords, vals, &format);
+    // Fingerprint the pattern once per registration: every request's copy
+    // inherits it, so building the plan-cache key stays O(1) per request.
+    data.pattern_hash();
     match tensors.iter_mut().find(|(n, ..)| *n == name) {
         Some(slot) => *slot = (name, format, data),
         None => tensors.push((name, format, data)),

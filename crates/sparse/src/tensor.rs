@@ -9,6 +9,9 @@
 //! into `crd` so that partitions of `pos` and `crd` can be related with the
 //! dependent-partitioning operators `image` and `preimage` (Figure 7).
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::OnceLock;
+
 use spdistal_runtime::Rect1;
 
 /// Per-dimension storage format selector.
@@ -26,7 +29,7 @@ pub enum LevelFormat {
 }
 
 /// Physical storage of one coordinate-tree level.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Level {
     /// A dense level of extent `size`: parent entry `p` has children
     /// `p*size + c` for every coordinate `c` in `[0, size)`.
@@ -70,11 +73,21 @@ impl Level {
 /// stored dimension. A CSR matrix is `{Dense, Compressed}` over `(rows,
 /// cols)`; CSC is the same formats over `(cols, rows)` (the caller reorders
 /// coordinates when building).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct SpTensor {
     dims: Vec<usize>,
     levels: Vec<Level>,
     vals: Vec<f64>,
+    /// [`SpTensor::pattern_hash`], memoised. `dims` and `levels` never
+    /// change after construction (only `vals` is mutable), so the memo
+    /// stays valid and clones inherit it.
+    pattern: OnceLock<u64>,
+}
+
+impl PartialEq for SpTensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims == other.dims && self.levels == other.levels && self.vals == other.vals
+    }
 }
 
 impl SpTensor {
@@ -97,7 +110,26 @@ impl SpTensor {
             entries = level.num_entries(entries);
         }
         assert_eq!(vals.len(), entries, "vals length == leaf entries");
-        SpTensor { dims, levels, vals }
+        SpTensor {
+            dims,
+            levels,
+            vals,
+            pattern: OnceLock::new(),
+        }
+    }
+
+    /// A hash of the stored coordinate tree — dims and every level's
+    /// `pos`/`crd` arrays, never the values: equal for two tensors exactly
+    /// when (up to hash collisions) they store the same pattern the same
+    /// way. Computed at most once per tensor and its clones; O(1) for
+    /// all-dense tensors.
+    pub fn pattern_hash(&self) -> u64 {
+        *self.pattern.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            self.dims.hash(&mut h);
+            self.levels.hash(&mut h);
+            h.finish()
+        })
     }
 
     /// Extents of the stored dimensions, outermost first.
@@ -129,6 +161,26 @@ impl SpTensor {
     /// Mutable values (e.g. for output tensors that reuse an input pattern).
     pub fn vals_mut(&mut self) -> &mut [f64] {
         &mut self.vals
+    }
+
+    /// The same stored pattern holding other values: `vals` in this
+    /// tensor's storage order. Shares the memoised
+    /// [`pattern_hash`](SpTensor::pattern_hash), so a value-only update
+    /// never re-hashes the coordinate tree.
+    pub fn with_vals(&self, vals: Vec<f64>) -> SpTensor {
+        assert_eq!(vals.len(), self.vals.len(), "one value per stored entry");
+        SpTensor {
+            dims: self.dims.clone(),
+            levels: self.levels.clone(),
+            vals,
+            pattern: self.pattern.clone(),
+        }
+    }
+
+    /// Consume the tensor, keeping only its values array (the allocation a
+    /// merging pass re-uses as the next output buffer).
+    pub fn into_vals(self) -> Vec<f64> {
+        self.vals
     }
 
     /// Number of stored values, counting explicit zeros in trailing dense
@@ -273,6 +325,29 @@ mod tests {
             ],
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
         )
+    }
+
+    #[test]
+    fn pattern_hash_sees_structure_not_values() {
+        let a = fig7_matrix();
+        let revalued = a.with_vals(vec![-1.0; a.num_stored()]);
+        assert_eq!(revalued.levels(), a.levels());
+        assert_ne!(a, revalued);
+        assert_eq!(a.pattern_hash(), revalued.pattern_hash());
+        // Same dims, same column indices, one entry moved from row 0 to
+        // row 1: only `pos` differs.
+        let Level::Compressed { crd, .. } = a.level(1).clone() else {
+            panic!("fig7 is CSR");
+        };
+        let pos = vec![
+            Rect1::new(0, 1),
+            Rect1::new(2, 4),
+            Rect1::new(5, 5),
+            Rect1::new(6, 7),
+        ];
+        let levels = vec![Level::Dense { size: 4 }, Level::Compressed { pos, crd }];
+        let moved = SpTensor::from_parts(vec![4, 4], levels, a.vals().to_vec());
+        assert_ne!(a.pattern_hash(), moved.pattern_hash());
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! retained output from the previous run.
 //!
 //! The table prints, per batch, how many rows were dirty and how many
-//! spans the incremental pass re-executed vs skipped. The final rank
-//! vector is checked **bit-for-bit** against a from-scratch recompute of
-//! the fully-mutated graph — incremental execution is exact, not
-//! approximate.
+//! spans the incremental pass re-executed vs skipped. The stream ends with
+//! one *structural* batch (an edge inserted, an edge deleted), which falls
+//! back to a full pass under a recompiled plan. The final rank vector is
+//! checked **bit-for-bit** against a from-scratch recompute of the
+//! fully-mutated graph — incremental execution is exact, not approximate.
 //!
 //! `--trace <path>` writes a Chrome trace (the `incremental` category
 //! carries one instant event per incremental pass) and prints a
@@ -107,7 +108,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<8}{:>12}{:>12}{:>14}{:>12}  mode",
         "batch", "deltas", "rows dirty", "spans rerun", "skipped"
     );
-    for (i, batch) in stream.iter().enumerate() {
+    // The last batch is structural: a new edge appears and an existing one
+    // disappears. The sparsity pattern changed, so this pass falls back to
+    // a full recompute under a freshly compiled plan — same code path,
+    // same bit-identity bar.
+    let stored = b.to_coo();
+    let gone = stored[0].0.clone();
+    let fresh = (0..b.dims()[1] as i64)
+        .map(|j| vec![gone[0], j])
+        .find(|coord| stored.iter().all(|(present, _)| present != coord))
+        .ok_or("the first stored row is full")?;
+    let structural = vec![CoordDelta::insert(fresh, 0.5), CoordDelta::delete(gone)];
+    for (i, batch) in stream.iter().chain([&structural]).enumerate() {
         let rep = program.update_batch("B", batch)?;
         program.run_incremental()?;
         let stats = program.last_incremental(0).expect("one statement ran");
@@ -125,6 +137,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         );
     }
+    let last = program.last_incremental(0).expect("one statement ran");
+    assert!(last.fallback, "a structural batch must fall back");
 
     // The incremental answer must be *bit-identical* to recomputing the
     // mutated graph from scratch with the same compiled plan.

@@ -297,6 +297,93 @@ fn spmttkrp_incremental_identity_all_formats() {
     }
 }
 
+/// Two statements over one driver that neither reads the other's output:
+/// `a = B * c` and `d = B * e`.
+fn two_independent_spmvs(b: SpTensor, policy: SplitPolicy, pipelined: bool) -> CompiledProgram {
+    let (n, cols) = (b.dims()[0], b.dims()[1]);
+    let zeros = || dense_vector(vec![0.0; n]);
+    let input = |seed: u64| dense_vector(generate::dense_vec(cols, seed));
+    let program = Program::on(machine())
+        .split_policy(policy)
+        .tensor("a", Format::blocked_dense_vec(), zeros())
+        .tensor("d", Format::blocked_dense_vec(), zeros())
+        .tensor("B", Format::blocked_csr(), b)
+        .tensor("c", Format::replicated_dense_vec(), input(7))
+        .tensor("e", Format::replicated_dense_vec(), input(9))
+        .stmt("a(i) = B(i,j) * c(j)")
+        .schedule(ScheduleSpec::outer_dim())
+        .stmt("d(i) = B(i,j) * e(j)")
+        .schedule(ScheduleSpec::outer_dim());
+    let program = if pipelined {
+        program
+    } else {
+        program.launch_at_a_time()
+    };
+    program.build().unwrap()
+}
+
+/// Incremental passes go through the same session as full ones: two
+/// independent statements both merge, and share one batch when pipelined.
+#[test]
+fn independent_statements_merge_and_pipeline_like_a_full_pass() {
+    let b = convert::to_csr(&matrix_base());
+    for policy in POLICIES {
+        for pipelined in [true, false] {
+            let tag = format!("[{policy:?}, pipelined={pipelined}]");
+            let mut p = two_independent_spmvs(b.clone(), policy, pipelined);
+            p.run().unwrap();
+            p.update_batch("B", &overwrite_deltas(&b, 3)).unwrap();
+            let batches_before = p.report().batches;
+            p.run_incremental().unwrap();
+            let batches = p.report().batches - batches_before;
+            assert_eq!(batches, if pipelined { 1 } else { 2 }, "{tag}: batches");
+            let b2 = p.context().tensor("B").unwrap().data.clone();
+            let mut full = two_independent_spmvs(b2, policy, pipelined);
+            full.run().unwrap();
+            for k in 0..2 {
+                let stats = p.last_incremental(k).unwrap();
+                assert!(!stats.fallback, "{tag} stmt {k}: {}", stats.reason);
+                assert!(stats.spans_skipped > 0, "{tag} stmt {k}: no spans skipped");
+                assert_eq!(bits(&p, k), bits(&full, k), "{tag} stmt {k}: bits diverged");
+            }
+        }
+    }
+}
+
+/// A pass that fails part-way leaves no result for the statement that did
+/// not finish, and nothing to merge into: once the cause is repaired the
+/// next incremental pass falls back and matches a fresh program.
+#[test]
+fn failed_pass_leaves_no_result_and_the_next_one_falls_back() {
+    let b = convert::to_csr(&matrix_base());
+    let n = b.dims()[0];
+    let mut p = two_independent_spmvs(b.clone(), SplitPolicy::Off, true);
+    p.run().unwrap();
+    p.update_batch("B", &overwrite_deltas(&b, 3)).unwrap();
+    // Statement 1's output no longer has the extent its plan computes, so
+    // its write-back is refused — after statement 0 already finished.
+    let resize_d = |p: &mut CompiledProgram, len: usize| {
+        let d = dense_vector(vec![0.0; len]);
+        p.context_mut()
+            .add_tensor("d", d, Format::blocked_dense_vec())
+            .unwrap();
+    };
+    resize_d(&mut p, n + 1);
+    assert!(p.run_incremental().is_err());
+    assert!(p.result(0).is_some(), "statement 0 finished");
+    assert!(p.result(1).is_none(), "statement 1 did not");
+
+    resize_d(&mut p, n);
+    p.run_incremental().unwrap();
+    let b2 = p.context().tensor("B").unwrap().data.clone();
+    let mut full = two_independent_spmvs(b2, SplitPolicy::Off, true);
+    full.run().unwrap();
+    for k in 0..2 {
+        assert!(p.last_incremental(k).unwrap().fallback, "stmt {k}");
+        assert_eq!(bits(&p, k), bits(&full, k), "stmt {k}: bits diverged");
+    }
+}
+
 /// Strategy: a small CSR matrix plus an arbitrary delta batch over its
 /// coordinate space (ops and coordinates unconstrained beyond bounds).
 fn arb_matrix_and_deltas() -> impl Strategy<Value = (SpTensor, Vec<CoordDelta>)> {
