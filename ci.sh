@@ -47,7 +47,7 @@ cargo run --release -q --example quickstart -- --skew 0.95 --trace /tmp/spd_trac
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_trace.json --summary \
   --require steal --require auto-decision \
   --require span --require launch --require cache --require model \
-  --require kernel-dispatch --require kernel-specialized
+  --require kernel-dispatch --require kernel-specialized --require-no-drops
 
 echo "==> example smoke: load_balance via Program (row vs non-zero)"
 cargo run --release -q --example load_balance | grep "^run_report_json="
@@ -62,7 +62,8 @@ echo "==> streaming smoke: delta batches drive incremental recompute"
 cargo run --release -q --example streaming -- --trace /tmp/spd_stream_trace.json |
   grep "^run_report_json="
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_stream_trace.json \
-  --require incremental --require incremental-skip --require incremental-fallback
+  --require incremental --require incremental-skip --require incremental-fallback \
+  --require-no-drops
 rm -f /tmp/spd_stream_trace.json
 
 echo "==> serving smoke: spd-server on a UDS, two tenants share the plan cache"
@@ -98,7 +99,7 @@ fi
 wait "$spd_pid"
 [ ! -e "$spd_sock" ] || { echo "spd-server left its socket behind"; exit 1; }
 cargo run --release -q -p spdistal-bench --bin trace_check -- "$spd_trace" \
-  --require cache --require auto-decision
+  --require cache --require auto-decision --require-no-drops
 rm -f "$spd_trace" /tmp/spd_server_out_$$.log
 
 echo "==> spd-harness: ci bench suite, merged reports, regression gate"

@@ -2,7 +2,7 @@
 //! `Trace::write_chrome_trace` and assert it contains required events.
 //!
 //! ```text
-//! trace_check <trace.json> [--require <category-or-name>]... [--summary]
+//! trace_check <trace.json> [--require <category-or-name>]... [--require-no-drops] [--summary]
 //! ```
 //!
 //! Validation checks the trace-event JSON shape (every event has a name, a
@@ -10,7 +10,10 @@
 //! durations). Each `--require` matches either an event *category*
 //! (`flush`, `launch`, `span`, `steal`, `cache`, `auto`, `model`) or an
 //! exact event *name* (`steal`, `auto-decision`, `plan-cache hit`, ...)
-//! and fails unless at least one such event is present. `--summary`
+//! and fails unless at least one such event is present.
+//! `--require-no-drops` fails when the trace reports that its recorder
+//! overwrote events (`events_dropped > 0`): whatever was counted from such a
+//! trace undercounts. `--summary`
 //! additionally prints per-category event counts and, for categories with
 //! window (`"X"`) events, duration percentiles — for quick eyeballing of
 //! harness runs. Exits non-zero with a message on any failure, prints a
@@ -23,6 +26,7 @@ fn main() {
     let mut path: Option<String> = None;
     let mut required: Vec<String> = Vec::new();
     let mut summary = false;
+    let mut no_drops = false;
     let mut k = 0;
     while k < args.len() {
         match args[k].as_str() {
@@ -35,12 +39,13 @@ fn main() {
                 k += 1;
             }
             "--summary" => summary = true,
+            "--require-no-drops" => no_drops = true,
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
             other => {
                 eprintln!(
                     "trace_check: unexpected argument '{other}' \
                      (usage: trace_check <trace.json> [--require <category-or-name>]... \
-                     [--summary])"
+                     [--require-no-drops] [--summary])"
                 );
                 std::process::exit(2);
             }
@@ -86,6 +91,14 @@ fn main() {
                 _ => println!("  {cat:<10} {n:>8}   (instant events only)"),
             }
         }
+    }
+
+    if no_drops && stats.events_dropped > 0 {
+        eprintln!(
+            "trace_check: {path} dropped {} event(s): its counts are incomplete",
+            stats.events_dropped
+        );
+        std::process::exit(1);
     }
 
     let mut missing = Vec::new();

@@ -252,7 +252,9 @@ impl Context {
     }
 
     /// Replace a tensor's data wholesale (sparse outputs with fresh
-    /// patterns re-register their regions).
+    /// patterns re-register their regions). The replaced registration's
+    /// regions are retired once the new ones are in place, so peak residency
+    /// is what it always was and nothing accumulates across replacements.
     pub fn replace_tensor_data(&mut self, name: &str, data: SpTensor) -> Result<(), Error> {
         let (format, dist_spec_ok) = {
             let t = self.tensor(name)?;
@@ -263,8 +265,20 @@ impl Context {
                 "replace_tensor_data for '{name}' with different dims"
             )));
         }
-        self.tensors.remove(name);
-        self.add_tensor(name, data, format)
+        let old = self.tensors.remove(name).expect("looked up above");
+        let added = self.add_tensor(name, data, format);
+        for lr in &old.regions.levels {
+            match *lr {
+                LevelRegions::Dense => {}
+                LevelRegions::Singleton { crd } => self.runtime.retire_region(crd),
+                LevelRegions::Compressed { pos, crd } => {
+                    self.runtime.retire_region(pos);
+                    self.runtime.retire_region(crd);
+                }
+            }
+        }
+        self.runtime.retire_region(old.regions.vals);
+        added
     }
 
     /// Apply a batch of coordinate deltas to a registered tensor and track

@@ -79,6 +79,7 @@
 //! balance and the achieved schedule is visible under skew.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use spdistal_ir::{interp, Bindings};
 use spdistal_runtime::pipeline::{LaunchDesc, LaunchTiming, Pipeline};
@@ -768,7 +769,6 @@ pub(crate) fn finish_model(
         ctx.runtime().stats().comm_bytes,
         ctx.runtime().stats().messages,
         ctx.runtime().stats().total_ops,
-        ctx.runtime().stats().records.len(),
     );
 
     let out_len = match &computed {
@@ -843,6 +843,7 @@ pub(crate) fn finish_model(
             Some(p) => ctx.runtime_mut().index_launch_after(name, tasks, p)?,
         })
     };
+    let issue_t0 = Instant::now();
     let issued: Vec<LaunchRecord> = match &computed {
         Computed::Assembled {
             symbolic_ops,
@@ -873,6 +874,7 @@ pub(crate) fn finish_model(
     // serialized behind everything (launch-at-a-time), then one modeled
     // launch window per issued record.
     let trace = ctx.trace().clone();
+    trace.observe_ns("model.issue_ns", issue_t0.elapsed().as_nanos() as u64);
     if trace.is_enabled() {
         if model_preds.is_none() {
             trace.model_fence(&plan.name);
@@ -914,6 +916,10 @@ pub(crate) fn finish_model(
         }
     }
 
+    // Nothing reads the per-run output region after its own launch(es):
+    // release it, so the runtime's state is bounded by the program.
+    ctx.runtime_mut().retire_region(out_region);
+
     let wall_time = plan_wall_time(&sched, &launches);
     let stats = ctx.runtime().stats();
     Ok(ExecResult {
@@ -923,7 +929,7 @@ pub(crate) fn finish_model(
         comm_bytes: stats.comm_bytes - stats0.0,
         messages: stats.messages - stats0.1,
         ops: stats.total_ops - stats0.2,
-        records: stats.records[stats0.3..].to_vec(),
+        records: issued,
         sched,
         merge,
         output,

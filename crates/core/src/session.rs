@@ -379,7 +379,9 @@ impl<'c> Session<'c> {
                 );
                 prepared.push(p);
             }
+            let deps_t0 = Instant::now();
             let pipeline = Pipeline::new(launches);
+            trace.observe_ns("deps.analyze_ns", deps_t0.elapsed().as_nanos() as u64);
             // The inter-launch edge set (WAW/WAR over the summaries,
             // including write-back claims) also orders the model replay.
             let pred_sets = pipeline.launch_graph().pred_sets();

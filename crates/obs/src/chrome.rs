@@ -342,7 +342,13 @@ pub fn chrome_trace_json(recorder: &TraceRecorder) -> String {
         "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID_MODEL},\"tid\":0,\"args\":{{\"name\":\"model\"}}}}"
     ));
     events.extend(emit.out.into_iter().map(|(_, e)| e));
-    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
+    // `otherData` is the trace-event format's slot for run metadata; a
+    // viewer ignores it, `validate_chrome_trace` reads the drop count back.
+    format!(
+        "{{\"traceEvents\":[\n{}\n],\"otherData\":{{\"events_dropped\":{}}}}}\n",
+        events.join(",\n"),
+        recorder.dropped()
+    )
 }
 
 /// Shape statistics of a validated trace.
@@ -360,6 +366,9 @@ pub struct TraceStats {
     /// nanoseconds (the trace file stores microseconds; ×1000 here so the
     /// log2 buckets resolve sub-microsecond spans).
     pub dur_ns_by_cat: BTreeMap<String, HistSnapshot>,
+    /// Events the recorder's ring buffers overwrote before the export
+    /// (`otherData.events_dropped`; 0 when the file does not say).
+    pub events_dropped: u64,
 }
 
 impl TraceStats {
@@ -380,6 +389,11 @@ pub fn validate_chrome_trace(src: &str) -> Result<TraceStats, String> {
         .ok_or("\"traceEvents\" is not an array")?;
     let mut stats = TraceStats {
         events: events.len(),
+        events_dropped: doc
+            .get("otherData")
+            .and_then(|o| o.get("events_dropped"))
+            .and_then(Json::as_f64)
+            .map_or(0, |n| n as u64),
         ..Default::default()
     };
     for (k, ev) in events.iter().enumerate() {
@@ -619,6 +633,20 @@ mod tests {
         ); // no begin
         let stats = validate_chrome_trace(&chrome_trace_json(&rec)).unwrap();
         assert_eq!(stats.count("span"), 0);
+    }
+
+    /// A full ring overwrites its oldest events; the export says how many,
+    /// and the validator reads the count back (0 for a file without one).
+    #[test]
+    fn export_reports_dropped_events() {
+        let rec = TraceRecorder::new(1, 16);
+        for k in 0..20 {
+            rec.record_at(k, 0, Event::ModelFence { name: Sym(0) });
+        }
+        let stats = validate_chrome_trace(&chrome_trace_json(&rec)).unwrap();
+        assert_eq!(stats.events_dropped, 4);
+        let bare = validate_chrome_trace(r#"{"traceEvents": []}"#).unwrap();
+        assert_eq!(bare.events_dropped, 0);
     }
 
     #[test]

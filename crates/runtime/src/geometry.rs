@@ -6,6 +6,21 @@
 //! interval arithmetic is the workhorse of the whole partitioning subsystem.
 //! Partitions color (possibly overlapping) subsets of an index space; each
 //! color's subset is represented here as an [`IntervalSet`].
+//!
+//! ## Cost
+//!
+//! Every binary operation on two *canonical* sets (`union`, `intersect`,
+//! `subtract`, `overlaps`) is one two-pointer pass over the runs of both
+//! operands and produces a canonical result directly — none of them sorts.
+//! Only [`IntervalSet::from_rects`] may sort, and only input that is not
+//! already ordered by `lo`.
+//!
+//! ## Domain
+//!
+//! Coordinates are any `i64`; adjacency tests saturate instead of
+//! overflowing, so a run ending at `i64::MAX` is legal. [`Rect1::len`]
+//! saturates at `u64::MAX` for the one interval (`[i64::MIN, i64::MAX]`)
+//! whose length does not fit.
 
 /// An inclusive 1-D interval `[lo, hi]`. Empty iff `lo > hi`.
 ///
@@ -39,12 +54,13 @@ impl Rect1 {
         self.lo > self.hi
     }
 
-    /// Number of points in the interval.
+    /// Number of points in the interval (saturating at `u64::MAX` for
+    /// `[i64::MIN, i64::MAX]`, the one length that does not fit).
     pub fn len(&self) -> u64 {
         if self.is_empty() {
             0
         } else {
-            (self.hi - self.lo + 1) as u64
+            self.hi.abs_diff(self.lo).saturating_add(1)
         }
     }
 
@@ -111,18 +127,32 @@ impl IntervalSet {
     }
 
     /// Build a set from arbitrary (unsorted, possibly overlapping) intervals.
+    /// Sorts only input that is not already ordered by `lo`; coalescing is
+    /// one in-place pass.
     pub fn from_rects(mut rects: Vec<Rect1>) -> Self {
         rects.retain(|r| !r.is_empty());
-        rects.sort_unstable_by_key(|r| r.lo);
-        let mut out: Vec<Rect1> = Vec::with_capacity(rects.len());
-        for r in rects {
-            match out.last_mut() {
-                // Merge overlapping or adjacent intervals.
-                Some(last) if r.lo <= last.hi + 1 => last.hi = last.hi.max(r.hi),
-                _ => out.push(r),
-            }
+        if !rects.is_sorted_by_key(|r| r.lo) {
+            rects.sort_unstable_by_key(|r| r.lo);
         }
-        IntervalSet { rects: out }
+        // `dedup_by` hands over (candidate, last kept): absorb the candidate
+        // into the last kept run when they overlap or touch.
+        rects.dedup_by(|r, last| {
+            let joins = touches(last, r);
+            if joins {
+                last.hi = last.hi.max(r.hi);
+            }
+            joins
+        });
+        // Results of `from_rects` are mostly stored (partition subsets):
+        // keep neither the caller's growth slack nor the coalesced-away tail.
+        rects.shrink_to_fit();
+        IntervalSet { rects }
+    }
+
+    /// Release capacity beyond the stored runs. Sets that live on (coherence
+    /// state, partitions) call this so a merge's scratch space is not kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.rects.shrink_to_fit();
     }
 
     /// The normalized intervals of the set.
@@ -165,15 +195,48 @@ impl IntervalSet {
         other.subtract(self).is_empty()
     }
 
-    /// Set union.
+    /// Set union: a two-pointer merge of the two run lists by `lo` that
+    /// coalesces overlap and adjacency as it goes.
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
-        let mut rects = Vec::with_capacity(self.rects.len() + other.rects.len());
-        rects.extend_from_slice(&self.rects);
-        rects.extend_from_slice(&other.rects);
-        IntervalSet::from_rects(rects)
+        let (a, b) = (&self.rects, &other.rects);
+        if a.is_empty() || b.is_empty() {
+            return if a.is_empty() { other } else { self }.clone();
+        }
+        let mut out: Vec<Rect1> = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let r = if j == b.len() || (i < a.len() && a[i].lo <= b[j].lo) {
+                i += 1;
+                a[i - 1]
+            } else {
+                j += 1;
+                b[j - 1]
+            };
+            match out.last_mut() {
+                Some(last) if touches(last, &r) => last.hi = last.hi.max(r.hi),
+                _ => out.push(r),
+            }
+        }
+        IntervalSet { rects: out }
+    }
+
+    /// `self ∪= other`, for sets that are stored: the result keeps none of
+    /// the merge's scratch capacity.
+    pub fn union_with(&mut self, other: &IntervalSet) {
+        if !other.is_empty() {
+            *self = self.union(other);
+            self.shrink_to_fit();
+        }
     }
 
     /// Set intersection (linear merge over both interval lists).
+    ///
+    /// The pieces come out sorted and disjoint, and no two are adjacent:
+    /// pieces `[a,b]` and `[b+1,c]` would put `b` and `b+1` in both inputs,
+    /// each input (being canonical) would hold them in one run, and the
+    /// intersection of those two runs is one piece containing both. So two
+    /// canonical sets intersect to a canonical set and the output is
+    /// returned as is.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
         let (mut i, mut j) = (0, 0);
         let mut out = Vec::new();
@@ -188,8 +251,7 @@ impl IntervalSet {
                 j += 1;
             }
         }
-        // Already sorted & disjoint, but re-normalize to merge adjacency.
-        IntervalSet::from_rects(out)
+        IntervalSet { rects: out }
     }
 
     /// Set difference `self \ other`.
@@ -254,6 +316,13 @@ impl IntervalSet {
     }
 }
 
+/// True iff `next` (with `next.lo >= last.lo`) overlaps or is adjacent to
+/// `last`, i.e. the two belong to one run. Saturating: a run ending at
+/// `i64::MAX` absorbs everything after it instead of overflowing.
+fn touches(last: &Rect1, next: &Rect1) -> bool {
+    next.lo <= last.hi.saturating_add(1)
+}
+
 impl FromIterator<Rect1> for IntervalSet {
     fn from_iter<T: IntoIterator<Item = Rect1>>(iter: T) -> Self {
         IntervalSet::from_rects(iter.into_iter().collect())
@@ -304,6 +373,38 @@ mod tests {
     fn from_rects_merges_adjacent_after_sort() {
         let s = IntervalSet::from_rects(vec![Rect1::new(5, 9), Rect1::new(0, 4)]);
         assert_eq!(s.rects(), &[Rect1::new(0, 9)]);
+    }
+
+    /// Adjacency is tested with `last.hi + 1`; a run ending at `i64::MAX`
+    /// must saturate there instead of overflowing (a debug-build panic).
+    #[test]
+    fn runs_ending_at_i64_max_do_not_overflow() {
+        let top = Rect1::new(i64::MAX - 3, i64::MAX);
+        let s = IntervalSet::from_rects(vec![top, Rect1::new(i64::MAX - 1, i64::MAX)]);
+        assert_eq!(s.rects(), &[top]);
+        let low = IntervalSet::from_rect(Rect1::new(0, 9));
+        let u = IntervalSet::from_rect(top).union(&low).union(&s);
+        assert_eq!(u.rects(), &[Rect1::new(0, 9), top]);
+        assert_eq!(u.subtract(&low).rects(), &[top]);
+        assert_eq!(u.intersect(&s).rects(), &[top]);
+        // `len` is total: the extremes neither overflow nor wrap.
+        assert_eq!(top.len(), 4);
+        assert_eq!(Rect1::new(i64::MIN, -1).len(), 1 << 63);
+        assert_eq!(Rect1::new(i64::MIN, i64::MAX).len(), u64::MAX);
+        assert_eq!(Rect1::new(i64::MIN, i64::MAX - 1).len(), u64::MAX);
+    }
+
+    #[test]
+    fn union_with_keeps_no_scratch_capacity() {
+        let mut s = IntervalSet::from_rects(vec![Rect1::new(0, 1), Rect1::new(4, 5)]);
+        s.union_with(&IntervalSet::from_rects(vec![
+            Rect1::new(2, 3),
+            Rect1::new(9, 9),
+        ]));
+        assert_eq!(s.rects(), &[Rect1::new(0, 5), Rect1::new(9, 9)]);
+        assert_eq!(s.rects.capacity(), 2);
+        s.union_with(&IntervalSet::new());
+        assert_eq!(s.num_runs(), 2);
     }
 
     #[test]

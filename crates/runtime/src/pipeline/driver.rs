@@ -6,7 +6,8 @@
 //! single launch would get), and every [`LaunchGraph`] edge `A -> B` adds
 //! cross-launch edges from all of `A`'s points to all of `B`'s points —
 //! launch-granularity serialization, exactly what the summary-level
-//! analysis justifies.
+//! analysis justifies (and what [`LaunchGraph::from_launches`] decides
+//! without building the summaries).
 //!
 //! [`Pipeline::run`] then drains the combined graph through the existing
 //! work-stealing [`Executor`] in one pass, so point tasks from *different,
@@ -43,8 +44,7 @@ pub struct Pipeline {
 
 impl Pipeline {
     pub fn new(launches: Vec<LaunchDesc>) -> Pipeline {
-        let summaries: Vec<_> = launches.iter().map(LaunchDesc::summary).collect();
-        let launch_graph = LaunchGraph::from_summaries(&summaries);
+        let launch_graph = LaunchGraph::from_launches(&launches);
 
         let mut offsets = Vec::with_capacity(launches.len());
         let mut locate = Vec::new();

@@ -4,14 +4,24 @@
 //! commutativity rules the intra-launch scheduler uses
 //! ([`crate::sched::graph`]): Read/Read and Reduce/Reduce over overlapping
 //! subsets commute, everything else (RAW, WAR, WAW, read-or-write against a
-//! reduction) serializes in issue order. The inputs are whole-launch
-//! requirement *summaries* ([`LaunchDesc::summary`](super::LaunchDesc)), so
-//! dependence is decided at launch granularity — the Legion deferred
-//! execution model, where independent statements overlap and dependent
-//! statements pipeline behind each other.
+//! reduction) serializes in issue order. Dependence is decided at launch
+//! granularity — the Legion deferred execution model, where independent
+//! statements overlap and dependent statements pipeline behind each other:
+//! two launches conflict iff their whole-launch requirement *summaries*
+//! ([`LaunchDesc::summary`]) do.
+//!
+//! [`LaunchGraph::from_launches`] decides exactly that without building a
+//! summary: a union overlaps another iff some member does, so it indexes
+//! the raw requirements by region and runs a set test only where two
+//! launches name one region with a non-commuting privilege pair. A batch of
+//! one launch (every batch of a RAW chain) does no set work at all.
 
-use crate::sched::TaskGraph;
-use crate::task::RegionReq;
+use std::collections::HashMap;
+
+use crate::sched::{privileges_commute, TaskGraph, TaskGraphBuilder};
+use crate::task::{RegionId, RegionReq};
+
+use super::launch::LaunchDesc;
 
 /// Dependence DAG over launches: edges run from earlier to later issue
 /// order, mirroring Legion's program-order dependence analysis.
@@ -25,6 +35,51 @@ impl LaunchGraph {
     pub fn from_summaries(summaries: &[Vec<RegionReq>]) -> LaunchGraph {
         LaunchGraph {
             graph: TaskGraph::from_reqs(summaries),
+        }
+    }
+
+    /// Analyze launches in issue order: the same edge set as
+    /// `from_summaries` over every launch's [`LaunchDesc::summary`].
+    pub fn from_launches(launches: &[LaunchDesc]) -> LaunchGraph {
+        let n = launches.len();
+        if n < 2 {
+            return LaunchGraph {
+                graph: TaskGraph::independent(n),
+            };
+        }
+        // Region first: only requirements naming the same region can
+        // conflict, and only across launches.
+        let mut by_region: HashMap<RegionId, Vec<(usize, &RegionReq)>> = HashMap::new();
+        for (l, launch) in launches.iter().enumerate() {
+            for req in launch.reqs() {
+                by_region.entry(req.region).or_default().push((l, req));
+            }
+        }
+        let mut conflict = vec![false; n * n];
+        for members in by_region.values() {
+            for (k, &(a, ra)) in members.iter().enumerate() {
+                // Members are in issue order, so `b >= a` below.
+                for &(b, rb) in &members[k + 1..] {
+                    if a != b
+                        && !conflict[a * n + b]
+                        && !privileges_commute(ra.privilege, rb.privilege)
+                        && ra.subset.overlaps(&rb.subset)
+                    {
+                        conflict[a * n + b] = true;
+                    }
+                }
+            }
+        }
+        let mut builder = TaskGraphBuilder::new(n);
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if conflict[a * n + b] {
+                    builder.add_edge(a, b);
+                }
+            }
+        }
+        LaunchGraph {
+            graph: builder.build(),
         }
     }
 

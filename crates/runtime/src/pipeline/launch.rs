@@ -8,7 +8,9 @@
 //! compute, so a later launch touching that tensor serializes behind it).
 //! [`LaunchDesc::summary`] merges everything into one whole-launch
 //! requirement set — per `(region, privilege)`, the union of all point
-//! subsets — which is what the [`LaunchGraph`](super::LaunchGraph) analyzes.
+//! subsets. The [`LaunchGraph`](super::LaunchGraph) decides the same
+//! conflicts from [`LaunchDesc::reqs`] directly, region first, and builds a
+//! summary for nobody.
 
 use std::collections::BTreeMap;
 
@@ -67,32 +69,30 @@ impl LaunchDesc {
         self.point_widths.iter().sum()
     }
 
+    /// Every requirement the launch names: each point's, then the extras.
+    pub fn reqs(&self) -> impl Iterator<Item = &RegionReq> {
+        self.point_reqs.iter().flatten().chain(&self.extra_reqs)
+    }
+
     /// The whole-launch requirement summary: for each `(region, privilege)`
     /// pair named by any point (or by `extra_reqs`), the union of the
-    /// named subsets. Conflict analysis over summaries is conservative in
-    /// exactly the right direction: two launches conflict iff some pair of
-    /// their requirements would.
+    /// named subsets, merged run list by run list (no sort). Conflict
+    /// analysis over summaries is conservative in exactly the right
+    /// direction: two launches conflict iff some pair of their requirements
+    /// would — which is what [`LaunchGraph::from_launches`](super::LaunchGraph)
+    /// decides without building any summary.
     pub fn summary(&self) -> Vec<RegionReq> {
-        let mut merged: BTreeMap<(u32, u8), Vec<crate::geometry::Rect1>> = BTreeMap::new();
-        let mut push = |req: &RegionReq| {
-            merged
-                .entry((req.region.0, privilege_key(req.privilege)))
-                .or_default()
-                .extend_from_slice(req.subset.rects());
-        };
-        for point in &self.point_reqs {
-            for req in point {
-                push(req);
-            }
-        }
-        for req in &self.extra_reqs {
-            push(req);
+        let mut merged: BTreeMap<(u32, u8), IntervalSet> = BTreeMap::new();
+        for req in self.reqs() {
+            let key = (req.region.0, privilege_key(req.privilege));
+            let set = merged.entry(key).or_default();
+            *set = set.union(&req.subset);
         }
         merged
             .into_iter()
-            .map(|((region, pk), rects)| RegionReq {
+            .map(|((region, pk), subset)| RegionReq {
                 region: crate::task::RegionId(region),
-                subset: IntervalSet::from_rects(rects),
+                subset,
                 privilege: privilege_from_key(pk),
             })
             .collect()

@@ -20,6 +20,45 @@ fn arb_set() -> impl Strategy<Value = (IntervalSet, BTreeSet<i64>)> {
     })
 }
 
+/// A set over a *small* universe built to hit the rewritten algebra's
+/// corners: touching runs (`[a,b]`,`[b+1,c]`), containment, duplicates,
+/// empty rects, and — when `sorted` — input already ordered by `lo`, the
+/// path on which `from_rects` skips its sort.
+fn arb_small_set() -> impl Strategy<Value = (Vec<Rect1>, BTreeSet<i64>)> {
+    (
+        proptest::collection::vec((0i64..24, -1i64..6, 0usize..4), 0..8),
+        0usize..2,
+    )
+        .prop_map(|(triples, sorted)| {
+            let sorted = sorted == 1;
+            let mut rects = Vec::new();
+            for (lo, len, extra) in triples {
+                let r = Rect1::new(lo, lo + len); // len == -1: an empty rect
+                rects.push(r);
+                match extra {
+                    1 if !r.is_empty() => rects.push(Rect1::new(r.hi + 1, r.hi + 2)), // adjacent
+                    2 if r.len() > 2 => rects.push(Rect1::new(r.lo + 1, r.hi - 1)),   // contained
+                    3 => rects.push(r),                                               // duplicate
+                    _ => {}
+                }
+            }
+            if sorted {
+                rects.sort_by_key(|r| r.lo);
+            }
+            let model = rects.iter().flat_map(|r| r.iter()).collect();
+            (rects, model)
+        })
+}
+
+/// Sorted, disjoint, non-adjacent, no empty rect.
+fn is_canonical(s: &IntervalSet) -> bool {
+    s.rects().iter().all(|r| !r.is_empty()) && s.rects().windows(2).all(|w| w[0].hi + 1 < w[1].lo)
+}
+
+fn points(s: &IntervalSet) -> BTreeSet<i64> {
+    s.iter_points().collect()
+}
+
 /// An arbitrary pos array: contiguous, possibly-empty row ranges over a crd
 /// space, exactly as compressed tensor levels produce.
 fn arb_pos() -> impl Strategy<Value = (Vec<Rect1>, u64)> {
@@ -57,6 +96,45 @@ proptest! {
         for p in 0..100i64 {
             prop_assert_eq!(a.contains(p), ma.contains(&p));
         }
+    }
+
+    /// The sort-free algebra against a brute-force point-set model: every
+    /// result holds exactly the model's points *and* is in canonical form
+    /// (`intersect` returns its merge output as is; `union` coalesces as it
+    /// merges; `from_rects` may skip its sort).
+    #[test]
+    fn rewritten_algebra_matches_point_sets_canonically(
+        (ra, ma) in arb_small_set(),
+        (rb, mb) in arb_small_set(),
+    ) {
+        let (a, b) = (IntervalSet::from_rects(ra.clone()), IntervalSet::from_rects(rb));
+        prop_assert_eq!(&points(&a), &ma);
+        prop_assert!(is_canonical(&a) && is_canonical(&b));
+        // Order of the input never matters.
+        let mut reversed = ra;
+        reversed.reverse();
+        prop_assert_eq!(&IntervalSet::from_rects(reversed), &a);
+
+        let (union, inter, diff) = (a.union(&b), a.intersect(&b), a.subtract(&b));
+        prop_assert_eq!(points(&union), ma.union(&mb).copied().collect::<BTreeSet<_>>());
+        prop_assert_eq!(points(&inter), ma.intersection(&mb).copied().collect::<BTreeSet<_>>());
+        prop_assert_eq!(points(&diff), ma.difference(&mb).copied().collect::<BTreeSet<_>>());
+        prop_assert!(is_canonical(&union), "union {:?}", union);
+        prop_assert!(is_canonical(&inter), "intersect {:?}", inter);
+        prop_assert!(is_canonical(&diff), "subtract {:?}", diff);
+        // Canonical form is unique, so equal point sets are equal values.
+        prop_assert_eq!(&union, &b.union(&a));
+        prop_assert_eq!(&inter, &b.intersect(&a));
+        prop_assert_eq!(&diff.union(&inter), &a);
+        let mut stored = a.clone();
+        stored.union_with(&b);
+        prop_assert_eq!(&stored, &union);
+        // Empty operands.
+        let empty = IntervalSet::new();
+        prop_assert_eq!(&a.union(&empty), &a);
+        prop_assert_eq!(&empty.union(&a), &a);
+        prop_assert!(a.intersect(&empty).is_empty() && empty.subtract(&a).is_empty());
+        prop_assert_eq!(&a.subtract(&empty), &a);
     }
 
     #[test]

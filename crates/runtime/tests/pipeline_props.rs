@@ -163,6 +163,38 @@ proptest! {
         }
     }
 
+    /// The region-first launch-level analysis decides exactly what the
+    /// summary-level analysis it replaced decides: same edges, same order
+    /// (so `pred_sets()` — what the model replay is gated on — is equal),
+    /// extras included.
+    #[test]
+    fn region_first_analysis_equals_summary_analysis(
+        launches in arb_launches(),
+        extras in proptest::collection::vec((0usize..NUM_REGIONS, 0i64..56, 0i64..8, 0usize..3), 0..4),
+    ) {
+        let mut ds = descs(&launches);
+        for (k, (region, lo, len, p)) in extras.into_iter().enumerate() {
+            let n = ds.len();
+            let d = ds.remove(k % n);
+            ds.insert(k % n, d.with_extra_reqs(vec![RegionReq {
+                region: RegionId(region as u32),
+                subset: IntervalSet::from_rect(Rect1::new(lo, lo + len)),
+                privilege: privilege(p),
+            }]));
+        }
+        let summaries: Vec<_> = ds.iter().map(LaunchDesc::summary).collect();
+        let oracle = LaunchGraph::from_summaries(&summaries);
+        let graph = LaunchGraph::from_launches(&ds);
+        prop_assert_eq!(graph.num_launches(), oracle.num_launches());
+        prop_assert_eq!(graph.num_edges(), oracle.num_edges());
+        prop_assert_eq!(graph.pred_sets(), oracle.pred_sets());
+        for a in 0..ds.len() {
+            prop_assert_eq!(graph.successors(a), oracle.successors(a));
+        }
+        // And it is the graph the pipeline drives.
+        prop_assert_eq!(Pipeline::new(ds).launch_graph().pred_sets(), oracle.pred_sets());
+    }
+
     #[test]
     fn launch_graph_serializes_cross_launch_conflicts(launches in arb_launches()) {
         let ds = descs(&launches);
