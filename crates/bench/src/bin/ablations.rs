@@ -81,7 +81,7 @@ fn spmv_time(b: &SpTensor, nonzero: bool) -> (f64, u64, f64) {
     (r.time, r.comm_bytes, imb)
 }
 
-fn ablation_partitioning(trace: &Trace) {
+fn ablation_partitioning() {
     println!("--- Ablation 1: universe vs non-zero partition under skew ({PIECES} nodes) ---");
     println!(
         "{:>10} {:>12} {:>14} {:>14} {:>10}",
@@ -91,11 +91,6 @@ fn ablation_partitioning(trace: &Trace) {
         let b = matrix_with_skew(20_000, 400_000, frac);
         let (t_row, _, imb) = spmv_time(&b, false);
         let (t_nz, _, _) = spmv_time(&b, true);
-        trace.observe_ns("row_model_ns", (t_row * 1e9) as u64);
-        trace.observe_ns("nonzero_model_ns", (t_nz * 1e9) as u64);
-        if t_nz < t_row {
-            trace.add("nonzero_wins", 1);
-        }
         println!(
             "{:>10.1} {:>12.2} {:>14.4} {:>14.4} {:>10}",
             frac,
@@ -160,7 +155,7 @@ fn spadd_pair(ctx_b: &SpTensor, ctx_c: &SpTensor, pieces: usize) -> (SpTensor, f
     (r.output.as_tensor().unwrap().clone(), r.time)
 }
 
-fn ablation_fusion(trace: &Trace) {
+fn ablation_fusion() {
     println!("--- Ablation 3: fused vs pairwise SpAdd3 (same compiler, {PIECES} nodes) ---");
     let b = generate::rmat_default(13, 150_000, 7);
     let c = generate::shift_last_dim(&b, 1);
@@ -200,12 +195,6 @@ fn ablation_fusion(trace: &Trace) {
     let (out, t2) = spadd_pair(&tmp, &d, PIECES);
     assert!(reference::tensors_approx_eq(&out, &expect, 1e-12));
 
-    trace.observe_ns("fused_model_ns", (fused.time * 1e9) as u64);
-    trace.observe_ns("pairwise_model_ns", ((t1 + t2) * 1e9) as u64);
-    trace.add(
-        "fusion_speedup_milli",
-        ((t1 + t2) / fused.time * 1e3) as u64,
-    );
     println!("{:>22} {:>14}", "variant", "time (ms)");
     println!("{:>22} {:>14.4}", "fused (1 pass)", fused.time * 1e3);
     println!("{:>22} {:>14.4}", "pairwise (2 passes)", (t1 + t2) * 1e3);
@@ -216,9 +205,7 @@ fn ablation_fusion(trace: &Trace) {
 }
 
 fn main() {
-    let trace = Trace::enabled();
-    ablation_partitioning(&trace);
+    ablation_partitioning();
     ablation_distribution_mismatch();
-    ablation_fusion(&trace);
-    println!("run_report_json={}", trace.run_report_json("ablations"));
+    ablation_fusion();
 }

@@ -13,7 +13,6 @@
 //! * SpMTTKRP: CTF's special kernel is competitive (paper: SpDISTAL at a
 //!   median 97% of CTF).
 
-use spdistal::prelude::Trace;
 use spdistal_bench::{
     cpu_profile, dataset_scale, make_inputs, median, run_baseline, run_spdistal, Kern,
 };
@@ -25,7 +24,6 @@ const NODES: [usize; 5] = [1, 2, 4, 8, 16];
 fn main() {
     let scale = dataset_scale();
     let profile = cpu_profile();
-    let trace = Trace::enabled();
     println!("Figure 10: CPU strong scaling (speedup over SpDISTAL @ 1 node)");
     println!("dataset scale = {scale}\n");
 
@@ -79,10 +77,6 @@ fn main() {
                 let t = run_spdistal(kern, inputs, nodes, &profile, nonzero)
                     .expect("spdistal CPU run")
                     .time;
-                // Modeled per-(kernel, dataset, nodes) latency into the
-                // report: deterministic, so the harness can gate on it.
-                trace.observe_ns("spdistal_model_ns", (t * 1e9) as u64);
-                trace.add("spdistal_runs", 1);
                 spd.push(base[ds_idx] / t);
                 let machine = Machine::grid1d(nodes, profile.clone());
                 for (si, s) in systems.iter().enumerate() {
@@ -108,8 +102,4 @@ fn main() {
         }
         println!();
     }
-    println!(
-        "run_report_json={}",
-        trace.run_report_json("fig10_cpu_strong_scaling")
-    );
 }

@@ -12,7 +12,6 @@
 //! * SpAdd3: SpDISTAL wins nearly everywhere (paper: 32/34) by fusing.
 //! * SDDMM: SpDISTAL-GPU vs SpDISTAL-CPU (no GPU comparison target).
 
-use spdistal::prelude::Trace;
 use spdistal_bench::{
     cpu_profile, dataset_scale, gpu_profile, make_inputs, run_baseline, run_spdistal,
     run_spdistal_spmm_batched_auto, time_scale, Kern,
@@ -24,7 +23,6 @@ fn main() {
     let scale = dataset_scale();
     let gpu = gpu_profile();
     let cpu = cpu_profile();
-    let trace = Trace::enabled();
     println!("Figure 11: GPU strong scaling heatmaps (full-scale-equivalent ms; * marks fastest; DNC = does not complete)");
     println!(
         "dataset scale = {scale}, GPU memory = {} MiB (scaled V100)\n",
@@ -34,34 +32,26 @@ fn main() {
     let matrices = dataset::matrices();
 
     // --- SpMV: row-based, short runtimes, scale to 8 GPUs ---------------
-    heatmap(
-        &trace,
-        "SpMV",
-        &matrices,
-        &[1, 2, 4, 8],
-        scale,
-        |inputs, gpus| {
-            let machine = Machine::grid1d(gpus, gpu.clone());
-            vec![
-                (
-                    "SpDISTAL",
-                    run_spdistal(Kern::SpMv, inputs, gpus, &gpu, false),
-                ),
-                (
-                    "PETSc",
-                    flatten(run_baseline("petsc", Kern::SpMv, inputs, &machine)),
-                ),
-                (
-                    "Trilinos",
-                    flatten(run_baseline("trilinos", Kern::SpMv, inputs, &machine)),
-                ),
-            ]
-        },
-    );
+    heatmap("SpMV", &matrices, &[1, 2, 4, 8], scale, |inputs, gpus| {
+        let machine = Machine::grid1d(gpus, gpu.clone());
+        vec![
+            (
+                "SpDISTAL",
+                run_spdistal(Kern::SpMv, inputs, gpus, &gpu, false),
+            ),
+            (
+                "PETSc",
+                flatten(run_baseline("petsc", Kern::SpMv, inputs, &machine)),
+            ),
+            (
+                "Trilinos",
+                flatten(run_baseline("trilinos", Kern::SpMv, inputs, &machine)),
+            ),
+        ]
+    });
 
     // --- SpMM: non-zero (replicates C) vs batched vs baselines ----------
     heatmap(
-        &trace,
         "SpMM",
         &matrices,
         &[4, 8, 16, 32, 64],
@@ -91,7 +81,6 @@ fn main() {
 
     // --- SpAdd3: row-based vs Trilinos (PETSc has no GPU SpAdd) ---------
     heatmap(
-        &trace,
         "SpAdd3",
         &matrices,
         &[4, 8, 16, 32, 64],
@@ -113,7 +102,6 @@ fn main() {
 
     // --- SDDMM: GPU non-zero schedule vs SpDISTAL's CPU kernel ----------
     heatmap(
-        &trace,
         "SDDMM",
         &matrices,
         &[4, 8, 16, 32, 64],
@@ -132,10 +120,6 @@ fn main() {
             ]
         },
     );
-    println!(
-        "run_report_json={}",
-        trace.run_report_json("fig11_gpu_heatmap")
-    );
 }
 
 type SysResult = Result<spdistal_baselines::BaselineResult, String>;
@@ -145,7 +129,6 @@ fn flatten(r: Option<SysResult>) -> SysResult {
 }
 
 fn heatmap(
-    trace: &Trace,
     title: &str,
     specs: &[spdistal_sparse::dataset::DatasetSpec],
     gpu_counts: &[usize],
@@ -174,18 +157,10 @@ fn heatmap(
                 Some((name, t)) => {
                     *wins.entry(name).or_default() += 1;
                     cells += 1;
-                    trace.observe_ns("cell_best_model_ns", (t * 1e9) as u64);
-                    if name.starts_with("SpD") {
-                        trace.add("spdistal_wins", 1);
-                    }
                     format!("{}*{:.1}", initials(name), t * 1e3 / time_scale())
                 }
-                None => {
-                    trace.add("dnc_cells", 1);
-                    "DNC".to_string()
-                }
+                None => "DNC".to_string(),
             };
-            trace.add("cells", 1);
             print!(" {cell:>12}");
         }
         println!();

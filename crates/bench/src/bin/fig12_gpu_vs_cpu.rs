@@ -9,7 +9,6 @@
 //! to the load-balanced non-zero schedule; small tensors at large GPU
 //! counts can flip to CPU (launch overhead dominates).
 
-use spdistal::prelude::Trace;
 use spdistal_bench::{cpu_profile, dataset_scale, gpu_profile, make_inputs, run_spdistal, Kern};
 use spdistal_sparse::dataset;
 
@@ -19,7 +18,6 @@ fn main() {
     let scale = dataset_scale();
     let gpu = gpu_profile();
     let cpu = cpu_profile();
-    let trace = Trace::enabled();
     println!("Figure 12: SpDISTAL GPU vs CPU on SpTTV / SpMTTKRP");
     println!("cells: (faster)x(speedup); G = GPU kernel faster, C = CPU kernel faster\n");
 
@@ -43,8 +41,6 @@ fn main() {
                 let cell = match (tg, tc) {
                     (Ok(g), Ok(c)) => {
                         total += 1;
-                        trace.observe_ns("gpu_model_ns", (g.time * 1e9) as u64);
-                        trace.observe_ns("cpu_model_ns", (c.time * 1e9) as u64);
                         if g.time < c.time {
                             gpu_wins += 1;
                             format!("G x{:.2}", c.time / g.time)
@@ -60,12 +56,6 @@ fn main() {
             }
             println!();
         }
-        trace.add("gpu_wins", gpu_wins);
-        trace.add("cells", total);
         println!("  GPU kernel faster in {gpu_wins}/{total} cells\n");
     }
-    println!(
-        "run_report_json={}",
-        trace.run_report_json("fig12_gpu_vs_cpu")
-    );
 }

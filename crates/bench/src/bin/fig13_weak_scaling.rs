@@ -8,7 +8,6 @@
 //! asynchronous execution avoiding the bulk-synchronous sync per
 //! iteration).
 
-use spdistal::prelude::Trace;
 use spdistal_bench::{
     cpu_profile, make_inputs, run_baseline, run_spdistal, time_scale, Kern, GPU_CAPACITY_SCALE,
 };
@@ -38,7 +37,6 @@ fn main() {
     // Fig. 13 sizes its own problems (not Table II), so give the scaled
     // V100 a matching capacity headroom.
     let gpu = MachineProfile::lassen_gpu(2.0 * GPU_CAPACITY_SCALE).time_scaled(time_scale());
-    let trace = Trace::enabled();
 
     for &nodes in &NODES {
         // CPU problem: fixed nnz per node.
@@ -76,13 +74,6 @@ fn main() {
         .map(|r| r.time)
         .ok();
 
-        trace.observe_ns("spdistal_cpu_model_ns", (t_spd * 1e9) as u64);
-        if let Some(t) = t_spd_gpu {
-            trace.observe_ns("spdistal_gpu_model_ns", (t * 1e9) as u64);
-        } else {
-            trace.add("gpu_dnc", 1);
-        }
-        trace.add("rows", 1);
         let tput = |t: f64| 1.0 / t;
         println!(
             "{:<16}{:>14.1}{:>14.1}{:>16}{:>16}",
@@ -94,8 +85,4 @@ fn main() {
         );
     }
     println!("\n(Each row uses a freshly generated banded matrix with the per-node/per-GPU size held fixed.)");
-    println!(
-        "run_report_json={}",
-        trace.run_report_json("fig13_weak_scaling")
-    );
 }

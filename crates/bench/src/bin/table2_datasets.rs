@@ -5,15 +5,11 @@
 //! dimensions, structure class). Run with `SPDISTAL_SCALE=<f>` to change
 //! the synthetic scale.
 
-use std::time::Instant;
-
-use spdistal::prelude::Trace;
 use spdistal_bench::dataset_scale;
 use spdistal_sparse::dataset;
 
 fn main() {
     let scale = dataset_scale();
-    let trace = Trace::enabled();
     println!("Table II: tensors and matrices considered in the experiments");
     println!("(synthetic stand-ins at scale {scale}; see DESIGN.md for the substitution)\n");
     println!(
@@ -21,15 +17,8 @@ fn main() {
         "Tensor name", "Domain", "Paper nnz", "Synth nnz", "Synth dims", "Structure"
     );
     println!("{}", "-".repeat(100));
-    let mut total_nnz = 0u64;
     for spec in dataset::all() {
-        let t0 = Instant::now();
         let t = spec.generate(scale);
-        // Generator wall time per dataset: the one real cost this binary
-        // pays, and the trajectory metric for the synthetic registry.
-        trace.observe_ns("generate_ns", t0.elapsed().as_nanos() as u64);
-        trace.add("datasets", 1);
-        total_nnz += t.nnz() as u64;
         let dims = format!("{:?}", t.dims());
         println!(
             "{:<18} {:<18} {:>12.2e} {:>12} {:>22} {:<14}",
@@ -41,9 +30,4 @@ fn main() {
             format!("{:?}", spec.class),
         );
     }
-    trace.add("total_nnz", total_nnz);
-    println!(
-        "run_report_json={}",
-        trace.run_report_json("table2_datasets")
-    );
 }

@@ -16,7 +16,7 @@
 //! trace undercounts. `--summary`
 //! additionally prints per-category event counts and, for categories with
 //! window (`"X"`) events, duration percentiles — for quick eyeballing of
-//! harness runs. Exits non-zero with a message on any failure, prints a
+//! ci runs. Exits non-zero with a message on any failure, prints a
 //! one-line summary on success.
 
 use spdistal_obs::validate_chrome_trace;

@@ -1,10 +1,11 @@
-//! # spdistal-bench — the evaluation harness
+//! # spdistal-bench — the paper's evaluation
 //!
 //! Shared machinery for the figure/table binaries (`src/bin/*`) that
 //! regenerate every table and figure of the paper's evaluation
-//! (Section VI), and for the Criterion micro-benchmarks.
+//! (Section VI). Wall-clock performance is not measured here: that is
+//! the repo benchmark's job (`BENCHMARK.json`, `docs/benchmarking.md`).
 //!
-//! The harness runs each (system, kernel, dataset, processor-count)
+//! The drivers run each (system, kernel, dataset, processor-count)
 //! configuration and reports *simulated* time from the shared machine
 //! model: SpDISTAL through the compiler + Legion-like runtime, the
 //! baselines through their bulk-synchronous models. "DNC" (does not
@@ -15,8 +16,6 @@ use spdistal_baselines::{ctf, petsc, trilinos, BaselineResult};
 use spdistal_ir::Format;
 use spdistal_runtime::ProcKind;
 use spdistal_sparse::{dense_matrix, dense_vector, generate, SpTensor};
-
-pub mod harness;
 
 /// The six evaluation kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,21 +64,6 @@ pub fn dataset_scale() -> f64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.5)
-}
-
-/// Worker-thread count for wall-clock benches: `SPD_BENCH_THREADS` when
-/// set (the harness pins it per scenario for reproducibility), else the
-/// machine's parallelism, but never below `min`.
-pub fn bench_threads(min: usize) -> usize {
-    std::env::var("SPD_BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(min)
-        })
-        .max(min)
 }
 
 /// Total time-constant scale relative to the paper's full-size runs: the
@@ -156,41 +140,18 @@ pub fn run_spdistal(
     profile: &MachineProfile,
     nonzero: bool,
 ) -> Result<BaselineResult, String> {
-    run_spdistal_traced(kern, inputs, procs, profile, nonzero, None, None)
-}
-
-/// [`run_spdistal`] with two bench-harness extras: record into `trace`
-/// (kernel-dispatch events and `kernel.specialized` / `kernel.fallback`
-/// counters land in its run report), and override the driver's storage
-/// format with `driver_fmt` (e.g. `Format::blocked_dcsr()`; `inputs.b`
-/// must already be stored in the matching level layout).
-pub fn run_spdistal_traced(
-    kern: Kern,
-    inputs: &Inputs,
-    procs: usize,
-    profile: &MachineProfile,
-    nonzero: bool,
-    driver_fmt: Option<Format>,
-    trace: Option<&Trace>,
-) -> Result<BaselineResult, String> {
     let mut ctx = Context::new(Machine::grid1d(procs, profile.clone()));
-    if let Some(trace) = trace {
-        ctx.set_trace(trace.clone());
-    }
     let b = &inputs.b;
     let unit = match profile.proc.kind {
         ProcKind::Cpu => ParallelUnit::CpuThread,
         ProcKind::Gpu => ParallelUnit::GpuThread,
     };
-    let b_format = match driver_fmt {
-        Some(fmt) => fmt,
-        None => match (b.order(), nonzero) {
-            (2, false) => Format::blocked_csr(),
-            (2, true) => Format::nonzero_csr(),
-            (3, false) => Format::blocked_csf3(),
-            (3, true) => Format::nonzero_csf3(),
-            _ => return Err("unsupported order".into()),
-        },
+    let b_format = match (b.order(), nonzero) {
+        (2, false) => Format::blocked_csr(),
+        (2, true) => Format::nonzero_csr(),
+        (3, false) => Format::blocked_csf3(),
+        (3, true) => Format::nonzero_csf3(),
+        _ => return Err("unsupported order".into()),
     };
     let add = |ctx: &mut Context, name: &str, t: SpTensor, f: Format| {
         ctx.add_tensor(name, t, f).map_err(stringify_err)
@@ -529,11 +490,6 @@ pub fn median(xs: &mut [f64]) -> f64 {
     } else {
         (xs[n / 2 - 1] + xs[n / 2]) / 2.0
     }
-}
-
-/// Format seconds as milliseconds with sensible precision.
-pub fn fmt_ms(t: f64) -> String {
-    format!("{:.3}", t * 1e3)
 }
 
 #[cfg(test)]

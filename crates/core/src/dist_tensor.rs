@@ -13,10 +13,7 @@ use std::collections::BTreeMap;
 
 use spdistal_ir::tdn::DistSpec;
 use spdistal_ir::{Format, IndexVar, SchedError, TdnError, VarCtx};
-use spdistal_runtime::{
-    ExecMode, IntervalSet, Machine, Partition, Rect1, RegionId, Runtime, RuntimeError, SplitPolicy,
-    Trace,
-};
+use spdistal_runtime::{ExecMode, Machine, RegionId, Runtime, RuntimeError, SplitPolicy, Trace};
 use spdistal_sparse::{CooTensor, CoordDelta, DeltaOp, Level, SpTensor};
 
 use crate::level_funcs::{
@@ -254,31 +251,17 @@ impl Context {
     /// Replace a tensor's data wholesale (sparse outputs with fresh
     /// patterns re-register their regions). The replaced registration's
     /// regions are retired once the new ones are in place, so peak residency
-    /// is what it always was and nothing accumulates across replacements.
+    /// is what it always was and nothing accumulates across replacements; a
+    /// replacement that fails (e.g. out of memory) leaves the tensor as it was.
     pub fn replace_tensor_data(&mut self, name: &str, data: SpTensor) -> Result<(), Error> {
-        let (format, dist_spec_ok) = {
-            let t = self.tensor(name)?;
-            (t.format.clone(), t.data.dims() == data.dims())
-        };
-        if !dist_spec_ok {
+        let t = self.tensor(name)?;
+        if t.data.dims() != data.dims() {
             return Err(Error::Unsupported(format!(
                 "replace_tensor_data for '{name}' with different dims"
             )));
         }
-        let old = self.tensors.remove(name).expect("looked up above");
-        let added = self.add_tensor(name, data, format);
-        for lr in &old.regions.levels {
-            match *lr {
-                LevelRegions::Dense => {}
-                LevelRegions::Singleton { crd } => self.runtime.retire_region(crd),
-                LevelRegions::Compressed { pos, crd } => {
-                    self.runtime.retire_region(pos);
-                    self.runtime.retire_region(crd);
-                }
-            }
-        }
-        self.runtime.retire_region(old.regions.vals);
-        added
+        let format = t.format.clone();
+        self.swap_registration(name, data, format).map(drop)
     }
 
     /// Apply a batch of coordinate deltas to a registered tensor and track
@@ -363,16 +346,15 @@ impl Context {
         } else {
             data
         };
-        // Carry the dirty state across the replacement (which, like any
-        // re-registration, clears it), then extend it with this batch.
-        let prev = self.streaming.take_dirty(name);
-        let from_version = prev
-            .as_ref()
-            .map_or_else(|| self.streaming.version(name), |p| p.from_version);
+        // The replacement hands back the dirty state it dropped (any
+        // re-registration clears it); extend that with this batch.
+        let format = t.format.clone();
+        let version = self.streaming.version(name);
+        let prev = self.swap_registration(name, data, format)?;
+        let from_version = prev.as_ref().map_or(version, |p| p.from_version);
         let prev_structural = prev.as_ref().is_some_and(|p| p.structural);
         let prev_deltas = prev.as_ref().map_or(0, |p| p.deltas_applied);
         let mut map = prev.map_or_else(|| DirtyMap::new(dims[0]), |p| p.map);
-        self.replace_tensor_data(name, data)?;
         for &r in &touched_rows {
             map.mark(r);
         }
@@ -413,51 +395,70 @@ impl Context {
     /// exactly as if the tensor had been added with `format` originally.
     /// Plans compiled against the old registration stay valid for their own
     /// partitions but callers caching plans by format signature (the
-    /// `Program` front-end) will rightly miss and recompile.
+    /// `Program` front-end) will rightly miss and recompile. A rejected
+    /// format leaves the context as it was.
     pub fn set_tensor_format(&mut self, name: &str, format: Format) -> Result<(), Error> {
-        // Validate against the tensor's order before touching the table,
-        // and restore the old registration if re-adding fails for any
-        // later reason — a rejected format must leave the context intact.
-        let order = self.tensor(name)?.data.order();
-        format.validate(order)?;
-        let old = self.tensors.remove(name).expect("existence checked above");
-        match self.add_tensor(name, old.data.clone(), format) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.tensors.insert(name.to_string(), old);
-                Err(e)
-            }
-        }
+        let data = self.tensor(name)?.data.clone();
+        self.swap_registration(name, data, format).map(drop)
     }
 
     /// Register a tensor with its format and materialize its initial
     /// distribution (Figure 1 lines 18-22).
     pub fn add_tensor(&mut self, name: &str, data: SpTensor, format: Format) -> Result<(), Error> {
+        self.swap_registration(name, data, format).map(drop)
+    }
+
+    /// The one way a registration enters the tensor table: build the new
+    /// one beside whatever `name` holds, then swap. A failure (bad format,
+    /// out of memory while attaching) retires the regions it created and
+    /// returns before the table, the version or the dirty state is touched,
+    /// so the old registration stays whole. On success the replaced
+    /// registration's regions are retired and the dirty state it carried
+    /// is handed back — any (re-)registration is a new tensor state, which
+    /// is what makes retained incremental buffers invalid after it;
+    /// `update_batch` is the one caller that extends and re-installs it.
+    fn swap_registration(
+        &mut self,
+        name: &str,
+        data: SpTensor,
+        format: Format,
+    ) -> Result<Option<TensorDirty>, Error> {
         format.validate(data.order())?;
-        // Any (re-)registration is a new tensor state: bump the version and
-        // drop tracked dirty state. This is what makes format
-        // re-registration (`set_tensor_format`) invalidate retained
-        // incremental buffers instead of silently reusing them —
-        // `update_batch` is the one caller that restores (and extends) the
-        // dirty state it removed before replacing the data.
-        self.streaming.bump_version(name);
-        self.streaming.clear_dirty(name);
         let spec = format.dist.resolve(data.order())?;
-        let regions = self.create_regions(name, &data);
         let dist_part = self.initial_partition(&data, &spec)?;
-        self.attach_distribution(&data, &regions, &dist_part, &spec)?;
-        self.tensors.insert(
-            name.to_string(),
-            DistTensor {
-                name: name.to_string(),
-                data,
-                format,
-                regions,
-                dist_part,
-                dist_spec: spec,
-            },
-        );
-        Ok(())
+        let regions = self.create_regions(name, &data);
+        if let Err(e) = self.attach_distribution(&regions, &dist_part, &spec) {
+            self.retire_regions(&regions);
+            return Err(e);
+        }
+        self.streaming.bump_version(name);
+        let dirty = self.streaming.take_dirty(name);
+        let new = DistTensor {
+            name: name.to_string(),
+            data,
+            format,
+            regions,
+            dist_part,
+            dist_spec: spec,
+        };
+        if let Some(old) = self.tensors.insert(name.to_string(), new) {
+            self.retire_regions(&old.regions);
+        }
+        Ok(dirty)
+    }
+
+    fn retire_regions(&mut self, regions: &TensorRegions) {
+        for lr in &regions.levels {
+            match *lr {
+                LevelRegions::Dense => {}
+                LevelRegions::Singleton { crd } => self.runtime.retire_region(crd),
+                LevelRegions::Compressed { pos, crd } => {
+                    self.runtime.retire_region(pos);
+                    self.runtime.retire_region(crd);
+                }
+            }
+        }
+        self.runtime.retire_region(regions.vals);
     }
 
     fn create_regions(&mut self, name: &str, data: &SpTensor) -> TensorRegions {
@@ -552,7 +553,6 @@ impl Context {
     /// processors (replicating along unpartitioned machine dimensions).
     fn attach_distribution(
         &mut self,
-        data: &SpTensor,
         regions: &TensorRegions,
         part: &TensorPartition,
         spec: &DistSpec,
@@ -594,7 +594,6 @@ impl Context {
                     .attach(regions.vals, p, part.vals.subset(color).clone())?;
             }
         }
-        let _ = data;
         Ok(())
     }
 }
@@ -626,20 +625,6 @@ pub fn grid_coord(machine: &Machine, proc: usize, md: usize) -> usize {
         }
     }
     coord
-}
-
-/// Convenience: a complete universe partition covering nothing is sometimes
-/// needed for outputs created on the fly.
-pub fn empty_subsets(colors: usize) -> Vec<IntervalSet> {
-    vec![IntervalSet::new(); colors]
-}
-
-/// Build a partition placing the full `[0, len)` range on every color.
-pub fn full_partition(len: u64, colors: usize) -> Partition {
-    Partition::new(
-        len,
-        vec![IntervalSet::from_rect(Rect1::new(0, len as i64 - 1)); colors],
-    )
 }
 
 #[cfg(test)]
@@ -735,6 +720,91 @@ mod tests {
         // A valid re-declaration still works afterwards.
         c.set_tensor_format("B", Format::nonzero_csr()).unwrap();
         assert!(c.tensor("B").unwrap().dist_part.vals.imbalance() < 1.05);
+    }
+
+    /// Everything a failed re-registration must leave as it found it.
+    fn observe(c: &Context, name: &str) -> (Vec<f64>, u64, Option<usize>, usize, Vec<u64>) {
+        (
+            c.tensor(name).unwrap().data.vals().to_vec(),
+            c.tensor_version(name),
+            c.dirty_state(name).map(|d| d.map.dirty_rows()),
+            c.runtime().live_regions(),
+            (0..c.machine().num_procs())
+                .map(|p| c.runtime().resident_bytes(p))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn reregistration_retires_what_it_replaces() {
+        let mut c = ctx(4);
+        let b = generate::uniform(64, 64, 500, 1);
+        c.add_tensor("B", b.clone(), Format::blocked_csr()).unwrap();
+        let (.., live, resident) = observe(&c, "B");
+        for flip in 0..100 {
+            let fmt = if flip % 2 == 0 {
+                Format::nonzero_csr()
+            } else {
+                Format::blocked_csr()
+            };
+            c.set_tensor_format("B", fmt).unwrap();
+        }
+        c.replace_tensor_data("B", b.clone()).unwrap();
+        c.add_tensor("B", b, Format::blocked_csr()).unwrap();
+        let (.., live_after, resident_after) = observe(&c, "B");
+        assert_eq!(live_after, live, "live regions after 100 format flips");
+        assert_eq!(resident_after, resident, "resident bytes per processor");
+    }
+
+    #[test]
+    fn failed_reregistration_changes_nothing() {
+        // B fits a processor's memory twice over — a swap attaches the new
+        // registration beside the old one — and `big`, same dims, not once.
+        let mut c = Context::new(Machine::grid1d(
+            4,
+            MachineProfile::test_profile_with_capacity(6000),
+        ));
+        let b = generate::uniform(64, 64, 400, 1);
+        let big = generate::uniform(64, 64, 3000, 2);
+        let n = b.dims()[0];
+        let x = generate::dense_vec(n, 2);
+        c.add_tensor("a", dense_vector(vec![0.0; n]), Format::blocked_dense_vec())
+            .unwrap();
+        c.add_tensor("B", b.clone(), Format::blocked_csr()).unwrap();
+        c.add_tensor("x", dense_vector(x.clone()), Format::replicated_dense_vec())
+            .unwrap();
+        // A batch that lands, so there is dirty state to lose.
+        let first = b.to_coo().swap_remove(0).0;
+        c.update_batch("B", &[CoordDelta::overwrite(first, 9.0)])
+            .unwrap();
+        let before = observe(&c, "B");
+        assert_eq!(before.2, Some(1));
+
+        let oom = |r: Result<(), Error>| {
+            assert!(matches!(r, Err(Error::Runtime(RuntimeError::Oom { .. }))));
+        };
+        oom(c.replace_tensor_data("B", big.clone()));
+        assert_eq!(observe(&c, "B"), before, "after a failed replace");
+        let grow: Vec<CoordDelta> = big
+            .to_coo()
+            .into_iter()
+            .map(|(coord, v)| CoordDelta::insert(coord, v))
+            .collect();
+        oom(c.update_batch("B", &grow).map(drop));
+        assert_eq!(observe(&c, "B"), before, "after a failed update_batch");
+
+        // The registration that survived still computes.
+        let [i, j] = c.fresh_vars(["i", "j"]);
+        let stmt = crate::assign(
+            "a",
+            &[i],
+            crate::access("B", &[i, j]) * crate::access("x", &[j]),
+        );
+        let sched =
+            crate::schedule_outer_dim(&mut c, &stmt, 4, spdistal_ir::ParallelUnit::CpuThread);
+        let r = c.compile_and_run(&stmt, &sched).unwrap();
+        let expect = spdistal_sparse::reference::spmv(&c.tensor("B").unwrap().data, &x);
+        assert_eq!(r.output.as_tensor().unwrap().vals(), expect);
     }
 
     #[test]

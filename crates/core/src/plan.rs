@@ -1141,15 +1141,8 @@ fn materialize_output(
     }
 }
 
-/// Build a dense SpTensor over arbitrary dims from a flat buffer (used by
-/// callers assembling custom outputs).
-pub fn dense_tensor(dims: &[usize], vals: Vec<f64>) -> SpTensor {
-    assert_eq!(dims.iter().product::<usize>(), vals.len());
-    let levels = dims.iter().map(|&d| Level::Dense { size: d }).collect();
-    SpTensor::from_parts(dims.to_vec(), levels, vals)
-}
-
-/// Helper for tests/benches: a zeroed COO-backed CSR with given dims.
+/// Helper for tests and the figure binaries: a zeroed COO-backed CSR with
+/// given dims.
 pub fn empty_csr(rows: usize, cols: usize) -> SpTensor {
     CooTensor::new(vec![rows, cols]).build(&spdistal_sparse::generate::CSR)
 }

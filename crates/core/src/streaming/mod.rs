@@ -244,18 +244,14 @@ impl StreamingState {
         self.dirty.get(name)
     }
 
+    /// Remove and return tracked dirty state (any re-registration drops
+    /// it; `update_batch` extends what it got back and re-installs it).
     pub fn take_dirty(&mut self, name: &str) -> Option<TensorDirty> {
         self.dirty.remove(name)
     }
 
     pub fn set_dirty(&mut self, name: &str, state: TensorDirty) {
         self.dirty.insert(name.to_string(), state);
-    }
-
-    /// Drop tracked dirty state (re-registration, format change, or a run
-    /// that brought every consumer up to date).
-    pub fn clear_dirty(&mut self, name: &str) {
-        self.dirty.remove(name);
     }
 
     pub fn clear_all_dirty(&mut self) {

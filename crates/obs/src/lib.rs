@@ -5,7 +5,7 @@
 //! [`TraceRecorder`], named counters and log2 latency histograms in a
 //! [`MetricsRegistry`], a Chrome trace-event exporter
 //! (`chrome://tracing` / Perfetto), and single-line JSON [`RunReport`]s
-//! for CI and bench harnesses.
+//! for CI and the serving report.
 //!
 //! The one type call sites hold is [`Trace`]: a cheaply clonable handle
 //! that is either *disabled* (a `None` — every recording helper is an
@@ -415,9 +415,7 @@ impl Trace {
 
     /// A generic single-line JSON run report: every counter value and
     /// every histogram summary recorded so far. Histograms named `*_ns`
-    /// are reported as `*_us` objects in microseconds; `hist_raw` carries
-    /// each histogram's raw [`HistSnapshot`] (original units, log2
-    /// buckets) so harnesses can merge runs exactly before summarizing.
+    /// are reported as `*_us` objects in microseconds.
     pub fn run_report_json(&self, name: &str) -> String {
         let Some(inner) = self.0.as_deref() else {
             return RunReport::new(name).str("trace", "disabled").finish();
@@ -429,22 +427,17 @@ impl Trace {
             .map(|(k, v)| format!("\"{}\":{v}", json::escape(&k)))
             .collect::<Vec<_>>()
             .join(",");
-        let snapshots = inner.metrics.histogram_snapshots();
-        let hists = snapshots
-            .iter()
-            .map(|(k, snap)| {
-                let s = snap.summarize();
+        let hists = inner
+            .metrics
+            .histogram_summaries()
+            .into_iter()
+            .map(|(k, s)| {
                 let (key, s) = match k.strip_suffix("_ns") {
                     Some(base) => (format!("{base}_us"), s.scaled(1e-3)),
-                    None => (k.clone(), s),
+                    None => (k, s),
                 };
                 format!("\"{}\":{}", json::escape(&key), report::hist_json(&s))
             })
-            .collect::<Vec<_>>()
-            .join(",");
-        let raw = snapshots
-            .iter()
-            .map(|(k, snap)| format!("\"{}\":{}", json::escape(k), snap.to_json()))
             .collect::<Vec<_>>()
             .join(",");
         RunReport::new(name)
@@ -452,7 +445,6 @@ impl Trace {
             .int("events_dropped", inner.recorder.dropped())
             .raw("counters", &format!("{{{counters}}}"))
             .raw("hist", &format!("{{{hists}}}"))
-            .raw("hist_raw", &format!("{{{raw}}}"))
             .finish()
     }
 }
@@ -529,12 +521,7 @@ mod tests {
         assert!(span_us.get("p50").unwrap().as_f64().unwrap() > 0.0);
         assert!(span_us.get("p99").unwrap().as_f64().is_some());
         assert!(span_us.get("p95").unwrap().as_f64().is_some());
-        // hist_raw carries the mergeable snapshot under the original name
-        // and units.
-        let raw = v.get("hist_raw").unwrap().get("span_ns").unwrap();
-        let snap = metrics::HistSnapshot::from_json(raw).unwrap();
-        assert_eq!(snap, t.metrics().unwrap().histogram("span_ns").snapshot());
-        assert_eq!(snap.count, 2);
+        assert_eq!(span_us.get("count").unwrap().as_f64(), Some(2.0));
     }
 
     #[test]

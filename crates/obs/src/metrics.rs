@@ -75,23 +75,7 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Fold every observation `other` holds into `self`, bucket by bucket
-    /// — exact: the result is indistinguishable from having observed both
-    /// streams into one histogram.
-    pub fn merge_from(&self, other: &LogHistogram) {
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// A plain, clonable copy of the raw state (for merging across
-    /// processes and serializing into run reports).
+    /// A plain, clonable copy of the raw state.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
             count: self.count.load(Ordering::Relaxed),
@@ -107,20 +91,6 @@ impl LogHistogram {
                 })
                 .collect(),
         }
-    }
-
-    /// The live histogram holding exactly `snap`'s observations.
-    pub fn from_snapshot(snap: &HistSnapshot) -> LogHistogram {
-        let h = LogHistogram::default();
-        h.count.store(snap.count, Ordering::Relaxed);
-        h.sum.store(snap.sum, Ordering::Relaxed);
-        h.max.store(snap.max, Ordering::Relaxed);
-        for &(b, c) in &snap.buckets {
-            if let Some(bucket) = h.buckets.get(b as usize) {
-                bucket.store(c, Ordering::Relaxed);
-            }
-        }
-        h
     }
 
     /// The value at quantile `q` in `[0, 1]` (see [`HistSnapshot::quantile`]).
@@ -157,56 +127,12 @@ impl HistSummary {
             max: self.max * s,
         }
     }
-
-    /// Combine two summaries *approximately*: counts add, the mean is
-    /// count-weighted, `max` is the larger, and each percentile is the
-    /// larger of the two (conservative — never under-reports a tail).
-    /// Exact cross-run merging goes through [`HistSnapshot::merge`], which
-    /// has the raw buckets; this is the fallback when only summaries
-    /// survive.
-    pub fn merge(&self, other: &HistSummary) -> HistSummary {
-        let count = self.count + other.count;
-        HistSummary {
-            count,
-            p50: self.p50.max(other.p50),
-            p95: self.p95.max(other.p95),
-            p99: self.p99.max(other.p99),
-            mean: if count == 0 {
-                0.0
-            } else {
-                (self.mean * self.count as f64 + other.mean * other.count as f64) / count as f64
-            },
-            max: self.max.max(other.max),
-        }
-    }
-
-    /// Parse the `{count, p50, p95, p99, mean, max}` object emitted by
-    /// [`crate::report::hist_json`].
-    pub fn from_json(v: &crate::json::Json) -> Result<HistSummary, String> {
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(crate::json::Json::as_f64)
-                .ok_or_else(|| format!("hist summary: bad or missing \"{key}\""))
-        };
-        Ok(HistSummary {
-            count: num("count")? as u64,
-            p50: num("p50")?,
-            p95: num("p95")?,
-            p99: num("p99")?,
-            mean: num("mean")?,
-            max: num("max")?,
-        })
-    }
 }
 
 /// A plain, clonable copy of one [`LogHistogram`]'s raw state: total
 /// count/sum/max plus the *sparse* bucket array (only non-empty buckets,
-/// sorted by index). This is the unit of cross-process histogram exchange:
-/// run reports serialize it, the bench harness parses and [`merge`]s
-/// snapshots across repeats, then [`summarize`]s the merged whole.
-///
-/// [`merge`]: HistSnapshot::merge
-/// [`summarize`]: HistSnapshot::summarize
+/// sorted by index). Quantiles are computed here; the Chrome-trace
+/// validator also builds one per event category from a trace file.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     pub count: u64,
@@ -235,19 +161,6 @@ impl HistSnapshot {
         }
     }
 
-    /// Fold `other`'s observations into `self`, exactly.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-        for &(b, c) in &other.buckets {
-            match self.buckets.binary_search_by_key(&b, |&(i, _)| i) {
-                Ok(k) => self.buckets[k].1 += c,
-                Err(k) => self.buckets.insert(k, (b, c)),
-            }
-        }
-    }
-
     /// The value at quantile `q` in `[0, 1]`, resolved to its bucket's
     /// upper bound clamped to the observed maximum (the top bucket's bound
     /// can lie past every observation). 0.0 on an empty snapshot — never
@@ -267,7 +180,7 @@ impl HistSnapshot {
         self.max as f64
     }
 
-    /// The percentile summary of everything merged so far.
+    /// The percentile summary of everything observed so far.
     pub fn summarize(&self) -> HistSummary {
         HistSummary {
             count: self.count,
@@ -281,66 +194,6 @@ impl HistSnapshot {
             },
             max: self.max as f64,
         }
-    }
-
-    /// Serialize as `{"count":N,"sum":S,"max":M,"buckets":[[b,c],...]}` —
-    /// one line, round-trips through [`HistSnapshot::from_json`].
-    pub fn to_json(&self) -> String {
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|&(b, c)| format!("[{b},{c}]"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[{buckets}]}}",
-            self.count, self.sum, self.max
-        )
-    }
-
-    /// Parse what [`HistSnapshot::to_json`] emitted. Rejects malformed
-    /// shapes, out-of-range bucket indices, and bucket counts that do not
-    /// sum to `count`.
-    pub fn from_json(v: &crate::json::Json) -> Result<HistSnapshot, String> {
-        use crate::json::Json;
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("hist snapshot: bad or missing \"{key}\""))
-        };
-        let mut snap = HistSnapshot {
-            count: num("count")? as u64,
-            sum: num("sum")? as u64,
-            max: num("max")? as u64,
-            buckets: Vec::new(),
-        };
-        let buckets = v
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or("hist snapshot: bad or missing \"buckets\"")?;
-        let mut total = 0u64;
-        for pair in buckets {
-            let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                "hist snapshot: each bucket must be a [index, count] pair".to_string()
-            })?;
-            let b = pair[0].as_f64().ok_or("hist snapshot: bad bucket index")? as i64;
-            let c = pair[1].as_f64().ok_or("hist snapshot: bad bucket count")? as u64;
-            if !(0..BUCKETS as i64).contains(&b) {
-                return Err(format!("hist snapshot: bucket index {b} out of range"));
-            }
-            total += c;
-            match snap.buckets.binary_search_by_key(&(b as u8), |&(i, _)| i) {
-                Ok(k) => snap.buckets[k].1 += c,
-                Err(k) => snap.buckets.insert(k, (b as u8, c)),
-            }
-        }
-        if total != snap.count {
-            return Err(format!(
-                "hist snapshot: bucket counts sum to {total}, \"count\" says {}",
-                snap.count
-            ));
-        }
-        Ok(snap)
     }
 }
 
@@ -404,16 +257,6 @@ impl MetricsRegistry {
             .unwrap()
             .iter()
             .map(|(k, v)| (k.clone(), v.summarize()))
-            .collect()
-    }
-
-    /// Sorted raw snapshot of every histogram (for cross-process merging).
-    pub fn histogram_snapshots(&self) -> Vec<(String, HistSnapshot)> {
-        self.histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect()
     }
 }
@@ -480,134 +323,6 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.0), 0.0);
         assert!(h.quantile(1.0).is_finite());
-    }
-
-    #[test]
-    fn merge_is_exact_against_single_stream() {
-        // Two histograms observing disjoint streams, merged, must be
-        // indistinguishable from one histogram observing both.
-        let (a, b, whole) = (
-            LogHistogram::default(),
-            LogHistogram::default(),
-            LogHistogram::default(),
-        );
-        for v in [0u64, 1, 3, 700, 700, 65_000] {
-            a.observe(v);
-            whole.observe(v);
-        }
-        for v in [2u64, 900, 1_000_000, u64::MAX] {
-            b.observe(v);
-            whole.observe(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), whole.snapshot());
-        assert_eq!(a.summarize(), whole.summarize());
-
-        // The snapshot-level merge agrees with the atomic-level one.
-        let mut sa = LogHistogram::default().snapshot();
-        for v in [0u64, 1, 3, 700, 700, 65_000] {
-            sa.observe(v);
-        }
-        let mut sb = HistSnapshot::default();
-        for v in [2u64, 900, 1_000_000, u64::MAX] {
-            sb.observe(v);
-        }
-        sa.merge(&sb);
-        assert_eq!(sa, whole.snapshot());
-    }
-
-    #[test]
-    fn merging_empty_histograms_is_identity() {
-        let empty = HistSnapshot::default();
-        let mut still_empty = HistSnapshot::default();
-        still_empty.merge(&empty);
-        assert!(still_empty.is_empty());
-        let s = still_empty.summarize();
-        assert_eq!((s.count, s.p50, s.mean, s.max), (0, 0.0, 0.0, 0.0));
-
-        let h = LogHistogram::default();
-        h.observe(40);
-        let mut snap = h.snapshot();
-        snap.merge(&empty);
-        assert_eq!(snap, h.snapshot(), "empty merge must not disturb data");
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let h = LogHistogram::default();
-        for v in [0u64, 5, 5, 1_000, 123_456_789, u64::MAX] {
-            h.observe(v);
-        }
-        let snap = h.snapshot();
-        let parsed =
-            HistSnapshot::from_json(&crate::json::Json::parse(&snap.to_json()).unwrap()).unwrap();
-        assert_eq!(parsed, snap);
-        assert_eq!(parsed.summarize(), h.summarize());
-        // And back into a live histogram.
-        assert_eq!(LogHistogram::from_snapshot(&parsed).snapshot(), snap);
-
-        // Empty round-trips too.
-        let empty = HistSnapshot::default();
-        let parsed =
-            HistSnapshot::from_json(&crate::json::Json::parse(&empty.to_json()).unwrap()).unwrap();
-        assert!(parsed.is_empty());
-    }
-
-    #[test]
-    fn snapshot_from_json_rejects_malformed_input() {
-        for bad in [
-            "{}",
-            r#"{"count":1,"sum":1,"max":1}"#,
-            r#"{"count":1,"sum":1,"max":1,"buckets":[[1]]}"#,
-            r#"{"count":1,"sum":1,"max":1,"buckets":[[99,1]]}"#,
-            r#"{"count":3,"sum":1,"max":1,"buckets":[[1,1]]}"#,
-            r#"{"count":"x","sum":1,"max":1,"buckets":[]}"#,
-        ] {
-            let v = crate::json::Json::parse(bad).unwrap();
-            assert!(HistSnapshot::from_json(&v).is_err(), "accepted {bad}");
-        }
-    }
-
-    #[test]
-    fn summary_merge_is_conservative_and_weighted() {
-        let a = HistSummary {
-            count: 3,
-            p50: 10.0,
-            p95: 20.0,
-            p99: 30.0,
-            mean: 10.0,
-            max: 30.0,
-        };
-        let b = HistSummary {
-            count: 1,
-            p50: 40.0,
-            p95: 40.0,
-            p99: 40.0,
-            mean: 40.0,
-            max: 40.0,
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.count, 4);
-        assert_eq!(m.p50, 40.0, "percentiles take the conservative max");
-        assert!((m.mean - 17.5).abs() < 1e-12, "mean is count-weighted");
-        assert_eq!(m.max, 40.0);
-        // Merging with an empty summary changes nothing but is NaN-free.
-        let z = HistSummary::default().merge(&HistSummary::default());
-        assert_eq!(z.count, 0);
-        assert!(z.mean == 0.0 && z.p99 == 0.0);
-    }
-
-    #[test]
-    fn summary_round_trips_through_report_json() {
-        let h = LogHistogram::default();
-        for v in 1..=100u64 {
-            h.observe(v);
-        }
-        let s = h.summarize();
-        let rendered = crate::report::hist_json(&s);
-        let parsed = HistSummary::from_json(&crate::json::Json::parse(&rendered).unwrap()).unwrap();
-        assert_eq!(parsed, s);
-        assert!(HistSummary::from_json(&crate::json::Json::parse("{}").unwrap()).is_err());
     }
 
     #[test]

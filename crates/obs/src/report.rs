@@ -1,5 +1,5 @@
-//! Single-line JSON run reports: the machine-readable summary ci.sh and
-//! the bench harness persist as `BENCH_*.json`.
+//! Single-line JSON run reports: the machine-readable summary the
+//! examples print as `run_report_json=` and the server returns on `report`.
 
 use crate::json::{escape, number};
 use crate::metrics::HistSummary;

@@ -132,6 +132,14 @@ impl SpTensor {
         })
     }
 
+    /// The memoised [`pattern_hash`](SpTensor::pattern_hash) if it has been
+    /// computed — a peek for tests that pin *when* the coordinate tree is
+    /// hashed, never a reason to hash it.
+    #[doc(hidden)]
+    pub fn pattern_memo(&self) -> Option<u64> {
+        self.pattern.get().copied()
+    }
+
     /// Extents of the stored dimensions, outermost first.
     pub fn dims(&self) -> &[usize] {
         &self.dims

@@ -8,8 +8,10 @@
 //! Overwrite-only batches confined to low rows must additionally take the
 //! fast path (no fallback) and skip at least one clean color's spans;
 //! structural batches (inserts/deletes) must fall back, recompile the
-//! plan against the new pattern, and still match bit-for-bit. A proptest
-//! sweep over random delta batches rides at the bottom.
+//! plan against the new pattern, and still match bit-for-bit. The sweep
+//! also pins that a value-only batch carries the driver's memoised pattern
+//! hash across the update. A proptest sweep over random delta batches rides
+//! at the bottom.
 
 use std::collections::BTreeSet;
 
@@ -117,8 +119,20 @@ fn check_pair(
             let tag = format!("{label} [{policy:?}, {mix}]");
             let mut p = build(b.clone(), policy);
             p.run().unwrap();
+            let memo = |p: &CompiledProgram| p.context().tensor("B").unwrap().data.pattern_memo();
+            let hashed = memo(&p);
+            assert!(
+                hashed.is_some(),
+                "{tag}: the run keys its plan on B's pattern"
+            );
             let rep = p.update_batch("B", &deltas).unwrap();
             assert_eq!(rep.structural, !value_only, "{tag}: structure flag");
+            // A value-only batch keeps the registered pattern and with it
+            // the memoised hash (re-hashing the coordinate tree per batch
+            // was PR 15's 1.9x `run_incremental` regression); a structural
+            // batch registers a new pattern, hashed when a run next asks.
+            let expect = if value_only { hashed } else { None };
+            assert_eq!(memo(&p), expect, "{tag}: pattern memo after the batch");
             if !value_only {
                 for name in also_update {
                     p.update_batch(name, &deltas).unwrap();
