@@ -96,6 +96,13 @@ cargo run --release -q -p spdistal-bench --bin trace_check -- "$spd_trace" \
   --require cache --require auto-decision --require-no-drops
 rm -f "$spd_trace" /tmp/spd_server_out_$$.log
 
+echo "==> pool contract, optimised: stress, zero-helper completion, panic containment"
+# `cargo test --workspace` above ran these in debug (where the quiescence
+# debug assertion is live); lifetime-erasure bugs hide without optimisation,
+# and Miri is not installed here (`cargo miri` reports the component
+# missing), so the same files run again in --release (~1 s once built).
+cargo test -q --release -p spdistal-runtime --test pool_contract --test pool_latency
+
 echo "==> golden tables: the paper's modelled figures, byte for byte"
 # The figure binaries print simulated time on the machine model: a pure
 # function of the code and SPDISTAL_SCALE, so the gate is exact. A diff here

@@ -78,7 +78,7 @@
 //! (`critical_task_seconds`) next to it, so the gap between the modeled
 //! balance and the achieved schedule is visible under skew.
 
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use spdistal_ir::{interp, Bindings};
@@ -328,8 +328,9 @@ pub(crate) struct PreparedPlan<'a> {
     /// the color's spans (disjoint elements), combined in color order at
     /// [`PreparedPlan::finish`]. Empty for in-place/assembled/interp plans.
     reduce_parts: Vec<SharedOut>,
-    /// One result slot per span, in (point, span) order.
-    slots: Vec<Mutex<Option<PointResult>>>,
+    /// One result slot per span, in (point, span) order; each is written
+    /// once, by the one worker that runs the span.
+    slots: Vec<OnceLock<PointResult>>,
 }
 
 impl<'a> PreparedPlan<'a> {
@@ -501,7 +502,7 @@ impl<'a> PreparedPlan<'a> {
             total_spans += s.len();
         }
 
-        let slots = (0..total_spans).map(|_| Mutex::new(None)).collect();
+        let slots = (0..total_spans).map(|_| OnceLock::new()).collect();
         let mut prepared = PreparedPlan {
             plan,
             driver,
@@ -575,7 +576,8 @@ impl<'a> PreparedPlan<'a> {
                 }
             }
         };
-        *self.slots[self.span_offsets[point] + span].lock().unwrap() = Some(result);
+        let written = self.slots[self.span_offsets[point] + span].set(result);
+        assert!(written.is_ok(), "span ({point}, {span}) ran twice");
     }
 
     /// The closed row-coordinate range of one color's driver level-0
@@ -642,7 +644,7 @@ impl<'a> PreparedPlan<'a> {
         let mut flat: Vec<PointResult> = self
             .slots
             .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("span did not run"))
+            .map(|s| s.into_inner().expect("span did not run"))
             .collect();
         let mut results: Vec<Vec<PointResult>> = Vec::with_capacity(self.spans.len());
         for point_spans in self.spans.iter().rev() {

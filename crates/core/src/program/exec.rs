@@ -190,7 +190,7 @@ fn drive(
 ) -> Result<Vec<FlushReport>, Error> {
     let mut flushes = Vec::new();
     for (plan, seed) in queued {
-        futures.push(session.submit_merging(&plan, seed));
+        futures.push(session.submit_merging(plan, seed));
         if !pipelined {
             flushes.push(session.flush()?);
         }

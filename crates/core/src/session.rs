@@ -41,6 +41,7 @@
 //! with different critical processors genuinely overlap.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 use spdistal_runtime::pipeline::{LaunchTiming, Pipeline};
@@ -170,7 +171,7 @@ enum Slot {
 
 struct Queued {
     ticket: usize,
-    plan: Plan,
+    plan: Arc<Plan>,
     issued: Instant,
     /// The previous output to merge into, if the submitter proved one valid
     /// (see [`Session::submit_merging`]).
@@ -231,22 +232,29 @@ impl<'c> Session<'c> {
     }
 
     /// Queue `plan` for deferred execution and return its future. The plan
-    /// is captured by value: later schedule or context changes do not
-    /// affect it (tensor *data* changes do — they force a flush first).
+    /// is captured by value (cloned once, here): later schedule or context
+    /// changes do not affect it (tensor *data* changes do — they force a
+    /// flush first).
     pub fn submit(&mut self, plan: &Plan) -> TensorFuture {
-        self.submit_merging(plan, None)
+        self.submit_merging(Arc::new(plan.clone()), None)
     }
 
     /// [`Session::submit`] with an optional merge seed: the plan's previous
     /// output and the driver rows that changed since. Only the colors those
     /// rows touch re-run; [`ExecResult::merge`] reports what happened. The
-    /// submitter vouches that every other input is unchanged.
-    pub(crate) fn submit_merging(&mut self, plan: &Plan, seed: Option<MergeSeed>) -> TensorFuture {
+    /// submitter vouches that every other input is unchanged. The queue
+    /// shares the plan (partitions included) with whoever holds the `Arc` —
+    /// for a [`Program`](crate::program::Program), its plan cache.
+    pub(crate) fn submit_merging(
+        &mut self,
+        plan: Arc<Plan>,
+        seed: Option<MergeSeed>,
+    ) -> TensorFuture {
         let ticket = self.slots.len();
         self.slots.push(Slot::Pending);
         self.queue.push_back(Queued {
             ticket,
-            plan: plan.clone(),
+            plan,
             issued: Instant::now(),
             seed,
         });

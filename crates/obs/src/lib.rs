@@ -13,9 +13,11 @@
 //! recorder + metrics). Enable explicitly ([`Trace::enabled`]) or via the
 //! `SPD_TRACE` environment variable ([`Trace::from_env`]).
 //!
-//! Worker attribution uses *lanes*: lane 0 is the control thread; a pool
-//! worker `w` calls [`set_thread_lane`]`(w + 1)` once and every event it
-//! records lands on its own track.
+//! Worker attribution uses *lanes*: lane 0 is the control thread; worker
+//! `w` of a drain records on lane `w + 1`. The thread that submits a drain
+//! is its worker 0 and takes lane 1 for the drain's duration
+//! ([`lane_scope`]); a resident helper calls [`set_thread_lane`] with the
+//! slot it claimed, once per drain it joins.
 //!
 //! This crate is a dependency-free leaf: `std` only, no knowledge of the
 //! runtime's types beyond the event vocabulary in [`event`].
@@ -40,8 +42,8 @@ thread_local! {
     static LANE: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Set this thread's recording lane (0 = control, `w + 1` = pool worker
-/// `w`). Pool workers call this once at spawn.
+/// Set this thread's recording lane (0 = control, `w + 1` = worker `w` of
+/// a drain). Resident helpers call this for every drain they join.
 pub fn set_thread_lane(lane: u32) {
     LANE.with(|l| l.set(lane));
 }
@@ -51,8 +53,8 @@ pub fn thread_lane() -> u32 {
     LANE.with(|l| l.get())
 }
 
-/// RAII guard restoring the previous lane on drop (for serial execution
-/// paths that temporarily impersonate worker 0).
+/// RAII guard restoring the previous lane on drop (for the thread that
+/// submits a drain and runs it as worker 0).
 pub struct LaneGuard(u32);
 
 impl Drop for LaneGuard {
@@ -76,6 +78,9 @@ struct TraceInner {
     steals: Arc<metrics::Counter>,
     steal_attempts: Arc<metrics::Counter>,
     span_ns: Arc<metrics::LogHistogram>,
+    caller_spans: Arc<metrics::Counter>,
+    helper_spans: Arc<metrics::Counter>,
+    wake_ns: Arc<metrics::LogHistogram>,
 }
 
 /// A clonable tracing handle: disabled (default) or recording.
@@ -97,6 +102,9 @@ impl Trace {
         let steals = metrics.counter("steals");
         let steal_attempts = metrics.counter("steal_attempts");
         let span_ns = metrics.histogram("span_ns");
+        let caller_spans = metrics.counter("sched.caller_spans");
+        let helper_spans = metrics.counter("sched.helper_spans");
+        let wake_ns = metrics.histogram("sched.wake_ns");
         Trace(Some(Arc::new(TraceInner {
             recorder,
             metrics,
@@ -104,6 +112,9 @@ impl Trace {
             steals,
             steal_attempts,
             span_ns,
+            caller_spans,
+            helper_spans,
+            wake_ns,
         })))
     }
 
@@ -237,6 +248,31 @@ impl Trace {
             if record_event {
                 i.recorder.record(thread_lane(), Event::StealAttempt);
             }
+        }
+    }
+
+    /// One worker's share of a pool drain: `n` spans run by the submitting
+    /// thread (`sched.caller_spans`) or by a resident helper
+    /// (`sched.helper_spans`). A drain the caller finished alone adds
+    /// nothing to the helper side.
+    #[inline]
+    pub fn drain_spans(&self, helper: bool, n: u64) {
+        if let Some(i) = &self.0 {
+            if helper {
+                i.helper_spans.add(n);
+            } else {
+                i.caller_spans.add(n);
+            }
+        }
+    }
+
+    /// The first span a helper started in a drain, `ns` after the drain
+    /// was published (`sched.wake_ns`): what a cross-thread wake-up cost.
+    /// Drains no helper reached in time record nothing.
+    #[inline]
+    pub fn helper_wake(&self, ns: u64) {
+        if let Some(i) = &self.0 {
+            i.wake_ns.observe(ns);
         }
     }
 

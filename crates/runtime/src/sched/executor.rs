@@ -3,6 +3,12 @@
 //! plus a wall-clock report so callers can surface *real* time next to the
 //! discrete-event simulator's *modeled* time.
 //!
+//! | This module owns | It does **not** own |
+//! |---|---|
+//! | thread-count policy: what `Parallel(n)` resolves to on this host ([`ExecMode::threads`]) | the threads themselves — [`super::pool`] keeps the resident helpers and decides who runs what |
+//! | span-sizing policy ([`SplitPolicy`]), consumed at describe time | dependence analysis ([`super::graph`]) |
+//! | the serial reference path and the [`ExecReport`] both paths fill in | parking, waking, panic containment ([`super::pool`]) |
+//!
 //! Both modes run the same task bodies under the same dependence
 //! constraints; the serial mode simply executes tasks in index order (a
 //! topological order of the graph, and exactly the order the conflict
@@ -10,6 +16,10 @@
 //! span bodies write only (a) span-private state or (b) pairwise-disjoint
 //! shared state named by its region requirements therefore gets
 //! bit-identical results from both modes.
+//!
+//! In parallel mode the calling thread is itself worker 0 of the drain, so
+//! `Parallel(n)` degrades to the serial cost plus one notify when no helper
+//! arrives in time — it is never the slower choice by a thread's lifetime.
 
 use std::time::Instant;
 
@@ -31,8 +41,10 @@ use super::pool::{run_graph_traced, PoolStats};
 ///   clamped — modest oversubscription is useful (latency hiding,
 ///   exercising the pool on small hosts) while a runaway request
 ///   (`Parallel(100_000)`) is a foot-gun, not a plan;
-/// * the pool additionally never spawns more workers than it has work
-///   items (spans), a per-launch clamp applied in [`Executor::run`].
+/// * a drain additionally never admits more workers than it has work
+///   items (spans), a per-launch clamp applied in [`Executor::run`]; the
+///   resident pool keeps `threads() - 1` helpers for the widest mode any
+///   drain of the process used — the caller is the remaining worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// One thread, task-index order. The reference semantics.
@@ -135,7 +147,11 @@ pub struct ExecReport {
     pub edges: usize,
     /// Longest dependence chain, in tasks.
     pub critical_path: usize,
-    /// Worker threads used.
+    /// Workers the drain was *allowed*: the mode's thread count clamped to
+    /// the span count, the submitting thread included. How many resident
+    /// helpers actually arrived before the work ran out is a property of
+    /// the run, not of the report — read `sched.caller_spans` /
+    /// `sched.helper_spans` / `sched.wake_ns` off the trace for that.
     pub threads: usize,
     /// Spans taken from another worker's deque (0 in serial mode).
     pub steals: usize,
@@ -196,9 +212,10 @@ impl Executor {
     }
 
     /// [`Executor::run`] with an observability sink: pool workers record
-    /// steals onto per-worker trace lanes; the serial path impersonates
-    /// worker 0 (lane 1) so single-threaded spans still get a worker
-    /// track. A disabled trace makes this identical to [`Executor::run`].
+    /// steals onto per-worker trace lanes — the calling thread is worker 0
+    /// (lane 1) on both paths, helper `k` records on lane `k + 1` — so
+    /// single-threaded spans still get a worker track. A disabled trace
+    /// makes this identical to [`Executor::run`].
     pub fn run_traced(
         &self,
         graph: &TaskGraph,
