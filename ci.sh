@@ -52,11 +52,14 @@ echo "==> streaming smoke: delta batches drive incremental recompute"
 # program; the trace must show at least one incremental run that skipped
 # spans (the fast path actually engaged, not 15 silent fallbacks) and — the
 # example ends on a structural batch — one that fell back: the merge, skip
-# and fallback arms of the one run path.
+# and fallback arms of the one run path. Ingestion has two arms of its own
+# and the same stream reaches both: value-only batches written in place,
+# the structural one merged and re-registered.
 cargo run --release -q --example streaming -- --trace /tmp/spd_stream_trace.json |
   grep "^run_report_json="
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_stream_trace.json \
   --require incremental --require incremental-skip --require incremental-fallback \
+  --require ingest-in-place --require ingest-structural \
   --require-no-drops
 rm -f /tmp/spd_stream_trace.json
 
@@ -102,6 +105,13 @@ echo "==> pool contract, optimised: stress, zero-helper completion, panic contai
 # and Miri is not installed here (`cargo miri` reports the component
 # missing), so the same files run again in --release (~1 s once built).
 cargo test -q --release -p spdistal-runtime --test pool_contract --test pool_latency
+
+echo "==> ingestion against the rebuild oracle, optimised"
+# Same reason, other code: `locate`, the merge and the packer are index
+# arithmetic on level arrays, where a bug that only optimisation exposes
+# would hide from the debug run above (overflow checks off, bounds checks
+# hoisted).
+cargo test -q --release --test ingest_identity
 
 echo "==> golden tables: the paper's modelled figures, byte for byte"
 # The figure binaries print simulated time on the machine model: a pure

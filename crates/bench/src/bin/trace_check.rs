@@ -8,9 +8,11 @@
 //! Validation checks the trace-event JSON shape (every event has a name, a
 //! known phase, pid/tid; timed events carry non-negative timestamps and
 //! durations). Each `--require` matches either an event *category*
-//! (`flush`, `launch`, `span`, `steal`, `cache`, `auto`, `model`) or an
-//! exact event *name* (`steal`, `auto-decision`, `plan-cache hit`, ...)
-//! and fails unless at least one such event is present.
+//! (`flush`, `launch`, `span`, `steal`, `cache`, `auto`, `model`,
+//! `incremental`, `ingest`) or an exact event *name* (`steal`,
+//! `auto-decision`, `plan-cache hit`, `incremental-skip`,
+//! `ingest-in-place`, `ingest-structural`, ...) and fails unless at least
+//! one such event is present.
 //! `--require-no-drops` fails when the trace reports that its recorder
 //! overwrote events (`events_dropped > 0`): whatever was counted from such a
 //! trace undercounts. `--summary`

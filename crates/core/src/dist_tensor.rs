@@ -13,14 +13,16 @@ use std::collections::BTreeMap;
 
 use spdistal_ir::tdn::DistSpec;
 use spdistal_ir::{Format, IndexVar, SchedError, TdnError, VarCtx};
-use spdistal_runtime::{ExecMode, Machine, RegionId, Runtime, RuntimeError, SplitPolicy, Trace};
-use spdistal_sparse::{CooTensor, CoordDelta, DeltaOp, Level, SpTensor};
+use spdistal_runtime::{
+    ExecMode, IntervalSet, Machine, RegionId, Runtime, RuntimeError, SplitPolicy, Trace,
+};
+use spdistal_sparse::{CoordDelta, Level, SpTensor};
 
 use crate::level_funcs::{
     equal_coord_bounds, nonzero_partition, partition_tensor, replicated_partition,
     universe_partition, TensorPartition,
 };
-use crate::streaming::{DirtyMap, StreamingState, TensorDirty, UpdateReport};
+use crate::streaming::{ingest, DirtyMap, StreamingState, TensorDirty, UpdateReport};
 
 /// Bytes per element of each region kind: `pos` stores `(lo, hi)` tuples,
 /// `crd` stores coordinates, `vals` stores doubles.
@@ -105,6 +107,23 @@ pub enum LevelRegions {
 pub struct TensorRegions {
     pub levels: Vec<LevelRegions>,
     pub vals: RegionId,
+}
+
+impl TensorRegions {
+    /// Every region, in registration order: `pos` then `crd` level by
+    /// level, `vals` last.
+    fn ids(&self) -> Vec<RegionId> {
+        let mut ids = Vec::with_capacity(2 * self.levels.len() + 1);
+        for lr in &self.levels {
+            match *lr {
+                LevelRegions::Dense => {}
+                LevelRegions::Singleton { crd } => ids.push(crd),
+                LevelRegions::Compressed { pos, crd } => ids.extend([pos, crd]),
+            }
+        }
+        ids.push(self.vals);
+        ids
+    }
 }
 
 /// A tensor registered with the compiler: data + format + regions +
@@ -266,25 +285,35 @@ impl Context {
 
     /// Apply a batch of coordinate deltas to a registered tensor and track
     /// the touched leading-dimension rows in its per-row-block dirty bitmap
-    /// (see [`crate::streaming`]). The tensor's data is rebuilt in its
-    /// registered format (regions and the initial distribution are
-    /// re-materialized, as with [`Context::replace_tensor_data`]); the
-    /// accumulated dirty state survives across batches until the next
-    /// program run consumes it.
+    /// (see [`crate::streaming`]). The accumulated dirty state survives
+    /// across batches until the next program run consumes it.
     ///
-    /// Inserts of absent coordinates and deletes of present ones are
-    /// *structural* (value positions move), which bars the incremental
-    /// fast path for the affected statements until a full run re-baselines
-    /// them. Overwrites of stored coordinates keep the structure — the case
-    /// incremental recompute consumes. Deleting an absent coordinate is
-    /// ignored; inserting over a present one degrades to an overwrite.
+    /// Deltas apply in order. Inserts of absent coordinates and deletes of
+    /// present ones are *structural* (value positions move), which bars the
+    /// incremental fast path for the affected statements until a full run
+    /// re-baselines them. Overwrites of stored coordinates keep the
+    /// structure — the case incremental recompute consumes. Deleting an
+    /// absent coordinate is ignored; inserting over a present one degrades
+    /// to an overwrite.
+    ///
+    /// The cost follows the batch, not the tensor: each coordinate is
+    /// located by bisection. A batch that nets no insert and no delete
+    /// writes the stored values in place — level arrays, the memoised
+    /// pattern hash and the initial distribution stay, and only the
+    /// tensor's regions are renewed, so the machine model sees a new
+    /// tensor state exactly as after [`Context::replace_tensor_data`]. Any
+    /// other batch is merged into the stored entries in one linear pass
+    /// and re-registered. Either way a batch is all or nothing: a rejected
+    /// one (bad coordinate, out of memory) leaves the tensor, its version,
+    /// its dirty state and the runtime as they were.
     pub fn update_batch(
         &mut self,
         name: &str,
         deltas: &[CoordDelta],
     ) -> Result<UpdateReport, Error> {
+        let t0 = std::time::Instant::now();
         let t = self.tensor(name)?;
-        let dims = t.data.dims().to_vec();
+        let dims = t.data.dims();
         let order = dims.len();
         for d in deltas {
             if d.coord.len() != order {
@@ -302,62 +331,47 @@ impl Context {
                 }
             }
         }
-        let mut report = UpdateReport::default();
         if deltas.is_empty() {
-            report.rows_dirty = self.streaming.dirty(name).map_or(0, |d| d.map.dirty_rows());
-            return Ok(report);
+            return Ok(UpdateReport {
+                rows_dirty: self.streaming.dirty(name).map_or(0, |d| d.map.dirty_rows()),
+                ..UpdateReport::default()
+            });
         }
-        let mut entries: BTreeMap<Vec<i64>, f64> = t.data.to_coo().into_iter().collect();
-        let mut touched_rows: Vec<i64> = Vec::new();
-        for d in deltas {
-            match d.op {
-                DeltaOp::Insert | DeltaOp::Overwrite => {
-                    match entries.insert(d.coord.clone(), d.val) {
-                        Some(_) => report.overwritten += 1,
-                        None => {
-                            report.inserted += 1;
-                            report.structural = true;
-                        }
-                    }
-                    touched_rows.push(d.coord[0]);
-                }
-                DeltaOp::Delete => {
-                    if entries.remove(&d.coord).is_some() {
-                        report.deleted += 1;
-                        report.structural = true;
-                        touched_rows.push(d.coord[0]);
-                    } else {
-                        report.ignored += 1;
-                    }
+        let rows = dims[0];
+        let batch = ingest::resolve(&t.data, deltas);
+        let in_place = batch.value_only();
+        let version = self.streaming.version(name);
+        // Either arm hands back the dirty state the tensor carried (any new
+        // tensor state drops it); this batch extends it below.
+        let prev = if in_place {
+            let placed = placements(self.machine(), &t.regions, &t.dist_part, &t.dist_spec);
+            self.refresh_fits(t, &placed)?;
+            let t = self.tensors.get_mut(name).expect("looked up above");
+            let vals = t.data.vals_mut();
+            for e in &batch.edits {
+                if let (Some(at), Some(now)) = (e.at, e.now) {
+                    vals[at] = now;
                 }
             }
-        }
-        let formats = t.data.formats();
-        let mut coo = CooTensor::new(dims.clone());
-        for (c, v) in &entries {
-            coo.push(c, *v);
-        }
-        let data = coo.build(&formats);
-        // A value-only batch rebuilds the very same pattern: keep the
-        // registered one, and with it the memoised hash that keys cached
-        // plans, instead of re-hashing the coordinate tree.
-        let data = if data.levels() == t.data.levels() {
-            t.data.with_vals(data.into_vals())
+            retire_regions(&mut self.runtime, &t.regions);
+            t.regions = create_regions(&mut self.runtime, name, &t.data);
+            attach_placements(&mut self.runtime, &t.regions, placed)
+                .expect("refresh_fits replayed every charge");
+            self.streaming.bump_version(name);
+            self.streaming.take_dirty(name)
         } else {
-            data
+            let edits: Vec<_> = batch.edits.iter().map(|e| (e.coord, e.now)).collect();
+            let (data, format) = (t.data.with_edits(&edits), t.format.clone());
+            self.swap_registration(name, data, format)?
         };
-        // The replacement hands back the dirty state it dropped (any
-        // re-registration clears it); extend that with this batch.
-        let format = t.format.clone();
-        let version = self.streaming.version(name);
-        let prev = self.swap_registration(name, data, format)?;
         let from_version = prev.as_ref().map_or(version, |p| p.from_version);
         let prev_structural = prev.as_ref().is_some_and(|p| p.structural);
         let prev_deltas = prev.as_ref().map_or(0, |p| p.deltas_applied);
-        let mut map = prev.map_or_else(|| DirtyMap::new(dims[0]), |p| p.map);
-        for &r in &touched_rows {
+        let mut map = prev.map_or_else(|| DirtyMap::new(rows), |p| p.map);
+        for &r in &batch.touched_rows {
             map.mark(r);
         }
+        let mut report = batch.report;
         report.rows_dirty = map.dirty_rows();
         self.streaming.set_dirty(
             name,
@@ -369,7 +383,48 @@ impl Context {
                 deltas_applied: prev_deltas + report.applied() as u64,
             },
         );
+        self.trace.ingest_batch(
+            deltas.len() as u64,
+            report.ignored as u64,
+            !in_place,
+            t0.elapsed().as_nanos() as u64,
+        );
         Ok(report)
+    }
+
+    /// What could still fail once a value-only batch starts writing: its
+    /// regions are renewed under the kept distribution — the old ones
+    /// release their copies, then the new ones attach `placed` — so replay
+    /// those charges against each processor's memory as the release leaves
+    /// it.
+    fn refresh_fits(
+        &self,
+        t: &DistTensor,
+        placed: &[(usize, usize, IntervalSet)],
+    ) -> Result<(), RuntimeError> {
+        let (rt, machine) = (&self.runtime, self.machine());
+        let capacity = machine.profile().proc.mem_capacity;
+        let ids = t.regions.ids();
+        let bytes = |r: RegionId, set: &IntervalSet| set.total_len() * rt.region(r).elem_bytes;
+        let mut sets = vec![vec![IntervalSet::new(); ids.len()]; machine.num_procs()];
+        for (p, slot, set) in placed {
+            sets[*p][*slot].union_with(set);
+        }
+        for (p, sets) in sets.iter().enumerate() {
+            let held: u64 = ids.iter().map(|&r| bytes(r, rt.valid_in(r, p))).sum();
+            let requested: u64 = ids.iter().zip(sets).map(|(&r, set)| bytes(r, set)).sum();
+            let resident = rt.resident_bytes(p).saturating_sub(held);
+            if resident.saturating_add(requested) > capacity {
+                return Err(RuntimeError::Oom {
+                    proc: p,
+                    region: t.name.clone(),
+                    resident,
+                    requested,
+                    capacity,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The tensor's current version: bumped on every registration,
@@ -426,10 +481,11 @@ impl Context {
         format.validate(data.order())?;
         let spec = format.dist.resolve(data.order())?;
         let dist_part = self.initial_partition(&data, &spec)?;
-        let regions = self.create_regions(name, &data);
-        if let Err(e) = self.attach_distribution(&regions, &dist_part, &spec) {
-            self.retire_regions(&regions);
-            return Err(e);
+        let regions = create_regions(&mut self.runtime, name, &data);
+        let placed = placements(self.machine(), &regions, &dist_part, &spec);
+        if let Err(e) = attach_placements(&mut self.runtime, &regions, placed) {
+            retire_regions(&mut self.runtime, &regions);
+            return Err(e.into());
         }
         self.streaming.bump_version(name);
         let dirty = self.streaming.take_dirty(name);
@@ -442,65 +498,9 @@ impl Context {
             dist_spec: spec,
         };
         if let Some(old) = self.tensors.insert(name.to_string(), new) {
-            self.retire_regions(&old.regions);
+            retire_regions(&mut self.runtime, &old.regions);
         }
         Ok(dirty)
-    }
-
-    fn retire_regions(&mut self, regions: &TensorRegions) {
-        for lr in &regions.levels {
-            match *lr {
-                LevelRegions::Dense => {}
-                LevelRegions::Singleton { crd } => self.runtime.retire_region(crd),
-                LevelRegions::Compressed { pos, crd } => {
-                    self.runtime.retire_region(pos);
-                    self.runtime.retire_region(crd);
-                }
-            }
-        }
-        self.runtime.retire_region(regions.vals);
-    }
-
-    fn create_regions(&mut self, name: &str, data: &SpTensor) -> TensorRegions {
-        let mut parent_entries = 1usize;
-        let mut levels = Vec::with_capacity(data.order());
-        for (k, level) in data.levels().iter().enumerate() {
-            match level {
-                Level::Dense { .. } => levels.push(LevelRegions::Dense),
-                Level::Singleton { crd } => {
-                    let crd_r = self.runtime.create_region(
-                        &format!("{name}.crd{k}"),
-                        crd.len() as u64,
-                        CRD_BYTES,
-                    );
-                    self.runtime.attach_sys(crd_r);
-                    levels.push(LevelRegions::Singleton { crd: crd_r });
-                }
-                Level::Compressed { crd, .. } => {
-                    let pos = self.runtime.create_region(
-                        &format!("{name}.pos{k}"),
-                        parent_entries as u64,
-                        POS_BYTES,
-                    );
-                    let crd_r = self.runtime.create_region(
-                        &format!("{name}.crd{k}"),
-                        crd.len() as u64,
-                        CRD_BYTES,
-                    );
-                    self.runtime.attach_sys(pos);
-                    self.runtime.attach_sys(crd_r);
-                    levels.push(LevelRegions::Compressed { pos, crd: crd_r });
-                }
-            }
-            parent_entries = level.num_entries(parent_entries);
-        }
-        let vals = self.runtime.create_region(
-            &format!("{name}.vals"),
-            data.num_stored() as u64,
-            VAL_BYTES,
-        );
-        self.runtime.attach_sys(vals);
-        TensorRegions { levels, vals }
     }
 
     /// Build the coordinate-tree partition implied by the TDN statement.
@@ -548,54 +548,99 @@ impl Context {
             )),
         }
     }
+}
 
-    /// Attach each color's sub-regions to the memories of the owning
-    /// processors (replicating along unpartitioned machine dimensions).
-    fn attach_distribution(
-        &mut self,
-        regions: &TensorRegions,
-        part: &TensorPartition,
-        spec: &DistSpec,
-    ) -> Result<(), Error> {
-        // A distribution with no machine dimensions at all is *staged*: the
-        // data stays in staging memory and the computation's plan pulls (or
-        // pre-stages) exactly what each processor needs.
-        if spec.map.is_empty() {
-            return Ok(());
-        }
-        let md = spec
-            .map
-            .iter()
-            .enumerate()
-            .find_map(|(md, ld)| ld.map(|_| md));
-        let colors = part.num_colors();
-        for color in 0..colors {
-            let procs = procs_for_color(self.machine(), md, color);
-            for &p in &procs {
-                for (k, lr) in regions.levels.iter().enumerate() {
-                    match lr {
-                        LevelRegions::Compressed { pos, crd } => {
-                            self.runtime.attach(
-                                *pos,
-                                p,
-                                part.pos_partition(k).subset(color).clone(),
-                            )?;
-                            self.runtime
-                                .attach(*crd, p, part.entries[k].subset(color).clone())?;
-                        }
-                        LevelRegions::Singleton { crd } => {
-                            self.runtime
-                                .attach(*crd, p, part.entries[k].subset(color).clone())?;
-                        }
-                        LevelRegions::Dense => {}
-                    }
-                }
-                self.runtime
-                    .attach(regions.vals, p, part.vals.subset(color).clone())?;
+fn retire_regions(runtime: &mut Runtime, regions: &TensorRegions) {
+    for r in regions.ids() {
+        runtime.retire_region(r);
+    }
+}
+
+fn create_regions(runtime: &mut Runtime, name: &str, data: &SpTensor) -> TensorRegions {
+    let mut parent_entries = 1usize;
+    let mut levels = Vec::with_capacity(data.order());
+    for (k, level) in data.levels().iter().enumerate() {
+        match level {
+            Level::Dense { .. } => levels.push(LevelRegions::Dense),
+            Level::Singleton { crd } => {
+                let crd_r =
+                    runtime.create_region(&format!("{name}.crd{k}"), crd.len() as u64, CRD_BYTES);
+                runtime.attach_sys(crd_r);
+                levels.push(LevelRegions::Singleton { crd: crd_r });
+            }
+            Level::Compressed { crd, .. } => {
+                let pos = runtime.create_region(
+                    &format!("{name}.pos{k}"),
+                    parent_entries as u64,
+                    POS_BYTES,
+                );
+                let crd_r =
+                    runtime.create_region(&format!("{name}.crd{k}"), crd.len() as u64, CRD_BYTES);
+                runtime.attach_sys(pos);
+                runtime.attach_sys(crd_r);
+                levels.push(LevelRegions::Compressed { pos, crd: crd_r });
             }
         }
-        Ok(())
+        parent_entries = level.num_entries(parent_entries);
     }
+    let vals = runtime.create_region(&format!("{name}.vals"), data.num_stored() as u64, VAL_BYTES);
+    runtime.attach_sys(vals);
+    TensorRegions { levels, vals }
+}
+
+/// What the initial distribution places where: `(processor, slot, subset)`
+/// for each color's sub-regions on the processors owning the color
+/// (replicating along unpartitioned machine dimensions), `slot` indexing
+/// [`TensorRegions::ids`].
+fn placements(
+    machine: &Machine,
+    regions: &TensorRegions,
+    part: &TensorPartition,
+    spec: &DistSpec,
+) -> Vec<(usize, usize, IntervalSet)> {
+    let mut placed = Vec::new();
+    // A distribution with no machine dimensions at all is *staged*: the
+    // data stays in staging memory and the computation's plan pulls (or
+    // pre-stages) exactly what each processor needs.
+    if spec.map.is_empty() {
+        return placed;
+    }
+    let md = spec
+        .map
+        .iter()
+        .enumerate()
+        .find_map(|(md, ld)| ld.map(|_| md));
+    for color in 0..part.num_colors() {
+        for p in procs_for_color(machine, md, color) {
+            let mut slot = 0..;
+            let mut place = |set: &IntervalSet| placed.push((p, slot.next().unwrap(), set.clone()));
+            for (k, lr) in regions.levels.iter().enumerate() {
+                match lr {
+                    LevelRegions::Compressed { .. } => {
+                        place(part.pos_partition(k).subset(color));
+                        place(part.entries[k].subset(color));
+                    }
+                    LevelRegions::Singleton { .. } => place(part.entries[k].subset(color)),
+                    LevelRegions::Dense => {}
+                }
+            }
+            place(part.vals.subset(color));
+        }
+    }
+    placed
+}
+
+/// Attach [`placements`] to the memories of the owning processors.
+fn attach_placements(
+    runtime: &mut Runtime,
+    regions: &TensorRegions,
+    placed: Vec<(usize, usize, IntervalSet)>,
+) -> Result<(), RuntimeError> {
+    let ids = regions.ids();
+    for (p, slot, set) in placed {
+        runtime.attach(ids[slot], p, set)?;
+    }
+    Ok(())
 }
 
 /// The processors owning `color` along machine dimension `md` (all
@@ -792,6 +837,18 @@ mod tests {
             .collect();
         oom(c.update_batch("B", &grow).map(drop));
         assert_eq!(observe(&c, "B"), before, "after a failed update_batch");
+        // A bad coordinate at the end of a batch rejects the deltas before
+        // it too, in either arm.
+        let stored = b.to_coo();
+        for lead in [
+            CoordDelta::overwrite(stored[1].0.clone(), -1.0),
+            CoordDelta::delete(stored[1].0.clone()),
+        ] {
+            let batch = [lead, CoordDelta::overwrite(vec![0, 64], 1.0)];
+            let rejected = c.update_batch("B", &batch);
+            assert!(matches!(rejected, Err(Error::Unsupported(_))));
+            assert_eq!(observe(&c, "B"), before, "after a rejected batch");
+        }
 
         // The registration that survived still computes.
         let [i, j] = c.fresh_vars(["i", "j"]);
@@ -805,6 +862,56 @@ mod tests {
         let r = c.compile_and_run(&stmt, &sched).unwrap();
         let expect = spdistal_sparse::reference::spmv(&c.tensor("B").unwrap().data, &x);
         assert_eq!(r.output.as_tensor().unwrap().vals(), expect);
+    }
+
+    #[test]
+    fn value_only_batch_needs_room_for_one_registration_not_two() {
+        let b = generate::uniform(64, 64, 400, 1);
+        let register = |capacity: u64| {
+            let profile = MachineProfile::test_profile_with_capacity(capacity);
+            let mut c = Context::new(Machine::grid1d(4, profile));
+            c.add_tensor("B", b.clone(), Format::blocked_csr()).unwrap();
+            c
+        };
+        let oom = |r: Result<(), Error>| {
+            assert!(matches!(r, Err(Error::Runtime(RuntimeError::Oom { .. }))));
+        };
+        // B's largest share of a processor, and a memory that holds it once.
+        let unbounded = register(u64::MAX);
+        let share = (0..4).map(|p| unbounded.runtime().resident_bytes(p)).max();
+        let capacity = share.unwrap() * 3 / 2;
+        let mut c = register(capacity);
+        oom(c.replace_tensor_data("B", b.clone()));
+
+        // The batch keeps the distribution, so its regions release before
+        // they attach.
+        let first = b.to_coo().swap_remove(0).0;
+        let before = observe(&c, "B");
+        c.update_batch("B", &[CoordDelta::overwrite(first.clone(), 9.0)])
+            .unwrap();
+        let after = observe(&c, "B");
+        assert_eq!(after.0[0], 9.0);
+        assert_eq!(after.1, before.1 + 1, "version");
+        assert_eq!((after.3, &after.4), (before.3, &before.4), "regions, bytes");
+
+        // Unless the release frees less than the distribution needs: every
+        // processor lost its copy of the values and the room went elsewhere.
+        let vals = c.tensor("B").unwrap().regions.vals;
+        for p in 0..4 {
+            let held = c.runtime().valid_in(vals, p).clone();
+            c.runtime_mut().evict(vals, p, &held);
+        }
+        let free = (0..4)
+            .map(|p| capacity - c.runtime().resident_bytes(p))
+            .min();
+        let pad = vec![0.0; 4 * (free.unwrap() / VAL_BYTES) as usize];
+        c.add_tensor("pad", dense_vector(pad), Format::blocked_dense_vec())
+            .unwrap();
+        let before = observe(&c, "B");
+        oom(c
+            .update_batch("B", &[CoordDelta::overwrite(first, 7.0)])
+            .map(drop));
+        assert_eq!(observe(&c, "B"), before, "after a refresh that cannot fit");
     }
 
     #[test]

@@ -297,9 +297,11 @@ impl CompiledProgram {
     /// The drift half of the auto-tuning loop: accumulated streamed deltas
     /// can skew a driver that was balanced when the outer-dimension
     /// schedule was picked. Re-examine every `Auto` statement still on
-    /// outer-dim whose driver carries tracked deltas, and re-select the
-    /// non-zero distribution when the *current* row-block nnz imbalance
-    /// crosses [`SWITCH_IMBALANCE`].
+    /// outer-dim whose driver carries tracked *structural* deltas — only an
+    /// insert or a delete moves the row-block nnz measured here, and
+    /// measuring it partitions the whole driver — and re-select the
+    /// non-zero distribution when the *current* imbalance crosses
+    /// [`SWITCH_IMBALANCE`].
     pub(super) fn drift_reselect(&mut self) -> Result<(), Error> {
         let pieces = self.default_pieces();
         for k in 0..self.stmts.len() {
@@ -310,7 +312,7 @@ impl CompiledProgram {
                 continue;
             };
             let deltas = match self.ctx.dirty_state(&driver) {
-                Some(d) if d.deltas_applied > 0 => d.deltas_applied,
+                Some(d) if d.structural => d.deltas_applied,
                 _ => continue,
             };
             let imbalance = self.outer_block_imbalance(&driver, pieces)?;
@@ -458,5 +460,36 @@ mod tests {
         let expect = reference::spmv(&b2, &c);
         let got = p.value(0).unwrap().as_tensor().unwrap();
         assert!(reference::approx_eq(got.vals(), &expect, 1e-12));
+    }
+
+    #[test]
+    fn value_only_deltas_never_measure_drift() {
+        use crate::streaming::CoordDelta;
+        let mut p = spmv_program(generate::banded(128, 7, 9), ScheduleSpec::Auto)
+            .build()
+            .unwrap();
+        p.run_iters(2).unwrap();
+        // The driver turns skewed behind the tuner's back (an untracked
+        // replacement), so a drift measurement, were one taken, would
+        // re-select — the witness that a value-only batch takes none.
+        let skewed = generate::rmat_clustered(7, 3000, 0.95, 11);
+        let first = skewed.to_coo().swap_remove(0).0;
+        p.context_mut().replace_tensor_data("B", skewed).unwrap();
+        p.update_batch("B", &[CoordDelta::overwrite(first.clone(), 2.0)])
+            .unwrap();
+        p.run_incremental().unwrap();
+        assert!(p
+            .report()
+            .decisions_for(0)
+            .all(|d| !d.reason.starts_with("drift")));
+        assert_eq!(p.report().stmts[0].schedule_kind, "outer-dim");
+        // The same state with one structural delta does measure, and moves.
+        p.update_batch("B", &[CoordDelta::delete(first)]).unwrap();
+        p.run_incremental().unwrap();
+        assert!(p
+            .report()
+            .decisions_for(0)
+            .any(|d| d.reason.starts_with("drift")));
+        assert_eq!(p.report().stmts[0].schedule_kind, "non-zero");
     }
 }

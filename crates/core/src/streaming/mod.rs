@@ -12,10 +12,14 @@
 //! previous pass's output buffer.
 //!
 //! This module owns the *state* — versions, dirty maps, the telemetry
-//! types. The *rule* that reads it (which statements may merge, and why
-//! not) is `program::exec`'s `eligibility` function; the *mechanism*
-//! (seeding the output, the per-color `rerun` mask) is
-//! [`plan`](crate::plan)'s.
+//! types — and, in `ingest`, what a batch *means*: deltas resolved in
+//! order into report counts and one net edit per coordinate. Where entries
+//! live and how a tensor is re-packed is `spdistal_sparse`'s
+//! (`SpTensor::locate`, `SpTensor::with_edits`); regions and the two arms
+//! are `Context::update_batch`'s. The *rule* that reads the state (which
+//! statements may merge, and why not) is `program::exec`'s `eligibility`
+//! function; the *mechanism* (seeding the output, the per-color `rerun`
+//! mask) is [`plan`](crate::plan)'s.
 //!
 //! ## Correctness model
 //!
@@ -39,6 +43,8 @@
 use std::collections::BTreeMap;
 
 pub use spdistal_sparse::{CoordDelta, DeltaOp};
+
+pub(crate) mod ingest;
 
 /// Rows per dirty-bitmap block: one `u64` word of the bitmap covers one
 /// block, so block-granular queries are single-word tests.

@@ -312,6 +312,25 @@ pub fn chrome_trace_json(recorder: &TraceRecorder) -> String {
                     ),
                 );
             }
+            Event::IngestBatch {
+                deltas,
+                ignored,
+                structural,
+            } => {
+                emit.instant(
+                    // Named by arm, so CI can `--require` each.
+                    if structural {
+                        "ingest-structural"
+                    } else {
+                        "ingest-in-place"
+                    },
+                    "ingest",
+                    ev.ts_ns,
+                    PID_MEASURED,
+                    ev.lane,
+                    &format!("\"deltas\":{deltas},\"ignored\":{ignored}"),
+                );
+            }
         }
     }
 
@@ -579,6 +598,17 @@ mod tests {
                 fallback: false,
             },
         );
+        for (ts, structural) in [(85, false), (90, true)] {
+            rec.record_at(
+                ts,
+                0,
+                Event::IngestBatch {
+                    deltas: 4,
+                    ignored: 1,
+                    structural,
+                },
+            );
+        }
         rec
     }
 
@@ -597,6 +627,7 @@ mod tests {
             "model",
             "kernel-dispatch",
             "incremental",
+            "ingest",
         ] {
             assert!(stats.count(cat) >= 1, "missing category {cat}: {stats:?}");
         }
@@ -608,6 +639,8 @@ mod tests {
         assert_eq!(stats.count("auto-decision"), 1);
         assert_eq!(stats.count("kernel-specialized"), 1);
         assert_eq!(stats.count("kernel-fallback"), 1);
+        assert_eq!(stats.count("ingest-in-place"), 1);
+        assert_eq!(stats.count("ingest-structural"), 1);
     }
 
     #[test]

@@ -95,6 +95,14 @@ pub enum Event {
         spans_skipped: u64,
         fallback: bool,
     },
+    /// One non-empty `update_batch`: `deltas` arrived, `ignored` of them
+    /// were no-ops, and the batch either wrote values in place or — it
+    /// inserted or removed an entry, `structural` — re-packed the tensor.
+    IngestBatch {
+        deltas: u64,
+        ignored: u64,
+        structural: bool,
+    },
 }
 
 impl Event {
@@ -112,6 +120,7 @@ impl Event {
             Event::ModelLaunch { .. } | Event::ModelFence { .. } => "model",
             Event::KernelDispatch { .. } => "kernel-dispatch",
             Event::IncrementalRun { .. } => "incremental",
+            Event::IngestBatch { .. } => "ingest",
         }
     }
 }

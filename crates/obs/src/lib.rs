@@ -408,6 +408,31 @@ impl Trace {
         }
     }
 
+    /// One non-empty `update_batch` that took `ns`: which arm ran and what
+    /// it was fed. Bumps `ingest.{batches,deltas,ignored}` and one of
+    /// `ingest.{in_place,structural}`, and observes `ingest_ns`.
+    pub fn ingest_batch(&self, deltas: u64, ignored: u64, structural: bool, ns: u64) {
+        if self.is_enabled() {
+            self.record(Event::IngestBatch {
+                deltas,
+                ignored,
+                structural,
+            });
+            self.add("ingest.batches", 1);
+            self.add("ingest.deltas", deltas);
+            self.add("ingest.ignored", ignored);
+            self.add(
+                if structural {
+                    "ingest.structural"
+                } else {
+                    "ingest.in_place"
+                },
+                1,
+            );
+            self.observe_ns("ingest_ns", ns);
+        }
+    }
+
     /// One launch on the modeled timeline (simulated seconds).
     pub fn model_launch(&self, name: &str, issue: f64, start: f64, finish: f64, seq_span: f64) {
         if self.is_enabled() {

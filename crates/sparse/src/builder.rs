@@ -73,21 +73,6 @@ impl CooTensor {
     /// Assemble an [`SpTensor`] with the given per-dimension formats.
     /// Duplicate coordinates are summed.
     pub fn build(&self, formats: &[LevelFormat]) -> SpTensor {
-        assert_eq!(formats.len(), self.dims.len(), "one format per dimension");
-        let order = self.dims.len();
-        // Levels above a Singleton must keep one entry per stored value
-        // (duplicate coordinates are *not* merged there) — that is what
-        // makes {Compressed, Singleton} the COO layout. Dense levels cannot
-        // precede a Singleton (their entries are coordinate-addressed).
-        if let Some(first_singleton) = formats.iter().position(|f| *f == LevelFormat::Singleton) {
-            assert!(
-                formats[..first_singleton]
-                    .iter()
-                    .all(|f| *f != LevelFormat::Dense),
-                "Singleton levels below Dense levels are unsupported"
-            );
-        }
-
         // Sort entry indices lexicographically by coordinates.
         let mut idx: Vec<usize> = (0..self.vals.len()).collect();
         idx.sort_unstable_by(|&a, &b| self.coords[a].cmp(&self.coords[b]));
@@ -101,104 +86,138 @@ impl CooTensor {
             }
         }
 
-        // `groups`: runs of `uniq` sharing the coordinate prefix of length
-        // `level`, tagged with the parent coordinate-tree entry they hang off.
-        struct Group {
-            parent_entry: usize,
-            start: usize,
-            end: usize, // exclusive
+        let mut packer = Packer::new(&self.dims, formats, uniq.len());
+        for &(i, v) in &uniq {
+            packer.push(&self.coords[i], v);
         }
-        let mut groups = vec![Group {
-            parent_entry: 0,
-            start: 0,
-            end: uniq.len(),
-        }];
-        let mut parent_entries = 1usize;
-        let mut levels: Vec<Level> = Vec::with_capacity(order);
+        packer.finish()
+    }
+}
 
-        for (k, fmt) in formats.iter().enumerate() {
-            // Grouping by coordinate value is only allowed when no deeper
-            // level is a Singleton (which requires one entry per element).
-            let split_by_value = formats[k + 1..]
-                .iter()
-                .all(|f| *f != LevelFormat::Singleton);
-            let mut next_groups = Vec::new();
-            match fmt {
-                LevelFormat::Dense => {
-                    let size = self.dims[k];
-                    for g in &groups {
-                        let mut s = g.start;
-                        while s < g.end {
-                            let c = self.coords[uniq[s].0][k];
-                            let mut e = s;
-                            while e < g.end && self.coords[uniq[e].0][k] == c {
-                                e += 1;
-                            }
-                            next_groups.push(Group {
-                                parent_entry: g.parent_entry * size + c as usize,
-                                start: s,
-                                end: e,
-                            });
-                            s = e;
-                        }
-                    }
-                    levels.push(Level::Dense { size });
-                    parent_entries *= size;
-                }
-                LevelFormat::Compressed => {
-                    let mut pos = vec![Rect1::empty(); parent_entries];
-                    let mut crd = Vec::new();
-                    for g in &groups {
-                        let first = crd.len() as i64;
-                        let mut s = g.start;
-                        while s < g.end {
-                            let c = self.coords[uniq[s].0][k];
-                            let mut e = s;
-                            while e < g.end && split_by_value && self.coords[uniq[e].0][k] == c {
-                                e += 1;
-                            }
-                            if !split_by_value {
-                                e = s + 1;
-                            }
-                            next_groups.push(Group {
-                                parent_entry: crd.len(),
-                                start: s,
-                                end: e,
-                            });
-                            crd.push(c);
-                            s = e;
-                        }
-                        if crd.len() as i64 > first {
-                            pos[g.parent_entry] = Rect1::new(first, crd.len() as i64 - 1);
-                        }
-                    }
-                    parent_entries = crd.len();
-                    levels.push(Level::Compressed { pos, crd });
-                }
-                LevelFormat::Singleton => {
-                    let mut crd = Vec::with_capacity(parent_entries);
-                    for g in &groups {
-                        debug_assert_eq!(g.end - g.start, 1, "singleton parents hold one element");
-                        crd.push(self.coords[uniq[g.start].0][k]);
-                        next_groups.push(Group {
-                            parent_entry: g.parent_entry,
-                            start: g.start,
-                            end: g.end,
-                        });
-                    }
-                    levels.push(Level::Singleton { crd });
-                }
+/// The one way a coordinate tree is materialized: entries arrive sorted by
+/// coordinate and unique — [`CooTensor::build`] after its sort + dedup,
+/// [`SpTensor::with_edits`] straight from its merge — and every level's
+/// arrays grow by appending.
+pub(crate) struct Packer<'a> {
+    dims: &'a [usize],
+    /// A Singleton below level 0 keeps one entry per stored value at every
+    /// level above it (what makes `{Compressed, Singleton}` the COO layout),
+    /// so no entry is ever shared between two values.
+    share_prefixes: bool,
+    levels: Vec<Level>,
+    vals: Vec<f64>,
+    /// The last pushed coordinate (`-1`s before the first: below every
+    /// valid coordinate) and its entry at every level.
+    prev: Vec<i64>,
+    path: Vec<usize>,
+}
+
+impl<'a> Packer<'a> {
+    /// `expected` entries will be pushed, give or take: room is reserved
+    /// for them in the arrays that hold one element per entry.
+    pub(crate) fn new(dims: &'a [usize], formats: &[LevelFormat], expected: usize) -> Self {
+        assert_eq!(formats.len(), dims.len(), "one format per dimension");
+        // Dense levels cannot precede a Singleton: their entries are
+        // coordinate-addressed, a Singleton's parents are one per value.
+        if let Some(first_singleton) = formats.iter().position(|f| *f == LevelFormat::Singleton) {
+            assert!(
+                formats[..first_singleton]
+                    .iter()
+                    .all(|f| *f != LevelFormat::Dense),
+                "Singleton levels below Dense levels are unsupported"
+            );
+        }
+        let share_prefixes = formats.iter().skip(1).all(|f| *f != LevelFormat::Singleton);
+        let leaf = dims.len().saturating_sub(1);
+        let per_entry = |k: usize| {
+            if k == leaf || !share_prefixes {
+                expected
+            } else {
+                0
             }
-            groups = next_groups;
+        };
+        let levels = formats
+            .iter()
+            .zip(dims)
+            .enumerate()
+            .map(|(k, (f, &size))| match f {
+                LevelFormat::Dense => Level::Dense { size },
+                LevelFormat::Compressed => Level::Compressed {
+                    pos: Vec::new(),
+                    crd: Vec::with_capacity(per_entry(k)),
+                },
+                LevelFormat::Singleton => Level::Singleton {
+                    crd: Vec::with_capacity(per_entry(k)),
+                },
+            })
+            .collect();
+        let dense_leaf = formats.last() == Some(&LevelFormat::Dense);
+        Packer {
+            dims,
+            share_prefixes,
+            levels,
+            vals: Vec::with_capacity(if dense_leaf { 0 } else { expected }),
+            prev: vec![-1; dims.len()],
+            path: vec![0; dims.len()],
         }
+    }
 
-        // Leaf values: each remaining group is one leaf entry.
-        let mut vals = vec![0.0; parent_entries];
-        for g in &groups {
-            debug_assert_eq!(g.end - g.start, 1, "leaf groups are single entries");
-            vals[g.parent_entry] = uniq[g.start].1;
+    /// Append one entry; `coord` must sort strictly after the previous one.
+    pub(crate) fn push(&mut self, coord: &[i64], val: f64) {
+        debug_assert_eq!(coord.len(), self.dims.len());
+        let moved = coord.iter().zip(&self.prev).position(|(c, p)| c != p);
+        let moved = moved.expect("packed entries must be unique");
+        assert!(
+            coord[moved] > self.prev[moved],
+            "packed entries must arrive sorted"
+        );
+        // Levels above the first coordinate that moved keep their entry.
+        let fresh_from = if self.share_prefixes { moved } else { 0 };
+        let mut parent = match fresh_from {
+            0 => 0,
+            k => self.path[k - 1],
+        };
+        for (k, &c) in coord.iter().enumerate().skip(fresh_from) {
+            parent = match &mut self.levels[k] {
+                Level::Dense { size } => parent * *size + c as usize,
+                Level::Compressed { pos, crd } => {
+                    let entry = crd.len();
+                    crd.push(c);
+                    if pos.len() <= parent {
+                        pos.resize(parent + 1, Rect1::empty());
+                    }
+                    if pos[parent].is_empty() {
+                        pos[parent].lo = entry as i64;
+                    }
+                    pos[parent].hi = entry as i64;
+                    entry
+                }
+                Level::Singleton { crd } => {
+                    debug_assert_eq!(crd.len(), parent, "singleton parents hold one element");
+                    crd.push(c);
+                    parent
+                }
+            };
+            self.path[k] = parent;
         }
-        SpTensor::from_parts(self.dims.clone(), levels, vals)
+        if self.vals.len() <= parent {
+            self.vals.resize(parent + 1, 0.0);
+        }
+        self.vals[parent] = val;
+        self.prev[moved..].copy_from_slice(&coord[moved..]);
+    }
+
+    /// Close every level over the entries pushed so far.
+    pub(crate) fn finish(mut self) -> SpTensor {
+        let mut entries = 1usize;
+        for level in &mut self.levels {
+            if let Level::Compressed { pos, .. } = level {
+                pos.resize(entries, Rect1::empty());
+            }
+            entries = level.num_entries(entries);
+        }
+        self.vals.resize(entries, 0.0);
+        SpTensor::from_parts(self.dims.to_vec(), self.levels, self.vals)
     }
 }
 

@@ -10,9 +10,12 @@
 //! dependent-partitioning operators `image` and `preimage` (Figure 7).
 
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use spdistal_runtime::Rect1;
+
+use crate::builder::Packer;
 
 /// Per-dimension storage format selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -171,20 +174,6 @@ impl SpTensor {
         &mut self.vals
     }
 
-    /// The same stored pattern holding other values: `vals` in this
-    /// tensor's storage order. Shares the memoised
-    /// [`pattern_hash`](SpTensor::pattern_hash), so a value-only update
-    /// never re-hashes the coordinate tree.
-    pub fn with_vals(&self, vals: Vec<f64>) -> SpTensor {
-        assert_eq!(vals.len(), self.vals.len(), "one value per stored entry");
-        SpTensor {
-            dims: self.dims.clone(),
-            levels: self.levels.clone(),
-            vals,
-            pattern: self.pattern.clone(),
-        }
-    }
-
     /// Consume the tensor, keeping only its values array (the allocation a
     /// merging pass re-uses as the next output buffer).
     pub fn into_vals(self) -> Vec<f64> {
@@ -199,15 +188,20 @@ impl SpTensor {
 
     /// Number of structurally non-zero stored values.
     pub fn nnz(&self) -> usize {
-        if self
-            .levels
-            .last()
-            .is_some_and(|l| l.format() == LevelFormat::Dense)
-        {
+        if self.trailing_dense() {
             self.vals.iter().filter(|v| **v != 0.0).count()
         } else {
             self.vals.len()
         }
+    }
+
+    /// A trailing dense level stores every coordinate of its dimension, so
+    /// there a stored `0.0` means "absent" ([`SpTensor::nnz`],
+    /// [`SpTensor::to_coo`], [`SpTensor::locate`] all read it that way).
+    fn trailing_dense(&self) -> bool {
+        self.levels
+            .last()
+            .is_some_and(|l| l.format() == LevelFormat::Dense)
     }
 
     /// The per-dimension formats.
@@ -278,16 +272,101 @@ impl SpTensor {
     /// Flatten to coordinate form (structural non-zeros only).
     pub fn to_coo(&self) -> Vec<(Vec<i64>, f64)> {
         let mut out = Vec::new();
-        let trailing_dense = self
-            .levels
-            .last()
-            .is_some_and(|l| l.format() == LevelFormat::Dense);
+        let trailing_dense = self.trailing_dense();
         self.for_each(|c, v| {
             if !trailing_dense || v != 0.0 {
                 out.push((c.to_vec(), v));
             }
         });
         out
+    }
+
+    /// Position in [`vals`](SpTensor::vals) of the entry stored at `coord`,
+    /// if there is one — exactly the coordinates [`SpTensor::to_coo`]
+    /// lists, found by descending the levels with a binary search in each
+    /// (`O(order · log fan-out)`) instead of visiting every entry. Relies,
+    /// like the kernels, on the sorted level arrays [`CooTensor::build`]
+    /// produces.
+    ///
+    /// [`CooTensor::build`]: crate::CooTensor::build
+    pub fn locate(&self, coord: &[i64]) -> Option<usize> {
+        assert_eq!(coord.len(), self.order(), "one coordinate per dimension");
+        let at = self.descend(0, 0..1, coord)?;
+        (!self.trailing_dense() || self.vals[at] != 0.0).then_some(at)
+    }
+
+    /// `parents` are the entries above `level` whose coordinates match
+    /// `coord[..level]`: one entry, except below a compressed level that
+    /// keeps duplicates (COO), where they are that coordinate's equal-range
+    /// — sorted by the next coordinate, which is what lets a singleton
+    /// level narrow them by bisection.
+    fn descend(&self, level: usize, mut parents: Range<usize>, coord: &[i64]) -> Option<usize> {
+        if level == self.order() {
+            debug_assert!(parents.len() <= 1, "stored coordinates are unique");
+            return (!parents.is_empty()).then_some(parents.start);
+        }
+        let c = coord[level];
+        let equal_range = |run: &[i64], base: usize| {
+            base + run.partition_point(|&x| x < c)..base + run.partition_point(|&x| x <= c)
+        };
+        match &self.levels[level] {
+            Level::Dense { size } => {
+                let c = usize::try_from(c).ok().filter(|c| c < size)?;
+                parents.find_map(|p| self.descend(level + 1, p * size + c..p * size + c + 1, coord))
+            }
+            Level::Compressed { pos, crd } => parents.find_map(|p| {
+                let r = pos[p];
+                if r.is_empty() {
+                    return None;
+                }
+                let (lo, hi) = (r.lo as usize, r.hi as usize + 1);
+                self.descend(level + 1, equal_range(&crd[lo..hi], lo), coord)
+            }),
+            Level::Singleton { crd } => {
+                let narrowed = equal_range(&crd[parents.clone()], parents.start);
+                self.descend(level + 1, narrowed, coord)
+            }
+        }
+    }
+
+    /// This tensor with `edits` applied, in the same formats: `Some(v)`
+    /// stores `v` at its coordinate (insert or overwrite), `None` removes
+    /// the entry stored there (nothing to remove: no-op). `edits` are
+    /// sorted by coordinate and unique, so one linear merge with the stored
+    /// entries feeds the packer [`CooTensor::build`] uses — nothing is
+    /// sorted, and nothing is held per stored entry.
+    ///
+    /// [`CooTensor::build`]: crate::CooTensor::build
+    pub fn with_edits(&self, edits: &[(&[i64], Option<f64>)]) -> SpTensor {
+        let formats = self.formats();
+        let mut packer = Packer::new(&self.dims, &formats, self.vals.len() + edits.len());
+        let trailing_dense = self.trailing_dense();
+        let mut pending = edits.iter().peekable();
+        self.for_each(|c, v| {
+            if trailing_dense && v == 0.0 {
+                return;
+            }
+            // Edits up to and including this coordinate; one there
+            // replaces the stored entry.
+            let mut stored = Some(v);
+            while let Some((at, new)) = pending.next_if(|(at, _)| *at <= c) {
+                if *at == c {
+                    stored = None;
+                }
+                if let Some(new) = new {
+                    packer.push(at, *new);
+                }
+            }
+            if let Some(v) = stored {
+                packer.push(c, v);
+            }
+        });
+        for (at, new) in pending {
+            if let Some(new) = new {
+                packer.push(at, *new);
+            }
+        }
+        packer.finish()
     }
 
     /// CSR accessors for a `{Dense, Compressed}` matrix: `(pos, crd, vals)`.
@@ -338,7 +417,8 @@ mod tests {
     #[test]
     fn pattern_hash_sees_structure_not_values() {
         let a = fig7_matrix();
-        let revalued = a.with_vals(vec![-1.0; a.num_stored()]);
+        let mut revalued = a.clone();
+        revalued.vals_mut().fill(-1.0);
         assert_eq!(revalued.levels(), a.levels());
         assert_ne!(a, revalued);
         assert_eq!(a.pattern_hash(), revalued.pattern_hash());
@@ -356,6 +436,72 @@ mod tests {
         let levels = vec![Level::Dense { size: 4 }, Level::Compressed { pos, crd }];
         let moved = SpTensor::from_parts(vec![4, 4], levels, a.vals().to_vec());
         assert_ne!(a.pattern_hash(), moved.pattern_hash());
+    }
+
+    #[test]
+    fn locate_and_with_edits_agree_with_to_coo_in_every_format() {
+        use crate::{convert::with_formats, generate, CooTensor};
+        use LevelFormat::{Compressed as C, Dense as D, Singleton as S};
+        let m = generate::uniform(24, 17, 90, 3);
+        let t3 = generate::tensor3_uniform([7, 6, 5], 60, 4);
+        let cases = [
+            with_formats(&m, &[D, C]),
+            with_formats(&m, &[C, C]),
+            with_formats(&m, &[C, S]),
+            with_formats(&m, &[D, D]),
+            with_formats(&m, &[C, D]),
+            with_formats(&t3, &[C, C, C]),
+            with_formats(&t3, &[C, S, S]),
+            with_formats(&t3, &[D, C, D]),
+        ];
+        for t in &cases {
+            let stored = t.to_coo();
+            for (c, v) in &stored {
+                assert_eq!(t.locate(c).map(|p| t.vals()[p]), Some(*v), "{c:?}");
+            }
+            // Every coordinate of the index space: stored ones aside, absent.
+            let mut coord = vec![0i64; t.order()];
+            let mut found = 0;
+            'space: loop {
+                found += usize::from(t.locate(&coord).is_some());
+                for k in (0..coord.len()).rev() {
+                    coord[k] += 1;
+                    if (coord[k] as usize) < t.dims()[k] {
+                        continue 'space;
+                    }
+                    coord[k] = 0;
+                }
+                break;
+            }
+            assert_eq!(found, stored.len(), "{:?}", t.formats());
+            assert_eq!(t.locate(&vec![-1; t.order()]), None);
+            assert_eq!(
+                t.locate(&t.dims().iter().map(|&d| d as i64).collect::<Vec<_>>()),
+                None
+            );
+
+            // Remove every third entry, re-value the next, and store the
+            // last coordinate of the index space if it is absent.
+            let mut edits: Vec<(&[i64], Option<f64>)> = Vec::new();
+            let mut expect = CooTensor::new(t.dims().to_vec());
+            for (k, (c, v)) in stored.iter().enumerate() {
+                match k % 3 {
+                    0 => edits.push((c, None)),
+                    1 => {
+                        edits.push((c, Some(-v)));
+                        expect.push(c, -v);
+                    }
+                    _ => expect.push(c, *v),
+                }
+            }
+            let last: Vec<i64> = t.dims().iter().map(|&d| d as i64 - 1).collect();
+            if t.locate(&last).is_none() {
+                edits.push((&last, Some(7.5)));
+                expect.push(&last, 7.5);
+            }
+            assert_eq!(t.with_edits(&edits), expect.build(&t.formats()));
+            assert_eq!(&t.with_edits(&[]), t);
+        }
     }
 
     #[test]
