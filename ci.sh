@@ -113,6 +113,12 @@ echo "==> ingestion against the rebuild oracle, optimised"
 # hoisted).
 cargo test -q --release --test ingest_identity
 
+echo "==> leaf identity suites, optimised"
+# Same reason, the leaf layer: raw-pointer `OutVals` writes, `row_mut`'s
+# exclusive slices and the prefetch hints are where a bug that only
+# optimisation exposes would hide (~1 s once built).
+cargo test -q --release --test specialized_identity --test kernel_dispatch --test parallel_identity
+
 echo "==> golden tables: the paper's modelled figures, byte for byte"
 # The figure binaries print simulated time on the machine model: a pure
 # function of the code and SPDISTAL_SCALE, so the gate is exact. A diff here

@@ -96,6 +96,19 @@ pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<
 /// Compile an already-lowered loop nest.
 pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
     let stmt = &nest.stmt;
+    // The one gate of the leaf layer: a statement no leaf computes is
+    // refused here, before anything is partitioned.
+    let lookup = |name: &str| {
+        let t = &ctx.tensor(name).ok()?.data;
+        Some((t.formats(), t.dims().to_vec()))
+    };
+    let kernel = kernels::recognize(stmt, &lookup).map_err(|reason| {
+        Error::Unsupported(format!(
+            "'{stmt}' does not compile: {reason}. What compiles: {}",
+            kernels::SHAPES
+        ))
+    })?;
+
     let dist: Vec<_> = nest.distributed_loops().collect();
     let [dist_loop] = dist.as_slice() else {
         return Err(Error::Unsupported(format!(
@@ -113,18 +126,6 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
             ctx.machine().dim(machine_dim)
         )));
     }
-
-    // Leaf kernel recognition against the context's tensor table.
-    let lookup = |name: &str| -> Option<(usize, bool, Vec<usize>)> {
-        ctx.tensor(name).ok().map(|t| {
-            (
-                t.data.order(),
-                kernels::is_sparse(&t.data),
-                t.data.dims().to_vec(),
-            )
-        })
-    };
-    let kernel = kernels::recognize(stmt, &lookup);
 
     // Identify the driver and its initial partition.
     let roots = ctx.vars().roots(dist_loop.var);
@@ -158,7 +159,10 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
                 .accesses()
                 .into_iter()
                 .find(|a| {
-                    a.indices.first() == Some(root) && lookup(&a.tensor).is_some_and(|(_, s, _)| s)
+                    a.indices.first() == Some(root)
+                        && ctx
+                            .tensor(&a.tensor)
+                            .is_ok_and(|t| kernels::is_sparse(&t.data))
                 })
                 .ok_or_else(|| {
                     Error::Unsupported(
@@ -215,7 +219,7 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
         &driver_part,
         &coord_sets,
         colors,
-    )?;
+    );
 
     let driver_levels = ctx.tensor(&driver_name)?.format.levels_signature();
     Ok(Plan {
@@ -363,7 +367,7 @@ fn plan_output(
     driver_part: &TensorPartition,
     coord_sets: &HashMap<IndexVar, Vec<IntervalSet>>,
     colors: usize,
-) -> Result<PlannedOutput, Error> {
+) -> PlannedOutput {
     let name = stmt.lhs.tensor.clone();
     let i_sets = stmt
         .lhs
@@ -392,23 +396,6 @@ fn plan_output(
             driver_part.entries[1].clone(),
         ),
         LeafKernel::SpAdd3 => (OutKind::SparseAssembled, Partition::empty(0, colors)),
-        LeafKernel::Generic => {
-            // Interpreted fallback: dense output over the lhs space.
-            if stmt.lhs.indices.len() == 1 {
-                (OutKind::DenseVec, coord_part)
-            } else if out.order() == 2 {
-                (
-                    OutKind::DenseMat {
-                        width: out.dims()[1],
-                    },
-                    coord_part,
-                )
-            } else {
-                return Err(Error::Unsupported(
-                    "generic fallback supports vector/matrix outputs".into(),
-                ));
-            }
-        }
     };
 
     // Pattern outputs never alias across colors if the driver partition is
@@ -418,10 +405,10 @@ fn plan_output(
         OutKind::SparseAssembled => false,
         _ => reduce,
     };
-    Ok(PlannedOutput {
+    PlannedOutput {
         tensor: name,
         kind,
         part,
         reduce,
-    })
+    }
 }

@@ -132,7 +132,9 @@ pub fn spadd3_color(
     (out, sym_ops as f64, num_ops as f64)
 }
 
-/// The (cols, vals) slice of one CSR row.
+/// The (cols, vals) slice of one CSR row. Callers are compiled SpAdd3
+/// plans: [`recognize`](super::recognize) admits only `{Dense,Compressed}`
+/// operands, so level-1 `pos` is indexed by row coordinate.
 fn row_segment(t: &SpTensor, row: usize) -> (&[i64], &[f64]) {
     match t.level(1) {
         Level::Compressed { pos, crd } => {
@@ -146,9 +148,7 @@ fn row_segment(t: &SpTensor, row: usize) -> (&[i64], &[f64]) {
                 )
             }
         }
-        Level::Dense { .. } | Level::Singleton { .. } => {
-            panic!("SpAdd3 requires CSR inputs")
-        }
+        _ => unreachable!("recognize admits SpAdd3 over CSR operands only"),
     }
 }
 

@@ -1,20 +1,20 @@
-//! Leaf kernels: the per-processor computations the compiler specializes.
+//! Leaf kernels: the per-processor computations the compiler binds.
 //!
 //! In the paper, TACO's code generation emits fused imperative loops for the
-//! innermost (single-node) computation. In this reproduction the compiler
-//! recognizes the statement's shape and dispatches to a specialized Rust
-//! leaf kernel; statements that match no specialization fall back to the
-//! loop-IR interpreter ([`spdistal_ir::interp`]), mirroring how a library
-//! would fall back to composition. Either way the leaf operates only on the
-//! sub-tensor its color owns, by clamping coordinate-tree iteration to the
-//! color's partition.
+//! innermost (single-node) computation of *the* statement. This
+//! reproduction stands six hand-bound leaves in for that generator — the
+//! evaluation kernels of Section VI-A — and [`recognize`] is the single
+//! gate in front of them: a statement is one of the six shapes over operand
+//! layouts its leaf reads exactly, or it is refused with a reason and never
+//! compiles. A leaf operates only on the sub-tensor its color owns, by
+//! clamping coordinate-tree iteration to the color's partition.
 
 pub mod matrix;
 pub mod specialized;
 pub mod split;
 pub mod tensor3;
 
-use spdistal_ir::{Assignment, Term};
+use spdistal_ir::{Assignment, IndexVar, Term};
 use spdistal_runtime::IntervalSet;
 use spdistal_sparse::{Level, LevelFormat, SpTensor};
 
@@ -22,8 +22,7 @@ pub use split::{color_spans, split_level, KernelSpan};
 
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
-/// The specialized leaf computations (the paper's evaluation kernels,
-/// Section VI-A).
+/// The leaf computations (the paper's evaluation kernels, Section VI-A).
 #[derive(Clone, Debug, PartialEq)]
 pub enum LeafKernel {
     /// `a(i) = B(i,j) · c(j)`
@@ -38,130 +37,128 @@ pub enum LeafKernel {
     SpTtv,
     /// `A(i,l) = B(i,j,k) · C(j,l) · D(k,l)`
     SpMttkrp { ldim: usize },
-    /// Anything else: interpreted fallback.
-    Generic,
 }
 
 /// What [`recognize`]'s `lookup` reports per tensor:
-/// `(order, is_sparse, dims)`.
-pub type TensorInfo = (usize, bool, Vec<usize>);
+/// `(stored level kinds, dims)`.
+pub type TensorInfo = (Vec<LevelFormat>, Vec<usize>);
 
-/// Recognize the statement shape. `lookup(name)` returns
-/// `(order, is_sparse, dims)` for a tensor.
-pub fn recognize(stmt: &Assignment, lookup: &dyn Fn(&str) -> Option<TensorInfo>) -> LeafKernel {
+/// The statements that compile, as a refusal lists them.
+pub(crate) const SHAPES: &str = "a(i) = B(i,j) * c(j), A(i,j) = B(i,k) * C(k,j), \
+     A(i,j) = B(i,j) * C(i,k) * D(k,j), A(i,j) = B(i,j,k) * c(k), \
+     A(i,l) = B(i,j,k) * C(j,l) * D(k,l) with B sparse and the other operands dense, or \
+     A(i,j) = B(i,j) + C(i,j) + D(i,j) with B, C and D stored {Dense,Compressed}";
+
+/// The index pattern of each shape: the left-hand side, then every operand
+/// in order, with index variables numbered by first appearance (so a
+/// repeated variable, `B(i,i)`, matches nothing). Widths are filled in from
+/// the operands.
+const PATTERNS: [(LeafKernel, &[&[usize]]); 6] = [
+    (LeafKernel::SpMv, &[&[0], &[0, 1], &[1]]),
+    (LeafKernel::SpMm { jdim: 0 }, &[&[0, 1], &[0, 2], &[2, 1]]),
+    (LeafKernel::SpAdd3, &[&[0, 1], &[0, 1], &[0, 1], &[0, 1]]),
+    (
+        LeafKernel::Sddmm { kdim: 0 },
+        &[&[0, 1], &[0, 1], &[0, 2], &[2, 1]],
+    ),
+    (LeafKernel::SpTtv, &[&[0, 1], &[0, 1, 2], &[2]]),
+    (
+        LeafKernel::SpMttkrp { ldim: 0 },
+        &[&[0, 1], &[0, 2, 3], &[2, 1], &[3, 1]],
+    ),
+];
+
+/// The leaf that computes exactly `stmt` over its operands' *stored*
+/// layouts, or the reason there is none. `lookup(name)` returns a tensor's
+/// `(stored level kinds, dims)`. Nothing stands behind a refusal:
+/// [`crate::codegen::compile`] turns it into a typed error before a plan
+/// exists.
+pub fn recognize(
+    stmt: &Assignment,
+    lookup: &dyn Fn(&str) -> Option<TensorInfo>,
+) -> Result<LeafKernel, String> {
     let sop = stmt.rhs.sum_of_products();
-    let lhs = &stmt.lhs;
-
-    let info = |t: &str| lookup(t);
-    fn access_of(term: &[Term]) -> Vec<&spdistal_ir::Access> {
-        term.iter()
-            .filter_map(|t| match t {
-                Term::Access(a) => Some(a),
-                Term::Const(_) => None,
-            })
-            .collect()
-    }
-
-    // SpAdd3: three singleton sparse terms, all with the lhs's index vars.
-    if sop.len() == 3 && lhs.indices.len() == 2 {
-        let all_match = sop.iter().all(|term| {
-            let acc = access_of(term);
-            acc.len() == 1
-                && acc[0].indices == lhs.indices
-                && info(&acc[0].tensor).is_some_and(|(o, s, _)| o == 2 && s)
-        });
-        if all_match {
-            return LeafKernel::SpAdd3;
+    // A leaf multiplies stored values and nothing else: a constant it
+    // cannot apply must not be dropped.
+    let mut accesses = vec![&stmt.lhs];
+    for factor in sop.iter().flatten() {
+        match factor {
+            Term::Access(a) => accesses.push(a),
+            Term::Const(c) => return Err(format!("constant factor {c} in a product term")),
         }
     }
 
-    if sop.len() != 1 {
-        return LeafKernel::Generic;
+    let mut vars: Vec<IndexVar> = Vec::new();
+    let mut pattern: Vec<Vec<usize>> = Vec::with_capacity(accesses.len());
+    for a in &accesses {
+        let mut numbered = Vec::with_capacity(a.indices.len());
+        for v in &a.indices {
+            numbered.push(vars.iter().position(|seen| seen == v).unwrap_or_else(|| {
+                vars.push(*v);
+                vars.len() - 1
+            }));
+        }
+        pattern.push(numbered);
     }
-    let acc = access_of(&sop[0]);
+    let shape = PATTERNS.iter().find(|(kernel, shape)| {
+        let terms = if *kernel == LeafKernel::SpAdd3 { 3 } else { 1 };
+        sop.len() == terms && pattern.iter().map(Vec::as_slice).eq(shape.iter().copied())
+    });
+    let Some((kernel, _)) = shape else {
+        return Err("its terms and index pattern match none of the shapes".to_string());
+    };
 
-    match acc.as_slice() {
-        // SpMV: B(i,j) * c(j), lhs a(i).
-        [b, c] if lhs.indices.len() == 1 => {
-            let (i,) = (lhs.indices[0],);
-            if b.indices.len() == 2
-                && c.indices.len() == 1
-                && b.indices[0] == i
-                && b.indices[1] == c.indices[0]
-                && info(&b.tensor).is_some_and(|(o, s, _)| o == 2 && s)
-                && info(&c.tensor).is_some_and(|(o, s, _)| o == 1 && !s)
-            {
-                return LeafKernel::SpMv;
-            }
-            LeafKernel::Generic
+    // Every access names a declared tensor of the accessed order, and an
+    // index variable has one extent wherever it appears: a leaf indexes one
+    // operand with coordinates it read from another.
+    let mut extents = vec![None; vars.len()];
+    let mut width = 0;
+    for (k, (a, numbered)) in accesses.iter().zip(&pattern).enumerate() {
+        let (levels, dims) =
+            lookup(&a.tensor).ok_or_else(|| format!("'{}' is not a declared tensor", a.tensor))?;
+        if dims.len() != a.indices.len() {
+            return Err(format!("{a} accesses a tensor of order {}", dims.len()));
         }
-        // SpMM: B(i,k) * C(k,j) -> A(i,j);  SpTTV: B(i,j,k) * c(k) -> A(i,j).
-        [b, c] if lhs.indices.len() == 2 => {
-            let (i, j) = (lhs.indices[0], lhs.indices[1]);
-            if b.indices.len() == 2
-                && c.indices.len() == 2
-                && b.indices[0] == i
-                && b.indices[1] == c.indices[0]
-                && c.indices[1] == j
-                && info(&b.tensor).is_some_and(|(o, s, _)| o == 2 && s)
-            {
-                if let Some((_, false, dims)) = info(&c.tensor) {
-                    return LeafKernel::SpMm { jdim: dims[1] };
-                }
+        for (&v, &extent) in numbered.iter().zip(&dims) {
+            let first = *extents[v].get_or_insert(extent);
+            if first != extent {
+                return Err(format!(
+                    "index variable {} has extent {first} and, in {a}, {extent}",
+                    vars[v]
+                ));
             }
-            if b.indices.len() == 3
-                && c.indices.len() == 1
-                && b.indices[0] == i
-                && b.indices[1] == j
-                && b.indices[2] == c.indices[0]
-                && info(&b.tensor).is_some_and(|(o, s, _)| o == 3 && s)
-                && info(&c.tensor).is_some_and(|(_, s, _)| !s)
-            {
-                return LeafKernel::SpTtv;
-            }
-            LeafKernel::Generic
         }
-        // SDDMM: B(i,j)*C(i,k)*D(k,j);  SpMTTKRP: B(i,j,k)*C(j,l)*D(k,l).
-        [b, c, d] if lhs.indices.len() == 2 => {
-            let (i, j) = (lhs.indices[0], lhs.indices[1]);
-            if b.indices.len() == 2
-                && b.indices[0] == i
-                && b.indices[1] == j
-                && c.indices.len() == 2
-                && d.indices.len() == 2
-                && c.indices[0] == i
-                && c.indices[1] == d.indices[0]
-                && d.indices[1] == j
-                && info(&b.tensor).is_some_and(|(o, s, _)| o == 2 && s)
-                && info(&c.tensor).is_some_and(|(_, s, _)| !s)
-                && info(&d.tensor).is_some_and(|(_, s, _)| !s)
-            {
-                if let Some((_, _, dims)) = info(&c.tensor) {
-                    return LeafKernel::Sddmm { kdim: dims[1] };
-                }
-            }
-            // SpMTTKRP: lhs A(i, l).
-            let l = lhs.indices[1];
-            if b.indices.len() == 3
-                && b.indices[0] == i
-                && c.indices.len() == 2
-                && d.indices.len() == 2
-                && c.indices[0] == b.indices[1]
-                && d.indices[0] == b.indices[2]
-                && c.indices[1] == l
-                && d.indices[1] == l
-                && info(&b.tensor).is_some_and(|(o, s, _)| o == 3 && s)
-                && info(&c.tensor).is_some_and(|(_, s, _)| !s)
-                && info(&d.tensor).is_some_and(|(_, s, _)| !s)
-            {
-                if let Some((_, _, dims)) = info(&c.tensor) {
-                    return LeafKernel::SpMttkrp { ldim: dims[1] };
-                }
-            }
-            LeafKernel::Generic
+        // The stored layout the leaf reads: the driver through its level
+        // arrays (any layout with a compressed level), every other operand
+        // as one flat row-major `vals` slice — except SpAdd3, which indexes
+        // the level-1 `pos` of all three inputs by row.
+        use LevelFormat::{Compressed, Dense};
+        let (fits, need) = match k {
+            0 => continue,
+            _ if *kernel == LeafKernel::SpAdd3 => (
+                levels[..] == [Dense, Compressed],
+                "stored {Dense,Compressed}",
+            ),
+            1 => (levels.contains(&Compressed), "sparse (a compressed level)"),
+            _ => (levels.iter().all(|l| *l == Dense), "dense at every level"),
+        };
+        if !fits {
+            return Err(format!(
+                "operand '{}' must be {need}; it is stored {}",
+                a.tensor,
+                specialized::kinds_signature(&levels)
+            ));
         }
-        _ => LeafKernel::Generic,
+        if k == 2 {
+            width = dims[dims.len() - 1];
+        }
     }
+    Ok(match kernel {
+        LeafKernel::SpMm { .. } => LeafKernel::SpMm { jdim: width },
+        LeafKernel::Sddmm { .. } => LeafKernel::Sddmm { kdim: width },
+        LeafKernel::SpMttkrp { .. } => LeafKernel::SpMttkrp { ldim: width },
+        exact => exact.clone(),
+    })
 }
 
 /// The shared output view the leaf kernels write through.
@@ -273,24 +270,6 @@ impl<'a> OutVals<'a> {
         for (j, s) in src.iter().enumerate() {
             // SAFETY: start + j < end <= len (checked above).
             unsafe { *self.ptr.add(start + j) += v * s }
-        }
-    }
-
-    /// `out[start + j] += src[j]` for every `j` — flushing a locally
-    /// accumulated dense row in one pass. Bounds checked once per row.
-    #[inline]
-    pub fn add_from(&self, start: usize, src: &[f64]) {
-        let end = start
-            .checked_add(src.len())
-            .expect("OutVals::add_from range overflow");
-        assert!(
-            end <= self.len,
-            "OutVals::add_from range {start}..{end} out of bounds ({})",
-            self.len
-        );
-        for (j, s) in src.iter().enumerate() {
-            // SAFETY: start + j < end <= len (checked above).
-            unsafe { *self.ptr.add(start + j) += s }
         }
     }
 
@@ -445,82 +424,125 @@ mod tests {
     use spdistal_ir::{Access, Expr, VarCtx};
     use spdistal_sparse::generate;
 
-    fn mk_lookup(
-        entries: Vec<(&'static str, usize, bool, Vec<usize>)>,
-    ) -> impl Fn(&str) -> Option<(usize, bool, Vec<usize>)> {
-        move |name: &str| {
-            entries
-                .iter()
-                .find(|(n, _, _, _)| *n == name)
-                .map(|(_, o, s, d)| (*o, *s, d.clone()))
-        }
+    use LevelFormat::{Compressed as C, Dense as D, Singleton as S};
+
+    /// A tensor table: `(name, stored level kinds, dims)` per entry.
+    type Table = [(&'static str, &'static [LevelFormat], &'static [usize])];
+
+    fn recognize_in(s: &Assignment, table: &Table) -> Result<LeafKernel, String> {
+        recognize(s, &|name: &str| {
+            let (_, levels, dims) = table.iter().find(|(n, ..)| *n == name)?;
+            Some((levels.to_vec(), dims.to_vec()))
+        })
     }
+
+    const TABLE: &Table = &[
+        ("a", &[D], &[10]),
+        ("A", &[D, C], &[10, 12]),
+        ("B2", &[D, C], &[10, 12]),
+        ("B3", &[D, C, C], &[10, 12, 14]),
+        ("C2", &[D, C], &[10, 12]),
+        ("D2", &[D, C], &[10, 12]),
+        ("Dcoo", &[C, S], &[10, 12]),
+        ("Ddcsr", &[C, C], &[10, 12]),
+        ("c", &[D], &[12]),
+        ("cs", &[C], &[12]),
+        ("ck", &[D], &[14]),
+        ("Cd", &[D, D], &[12, 8]),
+        ("Ad", &[D, D], &[10, 8]),
+        ("Ck", &[D, D], &[10, 6]),
+        ("Dk", &[D, D], &[6, 12]),
+        ("Cl", &[D, D], &[12, 4]),
+        ("Dl", &[D, D], &[14, 4]),
+        ("Al", &[D, D], &[10, 4]),
+        ("Adense", &[D, D], &[10, 12]),
+    ];
 
     #[test]
     fn recognize_all_six() {
         let mut ctx = VarCtx::new();
         let [i, j, k, l] = ctx.fresh_n(["i", "j", "k", "l"]);
-        let lk = mk_lookup(vec![
-            ("B2", 2, true, vec![10, 12]),
-            ("B3", 3, true, vec![10, 12, 14]),
-            ("C2", 2, true, vec![10, 12]),
-            ("D2", 2, true, vec![10, 12]),
-            ("c", 1, false, vec![12]),
-            ("ck", 1, false, vec![14]),
-            ("Cd", 2, false, vec![12, 8]),
-            ("Ck", 2, false, vec![10, 6]),
-            ("Dk", 2, false, vec![6, 12]),
-            ("Cl", 2, false, vec![12, 4]),
-            ("Dl", 2, false, vec![14, 4]),
-        ]);
+        let ok = |lhs: Access, rhs: Expr| recognize_in(&Assignment::new(lhs, rhs), TABLE);
 
-        // SpMV
-        let s = Assignment::new(
-            Access::new("a", &[i]),
-            Expr::access("B2", &[i, j]) * Expr::access("c", &[j]),
+        let spmv = Expr::access("B2", &[i, j]) * Expr::access("c", &[j]);
+        assert_eq!(ok(Access::new("a", &[i]), spmv), Ok(LeafKernel::SpMv));
+        let spmm = Expr::access("B2", &[i, k]) * Expr::access("Cd", &[k, j]);
+        assert_eq!(
+            ok(Access::new("Ad", &[i, j]), spmm),
+            Ok(LeafKernel::SpMm { jdim: 8 })
         );
-        assert_eq!(recognize(&s, &lk), LeafKernel::SpMv);
-
-        // SpMM
-        let s = Assignment::new(
-            Access::new("A", &[i, j]),
-            Expr::access("B2", &[i, k]) * Expr::access("Dk", &[k, j]),
+        let spadd3 =
+            Expr::access("B2", &[i, j]) + Expr::access("C2", &[i, j]) + Expr::access("D2", &[i, j]);
+        assert_eq!(
+            ok(Access::new("A", &[i, j]), spadd3),
+            Ok(LeafKernel::SpAdd3)
         );
-        assert_eq!(recognize(&s, &lk), LeafKernel::SpMm { jdim: 12 });
-
-        // SpAdd3
-        let s = Assignment::new(
-            Access::new("A", &[i, j]),
-            Expr::access("B2", &[i, j]) + Expr::access("C2", &[i, j]) + Expr::access("D2", &[i, j]),
+        let sddmm =
+            Expr::access("B2", &[i, j]) * Expr::access("Ck", &[i, k]) * Expr::access("Dk", &[k, j]);
+        assert_eq!(
+            ok(Access::new("A", &[i, j]), sddmm),
+            Ok(LeafKernel::Sddmm { kdim: 6 })
         );
-        assert_eq!(recognize(&s, &lk), LeafKernel::SpAdd3);
-
-        // SDDMM
-        let s = Assignment::new(
-            Access::new("A", &[i, j]),
-            Expr::access("B2", &[i, j]) * Expr::access("Ck", &[i, k]) * Expr::access("Dk", &[k, j]),
+        let spttv = Expr::access("B3", &[i, j, k]) * Expr::access("ck", &[k]);
+        assert_eq!(ok(Access::new("A", &[i, j]), spttv), Ok(LeafKernel::SpTtv));
+        let mttkrp = Expr::access("B3", &[i, j, k])
+            * Expr::access("Cl", &[j, l])
+            * Expr::access("Dl", &[k, l]);
+        assert_eq!(
+            ok(Access::new("Al", &[i, l]), mttkrp),
+            Ok(LeafKernel::SpMttkrp { ldim: 4 })
         );
-        assert_eq!(recognize(&s, &lk), LeafKernel::Sddmm { kdim: 6 });
+    }
 
-        // SpTTV
-        let s = Assignment::new(
-            Access::new("A", &[i, j]),
-            Expr::access("B3", &[i, j, k]) * Expr::access("ck", &[k]),
-        );
-        assert_eq!(recognize(&s, &lk), LeafKernel::SpTtv);
-
-        // SpMTTKRP
-        let s = Assignment::new(
-            Access::new("A", &[i, l]),
-            Expr::access("B3", &[i, j, k])
-                * Expr::access("Cl", &[j, l])
-                * Expr::access("Dl", &[k, l]),
-        );
-        assert_eq!(recognize(&s, &lk), LeafKernel::SpMttkrp { ldim: 4 });
-
-        // Something else.
-        let s = Assignment::new(Access::new("a", &[i]), Expr::access("c", &[i]));
-        assert_eq!(recognize(&s, &lk), LeafKernel::Generic);
+    /// Every refusal of [`recognize`], each with the word its reason must
+    /// carry.
+    #[test]
+    fn recognize_refuses_what_no_leaf_computes() {
+        let mut ctx = VarCtx::new();
+        let [i, j] = ctx.fresh_n(["i", "j"]);
+        let (a, big_a) = (Access::new("a", &[i]), Access::new("A", &[i, j]));
+        let b = |t: &str| Expr::access(t, &[i, j]);
+        let c = |t: &str| Expr::access(t, &[j]);
+        let cases: Vec<(Access, Expr, &str)> =
+            vec![
+            // A constant factor, in a product and inside one summand.
+            (a.clone(), Expr::Const(2.0) * b("B2") * c("c"), "constant factor 2"),
+            (
+                big_a.clone(),
+                b("B2") + Expr::Const(0.5) * b("C2") + b("D2"),
+                "constant factor 0.5",
+            ),
+            // Shapes outside the six: a copy, a two-term sum, a repeated
+            // index variable (`B(i,i)` is a diagonal, not a row).
+            (a.clone(), Expr::access("c", &[i]), "none of the shapes"),
+            (big_a.clone(), b("B2") + b("C2"), "none of the shapes"),
+            (
+                a.clone(),
+                Expr::access("B2", &[i, i]) * Expr::access("c", &[i]),
+                "none of the shapes",
+            ),
+            (a.clone(), b("Z") * c("c"), "'Z' is not a declared tensor"),
+            (a.clone(), b("B3") * c("c"), "order 3"),
+            (a.clone(), b("B2") * c("ck"), "extent 12 and, in ck(iv1), 14"),
+            // Operand layouts the bound leaf does not read.
+            (a.clone(), b("Adense") * c("c"), "'Adense' must be sparse"),
+            (a.clone(), b("B2") * c("cs"), "'cs' must be dense"),
+            (
+                big_a.clone(),
+                b("B2") + b("C2") + b("Dcoo"),
+                "'Dcoo' must be stored {Dense,Compressed}; it is stored {Compressed,Singleton}",
+            ),
+            (
+                big_a.clone(),
+                b("B2") + b("Ddcsr") + b("D2"),
+                "'Ddcsr' must be stored {Dense,Compressed}; it is stored {Compressed,Compressed}",
+            ),
+        ];
+        for (lhs, rhs, word) in cases {
+            let stmt = Assignment::new(lhs, rhs);
+            let reason = recognize_in(&stmt, TABLE).expect_err(&stmt.to_string());
+            assert!(reason.contains(word), "{stmt}: {reason}");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod matrix;
 mod tensor3;
 
 use spdistal_runtime::{IntervalSet, Rect1};
-use spdistal_sparse::{Level, SpTensor};
+use spdistal_sparse::{Level, LevelFormat, SpTensor};
 
 use super::{KernelSpan, LeafKernel, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
@@ -210,7 +210,6 @@ pub fn kernel_name(kernel: &LeafKernel) -> &'static str {
         LeafKernel::Sddmm { .. } => "Sddmm",
         LeafKernel::SpTtv => "SpTtv",
         LeafKernel::SpMttkrp { .. } => "SpMttkrp",
-        LeafKernel::Generic => "Generic",
     }
 }
 
@@ -246,39 +245,28 @@ pub fn lookup(kernel: &LeafKernel, levels_signature: &str) -> Option<Specialized
     })
 }
 
-/// A stored level's kind, as `Format::levels_signature()` spells it.
-fn level_kind(level: &Level) -> &'static str {
-    match level {
-        Level::Dense { .. } => "Dense",
-        Level::Compressed { .. } => "Compressed",
-        Level::Singleton { .. } => "Singleton",
-    }
+/// Level kinds in the notation of `Format::levels_signature()`.
+pub(crate) fn kinds_signature(kinds: &[LevelFormat]) -> String {
+    let kinds: Vec<String> = kinds.iter().map(|k| format!("{k:?}")).collect();
+    format!("{{{}}}", kinds.join(","))
 }
 
 /// The storage signature of a tensor's *actual* levels, in the same
 /// notation as `Format::levels_signature()`.
 pub fn storage_signature(t: &SpTensor) -> String {
-    let kinds: Vec<&str> = t.levels().iter().map(level_kind).collect();
-    format!("{{{}}}", kinds.join(","))
+    kinds_signature(&t.formats())
 }
 
-/// Resolve `(kernel, levels_signature)`, verifying level by level that
-/// `driver`'s stored levels really match the declared signature — a
-/// mismatch (a tensor whose data was swapped under its format) must fall
-/// back to the walker rather than read the wrong arrays.
+/// Resolve `(kernel, levels_signature)`, verifying that `driver`'s stored
+/// levels really match the declared signature — a mismatch (a tensor whose
+/// data was swapped under its format) must fall back to the walker rather
+/// than read the wrong arrays.
 pub fn resolve(
     kernel: &LeafKernel,
     levels_signature: &str,
     driver: &SpTensor,
 ) -> Option<SpecializedKernel> {
-    let inner = levels_signature.strip_prefix('{')?.strip_suffix('}')?;
-    let mut declared = inner.split(',');
-    let stored_as_declared = driver
-        .levels()
-        .iter()
-        .all(|l| declared.next() == Some(level_kind(l)))
-        && declared.next().is_none();
-    if !stored_as_declared {
+    if storage_signature(driver) != levels_signature {
         return None;
     }
     lookup(kernel, levels_signature)
@@ -333,7 +321,6 @@ mod tests {
             LeafKernel::Sddmm { kdim: 4 },
             LeafKernel::SpTtv,
             LeafKernel::SpMttkrp { ldim: 4 },
-            LeafKernel::Generic,
         ];
         let kinds = ["Dense", "Compressed", "Singleton"];
         let mut blessed = 0;
@@ -359,10 +346,9 @@ mod tests {
             "{Dense,Compressed,Compressed}"
         )
         .is_some());
-        // SpTtv / SpAdd3 / Generic are never blessed.
+        // SpTtv / SpAdd3 are never blessed.
         assert!(lookup(&LeafKernel::SpTtv, "{Dense,Compressed,Compressed}").is_none());
         assert!(lookup(&LeafKernel::SpAdd3, "{Dense,Compressed}").is_none());
-        assert!(lookup(&LeafKernel::Generic, "{Dense,Compressed}").is_none());
         // Unblessed layouts miss.
         assert!(lookup(&LeafKernel::SpMv, "{Dense,Dense}").is_none());
     }

@@ -20,8 +20,7 @@
 //! * `SpMV`/`SpMM`/`SpMTTKRP`/`SpAdd3` write per `coords[0]` (row/slice) —
 //!   split level 0;
 //! * `SpTTV` accumulates per level-1 fiber entry — split level 1;
-//! * `SDDMM` sets one value per leaf entry — split the leaf level;
-//! * the interpreted fallback is one opaque evaluation — never split.
+//! * `SDDMM` sets one value per leaf entry — split the leaf level.
 //!
 //! Each leaf entry belongs to exactly one split-level entry, so chunking
 //! the color's split-level subset partitions the color's walk exactly:
@@ -70,16 +69,15 @@ impl KernelSpan {
 }
 
 /// The driver level whose entries key `kernel`'s output writes — the only
-/// level it may split at (see the module docs). `None`: not splittable.
-pub fn split_level(kernel: &LeafKernel, driver_order: usize) -> Option<usize> {
+/// level it may split at (see the module docs).
+pub fn split_level(kernel: &LeafKernel, driver_order: usize) -> usize {
     match kernel {
-        LeafKernel::Generic => None,
-        LeafKernel::Sddmm { .. } => Some(driver_order - 1),
-        LeafKernel::SpTtv => Some(1),
+        LeafKernel::Sddmm { .. } => driver_order - 1,
+        LeafKernel::SpTtv => 1,
         LeafKernel::SpMv
         | LeafKernel::SpMm { .. }
         | LeafKernel::SpMttkrp { .. }
-        | LeafKernel::SpAdd3 => Some(0),
+        | LeafKernel::SpAdd3 => 0,
     }
 }
 
@@ -91,8 +89,8 @@ pub fn color_weight(part: &TensorPartition, color: usize) -> u64 {
 
 /// The sub-task descriptors of one color: up to `policy.max_spans(..)`
 /// leaf-weight-balanced [`KernelSpan`]s, or the single unsplit span
-/// (`None`) when the kernel cannot split, the policy declines, or the
-/// color has too little structure to cut.
+/// (`None`) when the policy declines or the color has too little structure
+/// to cut.
 pub fn color_spans(
     driver: &SpTensor,
     part: &TensorPartition,
@@ -103,9 +101,7 @@ pub fn color_spans(
     total_weight: u64,
 ) -> Vec<Option<KernelSpan>> {
     let unsplit = vec![None];
-    let Some(level) = split_level(kernel, driver.order()) else {
-        return unsplit;
-    };
+    let level = split_level(kernel, driver.order());
     let max_spans = policy.max_spans(mode, color_weight(part, color), total_weight);
     if max_spans <= 1 {
         return unsplit;
@@ -278,13 +274,12 @@ mod tests {
 
     #[test]
     fn split_levels_follow_output_keys() {
-        assert_eq!(split_level(&LeafKernel::SpMv, 2), Some(0));
-        assert_eq!(split_level(&LeafKernel::SpMm { jdim: 4 }, 2), Some(0));
-        assert_eq!(split_level(&LeafKernel::SpAdd3, 2), Some(0));
-        assert_eq!(split_level(&LeafKernel::Sddmm { kdim: 4 }, 2), Some(1));
-        assert_eq!(split_level(&LeafKernel::SpTtv, 3), Some(1));
-        assert_eq!(split_level(&LeafKernel::SpMttkrp { ldim: 4 }, 3), Some(0));
-        assert_eq!(split_level(&LeafKernel::Generic, 2), None);
+        assert_eq!(split_level(&LeafKernel::SpMv, 2), 0);
+        assert_eq!(split_level(&LeafKernel::SpMm { jdim: 4 }, 2), 0);
+        assert_eq!(split_level(&LeafKernel::SpAdd3, 2), 0);
+        assert_eq!(split_level(&LeafKernel::Sddmm { kdim: 4 }, 2), 1);
+        assert_eq!(split_level(&LeafKernel::SpTtv, 3), 1);
+        assert_eq!(split_level(&LeafKernel::SpMttkrp { ldim: 4 }, 3), 0);
     }
 
     #[test]
@@ -350,7 +345,6 @@ mod tests {
     fn unsplittable_cases_return_single_none() {
         let t = generate::uniform(16, 16, 60, 5);
         let part = partition_tensor(&t, 0, universe_partition(&t, 0, &equal_coord_bounds(16, 4)));
-        assert!(spans_of(&t, &part, &LeafKernel::Generic, 0, 8)[0].is_none());
         assert!(spans_of(&t, &part, &LeafKernel::SpMv, 0, 1)[0].is_none());
         // Auto under serial execution never splits.
         let auto = color_spans(

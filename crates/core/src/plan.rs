@@ -21,8 +21,8 @@
 //!   one: the seed's buffer becomes the shared output allocation, the
 //!   colors whose driver rows intersect the dirty set are zeroed, and a
 //!   per-color `rerun` mask records which colors those are. A seed the
-//!   plan cannot honour (reduction, assembled or interpreted output, or a
-//!   buffer of the wrong length) is dropped and every color re-runs;
+//!   plan cannot honour (reduction or assembled output, or a buffer of the
+//!   wrong length) is dropped and every color re-runs;
 //!   [`MergeReport::merged`] says which happened.
 //! * **run** — [`PreparedPlan::run_point`] executes one span of one color's
 //!   leaf kernel — or, for a color the `rerun` mask clears, records a
@@ -81,7 +81,6 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use spdistal_ir::{interp, Bindings};
 use spdistal_runtime::pipeline::{LaunchDesc, LaunchTiming, Pipeline};
 use spdistal_runtime::sched::ExecReport;
 use spdistal_runtime::{
@@ -100,20 +99,15 @@ use crate::streaming::DirtyMap;
 /// The computed value of a plan's output.
 #[derive(Clone, Debug)]
 pub enum OutputValue {
-    /// Dense buffer (vector, or row-major matrix with the plan's width).
+    /// Dense buffer. No plan produces one — every output is written back
+    /// as a tensor — but `benchmark/src/spec.rs` still matches on the
+    /// variant, so it stays until a `[benchmark]` PR drops those arms.
     Dense(Vec<f64>),
     /// A sparse tensor (pattern-aligned or assembled).
     Tensor(SpTensor),
 }
 
 impl OutputValue {
-    pub fn as_dense(&self) -> Option<&[f64]> {
-        match self {
-            OutputValue::Dense(v) => Some(v),
-            OutputValue::Tensor(_) => None,
-        }
-    }
-
     pub fn as_tensor(&self) -> Option<&SpTensor> {
         match self {
             OutputValue::Tensor(t) => Some(t),
@@ -198,7 +192,7 @@ pub fn execute(ctx: &mut Context, plan: &Plan) -> Result<ExecResult, Error> {
     let (report, timings) = pipeline.run_traced(ctx.exec_mode(), &trace, |_, point, span| {
         prepared.run_point(point, span)
     });
-    let finished = prepared.finish()?;
+    let finished = prepared.finish();
     finish_model(ctx, plan, finished, report, timings, None)
 }
 
@@ -217,10 +211,6 @@ enum PointResult {
         sym: f64,
         num: f64,
     },
-    /// The interpreted fallback's dense result.
-    Interp(Vec<f64>),
-    /// The interpreted fallback failed.
-    Failed(String),
 }
 
 /// The leaf of a dense-output plan, bound once at describe time: runs one
@@ -237,10 +227,6 @@ enum Body<'a> {
     SpAdd3 {
         c: &'a SpTensor,
         d: &'a SpTensor,
-    },
-    Interp {
-        bindings: Bindings<'a>,
-        out_dims: Vec<usize>,
     },
 }
 
@@ -326,7 +312,7 @@ pub(crate) struct PreparedPlan<'a> {
     rerun: Vec<bool>,
     /// Reduction plans: one private partial per color, written in place by
     /// the color's spans (disjoint elements), combined in color order at
-    /// [`PreparedPlan::finish`]. Empty for in-place/assembled/interp plans.
+    /// [`PreparedPlan::finish`]. Empty for in-place and assembled plans.
     reduce_parts: Vec<SharedOut>,
     /// One result slot per span, in (point, span) order; each is written
     /// once, by the one worker that runs the span.
@@ -420,16 +406,6 @@ impl<'a> PreparedPlan<'a> {
                 },
                 0,
             ),
-            LeafKernel::Generic => {
-                let mut bindings = Bindings::new();
-                for name in plan.stmt.tensor_names() {
-                    if name != plan.output.tensor {
-                        bindings = bindings.bind(&name, &ctx.tensor(&name)?.data);
-                    }
-                }
-                let out_dims = ctx.tensor(&plan.output.tensor)?.data.dims().to_vec();
-                (Body::Interp { bindings, out_dims }, 0)
-            }
         };
         let trace = ctx.trace();
         if trace.is_enabled() {
@@ -440,17 +416,10 @@ impl<'a> PreparedPlan<'a> {
             );
         }
 
-        // The interpreted fallback is one global evaluation: a single point
-        // task claiming every color's requirements.
-        let per_color = dag_reqs(ctx, plan, out_region)?;
-        let point_reqs = if matches!(body, Body::Interp { .. }) {
-            vec![per_color.into_iter().flatten().collect()]
-        } else {
-            per_color
-        };
+        let point_reqs = dag_reqs(ctx, plan, out_region)?;
 
         let (shared, dirty) = match &plan.kernel {
-            LeafKernel::SpAdd3 | LeafKernel::Generic => (None, None),
+            LeafKernel::SpAdd3 => (None, None),
             _ if plan.output.reduce => (None, None),
             _ => match seed {
                 Some(seed) if seed.vals.len() == out_len => {
@@ -462,8 +431,7 @@ impl<'a> PreparedPlan<'a> {
         // Aliased (reduce) outputs: the color partials the unsplit path
         // allocated per point task, hoisted to describe time so a split
         // color's spans can share one partial (writing disjoint elements).
-        let reduce_parts: Vec<SharedOut> = if shared.is_none()
-            && !matches!(plan.kernel, LeafKernel::SpAdd3 | LeafKernel::Generic)
+        let reduce_parts: Vec<SharedOut> = if shared.is_none() && plan.kernel != LeafKernel::SpAdd3
         {
             (0..plan.colors)
                 .map(|_| SharedOut::new(vec![0.0; out_len]))
@@ -472,29 +440,24 @@ impl<'a> PreparedPlan<'a> {
             Vec::new()
         };
 
-        // Split safety per statement: the interpreted fallback is one
-        // opaque evaluation; everything else splits at the kernel's
-        // output-keyed level, sized by the context's policy and mode.
-        let spans: Vec<Vec<Option<KernelSpan>>> = if matches!(body, Body::Interp { .. }) {
-            vec![vec![None]]
-        } else {
-            let total_weight: u64 = (0..plan.colors)
-                .map(|c| kernels::split::color_weight(part, c))
-                .sum();
-            (0..point_reqs.len())
-                .map(|color| {
-                    kernels::color_spans(
-                        driver,
-                        part,
-                        &plan.kernel,
-                        color,
-                        ctx.split_policy(),
-                        ctx.exec_mode(),
-                        total_weight,
-                    )
-                })
-                .collect()
-        };
+        // Every color splits at the kernel's output-keyed level, sized by
+        // the context's policy and mode.
+        let total_weight: u64 = (0..plan.colors)
+            .map(|c| kernels::split::color_weight(part, c))
+            .sum();
+        let spans: Vec<Vec<Option<KernelSpan>>> = (0..plan.colors)
+            .map(|color| {
+                kernels::color_spans(
+                    driver,
+                    part,
+                    &plan.kernel,
+                    color,
+                    ctx.split_policy(),
+                    ctx.exec_mode(),
+                    total_weight,
+                )
+            })
+            .collect();
         let mut span_offsets = Vec::with_capacity(spans.len());
         let mut total_spans = 0;
         for s in &spans {
@@ -569,12 +532,6 @@ impl<'a> PreparedPlan<'a> {
                     matrix::spadd3_color(self.driver, c, d, self.part, point, clamp);
                 PointResult::Rows { rows, sym, num }
             }
-            Body::Interp { bindings, out_dims } => {
-                match interp::evaluate(&self.plan.stmt, bindings) {
-                    Ok(result) => PointResult::Interp(interp::result_to_dense(&result, out_dims)),
-                    Err(e) => PointResult::Failed(format!("interp: {e}")),
-                }
-            }
         };
         let written = self.slots[self.span_offsets[point] + span].set(result);
         assert!(written.is_ok(), "span ({point}, {span}) ran twice");
@@ -622,7 +579,7 @@ impl<'a> PreparedPlan<'a> {
 
     /// Fold the per-span results into the computed output and the
     /// per-color modeled op counts. Call after every span ran.
-    pub(crate) fn finish(self) -> Result<Finished, Error> {
+    pub(crate) fn finish(self) -> Finished {
         let colors = self.spans.iter().zip(&self.rerun);
         let spans_skipped = colors.filter(|(_, r)| !**r).map(|(s, _)| s.len()).sum();
         let merge = MergeReport {
@@ -630,16 +587,16 @@ impl<'a> PreparedPlan<'a> {
             spans_reexecuted: self.slots.len() - spans_skipped,
             spans_skipped,
         };
-        let (computed, ops) = self.fold()?;
-        Ok(Finished {
+        let (computed, ops) = self.fold();
+        Finished {
             computed,
             ops,
             merge,
-        })
+        }
     }
 
     /// The per-kernel half of [`PreparedPlan::finish`].
-    fn fold(self) -> Result<(Computed, Vec<f64>), Error> {
+    fn fold(self) -> (Computed, Vec<f64>) {
         // Group the flat span results back per point, in span order.
         let mut flat: Vec<PointResult> = self
             .slots
@@ -680,7 +637,7 @@ impl<'a> PreparedPlan<'a> {
                     ops[col] = sym_c + num_c;
                 }
                 let total_nnz = per_color_nnz.iter().sum();
-                Ok((
+                (
                     Computed::Assembled {
                         rows: all_rows,
                         per_color_nnz,
@@ -689,22 +646,7 @@ impl<'a> PreparedPlan<'a> {
                         numeric_ops,
                     },
                     ops,
-                ))
-            }
-            LeafKernel::Generic => {
-                let flat: Vec<PointResult> = results.into_iter().flatten().collect();
-                let [result] = <[PointResult; 1]>::try_from(flat)
-                    .map_err(|_| Error::Unsupported("generic point count".into()))?;
-                let dense = match result {
-                    PointResult::Interp(v) => v,
-                    PointResult::Failed(e) => return Err(Error::Unsupported(e)),
-                    _ => unreachable!("generic point result shape"),
-                };
-                let mut ops = vec![0.0; colors];
-                for (col, op) in ops.iter_mut().enumerate() {
-                    *op = self.part.vals.subset(col).total_len() as f64;
-                }
-                Ok((Computed::Dense(dense), ops))
+                )
             }
             _ => {
                 // Per-color ops: exact integer sums over the color's spans
@@ -731,11 +673,7 @@ impl<'a> PreparedPlan<'a> {
                     }
                     out
                 };
-                let computed = match self.plan.kernel {
-                    LeafKernel::Sddmm { .. } | LeafKernel::SpTtv => Computed::PatternVals(buf),
-                    _ => Computed::Dense(buf),
-                };
-                Ok((computed, ops))
+                (Computed::Vals(buf), ops)
             }
         }
     }
@@ -774,8 +712,7 @@ pub(crate) fn finish_model(
     );
 
     let out_len = match &computed {
-        Computed::Dense(v) => v.len() as u64,
-        Computed::PatternVals(v) => v.len() as u64,
+        Computed::Vals(v) => v.len() as u64,
         Computed::Assembled { total_nnz, .. } => *total_nnz as u64,
     };
     let out_region =
@@ -907,16 +844,7 @@ pub(crate) fn finish_model(
 
     // --- write back ------------------------------------------------------
     let output = materialize_output(ctx, plan, computed)?;
-    if let OutputValue::Tensor(t) = &output {
-        ctx.replace_tensor_data(&plan.output.tensor, t.clone())?;
-    } else if let OutputValue::Dense(v) = &output {
-        // Dense outputs write through when shapes line up.
-        if let Ok(data) = ctx.tensor_data_mut(&plan.output.tensor) {
-            if data.num_stored() == v.len() {
-                data.vals_mut().copy_from_slice(v);
-            }
-        }
-    }
+    ctx.replace_tensor_data(&plan.output.tensor, output.clone())?;
 
     // Nothing reads the per-run output region after its own launch(es):
     // release it, so the runtime's state is bounded by the program.
@@ -934,7 +862,7 @@ pub(crate) fn finish_model(
         records: issued,
         sched,
         merge,
-        output,
+        output: OutputValue::Tensor(output),
     })
 }
 
@@ -1092,8 +1020,9 @@ pub(crate) struct Finished {
 }
 
 pub(crate) enum Computed {
-    Dense(Vec<f64>),
-    PatternVals(Vec<f64>),
+    /// The in-place buffer: dense, or aligned with the driver's pattern —
+    /// the plan's [`OutKind`] says which.
+    Vals(Vec<f64>),
     Assembled {
         rows: Vec<matrix::AddRow>,
         per_color_nnz: Vec<usize>,
@@ -1103,23 +1032,16 @@ pub(crate) enum Computed {
     },
 }
 
-/// Turn the computed buffers into the plan's output value.
-fn materialize_output(
-    ctx: &Context,
-    plan: &Plan,
-    computed: Computed,
-) -> Result<OutputValue, Error> {
-    match (computed, &plan.output.kind) {
-        (Computed::Dense(v), OutKind::DenseVec) => Ok(OutputValue::Tensor(dense_vector(v))),
-        (Computed::Dense(v), OutKind::DenseMat { width }) => {
-            let rows = v.len() / width;
-            Ok(OutputValue::Tensor(spdistal_sparse::dense_matrix(
-                rows, *width, v,
-            )))
+/// Turn the computed buffers into the plan's output tensor.
+fn materialize_output(ctx: &Context, plan: &Plan, computed: Computed) -> Result<SpTensor, Error> {
+    Ok(match (computed, &plan.output.kind) {
+        (Computed::Vals(v), OutKind::DenseVec) => dense_vector(v),
+        (Computed::Vals(v), OutKind::DenseMat { width }) => {
+            spdistal_sparse::dense_matrix(v.len() / width, *width, v)
         }
-        (Computed::PatternVals(vals), OutKind::PatternVals { level }) => {
+        (Computed::Vals(vals), OutKind::PatternVals { level }) => {
             let driver = &ctx.tensor(&plan.driver)?.data;
-            let t = if *level == driver.order() - 1 {
+            if *level == driver.order() - 1 {
                 // Full pattern reuse (SDDMM).
                 let mut out = driver.clone();
                 out.vals_mut().copy_from_slice(&vals);
@@ -1127,20 +1049,14 @@ fn materialize_output(
             } else {
                 // Fiber-level pattern (SpTTV): first two levels.
                 tensor3::spttv_output(driver, vals)
-            };
-            Ok(OutputValue::Tensor(t))
+            }
         }
         (Computed::Assembled { rows, .. }, OutKind::SparseAssembled) => {
             let out_t = &ctx.tensor(&plan.output.tensor)?.data;
-            Ok(OutputValue::Tensor(matrix::assemble_rows(
-                out_t.dims()[0],
-                out_t.dims()[1],
-                rows,
-            )))
+            matrix::assemble_rows(out_t.dims()[0], out_t.dims()[1], rows)
         }
-        (Computed::Dense(v), _) => Ok(OutputValue::Dense(v)),
-        _ => Err(Error::Unsupported("output kind mismatch".into())),
-    }
+        _ => return Err(Error::Unsupported("output kind mismatch".into())),
+    })
 }
 
 /// Helper for tests and the figure binaries: a zeroed COO-backed CSR with

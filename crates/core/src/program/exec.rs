@@ -84,8 +84,8 @@ pub(crate) enum Fallback {
     DriverMutatedOutside(String),
     LineageBroken(String),
     DirtyRatio(f64),
-    /// Decided by the prepared plan, not by [`eligibility`]: reduction,
-    /// assembled and interpreted outputs have no shared buffer to seed.
+    /// Decided by the prepared plan, not by [`eligibility`]: reduction and
+    /// assembled outputs have no shared buffer to seed.
     NoInPlaceOutput,
 }
 

@@ -397,10 +397,7 @@ impl<'c> Session<'c> {
                 pipeline.run_traced(mode, &trace, |launch, point, span| {
                     prepared[launch].run_point(point, span)
                 });
-            let finished = prepared
-                .into_iter()
-                .map(PreparedPlan::finish)
-                .collect::<Result<Vec<_>, Error>>()?;
+            let finished: Vec<_> = prepared.into_iter().map(PreparedPlan::finish).collect();
             (exec_report, timings, finished, pred_sets)
         };
 

@@ -13,12 +13,12 @@
 //!   `parallelize`) combined with DISTAL's `distribute` and `communicate`.
 //!
 //! [`lower`] turns a scheduled statement into a [`loop_ir::LoopNest`] that
-//! the partitioning code generator (crate `spdistal`) walks, and [`interp`]
-//! provides a semantics-first evaluator used as a correctness oracle.
+//! the partitioning code generator (crate `spdistal`) walks. Nothing here
+//! evaluates a statement: the correctness oracle of every shape that
+//! compiles is `spdistal_sparse::reference`.
 
 pub mod expr;
 pub mod format;
-pub mod interp;
 pub mod loop_ir;
 pub mod lower;
 pub mod parse;
@@ -28,7 +28,6 @@ pub mod vars;
 
 pub use expr::{Access, Assignment, Expr, Term};
 pub use format::Format;
-pub use interp::{evaluate, result_to_dense, result_to_tensor, Bindings, EvalError};
 pub use loop_ir::{IterKind, LoopLevel, LoopNest};
 pub use lower::lower;
 pub use parse::{parse_tin, parse_tin_with_vars, ParseError};

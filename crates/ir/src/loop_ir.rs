@@ -4,8 +4,7 @@
 //! This is what "generated code" looks like in this reproduction: instead of
 //! emitting C++, the compiler lowers a scheduled TIN statement into a
 //! [`LoopNest`], which the partitioning code generator (crate `spdistal`)
-//! walks recursively — exactly the structure of Figure 9a — and which the
-//! reference interpreter executes for correctness checks.
+//! walks recursively — exactly the structure of Figure 9a.
 
 use crate::expr::Assignment;
 use crate::schedule::ParallelUnit;

@@ -9,8 +9,11 @@
 //! [`LaunchDesc::summary`] merges everything into one whole-launch
 //! requirement set — per `(region, privilege)`, the union of all point
 //! subsets. The [`LaunchGraph`](super::LaunchGraph) decides the same
-//! conflicts from [`LaunchDesc::reqs`] directly, region first, and builds a
-//! summary for nobody.
+//! conflicts from [`LaunchDesc::reqs`] directly, region first, so no
+//! summary is built on the run path: the summary, with
+//! `LaunchGraph::from_summaries`, is the oracle that analysis is tested
+//! against (`tests/pipeline_props.rs`,
+//! `region_first_analysis_equals_summary_analysis`).
 
 use std::collections::BTreeMap;
 

@@ -301,6 +301,54 @@ fn unknown_schedules_and_formats_are_typed_server_errors() {
         ClientError::Server { code, .. } => assert_eq!(code, "bad_schedule"),
         other => panic!("expected server error, got {other}"),
     }
+
+    // A statement no leaf computes is refused at compile: a terminal `exec`
+    // error naming it, on a connection that stays usable, beside a
+    // neighbour whose results do not move by a bit.
+    let (b_data, c_data) = demo_tensors();
+    let healthy = |client: &mut Client| -> Vec<u64> {
+        let outcome = client
+            .submit(&[(STMT, "outer-dim")], 1, true, |_| {})
+            .expect("healthy submit");
+        outcome.results[0].1.iter().map(|v| v.to_bits()).collect()
+    };
+    let mut neighbour = harness.client();
+    neighbour.hello("neighbour").expect("hello");
+    register_demo(&mut neighbour, &b_data, &c_data);
+    let before = healthy(&mut neighbour);
+
+    register_demo(&mut client, &b_data, &c_data);
+    for (name, format) in [
+        ("S", "blocked_csr"),
+        ("P", "blocked_coo"),
+        ("Q", "blocked_coo"),
+        ("R", "blocked_coo"),
+    ] {
+        client
+            .register_tensor(name, format, &b_data)
+            .expect("register");
+    }
+    for (tin, named) in [
+        ("a(i) = c(i)", "a(iv0) = c(iv0)"),
+        (
+            "a(i) = 2 * B(i,j) * c(j)",
+            "a(iv0) = 2 * B(iv0,iv1) * c(iv1)",
+        ),
+        (
+            "S(i,j) = P(i,j) + Q(i,j) + R(i,j)",
+            "S(iv0,iv1) = P(iv0,iv1) + Q(iv0,iv1) + R(iv0,iv1)",
+        ),
+    ] {
+        match client.submit(&[(tin, "outer-dim")], 1, true, |_| {}) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, "exec", "{tin}: {message}");
+                assert!(message.contains(named), "{tin}: {message}");
+            }
+            other => panic!("'{tin}' must be refused, got {other:?}"),
+        }
+    }
+    assert_eq!(healthy(&mut client), before);
+    assert_eq!(healthy(&mut neighbour), before);
     harness.finish();
 }
 

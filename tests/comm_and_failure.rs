@@ -3,8 +3,10 @@
 //! ones pay for reshaping (Section II-D), and memory capacity surfaces as
 //! OOM rather than wrong answers.
 
+use spdistal_repro::ir::Expr;
 use spdistal_repro::runtime::{Machine, MachineProfile, RuntimeError};
-use spdistal_repro::sparse::{dense_vector, generate};
+use spdistal_repro::sparse::{convert, dense_vector, generate, reference, SpTensor};
+use spdistal_repro::spdistal::plan::empty_csr;
 use spdistal_repro::spdistal::prelude::*;
 use spdistal_repro::spdistal::{access, assign, schedule_nonzero, schedule_outer_dim};
 
@@ -159,6 +161,100 @@ fn bad_schedules_rejected() {
     let mut sched = Schedule::new();
     sched.communicate(&["B"], i);
     assert!(ctx.compile(&stmt, &sched).is_err());
+}
+
+/// A statement no leaf computes is refused at compile with a typed error
+/// naming it — it is never run as some other statement — and the plan
+/// cache it was refused under still serves the healthy programs after it.
+#[test]
+fn statements_no_leaf_computes_are_refused_at_compile() {
+    let cache = PlanCache::shared();
+    let on =
+        || Program::on(Machine::grid1d(4, MachineProfile::lassen_cpu())).plan_cache(cache.clone());
+    let refused = |p: Program, stmt: &str, why: &str| match p.build().unwrap().run() {
+        Err(Error::Unsupported(msg)) => {
+            assert!(msg.contains(stmt) && msg.contains(why), "{msg}");
+        }
+        other => panic!("'{stmt}' must be refused, got {:?}", other.map(|_| ())),
+    };
+
+    // A constant factor is not dropped: text and builder front-ends alike.
+    let b = generate::uniform(50, 40, 300, 8);
+    let c = generate::dense_vec(40, 3);
+    let spmv = |c: &[f64]| {
+        on().tensor(
+            "a",
+            Format::blocked_dense_vec(),
+            dense_vector(vec![0.0; 50]),
+        )
+        .tensor("B", Format::blocked_csr(), b.clone())
+        .tensor(
+            "c",
+            Format::replicated_dense_vec(),
+            dense_vector(c.to_vec()),
+        )
+    };
+    let scaled = "a(iv0) = 2 * B(iv0,iv1) * c(iv1)";
+    refused(
+        spmv(&c).stmt("a(i) = 2 * B(i,j) * c(j)"),
+        scaled,
+        "constant factor 2",
+    );
+    let built = spmv(&c).stmt_with(|vars| {
+        let [i, j] = vars.fresh_n(["i", "j"]);
+        assign(
+            "a",
+            &[i],
+            Expr::Const(2.0) * access("B", &[i, j]) * access("c", &[j]),
+        )
+    });
+    refused(built, scaled, "constant factor 2");
+    // A vector the leaf would index past its end (a worker panic before).
+    refused(
+        spmv(&c[..7]).stmt("a(i) = B(i,j) * c(j)"),
+        "a(iv0) = B(iv0,iv1) * c(iv1)",
+        "extent 40 and, in c(iv1), 7",
+    );
+    let mut healthy = spmv(&c).stmt("a(i) = B(i,j) * c(j)").build().unwrap();
+    healthy.run().unwrap();
+    let got = healthy.value(0).unwrap().as_tensor().unwrap();
+    assert_eq!(got.vals(), reference::spmv(&b, &c));
+
+    // SpAdd3 reads its operands' level-1 `pos` by row: CSR or nothing. DCSR
+    // with empty rows used to add the wrong rows, COO used to panic.
+    let b = generate::uniform(50, 40, 30, 8);
+    let (c, d) = (
+        generate::shift_last_dim(&b, 3),
+        generate::shift_last_dim(&b, 7),
+    );
+    let spadd3 = |fmt: Format, store: fn(&SpTensor) -> SpTensor| {
+        on().tensor("A", Format::blocked_csr(), empty_csr(50, 40))
+            .tensor("B", fmt.clone(), store(&b))
+            .tensor("C", fmt.clone(), store(&c))
+            .tensor("D", fmt, store(&d))
+            .stmt("A(i,j) = B(i,j) + C(i,j) + D(i,j)")
+    };
+    let sum = "A(iv0,iv1) = B(iv0,iv1) + C(iv0,iv1) + D(iv0,iv1)";
+    refused(
+        spadd3(Format::blocked_dcsr(), convert::to_dcsr),
+        sum,
+        "operand 'B' must be stored {Dense,Compressed}; it is stored {Compressed,Compressed}",
+    );
+    refused(
+        spadd3(Format::blocked_coo(), convert::to_coo_format),
+        sum,
+        "operand 'B' must be stored {Dense,Compressed}; it is stored {Compressed,Singleton}",
+    );
+    let mut csr = spadd3(Format::blocked_csr(), SpTensor::clone)
+        .build()
+        .unwrap();
+    csr.run().unwrap();
+    let got = csr.value(0).unwrap().as_tensor().unwrap();
+    assert!(reference::tensors_approx_eq(
+        got,
+        &reference::spadd3(&b, &c, &d),
+        1e-12
+    ));
 }
 
 /// The deferred-execution model never synchronizes processors without a
