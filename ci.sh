@@ -85,8 +85,12 @@ t2_out="$(cargo run --release -q -p spdistal-client --bin spd-client -- \
   --uds "$spd_sock" --tenant t2 demo --skew 0.9)"
 echo "$t2_out"
 grep -q "plan_cache.miss=0" <<<"$t2_out"
-cargo run --release -q -p spdistal-client --bin spd-client -- \
-  --uds "$spd_sock" report | grep -q "plan_cache.hit.cross_tenant"
+spd_report="$(cargo run --release -q -p spdistal-client --bin spd-client -- \
+  --uds "$spd_sock" report)"
+grep -q "plan_cache.hit.cross_tenant" <<<"$spd_report"
+# Every submit either built a program or ran its connection's resident one,
+# and says so.
+grep -q "server.program.built" <<<"$spd_report"
 cargo run --release -q -p spdistal-client --bin spd-client -- \
   --uds "$spd_sock" shutdown
 for _ in $(seq 1 100); do kill -0 "$spd_pid" 2>/dev/null || break; sleep 0.1; done
@@ -118,6 +122,13 @@ echo "==> leaf identity suites, optimised"
 # exclusive slices and the prefetch hints are where a bug that only
 # optimisation exposes would hide (~1 s once built).
 cargo test -q --release --test specialized_identity --test kernel_dispatch --test parallel_identity
+
+echo "==> serving suites, optimised"
+# The wire codec, the framing and the service tests again in --release:
+# the TCP submit latency (< 20 ms; it was 88 ms under Nagle) and the 256 KiB
+# JSON string parse (< 20 ms; it was 1.1 s) are bounds on optimised code,
+# and the value block's bit arithmetic is where a release-only bug would be.
+cargo test -q --release -p spdistal-server -p spdistal-client -p spdistal-obs
 
 echo "==> golden tables: the paper's modelled figures, byte for byte"
 # The figure binaries print simulated time on the machine model: a pure

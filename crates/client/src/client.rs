@@ -85,8 +85,13 @@ pub struct Client {
 
 impl Client {
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
+        let stream = TcpStream::connect(addr)?;
+        // A frame is a whole message: never hold one back for Nagle's
+        // coalescing timer (the server does the same on accept). Failing
+        // to set it costs latency, not correctness.
+        let _ = stream.set_nodelay(true);
         Ok(Client {
-            conn: Box::new(TcpStream::connect(addr)?),
+            conn: Box::new(stream),
             max_frame: DEFAULT_MAX_FRAME,
         })
     }

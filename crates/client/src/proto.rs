@@ -7,9 +7,14 @@
 //! or `error`). Encoding is hand-rolled against `spdistal_obs::json` (the
 //! build is offline — no serde).
 //!
-//! Floating-point values cross the wire via Rust's shortest-repr
-//! formatting, which round-trips every finite `f64` bit-exactly — the
-//! server's results are byte-for-byte the single-process results.
+//! Every `f64` **array** (`result` and `register` values) crosses the wire
+//! as one JSON string field, `"vals_b64"`: the values' `to_bits()` as
+//! little-endian bytes, 8 per value, in padded standard-alphabet base64.
+//! That is bit-exact for every `f64` — NaN payloads, `±inf`, `-0.0` and
+//! subnormals included — so the server's results are bit for bit the
+//! single-process results, and it costs a table lookup per 6 bits instead
+//! of a decimal print and parse per value. Scalars (`wall_seconds`, a
+//! delta's `val`) stay JSON numbers.
 
 use spdistal_ir::Format;
 use spdistal_obs::json::{self, Json};
@@ -75,15 +80,87 @@ fn bool_field(v: &Json, key: &str) -> Result<bool, ProtoError> {
     }
 }
 
-fn push_f64_array(out: &mut String, vals: &[f64]) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json::number(*v));
+const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Sextet of each alphabet byte; `0xFF` for every other byte.
+const B64_SEXTET: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[B64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
     }
-    out.push(']');
+    table
+};
+
+/// The one encoder of an `f64` array: `,"vals_b64":"<base64>"` (see the
+/// module docs for the layout).
+fn push_vals_b64(out: &mut String, vals: &[f64]) {
+    let mut bytes = Vec::with_capacity(vals.len() * 8 + 2);
+    for v in vals {
+        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    // Zero-fill the last group, then write '=' over the sextets that hold
+    // nothing but fill.
+    let pad = (3 - bytes.len() % 3) % 3;
+    bytes.resize(bytes.len() + pad, 0);
+    out.reserve(bytes.len() / 3 * 4 + 16);
+    out.push_str(",\"vals_b64\":\"");
+    for g in bytes.chunks_exact(3) {
+        let n = (g[0] as u32) << 16 | (g[1] as u32) << 8 | g[2] as u32;
+        for shift in [18, 12, 6, 0] {
+            out.push(B64_ALPHABET[(n >> shift) as usize & 63] as char);
+        }
+    }
+    out.truncate(out.len() - pad);
+    out.push_str(&"=="[..pad]);
+    out.push('"');
+}
+
+/// The one decoder of an `f64` array: the `"vals_b64"` field of `v`.
+/// Anything but canonical padded base64 of a whole number of 8-byte values
+/// is a [`ProtoError::Shape`].
+fn vals_b64_field(v: &Json) -> Result<Vec<f64>, ProtoError> {
+    let text = field(v, "vals_b64")?
+        .as_str()
+        .ok_or_else(|| shape("'vals_b64' must be a string"))?
+        .as_bytes();
+    let pad = text.iter().rev().take_while(|&&b| b == b'=').count();
+    if text.len() % 4 != 0 || pad > 2 {
+        return Err(shape(format!(
+            "'vals_b64' has bad padding ({} characters, {pad} of them '=')",
+            text.len()
+        )));
+    }
+    let mut bytes = Vec::with_capacity(text.len() / 4 * 3);
+    let (mut acc, mut held) = (0u32, 0u32);
+    for (at, &c) in text[..text.len() - pad].iter().enumerate() {
+        let sextet = B64_SEXTET[c as usize];
+        if sextet == 0xFF {
+            return Err(shape(format!(
+                "'vals_b64' has a byte outside the base64 alphabet at {at}"
+            )));
+        }
+        acc = acc << 6 | sextet as u32;
+        held += 6;
+        if held >= 8 {
+            held -= 8;
+            bytes.push((acc >> held) as u8);
+        }
+    }
+    if acc & ((1 << held) - 1) != 0 {
+        return Err(shape("'vals_b64' has non-zero bits under its padding"));
+    }
+    if bytes.len() % 8 != 0 {
+        return Err(shape(format!(
+            "'vals_b64' holds {} bytes, not a multiple of 8",
+            bytes.len()
+        )));
+    }
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("chunks of 8"))))
+        .collect())
 }
 
 fn push_stmts(out: &mut String, stmts: &[StmtSpec]) {
@@ -184,7 +261,8 @@ pub enum Request {
     /// Name this connection's tenant (defaults to a per-connection label).
     Hello { tenant: String },
     /// Declare a tensor: format preset name, dimensions, and non-zeros
-    /// in coordinate form.
+    /// in coordinate form (`coords` as a JSON array, `vals` as the
+    /// `vals_b64` block — see the module docs).
     Register {
         name: String,
         format: String,
@@ -257,8 +335,8 @@ impl Request {
                     }
                     out.push(']');
                 }
-                out.push_str("],\"vals\":");
-                push_f64_array(&mut out, vals);
+                out.push(']');
+                push_vals_b64(&mut out, vals);
                 out.push('}');
                 out
             }
@@ -328,12 +406,7 @@ impl Request {
                             .collect::<Result<Vec<i64>, _>>()
                     })
                     .collect::<Result<Vec<Vec<i64>>, _>>()?;
-                let vals = field(&v, "vals")?
-                    .as_arr()
-                    .ok_or_else(|| shape("'vals' must be an array"))?
-                    .iter()
-                    .map(|x| x.as_f64().ok_or_else(|| shape("'vals' must be numbers")))
-                    .collect::<Result<Vec<f64>, _>>()?;
+                let vals = vals_b64_field(&v)?;
                 if coords.len() != vals.len() {
                     return Err(shape("'coords' and 'vals' lengths differ"));
                 }
@@ -378,7 +451,8 @@ pub enum Event {
         choice: String,
         reason: String,
     },
-    /// One iteration's flush summary (cumulative program counters).
+    /// One iteration's flush summary (counters cumulative over this
+    /// submission, whether or not its program served earlier ones).
     FlushReport {
         iteration: usize,
         batches: usize,
@@ -399,7 +473,8 @@ pub enum Event {
         spans_skipped: usize,
         fallback: bool,
     },
-    /// One statement's output values after the last iteration.
+    /// One statement's output values after the last iteration (`vals_b64`
+    /// on the wire — see the module docs).
     Result { stmt: usize, vals: Vec<f64> },
     /// Successful end of a submission.
     Done {
@@ -411,17 +486,13 @@ pub enum Event {
     /// Answer to `report`: the merged run report, one JSON line.
     Report { json: String },
     /// A typed failure. `code` is machine-readable (`bad_json`,
-    /// `bad_format`, `bad_schedule`, `queue_full`, `truncated_frame`,
-    /// `frame_too_large`, `exec`, `server_shutdown`).
+    /// `bad_format`, `bad_tensor`, `unknown_tensor`, `bad_schedule`,
+    /// `queue_full`, `truncated_frame`, `frame_too_large`, `exec` — a job
+    /// that failed or panicked —, `server_shutdown`).
     Error { code: String, message: String },
 }
 
 impl Event {
-    /// Whether this event terminates a submission stream.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, Event::Done { .. } | Event::Error { .. })
-    }
-
     pub fn to_json(&self) -> String {
         match self {
             Event::Welcome { tenant, server } => format!(
@@ -473,8 +544,8 @@ impl Event {
                  \"spans_skipped\":{spans_skipped},\"fallback\":{fallback}}}"
             ),
             Event::Result { stmt, vals } => {
-                let mut out = format!("{{\"type\":\"result\",\"stmt\":{stmt},\"vals\":");
-                push_f64_array(&mut out, vals);
+                let mut out = format!("{{\"type\":\"result\",\"stmt\":{stmt}");
+                push_vals_b64(&mut out, vals);
                 out.push('}');
                 out
             }
@@ -537,12 +608,7 @@ impl Event {
             }),
             "result" => Ok(Event::Result {
                 stmt: usize_field(&v, "stmt")?,
-                vals: field(&v, "vals")?
-                    .as_arr()
-                    .ok_or_else(|| shape("'vals' must be an array"))?
-                    .iter()
-                    .map(|x| x.as_f64().ok_or_else(|| shape("'vals' must be numbers")))
-                    .collect::<Result<Vec<f64>, _>>()?,
+                vals: vals_b64_field(&v)?,
             }),
             "done" => Ok(Event::Done {
                 iterations: usize_field(&v, "iterations")?,
@@ -715,20 +781,88 @@ mod tests {
         }
     }
 
+    fn bits(vals: &[f64]) -> Vec<u64> {
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn f64_values_cross_the_wire_bit_exactly() {
-        let vals = vec![0.1, 1.0 / 3.0, -0.0, 6.02214076e23, f64::MIN_POSITIVE];
+    fn every_f64_crosses_the_wire_bit_exactly() {
+        // A NaN with a payload, both infinities, the signed zeros, the
+        // smallest normal, a subnormal, a huge value and two ordinary ones;
+        // then every prefix, so each base64 remainder (0, 1, 2 bytes) and
+        // the empty array are covered.
+        let vals = [
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(3),
+            1.0e300,
+            0.1,
+            -1.0 / 3.0,
+        ];
+        for n in 0..=vals.len() {
+            let vals = &vals[..n];
+            let ev = Event::Result {
+                stmt: 2,
+                vals: vals.to_vec(),
+            };
+            match Event::parse(ev.to_json().as_bytes()).unwrap() {
+                Event::Result {
+                    stmt: 2,
+                    vals: back,
+                } => assert_eq!(bits(&back), bits(vals)),
+                other => panic!("wrong event {other:?}"),
+            }
+            let req = Request::Register {
+                name: "v".to_string(),
+                format: "blocked_dense_vec".to_string(),
+                dims: vec![n],
+                coords: (0..n as i64).map(|i| vec![i]).collect(),
+                vals: vals.to_vec(),
+            };
+            match Request::parse(req.to_json().as_bytes()).unwrap() {
+                Request::Register { vals: back, .. } => assert_eq!(bits(&back), bits(vals)),
+                other => panic!("wrong request {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_value_block_is_padded_standard_base64_of_le_bits() {
+        // docs/server.md's worked example: 1.5 and -2.0.
         let ev = Event::Result {
             stmt: 0,
-            vals: vals.clone(),
+            vals: vec![1.5, -2.0],
         };
-        let Event::Result { vals: back, .. } = Event::parse(ev.to_json().as_bytes()).unwrap()
-        else {
-            panic!("wrong variant");
+        assert_eq!(
+            ev.to_json(),
+            r#"{"type":"result","stmt":0,"vals_b64":"AAAAAAAA+D8AAAAAAAAAwA=="}"#
+        );
+    }
+
+    #[test]
+    fn malformed_value_blocks_are_typed() {
+        let result = |block: &str| {
+            let frame = format!("{{\"type\":\"result\",\"stmt\":0,\"vals_b64\":{block}}}");
+            match Event::parse(frame.as_bytes()) {
+                Err(ProtoError::Shape(msg)) => msg,
+                other => panic!("{block} must be refused, got {other:?}"),
+            }
         };
-        let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-        let back_bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, back_bits);
+        // 1.5 is "AAAAAAAA+D8=".
+        assert!(result(r#""AAAAAAAA-D8=""#).contains("alphabet"));
+        assert!(result(r#""AAAA=AAA+D8=""#).contains("alphabet"));
+        assert!(result(r#""AAAAAAAA+D8""#).contains("padding"));
+        assert!(result(r#""AAAAAAAA+===""#).contains("padding"));
+        assert!(result(r#""AAAAAAAA+D9=""#).contains("non-zero bits"));
+        assert!(result(r#""AAAAAAAA""#).contains("multiple of 8"));
+        assert!(result("[1.5]").contains("must be a string"));
+        // The decimal array this field replaced is not accepted beside it.
+        let old = br#"{"type":"result","stmt":0,"vals":[1.5]}"#;
+        assert!(matches!(Event::parse(old), Err(ProtoError::Shape(_))));
     }
 
     #[test]
@@ -772,9 +906,14 @@ mod tests {
             Request::parse(b"{\"type\":\"hello\"}"),
             Err(ProtoError::Shape(_))
         ));
-        // Mismatched coords/vals lengths are rejected at parse time.
-        let req = b"{\"type\":\"register\",\"name\":\"B\",\"format\":\"blocked_csr\",\
-                    \"dims\":[2,2],\"coords\":[[0,0]],\"vals\":[1.0,2.0]}";
+        // Mismatched coords/vals counts are rejected at parse time (the
+        // block holds 1.5 and -2.0), and so is the old decimal field.
+        let req = br#"{"type":"register","name":"B","format":"blocked_csr","dims":[2,2],"coords":[[0,0]],"vals_b64":"AAAAAAAA+D8AAAAAAAAAwA=="}"#;
+        match Request::parse(req) {
+            Err(ProtoError::Shape(msg)) => assert!(msg.contains("lengths differ"), "{msg}"),
+            other => panic!("expected a shape error, got {other:?}"),
+        }
+        let req = br#"{"type":"register","name":"B","format":"blocked_csr","dims":[2,2],"coords":[[0,0]],"vals":[1.5]}"#;
         assert!(matches!(Request::parse(req), Err(ProtoError::Shape(_))));
     }
 }

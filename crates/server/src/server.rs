@@ -12,7 +12,17 @@
 //!   executing worker to the socket;
 //! - `workers` **execution workers**: pop jobs round-robin across tenants
 //!   from the [`AdmissionQueue`] and run them through the Program
-//!   pipeline against the shared plan cache.
+//!   pipeline against the shared plan cache, each job behind a panic
+//!   boundary.
+//!
+//! A request is decode → queue → `run()` → encode → write. What makes it
+//! so is the **resident program**: a connection thread owns at most one
+//! [`CompiledProgram`] ([`Resident`]), a `submit` of the statement list it
+//! was built from moves it into the [`Job`], and the worker hands it back
+//! when the job ends — ownership is linear (a connection has one job in
+//! flight), so there is no shared map, lock or eviction policy, and the
+//! state dies with the connection. Each stage is timed into the
+//! `req.*_ns` histograms of the `report` request.
 //!
 //! Shutdown (a `shutdown` request, [`Server::shutdown_handle`], SIGTERM,
 //! or ctrl-c) stops accepting, closes the queue, drains every admitted
@@ -23,16 +33,18 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spdistal::prelude::*;
 use spdistal::OutputValue;
 use spdistal_client::frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME};
-use spdistal_client::proto::{format_by_name, tensor_from_wire, Event, Request};
-use spdistal_sparse::{CoordDelta, SpTensor};
+use spdistal_client::proto::{format_by_name, tensor_from_wire, Event, Request, StmtSpec};
+use spdistal_ir::{parse_tin, VarCtx};
+use spdistal_sparse::{CoordDelta, LevelFormat, SpTensor};
 
 use crate::signal;
 
@@ -112,7 +124,13 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                // A frame is a whole message: never hold one back for
+                // Nagle's coalescing timer. Failing to set it costs
+                // latency, not correctness.
+                let _ = s.set_nodelay(true);
+                Conn::Tcp(s)
+            }),
             #[cfg(unix)]
             Listener::Uds(l, _) => l.accept().map(|(s, _)| Conn::Uds(s)),
         }
@@ -188,23 +206,73 @@ impl std::fmt::Display for ConnError {
     }
 }
 
+/// A connection's registered tensors, in registration order.
+type Registered = Vec<(String, Format, SpTensor)>;
+
+/// What a program is built from, besides the registered table: a `submit`
+/// that matches may run the connection's resident program. The table is
+/// not part of the key because its one writer, the connection thread,
+/// drops the program whenever it writes (`register`, and `hello`, which
+/// renames the tenant the program is labelled with).
+#[derive(Clone, PartialEq)]
+struct ProgramKey {
+    /// Statements with their schedule *names* (validated on admission).
+    stmts: Vec<StmtSpec>,
+    pipelined: bool,
+}
+
+/// A built program kept between the submits of one connection. Owned by
+/// exactly one thread at a time: the connection thread between jobs, the
+/// worker during one (boxed: it changes hands four times per request).
+struct Resident {
+    key: ProgramKey,
+    program: CompiledProgram,
+    /// The registered tensors a reused program takes from the table again
+    /// before it runs — see [`rewritten_live_ins`].
+    restore: Vec<String>,
+}
+
+impl Drop for Resident {
+    /// Wherever a program dies — a different statement list, a
+    /// re-registration, a failed or panicked job, the end of an incremental
+    /// job or of the connection — `built - dropped` stays the number alive.
+    fn drop(&mut self) {
+        self.program.trace().add("server.program.dropped", 1);
+    }
+}
+
 /// One admitted submission, carried from a connection thread to an
-/// execution worker. The event sender streams progress back; if the
+/// execution worker. The reply sender streams progress back; if the
 /// client vanished, sends fail silently and the job still completes (the
 /// shared cache keeps the compiled plan either way).
 struct Job {
     tenant: String,
-    tensors: Vec<(String, Format, SpTensor)>,
-    stmts: Vec<(String, ScheduleSpec)>,
+    key: ProgramKey,
+    /// Shared with the connection thread, which cannot write it while its
+    /// one job is in flight; read only when a program is built or a live-in
+    /// restored.
+    tensors: Arc<Registered>,
     iters: usize,
-    pipelined: bool,
     /// Streamed delta batches, in arrival order, for an incremental job.
     deltas: Vec<(String, Vec<CoordDelta>)>,
     /// Incremental jobs run one cold pass, then `run_incremental` per
     /// delta batch (streaming `incremental_report` events) instead of
-    /// `iters` full passes.
+    /// `iters` full passes — always on a freshly built program, over the
+    /// *base* tensors, and they leave no resident program behind.
     incremental: bool,
-    events: mpsc::Sender<Event>,
+    /// The connection's resident program when its key matches this job.
+    resident: Option<Box<Resident>>,
+    /// When the connection thread handed the job to the queue.
+    admitted: Instant,
+    replies: mpsc::Sender<Reply>,
+}
+
+/// What a worker sends a connection thread about its job.
+enum Reply {
+    Event(Event),
+    /// Always last, after the terminal event: the program to keep, if the
+    /// job left one.
+    Finished(Option<Box<Resident>>),
 }
 
 /// A handle that asks a running [`Server`] to drain and exit — the
@@ -304,7 +372,11 @@ impl Server {
                 let engine = self.engine.clone();
                 let queue = Arc::clone(&self.queue);
                 let exec_mode = self.config.exec_mode;
-                std::thread::spawn(move || exec_loop(engine, queue, exec_mode))
+                std::thread::spawn(move || {
+                    exec_loop(&engine, &queue, |engine, job, send| {
+                        run_job(engine, job, exec_mode, send)
+                    })
+                })
             })
             .collect();
 
@@ -386,6 +458,10 @@ fn send_event(conn: &mut Conn, ev: &Event) -> io::Result<()> {
     write_frame(conn, ev.to_json().as_bytes())
 }
 
+fn ns(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
 fn schedule_by_name(name: &str) -> Option<ScheduleSpec> {
     Some(match name {
         "auto" => ScheduleSpec::Auto,
@@ -403,7 +479,8 @@ fn register_tensor(
     dims: Vec<usize>,
     coords: &[Vec<i64>],
     vals: &[f64],
-    tensors: &mut Vec<(String, Format, SpTensor)>,
+    tensors: &mut Registered,
+    max_frame: usize,
 ) -> Event {
     let Some(format) = format_by_name(format_name) else {
         return error_event(
@@ -413,6 +490,23 @@ fn register_tensor(
     };
     if let Err(e) = format.validate(dims.len()) {
         return error_event("bad_format", &format!("'{format_name}' rejects dims: {e}"));
+    }
+    // Dense levels are allocated by extent, not by what was sent: bound
+    // them by the budget that already bounds what one request may make the
+    // server hold (a failed allocation aborts; no boundary catches it).
+    let dense_bytes = dims
+        .iter()
+        .zip(&format.levels)
+        .filter(|(_, level)| matches!(level, LevelFormat::Dense))
+        .try_fold(8usize, |bytes, (dim, _)| bytes.checked_mul(*dim));
+    if dense_bytes.is_none_or(|bytes| bytes > max_frame) {
+        return error_event(
+            "bad_tensor",
+            &format!(
+                "dims {dims:?} need more than the {max_frame}-byte frame cap for the dense \
+                 levels of '{format_name}' (8 bytes per entry)"
+            ),
+        );
     }
     for coord in coords {
         if coord.len() != dims.len()
@@ -479,8 +573,10 @@ fn handle_conn(
     let _ = conn.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = FrameReader::new();
     let mut tenant = format!("conn-{conn_id}");
-    let mut tensors: Vec<(String, Format, SpTensor)> = Vec::new();
+    let mut tensors: Arc<Registered> = Arc::default();
     let mut pending_deltas: Vec<(String, Vec<CoordDelta>)> = Vec::new();
+    let mut resident: Option<Box<Resident>> = None;
+    let trace = engine.trace();
     // Answer-path sends must reach the peer; a failure is a disconnect.
     macro_rules! answer {
         ($ev:expr) => {
@@ -508,6 +604,7 @@ fn handle_conn(
             }
             Err(e) => return Err(ConnError::Frame(e)),
         };
+        let decode_started = Instant::now();
         let request = match Request::parse(&payload) {
             Ok(r) => r,
             Err(e) => {
@@ -520,6 +617,7 @@ fn handle_conn(
         match request {
             Request::Hello { tenant: name } => {
                 tenant = name;
+                resident = None;
                 answer!(Event::Welcome {
                     tenant: tenant.clone(),
                     server: concat!("spd-server ", env!("CARGO_PKG_VERSION")).to_string(),
@@ -532,13 +630,15 @@ fn handle_conn(
                 coords,
                 vals,
             } => {
+                resident = None;
                 answer!(register_tensor(
                     name,
                     &format,
                     dims,
                     &coords,
                     &vals,
-                    &mut tensors
+                    Arc::make_mut(&mut tensors),
+                    max_frame,
                 ));
             }
             Request::UpdateBatch { name, deltas } => {
@@ -559,38 +659,37 @@ fn handle_conn(
                     Request::RunIncremental { stmts } => (stmts, 1, true, true),
                     _ => unreachable!("outer match narrows the variant"),
                 };
-                let mut specs = Vec::with_capacity(stmts.len());
-                let mut bad_schedule = None;
-                for s in &stmts {
-                    match schedule_by_name(&s.schedule) {
-                        Some(spec) => specs.push((s.tin.clone(), spec)),
-                        None => {
-                            bad_schedule = Some(s.schedule.clone());
-                            break;
-                        }
-                    }
-                }
-                if let Some(name) = bad_schedule {
+                trace.observe_ns("req.decode_ns", ns(decode_started.elapsed()));
+                if let Some(bad) = stmts
+                    .iter()
+                    .find(|s| schedule_by_name(&s.schedule).is_none())
+                {
                     answer!(error_event(
                         "bad_schedule",
-                        &format!("unknown schedule '{name}' (auto | outer-dim | non-zero)"),
+                        &format!(
+                            "unknown schedule '{}' (auto | outer-dim | non-zero)",
+                            bad.schedule
+                        ),
                     ));
                     continue;
                 }
-                let (events, stream) = mpsc::channel();
+                let key = ProgramKey { stmts, pipelined };
+                let (replies, stream) = mpsc::channel();
                 let job = Job {
                     tenant: tenant.clone(),
-                    tensors: tensors.clone(),
-                    stmts: specs,
+                    // Whatever does not match dies here.
+                    resident: resident.take().filter(|r| !incremental && r.key == key),
+                    key,
+                    tensors: Arc::clone(&tensors),
                     iters,
-                    pipelined,
                     deltas: if incremental {
                         std::mem::take(&mut pending_deltas)
                     } else {
                         Vec::new()
                     },
                     incremental,
-                    events,
+                    admitted: Instant::now(),
+                    replies,
                 };
                 match queue.submit(&tenant, job) {
                     Err(AdmissionError::QueueFull { capacity }) => {
@@ -608,24 +707,35 @@ fn handle_conn(
                         // typed error for the log, the job itself still
                         // completes on the worker, and the server keeps
                         // serving everyone else.
-                        while let Ok(ev) = stream.recv() {
-                            let terminal = ev.is_terminal();
-                            send_event(&mut conn, &ev).map_err(|source| {
+                        let (mut encode_ns, mut write_ns) = (0, 0);
+                        while let Ok(reply) = stream.recv() {
+                            let ev = match reply {
+                                Reply::Event(ev) => ev,
+                                Reply::Finished(back) => {
+                                    resident = back;
+                                    break;
+                                }
+                            };
+                            let t0 = Instant::now();
+                            let json = ev.to_json();
+                            let t1 = Instant::now();
+                            write_frame(&mut conn, json.as_bytes()).map_err(|source| {
                                 ConnError::Disconnected {
                                     during: "submission event stream",
                                     source,
                                 }
                             })?;
-                            if terminal {
-                                break;
-                            }
+                            encode_ns += ns(t1 - t0);
+                            write_ns += ns(t1.elapsed());
                         }
+                        trace.observe_ns("req.encode_ns", encode_ns);
+                        trace.observe_ns("req.write_ns", write_ns);
                     }
                 }
             }
             Request::Report => {
                 answer!(Event::Report {
-                    json: engine.trace().run_report_json("spd-server"),
+                    json: trace.run_report_json("spd-server"),
                 });
             }
             Request::Shutdown => {
@@ -637,38 +747,130 @@ fn handle_conn(
     }
 }
 
-/// Worker loop: drain the admission queue until it is closed and empty.
-fn exec_loop(engine: Engine, queue: Arc<AdmissionQueue<Job>>, exec_mode: ExecMode) {
-    while let Some((_tenant, job)) = queue.next() {
+/// Worker loop: drain the admission queue until it is closed and empty,
+/// running each job through `run` behind a panic boundary. A job that
+/// fails or panics answers its own connection with a terminal `error` and
+/// loses its program; the worker, the queue and every other tenant carry
+/// on. (`run` is a parameter so a test can make one tenant's job panic.)
+fn exec_loop(
+    engine: &Engine,
+    queue: &AdmissionQueue<Job>,
+    run: impl Fn(&Engine, &mut Job, &dyn Fn(Event)) -> Result<Option<Box<Resident>>, spdistal::Error>,
+) {
+    let trace = engine.trace();
+    while let Some((_tenant, mut job)) = queue.next() {
+        trace.observe_ns("req.queue_wait_ns", ns(job.admitted.elapsed()));
+        let replies = job.replies.clone();
         let send = |ev: Event| {
-            let _ = job.events.send(ev);
+            let _ = replies.send(Reply::Event(ev));
         };
-        if let Err(e) = run_job(&engine, &job, exec_mode, &send) {
-            send(error_event("exec", &e));
-        }
+        // Unwind safety: everything the closure can leave half-updated is
+        // the job and its program, and both are dropped on a panic.
+        let outcome = catch_unwind(AssertUnwindSafe(|| run(engine, &mut job, &send)));
+        // Before `Finished`: the connection thread must find the registered
+        // table unshared when it next writes it.
+        drop(job);
+        let resident = match outcome {
+            Ok(Ok(resident)) => resident,
+            Ok(Err(e)) => {
+                send(error_event("exec", &e));
+                None
+            }
+            Err(payload) => {
+                trace.add("job.panicked", 1);
+                let text = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                send(error_event("exec", &format!("job panicked: {text}")));
+                None
+            }
+        };
+        let _ = replies.send(Reply::Finished(resident));
     }
 }
 
-/// Build and run one submission through the Program pipeline, streaming
-/// auto decisions, per-iteration flush summaries, kernel-dispatch
-/// counters, results, and the terminal `done`.
+/// The registered tensors a *reused* program must take from the table
+/// again so that a submit starts from the registered values, as a freshly
+/// built program does: every tensor some statement reads before (or while)
+/// any statement has written it, **and** some statement writes. Nothing for
+/// `a = B c`; `c` for `a = B c; c = B a`. Everything else a program holds
+/// is either never written (still the registered data) or written before it
+/// is read (what it held does not matter).
+fn rewritten_live_ins(stmts: &[StmtSpec]) -> Result<Vec<String>, spdistal::Error> {
+    let mut vars = VarCtx::new();
+    let (mut live_in, mut written) = (Vec::new(), Vec::new());
+    for s in stmts {
+        let stmt = parse_tin(&s.tin, &mut vars)?;
+        for read in stmt.rhs.accesses() {
+            if !written.contains(&read.tensor) && !live_in.contains(&read.tensor) {
+                live_in.push(read.tensor.clone());
+            }
+        }
+        written.push(stmt.lhs.tensor);
+    }
+    live_in.retain(|t| written.contains(t));
+    Ok(live_in)
+}
+
+/// Run one submission through the Program pipeline — on the job's resident
+/// program when it carries one, on a program built from the registered
+/// table otherwise — streaming auto decisions, per-iteration flush
+/// summaries, kernel-dispatch counters, results, and the terminal `done`.
+/// Returns the program to keep (none after an incremental job).
 fn run_job(
     engine: &Engine,
-    job: &Job,
+    job: &mut Job,
     exec_mode: ExecMode,
     send: &dyn Fn(Event),
-) -> Result<(), spdistal::Error> {
-    let mut builder = engine.tenant(&job.tenant).exec_mode(exec_mode);
-    for (name, format, data) in &job.tensors {
-        builder = builder.tensor(name, format.clone(), data.clone());
-    }
-    for (tin, spec) in &job.stmts {
-        builder = builder.stmt(tin).schedule(spec.clone());
-    }
-    if !job.pipelined {
-        builder = builder.launch_at_a_time();
-    }
-    let mut program = builder.build()?;
+) -> Result<Option<Box<Resident>>, spdistal::Error> {
+    let trace = engine.trace();
+    let started = Instant::now();
+    let mut build_ns = 0;
+    let mut resident = match job.resident.take() {
+        Some(mut resident) => {
+            trace.add("server.program.reused", 1);
+            for name in &resident.restore {
+                let (_, _, data) = job
+                    .tensors
+                    .iter()
+                    .find(|(n, ..)| n == name)
+                    .ok_or_else(|| spdistal::Error::UnknownTensor(name.clone()))?;
+                let ctx = resident.program.context_mut();
+                ctx.replace_tensor_data(name, data.clone())?;
+            }
+            resident
+        }
+        None => {
+            let mut builder = engine.tenant(&job.tenant).exec_mode(exec_mode);
+            for (name, format, data) in job.tensors.iter() {
+                builder = builder.tensor(name, format.clone(), data.clone());
+            }
+            for s in &job.key.stmts {
+                let spec = schedule_by_name(&s.schedule).ok_or_else(|| {
+                    spdistal::Error::Unsupported(format!("unknown schedule '{}'", s.schedule))
+                })?;
+                builder = builder.stmt(&s.tin).schedule(spec);
+            }
+            if !job.key.pipelined {
+                builder = builder.launch_at_a_time();
+            }
+            let resident = Box::new(Resident {
+                program: builder.build()?,
+                restore: rewritten_live_ins(&job.key.stmts)?,
+                key: job.key.clone(),
+            });
+            build_ns = ns(started.elapsed());
+            trace.observe_ns("req.build_ns", build_ns);
+            trace.add("server.program.built", 1);
+            resident
+        }
+    };
+    let program = &mut resident.program;
+    // A resident program's counters run on across jobs; every event reports
+    // this job's share.
+    let base = program.report().clone();
 
     // Kernel-dispatch counters are engine-wide; stream this job's deltas.
     let dispatch = |m: &spdistal::obs::MetricsRegistry| {
@@ -677,9 +879,9 @@ fn run_job(
             m.counter("kernel.fallback").get(),
         )
     };
-    let base = engine.trace().metrics().map(dispatch);
+    let dispatched = trace.metrics().map(dispatch);
 
-    let mut decisions_sent = 0;
+    let mut decisions_sent = base.decisions.len();
     let mut flush = |program: &CompiledProgram, iteration: usize| {
         let report = program.report();
         for d in report.decisions.iter().skip(decisions_sent) {
@@ -693,13 +895,13 @@ fn run_job(
         decisions_sent = report.decisions.len();
         send(Event::FlushReport {
             iteration,
-            batches: report.batches,
-            tasks: report.tasks,
-            spans: report.spans,
-            steals: report.steals,
-            wall_seconds: report.wall_seconds,
+            batches: report.batches - base.batches,
+            tasks: report.tasks - base.tasks,
+            spans: report.spans - base.spans,
+            steals: report.steals - base.steals,
+            wall_seconds: report.wall_seconds - base.wall_seconds,
         });
-        if let (Some(m), Some((s0, f0))) = (engine.trace().metrics(), base) {
+        if let (Some(m), Some((s0, f0))) = (trace.metrics(), dispatched) {
             let (s, f) = dispatch(m);
             send(Event::KernelDispatch {
                 specialized: s.saturating_sub(s0),
@@ -730,11 +932,11 @@ fn run_job(
                 }
             }
         }
-        flush(&program, job.deltas.len());
+        flush(program, job.deltas.len());
     } else {
         for iteration in 0..job.iters.max(1) {
             program.run()?;
-            flush(&program, iteration);
+            flush(program, iteration);
         }
     }
 
@@ -748,10 +950,134 @@ fn run_job(
     }
     let report = program.report();
     send(Event::Done {
-        iterations: report.iterations,
-        compiles: report.compiles,
-        cache_hits: report.cache_hits,
-        wall_seconds: report.wall_seconds,
+        iterations: report.iterations - base.iterations,
+        compiles: report.compiles - base.compiles,
+        cache_hits: report.cache_hits - base.cache_hits,
+        wall_seconds: report.wall_seconds - base.wall_seconds,
     });
-    Ok(())
+    trace.observe_ns("req.execute_ns", ns(started.elapsed()) - build_ns);
+    Ok((!job.incremental).then_some(resident))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spdistal_sparse::{dense_vector, generate};
+
+    fn engine() -> Engine {
+        let machine = Machine::grid1d(4, MachineProfile::lassen_cpu());
+        Engine::with_trace(machine, Trace::enabled())
+    }
+
+    fn spmv_job(tenant: &str, tensors: &Arc<Registered>) -> (Job, mpsc::Receiver<Reply>) {
+        let (replies, stream) = mpsc::channel();
+        let job = Job {
+            tenant: tenant.to_string(),
+            key: ProgramKey {
+                stmts: vec![StmtSpec {
+                    tin: "a(i) = B(i,j) * c(j)".to_string(),
+                    schedule: "outer-dim".to_string(),
+                }],
+                pipelined: true,
+            },
+            tensors: Arc::clone(tensors),
+            iters: 1,
+            deltas: Vec::new(),
+            incremental: false,
+            resident: None,
+            admitted: Instant::now(),
+            replies,
+        };
+        (job, stream)
+    }
+
+    /// Everything a finished job sent: its result bits, its error message,
+    /// and whether it left a program.
+    fn outcome(stream: &mpsc::Receiver<Reply>) -> (Vec<Vec<u64>>, Option<String>, bool) {
+        let (mut results, mut error) = (Vec::new(), None);
+        loop {
+            match stream.recv().expect("a job always ends with `Finished`") {
+                Reply::Event(Event::Result { vals, .. }) => {
+                    results.push(vals.iter().map(|v| v.to_bits()).collect());
+                }
+                Reply::Event(Event::Error { code, message }) => {
+                    assert_eq!(code, "exec");
+                    error = Some(message);
+                }
+                Reply::Event(_) => {}
+                Reply::Finished(resident) => return (results, error, resident.is_some()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_its_own_error_and_the_worker_lives() {
+        let b_data = generate::banded(400, 7, 42);
+        let n = b_data.dims()[0];
+        let tensors: Arc<Registered> = Arc::new(vec![
+            (
+                "a".to_string(),
+                Format::blocked_dense_vec(),
+                dense_vector(vec![0.0; n]),
+            ),
+            ("B".to_string(), Format::blocked_csr(), b_data),
+            (
+                "c".to_string(),
+                Format::replicated_dense_vec(),
+                dense_vector(generate::dense_vec(n, 7)),
+            ),
+        ]);
+        let serial = |engine: &Engine, job: &mut Job, send: &dyn Fn(Event)| {
+            run_job(engine, job, ExecMode::Serial, send)
+        };
+
+        // The undisturbed run: one job, no neighbour, its own engine.
+        let (mut solo, stream) = spmv_job("solo", &tensors);
+        let replies = solo.replies.clone();
+        let resident = serial(&engine(), &mut solo, &|ev| {
+            let _ = replies.send(Reply::Event(ev));
+        });
+        let _ = replies.send(Reply::Finished(resident.expect("solo job")));
+        let (want, error, kept) = outcome(&stream);
+        assert!(error.is_none() && kept && want.len() == 1);
+
+        let engine = engine();
+        let queue = AdmissionQueue::new(8);
+        // Queued before the worker starts, so the panic sits between two
+        // healthy tenants.
+        let streams = ["before", "doomed", "after"].map(|tenant| {
+            let (job, stream) = spmv_job(tenant, &tensors);
+            queue.submit(tenant, job).expect("admitted");
+            stream
+        });
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                exec_loop(&engine, &queue, |engine, job, send| {
+                    if job.tenant == "doomed" {
+                        panic!("injected into {}", job.tenant);
+                    }
+                    serial(engine, job, send)
+                })
+            });
+            let [before, doomed, after] = streams.each_ref().map(outcome);
+            assert_eq!(before, (want.clone(), None, true));
+            assert_eq!(after, (want.clone(), None, true));
+            let (results, error, kept) = doomed;
+            assert!(results.is_empty() && !kept);
+            let message = error.expect("the panic is the job's terminal error");
+            assert!(message.contains("injected into doomed"), "{message}");
+
+            // The one worker is still there for a fourth job.
+            let (job, stream) = spmv_job("later", &tensors);
+            queue.submit("later", job).expect("admitted");
+            assert_eq!(outcome(&stream), (want.clone(), None, true));
+            assert!(!worker.is_finished());
+            queue.close();
+            worker.join().expect("the worker never panicked");
+        });
+        let counters = engine.trace().metrics().expect("enabled").counter_values();
+        let count = |name: &str| counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+        assert_eq!(count("job.panicked"), Some(1));
+        assert_eq!(count("server.program.built"), Some(3));
+    }
 }

@@ -514,3 +514,379 @@ fn streamed_deltas_run_incrementally_and_match_a_full_submission() {
 
     harness.finish();
 }
+
+// ---- the request path: resident programs, the value block, stage timing ----
+
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The server's merged run report, parsed.
+fn report(client: &mut Client) -> spdistal_obs::json::Json {
+    spdistal_obs::json::Json::parse(&client.report().expect("report")).expect("report is json")
+}
+
+fn counter(report: &spdistal_obs::json::Json, name: &str) -> u64 {
+    let value = report.get("counters").and_then(|c| c.get(name));
+    value.and_then(|v| v.as_f64()).unwrap_or(0.0) as u64
+}
+
+/// `count × mean` of a `*_us` histogram of the report: the microseconds
+/// observed into it so far.
+fn hist_total_us(report: &spdistal_obs::json::Json, name: &str) -> f64 {
+    let field = |key: &str| {
+        let hist = report.get("hist").and_then(|h| h.get(name));
+        hist.and_then(|h| h.get(key)).and_then(|v| v.as_f64())
+    };
+    field("count").unwrap_or(0.0) * field("mean").unwrap_or(0.0)
+}
+
+/// The feedback pair: the second statement rewrites what the first reads,
+/// so a program that ran once no longer holds the registered `c`.
+const FEEDBACK: [(&str, &str); 2] = [
+    ("a(i) = B(i,j) * c(j)", "outer-dim"),
+    ("c(i) = B(i,j) * a(j)", "outer-dim"),
+];
+
+/// What a freshly built in-process program answers for `stmts`, each run
+/// `iters` times: the oracle a warm served program must equal bit for bit.
+fn fresh_in_process(
+    b_data: &SpTensor,
+    c_data: &[f64],
+    stmts: &[(&str, &str)],
+    iters: usize,
+) -> Vec<Vec<u64>> {
+    let mut program = Program::on(Machine::grid1d(4, MachineProfile::lassen_cpu()))
+        .tensor(
+            "a",
+            Format::blocked_dense_vec(),
+            dense_vector(vec![0.0; b_data.dims()[0]]),
+        )
+        .tensor("B", Format::blocked_csr(), b_data.clone())
+        .tensor(
+            "c",
+            Format::replicated_dense_vec(),
+            dense_vector(c_data.to_vec()),
+        );
+    for (tin, _) in stmts {
+        program = program.stmt(tin).schedule(ScheduleSpec::outer_dim());
+    }
+    let mut program = program.build().expect("local build");
+    program.run_iters(iters).expect("local run");
+    (0..stmts.len())
+        .map(|k| match program.value(k) {
+            Some(OutputValue::Dense(v)) => bits(v),
+            Some(OutputValue::Tensor(t)) => bits(t.vals()),
+            None => panic!("statement {k} produced no output"),
+        })
+        .collect()
+}
+
+fn served(client: &mut Client, stmts: &[(&str, &str)], iters: usize) -> Vec<Vec<u64>> {
+    let outcome = client.submit(stmts, iters, true, |_| {}).expect("submit");
+    assert_eq!(outcome.iterations, iters, "`done` counts this job's passes");
+    outcome.results.iter().map(|(_, v)| bits(v)).collect()
+}
+
+#[test]
+fn a_warm_program_answers_what_a_fresh_one_does() {
+    let harness = start(spdistal_server::ServerConfig::default());
+    let (b_data, c_data) = demo_tensors();
+    let mut client = harness.client();
+    client.hello("warm").expect("hello");
+    register_demo(&mut client, &b_data, &c_data);
+
+    // (i) Three submits on one connection: the second and third run the
+    // resident program, whose `c` the first one rewrote — without the
+    // live-in restore they would start from the wrong vector.
+    let want = fresh_in_process(&b_data, &c_data, &FEEDBACK, 2);
+    for round in 0..3 {
+        assert_eq!(served(&mut client, &FEEDBACK, 2), want, "submit {round}");
+    }
+    let seen = report(&mut client);
+    assert_eq!(counter(&seen, "server.program.built"), 1);
+    assert_eq!(counter(&seen, "server.program.reused"), 2);
+
+    // (v) A reused program reports its job, not its life: no compile, one
+    // cache hit per statement per iteration.
+    let outcome = client.submit(&FEEDBACK, 3, true, |_| {}).expect("submit");
+    assert_eq!(
+        (outcome.iterations, outcome.compiles, outcome.cache_hits),
+        (3, 0, 2 * 3)
+    );
+
+    // (ii) Re-registering an input changes the answer to the fresh-build one.
+    let c_other = generate::dense_vec(b_data.dims()[1], 99);
+    client
+        .register_tensor("c", "replicated_dense_vec", &dense_vector(c_other.clone()))
+        .expect("re-register c");
+    let want_other = fresh_in_process(&b_data, &c_other, &FEEDBACK, 2);
+    assert_ne!(want_other, want);
+    assert_eq!(served(&mut client, &FEEDBACK, 2), want_other);
+    assert_eq!(served(&mut client, &FEEDBACK, 2), want_other);
+    harness.finish();
+}
+
+#[test]
+fn a_program_dies_with_its_statement_list_or_a_failed_job() {
+    let harness = start(spdistal_server::ServerConfig::default());
+    let (b_data, c_data) = demo_tensors();
+    let mut client = harness.client();
+    client.hello("lists").expect("hello");
+    register_demo(&mut client, &b_data, &c_data);
+    let spmv = [(STMT, "outer-dim")];
+    let want_spmv = fresh_in_process(&b_data, &c_data, &spmv, 1);
+    let want_feedback = fresh_in_process(&b_data, &c_data, &FEEDBACK, 1);
+
+    // (iii) A different statement list, then the first again: one resident
+    // program per connection, so each change builds.
+    assert_eq!(served(&mut client, &spmv, 1), want_spmv);
+    assert_eq!(served(&mut client, &FEEDBACK, 1), want_feedback);
+    assert_eq!(served(&mut client, &spmv, 1), want_spmv);
+    let seen = report(&mut client);
+    assert_eq!(counter(&seen, "server.program.built"), 3);
+    assert_eq!(counter(&seen, "server.program.dropped"), 2);
+    assert_eq!(counter(&seen, "server.program.reused"), 0);
+
+    // The same list under another schedule name or launch mode is another
+    // program too.
+    assert_eq!(
+        served(&mut client, &[(STMT, "non-zero")], 1).len(),
+        want_spmv.len()
+    );
+    let outcome = client.submit(&spmv, 1, false, |_| {}).expect("submit");
+    assert_eq!(bits(&outcome.results[0].1), want_spmv[0]);
+    assert_eq!(
+        counter(&report(&mut client), "server.program.built"),
+        5,
+        "schedule names and `pipelined` are part of the key"
+    );
+
+    // (iv) A submit that fails at compile takes its program with it, and the
+    // next healthy one is built and correct.
+    match client.submit(&[("a(i) = c(i)", "outer-dim")], 1, true, |_| {}) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "exec"),
+        other => panic!("expected an exec error, got {other:?}"),
+    }
+    let seen = report(&mut client);
+    assert_eq!(
+        counter(&seen, "server.program.built"),
+        counter(&seen, "server.program.dropped"),
+        "nothing is resident after a failed job"
+    );
+    assert_eq!(served(&mut client, &spmv, 1), want_spmv);
+    assert_eq!(served(&mut client, &spmv, 1), want_spmv);
+    let seen = report(&mut client);
+    assert_eq!(counter(&seen, "server.program.built"), 7);
+    assert_eq!(counter(&seen, "server.program.reused"), 1);
+    harness.finish();
+}
+
+#[test]
+fn a_plain_submit_after_an_incremental_one_sees_the_base_tensors() {
+    // (vi) Streamed deltas live for one `run_incremental` job: it builds its
+    // own program and leaves none behind, so the registered B is what the
+    // next submit multiplies.
+    let harness = start(spdistal_server::ServerConfig::default());
+    let (b_data, c_data) = demo_tensors();
+    let mut client = harness.client();
+    client.hello("base").expect("hello");
+    register_demo(&mut client, &b_data, &c_data);
+    let spmv = [(STMT, "outer-dim")];
+    let want = fresh_in_process(&b_data, &c_data, &spmv, 1);
+    assert_eq!(served(&mut client, &spmv, 1), want);
+
+    let (coord, val) = b_data.to_coo().swap_remove(0);
+    let delta = spdistal_sparse::CoordDelta::overwrite(coord, val + 100.0);
+    client.update_batch("B", &[delta]).expect("queue batch");
+    let streamed = client
+        .submit_incremental(&spmv, |_| {})
+        .expect("incremental submit");
+    assert_ne!(bits(&streamed.results[0].1), want[0], "the delta applied");
+
+    assert_eq!(served(&mut client, &spmv, 1), want);
+    let seen = report(&mut client);
+    assert_eq!(counter(&seen, "server.program.built"), 3);
+    assert_eq!(counter(&seen, "server.program.reused"), 0);
+    harness.finish();
+}
+
+#[test]
+fn the_request_explains_itself() {
+    let harness = start(spdistal_server::ServerConfig::default());
+    // Sized so that the stages, not the thread hand-offs between them or
+    // the client's own decoding, are the request: eight passes over 84 000
+    // non-zeros for one 32 KB result.
+    let b_data = generate::banded(4_000, 21, 42);
+    let c_data = generate::dense_vec(b_data.dims()[1], 7);
+    let mut client = harness.client();
+    client.hello("stages").expect("hello");
+    register_demo(&mut client, &b_data, &c_data);
+    let spmv = [(STMT, "outer-dim")];
+    let iters = 8;
+    served(&mut client, &spmv, iters);
+    served(&mut client, &spmv, iters);
+    let after_two = report(&mut client);
+    assert_eq!(counter(&after_two, "server.program.built"), 1);
+    assert_eq!(counter(&after_two, "server.program.reused"), 1);
+    let hist = after_two.get("hist").expect("hist");
+    let count = |name: &str| hist.get(name).and_then(|h| h.get("count")?.as_f64());
+    assert_eq!(
+        count("req.build_us"),
+        Some(1.0),
+        "built once, not per request"
+    );
+    for stage in ["decode", "queue_wait", "execute", "encode", "write"] {
+        assert_eq!(count(&format!("req.{stage}_us")), Some(2.0), "{stage}");
+    }
+
+    // Warm submits: what the server attributes to its stages accounts for
+    // what the client waited. (Encoding and writing an iteration's flush
+    // events overlaps the next iteration, so the sum may exceed the wait by
+    // those few small frames.) Other tests share the machine, and a thread
+    // that waits for a core waits in no stage: the best of a few rounds is
+    // the reading.
+    const STAGES: [&str; 6] = [
+        "decode",
+        "queue_wait",
+        "build",
+        "execute",
+        "encode",
+        "write",
+    ];
+    let stage_total_us = |report: &spdistal_obs::json::Json| -> f64 {
+        let total = |s: &&str| hist_total_us(report, &format!("req.{s}_us"));
+        STAGES.iter().map(total).sum()
+    };
+    let mut before = stage_total_us(&after_two);
+    let mut best = 0.0f64;
+    for _ in 0..5 {
+        let t0 = std::time::Instant::now();
+        for _ in 0..5 {
+            served(&mut client, &spmv, iters);
+        }
+        let waited_us = t0.elapsed().as_secs_f64() * 1e6;
+        let after = stage_total_us(&report(&mut client));
+        best = best.max((after - before) / waited_us);
+        before = after;
+    }
+    assert!(
+        best >= 0.9,
+        "the stages account for only {best:.3} of a warm request"
+    );
+    harness.finish();
+}
+
+#[test]
+fn tcp_submits_do_not_wait_for_nagle() {
+    // Without TCP_NODELAY on both ends and one write per frame, a
+    // four-event answer is eight small writes into Nagle x delayed ACK: the
+    // *fastest* submit took 44 ms.
+    let harness = start(spdistal_server::ServerConfig::default());
+    let (b_data, c_data) = demo_tensors();
+    let mut client = harness.client();
+    client.hello("nagle").expect("hello");
+    register_demo(&mut client, &b_data, &c_data);
+    let spmv = [(STMT, "outer-dim")];
+    served(&mut client, &spmv, 1);
+    let mut took: Vec<Duration> = (0..30)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            served(&mut client, &spmv, 1);
+            t0.elapsed()
+        })
+        .collect();
+    took.sort();
+    let p50 = took[took.len() / 2];
+    assert!(p50 < Duration::from_millis(20), "TCP submit p50 {p50:?}");
+    harness.finish();
+}
+
+#[test]
+fn non_finite_results_arrive_bit_exactly() {
+    // diag(1e308, 1e308) x (1e308, -1e308) overflows to (+inf, -inf); the
+    // decimal encoding answered [0, 0].
+    let harness = start(spdistal_server::ServerConfig::default());
+    let mut b = spdistal_sparse::CooTensor::new(vec![2, 2]);
+    b.push(&[0, 0], 1e308);
+    b.push(&[1, 1], 1e308);
+    let b_data = b.build(&Format::blocked_csr().levels);
+    let mut client = harness.client();
+    client.hello("overflow").expect("hello");
+    register_demo(&mut client, &b_data, &[1e308, -1e308]);
+    let got = served(&mut client, &[(STMT, "outer-dim")], 1);
+    assert_eq!(got, [bits(&[f64::INFINITY, f64::NEG_INFINITY])]);
+    harness.finish();
+}
+
+/// Send one raw frame and read the one event it is answered with.
+fn exchange(raw: &mut TcpStream, payload: &[u8]) -> Event {
+    write_frame(raw, payload).expect("send");
+    let frame = read_frame(raw, DEFAULT_MAX_FRAME).expect("answer frame");
+    Event::parse(&frame).expect("parse")
+}
+
+fn expect_error(ev: Event, want: &str) -> String {
+    match ev {
+        Event::Error { code, message } if code == want => message,
+        other => panic!("expected a '{want}' error, got {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_registrations_are_typed_and_the_connection_is_kept() {
+    let harness = start(spdistal_server::ServerConfig::default());
+    let (b_data, c_data) = demo_tensors();
+    let mut neighbour = harness.client();
+    neighbour.hello("neighbour").expect("hello");
+    register_demo(&mut neighbour, &b_data, &c_data);
+    let spmv = [(STMT, "outer-dim")];
+    let before = served(&mut neighbour, &spmv, 1);
+
+    let mut raw = harness.raw();
+    let register = |dims: &str, coords: &str, block: &str| {
+        format!(
+            r#"{{"type":"register","name":"B","format":"blocked_csr","dims":{dims},"coords":{coords},"vals_b64":"{block}"}}"#
+        )
+    };
+    // "AAAAAAAA+D8=" is the one value 1.5.
+    for (frame, named) in [
+        (register("[4,4]", "[[0,1]]", "AAAAAAAA-D8="), "alphabet"),
+        (register("[4,4]", "[[0,1]]", "AAAAAAAA+D8"), "padding"),
+        (register("[4,4]", "[[0,1]]", "AAAAAAAA"), "multiple of 8"),
+        (
+            register("[4,4]", "[[0,1],[1,1]]", "AAAAAAAA+D8="),
+            "lengths differ",
+        ),
+        (
+            r#"{"type":"register","name":"B","format":"blocked_csr","dims":[4,4],"coords":[[0,1]],"vals":[1.5]}"#
+                .to_string(),
+            "vals_b64",
+        ),
+    ] {
+        let message = expect_error(exchange(&mut raw, frame.as_bytes()), "bad_json");
+        assert!(message.contains(named), "{frame}: {message}");
+    }
+
+    // 110 bytes that used to abort the whole process inside the packer
+    // (`memory allocation of 17592186044416 bytes failed`): the dense
+    // level of a 2^40-row CSR is refused before anything is allocated.
+    let huge = register("[1099511627776,4]", "[[0,1]]", "AAAAAAAA+D8=");
+    let message = expect_error(exchange(&mut raw, huge.as_bytes()), "bad_tensor");
+    assert!(
+        message.contains("1099511627776") && message.contains(&DEFAULT_MAX_FRAME.to_string()),
+        "names dims and bound: {message}"
+    );
+    // ... as is one whose byte count overflows `usize`.
+    let wrapped = register("[4611686018427387904,4]", "[]", "");
+    expect_error(exchange(&mut raw, wrapped.as_bytes()), "bad_tensor");
+
+    // Zero extents stay legal, the connection kept serving throughout, and
+    // the neighbour never noticed.
+    let empty = register("[0,0]", "[]", "");
+    assert_eq!(exchange(&mut raw, empty.as_bytes()), Event::Ok);
+    let ok = register("[4,4]", "[[0,1]]", "AAAAAAAA+D8=");
+    assert_eq!(exchange(&mut raw, ok.as_bytes()), Event::Ok);
+    assert_eq!(served(&mut neighbour, &spmv, 1), before);
+    harness.finish();
+}

@@ -4,10 +4,15 @@
 //! tenants in turn, and shows the multi-tenant contract end to end:
 //! tenant `alice` pays the compile (a `plan_cache.miss`), tenant `bob`
 //! submits the same statement/schedule/formats and rides her plan (a
-//! cross-tenant `plan_cache.hit`), and both match the serial oracle.
+//! cross-tenant `plan_cache.hit`), and both match the serial oracle. Each
+//! tenant then submits again on the same connection: that request runs the
+//! connection's resident program — no build, no compile, the same bits —
+//! and the server's report says where a request's time went
+//! (`req.*_us`).
 //!
 //! Run with: `cargo run --release --example serving`
 
+use spdistal_repro::obs::json::Json;
 use spdistal_repro::sparse::{dense_vector, generate, reference};
 
 use spdistal_client::{Client, Event};
@@ -45,6 +50,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  [{tenant}] result matches the oracle; plan_cache.hit={} plan_cache.miss={}",
             outcome.cache_hits, outcome.compiles
         );
+
+        // The same submit again: the connection's resident program runs it.
+        let again = client.submit(&[("a(i) = B(i,j) * c(j)", "auto")], 1, true, |_| {})?;
+        let warm = &again.results.first().ok_or("no result")?.1;
+        assert!(warm
+            .iter()
+            .zip(vals)
+            .all(|(w, v)| w.to_bits() == v.to_bits()));
+        assert_eq!(again.compiles, 0);
+        println!("  [{tenant}] second submit ran the resident program: bit-identical, 0 compiles");
     }
 
     let cache = engine.plan_cache();
@@ -55,9 +70,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cache.hits(),
         cache.cross_tenant_hits()
     );
-    assert_eq!(cache.cross_tenant_hits(), 1, "bob must ride alice's plan");
+    assert_eq!(
+        cache.cross_tenant_hits(),
+        2,
+        "both of bob's submits must ride alice's plan"
+    );
 
+    // Where a request's time went, per stage, and the program traffic.
     let mut client = Client::connect_uds(&path)?;
+    let report = Json::parse(&client.report()?)?;
+    let field = |group: &str, name: &str| report.get(group).and_then(|g| g.get(name)).cloned();
+    for stage in [
+        "decode",
+        "queue_wait",
+        "build",
+        "execute",
+        "encode",
+        "write",
+    ] {
+        let hist = field("hist", &format!("req.{stage}_us")).ok_or("missing stage")?;
+        let num = |key: &str| hist.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
+        println!(
+            "  req.{stage}_us: mean {:.1} over {} observation(s)",
+            num("mean"),
+            num("count")
+        );
+    }
+    let count = |name: &str| field("counters", name).and_then(|v| v.as_f64());
+    let built = count("server.program.built").unwrap_or(0.0);
+    let reused = count("server.program.reused").unwrap_or(0.0);
+    println!("  server.program: built {built}, reused {reused}");
+    assert_eq!((built, reused), (2.0, 2.0));
+
     client.shutdown_server()?;
     thread.join().expect("server thread")?;
     println!("server drained and stopped");
