@@ -9,6 +9,26 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> one run path: a launch is described once (grep gate + code-line count)"
+# What a color touches of a tensor is enumerated in one place
+# (TensorRegions::footprint), the requirement list is built once per prepared
+# plan, and Context::run is a one-plan Session. The names of what that
+# replaced must not come back. (`crates/runtime/src/dependent.rs` has two
+# unrelated test names containing `pos_partition`, hence the anchored forms.)
+if grep -rln 'LevelRegions::' crates/core/src | grep -v '^crates/core/src/dist_tensor.rs$'; then
+  echo "LevelRegions is matched outside dist_tensor.rs: use TensorRegions::footprint / ids"; exit 1
+fi
+if grep -rnE 'push_input_reqs|mk_tasks|DAG_OUT_REGION|\.pos_partition\(|fn pos_partition|run_with_mode' crates tests; then
+  echo "a second description of a launch (or the run_with_mode knob) is back"; exit 1
+fi
+# Code lines (no tests, blanks or comment lines; shims excluded), so the next
+# simplicity PR starts from a number in the log.
+code_lines() {
+  xargs awk 'FNR==1{t=0} /^[[:space:]]*#\[cfg\(test\)\]/{t=1} t{next} /^[[:space:]]*$/{next} /^[[:space:]]*\/\//{next} {n++} END{print n}'
+}
+echo "code lines: $(git ls-files 'crates/*/src/*.rs' 'src/*.rs' | grep -v '^crates/shims/' | code_lines) in the tree," \
+  "$(echo crates/core/src/plan.rs | code_lines) in crates/core/src/plan.rs"
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -7,7 +7,6 @@
 //! distribution (Section II-D).
 
 use spdistal_ir::{Access, Assignment, Expr, IndexVar, ParallelUnit, Schedule};
-use spdistal_runtime::{ExecMode, SplitPolicy};
 
 use crate::codegen::{self, Plan};
 use crate::dist_tensor::{Context, Error};
@@ -42,48 +41,6 @@ impl Context {
         plan::execute(self, plan)
     }
 
-    /// Execute a compiled plan under a specific [`ExecMode`], restoring the
-    /// context's previous mode afterwards. Parallel execution is
-    /// bit-identical to serial: conflicting tasks are serialized in color
-    /// order by the dependence graph and reductions combine in color order.
-    pub fn run_with_mode(&mut self, plan: &Plan, mode: ExecMode) -> Result<ExecResult, Error> {
-        let split = self.split_policy();
-        self.run_with(plan, mode, split)
-    }
-
-    /// Execute a compiled plan under a specific [`ExecMode`] *and*
-    /// [`SplitPolicy`], restoring both afterwards — including on the error
-    /// path, which [`Context::run_with_mode`] alone used to leave to the
-    /// caller when it also toggled the split policy around the call.
-    pub fn run_with(
-        &mut self,
-        plan: &Plan,
-        mode: ExecMode,
-        split: SplitPolicy,
-    ) -> Result<ExecResult, Error> {
-        /// Restores the context's mode + policy on every exit, early
-        /// returns and panics included.
-        struct Restore<'a> {
-            ctx: &'a mut Context,
-            mode: ExecMode,
-            split: SplitPolicy,
-        }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.ctx.set_exec_mode(self.mode);
-                self.ctx.set_split_policy(self.split);
-            }
-        }
-        let guard = Restore {
-            mode: self.exec_mode(),
-            split: self.split_policy(),
-            ctx: self,
-        };
-        guard.ctx.set_exec_mode(mode);
-        guard.ctx.set_split_policy(split);
-        plan::execute(guard.ctx, plan)
-    }
-
     /// Compile and execute in one step.
     pub fn compile_and_run(
         &mut self,
@@ -99,38 +56,14 @@ impl Context {
     /// paper's methodology of establishing an initial data distribution
     /// *matched to the computation distribution* before the timed region
     /// (Section II-D). Fails with OOM if a processor cannot hold its share.
-    pub fn prestage(&mut self, plan: &crate::codegen::Plan) -> Result<(), Error> {
-        use crate::dist_tensor::LevelRegions;
+    pub fn prestage(&mut self, plan: &Plan) -> Result<(), Error> {
         for input in &plan.inputs {
-            let (regions, part) = {
-                let t = self.tensor(&input.tensor)?;
-                (t.regions.clone(), input.part.clone())
-            };
+            let regions = self.tensor(&input.tensor)?.regions.clone();
             for color in 0..plan.colors {
-                let proc = crate::dist_tensor::procs_for_color(
-                    self.machine(),
-                    Some(plan.machine_dim),
-                    color,
-                )
-                .into_iter()
-                .next()
-                .ok_or(Error::EmptyMachineDim(plan.machine_dim))?;
-                for (k, lr) in regions.levels.iter().enumerate() {
-                    if let LevelRegions::Compressed { pos, crd } = lr {
-                        self.runtime_mut().attach(
-                            *pos,
-                            proc,
-                            part.pos_partition(k).subset(color).clone(),
-                        )?;
-                        self.runtime_mut().attach(
-                            *crd,
-                            proc,
-                            part.entries[k].subset(color).clone(),
-                        )?;
-                    }
+                let proc = plan::owner_proc(self, plan, color)?;
+                for (region, subset) in regions.footprint(&input.part, color) {
+                    self.runtime_mut().attach(region, proc, subset.clone())?;
                 }
-                self.runtime_mut()
-                    .attach(regions.vals, proc, part.vals.subset(color).clone())?;
             }
         }
         Ok(())

@@ -29,7 +29,8 @@ use spdistal_sparse::{Level, SpTensor};
 use crate::dist_tensor::{Context, Error};
 use crate::kernels::{self, LeafKernel};
 use crate::level_funcs::{
-    nonzero_partition, partition_tensor, replicated_partition, universe_partition, TensorPartition,
+    nonzero_tree_partition, outer_dim_partition, partition_tensor, replicated_partition,
+    universe_partition, TensorPartition,
 };
 
 /// How the output tensor is produced.
@@ -141,8 +142,10 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
                 .find(|a| &a.tensor == tensor)
                 .ok_or_else(|| Error::UnknownTensor(tensor.clone()))?;
             let level = position_level(&roots, &access.indices)?;
-            let init = nonzero_partition(&t.data, level, colors);
-            (tensor.clone(), partition_tensor(&t.data, level, init))
+            (
+                tensor.clone(),
+                nonzero_tree_partition(&t.data, level, colors),
+            )
         }
         IterKind::Value => {
             let [root] = roots.as_slice() else {
@@ -170,10 +173,7 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
                     )
                 })?;
             let t = ctx.tensor(&driver.tensor)?;
-            let extent = t.data.dims()[0];
-            let bounds = crate::level_funcs::equal_coord_bounds(extent, colors);
-            let init = universe_partition(&t.data, 0, &bounds);
-            (driver.tensor.clone(), partition_tensor(&t.data, 0, init))
+            (driver.tensor.clone(), outer_dim_partition(&t.data, colors))
         }
     };
 

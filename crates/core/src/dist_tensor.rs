@@ -10,17 +10,17 @@
 //! methodology establishes before the timed region.
 
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 use spdistal_ir::tdn::DistSpec;
 use spdistal_ir::{Format, IndexVar, SchedError, TdnError, VarCtx};
 use spdistal_runtime::{
-    ExecMode, IntervalSet, Machine, RegionId, Runtime, RuntimeError, SplitPolicy, Trace,
+    ExecMode, IntervalSet, Machine, Rect1, RegionId, Runtime, RuntimeError, SplitPolicy, Trace,
 };
 use spdistal_sparse::{CoordDelta, Level, SpTensor};
 
 use crate::level_funcs::{
-    equal_coord_bounds, nonzero_partition, partition_tensor, replicated_partition,
-    universe_partition, TensorPartition,
+    nonzero_tree_partition, outer_dim_partition, replicated_partition, TensorPartition,
 };
 use crate::streaming::{ingest, DirtyMap, StreamingState, TensorDirty, UpdateReport};
 
@@ -112,7 +112,7 @@ pub struct TensorRegions {
 impl TensorRegions {
     /// Every region, in registration order: `pos` then `crd` level by
     /// level, `vals` last.
-    fn ids(&self) -> Vec<RegionId> {
+    pub fn ids(&self) -> Vec<RegionId> {
         let mut ids = Vec::with_capacity(2 * self.levels.len() + 1);
         for lr in &self.levels {
             match *lr {
@@ -123,6 +123,36 @@ impl TensorRegions {
         }
         ids.push(self.vals);
         ids
+    }
+
+    /// What `color` touches of this tensor under `part`: one
+    /// `(region, subset)` per region, in [`TensorRegions::ids`] order. A
+    /// level's `crd` and the `vals` follow the partition of their own
+    /// entries; a compressed level's `pos` has one element per *parent*
+    /// entry, so it follows the level above — and level 0's `pos` is the
+    /// single root entry, which every color reads. This is the one place
+    /// that knows it: requirements, the initial placement and pre-staging
+    /// all read a color's sub-regions from here.
+    pub fn footprint<'a>(
+        &'a self,
+        part: &'a TensorPartition,
+        color: usize,
+    ) -> impl Iterator<Item = (RegionId, &'a IntervalSet)> + 'a {
+        static ROOT: LazyLock<IntervalSet> =
+            LazyLock::new(|| IntervalSet::from_rect(Rect1::new(0, 0)));
+        let entries = move |k: usize| part.entries[k].subset(color);
+        let levels = self.levels.iter().enumerate().flat_map(move |(k, lr)| {
+            let parents = if k == 0 { &*ROOT } else { entries(k - 1) };
+            let (pos, crd) = match *lr {
+                LevelRegions::Dense => (None, None),
+                LevelRegions::Singleton { crd } => (None, Some((crd, entries(k)))),
+                LevelRegions::Compressed { pos, crd } => {
+                    (Some((pos, parents)), Some((crd, entries(k))))
+                }
+            };
+            pos.into_iter().chain(crd)
+        });
+        levels.chain([(self.vals, part.vals.subset(color))])
     }
 }
 
@@ -523,24 +553,19 @@ impl Context {
                 let group = &spec.logical_dims[*ld];
                 if *nonzero {
                     // Non-zero partition of the deepest fused level.
-                    let level = *group.last().unwrap();
-                    let init = nonzero_partition(data, level, colors);
-                    Ok(partition_tensor(data, level, init))
+                    Ok(nonzero_tree_partition(data, *group.last().unwrap(), colors))
                 } else {
                     if group.len() != 1 {
                         return Err(Error::Unsupported(
                             "universe partition of a fused dimension group".into(),
                         ));
                     }
-                    let level = group[0];
-                    if level != 0 {
+                    if group[0] != 0 {
                         return Err(Error::Unsupported(
                             "universe data distribution below the outermost dimension".into(),
                         ));
                     }
-                    let bounds = equal_coord_bounds(data.dims()[level], colors);
-                    let init = universe_partition(data, level, &bounds);
-                    Ok(partition_tensor(data, level, init))
+                    Ok(outer_dim_partition(data, colors))
                 }
             }
             _ => Err(Error::Unsupported(
@@ -612,19 +637,8 @@ fn placements(
         .find_map(|(md, ld)| ld.map(|_| md));
     for color in 0..part.num_colors() {
         for p in procs_for_color(machine, md, color) {
-            let mut slot = 0..;
-            let mut place = |set: &IntervalSet| placed.push((p, slot.next().unwrap(), set.clone()));
-            for (k, lr) in regions.levels.iter().enumerate() {
-                match lr {
-                    LevelRegions::Compressed { .. } => {
-                        place(part.pos_partition(k).subset(color));
-                        place(part.entries[k].subset(color));
-                    }
-                    LevelRegions::Singleton { .. } => place(part.entries[k].subset(color)),
-                    LevelRegions::Dense => {}
-                }
-            }
-            place(part.vals.subset(color));
+            let footprint = regions.footprint(part, color).enumerate();
+            placed.extend(footprint.map(|(slot, (_, set))| (p, slot, set.clone())));
         }
     }
     placed
@@ -645,14 +659,13 @@ fn attach_placements(
 
 /// The processors owning `color` along machine dimension `md` (all
 /// processors when the tensor is replicated, i.e. `md == None`).
-pub fn procs_for_color(machine: &Machine, md: Option<usize>, color: usize) -> Vec<usize> {
-    let n = machine.num_procs();
-    match md {
-        None => (0..n).collect(),
-        Some(md) => (0..n)
-            .filter(|&p| grid_coord(machine, p, md) == color)
-            .collect(),
-    }
+pub fn procs_for_color(
+    machine: &Machine,
+    md: Option<usize>,
+    color: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    (0..machine.num_procs())
+        .filter(move |&p| md.is_none_or(|md| grid_coord(machine, p, md) == color))
 }
 
 /// Decompose a linearized (row-major) processor index into its coordinate
@@ -675,7 +688,7 @@ pub fn grid_coord(machine: &Machine, proc: usize, md: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spdistal_runtime::MachineProfile;
+    use spdistal_runtime::{MachineProfile, Partition};
     use spdistal_sparse::{dense_vector, generate};
 
     fn ctx(procs: usize) -> Context {
@@ -744,8 +757,96 @@ mod tests {
         assert_eq!(grid_coord(&m, 0, 0), 0);
         assert_eq!(grid_coord(&m, 5, 0), 1);
         assert_eq!(grid_coord(&m, 5, 1), 2);
-        assert_eq!(procs_for_color(&m, Some(1), 2), vec![2, 5]);
-        assert_eq!(procs_for_color(&m, None, 0).len(), 6);
+        assert_eq!(procs_for_color(&m, Some(1), 2).collect::<Vec<_>>(), [2, 5]);
+        assert_eq!(procs_for_color(&m, None, 0).count(), 6);
+    }
+
+    /// The six stored layouts the leaves read, over a tensor of `rows`
+    /// outermost coordinates.
+    fn layouts(rows: usize) -> Vec<(&'static str, SpTensor)> {
+        use spdistal_sparse::convert::{to_coo_format, to_dcsr};
+        use spdistal_sparse::LevelFormat::{Compressed as C, Dense as D, Singleton as S};
+        let csr = generate::uniform(rows, 16, 5 * rows, 1);
+        let t3 = |fmt: &[_]| generate::tensor3_uniform_fmt([rows, 4, 8], 9 * rows, 2, fmt);
+        vec![
+            ("CSR", csr.clone()),
+            ("DCSR", to_dcsr(&csr)),
+            ("COO", to_coo_format(&csr)),
+            ("COO3", t3(&[C, S, S])),
+            ("CSF", t3(&[C, C, C])),
+            ("DDS", t3(&[D, D, C])),
+        ]
+    }
+
+    /// The three partition families a plan or a distribution puts a tensor
+    /// under.
+    fn partitions(t: &SpTensor, colors: usize) -> Vec<(&'static str, TensorPartition)> {
+        vec![
+            ("outer-dim", outer_dim_partition(t, colors)),
+            ("non-zero", nonzero_tree_partition(t, t.order() - 1, colors)),
+            ("replicated", replicated_partition(t, colors)),
+        ]
+    }
+
+    #[test]
+    fn footprint_names_every_region_once_in_ids_order() {
+        const COLORS: usize = 4;
+        let root = IntervalSet::from_rect(Rect1::new(0, 0));
+        for (layout, t) in layouts(24) {
+            let mut rt = Runtime::new(Machine::grid1d(COLORS, MachineProfile::test_profile()));
+            let regions = create_regions(&mut rt, "T", &t);
+            let ids = regions.ids();
+            for (family, part) in partitions(&t, COLORS) {
+                let what = format!("{layout} under {family}");
+                let mut unions = vec![IntervalSet::new(); ids.len()];
+                for color in 0..COLORS {
+                    let footprint: Vec<_> = regions.footprint(&part, color).collect();
+                    let named: Vec<RegionId> = footprint.iter().map(|&(r, _)| r).collect();
+                    assert_eq!(named, ids, "{what}, color {color}");
+                    // Level 0's `pos` is the root entry, whoever asks.
+                    if let LevelRegions::Compressed { pos, .. } = regions.levels[0] {
+                        assert_eq!(footprint[0], (pos, &root), "{what}, color {color}");
+                    }
+                    for (union, (_, subset)) in unions.iter_mut().zip(footprint) {
+                        union.union_with(subset);
+                    }
+                }
+                // `pos` follows the level above, `crd` and `vals` their own
+                // entries: together the colors cover what the partition does.
+                let complete = part.entries.iter().all(Partition::is_complete);
+                assert!(complete || family == "non-zero", "{what} must be complete");
+                for (&r, union) in ids.iter().zip(&unions) {
+                    let len = rt.region(r).len as i64;
+                    let whole = IntervalSet::from_rect(Rect1::new(0, len - 1));
+                    assert!(whole.contains_set(union), "{what}: {}", rt.region(r).name);
+                    if complete {
+                        assert_eq!(union, &whole, "{what}: {}", rt.region(r).name);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_color_touches_nothing_but_the_root() {
+        // Two outermost coordinates over four colors: the last two own none.
+        for (layout, t) in layouts(2) {
+            let mut rt = Runtime::new(Machine::grid1d(4, MachineProfile::test_profile()));
+            let regions = create_regions(&mut rt, "T", &t);
+            let part = outer_dim_partition(&t, 4);
+            for color in [2, 3] {
+                // A requirement is made of a non-empty subset only.
+                let touched = regions.footprint(&part, color);
+                let touched: Vec<_> = touched.filter(|(_, s)| !s.is_empty()).collect();
+                match regions.levels[0] {
+                    LevelRegions::Compressed { pos, .. } => {
+                        assert_eq!(touched.len(), 1, "{layout}, color {color}");
+                        assert_eq!(touched[0].0, pos, "{layout}, color {color}");
+                    }
+                    _ => assert!(touched.is_empty(), "{layout}, color {color}: {touched:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -70,18 +70,6 @@ impl TensorPartition {
     pub fn num_colors(&self) -> usize {
         self.vals.num_colors()
     }
-
-    /// The `pos` region partition of compressed level `k` (the partition of
-    /// the parent level's entries). Level 0's `pos` conceptually has a
-    /// single root entry, so it is fully replicated.
-    pub fn pos_partition(&self, k: usize) -> Partition {
-        if k == 0 {
-            let colors = self.num_colors();
-            Partition::new(1, vec![IntervalSet::from_rect(Rect1::new(0, 0)); colors])
-        } else {
-            self.entries[k - 1].clone()
-        }
-    }
 }
 
 /// Number of entries in each level of `t` (entry-space sizes).
@@ -242,6 +230,19 @@ pub fn partition_tensor(t: &SpTensor, k: usize, initial: Partition) -> TensorPar
     TensorPartition { entries, vals }
 }
 
+/// The outer-dimension (row/slice) tree partition every canned universe
+/// distribution and schedule uses: equal coordinate ranges of dimension 0,
+/// derived downward.
+pub(crate) fn outer_dim_partition(t: &SpTensor, colors: usize) -> TensorPartition {
+    let bounds = equal_coord_bounds(t.dims()[0], colors);
+    partition_tensor(t, 0, universe_partition(t, 0, &bounds))
+}
+
+/// Its non-zero twin: equal position ranges of `level`, derived both ways.
+pub(crate) fn nonzero_tree_partition(t: &SpTensor, level: usize, colors: usize) -> TensorPartition {
+    partition_tensor(t, level, nonzero_partition(t, level, colors))
+}
+
 /// A fully replicated partition: every color sees the whole tensor.
 pub fn replicated_partition(t: &SpTensor, colors: usize) -> TensorPartition {
     let counts = entry_counts(t);
@@ -396,17 +397,6 @@ mod tests {
         for e in &tp.entries {
             assert!(e.is_complete());
         }
-    }
-
-    #[test]
-    fn pos_partition_accessor() {
-        let t = fig7();
-        let tp = partition_tensor(&t, 1, nonzero_partition(&t, 1, 2));
-        let pos1 = tp.pos_partition(1);
-        assert_eq!(pos1.parent_len(), 4);
-        let pos0 = tp.pos_partition(0);
-        assert_eq!(pos0.parent_len(), 1);
-        assert!(pos0.subset(0).contains(0) && pos0.subset(1).contains(0));
     }
 
     #[test]

@@ -10,28 +10,48 @@
 //! ## Describe vs. run
 //!
 //! Execution is split into two phases so whole launches can be deferred and
-//! overlapped (the [`Session`](crate::session::Session) API):
+//! overlapped. There is one driver of both, the
+//! [`Session`](crate::session::Session): [`execute`] (behind
+//! `Context::run`) is a session of one plan.
 //!
 //! * **describe** — [`PreparedPlan::new`] resolves the plan against the
-//!   context's tensor table: per-point region requirements (the same
-//!   metadata the model phase will name) plus borrowed views of every
-//!   operand the leaf kernels need. Nothing has executed yet. An optional
-//!   `MergeSeed` — the previous output of this same plan plus the driver
-//!   rows that changed since — turns the describe into an *incremental*
-//!   one: the seed's buffer becomes the shared output allocation, the
-//!   colors whose driver rows intersect the dirty set are zeroed, and a
-//!   per-color `rerun` mask records which colors those are. A seed the
-//!   plan cannot honour (reduction or assembled output, or a buffer of the
-//!   wrong length) is dropped and every color re-runs;
+//!   context's tensor table: the per-color region requirements plus
+//!   borrowed views of every operand the leaf kernels need. Nothing has
+//!   executed yet. An optional `MergeSeed` — the previous output of this
+//!   same plan plus the driver rows that changed since — turns the describe
+//!   into an *incremental* one: the seed's buffer becomes the shared output
+//!   allocation, the colors whose driver rows intersect the dirty set are
+//!   zeroed, and a per-color `rerun` mask records which colors those are. A
+//!   seed the plan cannot honour (reduction or assembled output, or a
+//!   buffer of the wrong length) is dropped and every color re-runs;
 //!   [`MergeReport::merged`] says which happened.
 //! * **run** — [`PreparedPlan::run_point`] executes one span of one color's
 //!   leaf kernel — or, for a color the `rerun` mask clears, records a
 //!   zero-op result and leaves the seeded values in place; any
-//!   dependence-respecting driver may call it, from the single-launch path
-//!   in [`execute`] to the multi-launch pipeline. [`PreparedPlan::finish`]
+//!   dependence-respecting driver may call it. [`PreparedPlan::finish`]
 //!   then folds the per-color results into the computed output, and
 //!   [`finish_model`] replays the launch against the discrete-event
 //!   simulator and writes the output back.
+//!
+//! A launch is described **once**. The requirement list describe builds
+//! (one `Vec<RegionReq>` per color: every input's footprint, then the
+//! color's slice of the output under a stand-in region id) is *lent* to the
+//! pipeline, which derives the dependence order of the pool drain from it;
+//! it comes back after the drain through [`PreparedPlan::finish`] and
+//! [`finish_model`] issues the very same lists to the machine model, which
+//! derives the data movement from them — the stand-in id re-named to the
+//! output region the compute phase has sized by then, and for an assembled
+//! output one copy for the symbolic launch and the assembled ranges
+//! appended for the numeric one. Nothing is memoised across runs: the
+//! lists are moved, and rebuilt by the next describe.
+//!
+//! | `plan` owns | `plan` does not own |
+//! |---|---|
+//! | Leaf binding: kernel × driver layout → one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
+//! | The requirement lists, from describe through the drain to the model issue | Batching, launch-graph gating (`model_preds`) and the stand-in ids: [`session`](crate::session) |
+//! | The output fold: shared buffer, reduction partials, assembled rows | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
+//! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
+//! | The write-back and its launch-granularity claims ([`writeback_reqs`]) | Re-registration itself: `Context::replace_tensor_data` |
 //!
 //! ## Real parallel execution
 //!
@@ -81,19 +101,19 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use spdistal_runtime::pipeline::{LaunchDesc, LaunchTiming, Pipeline};
+use spdistal_runtime::pipeline::{LaunchDesc, LaunchTiming};
 use spdistal_runtime::sched::ExecReport;
 use spdistal_runtime::{
-    IntervalSet, LaunchId, LaunchRecord, ModelTiming, Privilege, Rect1, RegionId, RegionReq,
-    TaskSpec,
+    IntervalSet, LaunchId, LaunchRecord, ModelTiming, Rect1, RegionId, RegionReq, TaskSpec,
 };
 use spdistal_sparse::{dense_vector, CooTensor, Level, SpTensor};
 
-use crate::codegen::{OutKind, Plan, PlannedInput};
-use crate::dist_tensor::{procs_for_color, Context, Error, LevelRegions, VAL_BYTES};
+use crate::codegen::{OutKind, Plan};
+use crate::dist_tensor::{procs_for_color, Context, Error, VAL_BYTES};
 use crate::kernels::specialized::{self, SpecializedKernel};
 use crate::kernels::{self, matrix, tensor3, KernelSpan, LeafKernel, OutVals};
 use crate::level_funcs::{entry_counts, TensorPartition};
+use crate::session::Session;
 use crate::streaming::DirtyMap;
 
 /// The computed value of a plan's output.
@@ -155,15 +175,14 @@ pub struct ExecResult {
     pub time: f64,
     /// Real wall-clock seconds the compute phase took under the selected
     /// [`ExecMode`](spdistal_runtime::sched::ExecMode) (reported
-    /// alongside, never folded into, `time`). For a pipelined execution
-    /// this is the plan's own active window (`drain - start` of its
-    /// launch), since the pool was shared with other launches.
+    /// alongside, never folded into, `time`): the plan's own active window
+    /// (`drain - start` of its launch), since a batch's launches share the
+    /// pool.
     pub wall_time: f64,
     /// Deferred-execution milestones of this plan's compute launch(es):
     /// when each was issued, when its first point task started, and when
-    /// its last point task drained. A single launch-at-a-time execution
-    /// reports one entry; pipelined executions rebase all entries onto the
-    /// session's submission epoch so overlap is visible across results.
+    /// its last point task drained, on the session's submission epoch so
+    /// overlap is visible across the results of one session.
     pub launches: Vec<LaunchTiming>,
     /// Bytes moved between memories during this execution.
     pub comm_bytes: u64,
@@ -182,23 +201,14 @@ pub struct ExecResult {
     pub output: OutputValue,
 }
 
-/// Execute `plan` within `ctx`, launch-at-a-time. The lhs tensor's data is
-/// replaced by the computed output (so chained statements, e.g. CP-ALS
-/// sweeps, see it).
+/// Execute `plan` within `ctx`: a [`Session`] of one plan, forced at once.
+/// The lhs tensor's data is replaced by the computed output (so chained
+/// statements, e.g. CP-ALS sweeps, see it).
 pub fn execute(ctx: &mut Context, plan: &Plan) -> Result<ExecResult, Error> {
-    let trace = ctx.trace().clone();
-    let mut prepared = PreparedPlan::new(ctx, plan, DAG_OUT_REGION, None)?;
-    let pipeline = Pipeline::new(vec![prepared.take_launch_desc()]);
-    let (report, timings) = pipeline.run_traced(ctx.exec_mode(), &trace, |_, point, span| {
-        prepared.run_point(point, span)
-    });
-    let finished = prepared.finish();
-    finish_model(ctx, plan, finished, report, timings, None)
+    let mut session = Session::new(ctx);
+    let future = session.submit(plan);
+    session.take(&future)
 }
-
-/// Synthetic region id standing in for the output region (created only
-/// after the compute phase sizes it) when deriving the compute DAG.
-pub(crate) const DAG_OUT_REGION: RegionId = RegionId(u32::MAX);
 
 /// One span's computed contribution, parked until [`PreparedPlan::finish`].
 enum PointResult {
@@ -294,6 +304,13 @@ pub(crate) struct PreparedPlan<'a> {
     plan: &'a Plan,
     driver: &'a SpTensor,
     part: &'a TensorPartition,
+    /// The caller's stand-in id for the output region, which exists only
+    /// once the compute phase has sized it.
+    out_region: RegionId,
+    /// What each color touches: every input's footprint, then its slice of
+    /// the output under `out_region`. Lent to the pipeline for the drain
+    /// ([`PreparedPlan::take_launch_desc`]), handed back to
+    /// [`PreparedPlan::finish`] and issued to the machine model as is.
     point_reqs: Vec<Vec<RegionReq>>,
     /// Sub-task descriptors: `spans[point]` are that color's kernel spans
     /// (`None` = the whole color, unsplit). Split safety was decided per
@@ -416,7 +433,9 @@ impl<'a> PreparedPlan<'a> {
             );
         }
 
-        let point_reqs = dag_reqs(ctx, plan, out_region)?;
+        let point_reqs = (0..plan.colors)
+            .map(|color| launch_reqs(ctx, plan, out_region, color))
+            .collect::<Result<_, _>>()?;
 
         let (shared, dirty) = match &plan.kernel {
             LeafKernel::SpAdd3 => (None, None),
@@ -470,6 +489,7 @@ impl<'a> PreparedPlan<'a> {
             plan,
             driver,
             part,
+            out_region,
             point_reqs,
             rerun: vec![true; spans.len()],
             spans,
@@ -500,9 +520,9 @@ impl<'a> PreparedPlan<'a> {
     }
 
     /// The launch descriptor of this plan's compute phase: the per-point
-    /// requirements plus the per-point span widths. Hands the point
-    /// requirements over to the pipeline (they have no further use here),
-    /// so building a pipeline never deep-copies requirement sets.
+    /// requirements plus the per-point span widths. The requirements are
+    /// lent, not copied: the pipeline holds them for the drain and
+    /// [`PreparedPlan::finish`] takes them back.
     pub(crate) fn take_launch_desc(&mut self) -> LaunchDesc {
         let widths = self.spans.iter().map(Vec::len).collect();
         LaunchDesc::new(self.plan.name.clone(), std::mem::take(&mut self.point_reqs))
@@ -567,7 +587,9 @@ impl<'a> PreparedPlan<'a> {
         let Some(shared) = &mut self.shared else {
             return;
         };
-        for r in out_subset(self.plan, color).rects() {
+        let mut reqs = self.point_reqs[color].iter();
+        let out = reqs.find(|req| req.region == self.out_region);
+        for r in out.iter().flat_map(|req| req.subset.rects()) {
             let lo = r.lo.max(0) as usize;
             let hi = (r.hi.min(shared.len as i64 - 1)).max(-1);
             if hi < 0 {
@@ -578,8 +600,9 @@ impl<'a> PreparedPlan<'a> {
     }
 
     /// Fold the per-span results into the computed output and the
-    /// per-color modeled op counts. Call after every span ran.
-    pub(crate) fn finish(self) -> Finished {
+    /// per-color modeled op counts. Call after every span ran, with the
+    /// requirements [`PreparedPlan::take_launch_desc`] lent out.
+    pub(crate) fn finish(self, reqs: Vec<Vec<RegionReq>>) -> Finished {
         let colors = self.spans.iter().zip(&self.rerun);
         let spans_skipped = colors.filter(|(_, r)| !**r).map(|(s, _)| s.len()).sum();
         let merge = MergeReport {
@@ -587,11 +610,14 @@ impl<'a> PreparedPlan<'a> {
             spans_reexecuted: self.slots.len() - spans_skipped,
             spans_skipped,
         };
+        let stand_in = self.out_region;
         let (computed, ops) = self.fold();
         Finished {
             computed,
             ops,
             merge,
+            reqs,
+            stand_in,
         }
     }
 
@@ -682,28 +708,30 @@ impl<'a> PreparedPlan<'a> {
 /// The model phase: replay the launch(es) against the discrete-event
 /// simulator, materialize the output, and write it back into the context.
 ///
-/// `model_preds` selects how the launches are issued on the simulator's
-/// pipelined model timeline: `None` is a launch-at-a-time issue (serialized
-/// behind everything previously issued), `Some(preds)` a launch-graph-
-/// ordered issue gated only on `preds` — the deferred-execution replay the
-/// `Session` drives, where `preds` are the launch-graph predecessors of
-/// this plan's compute launch plus everything the previous batch issued.
-/// The canonical per-processor clocks (hence [`ExecResult::time`]) are
-/// charged identically either way; only the modeled milestones reported in
-/// the returned timings' [`ModelTiming`] observe the dependence structure.
+/// The launches are issued launch-graph-ordered on the simulator's
+/// pipelined model timeline, gated only on `model_preds`: the launch-graph
+/// predecessors of this plan's compute launch plus everything the previous
+/// batch (or, for a session's first batch, the context) issued. The
+/// canonical per-processor clocks (hence [`ExecResult::time`]) do not
+/// observe the gating; only the modeled milestones reported in the
+/// returned timings' [`ModelTiming`] do.
 pub(crate) fn finish_model(
     ctx: &mut Context,
     plan: &Plan,
     finished: Finished,
     sched: ExecReport,
-    launches: Vec<LaunchTiming>,
-    model_preds: Option<&[LaunchId]>,
+    mut timing: LaunchTiming,
+    model_preds: &[LaunchId],
 ) -> Result<ExecResult, Error> {
     let Finished {
         computed,
         ops,
         merge,
+        mut reqs,
+        stand_in,
     } = finished;
+    let procs = (0..plan.colors).map(|color| owner_proc(ctx, plan, color));
+    let procs = procs.collect::<Result<Vec<usize>, Error>>()?;
     let time0 = ctx.runtime().now();
     let stats0 = (
         ctx.runtime().stats().comm_bytes,
@@ -718,73 +746,24 @@ pub(crate) fn finish_model(
     let out_region =
         ctx.runtime_mut()
             .create_region(&format!("{}.out", plan.output.tensor), out_len, VAL_BYTES);
-
-    let out_priv = if plan.output.reduce {
-        Privilege::Reduce
-    } else {
-        Privilege::ReadWrite
-    };
-
-    // Output subsets per color.
-    let out_subsets: Vec<IntervalSet> = match &computed {
-        Computed::Assembled { per_color_nnz, .. } => {
-            // Colors own contiguous output ranges in color order.
-            let mut off = 0i64;
-            per_color_nnz
-                .iter()
-                .map(|&n| {
-                    let s = if n == 0 {
-                        IntervalSet::new()
-                    } else {
-                        IntervalSet::from_rect(Rect1::new(off, off + n as i64 - 1))
-                    };
-                    off += n as i64;
-                    s
-                })
-                .collect()
+    // The requirements the pool ran under are the ones the model is
+    // charged for; only the output's stand-in id becomes the region.
+    for req in reqs.iter_mut().flatten() {
+        if req.region == stand_in {
+            req.region = out_region;
         }
-        _ => (0..plan.colors).map(|c| out_subset(plan, c)).collect(),
+    }
+    let tasks = |reqs: Vec<Vec<RegionReq>>, ops: &[f64]| -> Vec<TaskSpec> {
+        let specs = procs.iter().zip(reqs).zip(ops);
+        specs
+            .map(|((&proc, reqs), &ops)| TaskSpec { proc, reqs, ops })
+            .collect()
     };
 
-    let mk_tasks =
-        |ctx: &Context, ops: &[f64], include_out: bool| -> Result<Vec<TaskSpec>, Error> {
-            let mut tasks = Vec::with_capacity(plan.colors);
-            for c in 0..plan.colors {
-                let proc = procs_for_color(ctx.machine(), Some(plan.machine_dim), c)
-                    .into_iter()
-                    .next()
-                    .ok_or(Error::EmptyMachineDim(plan.machine_dim))?;
-                let mut task = TaskSpec::new(proc, ops[c]);
-                for input in &plan.inputs {
-                    push_input_reqs(ctx, input, c, &mut task.reqs)?;
-                }
-                if include_out && !out_subsets[c].is_empty() {
-                    task.reqs.push(RegionReq {
-                        region: out_region,
-                        subset: out_subsets[c].clone(),
-                        privilege: out_priv,
-                    });
-                }
-                tasks.push(task);
-            }
-            Ok(tasks)
-        };
-
-    // Issue on the model timeline: launch-at-a-time (fence) or
-    // launch-graph-ordered behind `model_preds`.
-    let issue = |ctx: &mut Context,
-                 name: &str,
-                 tasks: Vec<TaskSpec>,
-                 preds: Option<&[LaunchId]>|
-     -> Result<LaunchRecord, Error> {
-        Ok(match preds {
-            None => ctx.runtime_mut().index_launch(name, tasks)?,
-            Some(p) => ctx.runtime_mut().index_launch_after(name, tasks, p)?,
-        })
-    };
     let issue_t0 = Instant::now();
     let issued: Vec<LaunchRecord> = match &computed {
         Computed::Assembled {
+            per_color_nnz,
             symbolic_ops,
             numeric_ops,
             ..
@@ -792,32 +771,35 @@ pub(crate) fn finish_model(
             // Two-phase assembly: symbolic pass discovers the pattern,
             // numeric pass writes values (Chou et al., Section V-B). The
             // numeric pass always chains behind the symbolic one.
-            let t1 = mk_tasks(ctx, symbolic_ops, false)?;
-            let sym = issue(ctx, &format!("{}:symbolic", plan.name), t1, model_preds)?;
-            let t2 = mk_tasks(ctx, numeric_ops, true)?;
-            let num_preds = [sym.id];
-            let num = issue(
-                ctx,
-                &format!("{}:numeric", plan.name),
-                t2,
-                model_preds.is_some().then_some(&num_preds[..]),
-            )?;
+            let name = format!("{}:symbolic", plan.name);
+            let t1 = tasks(reqs.clone(), symbolic_ops);
+            let sym = ctx
+                .runtime_mut()
+                .index_launch_after(&name, t1, model_preds)?;
+            // Colors own contiguous output ranges in color order.
+            let mut off = 0i64;
+            for (reqs, &n) in reqs.iter_mut().zip(per_color_nnz) {
+                if n > 0 {
+                    let range = Rect1::new(off, off + n as i64 - 1);
+                    reqs.push(RegionReq::write(out_region, IntervalSet::from_rect(range)));
+                }
+                off += n as i64;
+            }
+            let name = format!("{}:numeric", plan.name);
+            let t2 = tasks(reqs, numeric_ops);
+            let num = ctx.runtime_mut().index_launch_after(&name, t2, &[sym.id])?;
             vec![sym, num]
         }
-        _ => {
-            let tasks = mk_tasks(ctx, &ops, true)?;
-            vec![issue(ctx, &plan.name, tasks, model_preds)?]
+        Computed::Vals(_) => {
+            let runtime = ctx.runtime_mut();
+            vec![runtime.index_launch_after(&plan.name, tasks(reqs, &ops), model_preds)?]
         }
     };
-    // The model timeline's trace events: a fence marker when the issue
-    // serialized behind everything (launch-at-a-time), then one modeled
-    // launch window per issued record.
+    // The model timeline's trace events: one modeled launch window per
+    // issued record.
     let trace = ctx.trace().clone();
     trace.observe_ns("model.issue_ns", issue_t0.elapsed().as_nanos() as u64);
     if trace.is_enabled() {
-        if model_preds.is_none() {
-            trace.model_fence(&plan.name);
-        }
         for r in &issued {
             trace.model_launch(
                 &r.name,
@@ -829,18 +811,14 @@ pub(crate) fn finish_model(
         }
     }
     // Fold the issued launches' modeled milestones into this plan's
-    // timing(s): one window from first issue to last finish, sequential
+    // timing: one window from first issue to last finish, sequential
     // spans summed (two-phase launches chain, so their spans tile).
-    let model = ModelTiming {
+    timing.model = ModelTiming {
         issue: issued.first().map_or(0.0, |r| r.model.issue),
         start: issued.first().map_or(0.0, |r| r.model.start),
         finish: issued.last().map_or(0.0, |r| r.model.finish),
         seq_span: issued.iter().map(|r| r.model.seq_span).sum(),
     };
-    let mut launches = launches;
-    for t in &mut launches {
-        t.model = model.clone();
-    }
 
     // --- write back ------------------------------------------------------
     let output = materialize_output(ctx, plan, computed)?;
@@ -850,12 +828,11 @@ pub(crate) fn finish_model(
     // release it, so the runtime's state is bounded by the program.
     ctx.runtime_mut().retire_region(out_region);
 
-    let wall_time = plan_wall_time(&sched, &launches);
     let stats = ctx.runtime().stats();
     Ok(ExecResult {
         time: ctx.runtime().now() - time0,
-        wall_time,
-        launches,
+        wall_time: (timing.drain - timing.start).max(0.0),
+        launches: vec![timing],
         comm_bytes: stats.comm_bytes - stats0.0,
         messages: stats.messages - stats0.1,
         ops: stats.total_ops - stats0.2,
@@ -866,54 +843,47 @@ pub(crate) fn finish_model(
     })
 }
 
-/// The compute wall-clock attributed to one plan: its launches' active
-/// window when per-launch milestones are present, else the whole drain.
-fn plan_wall_time(sched: &ExecReport, launches: &[LaunchTiming]) -> f64 {
-    if launches.is_empty() {
-        return sched.wall_seconds;
-    }
-    let start = launches
-        .iter()
-        .map(|l| l.start)
-        .fold(f64::INFINITY, f64::min);
-    let drain = launches.iter().map(|l| l.drain).fold(0.0, f64::max);
-    (drain - start).max(0.0)
-}
-
-/// The per-color region requirement sets of the launch, as seen by the
-/// compute-phase dependence analysis: every input the color reads, plus its
-/// output subset under the plan's output partition. Inputs are `Read`
-/// (commuting); outputs carry the launch's write-or-reduce privilege, so
-/// aliased writers serialize in color order and reductions commute.
-/// `out_region` is the caller's synthetic stand-in for the output region
-/// (created only after the compute phase sizes it).
-fn dag_reqs(
+/// What one color of the launch touches: every input under its planned
+/// partition ([`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint),
+/// commuting reads), then the color's slice of the output under the plan's
+/// output partition with the launch's write-or-reduce privilege — aliased
+/// writers serialize in color order, reductions commute. Built once per
+/// prepared plan: the pool derives the dependence order from this list and
+/// the machine model the data movement, as Legion does from one set of
+/// region requirements.
+fn launch_reqs(
     ctx: &Context,
     plan: &Plan,
     out_region: RegionId,
-) -> Result<Vec<Vec<RegionReq>>, Error> {
-    let out_priv = if plan.output.reduce {
-        Privilege::Reduce
-    } else {
-        Privilege::ReadWrite
-    };
-    let mut all = Vec::with_capacity(plan.colors);
-    for color in 0..plan.colors {
-        let mut reqs = Vec::new();
-        for input in &plan.inputs {
-            push_input_reqs(ctx, input, color, &mut reqs)?;
-        }
-        let out_subset = out_subset(plan, color);
-        if !out_subset.is_empty() {
-            reqs.push(RegionReq {
-                region: out_region,
-                subset: out_subset,
-                privilege: out_priv,
-            });
-        }
-        all.push(reqs);
+    color: usize,
+) -> Result<Vec<RegionReq>, Error> {
+    let mut reqs = Vec::new();
+    for input in &plan.inputs {
+        let footprint = ctx
+            .tensor(&input.tensor)?
+            .regions
+            .footprint(&input.part, color);
+        let touched = footprint.filter(|(_, subset)| !subset.is_empty());
+        reqs.extend(touched.map(|(region, subset)| RegionReq::read(region, subset.clone())));
     }
-    Ok(all)
+    let out = out_subset(plan, color);
+    if !out.is_empty() {
+        let claim = if plan.output.reduce {
+            RegionReq::reduce
+        } else {
+            RegionReq::write
+        };
+        reqs.push(claim(out_region, out));
+    }
+    Ok(reqs)
+}
+
+/// The processor that runs `color`: the first one the color owns along the
+/// plan's machine dimension.
+pub(crate) fn owner_proc(ctx: &Context, plan: &Plan, color: usize) -> Result<usize, Error> {
+    procs_for_color(ctx.machine(), Some(plan.machine_dim), color)
+        .next()
+        .ok_or(Error::EmptyMachineDim(plan.machine_dim))
 }
 
 /// Launch-granularity requirements on the *real* regions of the plan's
@@ -923,69 +893,12 @@ fn dag_reqs(
 /// pipeline of several plans serializes any later launch that touches this
 /// tensor behind this one (WAW/WAR at launch granularity).
 pub(crate) fn writeback_reqs(ctx: &Context, plan: &Plan) -> Result<Vec<RegionReq>, Error> {
-    let t = ctx.tensor(&plan.output.tensor)?;
-    let full = |len: usize| -> Option<IntervalSet> {
-        (len > 0).then(|| IntervalSet::from_rect(Rect1::new(0, len as i64 - 1)))
+    let whole = |region: RegionId| {
+        let len = ctx.runtime().region(region).len as i64;
+        (len > 0).then(|| RegionReq::write(region, IntervalSet::from_rect(Rect1::new(0, len - 1))))
     };
-    let mut reqs = Vec::new();
-    let mut push = |region: RegionId, len: usize| {
-        if let Some(subset) = full(len) {
-            reqs.push(RegionReq::write(region, subset));
-        }
-    };
-    let mut parent_entries = 1usize;
-    for (k, lr) in t.regions.levels.iter().enumerate() {
-        let level = t.data.level(k);
-        match lr {
-            LevelRegions::Compressed { pos, crd } => {
-                push(*pos, parent_entries);
-                push(*crd, level.num_entries(parent_entries));
-            }
-            LevelRegions::Singleton { crd } => {
-                push(*crd, level.num_entries(parent_entries));
-            }
-            LevelRegions::Dense => {}
-        }
-        parent_entries = level.num_entries(parent_entries);
-    }
-    push(t.regions.vals, t.data.num_stored());
-    Ok(reqs)
-}
-
-/// Region requirements for one input tensor under its planned partition.
-fn push_input_reqs(
-    ctx: &Context,
-    input: &PlannedInput,
-    color: usize,
-    reqs: &mut Vec<RegionReq>,
-) -> Result<(), Error> {
-    let t = ctx.tensor(&input.tensor)?;
-    for (k, lr) in t.regions.levels.iter().enumerate() {
-        match lr {
-            LevelRegions::Compressed { pos, crd } => {
-                let pos_sub = input.part.pos_partition(k).subset(color).clone();
-                if !pos_sub.is_empty() {
-                    reqs.push(RegionReq::read(*pos, pos_sub));
-                }
-                let crd_sub = input.part.entries[k].subset(color).clone();
-                if !crd_sub.is_empty() {
-                    reqs.push(RegionReq::read(*crd, crd_sub));
-                }
-            }
-            LevelRegions::Singleton { crd } => {
-                let crd_sub = input.part.entries[k].subset(color).clone();
-                if !crd_sub.is_empty() {
-                    reqs.push(RegionReq::read(*crd, crd_sub));
-                }
-            }
-            LevelRegions::Dense => {}
-        }
-    }
-    let vals_sub = input.part.vals.subset(color).clone();
-    if !vals_sub.is_empty() {
-        reqs.push(RegionReq::read(t.regions.vals, vals_sub));
-    }
-    Ok(())
+    let ids = ctx.tensor(&plan.output.tensor)?.regions.ids();
+    Ok(ids.into_iter().filter_map(whole).collect())
 }
 
 /// The elements of the in-place output buffer that `color` owns under the
@@ -1012,11 +925,15 @@ fn scale_set(s: &IntervalSet, width: usize) -> IntervalSet {
 }
 
 /// What [`PreparedPlan::finish`] hands to [`finish_model`]: the computed
-/// output, the per-color modeled op counts, and the span accounting.
+/// output, the per-color modeled op counts, the span accounting, and the
+/// per-color requirements the compute phase ran under, the output still
+/// named by the `stand_in` id.
 pub(crate) struct Finished {
     computed: Computed,
     ops: Vec<f64>,
     merge: MergeReport,
+    reqs: Vec<Vec<RegionReq>>,
+    stand_in: RegionId,
 }
 
 pub(crate) enum Computed {

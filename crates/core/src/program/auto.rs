@@ -23,7 +23,7 @@ use super::{CompiledProgram, ScheduleSpec};
 use crate::api::{schedule_nonzero, schedule_outer_dim};
 use crate::dist_tensor::{Context, Error};
 use crate::kernels;
-use crate::level_funcs::{equal_coord_bounds, partition_tensor, universe_partition};
+use crate::level_funcs::outer_dim_partition;
 
 /// Static auto-scheduling threshold: if the driver's equal outer-dimension
 /// blocks carry nnz imbalance above this, [`ScheduleSpec::Auto`] picks the
@@ -154,9 +154,7 @@ impl CompiledProgram {
     /// static statistic behind the auto-scheduler's first pick.
     fn outer_block_imbalance(&self, name: &str, pieces: usize) -> Result<f64, Error> {
         let t = &self.ctx.tensor(name)?.data;
-        let bounds = equal_coord_bounds(t.dims()[0], pieces);
-        let init = universe_partition(t, 0, &bounds);
-        Ok(partition_tensor(t, 0, init).vals.imbalance())
+        Ok(outer_dim_partition(t, pieces).vals.imbalance())
     }
 
     pub(super) fn default_pieces(&self) -> usize {
@@ -419,9 +417,7 @@ mod tests {
     fn find_moderate_skew() -> SpTensor {
         for alpha in [0.45, 0.5, 0.55, 0.6, 0.65, 0.7] {
             let b = generate::rmat_clustered(9, 6000, alpha, 11);
-            let bounds = equal_coord_bounds(b.dims()[0], PIECES);
-            let init = universe_partition(&b, 0, &bounds);
-            let imbalance = partition_tensor(&b, 0, init).vals.imbalance();
+            let imbalance = outer_dim_partition(&b, PIECES).vals.imbalance();
             if imbalance > SWITCH_IMBALANCE && imbalance <= STATIC_IMBALANCE {
                 return b;
             }

@@ -6,7 +6,9 @@
 //! plan execution: [`Session::submit`] queues a compiled [`Plan`] and
 //! returns a [`TensorFuture`] immediately; nothing executes until a future
 //! is forced ([`Session::wait`]/[`Session::value`]), the session is
-//! flushed, or the context's tensor data is touched.
+//! flushed, or the context's tensor data is touched. It is the only driver
+//! of a plan's describe, drain and model phases ([`crate::plan`]):
+//! `Context::run` is a session of one plan, forced at once.
 //!
 //! At flush time the queue is cut into **batches**: the longest prefix of
 //! plans none of which *reads* a tensor an earlier plan in the same prefix
@@ -19,8 +21,8 @@
 //! replay in issue order (a topological order of the launch graph), with
 //! write-backs claimed at launch granularity, so:
 //!
-//! * outputs are **bit-identical** to [`ExecMode::Serial`]
-//!   launch-at-a-time execution, and
+//! * outputs are **bit-identical** to [`ExecMode::Serial`] execution one
+//!   plan per flush, and
 //! * simulated time ([`ExecResult::time`]) is completely unaffected by
 //!   pipelining — only real wall-clock moves.
 //!
@@ -193,8 +195,8 @@ pub struct Session<'c> {
 impl<'c> Session<'c> {
     pub fn new(ctx: &'c mut Context) -> Self {
         // Gate the first batch behind whatever the context already issued
-        // on the model timeline (earlier sessions, launch-at-a-time runs),
-        // so a session's modeled windows start after preceding work.
+        // on the model timeline (earlier sessions, `Context::run`s), so a
+        // session's modeled windows start after preceding work.
         let model_preds: Vec<LaunchId> = ctx.runtime().model_fence_launch().into_iter().collect();
         if !model_preds.is_empty() {
             ctx.trace().model_fence("session-epoch");
@@ -377,8 +379,9 @@ impl<'c> Session<'c> {
             let mut prepared = Vec::with_capacity(batch.len());
             let mut launches = Vec::with_capacity(batch.len());
             for (k, Queued { plan, seed, .. }) in batch.iter_mut().enumerate() {
-                // Distinct synthetic output region per plan, counting down
-                // from the top of the id space (real ids count up from 0).
+                // The output region exists only once the compute phase has
+                // sized it: a distinct stand-in per plan, counting down from
+                // the top of the id space (real ids count up from 0).
                 let out_region = RegionId(u32::MAX - k as u32);
                 let mut p = PreparedPlan::new(ctx, plan, out_region, seed.take())?;
                 launches.push(
@@ -397,7 +400,13 @@ impl<'c> Session<'c> {
                 pipeline.run_traced(mode, &trace, |launch, point, span| {
                     prepared[launch].run_point(point, span)
                 });
-            let finished: Vec<_> = prepared.into_iter().map(PreparedPlan::finish).collect();
+            // The requirements come back from the drain for the model phase.
+            let lent = pipeline.into_launches().into_iter().map(|l| l.point_reqs);
+            let finished: Vec<_> = prepared
+                .into_iter()
+                .zip(lent)
+                .map(|(p, reqs)| p.finish(reqs))
+                .collect();
             (exec_report, timings, finished, pred_sets)
         };
 
@@ -429,14 +438,7 @@ impl<'c> Session<'c> {
             for &a in &pred_sets[k] {
                 preds.extend_from_slice(&plan_ids[a]);
             }
-            let result = finish_model(
-                self.ctx,
-                &q.plan,
-                finished,
-                exec_report,
-                vec![timing],
-                Some(&preds),
-            )?;
+            let result = finish_model(self.ctx, &q.plan, finished, exec_report, timing, &preds)?;
             plan_ids.push(result.records.iter().map(|r| r.id).collect());
             report.launches.extend(result.launches.iter().cloned());
             self.slots[q.ticket] = Slot::Done(Box::new(result));

@@ -64,6 +64,56 @@ fn mismatched_distribution_pays_communication() {
     );
 }
 
+/// Pre-staging establishes the data distribution *matched to the
+/// computation* (Section II-D): every sub-region a color reads — the `crd`
+/// of a singleton level as much as `pos`/`crd` of a compressed one — is in
+/// its processor's memory before the timed region, so the first run
+/// fetches nothing of `B`. What is left to pay is the reduction of the
+/// output rows two colors share.
+#[test]
+fn prestage_leaves_nothing_of_the_driver_to_fetch() {
+    const PIECES: usize = 4;
+    let csr = generate::rmat_default(7, 900, 3);
+    let n = csr.dims()[0];
+    let mut ctx = Context::new(Machine::grid1d(PIECES, MachineProfile::lassen_cpu()));
+    ctx.add_tensor("a", dense_vector(vec![0.0; n]), Format::blocked_dense_vec())
+        .unwrap();
+    // Data distributed by rows, computation distributed by non-zeros.
+    ctx.add_tensor("B", convert::to_coo_format(&csr), Format::blocked_coo())
+        .unwrap();
+    ctx.add_tensor(
+        "c",
+        dense_vector(generate::dense_vec(n, 4)),
+        Format::replicated_dense_vec(),
+    )
+    .unwrap();
+    let stmt = spmv_stmt(&mut ctx);
+    let sched = schedule_nonzero(&mut ctx, &stmt, "B", 2, PIECES, ParallelUnit::CpuThread).unwrap();
+    let plan = ctx.compile(&stmt, &sched).unwrap();
+    ctx.prestage(&plan).unwrap();
+    for input in &plan.inputs {
+        let regions = &ctx.tensor(&input.tensor).unwrap().regions;
+        for color in 0..PIECES {
+            // A 1-d machine: color `c` runs on processor `c`.
+            for (region, subset) in regions.footprint(&input.part, color) {
+                assert!(
+                    ctx.runtime().valid_in(region, color).contains_set(subset),
+                    "{}: color {color} would fetch {subset:?} of '{}'",
+                    input.tensor,
+                    ctx.runtime().region(region).name,
+                );
+            }
+        }
+    }
+    let r = ctx.run(&plan).unwrap();
+    // At most one boundary row per neighbouring pair of colors, 8 bytes each.
+    assert!(
+        r.comm_bytes <= 8 * (PIECES as u64 - 1),
+        "a pre-staged run moved {} bytes",
+        r.comm_bytes
+    );
+}
+
 /// Non-zero schedules on skewed inputs produce balanced work; row-based
 /// schedules don't. Imbalance shows up directly in simulated time.
 #[test]

@@ -14,11 +14,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use spdistal_repro::runtime::{IntervalSet, RegionId};
+use spdistal_repro::runtime::IntervalSet;
 use spdistal_repro::sparse::{
     convert::with_formats, dense_vector, generate, CooTensor, Level, LevelFormat, SpTensor,
 };
-use spdistal_repro::spdistal::dist_tensor::LevelRegions;
 use spdistal_repro::spdistal::prelude::*;
 
 const PIECES: usize = 4;
@@ -416,22 +415,11 @@ proptest! {
     }
 }
 
-fn region_ids(c: &Context, name: &str) -> Vec<RegionId> {
-    let regions = &c.tensor(name).unwrap().regions;
-    let mut ids = vec![regions.vals];
-    for lr in &regions.levels {
-        match *lr {
-            LevelRegions::Dense => {}
-            LevelRegions::Singleton { crd } => ids.push(crd),
-            LevelRegions::Compressed { pos, crd } => ids.extend([pos, crd]),
-        }
-    }
-    ids
-}
-
 /// Where each of `name`'s regions is valid, processor by processor.
 fn validity(c: &Context, name: &str) -> Vec<Vec<IntervalSet>> {
-    region_ids(c, name)
+    let regions = &c.tensor(name).unwrap().regions;
+    regions
+        .ids()
         .into_iter()
         .map(|r| {
             (0..PIECES)

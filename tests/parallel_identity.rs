@@ -288,30 +288,3 @@ fn executor_report_reflects_launch_shape() {
     // Auto under parallel splits colors into spans the pool can steal.
     assert!(parallel.sched.spans >= parallel.sched.tasks);
 }
-
-#[test]
-fn run_with_mode_restores_previous_mode() {
-    let mut ctx = Context::new(Machine::grid1d(4, MachineProfile::lassen_cpu()));
-    let b = generate::banded(256, 5, 41);
-    ctx.add_tensor(
-        "a",
-        dense_vector(vec![0.0; 256]),
-        Format::blocked_dense_vec(),
-    )
-    .unwrap();
-    ctx.add_tensor("B", b, Format::blocked_csr()).unwrap();
-    ctx.add_tensor(
-        "c",
-        dense_vector(generate::dense_vec(256, 42)),
-        Format::replicated_dense_vec(),
-    )
-    .unwrap();
-    let [i, j] = ctx.fresh_vars(["i", "j"]);
-    let stmt = assign("a", &[i], access("B", &[i, j]) * access("c", &[j]));
-    let sched = schedule_outer_dim(&mut ctx, &stmt, 4, ParallelUnit::CpuThread);
-    let plan = ctx.compile(&stmt, &sched).unwrap();
-    assert_eq!(ctx.exec_mode(), ExecMode::Serial);
-    let r = ctx.run_with_mode(&plan, ExecMode::Parallel(2)).unwrap();
-    assert_eq!(r.sched.threads, 2);
-    assert_eq!(ctx.exec_mode(), ExecMode::Serial);
-}
