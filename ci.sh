@@ -21,6 +21,22 @@ fi
 if grep -rnE 'push_input_reqs|mk_tasks|DAG_OUT_REGION|\.pos_partition\(|fn pos_partition|run_with_mode' crates tests; then
   echo "a second description of a launch (or the run_with_mode knob) is back"; exit 1
 fi
+# A fetch is charged from `somewhere` by a counting walk, with its link from
+# the same-node peers: the per-processor source scan and the per-processor
+# intersect-and-union it replaced are the coherence sweep's oracle only.
+if ! awk '/^[[:space:]]*#\[cfg\(test\)\]/ { gated = 1; next }
+          /^[[:space:]]*\/\/\// { next }
+          /fn (find_source|existing_per_proc)\(/ && !gated { print FILENAME ":" FNR ": " $0; bad = 1 }
+          { gated = 0 }
+          END { exit bad }' crates/runtime/src/exec.rs ||
+  grep -rln 'find_source\|existing_per_proc' crates | grep -v '^crates/runtime/src/exec.rs$'; then
+  echo "find_source / existing_per_proc outside the #[cfg(test)] oracle"; exit 1
+fi
+fetch_body="$(awk '/fn fetch\(/ { f = 1 } f { print } f && /^    }$/ { exit }' crates/runtime/src/exec.rs)"
+[ -n "$fetch_body" ] || { echo "Runtime::fetch not found in crates/runtime/src/exec.rs"; exit 1; }
+if grep -n '\.intersect(' <<<"$fetch_body"; then
+  echo "Runtime::fetch builds an intersection it only needs to count: use intersect_count"; exit 1
+fi
 # Code lines (no tests, blanks or comment lines; shims excluded), so the next
 # simplicity PR starts from a number in the log.
 code_lines() {
@@ -129,6 +145,12 @@ echo "==> pool contract, optimised: stress, zero-helper completion, panic contai
 # and Miri is not installed here (`cargo miri` reports the component
 # missing), so the same files run again in --release (~1 s once built).
 cargo test -q --release -p spdistal-runtime --test pool_contract --test pool_latency
+
+echo "==> coherence oracle sweep, optimised"
+# The counted fetch, the one-run splices of union/subtract and the
+# same-node link against the per-processor oracle on both node shapes:
+# index arithmetic again, so in --release as well.
+cargo test -q --release -p spdistal-runtime somewhere_fetch
 
 echo "==> ingestion against the rebuild oracle, optimised"
 # Same reason, other code: `locate`, the merge and the packer are index

@@ -6,9 +6,10 @@
 //! [`AdmissionQueue`] sits in front of the execution workers:
 //!
 //! - **Bounded** — at most `capacity` queued jobs across all tenants;
-//!   [`AdmissionQueue::submit`] rejects with
+//!   [`AdmissionQueue::try_submit`] rejects with
 //!   [`AdmissionError::QueueFull`] instead of blocking the connection
-//!   thread (the server surfaces it as a typed `queue_full` wire error).
+//!   thread, and hands the job back (the server surfaces it as a typed
+//!   `queue_full` wire error and keeps what the job carried).
 //! - **Fair** — each tenant gets its own FIFO lane, and
 //!   [`AdmissionQueue::next`] serves lanes round-robin: a tenant that
 //!   queued five jobs cannot starve one that queued one.
@@ -88,16 +89,22 @@ impl<T> AdmissionQueue<T> {
         self.capacity
     }
 
-    /// Admit `job` on `tenant`'s lane, or reject without blocking.
+    /// Admit `job` on `tenant`'s lane, or reject without blocking (and drop
+    /// `job`; [`AdmissionQueue::try_submit`] hands it back).
     pub fn submit(&self, tenant: &str, job: T) -> Result<(), AdmissionError> {
+        self.try_submit(tenant, job).map_err(|(e, _)| e)
+    }
+
+    /// Admit `job` on `tenant`'s lane, or hand it back with the reason it
+    /// was refused, so whatever it carries outlives the refusal.
+    pub fn try_submit(&self, tenant: &str, job: T) -> Result<(), (AdmissionError, T)> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if s.closed {
-            return Err(AdmissionError::Closed);
+            return Err((AdmissionError::Closed, job));
         }
         if s.len >= self.capacity {
-            return Err(AdmissionError::QueueFull {
-                capacity: self.capacity,
-            });
+            let capacity = self.capacity;
+            return Err((AdmissionError::QueueFull { capacity }, job));
         }
         match s.lanes.iter_mut().find(|l| l.tenant == tenant) {
             Some(lane) => lane.jobs.push_back(job),
@@ -206,6 +213,20 @@ mod tests {
         q.try_next().unwrap();
         q.submit("t3", 3).unwrap();
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn a_refused_job_is_handed_back() {
+        let q = AdmissionQueue::new(1);
+        q.try_submit("t1", vec![1]).unwrap();
+        let full = AdmissionError::QueueFull { capacity: 1 };
+        assert_eq!(q.try_submit("t2", vec![2, 3]), Err((full, vec![2, 3])));
+        q.close();
+        assert_eq!(
+            q.try_submit("t2", vec![4]),
+            Err((AdmissionError::Closed, vec![4]))
+        );
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

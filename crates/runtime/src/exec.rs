@@ -27,12 +27,18 @@
 //!
 //! Beside the per-processor `valid` sets the runtime keeps, per region, the
 //! exact set `somewhere = sys_valid ∪ ⋃ₚ valid[p]` of elements that hold
-//! data in *some* memory. Costing one requirement is then a constant number
-//! of linear passes over the runs it touches, whatever the machine size:
-//! `need = subset ∖ valid[p]`, `existing = need ∩ somewhere` (what must
-//! move; the rest of `need` is fresh and only allocated), one early-exit
-//! scan per processor to pick the source, and two merges to record the new
-//! copy. `somewhere` only grows, except in [`Runtime::evict`] (rebuilt) and
+//! data in *some* memory. Costing one requirement is then one subtract, one
+//! allocation-free counting walk and a union or two, whatever the machine
+//! size: `need = subset ∖ valid[p]` (two binary searches and a copy when
+//! one run of `valid[p]` is all that cuts it — an owner's block; nothing
+//! built when that run covers `subset` — a replicated input), the length
+//! and runs of `need ∩ somewhere` counted without building it (what must
+//! move; the rest of `need` is fresh and only allocated; no merge when one
+//! run of `somewhere` spans `need`), an early-exit scan of the *same-node*
+//! peers only to pick the link — [`Machine::link`] tells nothing else
+//! apart, so a one-processor-per-node machine scans none — and the unions
+//! that record the new copy (a one-run side spliced in, not merged).
+//! `somewhere` only grows, except in [`Runtime::evict`] (rebuilt) and
 //! [`Runtime::retire_region`] (cleared). See `docs/model.md`.
 //!
 //! ## Launch-graph-ordered replay
@@ -63,7 +69,7 @@
 //! independent launches with different critical processors overlap.
 
 use crate::geometry::IntervalSet;
-use crate::machine::Machine;
+use crate::machine::{LinkProfile, Machine};
 use crate::task::{Privilege, RegionId, RegionReq, TaskSpec};
 
 /// Metadata for a logical region.
@@ -187,8 +193,8 @@ impl ModelTiming {
     }
 }
 
-/// Where a region's data is initially valid at no modeled cost (data staged
-/// before the timed section, as the paper's methodology does).
+/// The staging memory as [`Runtime::find_source`] names it.
+#[cfg(test)]
 const SYS_MEM: usize = usize::MAX;
 
 /// The runtime: machine + regions + coherence state + clocks.
@@ -222,7 +228,7 @@ pub struct Runtime {
     /// The launch holding that fence (None before any launch was issued).
     fence_launch: Option<LaunchId>,
     stats: RunStats,
-    /// Route `fetch` through [`Runtime::existing_per_proc`] (the oracle).
+    /// Route `fetch` through [`Runtime::transfer_per_proc`] (the oracle).
     #[cfg(test)]
     per_proc_oracle: bool,
 }
@@ -335,8 +341,8 @@ impl Runtime {
     /// data in rounds.
     pub fn evict(&mut self, r: RegionId, proc: usize, subset: &IntervalSet) {
         let v = &mut self.valid[r.0 as usize][proc];
-        let dropped = v.intersect(subset);
-        let bytes = dropped.total_len() * self.regions[r.0 as usize].elem_bytes;
+        let (dropped, _) = v.intersect_count(subset);
+        let bytes = dropped * self.regions[r.0 as usize].elem_bytes;
         *v = v.subtract(subset);
         v.shrink_to_fit();
         self.resident[proc] = self.resident[proc].saturating_sub(bytes);
@@ -549,6 +555,7 @@ impl Runtime {
             }
             if self.sys_valid[ri].overlaps(&subset) {
                 self.sys_valid[ri] = self.sys_valid[ri].subtract(&subset);
+                self.sys_valid[ri].shrink_to_fit();
             }
             // The writer fetched `subset`, so `somewhere` already holds it;
             // its own copy is re-merged because an aliased sibling write
@@ -608,38 +615,54 @@ impl Runtime {
             return Ok(0.0);
         }
         let elem_bytes = self.regions[r.0 as usize].elem_bytes;
-        // Only the part of `need` that exists somewhere must move. `need` is
-        // disjoint from `valid[proc]`, so intersecting `somewhere` equals
-        // `(sys ∩ need) ∪ ⋃_{q≠proc}(valid[q] ∩ need)` run for run.
-        let existing = need.intersect(&self.somewhere[r.0 as usize]);
+        let (moved, msgs, link) = self.transfer(r, &need, proc);
         #[cfg(test)]
-        let existing = if self.per_proc_oracle {
-            self.existing_per_proc(r, &need, proc)
+        let (moved, msgs, link) = if self.per_proc_oracle {
+            self.transfer_per_proc(r, &need, proc)
         } else {
-            existing
+            (moved, msgs, link)
         };
-        let time = if existing.is_empty() {
+        let time = if moved == 0 {
             0.0
         } else {
-            let bytes = existing.total_len() * elem_bytes;
-            let msgs = existing.num_runs() as u64;
-            let source = self.find_source(r, &existing, proc);
-            let link = match source {
-                SYS_MEM => self.machine.profile().inter_link,
-                s => self.machine.link(s, proc),
-            };
+            let bytes = moved * elem_bytes;
             self.stats.comm_bytes += bytes;
-            self.stats.messages += msgs;
+            self.stats.messages += msgs as u64;
             link.latency * msgs as f64 + bytes as f64 / link.bandwidth
         };
-        self.charge_memory(proc, r, need.total_len() * elem_bytes)?;
+        let need_len = need.total_len();
+        self.charge_memory(proc, r, need_len * elem_bytes)?;
         self.valid[r.0 as usize][proc].union_with(&need);
-        // `existing ⊆ need`: equal lengths mean all of `need` was already
+        // What moved is a part of `need`: all of it means `need` was already
         // held somewhere, and `somewhere` does not change.
-        if existing.total_len() < need.total_len() {
+        if moved < need_len {
             self.somewhere[r.0 as usize].union_with(&need);
         }
         Ok(time)
+    }
+
+    /// What fetching `need` (disjoint from `valid[proc]`) into `proc` moves:
+    /// the elements and runs of `need ∩ somewhere` — counted, not built; it
+    /// equals `(sys ∩ need) ∪ ⋃_{q≠proc}(valid[q] ∩ need)` run for run —
+    /// and the link they cross. [`Machine::link`] tells only same-node from
+    /// not, and staging memory is charged inter-node, so the link is
+    /// intra-node iff a same-node peer's copy overlaps `need` (the same
+    /// answer as overlapping what moves, since `valid[q] ⊆ somewhere`): no
+    /// scan on a one-processor-per-node machine.
+    fn transfer(&self, r: RegionId, need: &IntervalSet, proc: usize) -> (u64, usize, LinkProfile) {
+        let ri = r.0 as usize;
+        let (moved, msgs) = need.intersect_count(&self.somewhere[ri]);
+        let profile = self.machine.profile();
+        let first = proc - proc % profile.procs_per_node;
+        let last = (first + profile.procs_per_node).min(self.machine.num_procs());
+        let same_node =
+            moved > 0 && (first..last).any(|q| q != proc && self.valid[ri][q].overlaps(need));
+        let link = if same_node {
+            profile.intra_link
+        } else {
+            profile.inter_link
+        };
+        (moved, msgs, link)
     }
 
     /// Record that `subset` of `r` is now valid in `proc`'s memory.
@@ -648,9 +671,25 @@ impl Runtime {
         self.somewhere[r.0 as usize].union_with(subset);
     }
 
-    /// The pre-`somewhere` computation of what a fetch must move: one
-    /// intersect-and-union per processor. Kept as the oracle the coherence
-    /// sweep replays every sequence through.
+    /// [`Runtime::transfer`] as it was before `somewhere`: what moves is
+    /// built by one intersect-and-union per processor, and the link is the
+    /// one from the source [`Runtime::find_source`] picks. Kept as the
+    /// oracle the coherence sweep replays every sequence through.
+    #[cfg(test)]
+    fn transfer_per_proc(
+        &self,
+        r: RegionId,
+        need: &IntervalSet,
+        proc: usize,
+    ) -> (u64, usize, LinkProfile) {
+        let existing = self.existing_per_proc(r, need, proc);
+        let link = match self.find_source(r, &existing, proc) {
+            SYS_MEM => self.machine.profile().inter_link,
+            s => self.machine.link(s, proc),
+        };
+        (existing.total_len(), existing.num_runs(), link)
+    }
+
     #[cfg(test)]
     fn existing_per_proc(&self, r: RegionId, need: &IntervalSet, proc: usize) -> IntervalSet {
         let mut existing = self.sys_valid[r.0 as usize].intersect(need);
@@ -664,6 +703,7 @@ impl Runtime {
 
     /// Find a memory holding some valid copy overlapping `need`. Prefers a
     /// same-node processor, then any processor, then the staging memory.
+    #[cfg(test)]
     fn find_source(&self, r: RegionId, need: &IntervalSet, dst: usize) -> usize {
         let vs = &self.valid[r.0 as usize];
         let mut any: Option<usize> = None;
@@ -905,28 +945,58 @@ mod tests {
         assert_eq!(rec2.comm_bytes, 0);
     }
 
-    #[test]
-    fn same_node_source_preferred() {
-        let m = Machine::grid1d(8, MachineProfile::lassen_gpu(1.0));
-        let mut r = Runtime::new(m);
-        let reg = r.create_region("x", 1_000_000, 8);
-        r.attach(reg, 0, IntervalSet::from_rect(Rect1::new(0, 999_999)))
-            .unwrap();
-        r.attach(reg, 4, IntervalSet::from_rect(Rect1::new(0, 999_999)))
-            .unwrap();
-        // Proc 5 shares a node with proc 4; copy should use the NVLink.
-        let t = TaskSpec::new(5, 0.0).with_req(RegionReq::read(
-            reg,
-            IntervalSet::from_rect(Rect1::new(0, 999_999)),
-        ));
+    /// Two GPU nodes (procs 0–3 and 4–7); proc 5 reads `[0, 999]` of a
+    /// region whose copies are `held` (and, if `staged`, in staging memory).
+    /// Returns proc 5's clock and what the read costs on each link: one run,
+    /// 8 000 bytes.
+    fn read_on_proc_5(held: &[(usize, Rect1)], staged: bool) -> (f64, [f64; 2]) {
+        let profile = MachineProfile::lassen_gpu(1.0);
+        let mut r = Runtime::new(Machine::grid1d(8, profile.clone()));
+        let reg = r.create_region("x", 4000, 8);
+        if staged {
+            r.attach_sys(reg);
+        }
+        for &(p, run) in held {
+            r.attach(reg, p, IntervalSet::from_rect(run)).unwrap();
+        }
+        let need = IntervalSet::from_rect(Rect1::new(0, 999));
+        let t = TaskSpec::new(5, 0.0).with_req(RegionReq::read(reg, need));
         r.index_launch("l", vec![t]).unwrap();
-        let nvlink_time = 8.0e6 / 7.5e10;
-        let ib_time = 8.0e6 / 1.25e10;
-        let elapsed = r.proc_clock(5);
-        assert!(
-            elapsed < (nvlink_time + ib_time) / 2.0 + 1e-4,
-            "expected NVLink-speed copy, got {elapsed}"
-        );
+        let charged = |link: LinkProfile| {
+            let comm = 0.0 + (link.latency * 1.0 + 8000.0 / link.bandwidth);
+            comm + (profile.proc.task_overhead + 0.0 / profile.proc.throughput)
+        };
+        let costs = [charged(profile.intra_link), charged(profile.inter_link)];
+        (r.proc_clock(5), costs)
+    }
+
+    /// A same-node copy makes the whole fetch intra-node, even when a
+    /// remote processor holds more of it.
+    #[test]
+    fn a_same_node_copy_is_fetched_over_the_intra_node_link() {
+        let whole = Rect1::new(0, 999);
+        for held in [
+            vec![(0, whole), (4, whole)],
+            vec![(0, whole), (6, Rect1::new(900, 1999))],
+        ] {
+            let (clock, [intra, _]) = read_on_proc_5(&held, true);
+            assert_eq!(clock.to_bits(), intra.to_bits(), "{held:?}");
+        }
+    }
+
+    /// No same-node copy of what is read — a remote copy, staging memory,
+    /// or a same-node copy of *other* elements — means the inter-node link.
+    #[test]
+    fn a_remote_or_staged_copy_is_fetched_over_the_inter_node_link() {
+        let whole = Rect1::new(0, 999);
+        for (held, staged) in [
+            (vec![(0, whole)], false),
+            (vec![], true),
+            (vec![(0, whole), (4, Rect1::new(1000, 2999))], true),
+        ] {
+            let (clock, [_, inter]) = read_on_proc_5(&held, staged);
+            assert_eq!(clock.to_bits(), inter.to_bits(), "{held:?} staged {staged}");
+        }
     }
 
     /// A launch whose reduction combine finishes while a non-contributing
@@ -1131,18 +1201,25 @@ mod tests {
 
     /// The coherence oracle: random `attach` / `attach_sys` / `evict` /
     /// `retire_region` / `index_launch` sequences replayed through the
-    /// `somewhere`-based fetch and through the per-processor loop it
-    /// replaced. After every step both runtimes agree on every observable
-    /// (traffic, clocks, `ModelTiming` by `to_bits`, validity, residency)
-    /// and `somewhere` is exactly `sys_valid ∪ ⋃ valid[p]`.
+    /// `somewhere`-based fetch — counted, with its link from same-node
+    /// peers — and through the per-processor loop and `find_source` it
+    /// replaced, on one processor per node (`lassen_cpu`) and four
+    /// (`lassen_gpu`, up to two nodes). After every step both runtimes agree
+    /// on every observable (traffic, clocks, `ModelTiming` by `to_bits`,
+    /// validity, residency) and `somewhere` is exactly
+    /// `sys_valid ∪ ⋃ valid[p]`.
     #[test]
     fn somewhere_fetch_matches_the_per_processor_oracle() {
         const LEN: u64 = 120;
-        for seed in 1..=60u64 {
+        let profiles = [
+            MachineProfile::lassen_cpu(),
+            MachineProfile::lassen_gpu(1.0),
+        ];
+        for (seed, profile) in (1..=120u64).zip(profiles.iter().cycle()) {
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let procs = 1 + rng.below(6) as usize;
-            let mut new = Runtime::new(Machine::grid1d(procs, MachineProfile::lassen_gpu(1.0)));
-            let mut old = Runtime::new(Machine::grid1d(procs, MachineProfile::lassen_gpu(1.0)));
+            let procs = 1 + rng.below(8) as usize;
+            let mut new = Runtime::new(Machine::grid1d(procs, profile.clone()));
+            let mut old = Runtime::new(Machine::grid1d(procs, profile.clone()));
             old.per_proc_oracle = true;
             let mut regions: Vec<RegionId> = (0..3)
                 .map(|k| {

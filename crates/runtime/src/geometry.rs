@@ -13,7 +13,11 @@
 //! `subtract`, `overlaps`) is one two-pointer pass over the runs of both
 //! operands and produces a canonical result directly — none of them sorts.
 //! Only [`IntervalSet::from_rects`] may sort, and only input that is not
-//! already ordered by `lo`.
+//! already ordered by `lo`. [`IntervalSet::intersect_count`] walks the
+//! same pass as `intersect` but only counts. When one side of a `union`, or
+//! the one run of `other` inside `self`'s span in a `subtract`, is a single
+//! run, there is no pass: two binary searches and a copy of the runs it
+//! does not touch.
 //!
 //! ## Domain
 //!
@@ -195,13 +199,41 @@ impl IntervalSet {
         other.subtract(self).is_empty()
     }
 
-    /// Set union: a two-pointer merge of the two run lists by `lo` that
-    /// coalesces overlap and adjacency as it goes.
+    /// Set union. When either side is one run, the other side's runs it
+    /// does not touch are copied whole and the ones it touches merge into
+    /// it (two binary searches); otherwise one merge.
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
-        let (a, b) = (&self.rects, &other.rects);
-        if a.is_empty() || b.is_empty() {
-            return if a.is_empty() { other } else { self }.clone();
+        match (self.rects.as_slice(), other.rects.as_slice()) {
+            ([], _) => other.clone(),
+            (_, []) => self.clone(),
+            (&[run], _) => other.plus_run(run),
+            (_, &[run]) => self.plus_run(run),
+            _ => self.union_walk(other),
         }
+    }
+
+    /// `self ∪ run`, allocated exactly.
+    fn plus_run(&self, run: Rect1) -> IntervalSet {
+        let lo = self
+            .rects
+            .partition_point(|x| x.hi.saturating_add(1) < run.lo);
+        let hi = lo + self.rects[lo..].partition_point(|x| x.lo <= run.hi.saturating_add(1));
+        let mut merged = run;
+        if hi > lo {
+            merged.lo = merged.lo.min(self.rects[lo].lo);
+            merged.hi = merged.hi.max(self.rects[hi - 1].hi);
+        }
+        let mut out = Vec::with_capacity(lo + 1 + self.rects.len() - hi);
+        out.extend_from_slice(&self.rects[..lo]);
+        out.push(merged);
+        out.extend_from_slice(&self.rects[hi..]);
+        IntervalSet { rects: out }
+    }
+
+    /// The merge behind [`IntervalSet::union`]: two pointers over the run
+    /// lists by `lo`, coalescing overlap and adjacency as they go.
+    fn union_walk(&self, other: &IntervalSet) -> IntervalSet {
+        let (a, b) = (&self.rects, &other.rects);
         let mut out: Vec<Rect1> = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() || j < b.len() {
@@ -238,34 +270,79 @@ impl IntervalSet {
     /// canonical sets intersect to a canonical set and the output is
     /// returned as is.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
-        let (mut i, mut j) = (0, 0);
-        let mut out = Vec::new();
-        while i < self.rects.len() && j < other.rects.len() {
-            let r = self.rects[i].intersect(&other.rects[j]);
-            if !r.is_empty() {
-                out.push(r);
+        IntervalSet {
+            rects: pieces(&self.rects, &other.rects).collect(),
+        }
+    }
+
+    /// `(total_len, num_runs)` of `self ∩ other`, counted without building
+    /// it — each piece of [`IntervalSet::intersect`]'s merge is one run —
+    /// over only the runs of `other` inside `self`'s bounding run.
+    pub fn intersect_count(&self, other: &IntervalSet) -> (u64, usize) {
+        let within = &other.rects[other.overlapping(self.bounding_rect())];
+        pieces(&self.rects, within).fold((0, 0), |(len, runs), piece| (len + piece.len(), runs + 1))
+    }
+
+    /// Index range of the runs of `self` that overlap the non-empty `r`
+    /// (none for an empty `r`): two binary searches.
+    fn overlapping(&self, r: Rect1) -> std::ops::Range<usize> {
+        if r.is_empty() {
+            return 0..0;
+        }
+        let first = self.rects.partition_point(|x| x.hi < r.lo);
+        first..first + self.rects[first..].partition_point(|x| x.lo <= r.hi)
+    }
+
+    /// Set difference `self ∖ other`, over only the runs of `other` inside
+    /// `self`'s bounding run. None: a copy. One — a replicated copy held
+    /// whole, an owner's block — two binary searches, the runs it misses
+    /// copied whole (nothing at all when it covers `self`). More: one
+    /// merge. Every result is allocated once, at most one run per cut too
+    /// large (stored differences shrink to fit).
+    pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
+        match &other.rects[other.overlapping(self.bounding_rect())] {
+            [] => self.clone(),
+            &[cut] => self.minus_run(cut),
+            cuts => self.subtract_walk(cuts),
+        }
+    }
+
+    /// `self ∖ cut`, allocated exactly: the runs `cut` misses, and at most
+    /// two trimmed pieces of the ones it overlaps.
+    fn minus_run(&self, cut: Rect1) -> IntervalSet {
+        let hit = self.overlapping(cut);
+        let (before, after) = (&self.rects[..hit.start], &self.rects[hit.end..]);
+        let mut pieces = [None, None];
+        if !hit.is_empty() {
+            let (first, last) = (self.rects[hit.start], self.rects[hit.end - 1]);
+            if first.lo < cut.lo {
+                pieces[0] = Some(Rect1::new(first.lo, cut.lo - 1));
             }
-            if self.rects[i].hi < other.rects[j].hi {
-                i += 1;
-            } else {
-                j += 1;
+            if last.hi > cut.hi {
+                pieces[1] = Some(Rect1::new(cut.hi + 1, last.hi));
             }
         }
+        let kept = pieces.iter().flatten().count();
+        let mut out = Vec::with_capacity(before.len() + kept + after.len());
+        out.extend_from_slice(before);
+        out.extend(pieces.into_iter().flatten());
+        out.extend_from_slice(after);
         IntervalSet { rects: out }
     }
 
-    /// Set difference `self \ other`.
-    pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
-        let mut out = Vec::new();
+    /// The merge behind [`IntervalSet::subtract`]: `self` minus the sorted,
+    /// disjoint runs `cuts`, each of which splits at most one piece in two.
+    fn subtract_walk(&self, cuts: &[Rect1]) -> IntervalSet {
+        let mut out = Vec::with_capacity(self.rects.len() + cuts.len());
         let mut j = 0;
         for &r in &self.rects {
             let mut cur = r;
-            while j < other.rects.len() && other.rects[j].hi < cur.lo {
+            while j < cuts.len() && cuts[j].hi < cur.lo {
                 j += 1;
             }
             let mut k = j;
-            while k < other.rects.len() && other.rects[k].lo <= cur.hi {
-                let cut = other.rects[k];
+            while k < cuts.len() && cuts[k].lo <= cur.hi {
+                let cut = cuts[k];
                 if cut.lo > cur.lo {
                     out.push(Rect1::new(cur.lo, (cut.lo - 1).min(cur.hi)));
                 }
@@ -285,18 +362,7 @@ impl IntervalSet {
 
     /// True iff the two sets share at least one point.
     pub fn overlaps(&self, other: &IntervalSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.rects.len() && j < other.rects.len() {
-            if self.rects[i].overlaps(&other.rects[j]) {
-                return true;
-            }
-            if self.rects[i].hi < other.rects[j].hi {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        false
+        pieces(&self.rects, &other.rects).next().is_some()
     }
 
     /// Iterate over all points of the set in increasing order.
@@ -316,6 +382,27 @@ impl IntervalSet {
     }
 }
 
+/// The non-empty pieces of `a ∩ b` for two canonical run lists, in order:
+/// one two-pointer merge, the walk behind `intersect`, `intersect_count`
+/// and `overlaps`.
+fn pieces<'a>(a: &'a [Rect1], b: &'a [Rect1]) -> impl Iterator<Item = Rect1> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        while i < a.len() && j < b.len() {
+            let piece = a[i].intersect(&b[j]);
+            if a[i].hi < b[j].hi {
+                i += 1;
+            } else {
+                j += 1;
+            }
+            if !piece.is_empty() {
+                return Some(piece);
+            }
+        }
+        None
+    })
+}
+
 /// True iff `next` (with `next.lo >= last.lo`) overlaps or is adjacent to
 /// `last`, i.e. the two belong to one run. Saturating: a run ending at
 /// `i64::MAX` absorbs everything after it instead of overflowing.
@@ -332,6 +419,7 @@ impl FromIterator<Rect1> for IntervalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn rect_basics() {
@@ -460,6 +548,116 @@ mod tests {
         let s = IntervalSet::from_rects(vec![Rect1::new(4, 5), Rect1::new(0, 1)]);
         let pts: Vec<i64> = s.iter_points().collect();
         assert_eq!(pts, vec![0, 1, 4, 5]);
+    }
+
+    /// Sorted, disjoint, non-adjacent, no empty run.
+    fn is_canonical(s: &IntervalSet) -> bool {
+        s.rects.iter().all(|r| !r.is_empty())
+            && s.rects
+                .windows(2)
+                .all(|w| w[0].hi.saturating_add(1) < w[1].lo)
+    }
+
+    /// Up to six runs near 0, or near `i64::MAX` (`mode` 1), one of them
+    /// then sometimes ending at it (`mode` 2); `touch` adds a run starting
+    /// right after one, which `from_rects` coalesces.
+    fn arb_set() -> impl Strategy<Value = IntervalSet> {
+        let runs = proptest::collection::vec((0i64..40, 0i64..8, proptest::bool::ANY), 0..7);
+        (runs, 0u32..3).prop_map(|(runs, mode)| {
+            let base = if mode == 0 { 0 } else { i64::MAX - 48 };
+            let mut rects = Vec::new();
+            for (lo, len, touch) in runs {
+                let r = Rect1::new(base + lo, base + lo + len);
+                rects.push(r);
+                if touch {
+                    rects.push(Rect1::new(r.hi + 1, r.hi + 2));
+                }
+            }
+            if mode == 2 {
+                rects.push(Rect1::new(i64::MAX - 3, i64::MAX));
+            }
+            IntervalSet::from_rects(rects)
+        })
+    }
+
+    /// A right operand for `a`: an arbitrary set, `a` itself, or one run
+    /// covering `a`'s bounding run, exactly or widened (to `i64::MAX` at
+    /// most).
+    fn arb_pair() -> impl Strategy<Value = (IntervalSet, IntervalSet)> {
+        (arb_set(), arb_set(), 0u32..4, 0i64..3, 0i64..3).prop_map(|(a, b, kind, wl, wh)| {
+            let span = a.bounding_rect();
+            let cover = |wl: i64, wh: i64| {
+                Rect1::new(span.lo.saturating_sub(wl), span.hi.saturating_add(wh))
+            };
+            let b = match kind {
+                0 => b,
+                1 => a.clone(),
+                2 => IntervalSet::from_rect(cover(0, 0)),
+                _ => IntervalSet::from_rect(cover(wl, wh)).union(&b),
+            };
+            (a, b)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn counting_walk_counts_the_intersection((a, b) in arb_pair()) {
+            let inter = a.intersect(&b);
+            prop_assert_eq!(a.intersect_count(&b), (inter.total_len(), inter.num_runs()));
+            let back = b.intersect(&a);
+            prop_assert_eq!(b.intersect_count(&a), (back.total_len(), back.num_runs()));
+        }
+
+        /// `subtract` and `union` answer as their merges do — in canonical
+        /// form, allocated exactly when a side is one run (stored results
+        /// keep no scratch capacity through `shrink_to_fit` either way).
+        #[test]
+        fn one_run_splices_equal_the_merges((a, b) in arb_pair()) {
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let diff = x.subtract(y);
+                prop_assert_eq!(&diff, &x.subtract_walk(&y.rects));
+                prop_assert!(is_canonical(&diff), "{:?} \\ {:?} = {:?}", x, y, diff);
+                let union = x.union(y);
+                prop_assert_eq!(&union, &x.union_walk(y));
+                prop_assert!(is_canonical(&union), "{:?} ∪ {:?} = {:?}", x, y, union);
+                if x.num_runs() == 1 || y.num_runs() == 1 {
+                    prop_assert_eq!(union.rects.capacity(), union.num_runs());
+                }
+                if y.num_runs() == 1 {
+                    prop_assert_eq!(diff.rects.capacity(), diff.num_runs());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_run_cases_take_the_short_path() {
+        let run = IntervalSet::from_rect(Rect1::new(0, 99));
+        let many: IntervalSet = (0..50).map(|k| Rect1::new(2 * k, 2 * k)).collect();
+        // Covered: nothing left, nothing allocated.
+        let gone = many.subtract(&run);
+        assert!(gone.is_empty() && gone.rects.capacity() == 0);
+        assert_eq!(many.intersect_count(&run), (50, 50));
+        assert_eq!(run.intersect_count(&many), (50, 50));
+        // One cut in the middle, and a run bridging two gaps.
+        let mid = IntervalSet::from_rect(Rect1::new(41, 59));
+        assert_eq!(many.subtract(&mid).num_runs(), 41);
+        assert_eq!(many.intersect_count(&mid), (9, 9));
+        let bridge = IntervalSet::from_rect(Rect1::new(3, 5));
+        let joined = many.union(&bridge);
+        assert_eq!(
+            &joined.rects[..3],
+            &[Rect1::new(0, 0), Rect1::new(2, 6), Rect1::new(8, 8)]
+        );
+        assert_eq!(joined.num_runs(), 48);
+        // Two cuts: the merge answers.
+        let split = IntervalSet::from_rects(vec![Rect1::new(0, 49), Rect1::new(51, 99)]);
+        assert_eq!(many.subtract(&split).rects(), &[Rect1::new(50, 50)]);
+        assert_eq!(many.intersect_count(&split), (49, 49));
+        assert_eq!(IntervalSet::new().intersect_count(&run), (0, 0));
+        assert!(IntervalSet::new().subtract(&run).is_empty());
     }
 
     #[test]

@@ -677,8 +677,7 @@ fn handle_conn(
                 let (replies, stream) = mpsc::channel();
                 let job = Job {
                     tenant: tenant.clone(),
-                    // Whatever does not match dies here.
-                    resident: resident.take().filter(|r| !incremental && r.key == key),
+                    resident: resident.take_if(|r| !incremental && r.key == key),
                     key,
                     tensors: Arc::clone(&tensors),
                     iters,
@@ -691,17 +690,28 @@ fn handle_conn(
                     admitted: Instant::now(),
                     replies,
                 };
-                match queue.submit(&tenant, job) {
-                    Err(AdmissionError::QueueFull { capacity }) => {
-                        answer!(error_event(
-                            "queue_full",
-                            &format!("admission queue full ({capacity} jobs); retry later"),
-                        ));
-                    }
-                    Err(AdmissionError::Closed) => {
-                        answer!(error_event("server_shutdown", &"server is draining"));
+                match queue.try_submit(&tenant, job) {
+                    Err((refused, job)) => {
+                        // A refusal changes nothing on the connection: the
+                        // program and the queued delta batches come back
+                        // for the retry.
+                        resident = resident.or(job.resident);
+                        if incremental {
+                            pending_deltas = job.deltas;
+                        }
+                        answer!(match refused {
+                            AdmissionError::QueueFull { capacity } => error_event(
+                                "queue_full",
+                                &format!("admission queue full ({capacity} jobs); retry later"),
+                            ),
+                            AdmissionError::Closed => {
+                                error_event("server_shutdown", &"server is draining")
+                            }
+                        });
                     }
                     Ok(()) => {
+                        // Whatever the job did not take does not match it.
+                        resident = None;
                         // Forward the worker's event stream. A send
                         // failure means the client vanished mid-flush:
                         // typed error for the log, the job itself still
@@ -1079,5 +1089,120 @@ mod tests {
         let count = |name: &str| counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
         assert_eq!(count("job.panicked"), Some(1));
         assert_eq!(count("server.program.built"), Some(3));
+    }
+
+    /// A refused request changes nothing on its connection: with the one
+    /// queue slot held, `run_incremental` is answered `queue_full`, and the
+    /// retry still carries every delta batch queued before it.
+    #[cfg(unix)]
+    #[test]
+    fn a_refused_incremental_run_keeps_its_delta_batches() {
+        use spdistal_client::proto::tensor_to_wire;
+        use spdistal_client::read_frame;
+
+        let engine = engine();
+        let queue = Arc::new(AdmissionQueue::new(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut client, server) = UnixStream::pair().expect("socket pair");
+        let conn = {
+            let (engine, queue, stop) = (engine.clone(), Arc::clone(&queue), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                handle_conn(
+                    Conn::Uds(server),
+                    &engine,
+                    &queue,
+                    &stop,
+                    DEFAULT_MAX_FRAME,
+                    1,
+                )
+            })
+        };
+        let send = |client: &mut UnixStream, req: Request| {
+            write_frame(client, req.to_json().as_bytes()).expect("send");
+        };
+        let recv = |client: &mut UnixStream| {
+            Event::parse(&read_frame(client, DEFAULT_MAX_FRAME).expect("frame")).expect("event")
+        };
+
+        let b = generate::banded(400, 7, 42);
+        let n = b.dims()[0];
+        let c = dense_vector(generate::dense_vec(n, 7));
+        let a = dense_vector(vec![0.0; n]);
+        for (name, format, data) in [
+            ("a", "blocked_dense_vec", &a),
+            ("B", "blocked_csr", &b),
+            ("c", "replicated_dense_vec", &c),
+        ] {
+            let (coords, vals) = tensor_to_wire(data);
+            let (name, format) = (name.to_string(), format.to_string());
+            let dims = data.dims().to_vec();
+            send(
+                &mut client,
+                Request::Register {
+                    name,
+                    format,
+                    dims,
+                    coords,
+                    vals,
+                },
+            );
+            assert!(matches!(recv(&mut client), Event::Ok));
+        }
+        for (coord, v) in b.to_coo().into_iter().take(2) {
+            let deltas = vec![CoordDelta::overwrite(coord, v + 1.0)];
+            send(
+                &mut client,
+                Request::UpdateBatch {
+                    name: "B".to_string(),
+                    deltas,
+                },
+            );
+            assert!(matches!(recv(&mut client), Event::Ok));
+        }
+
+        // Hold the one slot, and be refused.
+        let (holder, _stream) = spmv_job("holder", &Arc::default());
+        queue.submit("holder", holder).expect("admitted");
+        let stmts = vec![StmtSpec {
+            tin: "a(i) = B(i,j) * c(j)".to_string(),
+            schedule: "outer-dim".to_string(),
+        }];
+        send(
+            &mut client,
+            Request::RunIncremental {
+                stmts: stmts.clone(),
+            },
+        );
+        match recv(&mut client) {
+            Event::Error { code, .. } => assert_eq!(code, "queue_full"),
+            other => panic!("expected queue_full, got {}", other.to_json()),
+        }
+
+        // Free the slot, start a worker and retry: both batches run.
+        drop(queue.try_next());
+        let worker = {
+            let (engine, queue) = (engine.clone(), Arc::clone(&queue));
+            std::thread::spawn(move || {
+                exec_loop(&engine, &queue, |engine, job, send| {
+                    run_job(engine, job, ExecMode::Serial, send)
+                })
+            })
+        };
+        send(&mut client, Request::RunIncremental { stmts });
+        let mut batches = Vec::new();
+        let passes = loop {
+            match recv(&mut client) {
+                Event::IncrementalReport { iteration, .. } => batches.push(iteration),
+                Event::Done { iterations, .. } => break iterations,
+                Event::Error { message, .. } => panic!("{message}"),
+                _ => {}
+            }
+        };
+        queue.close();
+        worker.join().expect("worker");
+        stop.store(true, Ordering::SeqCst);
+        conn.join().expect("connection thread").expect("clean end");
+        assert_eq!(batches, [0, 1], "one incremental_report per queued batch");
+        assert_eq!(passes, 3, "one cold pass and one per batch");
     }
 }
