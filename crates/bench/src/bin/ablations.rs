@@ -69,7 +69,7 @@ fn spmv_time(b: &SpTensor, nonzero: bool) -> (f64, u64, f64) {
         .find(|p| p.tensor == "B")
         .unwrap()
         .part
-        .vals
+        .vals()
         .imbalance();
     let r = ctx.run(&plan).unwrap();
     let expect = reference::spmv(b, &c);

@@ -1,6 +1,7 @@
 //! The partitioning code generation algorithm (Figure 9a, Section IV-C).
 //!
-//! For the distributed index variable of a lowered loop nest, the generator:
+//! For the one distributed loop [`spdistal_ir::lower()`] returns, the
+//! generator:
 //!
 //! 1. creates an **initial level partition** of the driving tensor —
 //!    a universe partition for coordinate-value loops, a non-zero partition
@@ -22,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use spdistal_ir::{Assignment, IndexVar, IterKind, LoopNest, Schedule};
+use spdistal_ir::{Assignment, IndexVar, IterKind, Schedule};
 use spdistal_runtime::{image_coords, IntervalSet, Partition, Rect1};
 use spdistal_sparse::{Level, SpTensor};
 
@@ -78,10 +79,6 @@ pub struct Plan {
     pub machine_dim: usize,
     /// The tensor driving iteration (the sparse operand).
     pub driver: String,
-    /// `Format::levels_signature()` of the driver's declared format — the
-    /// blessed-kernel lookup key ([`crate::kernels::specialized::lookup`]),
-    /// derived here at compile time and resolved once per prepared plan.
-    pub driver_levels: String,
     pub inputs: Vec<PlannedInput>,
     pub output: PlannedOutput,
     pub stmt: Assignment,
@@ -90,13 +87,7 @@ pub struct Plan {
 /// Compile a scheduled statement into a [`Plan`] (the top-level `codegen`
 /// of Figure 9a).
 pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<Plan, Error> {
-    let nest = spdistal_ir::lower(stmt, schedule, ctx.vars())?;
-    compile_nest(ctx, &nest)
-}
-
-/// Compile an already-lowered loop nest.
-pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
-    let stmt = &nest.stmt;
+    let dist = spdistal_ir::lower(stmt, schedule, ctx.vars())?;
     // The one gate of the leaf layer: a statement no leaf computes is
     // refused here, before anything is partitioned.
     let lookup = |name: &str| {
@@ -110,14 +101,13 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
         ))
     })?;
 
-    let dist: Vec<_> = nest.distributed_loops().collect();
     let [dist_loop] = dist.as_slice() else {
         return Err(Error::Unsupported(format!(
             "exactly one distributed loop supported, got {}",
             dist.len()
         )));
     };
-    let machine_dim = dist_loop.distributed.unwrap();
+    let machine_dim = dist_loop.machine_dim;
     let colors = dist_loop
         .pieces
         .unwrap_or_else(|| ctx.machine().dim(machine_dim));
@@ -221,14 +211,12 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
         colors,
     );
 
-    let driver_levels = ctx.tensor(&driver_name)?.format.levels_signature();
     Ok(Plan {
         name: format!("{}<-{}", stmt.lhs.tensor, driver_name),
         kernel,
         colors,
         machine_dim,
         driver: driver_name,
-        driver_levels,
         inputs,
         output,
         stmt: stmt.clone(),
@@ -306,7 +294,9 @@ fn dense_operand_partition(
     const MAX_RECTS: usize = 262_144;
     let full = |extent: usize| IntervalSet::from_rect(Rect1::new(0, extent as i64 - 1));
     let mut part = replicated_partition(t, colors);
-    match t.order() {
+    // The leaf level's entries are the values: what a color touches is
+    // written there, every level above stays replicated.
+    let touched = match t.order() {
         1 => {
             let extent = t.dims()[0];
             let subsets: Vec<IntervalSet> = (0..colors)
@@ -315,7 +305,7 @@ fn dense_operand_partition(
                     None => full(extent),
                 })
                 .collect();
-            part.vals = Partition::new(extent as u64, subsets);
+            Partition::new(extent as u64, subsets)
         }
         2 => {
             let (rows, cols) = (t.dims()[0], t.dims()[1]);
@@ -351,10 +341,11 @@ fn dense_operand_partition(
                     }
                 })
                 .collect();
-            part.vals = Partition::new((rows * cols) as u64, subsets);
+            Partition::new((rows * cols) as u64, subsets)
         }
-        _ => {}
-    }
+        _ => return part,
+    };
+    part.entries[t.order() - 1] = touched;
     part
 }
 
@@ -389,7 +380,7 @@ fn plan_output(
             OutKind::PatternVals {
                 level: driver.order() - 1,
             },
-            driver_part.vals.clone(),
+            driver_part.vals().clone(),
         ),
         LeafKernel::SpTtv => (
             OutKind::PatternVals { level: 1 },

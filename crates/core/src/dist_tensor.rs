@@ -152,7 +152,7 @@ impl TensorRegions {
             };
             pos.into_iter().chain(crd)
         });
-        levels.chain([(self.vals, part.vals.subset(color))])
+        levels.chain([(self.vals, part.vals().subset(color))])
     }
 }
 
@@ -709,7 +709,7 @@ mod tests {
             total += v.total_len();
         }
         assert_eq!(total, nnz as u64);
-        assert!(t.dist_part.vals.is_disjoint());
+        assert!(t.dist_part.vals().is_disjoint());
     }
 
     #[test]
@@ -733,9 +733,9 @@ mod tests {
         let b = generate::rmat_default(8, 2000, 2);
         c.add_tensor("B", b, Format::nonzero_csr()).unwrap();
         let t = c.tensor("B").unwrap();
-        assert!(t.dist_part.vals.imbalance() < 1.05);
+        assert!(t.dist_part.vals().imbalance() < 1.05);
         // Rows are aliased at boundaries: pos partition may overlap.
-        assert!(t.dist_part.vals.is_complete());
+        assert!(t.dist_part.vals().is_complete());
     }
 
     #[test]
@@ -865,7 +865,7 @@ mod tests {
         );
         // A valid re-declaration still works afterwards.
         c.set_tensor_format("B", Format::nonzero_csr()).unwrap();
-        assert!(c.tensor("B").unwrap().dist_part.vals.imbalance() < 1.05);
+        assert!(c.tensor("B").unwrap().dist_part.vals().imbalance() < 1.05);
     }
 
     /// Everything a failed re-registration must leave as it found it.

@@ -10,7 +10,7 @@ use spdistal_runtime::Rect1;
 use spdistal_sparse::{Level, SpTensor};
 
 use super::{walk_partitioned_span, KernelSpan, OutVals};
-use crate::level_funcs::TensorPartition;
+use crate::level_funcs::{LevelClamps, TensorPartition};
 
 /// SpMV for one color: `a(i) += B(i,j) * c(j)` over the color's entries —
 /// or over one [`KernelSpan`] (a row chunk) of them.
@@ -99,17 +99,10 @@ pub fn spadd3_color(
     color: usize,
     span: Option<&KernelSpan>,
 ) -> (Vec<AddRow>, f64, f64) {
-    // A span is a row chunk: clamp the color's rows to it so spans of one
-    // color assemble disjoint, ascending row ranges.
-    let spanned;
-    let rows_subset = match span {
-        Some(s) => {
-            debug_assert_eq!(s.level, 0, "SpAdd3 splits on rows");
-            spanned = s.clamp_to(row_part, color);
-            &spanned
-        }
-        None => row_part.entries[0].subset(color),
-    };
+    // A span is a chunk of the color's rows, so spans of one color assemble
+    // disjoint, ascending row ranges.
+    debug_assert!(span.is_none_or(|s| s.level == 0), "SpAdd3 splits on rows");
+    let rows_subset = LevelClamps::new(row_part, color, span).level(0);
     let mut out = Vec::new();
     let mut sym_ops = 0u64;
     let mut num_ops = 0u64;

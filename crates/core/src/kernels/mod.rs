@@ -348,9 +348,9 @@ pub fn walk_partitioned_span(
 ) {
     let mut coords = vec![0i64; t.order()];
     let mut entries = vec![0usize; t.order()];
-    // Per-level clamps: the color's subsets, with the span's level
-    // intersected once up front (not per parent entry) — the same seam the
-    // specialized kernels resolve their bounds through.
+    // Per-level clamps: the color's subsets, with the span's subset at the
+    // span's level — the same seam the specialized kernels resolve their
+    // bounds through.
     let clamps = LevelClamps::new(part, color, span);
     let clamp_refs: Vec<&IntervalSet> = (0..t.order()).map(|l| clamps.level(l)).collect();
     walk_rec(t, &clamp_refs, 0, 0, &mut coords, &mut entries, f);

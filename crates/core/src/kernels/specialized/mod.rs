@@ -4,7 +4,8 @@
 //!
 //! | | |
 //! |---|---|
-//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`), the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` level kinds, and the `(kernel, signature)` [`lookup`] / [`resolve`] |
+//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`), the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` level kinds, and the `(kernel, stored signature)` [`lookup`] |
+//! | **Does not own** | when the lookup happens — once per prepared plan in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
 //! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
 //! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
 //! | **Does not own** | output aliasing — shared buffer vs. per-color partials is decided in `plan.rs`; a kernel only sees the [`OutVals`] it is handed |
@@ -223,8 +224,8 @@ const DCSF: &str = "{Compressed,Compressed,Compressed}";
 const COO3: &str = "{Compressed,Singleton,Singleton}";
 
 /// Look up the blessed implementation of `(kernel, levels_signature)`,
-/// where `levels_signature` is `Format::levels_signature()` of the driver
-/// tensor's declared format. `None`: not blessed, use the generic walker.
+/// where `levels_signature` is the driver's [`storage_signature`] — the
+/// arrays the kernel will read. `None`: not blessed, use the generic walker.
 pub fn lookup(kernel: &LeafKernel, levels_signature: &str) -> Option<SpecializedKernel> {
     use LeafKernel as L;
     use SpecializedKernel as K;
@@ -257,23 +258,8 @@ pub fn storage_signature(t: &SpTensor) -> String {
     kinds_signature(&t.formats())
 }
 
-/// Resolve `(kernel, levels_signature)`, verifying that `driver`'s stored
-/// levels really match the declared signature — a mismatch (a tensor whose
-/// data was swapped under its format) must fall back to the walker rather
-/// than read the wrong arrays.
-pub fn resolve(
-    kernel: &LeafKernel,
-    levels_signature: &str,
-    driver: &SpTensor,
-) -> Option<SpecializedKernel> {
-    if storage_signature(driver) != levels_signature {
-        return None;
-    }
-    lookup(kernel, levels_signature)
-}
-
 /// `pos`/`crd` views of a compressed level. Callers are blessed-dispatch
-/// paths: [`resolve`] has already verified the driver's level kinds.
+/// paths: [`lookup`] was keyed by the driver's stored level kinds.
 fn compressed(t: &SpTensor, level: usize) -> (&[spdistal_runtime::Rect1], &[i64]) {
     match t.level(level) {
         Level::Compressed { pos, crd } => (pos, crd),
@@ -351,15 +337,5 @@ mod tests {
         assert!(lookup(&LeafKernel::SpAdd3, "{Dense,Compressed}").is_none());
         // Unblessed layouts miss.
         assert!(lookup(&LeafKernel::SpMv, "{Dense,Dense}").is_none());
-    }
-
-    #[test]
-    fn resolve_rejects_signature_data_mismatch() {
-        // A CSR tensor resolved under a COO signature must fall back, not
-        // dispatch a kernel that would read the wrong level arrays.
-        let t = spdistal_sparse::generate::uniform(8, 8, 20, 1);
-        assert_eq!(storage_signature(&t), "{Dense,Compressed}");
-        assert!(resolve(&LeafKernel::SpMv, "{Compressed,Singleton}", &t).is_none());
-        assert!(resolve(&LeafKernel::SpMv, "{Dense,Compressed}", &t).is_some());
     }
 }

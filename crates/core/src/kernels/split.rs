@@ -48,24 +48,14 @@ use super::LeafKernel;
 use crate::level_funcs::TensorPartition;
 
 /// One chunk of a color's iteration space: at `level`, iterate only the
-/// entries in `subset` (a subset of the color's own clamp at that level);
-/// every other level keeps the color's clamps.
+/// entries in `subset`; every other level keeps the color's clamps.
+/// [`color_spans`] cuts `subset` from the color's own clamp at that level,
+/// so it is that clamp already and consumers read it as is
+/// ([`crate::level_funcs::LevelClamps`] asserts it in debug builds).
 #[derive(Clone, Debug)]
 pub struct KernelSpan {
     pub level: usize,
     pub subset: IntervalSet,
-}
-
-impl KernelSpan {
-    /// The span's subset clamped to the color's own clamp at the span's
-    /// level — the one rule every span consumer applies. (Spans are built
-    /// as subsets of the color's clamp, so this is defensive; keeping it
-    /// in one place keeps it cheap to drop later.)
-    pub fn clamp_to(&self, part: &TensorPartition, color: usize) -> IntervalSet {
-        part.entries[self.level]
-            .subset(color)
-            .intersect(&self.subset)
-    }
 }
 
 /// The driver level whose entries key `kernel`'s output writes — the only
@@ -84,7 +74,7 @@ pub fn split_level(kernel: &LeafKernel, driver_order: usize) -> usize {
 /// A color's work estimate: the stored values it owns. Drives both the
 /// per-color span budget ([`SplitPolicy::max_spans`]) and chunk balancing.
 pub fn color_weight(part: &TensorPartition, color: usize) -> u64 {
-    part.vals.subset(color).total_len()
+    part.vals().subset(color).total_len()
 }
 
 /// The sub-task descriptors of one color: up to `policy.max_spans(..)`
@@ -268,7 +258,7 @@ mod tests {
             color,
             SplitPolicy::Spans(n),
             ExecMode::Serial,
-            part.vals.parent_len(),
+            part.vals().parent_len(),
         )
     }
 
@@ -354,7 +344,7 @@ mod tests {
             0,
             SplitPolicy::Auto,
             ExecMode::Serial,
-            part.vals.parent_len(),
+            part.vals().parent_len(),
         );
         assert_eq!(auto.len(), 1);
         assert!(auto[0].is_none());

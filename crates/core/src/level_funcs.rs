@@ -25,50 +25,56 @@ use crate::kernels::split::KernelSpan;
 /// Per-level iteration clamps of one `(color, span)` leaf task.
 ///
 /// Built once per task: the color's entry subsets, with the span's level
-/// (if any) replaced by the span's subset clamped to the color. Both the
-/// generic partitioned walker ([`crate::kernels::walk_partitioned_span`])
-/// and the monomorphized kernels ([`crate::kernels::specialized`]) resolve
-/// their iteration bounds through this one seam, so the fast path and its
+/// (if any) replaced by the span's subset, borrowed as is. A span lies
+/// inside its color's clamp at that level because
+/// [`crate::kernels::color_spans`] cuts it from there. Both the generic
+/// partitioned walker ([`crate::kernels::walk_partitioned_span`]) and the
+/// monomorphized kernels ([`crate::kernels::specialized`]) resolve their
+/// iteration bounds through this one seam, so the fast path and its
 /// fallback visit identical entries by construction.
 pub struct LevelClamps<'a> {
     part: &'a TensorPartition,
     color: usize,
-    span_level: usize,
-    spanned: Option<IntervalSet>,
+    span: Option<&'a KernelSpan>,
 }
 
 impl<'a> LevelClamps<'a> {
-    pub fn new(part: &'a TensorPartition, color: usize, span: Option<&KernelSpan>) -> Self {
-        LevelClamps {
-            part,
-            color,
-            span_level: span.map_or(usize::MAX, |s| s.level),
-            spanned: span.map(|s| s.clamp_to(part, color)),
-        }
+    pub fn new(part: &'a TensorPartition, color: usize, span: Option<&'a KernelSpan>) -> Self {
+        debug_assert!(
+            span.is_none_or(|s| part.entries[s.level].subset(color).contains_set(&s.subset)),
+            "a span lies inside its color's clamp"
+        );
+        LevelClamps { part, color, span }
     }
 
     /// The clamp at `level`.
-    pub fn level(&self, level: usize) -> &IntervalSet {
-        match &self.spanned {
-            Some(s) if level == self.span_level => s,
+    pub fn level(&self, level: usize) -> &'a IntervalSet {
+        match self.span {
+            Some(s) if s.level == level => &s.subset,
             _ => self.part.entries[level].subset(self.color),
         }
     }
 }
 
 /// A full coordinate-tree partition of one tensor: one entry-space partition
-/// per level, plus the values partition (aligned with the leaf level).
+/// per level. The values array is aligned with the leaf level, so its
+/// partition is the leaf level's ([`TensorPartition::vals`]).
 #[derive(Clone, Debug)]
 pub struct TensorPartition {
-    /// `entries[k]` partitions level `k`'s entry space.
+    /// `entries[k]` partitions level `k`'s entry space (an order-0 tensor
+    /// has one: its root, which holds its value).
     pub entries: Vec<Partition>,
-    /// Partition of the values array.
-    pub vals: Partition,
 }
 
 impl TensorPartition {
     pub fn num_colors(&self) -> usize {
-        self.vals.num_colors()
+        self.vals().num_colors()
+    }
+
+    /// The partition of the values array: the leaf level's.
+    pub fn vals(&self) -> &Partition {
+        let leaf = self.entries.last();
+        leaf.expect("a partition has a level, or the root of an order-0 tensor")
     }
 }
 
@@ -210,7 +216,7 @@ fn unscale_partition(child: &Partition, size: usize) -> Partition {
 /// The full coordinate-tree derivation (Section IV-A): given an initial
 /// partition of level `k`'s entry space, derive every level above with
 /// `partition_from_child` and every level below with
-/// `partition_from_parent`; the values partition copies the leaf level's.
+/// `partition_from_parent`; the values follow the leaf level's.
 pub fn partition_tensor(t: &SpTensor, k: usize, initial: Partition) -> TensorPartition {
     let order = t.order();
     let mut entries: Vec<Option<Partition>> = vec![None; order];
@@ -225,9 +231,8 @@ pub fn partition_tensor(t: &SpTensor, k: usize, initial: Partition) -> TensorPar
         let parent = entries[level - 1].as_ref().unwrap().clone();
         entries[level] = Some(partition_from_parent(t, level, &parent));
     }
-    let entries: Vec<Partition> = entries.into_iter().map(Option::unwrap).collect();
-    let vals = entries[order - 1].clone();
-    TensorPartition { entries, vals }
+    let entries = entries.into_iter().map(Option::unwrap).collect();
+    TensorPartition { entries }
 }
 
 /// The outer-dimension (row/slice) tree partition every canned universe
@@ -245,21 +250,21 @@ pub(crate) fn nonzero_tree_partition(t: &SpTensor, level: usize, colors: usize) 
 
 /// A fully replicated partition: every color sees the whole tensor.
 pub fn replicated_partition(t: &SpTensor, colors: usize) -> TensorPartition {
-    let counts = entry_counts(t);
+    // An order-0 tensor has no level: its one value is the root entry.
+    let counts = match entry_counts(t) {
+        levels if levels.is_empty() => vec![t.num_stored() as u64],
+        levels => levels,
+    };
     let entries = counts
-        .iter()
-        .map(|&n| {
+        .into_iter()
+        .map(|n| {
             Partition::new(
                 n,
                 vec![IntervalSet::from_rect(Rect1::new(0, n as i64 - 1)); colors],
             )
         })
-        .collect::<Vec<_>>();
-    let vals = Partition::new(
-        t.num_stored() as u64,
-        vec![IntervalSet::from_rect(Rect1::new(0, t.num_stored() as i64 - 1)); colors],
-    );
-    TensorPartition { entries, vals }
+        .collect();
+    TensorPartition { entries }
 }
 
 #[cfg(test)]
@@ -302,7 +307,7 @@ mod tests {
         assert_eq!(tp.entries[0].subset(0).rects(), &[Rect1::new(0, 1)]);
         assert_eq!(tp.entries[1].subset(0).rects(), &[Rect1::new(0, 4)]);
         assert_eq!(tp.entries[1].subset(1).rects(), &[Rect1::new(5, 7)]);
-        assert_eq!(tp.vals.subset(1).rects(), &[Rect1::new(5, 7)]);
+        assert_eq!(tp.vals().subset(1).rects(), &[Rect1::new(5, 7)]);
         assert!(tp.entries[1].is_disjoint() && tp.entries[1].is_complete());
     }
 
@@ -343,14 +348,14 @@ mod tests {
         // Non-zero partition: perfectly balanced values.
         let z = partition_tensor(&t, 1, nonzero_partition(&t, 1, colors));
         assert!(
-            u.vals.imbalance() > 4.0,
+            u.vals().imbalance() > 4.0,
             "u imbalance {}",
-            u.vals.imbalance()
+            u.vals().imbalance()
         );
         assert!(
-            z.vals.imbalance() < 1.05,
+            z.vals().imbalance() < 1.05,
             "z imbalance {}",
-            z.vals.imbalance()
+            z.vals().imbalance()
         );
     }
 
@@ -361,7 +366,7 @@ mod tests {
         let init = universe_partition(&t, 0, &equal_coord_bounds(4, 2));
         let tp = partition_tensor(&t, 0, init);
         assert!(tp.entries[0].is_complete());
-        assert!(tp.vals.is_complete());
+        assert!(tp.vals().is_complete());
     }
 
     #[test]
@@ -382,9 +387,9 @@ mod tests {
         assert_eq!(tp.entries[0].parent_len(), 4);
         assert_eq!(tp.entries[1].parent_len(), 32);
         assert!(tp.entries[1].is_disjoint() && tp.entries[1].is_complete());
-        assert!(tp.vals.is_complete());
+        assert!(tp.vals().is_complete());
         // vals count == nnz for trailing compressed.
-        assert_eq!(tp.vals.parent_len(), t.nnz() as u64);
+        assert_eq!(tp.vals().parent_len(), t.nnz() as u64);
     }
 
     #[test]
@@ -392,7 +397,7 @@ mod tests {
         let t = generate::tensor3_uniform([8, 8, 8], 200, 11);
         let colors = 4;
         let tp = partition_tensor(&t, 2, nonzero_partition(&t, 2, colors));
-        assert!(tp.vals.imbalance() < 1.1);
+        assert!(tp.vals().imbalance() < 1.1);
         // All levels complete (possibly aliased).
         for e in &tp.entries {
             assert!(e.is_complete());
@@ -404,9 +409,17 @@ mod tests {
         let t = fig7();
         let tp = replicated_partition(&t, 3);
         for c in 0..3 {
-            assert_eq!(tp.vals.subset(c).total_len(), 8);
+            assert_eq!(tp.vals().subset(c).total_len(), 8);
             assert_eq!(tp.entries[0].subset(c).total_len(), 4);
         }
+        let scalar = SpTensor::from_parts(vec![], vec![], vec![2.0]);
+        assert_eq!(
+            replicated_partition(&scalar, 3)
+                .vals()
+                .subset(2)
+                .total_len(),
+            1
+        );
     }
 
     #[test]

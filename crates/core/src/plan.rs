@@ -47,7 +47,7 @@
 //!
 //! | `plan` owns | `plan` does not own |
 //! |---|---|
-//! | Leaf binding: kernel × driver layout → one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
+//! | Leaf binding: kernel × *stored* driver layout → one lookup and one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
 //! | The requirement lists, from describe through the drain to the model issue | Batching, launch-graph gating (`model_preds`) and the stand-in ids: [`session`](crate::session) |
 //! | The output fold: shared buffer, reduction partials, assembled rows | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
 //! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
@@ -364,12 +364,14 @@ impl<'a> PreparedPlan<'a> {
             .unwrap()
             .part;
 
-        // Leaf dispatch: resolve the (kernel, driver-format) pair exactly
-        // once and bind the result — blessed kernel or generic walker —
-        // with its operands into the plan's leaf, so per-span execution is
-        // one indirect call (see docs/kernels.md). Either way the decision
-        // is traced and counted below.
-        let blessed = specialized::resolve(&plan.kernel, &plan.driver_levels, driver);
+        // Leaf dispatch: look the (kernel, stored driver layout) pair up
+        // exactly once — the layout `recognize` admitted and the arrays the
+        // kernel reads — and bind the result, blessed kernel or generic
+        // walker, with its operands into the plan's leaf, so per-span
+        // execution is one indirect call (see docs/kernels.md). Either way
+        // the decision is traced and counted below.
+        let layout = specialized::storage_signature(driver);
+        let blessed = specialized::lookup(&plan.kernel, &layout);
         let operand = |k: usize| data(&accesses[k].tensor).map(SpTensor::vals);
         let (body, out_len): (Body<'a>, usize) = match plan.kernel {
             LeafKernel::SpMv => {
@@ -424,14 +426,9 @@ impl<'a> PreparedPlan<'a> {
                 0,
             ),
         };
-        let trace = ctx.trace();
-        if trace.is_enabled() {
-            trace.kernel_dispatch(
-                specialized::kernel_name(&plan.kernel),
-                &ctx.tensor(&plan.driver)?.format.signature(),
-                blessed.is_some(),
-            );
-        }
+        let name = specialized::kernel_name(&plan.kernel);
+        ctx.trace()
+            .kernel_dispatch(name, &layout, blessed.is_some());
 
         let point_reqs = (0..plan.colors)
             .map(|color| launch_reqs(ctx, plan, out_region, color))

@@ -154,7 +154,7 @@ impl CompiledProgram {
     /// static statistic behind the auto-scheduler's first pick.
     fn outer_block_imbalance(&self, name: &str, pieces: usize) -> Result<f64, Error> {
         let t = &self.ctx.tensor(name)?.data;
-        Ok(outer_dim_partition(t, pieces).vals.imbalance())
+        Ok(outer_dim_partition(t, pieces).vals().imbalance())
     }
 
     pub(super) fn default_pieces(&self) -> usize {
@@ -270,7 +270,7 @@ impl CompiledProgram {
             }
             self.stmts[k].tuned = true;
             let plan = self.cache.peek(&self.cache_key(k));
-            let plan_imbalance = plan.map_or(1.0, |p| p.inputs[0].part.vals.imbalance());
+            let plan_imbalance = plan.map_or(1.0, |p| p.inputs[0].part.vals().imbalance());
             let sched = self.last_results[k].as_ref().map(|r| &r.sched);
             let (task_skew, steals) = sched.map_or((1.0, 0), |s| (s.task_skew(), s.steals));
             let reason = if plan_imbalance > SWITCH_IMBALANCE {
@@ -417,7 +417,7 @@ mod tests {
     fn find_moderate_skew() -> SpTensor {
         for alpha in [0.45, 0.5, 0.55, 0.6, 0.65, 0.7] {
             let b = generate::rmat_clustered(9, 6000, alpha, 11);
-            let imbalance = outer_dim_partition(&b, PIECES).vals.imbalance();
+            let imbalance = outer_dim_partition(&b, PIECES).vals().imbalance();
             if imbalance > SWITCH_IMBALANCE && imbalance <= STATIC_IMBALANCE {
                 return b;
             }

@@ -168,9 +168,9 @@ impl Format {
     /// The storage half of [`Format::signature`]: the level formats alone,
     /// without the distribution. Two formats with equal level signatures
     /// walk their coordinate trees identically whatever machine they map
-    /// onto — this is the key of the specialized kernel table
-    /// (`spdistal::kernels::specialized`), which monomorphizes on storage
-    /// layout, not placement.
+    /// onto. It is spelled like the key of the specialized kernel table
+    /// (`spdistal::kernels::specialized`), which is looked up by the
+    /// driver's *stored* levels, not by its declared format.
     ///
     /// ```
     /// use spdistal_ir::Format;

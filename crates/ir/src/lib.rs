@@ -12,8 +12,11 @@
 //!   iteration-space transformations (`divide`, `fuse`, `pos`, `reorder`,
 //!   `parallelize`) combined with DISTAL's `distribute` and `communicate`.
 //!
-//! [`lower`] turns a scheduled statement into a [`loop_ir::LoopNest`] that
-//! the partitioning code generator (crate `spdistal`) walks. Nothing here
+//! [`lower`] validates a scheduled statement and returns its distributed
+//! loops ([`loop_ir::DistributedLoop`]), along which the partitioning code
+//! generator (crate `spdistal`) partitions every operand; `communicate` and
+//! `parallelize` are validated, and every tensor is communicated at the
+//! distributed loop. Nothing here
 //! evaluates a statement: the correctness oracle of every shape that
 //! compiles is `spdistal_sparse::reference`.
 
@@ -28,7 +31,7 @@ pub mod vars;
 
 pub use expr::{Access, Assignment, Expr, Term};
 pub use format::Format;
-pub use loop_ir::{IterKind, LoopLevel, LoopNest};
+pub use loop_ir::{DistributedLoop, IterKind};
 pub use lower::lower;
 pub use parse::{parse_tin, parse_tin_with_vars, ParseError};
 pub use schedule::{ParallelUnit, SchedCmd, SchedError, Schedule};

@@ -1,22 +1,28 @@
-//! Lowering: scheduled tensor index notation → [`LoopNest`].
+//! Lowering: scheduled tensor index notation → its [`DistributedLoop`]s.
 //!
 //! Starts from the statement's default loop order and replays the schedule's
-//! transformations over it, validating each step. The result records, per
-//! loop, whether it iterates coordinate values or non-zero positions —
-//! the distinction that drives universe vs non-zero partitioning during
-//! code generation (Section IV-C).
+//! transformations over it, validating each step. The result is what code
+//! generation reads: the distributed loops of the final order, each with
+//! whether it iterates coordinate values or non-zero positions — the
+//! distinction that drives universe vs non-zero partitioning (Section
+//! IV-C). `communicate` and `parallelize` are validated and leave nothing
+//! behind: every tensor is communicated at the distributed loop.
 
 use crate::expr::Assignment;
-use crate::loop_ir::{IterKind, LoopLevel, LoopNest};
-use crate::schedule::{ParallelUnit, SchedCmd, SchedError, Schedule};
+use crate::loop_ir::{DistributedLoop, IterKind};
+use crate::schedule::{SchedCmd, SchedError, Schedule};
 use crate::vars::{Derivation, IndexVar, VarCtx};
 
-/// Lower `stmt` under `schedule`, consulting `ctx` for variable provenance.
-pub fn lower(stmt: &Assignment, schedule: &Schedule, ctx: &VarCtx) -> Result<LoopNest, SchedError> {
+/// Lower `stmt` under `schedule`, consulting `ctx` for variable provenance:
+/// the distributed loops, outermost first (none when nothing is
+/// distributed).
+pub fn lower(
+    stmt: &Assignment,
+    schedule: &Schedule,
+    ctx: &VarCtx,
+) -> Result<Vec<DistributedLoop>, SchedError> {
     let mut order: Vec<IndexVar> = stmt.default_loop_order();
     let mut distributed: Vec<(IndexVar, usize)> = Vec::new();
-    let mut parallel: Vec<(IndexVar, ParallelUnit)> = Vec::new();
-    let mut comm: Vec<(String, IndexVar)> = Vec::new();
     let tensor_names = stmt.tensor_names();
 
     let find = |order: &[IndexVar], v: IndexVar| -> Result<usize, SchedError> {
@@ -83,23 +89,20 @@ pub fn lower(stmt: &Assignment, schedule: &Schedule, ctx: &VarCtx) -> Result<Loo
                         ctx.name(*at).to_string(),
                     ));
                 }
-                for t in tensors {
-                    if !tensor_names.contains(t) {
-                        return Err(SchedError::UnknownTensor(t.clone()));
-                    }
-                    comm.push((t.clone(), *at));
+                if let Some(t) = tensors.iter().find(|t| !tensor_names.contains(t)) {
+                    return Err(SchedError::UnknownTensor(t.clone()));
                 }
             }
-            SchedCmd::Parallelize { target, unit } => {
+            SchedCmd::Parallelize { target, .. } => {
                 find(&order, *target)?;
-                parallel.push((*target, *unit));
             }
         }
     }
 
-    let loops = order
+    Ok(order
         .iter()
-        .map(|&v| {
+        .filter_map(|&v| {
+            let machine_dim = distributed.iter().find(|(x, _)| *x == v)?.1;
             let kind = match ctx.position_tensor(v) {
                 Some(t) => IterKind::Position {
                     tensor: t.to_string(),
@@ -110,21 +113,14 @@ pub fn lower(stmt: &Assignment, schedule: &Schedule, ctx: &VarCtx) -> Result<Loo
                 Derivation::DivideOuter { pieces, .. } => Some(*pieces),
                 _ => None,
             };
-            LoopLevel {
+            Some(DistributedLoop {
                 var: v,
                 kind,
                 pieces,
-                distributed: distributed.iter().find(|(x, _)| *x == v).map(|(_, d)| *d),
-                parallel: parallel.iter().find(|(x, _)| *x == v).map(|(_, u)| *u),
-            }
+                machine_dim,
+            })
         })
-        .collect();
-
-    Ok(LoopNest {
-        loops,
-        comm,
-        stmt: stmt.clone(),
-    })
+        .collect())
 }
 
 #[cfg(test)]
@@ -152,15 +148,14 @@ mod tests {
         s.distribute(io, 0)
             .communicate(&["a", "B", "c"], io)
             .parallelize(ii, ParallelUnit::CpuThread);
-        let nest = lower(&stmt, &s, &ctx).unwrap();
-        assert_eq!(nest.loops.len(), 3); // io, ii, j
-        assert_eq!(nest.loops[0].var, io);
-        assert_eq!(nest.loops[0].distributed, Some(0));
-        assert_eq!(nest.loops[0].pieces, Some(4));
-        assert_eq!(nest.loops[0].kind, IterKind::Value);
-        assert_eq!(nest.loops[1].parallel, Some(ParallelUnit::CpuThread));
-        assert_eq!(nest.comm_at(io), vec!["a", "B", "c"]);
-        assert_eq!(nest.distributed_loops().count(), 1);
+        // Of the loops io, ii, j only io is distributed.
+        let expect = DistributedLoop {
+            var: io,
+            kind: IterKind::Value,
+            pieces: Some(4),
+            machine_dim: 0,
+        };
+        assert_eq!(lower(&stmt, &s, &ctx), Ok(vec![expect]));
     }
 
     /// The non-zero-based SpMV schedule of Section II-D: fuse i and j, move
@@ -172,18 +167,41 @@ mod tests {
         let mut s = Schedule::new();
         let f = s.fuse(&mut ctx, i, j);
         let fp = s.pos(&mut ctx, f, "B");
-        let (fo, fi) = s.divide(&mut ctx, fp, 4);
+        let (fo, _fi) = s.divide(&mut ctx, fp, 4);
         s.distribute(fo, 0).communicate(&["a", "B", "c"], fo);
-        let nest = lower(&stmt, &s, &ctx).unwrap();
-        assert_eq!(nest.loops.len(), 2); // fo, fi
+        // Of the loops fo, fi only fo is distributed.
+        let expect = DistributedLoop {
+            var: fo,
+            kind: IterKind::Position {
+                tensor: "B".to_string(),
+            },
+            pieces: Some(4),
+            machine_dim: 0,
+        };
+        assert_eq!(lower(&stmt, &s, &ctx), Ok(vec![expect]));
+    }
+
+    #[test]
+    fn nothing_distributed_lowers_to_no_loop() {
+        let mut ctx = VarCtx::new();
+        let (stmt, i, _) = spmv(&mut ctx);
+        let mut s = Schedule::new();
+        let (_, ii) = s.divide(&mut ctx, i, 4);
+        s.parallelize(ii, ParallelUnit::CpuThread);
+        assert_eq!(lower(&stmt, &s, &ctx), Ok(vec![]));
+    }
+
+    #[test]
+    fn parallelize_unknown_var_rejected() {
+        let mut ctx = VarCtx::new();
+        let (stmt, _, _) = spmv(&mut ctx);
+        let mut s = Schedule::new();
+        let ghost = ctx.fresh("ghost");
+        s.parallelize(ghost, ParallelUnit::CpuThread);
         assert_eq!(
-            nest.loops[0].kind,
-            IterKind::Position {
-                tensor: "B".to_string()
-            }
+            lower(&stmt, &s, &ctx),
+            Err(SchedError::UnknownVar("ghost".to_string()))
         );
-        assert_eq!(nest.loops[0].distributed, Some(0));
-        assert_eq!(nest.level(fi).unwrap().pieces, None);
     }
 
     #[test]
@@ -208,9 +226,13 @@ mod tests {
         let mut ctx = VarCtx::new();
         let (stmt, i, j) = spmv(&mut ctx);
         let mut s = Schedule::new();
-        s.reorder(vec![j, i]);
-        let nest = lower(&stmt, &s, &ctx).unwrap();
-        assert_eq!(nest.loops[0].var, j);
+        s.reorder(vec![j, i]).distribute(i, 0).distribute(j, 0);
+        let vars: Vec<IndexVar> = lower(&stmt, &s, &ctx)
+            .unwrap()
+            .iter()
+            .map(|l| l.var)
+            .collect();
+        assert_eq!(vars, [j, i], "outermost first, in the reordered nest");
         let mut s2 = Schedule::new();
         s2.reorder(vec![j]);
         assert_eq!(lower(&stmt, &s2, &ctx), Err(SchedError::NotAPermutation));

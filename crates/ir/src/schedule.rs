@@ -122,8 +122,6 @@ pub enum SchedError {
     UnknownTensor(String),
     /// `communicate` must name a distributed loop.
     CommunicateAtUndistributed(String),
-    /// A variable was transformed twice (e.g. divided after distribution).
-    AlreadyTransformed(String),
 }
 
 impl std::fmt::Display for SchedError {
@@ -137,9 +135,6 @@ impl std::fmt::Display for SchedError {
             SchedError::UnknownTensor(t) => write!(f, "unknown tensor '{t}'"),
             SchedError::CommunicateAtUndistributed(v) => {
                 write!(f, "communicate at non-distributed loop '{v}'")
-            }
-            SchedError::AlreadyTransformed(v) => {
-                write!(f, "variable '{v}' already transformed")
             }
         }
     }

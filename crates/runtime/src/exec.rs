@@ -16,8 +16,9 @@
 //!    concurrently across processors; Legion's deferred execution is modeled
 //!    by *not* synchronizing processors between launches — each processor's
 //!    timeline advances independently, and only true data movement couples
-//!    them. Bulk-synchronous baselines (PETSc/Trilinos/CTF-like) instead
-//!    call [`Runtime::barrier`] between phases.
+//!    them. (The bulk-synchronous baselines, PETSc/Trilinos/CTF-like, cost
+//!    their phases and barriers in a model of their own,
+//!    `spdistal_baselines`' `BspModel`.)
 //!
 //! The model reports *simulated* time; the real kernels execute separately
 //! (in crate `spdistal`) for correctness, and their operation counts feed
@@ -50,15 +51,14 @@
 //!
 //! On top of that, the runtime keeps a second, **pipelined** timeline that
 //! models Legion's deferred execution at launch granularity. Every launch is
-//! issued against it with an explicit predecessor set:
-//!
-//! * [`Runtime::index_launch_after`] — the deferred issue: each task starts
-//!   at `max(pred finish times, processor availability)`, so launches no
-//!   data dependence orders overlap (coupled only by processor contention),
-//!   while dependent launches pipeline behind their predecessors' finish.
-//! * [`Runtime::index_launch`] — the launch-at-a-time issue: equivalent to
-//!   naming *every* previously issued launch as a predecessor (a global
-//!   serialization point), which is what non-deferred replay means.
+//! issued against it with an explicit predecessor set, through the one issue
+//! API [`Runtime::index_launch_after`]: each task starts at
+//! `max(pred finish times, processor availability)`, so launches no data
+//! dependence orders overlap (coupled only by processor contention), while
+//! dependent launches pipeline behind their predecessors' finish. A
+//! launch-at-a-time issue names [`Runtime::model_fence_launch`] — the launch
+//! with the latest finish — as its one predecessor: a global serialization
+//! point, which is what non-deferred replay means.
 //!
 //! Each launch's [`ModelTiming`] records its modeled issue/start/finish on
 //! the pipelined timeline plus its `seq_span` — the makespan the launch
@@ -169,8 +169,8 @@ pub struct LaunchId(pub(crate) usize);
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ModelTiming {
     /// When the launch became eligible: the max of its predecessors' modeled
-    /// finish times (for [`Runtime::index_launch`], the finish of every
-    /// launch issued before it).
+    /// finish times (for a launch gated on [`Runtime::model_fence_launch`],
+    /// the finish of every launch issued before it).
     pub issue: f64,
     /// When its first task started (`>= issue`; later when the task's
     /// processor was still busy with an earlier launch).
@@ -222,10 +222,8 @@ pub struct Runtime {
     model_ready: Vec<f64>,
     /// Modeled finish time of every issued launch, indexed by [`LaunchId`].
     model_finishes: Vec<f64>,
-    /// Max modeled finish over all issued launches: the global serialization
-    /// point plain [`Runtime::index_launch`] gates behind.
-    model_fence: f64,
-    /// The launch holding that fence (None before any launch was issued).
+    /// The latest issued launch with the max modeled finish (None before
+    /// any launch was issued): the global serialization point.
     fence_launch: Option<LaunchId>,
     stats: RunStats,
     /// Route `fetch` through [`Runtime::transfer_per_proc`] (the oracle).
@@ -247,7 +245,6 @@ impl Runtime {
             proc_ready: vec![0.0; p],
             model_ready: vec![0.0; p],
             model_finishes: Vec::new(),
-            model_fence: 0.0,
             fence_launch: None,
             stats: RunStats::default(),
             #[cfg(test)]
@@ -376,12 +373,6 @@ impl Runtime {
         self.proc_ready[p]
     }
 
-    /// Current time on the pipelined model timeline: the max over all
-    /// processors' model clocks.
-    pub fn model_now(&self) -> f64 {
-        self.model_ready.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Modeled finish time of an issued launch on the pipelined timeline
     /// (`None` for a [`LaunchId`] this runtime never issued).
     pub fn model_finish(&self, id: LaunchId) -> Option<f64> {
@@ -391,7 +382,8 @@ impl Runtime {
     /// The launch holding the current model fence (the max modeled finish),
     /// if anything was issued yet. Deferred drivers starting a fresh launch
     /// graph on a used runtime gate their first launches behind it, so
-    /// their modeled windows begin after everything already issued.
+    /// their modeled windows begin after everything already issued; naming
+    /// it as a launch's one predecessor is a launch-at-a-time issue.
     pub fn model_fence_launch(&self) -> Option<LaunchId> {
         self.fence_launch
     }
@@ -400,57 +392,15 @@ impl Runtime {
         &self.stats
     }
 
-    /// Synchronize all processors (MPI-style collective). SpDISTAL's
-    /// deferred-execution path never calls this; bulk-synchronous baselines
-    /// call it between phases. Charges a log-depth collective latency; a
-    /// single-processor machine has no peers to synchronize with, so its
-    /// barrier is free.
-    pub fn barrier(&mut self) {
-        let p = self.machine.num_procs();
-        if p <= 1 {
-            return;
-        }
-        let depth = (p as f64).log2().ceil();
-        let latency = depth * self.machine.profile().inter_link.latency;
-        let t = self.now() + latency;
-        for c in self.proc_ready.iter_mut() {
-            *c = t;
-        }
-        // The pipelined timeline observes the same collective, recorded as
-        // a synthetic fence entry so gating behind `model_fence_launch`
-        // (e.g. a Session opened after the barrier) waits for the barrier
-        // itself, not just the last pre-barrier launch.
-        let mt = self.model_now() + latency;
-        for c in self.model_ready.iter_mut() {
-            *c = mt;
-        }
-        let id = LaunchId(self.model_finishes.len());
-        self.model_finishes.push(mt);
-        self.model_fence = self.model_fence.max(mt);
-        self.fence_launch = Some(id);
-    }
-
-    /// Execute one index launch, serialized behind *everything* issued
-    /// before it on the pipelined model timeline (a launch-at-a-time
-    /// issue). All `tasks` run concurrently (subject to per-processor
-    /// serialization), each first paying for the communication its region
-    /// requirements imply.
-    pub fn index_launch(
-        &mut self,
-        name: &str,
-        tasks: Vec<TaskSpec>,
-    ) -> Result<LaunchRecord, RuntimeError> {
-        let fence = self.model_fence;
-        self.launch_impl(name, tasks, fence)
-    }
-
-    /// Execute one index launch in **launch-graph order**: its tasks start
-    /// at `max(predecessor finish times, processor availability)` on the
-    /// pipelined model timeline, so launches none of `preds` orders overlap.
-    /// The canonical per-processor clocks (and hence [`Runtime::now`] and
-    /// every incremental launch time) are charged exactly as
-    /// [`Runtime::index_launch`] would — only the pipelined timeline and
-    /// the returned [`ModelTiming`] observe the dependence structure.
+    /// Execute one index launch in **launch-graph order**: all `tasks` run
+    /// concurrently (subject to per-processor serialization), each first
+    /// paying for the communication its region requirements imply, and
+    /// start at `max(predecessor finish times, processor availability)` on
+    /// the pipelined model timeline, so launches none of `preds` orders
+    /// overlap. The canonical per-processor clocks (and hence
+    /// [`Runtime::now`] and every incremental launch time) never observe
+    /// `preds` — only the pipelined timeline and the returned
+    /// [`ModelTiming`] see the dependence structure.
     ///
     /// An empty `preds` set means the launch is ready at time zero of the
     /// model timeline (it still waits for its processors).
@@ -470,17 +420,6 @@ impl Runtime {
             })?;
             issue = issue.max(finish);
         }
-        self.launch_impl(name, tasks, issue)
-    }
-
-    /// Shared launch body: `issue` is the launch's eligibility time on the
-    /// pipelined model timeline.
-    fn launch_impl(
-        &mut self,
-        name: &str,
-        tasks: Vec<TaskSpec>,
-        issue: f64,
-    ) -> Result<LaunchRecord, RuntimeError> {
         let bytes_before = self.stats.comm_bytes;
         let msgs_before = self.stats.messages;
         let ntasks = tasks.len();
@@ -586,11 +525,13 @@ impl Runtime {
             seq_span,
         };
         let id = LaunchId(self.model_finishes.len());
-        self.model_finishes.push(model.finish);
-        if model.finish >= self.model_fence {
-            self.model_fence = model.finish;
+        if self
+            .fence_launch
+            .is_none_or(|f| model.finish >= self.model_finishes[f.0])
+        {
             self.fence_launch = Some(id);
         }
+        self.model_finishes.push(model.finish);
 
         self.stats.launches += 1;
         Ok(LaunchRecord {
@@ -813,6 +754,17 @@ mod tests {
         Runtime::new(Machine::grid1d(procs, MachineProfile::test_profile()))
     }
 
+    /// A launch-at-a-time issue: gated on the launch with the latest
+    /// finish, i.e. on everything issued before it.
+    fn launch(
+        r: &mut Runtime,
+        name: &str,
+        tasks: Vec<TaskSpec>,
+    ) -> Result<LaunchRecord, RuntimeError> {
+        let fence = r.model_fence_launch();
+        r.index_launch_after(name, tasks, fence.as_slice())
+    }
+
     #[test]
     fn read_req_copies_once() {
         let mut r = rt(2);
@@ -824,10 +776,10 @@ mod tests {
             reg,
             IntervalSet::from_rect(Rect1::new(0, 499)),
         ));
-        let rec = r.index_launch("l1", vec![t.clone()]).unwrap();
+        let rec = launch(&mut r, "l1", vec![t.clone()]).unwrap();
         assert_eq!(rec.comm_bytes, 4000);
         // Second identical launch: data already valid, no traffic.
-        let rec2 = r.index_launch("l2", vec![t]).unwrap();
+        let rec2 = launch(&mut r, "l2", vec![t]).unwrap();
         assert_eq!(rec2.comm_bytes, 0);
     }
 
@@ -841,7 +793,7 @@ mod tests {
             reg,
             IntervalSet::from_rect(Rect1::new(0, 49)),
         ));
-        r.index_launch("w", vec![w]).unwrap();
+        launch(&mut r, "w", vec![w]).unwrap();
         assert!(r.valid_in(reg, 0).contains(50));
         assert!(!r.valid_in(reg, 0).contains(0));
         assert!(r.valid_in(reg, 1).contains(0));
@@ -850,7 +802,7 @@ mod tests {
             reg,
             IntervalSet::from_rect(Rect1::new(0, 49)),
         ));
-        let rec = r.index_launch("r", vec![rd]).unwrap();
+        let rec = launch(&mut r, "r", vec![rd]).unwrap();
         assert_eq!(rec.comm_bytes, 400);
     }
 
@@ -858,19 +810,16 @@ mod tests {
     fn clocks_advance_independently_without_barrier() {
         let mut r = rt(2);
         // Proc 0 runs 1e6 ops (1ms at 1e9 ops/s); proc 1 runs 1e3 ops.
-        r.index_launch(
+        launch(
+            &mut r,
             "skew",
             vec![TaskSpec::new(0, 1.0e6), TaskSpec::new(1, 1.0e3)],
         )
         .unwrap();
         assert!(r.proc_clock(0) > r.proc_clock(1));
         // Without a barrier, proc 1 keeps its early clock.
-        r.index_launch("more", vec![TaskSpec::new(1, 1.0e3)])
-            .unwrap();
+        launch(&mut r, "more", vec![TaskSpec::new(1, 1.0e3)]).unwrap();
         assert!(r.proc_clock(1) < r.proc_clock(0));
-        // Barrier synchronizes.
-        r.barrier();
-        assert!((r.proc_clock(0) - r.proc_clock(1)).abs() < 1e-12);
     }
 
     #[test]
@@ -883,7 +832,7 @@ mod tests {
             reg,
             IntervalSet::from_rect(Rect1::new(0, 999)),
         ));
-        let err = r.index_launch("oom", vec![t]).unwrap_err();
+        let err = launch(&mut r, "oom", vec![t]).unwrap_err();
         assert!(matches!(err, RuntimeError::Oom { .. }));
     }
 
@@ -926,9 +875,7 @@ mod tests {
                 IntervalSet::from_rect(Rect1::new(lo, hi)),
             ))
         };
-        let rec = r
-            .index_launch("red", vec![mk(0, 0, 59), mk(1, 40, 99)])
-            .unwrap();
+        let rec = launch(&mut r, "red", vec![mk(0, 0, 59), mk(1, 40, 99)]).unwrap();
         assert_eq!(rec.comm_bytes, 20 * 8);
         // Disjoint reduction: no traffic.
         let mut r2 = rt(2);
@@ -939,9 +886,7 @@ mod tests {
                 IntervalSet::from_rect(Rect1::new(lo, hi)),
             ))
         };
-        let rec2 = r2
-            .index_launch("red", vec![mk2(0, 0, 49), mk2(1, 50, 99)])
-            .unwrap();
+        let rec2 = launch(&mut r2, "red", vec![mk2(0, 0, 49), mk2(1, 50, 99)]).unwrap();
         assert_eq!(rec2.comm_bytes, 0);
     }
 
@@ -961,7 +906,7 @@ mod tests {
         }
         let need = IntervalSet::from_rect(Rect1::new(0, 999));
         let t = TaskSpec::new(5, 0.0).with_req(RegionReq::read(reg, need));
-        r.index_launch("l", vec![t]).unwrap();
+        launch(&mut r, "l", vec![t]).unwrap();
         let charged = |link: LinkProfile| {
             let comm = 0.0 + (link.latency * 1.0 + 8000.0 / link.bandwidth);
             comm + (profile.proc.task_overhead + 0.0 / profile.proc.throughput)
@@ -1014,9 +959,7 @@ mod tests {
             ))
         };
         // Heavy compute on proc 0; two light aliased reducers on procs 1/2.
-        let rec = r
-            .index_launch("red", vec![TaskSpec::new(0, 5.0e8), mk(1), mk(2)])
-            .unwrap();
+        let rec = launch(&mut r, "red", vec![TaskSpec::new(0, 5.0e8), mk(1), mk(2)]).unwrap();
         assert!(rec.comm_bytes > 0, "aliased partials must move");
         assert!(
             (rec.model.seq_span - (rec.model.finish - rec.model.issue)).abs() < 1e-15,
@@ -1029,7 +972,7 @@ mod tests {
     #[test]
     fn foreign_launch_id_rejected() {
         let mut a = rt(2);
-        let rec = a.index_launch("x", vec![TaskSpec::new(0, 1.0)]).unwrap();
+        let rec = launch(&mut a, "x", vec![TaskSpec::new(0, 1.0)]).unwrap();
         // `rec.id` belongs to runtime `a`; a fresh runtime must reject it
         // rather than index out of bounds or silently mis-gate.
         let mut b = rt(2);
@@ -1042,41 +985,12 @@ mod tests {
     #[test]
     fn bad_proc_rejected() {
         let mut r = rt(2);
-        let err = r
-            .index_launch("x", vec![TaskSpec::new(5, 0.0)])
-            .unwrap_err();
+        let err = launch(&mut r, "x", vec![TaskSpec::new(5, 0.0)]).unwrap_err();
         assert!(matches!(err, RuntimeError::BadProc { .. }));
     }
 
-    #[test]
-    fn single_proc_barrier_is_free() {
-        let mut r = rt(1);
-        r.index_launch("work", vec![TaskSpec::new(0, 1.0e6)])
-            .unwrap();
-        let before = r.now();
-        r.barrier();
-        assert_eq!(r.now(), before, "a 1-proc barrier must charge nothing");
-        // Multi-proc barriers still pay the log-depth collective.
-        let mut r2 = Runtime::new(Machine::grid1d(2, MachineProfile::lassen_cpu()));
-        let rec = r2
-            .index_launch("work", vec![TaskSpec::new(0, 1.0e6)])
-            .unwrap();
-        let before2 = r2.now();
-        r2.barrier();
-        assert!(r2.now() > before2);
-        // The barrier is a fence event on the model timeline: anything
-        // gating behind the fence afterwards waits for the collective, not
-        // just the last pre-barrier launch.
-        let fence = r2.model_fence_launch().unwrap();
-        assert!(r2.model_finish(fence).unwrap() > rec.model.finish);
-        let rec2 = r2
-            .index_launch("next", vec![TaskSpec::new(1, 1.0e3)])
-            .unwrap();
-        assert!(rec2.model.issue >= r2.model_finish(fence).unwrap());
-    }
-
     /// Two launches with opposite skew: a deferred (pred-free) issue
-    /// overlaps them on the model timeline, while plain `index_launch`
+    /// overlaps them on the model timeline, while a launch-at-a-time issue
     /// serializes behind the fence — and the canonical clocks are identical
     /// either way.
     #[test]
@@ -1086,8 +1000,8 @@ mod tests {
         let b = vec![TaskSpec::new(0, 1.0e6), TaskSpec::new(1, 8.0e6)];
 
         let mut seq = rt(2);
-        let sa = seq.index_launch("a", a.clone()).unwrap();
-        let sb = seq.index_launch("b", b.clone()).unwrap();
+        let sa = launch(&mut seq, "a", a.clone()).unwrap();
+        let sb = launch(&mut seq, "b", b.clone()).unwrap();
         // Launch-at-a-time: spans tile, makespan == sum of seq spans.
         assert!(sb.model.issue >= sa.model.finish);
         let seq_sum = sa.model.seq_span + sb.model.seq_span;
@@ -1174,7 +1088,7 @@ mod tests {
             again,
             IntervalSet::from_rect(Rect1::new(0, 9)),
         ));
-        assert_eq!(r.index_launch("fresh", vec![t]).unwrap().comm_bytes, 0);
+        assert_eq!(launch(&mut r, "fresh", vec![t]).unwrap().comm_bytes, 0);
         assert_eq!(r.resident_bytes(1), 40);
     }
 
@@ -1200,7 +1114,7 @@ mod tests {
     }
 
     /// The coherence oracle: random `attach` / `attach_sys` / `evict` /
-    /// `retire_region` / `index_launch` sequences replayed through the
+    /// `retire_region` / launch sequences replayed through the
     /// `somewhere`-based fetch — counted, with its link from same-node
     /// peers — and through the per-processor loop and `find_source` it
     /// replaced, on one processor per node (`lassen_cpu`) and four
@@ -1272,8 +1186,8 @@ mod tests {
                                 t
                             })
                             .collect();
-                        let a = new.index_launch("l", tasks.clone()).unwrap();
-                        let b = old.index_launch("l", tasks).unwrap();
+                        let a = launch(&mut new, "l", tasks.clone()).unwrap();
+                        let b = launch(&mut old, "l", tasks).unwrap();
                         assert_eq!((a.comm_bytes, a.messages), (b.comm_bytes, b.messages));
                         assert_eq!(a.clock_after.to_bits(), b.clock_after.to_bits());
                         for (x, y) in [
@@ -1317,7 +1231,7 @@ mod tests {
                 reg,
                 IntervalSet::from_rect(Rect1::new(0, 99)),
             ));
-            r.index_launch("l", vec![t]).unwrap();
+            launch(&mut r, "l", vec![t]).unwrap();
         }
         assert_eq!(r.stats().launches, 3);
         assert_eq!(r.stats().tasks, 3);

@@ -1,10 +1,10 @@
 //! Plan-level dispatch regression tests for the specialized kernel table:
-//! blessed (kernel, format) pairs must resolve to a monomorphized kernel
-//! (counting `kernel.specialized`), and unblessed pairs must fall back to
-//! the generic partitioned walker — running correctly and counting
+//! blessed (kernel, stored layout) pairs must dispatch a monomorphized
+//! kernel (counting `kernel.specialized`), and unblessed pairs must fall
+//! back to the generic partitioned walker — running correctly and counting
 //! `kernel.fallback`, with no panic and no silent wrong dispatch.
 
-use spdistal_repro::sparse::{convert, dense_vector, generate, reference};
+use spdistal_repro::sparse::{convert, dense_vector, generate, reference, SpTensor};
 use spdistal_repro::spdistal::kernels::tensor3::spttv_output;
 use spdistal_repro::spdistal::level_funcs::entry_counts;
 use spdistal_repro::spdistal::prelude::*;
@@ -24,17 +24,28 @@ fn traced_ctx() -> Context {
     Context::new(Machine::grid1d(2, MachineProfile::lassen_cpu())).with_trace(Trace::enabled())
 }
 
-/// Run SpMV through the full plan path with the driver in `fmt`, returning
-/// the dense output and the context's trace.
+/// Run SpMV through the full plan path with the driver declared in `fmt`
+/// and stored in the declared format's level layout, returning the dense
+/// output and the context's trace.
 fn run_spmv(fmt: Format, nonzero: bool) -> (Vec<f64>, Trace) {
+    let store = match fmt.levels_signature().as_str() {
+        "{Compressed,Compressed}" => convert::to_dcsr,
+        "{Compressed,Singleton}" => convert::to_coo_format,
+        _ => SpTensor::clone,
+    };
+    run_spmv_stored(fmt, store, nonzero)
+}
+
+/// [`run_spmv`] with the driver stored as `store` makes it, whatever `fmt`
+/// declares.
+fn run_spmv_stored(
+    fmt: Format,
+    store: fn(&SpTensor) -> SpTensor,
+    nonzero: bool,
+) -> (Vec<f64>, Trace) {
     let mut ctx = traced_ctx();
     let base = generate::rmat_default(6, 800, 51);
-    // Store the driver in the declared format's actual level layout.
-    let b = match fmt.levels_signature().as_str() {
-        "{Compressed,Compressed}" => convert::to_dcsr(&base),
-        "{Compressed,Singleton}" => convert::to_coo_format(&base),
-        _ => base.clone(),
-    };
+    let b = store(&base);
     let n = b.dims()[0];
     let c = generate::dense_vec(n, 52);
     let expect = reference::spmv(&base, &c);
@@ -50,16 +61,32 @@ fn run_spmv(fmt: Format, nonzero: bool) -> (Vec<f64>, Trace) {
     } else {
         schedule_outer_dim(&mut ctx, &stmt, 2, ParallelUnit::CpuThread)
     };
-    let result = ctx.compile_and_run(&stmt, &sched).unwrap();
-    let out = match result.output {
-        OutputValue::Dense(v) => v,
-        OutputValue::Tensor(t) => t.vals().to_vec(),
-    };
+    let plan = ctx.compile(&stmt, &sched).unwrap();
+    let out = ctx.run(&plan).unwrap().output.into_vals();
     assert!(
         reference::approx_eq(&out, &expect, 1e-9),
         "SpMV result diverged from the oracle"
     );
     (out, ctx.trace().clone())
+}
+
+/// The leaf is looked up by the layout the driver is *stored* in — the
+/// arrays the kernel reads — not by the format it was declared under: CSR
+/// data registered under a COO format runs the CSR kernel, bit for bit the
+/// CSR-declared run, and the dispatch event names the stored layout.
+#[test]
+fn a_driver_dispatches_on_its_stored_layout() {
+    let (csr, _) = run_spmv(Format::blocked_csr(), false);
+    let (out, trace) = run_spmv_stored(Format::blocked_coo(), SpTensor::clone, false);
+    assert_eq!(counter(&trace, "kernel.specialized"), 1);
+    assert_eq!(counter(&trace, "kernel.fallback"), 0);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out), bits(&csr));
+    let json = trace.chrome_trace().expect("trace enabled");
+    assert!(
+        json.contains(r#""signature":"{Dense,Compressed}""#),
+        "the dispatch event carries the stored signature"
+    );
 }
 
 #[test]

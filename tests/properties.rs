@@ -70,8 +70,8 @@ proptest! {
         let tp = partition_tensor(&m, level, init);
         // Leaf (vals) partition is disjoint & complete for both initial
         // partitions: each stored value is computed exactly once.
-        prop_assert!(tp.vals.is_disjoint());
-        prop_assert!(tp.vals.is_complete());
+        prop_assert!(tp.vals().is_disjoint());
+        prop_assert!(tp.vals().is_complete());
         // The crd level is complete; the row level must cover every row
         // that has stored children (empty rows need no color under a
         // non-zero partition).
