@@ -49,6 +49,18 @@ fi
 if grep -nE 'fn index_launch\(|fn barrier\(|model_fence:' crates/runtime/src/exec.rs; then
   echo "the machine model issues through index_launch_after only"; exit 1
 fi
+# SpAdd3 merges into one flat buffer per span (`specialized::matrix::spadd3`):
+# the per-row merge and its row type it replaced are the identity suite's
+# oracle (tests/specialized_identity.rs), never library code again.
+if ! git ls-files 'crates/*.rs' | xargs awk '
+    FNR == 1 { t = 0; p = "" }
+    t { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+    /struct AddRow|fn merge3/ && p !~ /^[[:space:]]*#\[cfg\(test\)\]/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    { p = $0 }
+    END { exit bad }'; then
+  echo "struct AddRow / fn merge3 outside #[cfg(test)]: SpAdd3 merges into one flat buffer per span"; exit 1
+fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const
@@ -92,6 +104,15 @@ cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_trace.jso
   --require steal --require auto-decision \
   --require span --require launch --require cache --require model \
   --require kernel-dispatch --require kernel-specialized --require-no-drops
+
+echo "==> leaf smoke: fused_addition --pipeline --trace, every leaf blessed"
+# Both statements are SpAdd3 over CSR, the last leaf to get a blessed
+# kernel: every prepared plan must dispatch it, and none the walker.
+cargo run --release -q --example fused_addition -- --pipeline --trace /tmp/spd_add_trace.json |
+  grep "^run_report_json="
+cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_add_trace.json \
+  --require kernel-specialized --forbid kernel-fallback --require-no-drops
+rm -f /tmp/spd_add_trace.json
 
 echo "==> example smoke: load_balance via Program (row vs non-zero)"
 cargo run --release -q --example load_balance | grep "^run_report_json="
@@ -177,7 +198,8 @@ echo "==> leaf identity suites, optimised"
 # Same reason, the leaf layer: raw-pointer `OutVals` writes, `row_mut`'s
 # exclusive slices and the prefetch hints are where a bug that only
 # optimisation exposes would hide (~1 s once built).
-cargo test -q --release --test specialized_identity --test kernel_dispatch --test parallel_identity
+cargo test -q --release --test specialized_identity --test kernel_dispatch --test parallel_identity \
+  --test end_to_end
 
 echo "==> serving suites, optimised"
 # The wire codec, the framing and the service tests again in --release:

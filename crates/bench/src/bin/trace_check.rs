@@ -2,7 +2,8 @@
 //! `Trace::write_chrome_trace` and assert it contains required events.
 //!
 //! ```text
-//! trace_check <trace.json> [--require <category-or-name>]... [--require-no-drops] [--summary]
+//! trace_check <trace.json> [--require <category-or-name>]... [--forbid <category-or-name>]...
+//!             [--require-no-drops] [--summary]
 //! ```
 //!
 //! Validation checks the trace-event JSON shape (every event has a name, a
@@ -12,7 +13,9 @@
 //! `incremental`, `ingest`) or an exact event *name* (`steal`,
 //! `auto-decision`, `plan-cache hit`, `incremental-skip`,
 //! `ingest-in-place`, `ingest-structural`, ...) and fails unless at least
-//! one such event is present.
+//! one such event is present. Each `--forbid` matches the same way and
+//! fails if any such event is present (`--forbid kernel-fallback`: no plan
+//! ran the generic walker).
 //! `--require-no-drops` fails when the trace reports that its recorder
 //! overwrote events (`events_dropped > 0`): whatever was counted from such a
 //! trace undercounts. `--summary`
@@ -21,12 +24,22 @@
 //! ci runs. Exits non-zero with a message on any failure, prints a
 //! one-line summary on success.
 
-use spdistal_obs::validate_chrome_trace;
+use spdistal_obs::{validate_chrome_trace, TraceStats};
+
+/// The `--forbid`den categories or names the trace holds events of, with
+/// their counts.
+fn forbidden_present(stats: &TraceStats, forbidden: &[String]) -> Vec<(String, usize)> {
+    let counts = forbidden
+        .iter()
+        .map(|what| (what.clone(), stats.count(what)));
+    counts.filter(|(_, n)| *n > 0).collect()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut required: Vec<String> = Vec::new();
+    let mut forbidden: Vec<String> = Vec::new();
     let mut summary = false;
     let mut no_drops = false;
     let mut k = 0;
@@ -40,6 +53,14 @@ fn main() {
                 required.push(what.clone());
                 k += 1;
             }
+            "--forbid" => {
+                let Some(what) = args.get(k + 1) else {
+                    eprintln!("trace_check: --forbid needs a <category-or-name>");
+                    std::process::exit(2);
+                };
+                forbidden.push(what.clone());
+                k += 1;
+            }
             "--summary" => summary = true,
             "--require-no-drops" => no_drops = true,
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
@@ -47,7 +68,7 @@ fn main() {
                 eprintln!(
                     "trace_check: unexpected argument '{other}' \
                      (usage: trace_check <trace.json> [--require <category-or-name>]... \
-                     [--require-no-drops] [--summary])"
+                     [--forbid <category-or-name>]... [--require-no-drops] [--summary])"
                 );
                 std::process::exit(2);
             }
@@ -119,9 +140,40 @@ fn main() {
         );
         std::process::exit(1);
     }
+    let present = forbidden_present(&stats, &forbidden);
+    if !present.is_empty() {
+        let present: Vec<String> = present.iter().map(|(w, n)| format!("{w} ({n})")).collect();
+        eprintln!(
+            "trace_check: {path} valid but holds forbidden events: {}",
+            present.join(", ")
+        );
+        std::process::exit(1);
+    }
     println!(
         "trace_check: {path} OK — {} events across {} tracks",
         stats.events,
         stats.tracks.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spdistal_obs::Trace;
+
+    fn stats_of(trace: &Trace) -> TraceStats {
+        validate_chrome_trace(&trace.chrome_trace().expect("trace enabled")).unwrap()
+    }
+
+    #[test]
+    fn forbid_matches_a_present_name_or_category_only() {
+        let trace = Trace::enabled();
+        trace.kernel_dispatch("SpTtv", "{Dense,Dense,Compressed}", false);
+        let stats = stats_of(&trace);
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let present = forbidden_present(&stats, &names(&["kernel-fallback", "kernel-dispatch"]));
+        assert_eq!(present.len(), 2, "{present:?}");
+        assert!(present.iter().all(|(_, n)| *n >= 1));
+        assert!(forbidden_present(&stats, &names(&["kernel-specialized", "steal"])).is_empty());
+    }
 }

@@ -88,18 +88,7 @@ pub struct Plan {
 /// of Figure 9a).
 pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<Plan, Error> {
     let dist = spdistal_ir::lower(stmt, schedule, ctx.vars())?;
-    // The one gate of the leaf layer: a statement no leaf computes is
-    // refused here, before anything is partitioned.
-    let lookup = |name: &str| {
-        let t = &ctx.tensor(name).ok()?.data;
-        Some((t.formats(), t.dims().to_vec()))
-    };
-    let kernel = kernels::recognize(stmt, &lookup).map_err(|reason| {
-        Error::Unsupported(format!(
-            "'{stmt}' does not compile: {reason}. What compiles: {}",
-            kernels::SHAPES
-        ))
-    })?;
+    let kernel = leaf(ctx, stmt)?;
 
     let [dist_loop] = dist.as_slice() else {
         return Err(Error::Unsupported(format!(
@@ -169,6 +158,16 @@ pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<
 
     // Per-index-variable coordinate sets projected from the driver.
     let driver_tensor = &ctx.tensor(&driver_name)?.data;
+    if kernel == LeafKernel::SpAdd3 {
+        tiles_rows(&driver_part, driver_tensor.dims()[0]).map_err(|split| {
+            Error::Unsupported(format!(
+                "'{stmt}' does not compile under this schedule: SpAdd3 assembles each \
+                 output row in the one color that owns it, so the driver's level-0 \
+                 subsets must be disjoint, ascend by color and cover every row; in this \
+                 split {split}. The outer-dimension schedule tiles the rows"
+            ))
+        })?;
+    }
     let driver_access = stmt
         .rhs
         .accesses()
@@ -221,6 +220,48 @@ pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<
         output,
         stmt: stmt.clone(),
     })
+}
+
+/// The leaf that computes `stmt` over its operands' stored layouts — the
+/// one gate of the leaf layer: a statement no leaf computes is refused
+/// here, before anything is partitioned.
+pub(crate) fn leaf(ctx: &Context, stmt: &Assignment) -> Result<LeafKernel, Error> {
+    let lookup = |name: &str| {
+        let t = &ctx.tensor(name).ok()?.data;
+        Some((t.formats(), t.dims().to_vec()))
+    };
+    kernels::recognize(stmt, &lookup).map_err(|reason| {
+        Error::Unsupported(format!(
+            "'{stmt}' does not compile: {reason}. What compiles: {}",
+            kernels::SHAPES
+        ))
+    })
+}
+
+/// Whether the driver's level-0 subsets tile `rows` in color order:
+/// pairwise disjoint, ascending by color, and together covering every row.
+/// A non-zero split fails both ways: a row it cuts belongs to two colors,
+/// and a row the driver does not store belongs to none. `Err` says where.
+fn tiles_rows(part: &TensorPartition, rows: usize) -> Result<(), String> {
+    let mut next = 0i64;
+    for color in 0..part.num_colors() {
+        for r in part.entries[0].subset(color).rects() {
+            if r.lo < next {
+                return Err(format!(
+                    "color {color} owns row {}, which an earlier color owns or passed",
+                    r.lo
+                ));
+            }
+            if r.lo > next {
+                return Err(format!("rows {next}..{} belong to no color", r.lo));
+            }
+            next = r.hi + 1;
+        }
+    }
+    if next < rows as i64 {
+        return Err(format!("rows {next}..{rows} belong to no color"));
+    }
+    Ok(())
 }
 
 /// The driver level an initial non-zero partition targets: the level of the

@@ -1,16 +1,18 @@
-//! Matrix leaf kernels: SpMV, SpMM, SDDMM, SpAdd3.
+//! Matrix leaf kernels through the generic walker: SpMV, SpMM, SDDMM.
 //!
 //! Each `*_color` function computes the contribution of one color (one
 //! distributed-loop iteration) by walking the driver tensor's partitioned
 //! coordinate tree, and returns the modeled operation count that feeds the
 //! machine model. Accumulation into shared outputs happens color-by-color,
-//! mirroring the runtime's reduction semantics.
+//! mirroring the runtime's reduction semantics. These are the oracle of
+//! the blessed kernels and the path of matrix layouts none blesses; SpAdd3
+//! has no walker — `recognize` admits it over CSR only, whose blessed
+//! merge ([`crate::kernels::specialized`]) is its one implementation.
 
-use spdistal_runtime::Rect1;
-use spdistal_sparse::{Level, SpTensor};
+use spdistal_sparse::SpTensor;
 
 use super::{walk_partitioned_span, KernelSpan, OutVals};
-use crate::level_funcs::{LevelClamps, TensorPartition};
+use crate::level_funcs::TensorPartition;
 
 /// SpMV for one color: `a(i) += B(i,j) * c(j)` over the color's entries —
 /// or over one [`KernelSpan`] (a row chunk) of them.
@@ -75,122 +77,6 @@ pub fn sddmm_color(
         ops += kdim as u64;
     });
     ops as f64
-}
-
-/// One assembled output row of SpAdd3.
-pub struct AddRow {
-    pub row: usize,
-    pub cols: Vec<i64>,
-    pub vals: Vec<f64>,
-}
-
-/// SpAdd3 for one color, fused across the three inputs (the paper's point:
-/// one pass, no temporaries). Implements the two-phase assembly of
-/// Section V-B: the symbolic phase discovers the union pattern per row, the
-/// numeric phase fills values; both are fused into one merge here, with the
-/// returned op counts split accordingly.
-///
-/// Returns the assembled rows plus `(symbolic_ops, numeric_ops)`.
-pub fn spadd3_color(
-    b: &SpTensor,
-    c: &SpTensor,
-    d: &SpTensor,
-    row_part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-) -> (Vec<AddRow>, f64, f64) {
-    // A span is a chunk of the color's rows, so spans of one color assemble
-    // disjoint, ascending row ranges.
-    debug_assert!(span.is_none_or(|s| s.level == 0), "SpAdd3 splits on rows");
-    let rows_subset = LevelClamps::new(row_part, color, span).level(0);
-    let mut out = Vec::new();
-    let mut sym_ops = 0u64;
-    let mut num_ops = 0u64;
-    for row in rows_subset.iter_points() {
-        let segs: Vec<(&[i64], &[f64])> = [b, c, d]
-            .iter()
-            .map(|t| row_segment(t, row as usize))
-            .collect();
-        sym_ops += segs.iter().map(|(cr, _)| cr.len() as u64).sum::<u64>();
-        let merged = merge3(&segs);
-        num_ops += merged.0.len() as u64;
-        if !merged.0.is_empty() {
-            out.push(AddRow {
-                row: row as usize,
-                cols: merged.0,
-                vals: merged.1,
-            });
-        }
-    }
-    (out, sym_ops as f64, num_ops as f64)
-}
-
-/// The (cols, vals) slice of one CSR row. Callers are compiled SpAdd3
-/// plans: [`recognize`](super::recognize) admits only `{Dense,Compressed}`
-/// operands, so level-1 `pos` is indexed by row coordinate.
-fn row_segment(t: &SpTensor, row: usize) -> (&[i64], &[f64]) {
-    match t.level(1) {
-        Level::Compressed { pos, crd } => {
-            let r: Rect1 = pos[row];
-            if r.is_empty() {
-                (&[], &[])
-            } else {
-                (
-                    &crd[r.lo as usize..=r.hi as usize],
-                    &t.vals()[r.lo as usize..=r.hi as usize],
-                )
-            }
-        }
-        _ => unreachable!("recognize admits SpAdd3 over CSR operands only"),
-    }
-}
-
-/// Three-way sorted merge, summing values for equal columns.
-fn merge3(segs: &[(&[i64], &[f64])]) -> (Vec<i64>, Vec<f64>) {
-    let mut idx = [0usize; 3];
-    let cap = segs.iter().map(|(c, _)| c.len()).sum();
-    let mut cols = Vec::with_capacity(cap);
-    let mut vals = Vec::with_capacity(cap);
-    loop {
-        let mut min: Option<i64> = None;
-        for (s, seg) in segs.iter().enumerate() {
-            if let Some(&c) = seg.0.get(idx[s]) {
-                min = Some(min.map_or(c, |m: i64| m.min(c)));
-            }
-        }
-        let Some(m) = min else { break };
-        let mut v = 0.0;
-        for (s, seg) in segs.iter().enumerate() {
-            while idx[s] < seg.0.len() && seg.0[idx[s]] == m {
-                v += seg.1[idx[s]];
-                idx[s] += 1;
-            }
-        }
-        cols.push(m);
-        vals.push(v);
-    }
-    (cols, vals)
-}
-
-/// Assemble SpAdd3 rows (from all colors) into a CSR tensor.
-pub fn assemble_rows(rows: usize, cols: usize, mut parts: Vec<AddRow>) -> SpTensor {
-    parts.sort_by_key(|r| r.row);
-    let mut pos = vec![Rect1::empty(); rows];
-    let mut crd = Vec::new();
-    let mut vals = Vec::new();
-    for r in parts {
-        let lo = crd.len() as i64;
-        crd.extend_from_slice(&r.cols);
-        vals.extend_from_slice(&r.vals);
-        if crd.len() as i64 > lo {
-            pos[r.row] = Rect1::new(lo, crd.len() as i64 - 1);
-        }
-    }
-    SpTensor::from_parts(
-        vec![rows, cols],
-        vec![Level::Dense { size: rows }, Level::Compressed { pos, crd }],
-        vals,
-    )
 }
 
 #[cfg(test)]
@@ -263,32 +149,5 @@ mod tests {
             sddmm_color(&b, &p, col, None, &c, &d, kdim, m, &OutVals::new(&mut vals));
         }
         assert!(reference::approx_eq(&vals, expect.vals(), 1e-12));
-    }
-
-    #[test]
-    fn spadd3_matches_reference() {
-        let b = generate::uniform(50, 40, 300, 8);
-        let c = generate::shift_last_dim(&b, 3);
-        let d = generate::shift_last_dim(&b, 7);
-        let expect = reference::spadd3(&b, &c, &d);
-        let p = row_part(&b, 4);
-        let mut rows = Vec::new();
-        for col in 0..4 {
-            let (r, sym, num) = spadd3_color(&b, &c, &d, &p, col, None);
-            assert!(sym > 0.0 && num > 0.0);
-            rows.extend(r);
-        }
-        let got = assemble_rows(50, 40, rows);
-        assert!(reference::tensors_approx_eq(&got, &expect, 1e-12));
-    }
-
-    #[test]
-    fn merge3_sums_duplicates() {
-        let a = (vec![0i64, 2, 5], vec![1.0, 2.0, 3.0]);
-        let b = (vec![2i64, 5], vec![10.0, 20.0]);
-        let c = (vec![1i64], vec![100.0]);
-        let (cols, vals) = merge3(&[(&a.0, &a.1), (&b.0, &b.1), (&c.0, &c.1)]);
-        assert_eq!(cols, vec![0, 1, 2, 5]);
-        assert_eq!(vals, vec![1.0, 100.0, 12.0, 23.0]);
     }
 }

@@ -1,7 +1,7 @@
 //! Matrix leaf loops: SpMV / SpMM / SDDMM, each as one row-keyed source
 //! (generic over the driver's [`TopLevel`]: CSR `{Dense,Compressed}` and
 //! DCSR `{Compressed,Compressed}`) plus one COO `{Compressed,Singleton}`
-//! source.
+//! source; and SpAdd3, over CSR only.
 //!
 //! Shape of every kernel here: resolve the task's per-level bounds once
 //! through [`LevelClamps`], let [`for_rows`] / [`for_coo_runs`] walk the
@@ -11,17 +11,17 @@
 //! per-element accumulation order, and integer op counts are exactly the
 //! generic walker's (the bit-identity contract of the module docs).
 //!
-//! Row-keyed SpMV folds each *fully owned* row into a local accumulator
-//! before one `out[i] +=`. That is bitwise identical to the walker's
-//! per-entry adds: when the clamp covers the whole stored row, this task
-//! is the slot's only writer (position partitions are disjoint), so
-//! `out[i]` is `+0.0` and both paths compute the same left fold — and a
-//! fold seeded with `+0.0` can never produce `-0.0`, so the final `+=`
-//! through memory cannot flip a sign bit. A *partially* clamped row (a
-//! non-zero position split can cut mid-row) may share `out[i]` with
-//! another color, where `(P + x1) + x2` and `P + (x1 + x2)` round
-//! differently — those rows keep the walker's per-entry read-modify-write
-//! order.
+//! Row-keyed SpMV (and SpTTV, per fiber) folds each *fully owned* row
+//! into a local accumulator before one `out[i] +=`. That is bitwise
+//! identical to the walker's per-entry adds: when the clamp covers the
+//! whole stored row, this task is the slot's only writer (position
+//! partitions are disjoint), so `out[i]` is `+0.0` and both paths compute
+//! the same left fold — and a fold seeded with `+0.0` can never produce
+//! `-0.0`, so the final `+=` through memory cannot flip a sign bit. A
+//! *partially* clamped row (a non-zero position split can cut mid-row)
+//! may share `out[i]` with another color, where `(P + x1) + x2` and
+//! `P + (x1 + x2)` round differently — those rows keep the walker's
+//! per-entry read-modify-write order.
 
 use spdistal_runtime::{IntervalSet, Rect1};
 use spdistal_sparse::SpTensor;
@@ -30,13 +30,14 @@ use super::{compressed, for_coo_runs, for_rows, prefetch_read, singleton, TopLev
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
-/// One SpMV row: fold the clamped slice of stored row `range` into
-/// `out[row]`. Fully owned rows (clamp covers `range`) fold in a local
-/// accumulator with a single store; partially clamped rows keep the
-/// walker's per-entry read-modify-write order (see module docs for why
-/// both are bit-identical to the walker). Returns the entry count.
+/// One dot-product row — an SpMV row, or an SpTTV fiber: fold the clamped
+/// slice of stored position range `range` into `out[row]`. Fully owned
+/// rows (clamp covers `range`) fold in a local accumulator with a single
+/// store; partially clamped rows keep the walker's per-entry
+/// read-modify-write order (see module docs for why both are
+/// bit-identical to the walker). Returns the entry count.
 #[inline]
-fn spmv_row(
+pub(super) fn dot_row(
     row: usize,
     range: Rect1,
     cols: &IntervalSet,
@@ -87,7 +88,7 @@ pub(super) fn spmv<T: TopLevel>(
     let clamps = LevelClamps::new(part, color, span);
     let cols = clamps.level(1);
     for_rows::<T>(b, clamps.level(0), |i, range| {
-        spmv_row(i, range, cols, crd, vals, c, out)
+        dot_row(i, range, cols, crd, vals, c, out)
     }) as f64
 }
 
@@ -350,4 +351,105 @@ pub(super) fn sddmm_coo(
         }
     });
     (kdim as u64 * n) as f64
+}
+
+/// SpAdd3 over CSR operands, fused across the three inputs (the paper's
+/// point: one pass, no temporaries): every row of the task's level-0
+/// clamp — including rows `b` does not store, which `c` or `d` may — is
+/// the sorted merge of the three operands' rows, appended to the task's
+/// flat buffer as `(row, len)` plus `len` columns and values. The symbolic
+/// op count is the entries read, the numeric one the entries written (the
+/// two-phase assembly of Section V-B, fused into one merge).
+#[allow(clippy::too_many_arguments)]
+pub(super) fn spadd3(
+    b: &SpTensor,
+    c: &SpTensor,
+    d: &SpTensor,
+    part: &TensorPartition,
+    color: usize,
+    span: Option<&KernelSpan>,
+    rows: &mut Vec<(usize, usize)>,
+    cols: &mut Vec<i64>,
+    vals: &mut Vec<f64>,
+) -> (f64, f64) {
+    let operands = [b, c, d].map(|t| {
+        let (pos, crd) = compressed(t, 1);
+        (pos, crd, t.vals())
+    });
+    let written = cols.len();
+    let mut read = 0u64;
+    for rr in LevelClamps::new(part, color, span).level(0).rects() {
+        for row in rr.lo as usize..=rr.hi as usize {
+            let segs = operands.map(|(pos, crd, vals)| match pos[row] {
+                r if r.is_empty() => (&[][..], &[][..]),
+                r => (
+                    &crd[r.lo as usize..=r.hi as usize],
+                    &vals[r.lo as usize..=r.hi as usize],
+                ),
+            });
+            read += segs.iter().map(|(s, _)| s.len() as u64).sum::<u64>();
+            let len = merge_row(segs, cols, vals);
+            if len > 0 {
+                rows.push((row, len));
+            }
+        }
+    }
+    (read as f64, (cols.len() - written) as f64)
+}
+
+/// Three-way sorted merge of one row's `(cols, vals)` segments, appended to
+/// `cols`/`vals`; returns the merged length. An output value is its
+/// column's inputs summed in operand order from `+0.0` —
+/// `((0 + b) + c) + d` over those present.
+#[inline]
+fn merge_row(segs: [(&[i64], &[f64]); 3], cols: &mut Vec<i64>, vals: &mut Vec<f64>) -> usize {
+    let cap = segs.iter().map(|(s, _)| s.len()).sum();
+    cols.reserve(cap);
+    vals.reserve(cap);
+    let before = cols.len();
+    let mut at = [0usize; 3];
+    loop {
+        // Coordinates are below a dimension extent, so `i64::MAX` marks an
+        // exhausted segment.
+        let head = |s: usize| segs[s].0.get(at[s]).copied().unwrap_or(i64::MAX);
+        let m = head(0).min(head(1)).min(head(2));
+        if m == i64::MAX {
+            break;
+        }
+        let mut v = 0.0;
+        for (s, (sc, sv)) in segs.iter().enumerate() {
+            while at[s] < sc.len() && sc[at[s]] == m {
+                v += sv[at[s]];
+                at[s] += 1;
+            }
+        }
+        cols.push(m);
+        vals.push(v);
+    }
+    cols.len() - before
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merge_row_sums_equal_columns_in_operand_order() {
+        let (a, b, c) = (
+            (vec![0i64, 2, 5], vec![1.0, 2.0, 3.0]),
+            (vec![2i64, 5], vec![10.0, 20.0]),
+            (vec![1i64], vec![-0.0]),
+        );
+        let segs = [
+            (&a.0[..], &a.1[..]),
+            (&b.0[..], &b.1[..]),
+            (&c.0[..], &c.1[..]),
+        ];
+        let (mut cols, mut vals) = (vec![7], vec![9.0]);
+        assert_eq!(merge_row(segs, &mut cols, &mut vals), 4);
+        assert_eq!(cols, vec![7, 0, 1, 2, 5]);
+        // `0 + -0.0` is `+0.0`: a lone input is summed, not copied.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&vals), bits(&[9.0, 1.0, 0.0, 12.0, 23.0]));
+    }
 }

@@ -4,12 +4,12 @@
 //!
 //! | | |
 //! |---|---|
-//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`), the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` level kinds, and the `(kernel, stored signature)` [`lookup`] |
+//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` level kinds, and the `(kernel, stored signature)` [`lookup`] |
 //! | **Does not own** | when the lookup happens — once per prepared plan in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
 //! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
 //! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
-//! | **Does not own** | output aliasing — shared buffer vs. per-color partials is decided in `plan.rs`; a kernel only sees the [`OutVals`] it is handed |
-//! | **Does not own** | the generic walker (`kernels::{matrix,tensor3}::*_color`) — the test oracle, and the path of `SpTtv`, `SpAdd3` and unblessed layouts |
+//! | **Does not own** | output aliasing and assembly — shared buffer vs. per-color partials, and SpAdd3's span buffers into one tensor, are `plan.rs`; a kernel only sees the [`OutVals`] or the buffer it is handed |
+//! | **Does not own** | the generic walker (`kernels::{matrix,tensor3}::*_color`) — the test oracle, and the path of unblessed layouts (`{Dense,Dense,Compressed}`, `{Dense,Compressed,Singleton}`, ...) |
 //!
 //! ## Kernel bodies × level kinds
 //!
@@ -30,23 +30,26 @@
 //! | `SpMm`     | `spmm::<DenseTop>`         | `spmm::<CompressedTop>`          | `spmm_coo`                     |
 //! | `Sddmm`    | `sddmm::<DenseTop>`        | `sddmm::<CompressedTop>`         | `sddmm_coo`                    |
 //!
-//! plus the order-3 analogues for `SpMttkrp`: `spmttkrp::<DenseTop>` on
-//! CSF `{Dense,Compressed,Compressed}`, `spmttkrp::<CompressedTop>` on
-//! `{Compressed,Compressed,Compressed}`, and `spmttkrp_coo` on
-//! `{Compressed,Singleton,Singleton}`. Everything else resolves to the
+//! plus the order-3 analogues for `SpMttkrp` and `SpTtv`:
+//! `spmttkrp::<DenseTop>` / `spttv::<DenseTop>` on CSF
+//! `{Dense,Compressed,Compressed}`, the `CompressedTop` instances on
+//! `{Compressed,Compressed,Compressed}`, and `spmttkrp_coo` / `spttv_coo`
+//! on `{Compressed,Singleton,Singleton}`; and `spadd3` on CSR, the one
+//! layout `recognize` admits SpAdd3 over. Everything else resolves to the
 //! generic walker and counts a `kernel.fallback`.
 //!
 //! ## Contract
 //!
 //! Every kernel here is **bit-identical** to its generic counterpart
-//! (`matrix::*_color` / `tensor3::*_color`) for every partition, color,
-//! and [`KernelSpan`]: it resolves its iteration bounds through
-//! `LevelClamps`, visits stored entries in the same ascending order, and
-//! performs the same per-element floating-point accumulation sequence. It
-//! also returns the same exact integer op count, so the discrete-event
-//! cost model cannot observe which path ran. See `docs/kernels.md` for how
-//! to add a kernel body or a level kind and the identity bar it must
-//! clear.
+//! (`matrix::*_color` / `tensor3::*_color`; for SpAdd3, the per-row merge
+//! it replaced, kept as the oracle of `tests/specialized_identity.rs`) for
+//! every partition, color, and [`KernelSpan`]: it resolves its iteration
+//! bounds through `LevelClamps`, visits stored entries in the same
+//! ascending order, and performs the same per-element floating-point
+//! accumulation sequence. It also returns the same exact integer op count,
+//! so the discrete-event cost model cannot observe which path ran. See
+//! `docs/kernels.md` for how to add a kernel body or a level kind and the
+//! identity bar it must clear.
 
 mod matrix;
 mod tensor3;
@@ -85,6 +88,23 @@ pub type SpMttkrpFn = fn(
     usize,
     &OutVals,
 ) -> f64;
+pub type SpTtvFn =
+    fn(&SpTensor, &TensorPartition, usize, Option<&KernelSpan>, &[f64], &OutVals) -> f64;
+/// SpAdd3 over `(B, C, D)`: appends the task's merged rows to one flat
+/// buffer — `(row, len)` per non-empty row in ascending order, then the
+/// rows' columns and values back to back — and returns the (symbolic,
+/// numeric) op counts.
+pub type SpAdd3Fn = fn(
+    &SpTensor,
+    &SpTensor,
+    &SpTensor,
+    &TensorPartition,
+    usize,
+    Option<&KernelSpan>,
+    &mut Vec<(usize, usize)>,
+    &mut Vec<i64>,
+    &mut Vec<f64>,
+) -> (f64, f64);
 
 /// One resolved `(kernel, signature)` pair: the kernel-shaped function
 /// pointer `PreparedPlan::new` binds into the plan's leaf.
@@ -94,6 +114,8 @@ pub enum SpecializedKernel {
     SpMm(SpMmFn),
     Sddmm(SddmmFn),
     SpMttkrp(SpMttkrpFn),
+    SpTtv(SpTtvFn),
+    SpAdd3(SpAdd3Fn),
 }
 
 /// How a row-keyed driver's level 0 yields row coordinates — the one thing
@@ -242,6 +264,10 @@ pub fn lookup(kernel: &LeafKernel, levels_signature: &str) -> Option<Specialized
         (L::SpMttkrp { .. }, CSF) => K::SpMttkrp(tensor3::spmttkrp::<DenseTop>),
         (L::SpMttkrp { .. }, DCSF) => K::SpMttkrp(tensor3::spmttkrp::<CompressedTop>),
         (L::SpMttkrp { .. }, COO3) => K::SpMttkrp(tensor3::spmttkrp_coo),
+        (L::SpTtv, CSF) => K::SpTtv(tensor3::spttv::<DenseTop>),
+        (L::SpTtv, DCSF) => K::SpTtv(tensor3::spttv::<CompressedTop>),
+        (L::SpTtv, COO3) => K::SpTtv(tensor3::spttv_coo),
+        (L::SpAdd3, CSR) => K::SpAdd3(matrix::spadd3),
         _ => return None,
     })
 }
@@ -299,7 +325,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_blesses_exactly_twelve_pairs() {
+    fn lookup_blesses_exactly_sixteen_pairs() {
         let kernels = [
             LeafKernel::SpMv,
             LeafKernel::SpMm { jdim: 4 },
@@ -320,7 +346,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(blessed, 12);
+        assert_eq!(blessed, 16);
     }
 
     #[test]
@@ -332,10 +358,17 @@ mod tests {
             "{Dense,Compressed,Compressed}"
         )
         .is_some());
-        // SpTtv / SpAdd3 are never blessed.
-        assert!(lookup(&LeafKernel::SpTtv, "{Dense,Compressed,Compressed}").is_none());
-        assert!(lookup(&LeafKernel::SpAdd3, "{Dense,Compressed}").is_none());
-        // Unblessed layouts miss.
+        assert!(matches!(
+            lookup(&LeafKernel::SpTtv, "{Compressed,Singleton,Singleton}"),
+            Some(SpecializedKernel::SpTtv(_))
+        ));
+        assert!(matches!(
+            lookup(&LeafKernel::SpAdd3, "{Dense,Compressed}"),
+            Some(SpecializedKernel::SpAdd3(_))
+        ));
+        // Unblessed layouts miss: the walker runs them.
         assert!(lookup(&LeafKernel::SpMv, "{Dense,Dense}").is_none());
+        assert!(lookup(&LeafKernel::SpTtv, "{Dense,Dense,Compressed}").is_none());
+        assert!(lookup(&LeafKernel::SpAdd3, "{Compressed,Compressed}").is_none());
     }
 }

@@ -1,8 +1,12 @@
-//! 3-tensor leaf kernels: SpTTV and SpMTTKRP.
+//! 3-tensor leaf kernels through the generic walker: SpTTV and SpMTTKRP.
 //!
 //! Both walk the driver tensor's partitioned coordinate tree (any level
-//! formats — CSF `{Dense, Compressed, Compressed}` and the patents layout
-//! `{Dense, Dense, Compressed}` both work through [`walk_partitioned`]).
+//! formats work through [`walk_partitioned`]). They are the oracle of the
+//! blessed CSF / doubly-compressed CSF / COO kernels
+//! ([`crate::kernels::specialized`]) and the path of every other order-3
+//! layout, such as the patents layout `{Dense, Dense, Compressed}`.
+//!
+//! [`walk_partitioned`]: crate::kernels::walk_partitioned
 
 use spdistal_sparse::SpTensor;
 

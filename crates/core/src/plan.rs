@@ -49,7 +49,7 @@
 //! |---|---|
 //! | Leaf binding: kernel × *stored* driver layout → one lookup and one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
 //! | The requirement lists, from describe through the drain to the model issue | Batching, launch-graph gating (`model_preds`) and the stand-in ids: [`session`](crate::session) |
-//! | The output fold: shared buffer, reduction partials, assembled rows | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
+//! | The output fold: shared buffer, reduction partials, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
 //! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
 //! | The write-back and its launch-granularity claims ([`writeback_reqs`]) | Re-registration itself: `Context::replace_tensor_data` |
 //!
@@ -69,8 +69,8 @@
 //! * aliased output partitions (`reduce == true`) give every color a
 //!   private partial, combined single-threaded in color order afterwards —
 //!   a deterministic floating-point sum regardless of scheduling;
-//! * assembled sparse outputs are built from per-color private rows,
-//!   concatenated in color order.
+//! * assembled sparse outputs are built from per-span private buffers,
+//!   copied into one tensor in (color, span) order.
 //!
 //! ## Splittable colors: two-level sub-tasks
 //!
@@ -87,7 +87,7 @@
 //!   accumulation order;
 //! * spans of a reduction color share the *color's* private partial the
 //!   same way; color partials still combine in color order;
-//! * assembled rows concatenate in (color, span) order — identical to the
+//! * assembled span buffers concatenate in (color, span) order — the
 //!   color's own ascending row order;
 //! * per-color modeled op counts are exact integer sums over spans, so
 //!   simulated time cannot move.
@@ -110,7 +110,7 @@ use spdistal_sparse::{dense_vector, CooTensor, Level, SpTensor};
 
 use crate::codegen::{OutKind, Plan};
 use crate::dist_tensor::{procs_for_color, Context, Error, VAL_BYTES};
-use crate::kernels::specialized::{self, SpecializedKernel};
+use crate::kernels::specialized::{self, SpAdd3Fn, SpecializedKernel};
 use crate::kernels::{self, matrix, tensor3, KernelSpan, LeafKernel, OutVals};
 use crate::level_funcs::{entry_counts, TensorPartition};
 use crate::session::Session;
@@ -215,12 +215,17 @@ enum PointResult {
     /// Wrote its output buffer (shared, or the color's reduction partial)
     /// in place; the modeled op count.
     Ops(f64),
-    /// SpAdd3's assembled private rows with (symbolic, numeric) op counts.
-    Rows {
-        rows: Vec<matrix::AddRow>,
-        sym: f64,
-        num: f64,
-    },
+    /// SpAdd3's assembled span buffer with (symbolic, numeric) op counts.
+    Assembled { span: AddSpan, sym: f64, num: f64 },
+}
+
+/// One SpAdd3 span's merged rows: `(row, len)` per non-empty row, in
+/// ascending row order, over the rows' columns and values back to back.
+#[derive(Default)]
+pub(crate) struct AddSpan {
+    rows: Vec<(usize, usize)>,
+    cols: Vec<i64>,
+    vals: Vec<f64>,
 }
 
 /// The leaf of a dense-output plan, bound once at describe time: runs one
@@ -234,7 +239,9 @@ type Leaf<'a> = Box<dyn Fn(usize, Option<&KernelSpan>, &OutVals) -> f64 + Send +
 enum Body<'a> {
     /// Dense or pattern-aligned output written in place through [`OutVals`].
     Dense(Leaf<'a>),
+    /// SpAdd3's merge into a fresh [`AddSpan`] per span.
     SpAdd3 {
+        merge: SpAdd3Fn,
         c: &'a SpTensor,
         d: &'a SpTensor,
     },
@@ -404,8 +411,11 @@ impl<'a> PreparedPlan<'a> {
             }
             LeafKernel::SpTtv => {
                 let c = operand(1)?;
-                let leaf: Leaf =
-                    Box::new(move |p, sp, out| tensor3::spttv_color(driver, part, p, sp, c, out));
+                let f = match blessed {
+                    Some(SpecializedKernel::SpTtv(f)) => f,
+                    _ => tensor3::spttv_color,
+                };
+                let leaf: Leaf = Box::new(move |p, sp, out| f(driver, part, p, sp, c, out));
                 (Body::Dense(leaf), entry_counts(driver)[1] as usize)
             }
             LeafKernel::SpMttkrp { ldim } => {
@@ -418,13 +428,17 @@ impl<'a> PreparedPlan<'a> {
                     Box::new(move |p, sp, out| f(driver, part, p, sp, c, d, ldim, out));
                 (Body::Dense(leaf), driver.dims()[0] * ldim)
             }
-            LeafKernel::SpAdd3 => (
-                Body::SpAdd3 {
-                    c: data(&accesses[1].tensor)?,
-                    d: data(&accesses[2].tensor)?,
-                },
-                0,
-            ),
+            LeafKernel::SpAdd3 => {
+                // `recognize` admits SpAdd3 over CSR operands only, and CSR
+                // is blessed: the merge has no walker to fall back to.
+                let Some(SpecializedKernel::SpAdd3(merge)) = blessed else {
+                    return Err(Error::Unsupported(format!(
+                        "SpAdd3 over a driver stored {layout}: only {{Dense,Compressed}} merges"
+                    )));
+                };
+                let (c, d) = (data(&accesses[1].tensor)?, data(&accesses[2].tensor)?);
+                (Body::SpAdd3 { merge, c, d }, 0)
+            }
         };
         let name = specialized::kernel_name(&plan.kernel);
         ctx.trace()
@@ -544,10 +558,20 @@ impl<'a> PreparedPlan<'a> {
                 };
                 PointResult::Ops(leaf(point, clamp, &out))
             }
-            Body::SpAdd3 { c, d } => {
-                let (rows, sym, num) =
-                    matrix::spadd3_color(self.driver, c, d, self.part, point, clamp);
-                PointResult::Rows { rows, sym, num }
+            Body::SpAdd3 { merge, c, d } => {
+                let mut span = AddSpan::default();
+                let (sym, num) = merge(
+                    self.driver,
+                    c,
+                    d,
+                    self.part,
+                    point,
+                    clamp,
+                    &mut span.rows,
+                    &mut span.cols,
+                    &mut span.vals,
+                );
+                PointResult::Assembled { span, sym, num }
             }
         };
         let written = self.slots[self.span_offsets[point] + span].set(result);
@@ -636,23 +660,23 @@ impl<'a> PreparedPlan<'a> {
         match self.plan.kernel {
             LeafKernel::SpAdd3 => {
                 let mut ops = vec![0.0; colors];
-                let mut all_rows = Vec::new();
+                let mut all_spans = Vec::with_capacity(results.iter().map(Vec::len).sum());
                 let mut per_color_nnz = Vec::with_capacity(colors);
                 let mut symbolic_ops = Vec::with_capacity(colors);
                 let mut numeric_ops = Vec::with_capacity(colors);
                 for (col, spans) in results.into_iter().enumerate() {
-                    // Concatenate span rows in span order: spans are
+                    // Keep the span buffers in span order: spans are
                     // ascending chunks of the color's rows, so this is the
                     // unsplit color's own row order.
                     let (mut nnz, mut sym_c, mut num_c) = (0usize, 0.0, 0.0);
                     for r in spans {
-                        let PointResult::Rows { rows, sym, num } = r else {
+                        let PointResult::Assembled { span, sym, num } = r else {
                             unreachable!("SpAdd3 span result shape");
                         };
-                        nnz += rows.iter().map(|r| r.cols.len()).sum::<usize>();
+                        nnz += span.cols.len();
                         sym_c += sym;
                         num_c += num;
-                        all_rows.extend(rows);
+                        all_spans.push(span);
                     }
                     per_color_nnz.push(nnz);
                     symbolic_ops.push(sym_c);
@@ -662,7 +686,7 @@ impl<'a> PreparedPlan<'a> {
                 let total_nnz = per_color_nnz.iter().sum();
                 (
                     Computed::Assembled {
-                        rows: all_rows,
+                        spans: all_spans,
                         per_color_nnz,
                         total_nnz,
                         symbolic_ops,
@@ -937,8 +961,9 @@ pub(crate) enum Computed {
     /// The in-place buffer: dense, or aligned with the driver's pattern —
     /// the plan's [`OutKind`] says which.
     Vals(Vec<f64>),
+    /// SpAdd3's span buffers in (color, span) order.
     Assembled {
-        rows: Vec<matrix::AddRow>,
+        spans: Vec<AddSpan>,
         per_color_nnz: Vec<usize>,
         total_nnz: usize,
         symbolic_ops: Vec<f64>,
@@ -965,12 +990,46 @@ fn materialize_output(ctx: &Context, plan: &Plan, computed: Computed) -> Result<
                 tensor3::spttv_output(driver, vals)
             }
         }
-        (Computed::Assembled { rows, .. }, OutKind::SparseAssembled) => {
+        (
+            Computed::Assembled {
+                spans, total_nnz, ..
+            },
+            OutKind::SparseAssembled,
+        ) => {
             let out_t = &ctx.tensor(&plan.output.tensor)?.data;
-            matrix::assemble_rows(out_t.dims()[0], out_t.dims()[1], rows)
+            assemble(out_t.dims()[0], out_t.dims()[1], spans, total_nnz)
         }
         _ => return Err(Error::Unsupported("output kind mismatch".into())),
     })
+}
+
+/// SpAdd3's output tensor: the span buffers copied, in (color, span) order,
+/// into `pos`/`crd`/`vals` allocated once. That order is row order: colors
+/// own ascending, disjoint row blocks (`codegen` compiles SpAdd3 under no
+/// other split) and a color's spans are ascending chunks of its rows. It is
+/// also the order [`finish_model`] charges the numeric launch's output
+/// ranges in.
+fn assemble(rows: usize, cols: usize, spans: Vec<AddSpan>, nnz: usize) -> SpTensor {
+    let mut pos = vec![Rect1::empty(); rows];
+    let mut crd = Vec::with_capacity(nnz);
+    let mut vals = Vec::with_capacity(nnz);
+    let mut next_row = 0;
+    for span in spans {
+        let mut off = crd.len() as i64;
+        for &(row, len) in &span.rows {
+            debug_assert!(row >= next_row, "assembled rows ascend across spans");
+            next_row = row + 1;
+            pos[row] = Rect1::new(off, off + len as i64 - 1);
+            off += len as i64;
+        }
+        crd.extend_from_slice(&span.cols);
+        vals.extend_from_slice(&span.vals);
+    }
+    SpTensor::from_parts(
+        vec![rows, cols],
+        vec![Level::Dense { size: rows }, Level::Compressed { pos, crd }],
+        vals,
+    )
 }
 
 /// Helper for tests and the figure binaries: a zeroed COO-backed CSR with

@@ -16,13 +16,17 @@
 //!   `exec`'s eligibility check by itself.
 //! - Explicit and canned [`ScheduleSpec`]s are resolved here but never
 //!   re-selected.
+//! - Never moves SpAdd3 off outer-dim, at any step: it assembles each row
+//!   in the one color that owns it, which a non-zero split breaks
+//!   (`codegen` refuses the plan). The decision says so.
 
 use spdistal_ir::{Assignment, ParallelUnit, Schedule};
 
 use super::{CompiledProgram, ScheduleSpec};
 use crate::api::{schedule_nonzero, schedule_outer_dim};
+use crate::codegen;
 use crate::dist_tensor::{Context, Error};
-use crate::kernels;
+use crate::kernels::{self, LeafKernel};
 use crate::level_funcs::outer_dim_partition;
 
 /// Static auto-scheduling threshold: if the driver's equal outer-dimension
@@ -161,6 +165,18 @@ impl CompiledProgram {
         self.ctx.machine().dim(0)
     }
 
+    /// The non-zero distribution over `driver` an `Auto` statement may move
+    /// to, or why there is none: never for SpAdd3 (see the module docs).
+    fn auto_nonzero(&mut self, stmt: &Assignment, driver: &str) -> Result<Chosen, Error> {
+        if matches!(codegen::leaf(&self.ctx, stmt), Ok(LeafKernel::SpAdd3)) {
+            return Err(Error::Unsupported(
+                "SpAdd3 assembles whole rows per color, and a non-zero split cuts them".into(),
+            ));
+        }
+        let (pieces, unit) = (self.default_pieces(), ParallelUnit::CpuThread);
+        Chosen::nonzero(&mut self.ctx, stmt, driver, None, pieces, unit)
+    }
+
     /// Build the concrete schedule for every statement that does not have
     /// one yet (first run, or after a feedback re-selection cleared it).
     pub(super) fn ensure_schedules(&mut self) -> Result<(), Error> {
@@ -217,9 +233,10 @@ impl CompiledProgram {
                 if imbalance <= STATIC_IMBALANCE {
                     (None, format!("{stat} <= {STATIC_IMBALANCE:.2}x"))
                 } else {
-                    match Chosen::nonzero(&mut self.ctx, stmt, &driver, None, pieces, unit) {
-                        Ok(chosen) => (Some(chosen), format!("{stat} > {STATIC_IMBALANCE:.2}x")),
-                        Err(e) => (None, format!("non-zero schedule unavailable ({e})")),
+                    let stat = format!("{stat} > {STATIC_IMBALANCE:.2}x");
+                    match self.auto_nonzero(stmt, &driver) {
+                        Ok(chosen) => (Some(chosen), stat),
+                        Err(e) => (None, format!("{stat}; non-zero schedule unavailable ({e})")),
                     }
                 }
             }
@@ -243,9 +260,8 @@ impl CompiledProgram {
     /// when that schedule cannot be built). Either way the statement has
     /// had its feedback.
     fn reselect_nonzero(&mut self, k: usize, driver: &str, reason: String) {
-        let (stmt, pieces) = (self.stmts[k].stmt.clone(), self.default_pieces());
-        let unit = ParallelUnit::CpuThread;
-        match Chosen::nonzero(&mut self.ctx, &stmt, driver, None, pieces, unit) {
+        let stmt = self.stmts[k].stmt.clone();
+        match self.auto_nonzero(&stmt, driver) {
             Ok(chosen) => {
                 self.stmts[k].chosen = Some(chosen);
                 self.push_decision(k, "non-zero", reason);

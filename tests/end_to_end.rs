@@ -2,9 +2,11 @@
 //! compile → simulated distributed execution) for every evaluation kernel,
 //! checked against the serial oracles at several machine sizes.
 
-use spdistal_repro::sparse::{dense_matrix, dense_vector, generate, reference};
+use spdistal_repro::ir::Assignment;
+use spdistal_repro::sparse::{
+    dense_matrix, dense_vector, generate, reference, CooTensor, LevelFormat, SpTensor,
+};
 use spdistal_repro::spdistal::prelude::*;
-use spdistal_repro::spdistal::{access, assign, schedule_nonzero, schedule_outer_dim};
 
 const NODE_COUNTS: [usize; 3] = [1, 3, 8];
 const WIDTH: usize = 8;
@@ -356,4 +358,91 @@ fn dds_patents_layout_end_to_end() {
         &expect,
         1e-12
     ));
+}
+
+/// SpAdd3's sum registered on four colors: `A = B + C + D`.
+fn spadd3_ctx(b: &SpTensor, c: &SpTensor, d: &SpTensor) -> (Context, Assignment) {
+    let mut ctx = cpu_ctx(4);
+    for (name, t) in [("B", b), ("C", c), ("D", d)] {
+        ctx.add_tensor(name, t.clone(), Format::blocked_csr())
+            .unwrap();
+    }
+    let (rows, cols) = (b.dims()[0], b.dims()[1]);
+    ctx.add_tensor(
+        "A",
+        spdistal_repro::spdistal::plan::empty_csr(rows, cols),
+        Format::blocked_csr(),
+    )
+    .unwrap();
+    let [i, j] = ctx.fresh_vars(["i", "j"]);
+    let stmt = assign(
+        "A",
+        &[i, j],
+        access("B", &[i, j]) + access("C", &[i, j]) + access("D", &[i, j]),
+    );
+    (ctx, stmt)
+}
+
+/// A non-zero split of B's positions cuts rows between colors and gives
+/// the rows B does not store to no color: SpAdd3 would assemble the first
+/// twice and drop C's and D's entries in the second, so it does not
+/// compile, and the error names SpAdd3 and the split.
+#[test]
+fn spadd3_under_a_nonzero_split_is_refused() {
+    let cut = generate::rmat_default(9, 6000, 1);
+    // Rows 40–63 of B are empty; C stores one entry in every row.
+    let mut top = CooTensor::new(vec![64, 64]);
+    generate::uniform(40, 64, 400, 2).for_each(|coord, v| top.push(coord, v));
+    let mut every_row = CooTensor::new(vec![64, 64]);
+    for i in 0..64 {
+        every_row.push(&[i, (7 * i) % 64], 1.0 + i as f64);
+    }
+    let csr = [LevelFormat::Dense, LevelFormat::Compressed];
+    let empty_rows = (top.build(&csr), every_row.build(&csr));
+    for (b, c) in [(cut.clone(), cut), empty_rows] {
+        let d = generate::shift_last_dim(&b, 5);
+        let (mut ctx, stmt) = spadd3_ctx(&b, &c, &d);
+        let sched = schedule_nonzero(&mut ctx, &stmt, "B", 2, 4, ParallelUnit::CpuThread).unwrap();
+        match ctx.compile(&stmt, &sched) {
+            Err(Error::Unsupported(msg)) => {
+                assert!(msg.contains("SpAdd3"), "{msg}");
+                assert!(msg.contains("split"), "{msg}");
+            }
+            other => panic!("SpAdd3 under a non-zero split must be refused: {other:?}"),
+        }
+    }
+}
+
+/// `ScheduleSpec::Auto` on a clustered input moves most statements to the
+/// non-zero split; SpAdd3 stays on outer-dim, says why, and matches the
+/// reference.
+#[test]
+fn auto_keeps_spadd3_on_outer_dim() {
+    let b = generate::rmat_clustered(9, 6000, 0.95, 7);
+    let c = generate::shift_last_dim(&b, 3);
+    let d = generate::shift_last_dim(&b, 11);
+    let expect = reference::spadd3(&b, &c, &d);
+    let (rows, cols) = (b.dims()[0], b.dims()[1]);
+    let mut p = Program::on(Machine::grid1d(4, MachineProfile::lassen_cpu()))
+        .tensor("B", Format::blocked_csr(), b)
+        .tensor("C", Format::blocked_csr(), c)
+        .tensor("D", Format::blocked_csr(), d)
+        .tensor(
+            "A",
+            Format::blocked_csr(),
+            spdistal_repro::spdistal::plan::empty_csr(rows, cols),
+        )
+        .stmt("A(i,j) = B(i,j) + C(i,j) + D(i,j)")
+        .auto()
+        .build()
+        .unwrap();
+    p.run_iters(2).unwrap();
+    let report = p.report();
+    assert_eq!(report.stmts[0].schedule_kind, "outer-dim");
+    let first = report.decisions_for(0).next().expect("a static decision");
+    assert_eq!(first.choice, "outer-dim");
+    assert!(first.reason.contains("SpAdd3"), "{}", first.reason);
+    assert!(report.decisions_for(0).all(|d| d.choice == "outer-dim"));
+    let got = p.value(0).unwrap().as_tensor().unwrap();
+    assert!(reference::tensors_approx_eq(got, &expect, 1e-12));
 }

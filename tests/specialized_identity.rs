@@ -1,7 +1,8 @@
 //! The specialized-kernel bit-identity bar: for every blessed
 //! `(kernel, format)` pair [`specialized::lookup`] resolves, the blessed
 //! kernel must produce **bit-identical** output values and **exactly
-//! equal** op counts to the generic partitioned walker — across driver
+//! equal** op counts to its oracle — the generic partitioned walker, and
+//! for SpAdd3 the per-row merge it replaced (kept below) — across driver
 //! formats, partition kinds (outer-dim row blocks and mid-row non-zero
 //! position splits), every `SplitPolicy`, and both uniform and skewed
 //! (R-MAT / Zipf) inputs.
@@ -12,21 +13,23 @@
 //! row-keyed pair runs through one shared row walker and every COO pair
 //! through one shared run walker, so a degenerate-driver sweep (no
 //! entries, no rows, no columns, more colors than rows, empty rows around
-//! color boundaries, width-1 dense operands) covers all 12 pairs too.
-//! Random pattern coverage rides on a proptest sweep at the bottom.
+//! color boundaries, width-1 dense operands) covers all 16 pairs too.
+//! Random pattern coverage rides on proptest sweeps at the bottom.
 
 use proptest::prelude::*;
 
-use spdistal_repro::sparse::{convert, generate, CooTensor, LevelFormat, SpTensor};
+use spdistal_repro::runtime::Rect1;
+use spdistal_repro::sparse::{convert, generate, CooTensor, Level, LevelFormat, SpTensor};
 use spdistal_repro::spdistal::kernels::specialized::{self, SpecializedKernel};
 use spdistal_repro::spdistal::kernels::split::color_weight;
 use spdistal_repro::spdistal::kernels::{
     color_spans, matrix, tensor3, KernelSpan, LeafKernel, OutVals,
 };
 use spdistal_repro::spdistal::level_funcs::{
-    equal_coord_bounds, nonzero_partition, partition_tensor, universe_partition, TensorPartition,
+    entry_counts, equal_coord_bounds, nonzero_partition, partition_tensor, universe_partition,
+    LevelClamps, TensorPartition,
 };
-use spdistal_repro::spdistal::prelude::{ExecMode, SplitPolicy};
+use spdistal_repro::spdistal::prelude::*;
 
 const POLICIES: [SplitPolicy; 3] = [
     SplitPolicy::Off,
@@ -39,10 +42,12 @@ type LeafRun<'a> =
 
 /// Both partition kinds real schedules produce for driver `t`: outer-dim
 /// coordinate blocks on level 0 and an equal non-zero position split of
-/// the leaf (the one that cuts mid-row, exercising the partial-row path).
+/// the leaf (the one that cuts mid-row, exercising the partial-row path) —
+/// and for an order-3 driver the split of level 1 too (the fused `(i,j)`
+/// split the auto-scheduler's default depth makes).
 fn both_partitions(t: &SpTensor) -> Vec<(&'static str, TensorPartition)> {
     let leaf = t.order() - 1;
-    vec![
+    let mut parts = vec![
         (
             "outer-dim",
             partition_tensor(
@@ -55,7 +60,12 @@ fn both_partitions(t: &SpTensor) -> Vec<(&'static str, TensorPartition)> {
             "non-zero",
             partition_tensor(t, leaf, nonzero_partition(t, leaf, 3)),
         ),
-    ]
+    ];
+    if t.order() == 3 {
+        let split = partition_tensor(t, 1, nonzero_partition(t, 1, 3));
+        parts.push(("non-zero-fibers", split));
+    }
+    parts
 }
 
 /// Run generic and specialized span-by-span over every color of every
@@ -208,15 +218,7 @@ fn spmttkrp_specialized_matches_walker_all_formats() {
     for (iname, base) in inputs {
         let c = generate::dense_vec(base.dims()[1] * ldim, 41);
         let d = generate::dense_vec(base.dims()[2] * ldim, 43);
-        let formats = vec![
-            ("csf", base.clone()),
-            (
-                "dcsf",
-                convert::with_formats(&base, &[LevelFormat::Compressed; 3]),
-            ),
-            ("coo3", convert::to_coo_format(&base)),
-        ];
-        for (fname, t) in formats {
+        for (fname, t) in tensor3_formats(&base) {
             let SpecializedKernel::SpMttkrp(f) = blessed(&LeafKernel::SpMttkrp { ldim }, &t, fname)
             else {
                 panic!("SpMttkrp {fname}: wrong table variant");
@@ -229,6 +231,296 @@ fn spmttkrp_specialized_matches_walker_all_formats() {
                 &|t, p, col, sp, o| f(t, p, col, sp, &c, &d, ldim, o),
                 &format!("SpMttkrp {iname}/{fname}"),
             );
+        }
+    }
+}
+
+/// The three blessed order-3 layouts of `base` (built in CSF).
+fn tensor3_formats(base: &SpTensor) -> Vec<(&'static str, SpTensor)> {
+    vec![
+        ("csf", base.clone()),
+        (
+            "dcsf",
+            convert::with_formats(base, &[LevelFormat::Compressed; 3]),
+        ),
+        ("coo3", convert::to_coo_format(base)),
+    ]
+}
+
+/// SpTTV's blessed kernel on `t` against the walker: one output slot per
+/// level-1 fiber.
+fn assert_spttv_identical(label: &str, t: &SpTensor, c: &[f64]) {
+    let SpecializedKernel::SpTtv(f) = blessed(&LeafKernel::SpTtv, t, label) else {
+        panic!("SpTtv {label}: wrong table variant");
+    };
+    assert_leaf_identical(
+        t,
+        &LeafKernel::SpTtv,
+        entry_counts(t)[1] as usize,
+        &|t, p, col, sp, o| tensor3::spttv_color(t, p, col, sp, c, o),
+        &|t, p, col, sp, o| f(t, p, col, sp, c, o),
+        &format!("SpTtv {label}"),
+    );
+}
+
+#[test]
+fn spttv_specialized_matches_walker_all_formats() {
+    // One long fiber the 3-color leaf split cuts twice mid-fiber, next to
+    // a short fiber one color owns whole.
+    let mut long_fiber: Vec<Vec<i64>> = (0..9).map(|k| vec![1, 2, k]).collect();
+    long_fiber.insert(0, vec![0, 0, 4]);
+    let long_fiber: Vec<&[i64]> = long_fiber.iter().map(Vec::as_slice).collect();
+    let inputs = vec![
+        ("uniform", generate::tensor3_uniform([20, 18, 16], 600, 31)),
+        (
+            "skewed",
+            generate::tensor3_skewed([24, 16, 12], 700, 1.3, 37),
+        ),
+        ("cut-mid-fiber", driver(&[2, 3, 9], &long_fiber)),
+    ];
+    for (iname, base) in inputs {
+        let c = generate::dense_vec(base.dims()[2], 47);
+        for (fname, t) in tensor3_formats(&base) {
+            assert_spttv_identical(&format!("{iname}/{fname}"), &t, &c);
+        }
+    }
+}
+
+/// SpAdd3's oracle: the per-row merge and the row-sorting assembly the
+/// blessed merge replaced, kept verbatim but for names.
+mod spadd3_oracle {
+    use super::*;
+
+    /// One assembled output row.
+    pub struct AddRow {
+        pub row: usize,
+        pub cols: Vec<i64>,
+        pub vals: Vec<f64>,
+    }
+
+    /// One `(color, span)` task: its assembled rows plus `(symbolic_ops,
+    /// numeric_ops)`.
+    pub fn spadd3_color(
+        b: &SpTensor,
+        c: &SpTensor,
+        d: &SpTensor,
+        row_part: &TensorPartition,
+        color: usize,
+        span: Option<&KernelSpan>,
+    ) -> (Vec<AddRow>, f64, f64) {
+        let rows_subset = LevelClamps::new(row_part, color, span).level(0);
+        let mut out = Vec::new();
+        let mut sym_ops = 0u64;
+        let mut num_ops = 0u64;
+        for row in rows_subset.iter_points() {
+            let segs: Vec<(&[i64], &[f64])> = [b, c, d]
+                .iter()
+                .map(|t| row_segment(t, row as usize))
+                .collect();
+            sym_ops += segs.iter().map(|(cr, _)| cr.len() as u64).sum::<u64>();
+            let merged = merge3(&segs);
+            num_ops += merged.0.len() as u64;
+            if !merged.0.is_empty() {
+                out.push(AddRow {
+                    row: row as usize,
+                    cols: merged.0,
+                    vals: merged.1,
+                });
+            }
+        }
+        (out, sym_ops as f64, num_ops as f64)
+    }
+
+    fn row_segment(t: &SpTensor, row: usize) -> (&[i64], &[f64]) {
+        match t.level(1) {
+            Level::Compressed { pos, crd } => {
+                let r: Rect1 = pos[row];
+                if r.is_empty() {
+                    (&[], &[])
+                } else {
+                    (
+                        &crd[r.lo as usize..=r.hi as usize],
+                        &t.vals()[r.lo as usize..=r.hi as usize],
+                    )
+                }
+            }
+            _ => unreachable!("SpAdd3 over CSR operands only"),
+        }
+    }
+
+    /// Three-way sorted merge, summing values for equal columns.
+    fn merge3(segs: &[(&[i64], &[f64])]) -> (Vec<i64>, Vec<f64>) {
+        let mut idx = [0usize; 3];
+        let cap = segs.iter().map(|(c, _)| c.len()).sum();
+        let mut cols = Vec::with_capacity(cap);
+        let mut vals = Vec::with_capacity(cap);
+        loop {
+            let mut min: Option<i64> = None;
+            for (s, seg) in segs.iter().enumerate() {
+                if let Some(&c) = seg.0.get(idx[s]) {
+                    min = Some(min.map_or(c, |m: i64| m.min(c)));
+                }
+            }
+            let Some(m) = min else { break };
+            let mut v = 0.0;
+            for (s, seg) in segs.iter().enumerate() {
+                while idx[s] < seg.0.len() && seg.0[idx[s]] == m {
+                    v += seg.1[idx[s]];
+                    idx[s] += 1;
+                }
+            }
+            cols.push(m);
+            vals.push(v);
+        }
+        (cols, vals)
+    }
+
+    /// Assemble rows (from all colors) into a CSR tensor.
+    pub fn assemble_rows(rows: usize, cols: usize, mut parts: Vec<AddRow>) -> SpTensor {
+        parts.sort_by_key(|r| r.row);
+        let mut pos = vec![Rect1::empty(); rows];
+        let mut crd = Vec::new();
+        let mut vals = Vec::new();
+        for r in parts {
+            let lo = crd.len() as i64;
+            crd.extend_from_slice(&r.cols);
+            vals.extend_from_slice(&r.vals);
+            if crd.len() as i64 > lo {
+                pos[r.row] = Rect1::new(lo, crd.len() as i64 - 1);
+            }
+        }
+        SpTensor::from_parts(
+            vec![rows, cols],
+            vec![Level::Dense { size: rows }, Level::Compressed { pos, crd }],
+            vals,
+        )
+    }
+}
+
+/// SpAdd3's second and third operands for driver `base`: `C` stores one
+/// entry in *every* row — rows `base` leaves empty included — and `D` is
+/// `base` shifted by two columns.
+fn spadd3_operands(base: &SpTensor) -> (SpTensor, SpTensor) {
+    let (rows, cols) = (base.dims()[0], base.dims()[1]);
+    let mut c = CooTensor::new(vec![rows, cols]);
+    if cols > 0 {
+        for i in 0..rows as i64 {
+            c.push(&[i, (3 * i + 1) % cols as i64], -0.25 - i as f64);
+        }
+    }
+    let c = c.build(&[LevelFormat::Dense, LevelFormat::Compressed]);
+    (c, generate::shift_last_dim(base, 2))
+}
+
+/// SpAdd3's identity bar, task by task: for every `(color, span)` of both
+/// partitions under every split policy, the blessed merge's buffer holds
+/// the oracle's rows in order — exact `(row, len)`s and columns, value
+/// bits — and both op counts agree exactly.
+fn assert_spadd3_identical(label: &str, b: &SpTensor, c: &SpTensor, d: &SpTensor) {
+    let SpecializedKernel::SpAdd3(merge) = blessed(&LeafKernel::SpAdd3, b, label) else {
+        panic!("SpAdd3 {label}: wrong table variant");
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (pname, part) in &both_partitions(b) {
+        for policy in POLICIES {
+            let colors = part.num_colors();
+            let total: u64 = (0..colors).map(|c| color_weight(part, c)).sum();
+            for color in 0..colors {
+                let kernel = LeafKernel::SpAdd3;
+                for span in color_spans(b, part, &kernel, color, policy, ExecMode::Serial, total) {
+                    let at = format!("SpAdd3 {label} [{pname}, {policy:?}, color {color}]");
+                    let (want, wsym, wnum) =
+                        spadd3_oracle::spadd3_color(b, c, d, part, color, span.as_ref());
+                    let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+                    let span = span.as_ref();
+                    let (sym, num) =
+                        merge(b, c, d, part, color, span, &mut rows, &mut cols, &mut vals);
+                    assert_eq!(sym.to_bits(), wsym.to_bits(), "{at}: symbolic ops");
+                    assert_eq!(num.to_bits(), wnum.to_bits(), "{at}: numeric ops");
+                    let want_rows: Vec<(usize, usize)> =
+                        want.iter().map(|r| (r.row, r.cols.len())).collect();
+                    assert_eq!(rows, want_rows, "{at}: rows");
+                    let want_cols: Vec<i64> = want.iter().flat_map(|r| r.cols.clone()).collect();
+                    assert_eq!(cols, want_cols, "{at}: columns");
+                    let want_vals: Vec<f64> = want.iter().flat_map(|r| r.vals.clone()).collect();
+                    assert_eq!(bits(&vals), bits(&want_vals), "{at}: values");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn spadd3_specialized_matches_merge_oracle() {
+    // Rows 40–63 of B are empty; C stores one entry in every row.
+    let top_rows = generate::uniform(40, 64, 300, 59);
+    let mut b = CooTensor::new(vec![64, 64]);
+    top_rows.for_each(|coord, v| b.push(coord, v));
+    let mut inputs = matrix_inputs();
+    inputs.push((
+        "empty-bottom-rows",
+        b.build(&[LevelFormat::Dense, LevelFormat::Compressed]),
+    ));
+    for (iname, base) in inputs {
+        let (c, d) = spadd3_operands(&base);
+        assert_spadd3_identical(iname, &base, &c, &d);
+        let (c, d) = (
+            generate::shift_last_dim(&base, 3),
+            generate::shift_last_dim(&base, 7),
+        );
+        assert_spadd3_identical(&format!("{iname}/shifted"), &base, &c, &d);
+    }
+}
+
+/// Through the whole plan — outer-dim, several machine sizes, split and
+/// unsplit, serial and parallel — the assembled SpAdd3 tensor is the
+/// oracle's: exact `pos`/`crd`, value bits, and the same total op count.
+#[test]
+fn spadd3_plan_assembles_what_the_oracle_assembles() {
+    let b = generate::rmat_clustered(7, 1800, 0.8, 61);
+    let (c, d) = spadd3_operands(&b);
+    let (rows, cols) = (b.dims()[0], b.dims()[1]);
+    for nodes in [1usize, 3, 8] {
+        let part = partition_tensor(
+            &b,
+            0,
+            universe_partition(&b, 0, &equal_coord_bounds(rows, nodes)),
+        );
+        let (mut want_rows, mut want_ops) = (Vec::new(), 0.0);
+        for color in 0..nodes {
+            let (r, sym, num) = spadd3_oracle::spadd3_color(&b, &c, &d, &part, color, None);
+            want_rows.extend(r);
+            want_ops += sym + num;
+        }
+        let want = spadd3_oracle::assemble_rows(rows, cols, want_rows);
+        for (mode, split) in [
+            (ExecMode::Serial, SplitPolicy::Off),
+            (ExecMode::Serial, SplitPolicy::Spans(3)),
+            (ExecMode::Parallel(2), SplitPolicy::Spans(5)),
+        ] {
+            let mut ctx = Context::new(Machine::grid1d(nodes, MachineProfile::lassen_cpu()))
+                .with_exec_mode(mode)
+                .with_split_policy(split);
+            for (name, t) in [("B", &b), ("C", &c), ("D", &d)] {
+                ctx.add_tensor(name, t.clone(), Format::blocked_csr())
+                    .unwrap();
+            }
+            let empty = spdistal_repro::spdistal::plan::empty_csr(rows, cols);
+            ctx.add_tensor("A", empty, Format::blocked_csr()).unwrap();
+            let [i, j] = ctx.fresh_vars(["i", "j"]);
+            let stmt = assign(
+                "A",
+                &[i, j],
+                access("B", &[i, j]) + access("C", &[i, j]) + access("D", &[i, j]),
+            );
+            let sched = schedule_outer_dim(&mut ctx, &stmt, nodes, ParallelUnit::CpuThread);
+            let r = ctx.compile_and_run(&stmt, &sched).unwrap();
+            let got = r.output.as_tensor().unwrap();
+            let at = format!("nodes {nodes}, {mode:?}, {split:?}");
+            assert_eq!(got.levels(), want.levels(), "{at}: pos/crd");
+            let bits = |t: &SpTensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "{at}: values");
+            assert_eq!(r.ops.to_bits(), want_ops.to_bits(), "{at}: op count");
         }
     }
 }
@@ -290,19 +582,13 @@ fn assert_matrix_pairs_identical(label: &str, base: &SpTensor, jdim: usize, kdim
     }
 }
 
-/// SpMTTKRP × all three blessed order-3 layouts of `base`.
+/// SpMTTKRP and SpTTV × all three blessed order-3 layouts of `base`.
 fn assert_tensor3_pairs_identical(label: &str, base: &SpTensor, ldim: usize) {
     let c = generate::dense_vec(base.dims()[1] * ldim, 41);
     let d = generate::dense_vec(base.dims()[2] * ldim, 43);
-    let formats = vec![
-        ("csf", base.clone()),
-        (
-            "dcsf",
-            convert::with_formats(base, &[LevelFormat::Compressed; 3]),
-        ),
-        ("coo3", convert::to_coo_format(base)),
-    ];
-    for (fname, t) in formats {
+    let ck = generate::dense_vec(base.dims()[2], 47);
+    for (fname, t) in tensor3_formats(base) {
+        assert_spttv_identical(&format!("{label}/{fname}"), &t, &ck);
         let SpecializedKernel::SpMttkrp(f) = blessed(&LeafKernel::SpMttkrp { ldim }, &t, fname)
         else {
             panic!("SpMttkrp {fname}: wrong table variant");
@@ -318,7 +604,7 @@ fn assert_tensor3_pairs_identical(label: &str, base: &SpTensor, ldim: usize) {
     }
 }
 
-/// Degenerate drivers through all 12 pairs (× both partition kinds × every
+/// Degenerate drivers through all 16 pairs (× both partition kinds × every
 /// split policy, via `assert_leaf_identical`). `both_partitions` cuts
 /// level 0 into 4 coordinate blocks and the leaf into 3 position blocks,
 /// so "more colors than rows" needs fewer than 3 rows and entries, and the
@@ -344,6 +630,8 @@ fn degenerate_drivers_match_walker_all_pairs() {
         for width in [1, 3] {
             assert_matrix_pairs_identical(&format!("{name}/w{width}"), base, width, width);
         }
+        let (c, d) = spadd3_operands(base);
+        assert_spadd3_identical(name, base, &c, &d);
     }
     let tensors = [
         ("no-entries", driver(&[6, 4, 3], &[])),
@@ -446,5 +734,39 @@ proptest! {
                 &format!("Sddmm random/{fname}"),
             );
         }
+        // SpAdd3 reads CSR only: `base` is CSR.
+        let (c, d) = spadd3_operands(&base);
+        assert_spadd3_identical("random", &base, &c, &d);
     }
+
+    /// Random-pattern sweep of SpTTV across all three blessed order-3
+    /// layouts, empty slices and fibers included.
+    #[test]
+    fn spttv_matches_walker_on_random_tensors(base in arb_tensor3()) {
+        let c = generate::dense_vec(base.dims()[2], 11);
+        for (fname, t) in tensor3_formats(&base) {
+            assert_spttv_identical(&format!("random/{fname}"), &t, &c);
+        }
+    }
+}
+
+/// Strategy: an arbitrary small order-3 sparse tensor in CSF.
+fn arb_tensor3() -> impl Strategy<Value = SpTensor> {
+    (1usize..10, 1usize..8, 1usize..12, 0usize..80).prop_flat_map(|(d0, d1, d2, n)| {
+        proptest::collection::vec(
+            (0..d0 as i64, 0..d1 as i64, 0..d2 as i64, -5.0f64..5.0),
+            n.min(d0 * d1 * d2),
+        )
+        .prop_map(move |entries| {
+            let mut coo = CooTensor::new(vec![d0, d1, d2]);
+            for (i, j, k, v) in entries {
+                coo.push(&[i, j, k], if v == 0.0 { 1.0 } else { v });
+            }
+            coo.build(&[
+                LevelFormat::Dense,
+                LevelFormat::Compressed,
+                LevelFormat::Compressed,
+            ])
+        })
+    })
 }
