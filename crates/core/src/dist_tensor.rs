@@ -313,6 +313,37 @@ impl Context {
         self.swap_registration(name, data, format).map(drop)
     }
 
+    /// Write a plan's output into the tensor registered under `name`, by
+    /// value: `write` gets the registered values, and the dims, levels,
+    /// allocation, pattern hash and initial distribution all stay. The
+    /// tensor's regions are renewed under the kept partition so the machine
+    /// model sees a new tensor state, and renewed with the very charges of
+    /// [`Context::replace_tensor_data`]: the new regions are created and
+    /// attached beside the old ones, *then* the old ones are retired. (The
+    /// value-only arm of [`Context::update_batch`] releases first; a
+    /// write-back must not, or a processor's modelled peak residency — and
+    /// with it an out-of-memory fallback of the figures — would move.) The
+    /// version is bumped and any tracked dirty state dropped, as by any
+    /// re-registration. A failed attach leaves the tensor and the runtime as
+    /// they were, and `write` is not called.
+    pub(crate) fn write_back(
+        &mut self,
+        name: &str,
+        write: impl FnOnce(&mut [f64]),
+    ) -> Result<(), Error> {
+        let t = self
+            .tensors
+            .get_mut(name)
+            .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
+        let regions = attach_beside(&mut self.runtime, name, &t.data, &t.dist_part, &t.dist_spec)?;
+        write(t.data.vals_mut());
+        let old = std::mem::replace(&mut t.regions, regions);
+        retire_regions(&mut self.runtime, &old);
+        self.streaming.bump_version(name);
+        self.streaming.take_dirty(name);
+        Ok(())
+    }
+
     /// Apply a batch of coordinate deltas to a registered tensor and track
     /// the touched leading-dimension rows in its per-row-block dirty bitmap
     /// (see [`crate::streaming`]). The accumulated dirty state survives
@@ -331,7 +362,10 @@ impl Context {
     /// writes the stored values in place — level arrays, the memoised
     /// pattern hash and the initial distribution stay, and only the
     /// tensor's regions are renewed, so the machine model sees a new
-    /// tensor state exactly as after [`Context::replace_tensor_data`]. Any
+    /// tensor state. Unlike [`Context::replace_tensor_data`] and
+    /// [`Context::write_back`], which attach the new regions beside the old
+    /// ones and then retire those, this arm releases the old regions first,
+    /// so a batch needs room for one registration, not two. Any
     /// other batch is merged into the stored entries in one linear pass
     /// and re-registered. Either way a batch is all or nothing: a rejected
     /// one (bad coordinate, out of memory) leaves the tensor, its version,
@@ -511,12 +545,7 @@ impl Context {
         format.validate(data.order())?;
         let spec = format.dist.resolve(data.order())?;
         let dist_part = self.initial_partition(&data, &spec)?;
-        let regions = create_regions(&mut self.runtime, name, &data);
-        let placed = placements(self.machine(), &regions, &dist_part, &spec);
-        if let Err(e) = attach_placements(&mut self.runtime, &regions, placed) {
-            retire_regions(&mut self.runtime, &regions);
-            return Err(e.into());
-        }
+        let regions = attach_beside(&mut self.runtime, name, &data, &dist_part, &spec)?;
         self.streaming.bump_version(name);
         let dirty = self.streaming.take_dirty(name);
         let new = DistTensor {
@@ -573,6 +602,26 @@ impl Context {
             )),
         }
     }
+}
+
+/// Create `data`'s regions and attach what the distribution (`part` under
+/// `spec`) places where, beside whatever the runtime already holds — so a
+/// processor briefly holds the old registration and the new one. A failed
+/// attach retires what it created: the runtime is left as it was.
+fn attach_beside(
+    runtime: &mut Runtime,
+    name: &str,
+    data: &SpTensor,
+    part: &TensorPartition,
+    spec: &DistSpec,
+) -> Result<TensorRegions, RuntimeError> {
+    let regions = create_regions(runtime, name, data);
+    let placed = placements(runtime.machine(), &regions, part, spec);
+    if let Err(e) = attach_placements(runtime, &regions, placed) {
+        retire_regions(runtime, &regions);
+        return Err(e);
+    }
+    Ok(regions)
 }
 
 fn retire_regions(runtime: &mut Runtime, regions: &TensorRegions) {

@@ -33,6 +33,24 @@
 //!   [`finish_model`] replays the launch against the discrete-event
 //!   simulator and writes the output back.
 //!
+//! ## Write-back
+//!
+//! An output is written back one of two ways. **By value**: when a
+//! program statement's plan wrote the output last and nothing has touched
+//! it since — the output version its previous write-back recorded
+//! ([`ExecResult::output_version`]) is still current *at write-back time* —
+//! the computed values are copied into the registration already there
+//! (after a merge, only the ranges of the colors that re-ran), which keeps
+//! its dims, levels, allocation and partition and only renews its regions
+//! ([`Context::write_back`]). **Re-registration**: otherwise — a first run,
+//! a `Context::run`, SpAdd3's assembled pattern, an output mutated or
+//! re-registered since, a re-keyed plan — [`materialize_output`] builds a
+//! new tensor and `Context::replace_tensor_data` registers a copy of it.
+//! Either way [`ExecResult::output`] takes the computed buffer by move.
+//! The trace's `writeback_ns` histogram times the write-back, and the
+//! counters `writeback.by_value` and `writeback.reregistered` say which
+//! arm ran.
+//!
 //! A launch is described **once**. The requirement list describe builds
 //! (one `Vec<RegionReq>` per color: every input's footprint, then the
 //! color's slice of the output under a stand-in region id) is *lent* to the
@@ -51,7 +69,7 @@
 //! | The requirement lists, from describe through the drain to the model issue | Batching, launch-graph gating (`model_preds`) and the stand-in ids: [`session`](crate::session) |
 //! | The output fold: shared buffer, reduction partials, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
 //! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
-//! | The write-back and its launch-granularity claims ([`writeback_reqs`]) | Re-registration itself: `Context::replace_tensor_data` |
+//! | The write-back: which arm (by value or re-registration), the values or ranges it copies, and its launch-granularity claims ([`writeback_reqs`]) | Renewing a registration's regions ([`Context::write_back`]) and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
 //!
 //! ## Real parallel execution
 //!
@@ -199,6 +217,10 @@ pub struct ExecResult {
     /// This plan's own span counts, and whether it merged into a seed.
     pub merge: MergeReport,
     pub output: OutputValue,
+    /// The output tensor's version right after this run's write-back. The
+    /// next run of the same plan writes by value only while the output
+    /// still has it ([`finish_model`]).
+    pub(crate) output_version: u64,
 }
 
 /// Execute `plan` within `ctx`: a [`Session`] of one plan, forced at once.
@@ -623,7 +645,7 @@ impl<'a> PreparedPlan<'a> {
     /// Fold the per-span results into the computed output and the
     /// per-color modeled op counts. Call after every span ran, with the
     /// requirements [`PreparedPlan::take_launch_desc`] lent out.
-    pub(crate) fn finish(self, reqs: Vec<Vec<RegionReq>>) -> Finished {
+    pub(crate) fn finish(mut self, reqs: Vec<Vec<RegionReq>>) -> Finished {
         let colors = self.spans.iter().zip(&self.rerun);
         let spans_skipped = colors.filter(|(_, r)| !**r).map(|(s, _)| s.len()).sum();
         let merge = MergeReport {
@@ -632,11 +654,13 @@ impl<'a> PreparedPlan<'a> {
             spans_skipped,
         };
         let stand_in = self.out_region;
+        let reran = self.merged.then(|| std::mem::take(&mut self.rerun));
         let (computed, ops) = self.fold();
         Finished {
             computed,
             ops,
             merge,
+            reran,
             reqs,
             stand_in,
         }
@@ -727,7 +751,7 @@ impl<'a> PreparedPlan<'a> {
 }
 
 /// The model phase: replay the launch(es) against the discrete-event
-/// simulator, materialize the output, and write it back into the context.
+/// simulator, then write the output back into the context.
 ///
 /// The launches are issued launch-graph-ordered on the simulator's
 /// pipelined model timeline, gated only on `model_preds`: the launch-graph
@@ -736,6 +760,17 @@ impl<'a> PreparedPlan<'a> {
 /// canonical per-processor clocks (hence [`ExecResult::time`]) do not
 /// observe the gating; only the modeled milestones reported in the
 /// returned timings' [`ModelTiming`] do.
+///
+/// The write-back has two arms. `last_write` is the output version this
+/// plan's previous write-back left ([`ExecResult::output_version`]), passed
+/// only while the plan is the one that wrote it. If the output still has
+/// that version *now* — checked here, not at pass start, since another
+/// statement of the same pass may have written it since — its registration
+/// holds exactly what that write-back left, so an in-place output is
+/// written into it by value: every value, or on a merge only the ranges of
+/// the colors that re-ran ([`Context::write_back`]). Otherwise (a first
+/// run, SpAdd3, a mutated or re-registered output) the output is
+/// materialized and re-registered.
 pub(crate) fn finish_model(
     ctx: &mut Context,
     plan: &Plan,
@@ -743,11 +778,13 @@ pub(crate) fn finish_model(
     sched: ExecReport,
     mut timing: LaunchTiming,
     model_preds: &[LaunchId],
+    last_write: Option<u64>,
 ) -> Result<ExecResult, Error> {
     let Finished {
         computed,
         ops,
         merge,
+        reran,
         mut reqs,
         stand_in,
     } = finished;
@@ -842,8 +879,36 @@ pub(crate) fn finish_model(
     };
 
     // --- write back ------------------------------------------------------
-    let output = materialize_output(ctx, plan, computed)?;
-    ctx.replace_tensor_data(&plan.output.tensor, output.clone())?;
+    let writeback_t0 = Instant::now();
+    let name = &plan.output.tensor;
+    let registered = &ctx.tensor(name)?.data;
+    let by_value = match &computed {
+        Computed::Vals(vals) => {
+            last_write == Some(ctx.tensor_version(name)) && registered.num_stored() == vals.len()
+        }
+        Computed::Assembled { .. } => false,
+    };
+    let output = match computed {
+        Computed::Vals(vals) if by_value => {
+            ctx.write_back(name, |dst| copy_written(plan, reran.as_deref(), &vals, dst))?;
+            // The registration keeps its dims and levels; the result gets
+            // a copy of them around the computed buffer.
+            let kept = &ctx.tensor(name)?.data;
+            SpTensor::from_parts(kept.dims().to_vec(), kept.levels().to_vec(), vals)
+        }
+        computed => {
+            let output = materialize_output(ctx, plan, computed)?;
+            ctx.replace_tensor_data(name, output.clone())?;
+            output
+        }
+    };
+    trace.observe_ns("writeback_ns", writeback_t0.elapsed().as_nanos() as u64);
+    let arm = if by_value {
+        "writeback.by_value"
+    } else {
+        "writeback.reregistered"
+    };
+    trace.add(arm, 1);
 
     // Nothing reads the per-run output region after its own launch(es):
     // release it, so the runtime's state is bounded by the program.
@@ -861,7 +926,28 @@ pub(crate) fn finish_model(
         sched,
         merge,
         output: OutputValue::Tensor(output),
+        output_version: ctx.tensor_version(name),
     })
+}
+
+/// Copy the computed buffer into the registered output's values: all of
+/// it, or after a merge (`reran` is `Some`) only the output ranges of the
+/// colors that re-ran. Every other element still holds what the previous
+/// write-back copied from the very buffer the merge was seeded with.
+fn copy_written(plan: &Plan, reran: Option<&[bool]>, src: &[f64], dst: &mut [f64]) {
+    let Some(reran) = reran else {
+        dst.copy_from_slice(src);
+        return;
+    };
+    for color in (0..reran.len()).filter(|&c| reran[c]) {
+        for r in out_subset(plan, color).rects() {
+            let (lo, hi) = (r.lo.max(0) as usize, (r.hi + 1).max(0) as usize);
+            let hi = hi.min(src.len());
+            if lo < hi {
+                dst[lo..hi].copy_from_slice(&src[lo..hi]);
+            }
+        }
+    }
 }
 
 /// What one color of the launch touches: every input under its planned
@@ -946,13 +1032,15 @@ fn scale_set(s: &IntervalSet, width: usize) -> IntervalSet {
 }
 
 /// What [`PreparedPlan::finish`] hands to [`finish_model`]: the computed
-/// output, the per-color modeled op counts, the span accounting, and the
-/// per-color requirements the compute phase ran under, the output still
-/// named by the `stand_in` id.
+/// output, the per-color modeled op counts, the span accounting, the
+/// colors that re-ran when the plan merged into a seed, and the per-color
+/// requirements the compute phase ran under, the output still named by the
+/// `stand_in` id.
 pub(crate) struct Finished {
     computed: Computed,
     ops: Vec<f64>,
     merge: MergeReport,
+    reran: Option<Vec<bool>>,
     reqs: Vec<Vec<RegionReq>>,
     stand_in: RegionId,
 }
@@ -971,20 +1059,27 @@ pub(crate) enum Computed {
     },
 }
 
-/// Turn the computed buffers into the plan's output tensor.
+/// Turn the computed buffers into a new output tensor, for the
+/// re-registration arm of the write-back ([`finish_model`]): the first run
+/// of a plan, SpAdd3's assembled pattern, or an output changed since the
+/// plan last wrote it. The buffer is moved in; a pattern-aligned output
+/// takes a copy of the driver's levels, never a clone of its values. The
+/// by-value arm builds nothing: it keeps the registration's dims and
+/// levels.
 fn materialize_output(ctx: &Context, plan: &Plan, computed: Computed) -> Result<SpTensor, Error> {
     Ok(match (computed, &plan.output.kind) {
         (Computed::Vals(v), OutKind::DenseVec) => dense_vector(v),
         (Computed::Vals(v), OutKind::DenseMat { width }) => {
-            spdistal_sparse::dense_matrix(v.len() / width, *width, v)
+            // The rows come from the registered output, not from the
+            // buffer: a zero-width matrix has rows but no values.
+            let rows = ctx.tensor(&plan.output.tensor)?.data.dims()[0];
+            spdistal_sparse::dense_matrix(rows, *width, v)
         }
         (Computed::Vals(vals), OutKind::PatternVals { level }) => {
             let driver = &ctx.tensor(&plan.driver)?.data;
             if *level == driver.order() - 1 {
                 // Full pattern reuse (SDDMM).
-                let mut out = driver.clone();
-                out.vals_mut().copy_from_slice(&vals);
-                out
+                SpTensor::from_parts(driver.dims().to_vec(), driver.levels().to_vec(), vals)
             } else {
                 // Fiber-level pattern (SpTTV): first two levels.
                 tensor3::spttv_output(driver, vals)

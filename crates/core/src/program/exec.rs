@@ -5,7 +5,7 @@
 //! | schedules | ask `auto` for drift re-selection and any missing schedule |
 //! | plans | one [`PlanKey`] and one cache lookup (or compile) per statement |
 //! | run modes | [`eligibility`]: per statement, merge into the previous output or run full — decided up front from pre-pass state, never during execution |
-//! | session | submit every statement (with its merge seed, if any); one flush when pipelined, one per statement otherwise |
+//! | session | submit every statement with its merge seed, if any, and — while its plan key is unchanged — the output version its previous write-back left, which lets the write-back go by value; one flush when pipelined, one per statement otherwise |
 //! | bookkeeping | move results out of the session, record retention proofs, consume dirty state, fold flush reports — once |
 //!
 //! ```text
@@ -184,13 +184,13 @@ pub(crate) fn eligibility(
 /// otherwise. On an error `futures` holds what was submitted so far.
 fn drive(
     session: &mut Session<'_>,
-    queued: Vec<(Arc<Plan>, Option<MergeSeed>)>,
+    queued: Vec<(Arc<Plan>, Option<MergeSeed>, Option<u64>)>,
     pipelined: bool,
     futures: &mut Vec<TensorFuture>,
 ) -> Result<Vec<FlushReport>, Error> {
     let mut flushes = Vec::new();
-    for (plan, seed) in queued {
-        futures.push(session.submit_merging(plan, seed));
+    for (plan, seed, last_write) in queued {
+        futures.push(session.submit_merging(plan, seed, last_write));
         if !pipelined {
             flushes.push(session.flush()?);
         }
@@ -323,6 +323,15 @@ impl CompiledProgram {
             let (retained, previous) = (self.retained[k].take(), self.last_results[k].take());
             let tracked = self.tracked(&proofs[k]);
             let mode = eligibility(merge, &proofs, k, retained.as_ref(), tracked);
+            // The version the statement's previous write-back left, while
+            // the plan is the one that wrote it; the write-back itself
+            // compares it with the output's version then.
+            let last_write = match (&retained, &previous) {
+                (Some(ret), Some(prev)) if ret.plan_key == proofs[k].plan_key => {
+                    Some(prev.output_version)
+                }
+                _ => None,
+            };
             let (seed, fallback) = match (mode, previous) {
                 (Ok(dirty), Some(previous)) => {
                     let vals = previous.output.into_vals();
@@ -332,7 +341,7 @@ impl CompiledProgram {
                 (Err(fallback), _) => (None, Some(fallback)),
             };
             fallbacks.push(fallback);
-            queued.push((plan, seed));
+            queued.push((plan, seed, last_write));
         }
 
         let mut futures = Vec::with_capacity(n);
@@ -650,6 +659,45 @@ mod tests {
         let m = p.trace().metrics().unwrap();
         let prepares = m.counter("kernel.specialized").get() + m.counter("kernel.fallback").get();
         assert_eq!(prepares, 2, "one prepare per pass");
+    }
+
+    /// Which arm each write-back took: a first run re-registers, a cached
+    /// plan writes by value from then on — a merge included — and an output
+    /// mutated behind the plan's back re-registers once, then by value
+    /// again. Every write-back is timed.
+    #[test]
+    fn writeback_goes_by_value_while_the_plan_wrote_the_output_last() {
+        let b = generate::banded(96, 5, 3);
+        let mut p = spmv_program(b, ScheduleSpec::outer_dim())
+            .trace(crate::Trace::enabled())
+            .build()
+            .unwrap();
+        let arms = |p: &CompiledProgram| {
+            let m = p.trace().metrics().unwrap();
+            let count = |name: &str| m.counter(name).get();
+            let timed = m.histogram("writeback_ns").count();
+            (
+                count("writeback.reregistered"),
+                count("writeback.by_value"),
+                timed,
+            )
+        };
+        p.run().unwrap();
+        assert_eq!(arms(&p), (1, 0, 1), "a first run re-registers");
+        p.run().unwrap();
+        p.update_batch("B", &[CoordDelta::overwrite(vec![0, 0], 9.0)])
+            .unwrap();
+        p.run_incremental().unwrap();
+        assert!(p.last_incremental(0).unwrap().spans_skipped > 0);
+        assert_eq!(arms(&p), (1, 2, 3), "then by value, a merge included");
+        p.tensor_data_mut("a").unwrap().vals_mut().fill(-1.0);
+        p.run().unwrap();
+        assert_eq!(arms(&p), (2, 2, 4), "a mutated output re-registers");
+        p.run().unwrap();
+        assert_eq!(arms(&p), (2, 3, 5));
+        let registered = p.context().tensor("a").unwrap().data.vals();
+        let registered: Vec<u64> = registered.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(registered, bits(&p, 0));
     }
 
     #[test]

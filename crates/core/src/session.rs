@@ -178,6 +178,10 @@ struct Queued {
     /// The previous output to merge into, if the submitter proved one valid
     /// (see [`Session::submit_merging`]).
     seed: Option<MergeSeed>,
+    /// The output version this plan's previous write-back left, if the
+    /// submitter knows it: the write-back goes by value while the output
+    /// still has it ([`finish_model`]).
+    last_write: Option<u64>,
 }
 
 /// A deferred-execution context wrapper. See the module docs.
@@ -238,19 +242,23 @@ impl<'c> Session<'c> {
     /// changes do not affect it (tensor *data* changes do — they force a
     /// flush first).
     pub fn submit(&mut self, plan: &Plan) -> TensorFuture {
-        self.submit_merging(Arc::new(plan.clone()), None)
+        self.submit_merging(Arc::new(plan.clone()), None, None)
     }
 
     /// [`Session::submit`] with an optional merge seed: the plan's previous
     /// output and the driver rows that changed since. Only the colors those
     /// rows touch re-run; [`ExecResult::merge`] reports what happened. The
-    /// submitter vouches that every other input is unchanged. The queue
-    /// shares the plan (partitions included) with whoever holds the `Arc` —
-    /// for a [`Program`](crate::program::Program), its plan cache.
+    /// submitter vouches that every other input is unchanged. `last_write`
+    /// is the output version the plan's previous write-back left
+    /// ([`ExecResult::output_version`]), which lets this one write by value.
+    /// The queue shares the plan (partitions included) with whoever holds
+    /// the `Arc` — for a [`Program`](crate::program::Program), its plan
+    /// cache.
     pub(crate) fn submit_merging(
         &mut self,
         plan: Arc<Plan>,
         seed: Option<MergeSeed>,
+        last_write: Option<u64>,
     ) -> TensorFuture {
         let ticket = self.slots.len();
         self.slots.push(Slot::Pending);
@@ -259,6 +267,7 @@ impl<'c> Session<'c> {
             plan,
             issued: Instant::now(),
             seed,
+            last_write,
         });
         TensorFuture { ticket }
     }
@@ -438,7 +447,15 @@ impl<'c> Session<'c> {
             for &a in &pred_sets[k] {
                 preds.extend_from_slice(&plan_ids[a]);
             }
-            let result = finish_model(self.ctx, &q.plan, finished, exec_report, timing, &preds)?;
+            let result = finish_model(
+                self.ctx,
+                &q.plan,
+                finished,
+                exec_report,
+                timing,
+                &preds,
+                q.last_write,
+            )?;
             plan_ids.push(result.records.iter().map(|r| r.id).collect());
             report.launches.extend(result.launches.iter().cloned());
             self.slots[q.ticket] = Slot::Done(Box::new(result));

@@ -21,7 +21,9 @@
 //! one *structural* batch (an edge inserted, an edge deleted), which falls
 //! back to a full pass under a recompiled plan. The final rank vector is
 //! checked **bit-for-bit** against a from-scratch recompute of the
-//! fully-mutated graph — incremental execution is exact, not approximate.
+//! fully-mutated graph — incremental execution is exact, not approximate —
+//! and after every batch the registered `r` is checked bit-for-bit against
+//! the computed value: a merge writes back only the colors it re-ran.
 //!
 //! `--trace <path>` writes a Chrome trace (the `incremental` category
 //! carries one instant event per incremental pass) and prints a
@@ -122,6 +124,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (i, batch) in stream.iter().chain([&structural]).enumerate() {
         let rep = program.update_batch("B", batch)?;
         program.run_incremental()?;
+        // The registered `r` is the answer: a merge copies only the colors
+        // it re-ran into the registration, the rest must already match.
+        let registered = program.context().tensor("r")?.data.vals();
+        let value = program.value(0).and_then(|v| v.as_tensor());
+        let value = value.expect("one statement ran").vals();
+        assert!(
+            bit_identical(registered, value),
+            "batch {i}: the registered output differs from the computed value"
+        );
         let stats = program.last_incremental(0).expect("one statement ran");
         println!(
             "{:<8}{:>12}{:>12}{:>14}{:>12}  {}",
@@ -153,12 +164,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     full.run()?;
     let got = program.value(0).unwrap().as_tensor().unwrap().vals();
     let want = full.value(0).unwrap().as_tensor().unwrap().vals();
-    let identical = got.len() == want.len()
-        && got
-            .iter()
-            .zip(want)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(identical, "incremental result diverged from full recompute");
+    assert!(
+        bit_identical(got, want),
+        "incremental result diverged from full recompute"
+    );
     assert!(reference::approx_eq(
         got,
         &reference::spmv(&mutated, &c),
@@ -172,4 +181,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("run_report_json={}", program.run_report_json("streaming"));
     Ok(())
+}
+
+fn bit_identical(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }

@@ -360,6 +360,89 @@ fn dds_patents_layout_end_to_end() {
     ));
 }
 
+/// Run a program whose answer is a `rows`×0 dense matrix through every
+/// write-back it can take — a first run, a cached run and an incremental
+/// merge — and check the answer and the registration after each.
+fn zero_width_answers(mut p: CompiledProgram, rows: usize) {
+    for pass in ["run", "cached run", "run_incremental"] {
+        match pass {
+            "run_incremental" => p.run_incremental(),
+            _ => p.run(),
+        }
+        .unwrap_or_else(|e| panic!("{pass}: {e}"));
+        let got = p.value(0).unwrap().as_tensor().unwrap();
+        assert_eq!(got.dims(), [rows, 0], "{pass}");
+        assert!(got.vals().is_empty(), "{pass}");
+        assert_eq!(p.context().tensor("A").unwrap().data, *got, "{pass}");
+    }
+}
+
+/// A zero-width dense operand (a 0-column `C`, a rank-0 factorization)
+/// answers an n×0 matrix, for 16 rows on 4 pieces and 0 rows on 2: the
+/// write-back takes the rows from the registered output, not from the
+/// empty buffer.
+#[test]
+fn a_zero_width_dense_operand_answers_an_empty_matrix() {
+    let csr = [LevelFormat::Dense, LevelFormat::Compressed];
+    let csf = [
+        LevelFormat::Dense,
+        LevelFormat::Compressed,
+        LevelFormat::Compressed,
+    ];
+    let machine = |pieces| Machine::grid1d(pieces, MachineProfile::lassen_cpu());
+    let empty = |dims: Vec<usize>, fmt: &[LevelFormat]| CooTensor::new(dims).build(fmt);
+    for (rows, pieces) in [(16, 4), (0, 2)] {
+        let b = match rows {
+            0 => empty(vec![0, 8], &csr),
+            _ => generate::uniform(rows, 8, 40, 3),
+        };
+        let spmm = Program::on(machine(pieces))
+            .tensor(
+                "A",
+                Format::blocked_dense_matrix(),
+                dense_matrix(rows, 0, vec![]),
+            )
+            .tensor("B", Format::blocked_csr(), b)
+            .tensor(
+                "C",
+                Format::replicated_dense_matrix(),
+                dense_matrix(8, 0, vec![]),
+            )
+            .stmt("A(i,j) = B(i,k) * C(k,j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .build()
+            .unwrap();
+        zero_width_answers(spmm, rows);
+
+        let b = match rows {
+            0 => empty(vec![0, 5, 6], &csf),
+            _ => generate::tensor3_uniform([rows, 5, 6], 60, 4),
+        };
+        let spmttkrp = Program::on(machine(pieces))
+            .tensor(
+                "A",
+                Format::blocked_dense_matrix(),
+                dense_matrix(rows, 0, vec![]),
+            )
+            .tensor("B", Format::blocked_csf3(), b)
+            .tensor(
+                "C",
+                Format::replicated_dense_matrix(),
+                dense_matrix(5, 0, vec![]),
+            )
+            .tensor(
+                "D",
+                Format::replicated_dense_matrix(),
+                dense_matrix(6, 0, vec![]),
+            )
+            .stmt("A(i,l) = B(i,j,k) * C(j,l) * D(k,l)")
+            .schedule(ScheduleSpec::outer_dim())
+            .build()
+            .unwrap();
+        zero_width_answers(spmttkrp, rows);
+    }
+}
+
 /// SpAdd3's sum registered on four colors: `A = B + C + D`.
 fn spadd3_ctx(b: &SpTensor, c: &SpTensor, d: &SpTensor) -> (Context, Assignment) {
     let mut ctx = cpu_ctx(4);

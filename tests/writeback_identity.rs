@@ -1,0 +1,402 @@
+//! The registered output is the value, always.
+//!
+//! A program's write-back has two arms: it re-registers a freshly built
+//! output (a first run, SpAdd3's assembled pattern, an output changed since
+//! the plan last wrote it), or it copies the computed values into the
+//! registration already there — every value, or after a merge only the
+//! colors that re-ran. Whichever arm ran, after every `run` and
+//! `run_incremental` the tensor registered under the output's name must
+//! equal the statement's `value(k)` bit for bit (`to_bits` of the values,
+//! exact dims and levels), and the machine model must see a new tensor
+//! state: the output's `RegionId`s all change and every processor holds
+//! what the initial distribution places there.
+//!
+//! Covered outputs: dense (SpMV, SpMM), reduction (SpMV under a non-zero
+//! split), pattern-aligned (SDDMM, SpTTV) and assembled (SpAdd3). Covered
+//! transitions: a value-only merge, `tensor_data_mut` on the output between
+//! passes, `set_tensor_format` on the output, a structural batch that keeps
+//! the driver's nnz, a schedule change that re-keys the plan, two
+//! statements writing one output with a third reading it between them, and
+//! a pass that errors.
+
+use spdistal_repro::runtime::RegionId;
+use spdistal_repro::sparse::{dense_matrix, dense_vector, generate, SpTensor};
+use spdistal_repro::spdistal::plan::empty_csr;
+use spdistal_repro::spdistal::prelude::*;
+
+const PIECES: usize = 4;
+const WIDTH: usize = 4;
+
+fn machine() -> Machine {
+    Machine::grid1d(PIECES, MachineProfile::lassen_cpu())
+}
+
+/// A clustered R-MAT on which `Auto` starts on outer-dim and moves to
+/// non-zero after the warm-up run, so the second pass runs a re-keyed plan.
+fn moderate_skew() -> SpTensor {
+    for alpha in [0.45, 0.5, 0.55, 0.6, 0.65, 0.7] {
+        let b = generate::rmat_clustered(9, 6000, alpha, 11);
+        let mut p = program("spmv", &b, ScheduleSpec::Auto).build().unwrap();
+        p.run().unwrap();
+        let decisions = &p.report().decisions;
+        if decisions
+            .iter()
+            .map(|d| d.choice)
+            .eq(["outer-dim", "non-zero"])
+        {
+            return b;
+        }
+    }
+    panic!("no alpha moved Auto after the warm-up run");
+}
+
+/// Statement `kind` writing `A` from driver `B`, under `spec`.
+fn program(kind: &str, b: &SpTensor, spec: ScheduleSpec) -> Program {
+    let (n, m) = (b.dims()[0], b.dims()[1]);
+    let p = Program::on(machine()).trace(Trace::enabled());
+    let csr = Format::blocked_csr();
+    let matrix =
+        |rows, cols, seed| dense_matrix(rows, cols, generate::dense_buffer(rows, cols, seed));
+    let p = match kind {
+        "spmv" | "spmv reduction" => p
+            .tensor("A", Format::blocked_dense_vec(), dense_vector(vec![0.0; n]))
+            .tensor("B", csr, b.clone())
+            .tensor(
+                "c",
+                Format::replicated_dense_vec(),
+                dense_vector(generate::dense_vec(m, 5)),
+            )
+            .stmt("A(i) = B(i,j) * c(j)"),
+        "spmm" => p
+            .tensor(
+                "A",
+                Format::blocked_dense_matrix(),
+                dense_matrix(n, WIDTH, vec![0.0; n * WIDTH]),
+            )
+            .tensor("B", csr, b.clone())
+            .tensor("C", Format::replicated_dense_matrix(), matrix(m, WIDTH, 6))
+            .stmt("A(i,j) = B(i,k) * C(k,j)"),
+        "sddmm" => p
+            .tensor("A", csr.clone(), empty_csr(n, m))
+            .tensor("B", csr, b.clone())
+            .tensor("C", Format::replicated_dense_matrix(), matrix(n, WIDTH, 7))
+            .tensor("D", Format::replicated_dense_matrix(), matrix(WIDTH, m, 8))
+            .stmt("A(i,j) = B(i,j) * C(i,k) * D(k,j)"),
+        "spttv" => p
+            // Registered with the pattern of another tensor: the first
+            // write-back must replace it with the driver's fibers.
+            .tensor("A", csr, empty_csr(n, m))
+            .tensor("B", Format::blocked_csf3(), b.clone())
+            .tensor(
+                "c",
+                Format::replicated_dense_vec(),
+                dense_vector(generate::dense_vec(b.dims()[2], 9)),
+            )
+            .stmt("A(i,j) = B(i,j,k) * c(k)"),
+        "spadd3" => p
+            .tensor("A", csr.clone(), empty_csr(n, m))
+            .tensor("B", csr.clone(), b.clone())
+            .tensor("C", csr.clone(), generate::shift_last_dim(b, 3))
+            .tensor("D", csr, generate::shift_last_dim(b, 11))
+            .stmt("A(i,j) = B(i,j) + C(i,j) + D(i,j)"),
+        other => panic!("unknown kind {other}"),
+    };
+    p.schedule(spec)
+}
+
+fn driver(kind: &str) -> SpTensor {
+    match kind {
+        "spttv" => generate::tensor3_uniform([48, 20, 24], 3000, 13),
+        _ => generate::uniform(96, 80, 1500, 12),
+    }
+}
+
+fn spec(kind: &str) -> ScheduleSpec {
+    match kind {
+        "spmv reduction" => ScheduleSpec::nonzero(),
+        _ => ScheduleSpec::outer_dim(),
+    }
+}
+
+const KINDS: [&str; 6] = ["spmv", "spmm", "spmv reduction", "sddmm", "spttv", "spadd3"];
+
+/// The registered tensor `out` against statement `k`'s value, bit for bit.
+fn assert_registered_is_value(p: &CompiledProgram, k: usize, out: &str, what: &str) {
+    let value = p.value(k).unwrap_or_else(|| panic!("{what}: no value"));
+    let value = value.as_tensor().unwrap();
+    let registered = &p.context().tensor(out).unwrap().data;
+    assert_eq!(registered.dims(), value.dims(), "{what}: dims");
+    assert_eq!(registered.levels(), value.levels(), "{what}: levels");
+    let bits = |t: &SpTensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(registered), bits(value), "{what}: values");
+}
+
+/// The model sees a new state of `out`: none of the regions it had before
+/// the pass (`before`) is still its own, and every processor holds what a
+/// fresh registration of the same data under the same format places there.
+fn assert_new_state(p: &CompiledProgram, out: &str, before: &[RegionId], what: &str) {
+    let ctx = p.context();
+    let t = ctx.tensor(out).unwrap();
+    let ids = t.regions.ids();
+    assert!(
+        ids.iter().all(|id| !before.contains(id)),
+        "{what}: regions kept"
+    );
+    let mut fresh = Context::new(ctx.machine().clone());
+    fresh
+        .add_tensor(out, t.data.clone(), t.format.clone())
+        .unwrap();
+    let placed = fresh.tensor(out).unwrap().regions.ids();
+    assert_eq!(ids.len(), placed.len(), "{what}: region count");
+    for proc in 0..ctx.machine().num_procs() {
+        for (&id, &initial) in ids.iter().zip(&placed) {
+            assert_eq!(
+                ctx.runtime().valid_in(id, proc),
+                fresh.runtime().valid_in(initial, proc),
+                "{what}: {} on processor {proc}",
+                ctx.runtime().region(id).name
+            );
+        }
+    }
+}
+
+fn ids(p: &CompiledProgram, out: &str) -> Vec<RegionId> {
+    p.context().tensor(out).unwrap().regions.ids()
+}
+
+/// One pass of `p`, then both assertions on statement `k`'s output.
+fn pass(p: &mut CompiledProgram, incremental: bool, k: usize, out: &str, what: &str) {
+    let before = ids(p, out);
+    let ran = if incremental {
+        p.run_incremental()
+    } else {
+        p.run()
+    };
+    ran.unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_registered_is_value(p, k, out, what);
+    assert_new_state(p, out, &before, what);
+}
+
+/// Overwrites of the driver's first two stored entries: a value-only
+/// batch confined to the first rows.
+fn value_batch(p: &CompiledProgram, round: u32) -> Vec<CoordDelta> {
+    let b = &p.context().tensor("B").unwrap().data;
+    let stored = b.to_coo();
+    let at = |k: usize| stored[k].0.clone();
+    let v = 1.5 + round as f64;
+    vec![
+        CoordDelta::overwrite(at(0), v),
+        CoordDelta::overwrite(at(1), -v),
+    ]
+}
+
+/// A delete and an insert in the driver's first row: the pattern moves
+/// and the nnz stays.
+fn same_nnz_structural_batch(p: &CompiledProgram) -> Vec<CoordDelta> {
+    let b = &p.context().tensor("B").unwrap().data;
+    let stored = b.to_coo();
+    let gone = stored[0].0.clone();
+    let last = gone.len() - 1;
+    let fresh = (0..b.dims()[last] as i64)
+        .map(|x| {
+            let mut coord = gone.clone();
+            coord[last] = x;
+            coord
+        })
+        .find(|coord| stored.iter().all(|(present, _)| present != coord))
+        .expect("the first fiber is full");
+    vec![CoordDelta::delete(gone), CoordDelta::insert(fresh, 2.25)]
+}
+
+#[test]
+fn every_output_kind_through_every_transition() {
+    for kind in KINDS {
+        let b = driver(kind);
+        let mut p = program(kind, &b, spec(kind)).build().unwrap();
+        let step = |p: &mut CompiledProgram, incremental: bool, what: &str| {
+            pass(p, incremental, 0, "A", &format!("{kind}, {what}"));
+        };
+        step(&mut p, false, "first run");
+        step(&mut p, false, "cached run");
+
+        let batch = value_batch(&p, 0);
+        p.update_batch("B", &batch).unwrap();
+        step(&mut p, true, "value-only merge");
+        let stats = p.last_incremental(0).unwrap();
+        let merges = !matches!(kind, "spmv reduction" | "spadd3");
+        assert_eq!(!stats.fallback, merges, "{kind}: {}", stats.reason);
+        if merges {
+            assert!(stats.spans_skipped > 0, "{kind}: a merge skips colors");
+        }
+
+        // Values written behind the plan's back: the merge must not keep
+        // them in the colors it skips.
+        p.tensor_data_mut("A").unwrap().vals_mut().fill(-7.25);
+        let batch = value_batch(&p, 1);
+        p.update_batch("B", &batch).unwrap();
+        step(&mut p, true, "merge after tensor_data_mut on the output");
+        assert_eq!(!p.last_incremental(0).unwrap().fallback, merges, "{kind}");
+        step(&mut p, true, "merge after that");
+
+        let other = match kind {
+            "spmv" | "spmv reduction" => Format::replicated_dense_vec(),
+            "spmm" => Format::replicated_dense_matrix(),
+            _ => Format::nonzero_csr(),
+        };
+        p.set_tensor_format("A", other).unwrap();
+        let batch = value_batch(&p, 2);
+        p.update_batch("B", &batch).unwrap();
+        step(&mut p, true, "after set_tensor_format on the output");
+        assert!(p.last_incremental(0).unwrap().fallback, "{kind}: re-keyed");
+        let batch = value_batch(&p, 3);
+        p.update_batch("B", &batch).unwrap();
+        step(&mut p, true, "merge under the new format");
+
+        let batch = same_nnz_structural_batch(&p);
+        p.update_batch("B", &batch).unwrap();
+        step(&mut p, true, "structural batch keeping nnz");
+        assert!(
+            p.last_incremental(0).unwrap().fallback,
+            "{kind}: structural"
+        );
+        let batch = value_batch(&p, 4);
+        p.update_batch("B", &batch).unwrap();
+        step(&mut p, true, "merge over the new pattern");
+        step(&mut p, false, "full run over the new pattern");
+    }
+}
+
+/// `Auto` moves the statement to the non-zero split after the warm-up run:
+/// the second pass runs a re-keyed plan (for SpMV a reduction), and the
+/// third the re-keyed plan cached.
+#[test]
+fn a_schedule_change_that_rekeys_the_plan() {
+    let b = moderate_skew();
+    for kind in ["spmv", "spmm", "sddmm"] {
+        let mut p = program(kind, &b, ScheduleSpec::Auto).build().unwrap();
+        let what = |s: &str| format!("{kind}, {s}");
+        pass(&mut p, false, 0, "A", &what("warm-up run"));
+        pass(&mut p, false, 0, "A", &what("re-keyed run"));
+        assert_eq!(p.report().stmts[0].schedule_kind, "non-zero", "{kind}");
+        assert_eq!(p.report().compiles, 2, "{kind}: one compile per selection");
+        let batch = value_batch(&p, 0);
+        p.update_batch("B", &batch).unwrap();
+        pass(&mut p, true, 0, "A", &what("incremental under the new key"));
+        pass(&mut p, false, 0, "A", &what("cached run under the new key"));
+    }
+}
+
+/// `A` is written by statements 0 and 2, and statement 1 reads it between
+/// them, in every pass. Each writer finds the other's values registered,
+/// so neither may copy only the colors it re-ran: the check is made at the
+/// write-back, not at pass start (when `A` still holds what statement 2
+/// left).
+#[test]
+fn two_writers_of_one_output_with_a_reader_between() {
+    let b = generate::uniform(96, 96, 1500, 21);
+    let d = generate::uniform(96, 96, 1500, 22);
+    let c = generate::dense_vec(96, 23);
+    let zeros = || dense_vector(vec![0.0; 96]);
+    let mut p = Program::on(machine())
+        .tensor("A", Format::blocked_dense_vec(), zeros())
+        .tensor("y", Format::blocked_dense_vec(), zeros())
+        .tensor("B", Format::blocked_csr(), b.clone())
+        .tensor("D", Format::blocked_csr(), d)
+        .tensor("c", Format::replicated_dense_vec(), dense_vector(c.clone()))
+        .stmt("A(i) = B(i,j) * c(j)")
+        .schedule(ScheduleSpec::outer_dim())
+        .stmt("y(i) = B(i,j) * A(j)")
+        .schedule(ScheduleSpec::outer_dim())
+        .stmt("A(i) = D(i,j) * c(j)")
+        .schedule(ScheduleSpec::outer_dim())
+        .build()
+        .unwrap();
+    let check = |p: &CompiledProgram, what: &str| {
+        assert_registered_is_value(p, 2, "A", what);
+        assert_registered_is_value(p, 1, "y", what);
+        let first = p.value(0).unwrap().as_tensor().unwrap().vals();
+        let expect = spdistal_repro::sparse::reference::spmv(&b, first);
+        let y = p.value(1).unwrap().as_tensor().unwrap().vals();
+        assert!(
+            spdistal_repro::sparse::reference::approx_eq(y, &expect, 1e-12),
+            "{what}"
+        );
+    };
+    for round in 0..3 {
+        pass(&mut p, false, 2, "A", &format!("run {round}"));
+        check(&p, &format!("run {round}"));
+        let d = &p.context().tensor("D").unwrap().data;
+        let first = d.to_coo().swap_remove(0).0;
+        let batch = [CoordDelta::overwrite(first, 3.5 + round as f64)];
+        p.update_batch("D", &batch).unwrap();
+        pass(&mut p, true, 2, "A", &format!("incremental {round}"));
+        check(&p, &format!("incremental {round}"));
+        let stats = p.last_incremental(2).unwrap();
+        assert!(
+            !stats.fallback && stats.spans_skipped > 0,
+            "{}",
+            stats.reason
+        );
+    }
+}
+
+/// A pass that fails at its second statement's write-back: the first
+/// statement's output is still its value, and the next passes — which
+/// have no retention proof to go by — re-register and stay exact.
+#[test]
+fn a_pass_that_errors() {
+    let b = generate::uniform(96, 80, 1500, 31);
+    let n = b.dims()[0];
+    let mut p = Program::on(machine())
+        .tensor("A", Format::blocked_dense_vec(), dense_vector(vec![0.0; n]))
+        .tensor("z", Format::blocked_dense_vec(), dense_vector(vec![0.0; n]))
+        .tensor("B", Format::blocked_csr(), b)
+        .tensor(
+            "c",
+            Format::replicated_dense_vec(),
+            dense_vector(generate::dense_vec(80, 5)),
+        )
+        .stmt("A(i) = B(i,j) * c(j)")
+        .schedule(ScheduleSpec::outer_dim())
+        .stmt("z(i) = B(i,j) * c(j)")
+        .schedule(ScheduleSpec::outer_dim())
+        .trace(Trace::enabled())
+        .build()
+        .unwrap();
+    pass(&mut p, false, 0, "A", "first run");
+    pass(&mut p, false, 1, "z", "cached run");
+
+    // `z` re-registered one element longer: the plan still computes n
+    // values, and their write-back refuses the dims.
+    let ctx = p.context_mut();
+    ctx.add_tensor(
+        "z",
+        dense_vector(vec![0.0; n + 1]),
+        Format::blocked_dense_vec(),
+    )
+    .unwrap();
+    let before = ids(&p, "A");
+    assert!(
+        p.run().is_err(),
+        "a write-back into the wrong dims must fail"
+    );
+    assert_registered_is_value(&p, 0, "A", "statement 0 of the failed pass");
+    assert_new_state(&p, "A", &before, "statement 0 of the failed pass");
+    assert!(p.value(1).is_none(), "statement 1 did not finish");
+
+    let ctx = p.context_mut();
+    ctx.add_tensor("z", dense_vector(vec![0.0; n]), Format::blocked_dense_vec())
+        .unwrap();
+    let reregistered = |p: &CompiledProgram| {
+        let m = p.trace().metrics().unwrap();
+        m.counter("writeback.reregistered").get()
+    };
+    let was = reregistered(&p);
+    pass(&mut p, true, 0, "A", "incremental pass after the failure");
+    assert_registered_is_value(&p, 1, "z", "incremental pass after the failure");
+    assert_eq!(reregistered(&p), was + 2, "no proof survives a failed pass");
+    let batch = value_batch(&p, 0);
+    p.update_batch("B", &batch).unwrap();
+    pass(&mut p, true, 0, "A", "merge after recovery");
+    pass(&mut p, true, 1, "z", "merge after recovery, z");
+}
