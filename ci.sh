@@ -197,8 +197,12 @@ cargo test -q --release -p spdistal-runtime --test pool_contract --test pool_lat
 echo "==> coherence oracle sweep, optimised"
 # The counted fetch, the one-run splices of union/subtract and the
 # same-node link against the per-processor oracle on both node shapes:
-# index arithmetic again, so in --release as well.
+# index arithmetic again, so in --release as well. The same for the bitmap
+# arm of `image_coords`: a shift by 64 panics in debug but wraps silently
+# when optimised, so only this run can catch a bad mask.
 cargo test -q --release -p spdistal-runtime somewhere_fetch
+cargo test -q --release -p spdistal-runtime --lib dependent
+cargo test -q --release -p spdistal-runtime --test geometry_props
 
 echo "==> ingestion against the rebuild oracle, optimised"
 # Same reason, other code: `locate`, the merge and the packer are index

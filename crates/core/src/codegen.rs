@@ -12,8 +12,11 @@
 //!    coordinate sets projected out of the driver's partition (the
 //!    `partitionRemainingCoordinateTrees` step) — sparse tensors sharing the
 //!    distributed dimension get universe partitions, dense operands get
-//!    exactly the sub-arrays their colors touch (via `image` on the driver's
-//!    `crd` regions), and everything else is replicated;
+//!    exactly the sub-arrays their colors touch, and everything else is
+//!    replicated. The projected sets of a compressed level come from
+//!    [`image_coords`] on the driver's `crd` region, costing O(points +
+//!    coordinate words): a bitmap over the dimension, sorting only when
+//!    the dimension is hypersparse;
 //! 4. classifies the output: disjoint coordinate partitions write, aliased
 //!    ones reduce (the communication the non-zero SpMV schedule pays,
 //!    Section II-D).

@@ -482,7 +482,9 @@ impl CompiledProgram {
 
     /// Statement `k`'s plan and the key it is cached under, compiling on a
     /// miss. An `Auto` non-zero selection that fails to compile falls back
-    /// to the outer-dimension schedule (recorded as a decision).
+    /// to the outer-dimension schedule (recorded as a decision). Each
+    /// compile that yields the plan is timed in the trace's `compile_ns`
+    /// histogram, one observation per [`ProgramReport::compiles`].
     fn ensure_plan(&mut self, k: usize) -> Result<(PlanKey, Arc<Plan>), Error> {
         let key = self.cache_key(k);
         if let Some(plan) = self.lookup_plan(&key) {
@@ -492,6 +494,7 @@ impl CompiledProgram {
             .chosen
             .as_ref()
             .expect("schedule selected before compile");
+        let compile_t0 = Instant::now();
         let compiled = self.ctx.compile(&self.stmts[k].stmt, &chosen.schedule);
         let plan = match compiled {
             Ok(plan) => plan,
@@ -511,6 +514,8 @@ impl CompiledProgram {
             }
             Err(e) => return Err(e),
         };
+        let trace = self.ctx.trace();
+        trace.observe_ns("compile_ns", compile_t0.elapsed().as_nanos() as u64);
         self.report.compiles += 1;
         let plan = self.cache.insert(key.clone(), plan, self.tenant.as_deref());
         Ok((key, plan))
@@ -544,10 +549,12 @@ impl CompiledProgram {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{bits, spmv_program};
+    use super::super::tests::{bits, machine, spmv_program};
+    use super::super::Program;
     use super::*;
     use crate::streaming::CoordDelta;
-    use spdistal_sparse::generate;
+    use spdistal_ir::Format;
+    use spdistal_sparse::{dense_vector, generate};
 
     fn proof(
         output: &str,
@@ -698,6 +705,54 @@ mod tests {
         let registered = p.context().tensor("a").unwrap().data.vals();
         let registered: Vec<u64> = registered.iter().map(|v| v.to_bits()).collect();
         assert_eq!(registered, bits(&p, 0));
+    }
+
+    /// Every compile of a pass is timed, and only a compile: a first run of
+    /// three statements observes three, a cached run none, and a run after
+    /// one statement's key changed (an input only it reads was re-declared)
+    /// one more.
+    #[test]
+    fn compile_ns_observes_each_compile_once() {
+        let b = generate::banded(64, 5, 2);
+        let n = b.dims()[0];
+        let vector = |fill: f64| dense_vector(vec![fill; n]);
+        let mut p = Program::on(machine())
+            .tensor("B", Format::blocked_csr(), b)
+            .tensor("x0", Format::replicated_dense_vec(), vector(1.0))
+            .tensor("x1", Format::blocked_dense_vec(), vector(0.0))
+            .tensor("x2", Format::blocked_dense_vec(), vector(0.0))
+            .tensor("x3", Format::blocked_dense_vec(), vector(0.0))
+            .stmt("x1(i) = B(i,j) * x0(j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .stmt("x2(i) = B(i,j) * x1(j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .stmt("x3(i) = B(i,j) * x2(j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .trace(crate::Trace::enabled())
+            .build()
+            .unwrap();
+        let timed = |p: &CompiledProgram| {
+            let m = p.trace().metrics().unwrap();
+            m.histogram("compile_ns").count()
+        };
+        p.run().unwrap();
+        assert_eq!(p.report().compiles, 3);
+        assert_eq!(timed(&p), 3, "a first run times each of its compiles");
+        p.run().unwrap();
+        assert_eq!(
+            (p.report().compiles, timed(&p)),
+            (3, 3),
+            "a cached run times none"
+        );
+        p.set_tensor_format("x0", Format::blocked_dense_vec())
+            .unwrap();
+        p.run().unwrap();
+        assert_eq!(
+            (p.report().compiles, timed(&p)),
+            (4, 4),
+            "a re-keyed plan times one"
+        );
+        assert!(p.trace().run_report_json("t").contains("\"compile_us\""));
     }
 
     #[test]

@@ -14,6 +14,23 @@
 //! (color every destination a source points at with the source's color);
 //! `preimage` pulls a partition of the destination back (color every source
 //! that points into a colored destination subset).
+//!
+//! ## Cost
+//!
+//! [`image_coords`] has two arms, chosen per call by comparing the
+//! destination's 64-bit words, `dst_len / 64`, with the points imaged
+//! (`src_part.total_assigned()`). When the words are not more than the
+//! points, each color's in-range coordinates set bits of one bitmap of
+//! `dst_len` bits, allocated once per call, and one scan of the words that
+//! color touched reads its runs off in order and clears them: O(points +
+//! words), with no sort. When the words are more — a hypersparse coordinate
+//! space — each point becomes one rect, sorted by
+//! [`IntervalSet::from_rects`] and clamped to the destination. The rule
+//! bounds the bitmap at one bit per coordinate and one word per point
+//! imaged (plus one): at most 8 bytes per point, under the 16 of the rect
+//! the sort arm allocates for it. [`preimage_rects`] finds, per source
+//! entry and color, the one run of the target that can overlap it by binary
+//! search.
 
 use crate::geometry::{IntervalSet, Rect1};
 use crate::partition::Partition;
@@ -40,18 +57,74 @@ pub fn image_rects(src: &[Rect1], src_part: &Partition, dst_len: u64) -> Partiti
 
 /// `image(S, P_S, D)` for a coordinate-valued source region (e.g. pushing a
 /// partition of `crd` positions forward onto the coordinate space of the
-/// dimension the coordinates live in).
+/// dimension the coordinates live in). Values outside `[0, dst_len)` are
+/// dropped.
 pub fn image_coords(src: &[i64], src_part: &Partition, dst_len: u64) -> Partition {
-    let mut subsets = Vec::with_capacity(src_part.num_colors());
-    for c in 0..src_part.num_colors() {
-        let mut rects = Vec::new();
-        for i in src_part.subset(c).iter_points() {
-            let v = src[i as usize];
-            rects.push(Rect1::new(v, v));
+    if dst_len / 64 > src_part.total_assigned() {
+        // Hypersparse: a bitmap would outweigh one rect per point.
+        let mut subsets = Vec::with_capacity(src_part.num_colors());
+        for c in 0..src_part.num_colors() {
+            let mut rects = Vec::new();
+            for i in src_part.subset(c).iter_points() {
+                let v = src[i as usize];
+                rects.push(Rect1::new(v, v));
+            }
+            subsets.push(IntervalSet::from_rects(rects));
         }
-        subsets.push(IntervalSet::from_rects(rects));
+        return clamp(Partition::new(dst_len, subsets));
     }
-    clamp(Partition::new(dst_len, subsets))
+    let mut bitmap = vec![0u64; dst_len.div_ceil(64) as usize];
+    let subsets = src_part
+        .subsets()
+        .iter()
+        .map(|positions| marked_runs(&mut bitmap, src, positions, dst_len))
+        .collect();
+    Partition::new(dst_len, subsets)
+}
+
+/// The coordinates `src` holds at `positions`, as runs: each value in
+/// `[0, dst_len)` sets its bit in `bitmap` (one bit per destination
+/// coordinate, all clear on entry), then one scan of the words it touched
+/// reads the runs off in order — joining a run across a word boundary —
+/// and clears each word as it goes, so `bitmap` is clear again for the
+/// next color.
+fn marked_runs(
+    bitmap: &mut [u64],
+    src: &[i64],
+    positions: &IntervalSet,
+    dst_len: u64,
+) -> IntervalSet {
+    let (mut first, mut last) = (usize::MAX, 0);
+    for r in positions.rects() {
+        for &v in &src[r.lo as usize..=r.hi as usize] {
+            if v >= 0 && (v as u64) < dst_len {
+                let word = (v / 64) as usize;
+                bitmap[word] |= 1u64 << (v % 64);
+                first = first.min(word);
+                last = last.max(word);
+            }
+        }
+    }
+    let mut runs: Vec<Rect1> = Vec::new();
+    for (w, slot) in bitmap.iter_mut().enumerate().take(last + 1).skip(first) {
+        let (mut word, base) = (std::mem::take(slot), w as i64 * 64);
+        while word != 0 {
+            // The lowest run of set bits, and the word without it: adding
+            // its lowest bit carries through the run (out of bit 63 too).
+            let rest = word & word.wrapping_add(word & word.wrapping_neg());
+            let run = word ^ rest;
+            let (lo, hi) = (
+                base + run.trailing_zeros() as i64,
+                base + 63 - run.leading_zeros() as i64,
+            );
+            match runs.last_mut() {
+                Some(prev) if prev.hi + 1 == lo => prev.hi = hi,
+                _ => runs.push(Rect1::new(lo, hi)),
+            }
+            word = rest;
+        }
+    }
+    IntervalSet::from_canonical(runs)
 }
 
 /// `preimage(S, P_D, D)` for an interval-valued source region.
@@ -103,8 +176,12 @@ pub fn preimage_coords(src: &[i64], dst_part: &Partition) -> Partition {
     Partition::new(src.len() as u64, subsets)
 }
 
+/// Whether the non-empty `r` meets `s`: only the first run of `s` ending at
+/// or after `r.lo` can (one binary search).
 fn overlaps_set(r: &Rect1, s: &IntervalSet) -> bool {
-    s.rects().iter().any(|x| x.overlaps(r))
+    let runs = s.rects();
+    let first = runs.partition_point(|x| x.hi < r.lo);
+    runs.get(first).is_some_and(|x| x.lo <= r.hi)
 }
 
 fn clamp(p: Partition) -> Partition {
@@ -197,6 +274,36 @@ mod tests {
         let c1: Vec<i64> = col_part.subset(1).iter_points().collect();
         assert_eq!(c0, vec![0, 1, 3]);
         assert_eq!(c1, vec![0, 3]);
+    }
+
+    /// A handful of points in a coordinate space of 2^40 (and 2^62) takes
+    /// the sort arm: a bitmap of that many bits (128 GiB, 512 PiB) cannot be
+    /// allocated, and the attempt would abort the test.
+    #[test]
+    fn hypersparse_space_takes_the_sort_arm() {
+        for dst_len in [1u64 << 40, 1 << 62] {
+            let far = (dst_len / 2) as i64;
+            let crd = vec![5, far + 1, 7, 6, -1, dst_len as i64, far, 0];
+            let part = Partition::new(
+                8,
+                vec![
+                    IntervalSet::from_rect(Rect1::new(0, 3)),
+                    IntervalSet::from_rect(Rect1::new(2, 7)),
+                    IntervalSet::new(),
+                ],
+            );
+            let img = image_coords(&crd, &part, dst_len);
+            assert_eq!(img.parent_len(), dst_len);
+            assert_eq!(
+                img.subset(0).rects(),
+                &[Rect1::new(5, 7), Rect1::new(far + 1, far + 1)]
+            );
+            assert_eq!(
+                img.subset(1).rects(),
+                &[Rect1::new(0, 0), Rect1::new(6, 7), Rect1::new(far, far)]
+            );
+            assert!(img.subset(2).is_empty());
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! `subtract`, `overlaps`) is one two-pointer pass over the runs of both
 //! operands and produces a canonical result directly — none of them sorts.
 //! Only [`IntervalSet::from_rects`] may sort, and only input that is not
-//! already ordered by `lo`. [`IntervalSet::intersect_count`] walks the
-//! same pass as `intersect` but only counts. When one side of a `union`, or
+//! already ordered by `lo`. `image_coords` (`dependent.rs`) reaches it only
+//! on its hypersparse arm; otherwise it reads its runs off a bitmap in
+//! order. [`IntervalSet::intersect_count`] walks the same pass as
+//! `intersect` but only counts. When one side of a `union`, or
 //! the one run of `other` inside `self`'s span in a `subtract`, is a single
 //! run, there is no pass: two binary searches and a copy of the runs it
 //! does not touch.
@@ -149,6 +151,22 @@ impl IntervalSet {
         });
         // Results of `from_rects` are mostly stored (partition subsets):
         // keep neither the caller's growth slack nor the coalesced-away tail.
+        rects.shrink_to_fit();
+        IntervalSet { rects }
+    }
+
+    /// A set from runs the caller already produced in canonical form
+    /// (sorted, disjoint, non-adjacent, none empty), kept as they are:
+    /// nothing sorts and nothing coalesces, so a caller that left two
+    /// touching runs apart yields a set unequal to every canonical one.
+    pub(crate) fn from_canonical(mut rects: Vec<Rect1>) -> Self {
+        debug_assert!(
+            rects.iter().all(|r| !r.is_empty())
+                && rects
+                    .windows(2)
+                    .all(|w| w[0].hi.saturating_add(1) < w[1].lo),
+            "runs not canonical: {rects:?}"
+        );
         rects.shrink_to_fit();
         IntervalSet { rects }
     }

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use spdistal_runtime::{image_rects, preimage_rects, IntervalSet, Partition, Rect1};
+use spdistal_runtime::{image_coords, image_rects, preimage_rects, IntervalSet, Partition, Rect1};
 
 fn arb_set() -> impl Strategy<Value = (IntervalSet, BTreeSet<i64>)> {
     proptest::collection::vec((0i64..100, 0i64..12), 0..12).prop_map(|pairs| {
@@ -75,6 +75,80 @@ fn arb_pos() -> impl Strategy<Value = (Vec<Rect1>, u64)> {
         }
         (pos, cur.max(1) as u64)
     })
+}
+
+/// A `crd` array, a partition of its positions and a destination length
+/// for `image_coords`. Colors may alias or be empty; values fall anywhere
+/// (negative and `>= dst_len` included), around a word boundary, or in a
+/// cluster across bit 128. The length is 0, 1, a few words, within a word
+/// of the arm threshold (`64 * points imaged`) on either side, or well past
+/// it (the sort arm).
+fn arb_image() -> impl Strategy<Value = (Vec<i64>, Partition, u64)> {
+    let values = proptest::collection::vec((0u64..1 << 20, 0u32..3), 0..48);
+    let runs = proptest::collection::vec((0i64..64, 0i64..12), 0..4);
+    let colors = proptest::collection::vec(runs, 1..5);
+    (values, colors, 0u32..5, 0u64..130).prop_map(|(values, colors, mode, k)| {
+        let n = values.len() as i64;
+        let subsets = colors
+            .into_iter()
+            .map(|runs| match n {
+                0 => IntervalSet::new(),
+                _ => runs
+                    .into_iter()
+                    .map(|(lo, len)| Rect1::new(lo % n, (lo % n + len).min(n - 1)))
+                    .collect(),
+            })
+            .collect();
+        let part = Partition::new(n as u64, subsets);
+        let points = part.total_assigned();
+        let dst_len = match mode {
+            0 => 0,
+            1 => 1,
+            2 => 2 + k,
+            3 => 64 * points + k,
+            _ => 64 * (points + 1) + 64 * k,
+        };
+        let crd = values
+            .into_iter()
+            .map(|(raw, kind)| match kind {
+                0 => (raw % (dst_len + 16)) as i64 - 8,
+                1 => 64 * (raw % 4) as i64 + (raw / 4 % 8) as i64 - 4,
+                _ => 120 + (raw % 16) as i64,
+            })
+            .collect();
+        (crd, part, dst_len)
+    })
+}
+
+/// `image_coords` of one color holding every position, over 64 coordinates
+/// per point: the bitmap arm.
+fn image_one_color(values: Vec<i64>) -> Vec<Rect1> {
+    let n = values.len() as u64;
+    let img = image_coords(&values, &Partition::equal(n, 1), 64 * n);
+    img.subset(0).rects().to_vec()
+}
+
+#[test]
+fn image_coords_reads_runs_across_word_boundaries() {
+    let span = |lo: i64, hi: i64| (lo..=hi).collect::<Vec<i64>>();
+    let run = Rect1::new;
+    // A run ending at bit 63, one starting at bit 64, and one across them.
+    assert_eq!(image_one_color(span(60, 63)), [run(60, 63)]);
+    assert_eq!(image_one_color(span(64, 70)), [run(64, 70)]);
+    assert_eq!(image_one_color(span(60, 66)), [run(60, 66)]);
+    assert_eq!(image_one_color(vec![63, 65]), [run(63, 63), run(65, 65)]);
+    // Whole words: the run's carry leaves bit 63.
+    assert_eq!(image_one_color(span(0, 63)), [run(0, 63)]);
+    assert_eq!(image_one_color(span(0, 191)), [run(0, 191)]);
+    // Three words, in any order of the input.
+    let mut three = span(40, 150);
+    assert_eq!(image_one_color(three.clone()), [run(40, 150)]);
+    three.reverse();
+    three.extend([3, 1, 200, 2]);
+    assert_eq!(
+        image_one_color(three),
+        [run(1, 3), run(40, 150), run(200, 200)]
+    );
 }
 
 proptest! {
@@ -203,6 +277,35 @@ proptest! {
         }
         for q in p.subset(1).iter_points() {
             prop_assert!(values[q as usize] >= split);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// Each color of `image_coords` holds exactly the in-range values at
+    /// its positions, whichever arm ran — compared by `==` with the
+    /// canonical set of the model's points, so a run left split fails too;
+    /// the sort arm, reached by widening the destination past the
+    /// threshold and clamping back, agrees.
+    #[test]
+    fn image_coords_matches_point_sets((crd, part, dst_len) in arb_image()) {
+        let img = image_coords(&crd, &part, dst_len);
+        prop_assert_eq!(img.parent_len(), dst_len);
+        prop_assert_eq!(img.num_colors(), part.num_colors());
+        let wide = image_coords(&crd, &part, 64 * (part.total_assigned() + 1) + dst_len);
+        let bound = IntervalSet::from_rect(Rect1::new(0, dst_len as i64 - 1));
+        for c in 0..part.num_colors() {
+            let model: BTreeSet<i64> = part
+                .subset(c)
+                .iter_points()
+                .map(|i| crd[i as usize])
+                .filter(|&v| v >= 0 && (v as u64) < dst_len)
+                .collect();
+            let expect: IntervalSet = model.iter().map(|&v| Rect1::new(v, v)).collect();
+            prop_assert_eq!(img.subset(c), &expect, "color {} of {:?}", c, crd);
+            prop_assert_eq!(&wide.subset(c).intersect(&bound), &expect);
         }
     }
 }
