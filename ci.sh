@@ -201,6 +201,9 @@ echo "==> coherence oracle sweep, optimised"
 # arm of `image_coords`: a shift by 64 panics in debug but wraps silently
 # when optimised, so only this run can catch a bad mask.
 cargo test -q --release -p spdistal-runtime somewhere_fetch
+# Launch replay against a runtime that costs every launch: the record's
+# key and the replayed clocks, by `to_bits`, optimised.
+cargo test -q --release -p spdistal-runtime --lib replay_
 cargo test -q --release -p spdistal-runtime --lib dependent
 cargo test -q --release -p spdistal-runtime --test geometry_props
 
@@ -229,8 +232,9 @@ cargo test -q --release -p spdistal-server -p spdistal-client -p spdistal-obs
 echo "==> golden tables: the paper's modelled figures, byte for byte"
 # The figure binaries print simulated time on the machine model: a pure
 # function of the code and SPDISTAL_SCALE, so the gate is exact. A diff here
-# means a modelled number of the paper's evaluation moved (fig13 takes 77 s
-# and stays a by-hand run). See docs/benchmarking.md.
+# means a modelled number of the paper's evaluation moved (fig13 takes ~12 s
+# on a 2-vCPU Xeon host, has no scale knob, and stays a by-hand run). See
+# docs/benchmarking.md.
 for fig in fig10_cpu_strong_scaling fig11_gpu_heatmap fig12_gpu_vs_cpu table2_datasets ablations; do
   SPDISTAL_SCALE=0.05 cargo run --release -q -p spdistal-bench --bin "$fig" |
     diff -u "crates/bench/golden/$fig.txt" - || {

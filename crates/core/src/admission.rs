@@ -165,10 +165,6 @@ impl<T> AdmissionQueue<T> {
         self.ready.notify_all();
     }
 
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed
-    }
-
     /// Jobs currently queued across all tenants.
     pub fn len(&self) -> usize {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).len

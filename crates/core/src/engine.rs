@@ -145,12 +145,16 @@ impl PlanCache {
                 if cross {
                     self.cross_tenant_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                trace.plan_cache_lookup(&key.to_string(), tenant, true, cross);
+                if trace.is_enabled() {
+                    trace.plan_cache_lookup(&key.to_string(), tenant, true, cross);
+                }
                 Some(Arc::clone(&entry.plan))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                trace.plan_cache_lookup(&key.to_string(), tenant, false, false);
+                if trace.is_enabled() {
+                    trace.plan_cache_lookup(&key.to_string(), tenant, false, false);
+                }
                 None
             }
         }

@@ -60,8 +60,11 @@
 //! derives the data movement from them — the stand-in id re-named to the
 //! output region the compute phase has sized by then, and for an assembled
 //! output one copy for the symbolic launch and the assembled ranges
-//! appended for the numeric one. Nothing is memoised across runs: the
-//! lists are moved, and rebuilt by the next describe.
+//! appended for the numeric one. The lists themselves are moved, and
+//! rebuilt by the next describe (cheaply: their subsets share the cached
+//! plan's runs). What *is* memoised across runs is the model's costing:
+//! the runtime keeps a record of the last launch of each name and replays
+//! a launch that repeats it (`spdistal_runtime::exec`, "Launch replay").
 //!
 //! | `plan` owns | `plan` does not own |
 //! |---|---|
@@ -791,11 +794,7 @@ pub(crate) fn finish_model(
     let procs = (0..plan.colors).map(|color| owner_proc(ctx, plan, color));
     let procs = procs.collect::<Result<Vec<usize>, Error>>()?;
     let time0 = ctx.runtime().now();
-    let stats0 = (
-        ctx.runtime().stats().comm_bytes,
-        ctx.runtime().stats().messages,
-        ctx.runtime().stats().total_ops,
-    );
+    let stats0 = ctx.runtime().stats().clone();
 
     let out_len = match &computed {
         Computed::Vals(v) => v.len() as u64,
@@ -857,6 +856,8 @@ pub(crate) fn finish_model(
     // issued record.
     let trace = ctx.trace().clone();
     trace.observe_ns("model.issue_ns", issue_t0.elapsed().as_nanos() as u64);
+    let replayed = ctx.runtime().stats().replayed - stats0.replayed;
+    trace.add("model.replayed", replayed);
     if trace.is_enabled() {
         for r in &issued {
             trace.model_launch(
@@ -919,9 +920,9 @@ pub(crate) fn finish_model(
         time: ctx.runtime().now() - time0,
         wall_time: (timing.drain - timing.start).max(0.0),
         launches: vec![timing],
-        comm_bytes: stats.comm_bytes - stats0.0,
-        messages: stats.messages - stats0.1,
-        ops: stats.total_ops - stats0.2,
+        comm_bytes: stats.comm_bytes - stats0.comm_bytes,
+        messages: stats.messages - stats0.messages,
+        ops: stats.total_ops - stats0.total_ops,
         records: issued,
         sched,
         merge,

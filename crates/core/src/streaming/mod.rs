@@ -83,11 +83,6 @@ impl DirtyMap {
         self.dirty_rows
     }
 
-    /// Number of blocks with at least one dirty row.
-    pub fn dirty_blocks(&self) -> usize {
-        self.blocks.iter().filter(|&&w| w != 0).count()
-    }
-
     /// Fraction of rows dirty (`0.0` for a zero-row map).
     pub fn ratio(&self) -> f64 {
         if self.rows == 0 {
@@ -149,16 +144,6 @@ impl DirtyMap {
             }
         }
         false
-    }
-
-    /// Merge another map's dirty rows into this one (same extent).
-    pub fn merge(&mut self, other: &DirtyMap) {
-        debug_assert_eq!(self.rows, other.rows);
-        self.dirty_rows = 0;
-        for (dst, src) in self.blocks.iter_mut().zip(&other.blocks) {
-            *dst |= src;
-        }
-        self.dirty_rows = self.blocks.iter().map(|w| w.count_ones() as usize).sum();
     }
 }
 
@@ -278,7 +263,6 @@ mod tests {
         m.mark(5);
         m.mark(130);
         assert_eq!(m.dirty_rows(), 2);
-        assert_eq!(m.dirty_blocks(), 2);
         assert!(m.is_dirty(5) && m.is_dirty(130));
         assert!(!m.is_dirty(6));
         assert!((m.ratio() - 0.01).abs() < 1e-12);
@@ -303,18 +287,6 @@ mod tests {
         assert!(!m.intersects_range(258, 299));
         assert!(!m.intersects_range(10, 5)); // inverted range
         assert!(!m.intersects_range(-10, -1));
-    }
-
-    #[test]
-    fn merge_unions_bitmaps() {
-        let mut a = DirtyMap::new(128);
-        let mut b = DirtyMap::new(128);
-        a.mark(3);
-        b.mark(3);
-        b.mark(100);
-        a.merge(&b);
-        assert_eq!(a.dirty_rows(), 2);
-        assert!(a.is_dirty(3) && a.is_dirty(100));
     }
 
     #[test]

@@ -300,14 +300,6 @@ impl Trace {
         self.record_at(ts_ns, 0, Event::LaunchFinish { launch, name });
     }
 
-    pub fn plan_cache_hit(&self, key: &str) {
-        self.plan_cache_lookup(key, None, true, false);
-    }
-
-    pub fn plan_cache_miss(&self, key: &str) {
-        self.plan_cache_lookup(key, None, false, false);
-    }
-
     /// One plan-cache lookup with tenant attribution: records the
     /// `PlanCacheHit`/`PlanCacheMiss` event and the `plan_cache.{hit,miss}`
     /// counters, a per-tenant `tenant.<name>.plan_cache.{hit,miss}` counter
@@ -544,7 +536,7 @@ mod tests {
         t.span(0, 0, 0, 10, 20);
         t.steal(1, 2, 3);
         t.steal_attempt(true);
-        t.plan_cache_hit("k");
+        t.plan_cache_lookup("k", None, true, false);
         t.auto_decision(0, 0, "outer-dim", "balanced");
         t.model_launch("spmv", 0.0, 0.1, 0.2, 0.1);
         assert!(t.recorder().is_none());
@@ -591,7 +583,7 @@ mod tests {
         t.plan_cache_lookup("k", Some("t1"), false, false);
         t.plan_cache_lookup("k", Some("t2"), true, true);
         t.plan_cache_lookup("k", Some("t1"), true, false);
-        t.plan_cache_hit("k"); // untenanted hit
+        t.plan_cache_lookup("k", None, true, false); // untenanted hit
         let m = t.metrics().unwrap();
         // Totals plus cross-tenant attribution.
         assert_eq!(m.counter("plan_cache.hit").get(), 3);

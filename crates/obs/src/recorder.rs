@@ -83,10 +83,6 @@ impl TraceRecorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    pub fn num_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     fn lane_slot(&self, lane: u32) -> usize {
         // Out-of-range worker lanes fold into the worker range rather than
         // panicking or silently landing on the control lane.

@@ -67,6 +67,37 @@
 //! modeled-overlap ratio deferred execution buys: 1 for a dependence chain
 //! (every launch gates on its predecessor, so spans tile), > 1 when
 //! independent launches with different critical processors overlap.
+//!
+//! ## Launch replay
+//!
+//! A cached program pass issues the same launches in the same coherence
+//! state as the pass before it, so — as Legion's dynamic tracing replays a
+//! recorded loop body — the runtime keeps one record per launch name: what
+//! the last costed launch of that name saw and did. **The key** is every
+//! task's processor, privileges and subsets; every named region's `len`,
+//! `elem_bytes`, `valid[·]`, `sys_valid` and `somewhere` at launch begin;
+//! and the `resident` vector. Neither `ops` nor `preds` is in it: both only
+//! feed the clocks, which a replay charges afresh. A launch whose key
+//! equals the record is **replayed**: each task advances the clocks by its
+//! recorded communication time plus its own compute, through
+//! `run_task`, the code the slow path charges with; the moving combines
+//! rendezvous again; the recorded end state and residency are installed.
+//! Anything else is costed and re-recorded; a failed launch never is.
+//!
+//! **Regions are named by position** — the order in which the requirements
+//! first name them — because a by-value write-back creates an output's
+//! renewed regions before it retires the old ones, so ids rotate from pass
+//! to pass while the state repeats up to that renaming.
+//!
+//! **A replay is bit-identical**: the slow path's state, residency and
+//! traffic are functions of the key, and the clocks advance by the same
+//! terms in the same order. The key is cheap to compare because
+//! [`IntervalSet`]s share their runs: the plan's subsets and the installed
+//! end state are clones of what the record holds, and equal allocations
+//! compare at once. See `docs/model.md`, "Launch replay".
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::geometry::IntervalSet;
 use crate::machine::{LinkProfile, Machine};
@@ -141,6 +172,9 @@ pub struct RunStats {
     pub launches: u64,
     /// Number of point tasks executed.
     pub tasks: u64,
+    /// Launches answered from the record of an earlier launch of the same
+    /// name instead of costed again (module docs, "Launch replay").
+    pub replayed: u64,
 }
 
 /// Record of one index launch.
@@ -193,6 +227,75 @@ impl ModelTiming {
     }
 }
 
+/// A launch's bookkeeping on the pipelined timeline while its tasks are
+/// charged: when it was issued, its first task start, its last completion,
+/// and the per-processor serialized load a synchronized start would
+/// observe (the launch's sequential span).
+struct LaunchClock {
+    issue: f64,
+    start: f64,
+    finish: f64,
+    seq_load: Vec<f64>,
+}
+
+impl LaunchClock {
+    fn new(issue: f64, procs: usize) -> Self {
+        LaunchClock {
+            issue,
+            start: f64::INFINITY,
+            finish: issue,
+            seq_load: vec![0.0; procs],
+        }
+    }
+}
+
+/// One region's size and coherence state, as a [`LaunchMemo`] keeps it:
+/// clones that share the runtime's runs.
+struct RegionState {
+    len: u64,
+    elem_bytes: u64,
+    valid: Vec<IntervalSet>,
+    sys_valid: IntervalSet,
+    somewhere: IntervalSet,
+}
+
+/// What the last costed launch of one name saw and did (module docs,
+/// "Launch replay"). Regions are named by position: `RegionId(k)` in
+/// `tasks` is the `k`-th region the launch's requirements name, and
+/// `begin[k]` / `end[k]` are its state.
+struct LaunchMemo {
+    /// Each task's processor and requirements.
+    tasks: Vec<(usize, Vec<RegionReq>)>,
+    begin: Vec<RegionState>,
+    resident: Vec<u64>,
+    charged: Charged,
+    /// `(comm_bytes, messages)` the launch added.
+    traffic: (u64, u64),
+    end: Vec<RegionState>,
+    end_resident: Vec<u64>,
+}
+
+/// What a costed launch charged the clocks, so a replay can charge them
+/// again.
+struct Charged {
+    /// Each task's communication time, in task order.
+    comm_times: Vec<f64>,
+    /// Each combine that moved data: its contributors and duration.
+    combines: Vec<(Vec<usize>, f64)>,
+}
+
+/// The regions `tasks` name, in order of first appearance: the positional
+/// names of a [`LaunchMemo`].
+fn named_regions(tasks: &[TaskSpec]) -> Vec<RegionId> {
+    let mut named = Vec::new();
+    for req in tasks.iter().flat_map(|t| &t.reqs) {
+        if !named.contains(&req.region) {
+            named.push(req.region);
+        }
+    }
+    named
+}
+
 /// The staging memory as [`Runtime::find_source`] names it.
 #[cfg(test)]
 const SYS_MEM: usize = usize::MAX;
@@ -226,9 +329,14 @@ pub struct Runtime {
     /// any launch was issued): the global serialization point.
     fence_launch: Option<LaunchId>,
     stats: RunStats,
+    /// The last costed launch of each name, for replay.
+    memos: HashMap<String, Arc<LaunchMemo>>,
     /// Route `fetch` through [`Runtime::transfer_per_proc`] (the oracle).
     #[cfg(test)]
     per_proc_oracle: bool,
+    /// Cost every launch, as if no launch ever repeated (the replay oracle).
+    #[cfg(test)]
+    replay_off: bool,
 }
 
 impl Runtime {
@@ -247,8 +355,11 @@ impl Runtime {
             model_finishes: Vec::new(),
             fence_launch: None,
             stats: RunStats::default(),
+            memos: HashMap::new(),
             #[cfg(test)]
             per_proc_oracle: false,
+            #[cfg(test)]
+            replay_off: false,
         }
     }
 
@@ -404,12 +515,51 @@ impl Runtime {
     ///
     /// An empty `preds` set means the launch is ready at time zero of the
     /// model timeline (it still waits for its processors).
+    ///
+    /// A launch that repeats the last costed launch of the same `name` —
+    /// same tasks, same state of every region they name, same residency —
+    /// is replayed from its record instead (module docs, "Launch replay"),
+    /// with the same result to the bit.
     pub fn index_launch_after(
         &mut self,
         name: &str,
-        tasks: Vec<TaskSpec>,
+        mut tasks: Vec<TaskSpec>,
         preds: &[LaunchId],
     ) -> Result<LaunchRecord, RuntimeError> {
+        let mut clock = LaunchClock::new(self.issue_time(preds)?, self.machine.num_procs());
+        let traffic0 = (self.stats.comm_bytes, self.stats.messages);
+        let named = named_regions(&tasks);
+        let memo = self.memos.get(name);
+        if let Some(memo) = memo.filter(|m| self.repeats(m, &tasks, &named)).cloned() {
+            self.replay(&memo, &tasks, &named, &mut clock);
+            return Ok(self.close_launch(name, tasks.len(), clock, traffic0));
+        }
+
+        // Not a repeat: cost it, then record it under positional names.
+        let begin: Vec<RegionState> = named.iter().map(|&r| self.region_state(r)).collect();
+        let resident = self.resident.clone();
+        let charged = self.issue_tasks(&tasks, &mut clock)?;
+        for req in tasks.iter_mut().flat_map(|t| &mut t.reqs) {
+            let pos = named.iter().position(|&r| r == req.region);
+            req.region = RegionId(pos.expect("every region is named") as u32);
+        }
+        let record = self.close_launch(name, tasks.len(), clock, traffic0);
+        let memo = LaunchMemo {
+            tasks: tasks.into_iter().map(|t| (t.proc, t.reqs)).collect(),
+            begin,
+            resident,
+            charged,
+            traffic: (record.comm_bytes, record.messages),
+            end: named.iter().map(|&r| self.region_state(r)).collect(),
+            end_resident: self.resident.clone(),
+        };
+        self.memos.insert(name.to_string(), Arc::new(memo));
+        Ok(record)
+    }
+
+    /// When a launch gated on `preds` becomes eligible: the latest of their
+    /// modeled finishes (0 for none).
+    fn issue_time(&self, preds: &[LaunchId]) -> Result<f64, RuntimeError> {
         let mut issue = 0.0f64;
         for id in preds {
             let finish = self.model_finishes.get(id.0).copied().ok_or({
@@ -420,10 +570,17 @@ impl Runtime {
             })?;
             issue = issue.max(finish);
         }
-        let bytes_before = self.stats.comm_bytes;
-        let msgs_before = self.stats.messages;
-        let ntasks = tasks.len();
+        Ok(issue)
+    }
 
+    /// The slow path: cost every requirement of every task against the
+    /// coherence state, apply the launch's writes and reductions, and
+    /// return what a replay needs to charge the same clocks again.
+    fn issue_tasks(
+        &mut self,
+        tasks: &[TaskSpec],
+        clock: &mut LaunchClock,
+    ) -> Result<Charged, RuntimeError> {
         // Group reduce requirements for the post-launch combine pass, in
         // first-named order (the combines advance clocks, so their order
         // must not depend on a hash seed).
@@ -431,15 +588,9 @@ impl Runtime {
         // Deferred write invalidations (applied after all comm is costed, so
         // sibling tasks in this launch can still source reads from old copies).
         let mut writes: Vec<(RegionId, usize, IntervalSet)> = Vec::new();
+        let mut comm_times = Vec::with_capacity(tasks.len());
 
-        // Pipelined-timeline bookkeeping: first task start, last completion,
-        // and the per-processor serialized load a synchronized start would
-        // observe (the launch's sequential span).
-        let mut model_start = f64::INFINITY;
-        let mut model_finish = issue;
-        let mut seq_load = vec![0.0f64; self.machine.num_procs()];
-
-        for task in &tasks {
+        for task in tasks {
             self.check_proc(task.proc)?;
             let p = task.proc;
             let mut comm_time = 0.0;
@@ -464,18 +615,8 @@ impl Runtime {
                     }
                 }
             }
-            let prof = &self.machine.profile().proc;
-            let compute = prof.task_overhead + task.ops / prof.throughput;
-            let dur = comm_time + compute;
-            self.proc_ready[p] += dur;
-            // Pipelined timeline: wait for predecessors, then the processor.
-            let start = self.model_ready[p].max(issue);
-            self.model_ready[p] = start + dur;
-            model_start = model_start.min(start);
-            model_finish = model_finish.max(start + dur);
-            seq_load[p] += dur;
-            self.stats.total_ops += task.ops;
-            self.stats.tasks += 1;
+            self.run_task(p, comm_time, task.ops, clock);
+            comm_times.push(comm_time);
         }
 
         // Apply write coherence: writer's copy is the only valid one. Only
@@ -503,25 +644,137 @@ impl Runtime {
         }
 
         // Combine reduction partials: elements produced by more than one
-        // task must be exchanged and summed. The combine is replayed
-        // against `seq_load` too (rendezvous of the contributors'
-        // synchronized-start loads), so `seq_span` stays exactly the
-        // launch's standalone makespan — the combine overlaps a busier
-        // non-contributing processor instead of extending it serially.
-        for (r, contribs) in reduces {
-            let model_end = self.combine_reductions(r, contribs, &mut seq_load);
-            model_finish = model_finish.max(model_end);
-        }
-        let seq_span = seq_load.iter().copied().fold(0.0, f64::max);
+        // task must be exchanged and summed.
+        let combines = reduces
+            .into_iter()
+            .filter_map(|(r, contribs)| self.combine_reductions(r, contribs, clock))
+            .collect();
+        Ok(Charged {
+            comm_times,
+            combines,
+        })
+    }
 
+    /// Charge one task that spends `comm_time` fetching and then computes
+    /// `ops`: on the canonical clock, on the pipelined timeline behind the
+    /// launch's issue, and in the launch's synchronized-start loads.
+    fn run_task(&mut self, p: usize, comm_time: f64, ops: f64, clock: &mut LaunchClock) {
+        let prof = &self.machine.profile().proc;
+        let compute = prof.task_overhead + ops / prof.throughput;
+        let dur = comm_time + compute;
+        self.proc_ready[p] += dur;
+        // Pipelined timeline: wait for predecessors, then the processor.
+        let start = self.model_ready[p].max(clock.issue);
+        self.model_ready[p] = start + dur;
+        clock.start = clock.start.min(start);
+        clock.finish = clock.finish.max(start + dur);
+        clock.seq_load[p] += dur;
+        self.stats.total_ops += ops;
+        self.stats.tasks += 1;
+    }
+
+    /// Replay a launch [`Runtime::repeats`] matched against `memo`: every
+    /// task's clocks advance by the recorded communication time plus its
+    /// own compute, the moving combines rendezvous again, and the coherence
+    /// state and residency become the recorded end state.
+    fn replay(
+        &mut self,
+        memo: &LaunchMemo,
+        tasks: &[TaskSpec],
+        named: &[RegionId],
+        clock: &mut LaunchClock,
+    ) {
+        for (task, &comm_time) in tasks.iter().zip(&memo.charged.comm_times) {
+            self.run_task(task.proc, comm_time, task.ops, clock);
+        }
+        for (procs, dur) in &memo.charged.combines {
+            self.rendezvous(procs, *dur, clock);
+        }
+        self.stats.comm_bytes += memo.traffic.0;
+        self.stats.messages += memo.traffic.1;
+        for (&r, end) in named.iter().zip(&memo.end) {
+            let ri = r.0 as usize;
+            self.valid[ri].clone_from(&end.valid);
+            self.sys_valid[ri] = end.sys_valid.clone();
+            self.somewhere[ri] = end.somewhere.clone();
+        }
+        self.resident.copy_from_slice(&memo.end_resident);
+        self.stats.replayed += 1;
+    }
+
+    /// Whether a launch of `tasks` (naming `named`) would do exactly what
+    /// `memo` recorded: the same tasks on the same processors with the same
+    /// requirements up to the regions' positional names, the same
+    /// residency, and every named region of the same size in the same
+    /// coherence state. Shared runs answer each comparison at once.
+    fn repeats(&self, memo: &LaunchMemo, tasks: &[TaskSpec], named: &[RegionId]) -> bool {
+        #[cfg(test)]
+        if self.replay_off {
+            return false;
+        }
+        let same_req = |now: &RegionReq, then: &RegionReq| {
+            now.privilege == then.privilege
+                && named.get(then.region.0 as usize) == Some(&now.region)
+                && now.subset == then.subset
+        };
+        let same_task = |now: &TaskSpec, (proc, reqs): &(usize, Vec<RegionReq>)| {
+            now.proc == *proc
+                && now.reqs.len() == reqs.len()
+                && now.reqs.iter().zip(reqs).all(|(a, b)| same_req(a, b))
+        };
+        tasks.len() == memo.tasks.len()
+            && tasks.iter().zip(&memo.tasks).all(|(t, m)| same_task(t, m))
+            && self.resident == memo.resident
+            && named.len() == memo.begin.len()
+            && named
+                .iter()
+                .zip(&memo.begin)
+                .all(|(&r, then)| self.holds(r, then))
+    }
+
+    /// Whether region `r` is now of `state`'s size and in its coherence
+    /// state.
+    fn holds(&self, r: RegionId, state: &RegionState) -> bool {
+        let ri = r.0 as usize;
+        let meta = &self.regions[ri];
+        meta.len == state.len
+            && meta.elem_bytes == state.elem_bytes
+            && self.valid[ri] == state.valid
+            && self.sys_valid[ri] == state.sys_valid
+            && self.somewhere[ri] == state.somewhere
+    }
+
+    /// Region `r`'s size and coherence state, sharing the runtime's runs.
+    fn region_state(&self, r: RegionId) -> RegionState {
+        let ri = r.0 as usize;
+        RegionState {
+            len: self.regions[ri].len,
+            elem_bytes: self.regions[ri].elem_bytes,
+            valid: self.valid[ri].clone(),
+            sys_valid: self.sys_valid[ri].clone(),
+            somewhere: self.somewhere[ri].clone(),
+        }
+    }
+
+    /// The bookkeeping both paths share once the tasks are charged: the
+    /// launch's [`ModelTiming`], its id, the fence and the traffic it added
+    /// since `traffic0`.
+    fn close_launch(
+        &mut self,
+        name: &str,
+        ntasks: usize,
+        clock: LaunchClock,
+        traffic0: (u64, u64),
+    ) -> LaunchRecord {
+        let seq_span = clock.seq_load.iter().copied().fold(0.0, f64::max);
         let model = ModelTiming {
-            issue,
-            start: if model_start.is_finite() {
-                model_start
+            issue: clock.issue,
+            start: if clock.start.is_finite() {
+                clock.start
             } else {
-                issue
+                clock.issue
             },
-            finish: model_finish,
+            finish: clock.finish,
             seq_span,
         };
         let id = LaunchId(self.model_finishes.len());
@@ -534,15 +787,15 @@ impl Runtime {
         self.model_finishes.push(model.finish);
 
         self.stats.launches += 1;
-        Ok(LaunchRecord {
+        LaunchRecord {
             name: name.to_string(),
             tasks: ntasks,
-            comm_bytes: self.stats.comm_bytes - bytes_before,
-            messages: self.stats.messages - msgs_before,
+            comm_bytes: self.stats.comm_bytes - traffic0.0,
+            messages: self.stats.messages - traffic0.1,
             clock_after: self.now(),
             id,
             model,
-        })
+        }
     }
 
     /// Copy the missing part of `req.subset` into `proc`'s memory, returning
@@ -678,22 +931,20 @@ impl Runtime {
 
     /// Model the combine phase for reduction privileges: the elements
     /// assigned to multiple contributors (aliased partials) are exchanged
-    /// over the interconnect and summed in a log-depth tree. The rendezvous
-    /// is charged on all three clock sets — the canonical clocks, the
-    /// pipelined model clocks, and the launch's synchronized-start loads in
-    /// `seq_load` — and the combine's completion time on the pipelined
-    /// timeline is returned (0.0 when nothing moves).
+    /// over the interconnect and summed in a log-depth tree, a rendezvous
+    /// of the contributors ([`Runtime::rendezvous`]). Returns the
+    /// contributors and the combine's duration when anything moved.
     fn combine_reductions(
         &mut self,
         r: RegionId,
         contribs: Vec<(usize, IntervalSet)>,
-        seq_load: &mut [f64],
-    ) -> f64 {
+        clock: &mut LaunchClock,
+    ) -> Option<(Vec<usize>, f64)> {
         if contribs.len() <= 1 {
             if let Some((p, s)) = contribs.into_iter().next() {
                 self.add_copy(r, p, &s);
             }
-            return 0.0;
+            return None;
         }
         let elem_bytes = self.regions[r.0 as usize].elem_bytes;
         // Excess = total assigned − union: the replicated elements that must
@@ -705,7 +956,7 @@ impl Runtime {
             union = union.union(s);
         }
         let excess = total - union.total_len();
-        let mut model_end = 0.0;
+        let mut moved = None;
         if excess > 0 {
             let link = self.machine.profile().inter_link;
             let k = contribs.len() as f64;
@@ -713,24 +964,35 @@ impl Runtime {
             let t_comm = link.latency * k.log2().ceil() + bytes as f64 / link.bandwidth;
             let t_compute = excess as f64 / self.machine.profile().proc.throughput;
             let dur = t_comm + t_compute;
-            // Contributors rendezvous: reduction completes after the slowest.
-            let rendezvous =
-                |clocks: &[f64]| contribs.iter().map(|(p, _)| clocks[*p]).fold(0.0, f64::max) + dur;
-            let end = rendezvous(&self.proc_ready);
-            model_end = rendezvous(&self.model_ready);
-            let seq_end = rendezvous(seq_load);
-            for (p, _) in &contribs {
-                self.proc_ready[*p] = end;
-                self.model_ready[*p] = model_end;
-                seq_load[*p] = seq_end;
-            }
+            let procs: Vec<usize> = contribs.iter().map(|(p, _)| *p).collect();
+            self.rendezvous(&procs, dur, clock);
             self.stats.comm_bytes += bytes;
             self.stats.messages += contribs.len() as u64 - 1;
+            moved = Some((procs, dur));
         }
         for (p, s) in contribs {
             self.add_copy(r, p, &s);
         }
-        model_end
+        moved
+    }
+
+    /// A combine of duration `dur` among `procs`: it completes `dur` after
+    /// the slowest contributor, and is charged on all three clock sets —
+    /// the canonical clocks, the pipelined model clocks, and the launch's
+    /// synchronized-start loads — so `seq_span` stays exactly the launch's
+    /// standalone makespan: the combine overlaps a busier non-contributing
+    /// processor instead of extending it serially.
+    fn rendezvous(&mut self, procs: &[usize], dur: f64, clock: &mut LaunchClock) {
+        let after = |clocks: &[f64]| procs.iter().map(|&p| clocks[p]).fold(0.0, f64::max) + dur;
+        let end = after(&self.proc_ready);
+        let model_end = after(&self.model_ready);
+        let seq_end = after(&clock.seq_load);
+        for &p in procs {
+            self.proc_ready[p] = end;
+            self.model_ready[p] = model_end;
+            clock.seq_load[p] = seq_end;
+        }
+        clock.finish = clock.finish.max(model_end);
     }
 
     fn check_proc(&self, p: usize) -> Result<(), RuntimeError> {
@@ -1219,6 +1481,301 @@ mod tests {
                 assert_eq!(new.stats().messages, old.stats().messages);
             }
         }
+    }
+
+    /// A launch's observables, floats by `to_bits`.
+    type Observed = (u64, u64, u64, [u64; 4], LaunchId);
+
+    fn observed(rec: &LaunchRecord) -> Observed {
+        let m = &rec.model;
+        let model = [m.issue, m.start, m.finish, m.seq_span].map(f64::to_bits);
+        (
+            rec.comm_bytes,
+            rec.messages,
+            rec.clock_after.to_bits(),
+            model,
+            rec.id,
+        )
+    }
+
+    /// A runtime that replays and one that costs every launch, driven alike.
+    struct Pair([Runtime; 2]);
+
+    impl Pair {
+        fn new(procs: usize, profile: &MachineProfile) -> Pair {
+            let mut pair = [0, 1].map(|_| Runtime::new(Machine::grid1d(procs, profile.clone())));
+            pair[1].replay_off = true;
+            Pair(pair)
+        }
+
+        /// Apply `step` to both runtimes; both must answer the same.
+        fn both<T: PartialEq + std::fmt::Debug>(&mut self, step: impl Fn(&mut Runtime) -> T) -> T {
+            let [fast, slow] = &mut self.0;
+            let answer = step(fast);
+            assert_eq!(answer, step(slow));
+            answer
+        }
+
+        /// Issue `tasks` as `name` on both, launch-at-a-time, and say
+        /// whether the replaying runtime replayed it.
+        fn launch(&mut self, name: &str, tasks: &[TaskSpec]) -> bool {
+            let before = self.0[0].stats().replayed;
+            let issued = self.both(|rt| launch(rt, name, tasks.to_vec()).map(|rec| observed(&rec)));
+            self.assert_same();
+            issued.is_ok() && self.0[0].stats().replayed > before
+        }
+
+        /// Every observable of the two runtimes agrees, floats by `to_bits`.
+        fn assert_same(&self) {
+            let [a, b] = &self.0;
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&a.proc_ready), bits(&b.proc_ready));
+            assert_eq!(bits(&a.model_ready), bits(&b.model_ready));
+            assert_eq!(bits(&a.model_finishes), bits(&b.model_finishes));
+            assert_eq!(a.fence_launch, b.fence_launch);
+            assert_eq!(a.resident, b.resident);
+            let (sa, sb) = (a.stats(), b.stats());
+            assert_eq!(
+                (sa.comm_bytes, sa.messages, sa.tasks, sa.launches),
+                (sb.comm_bytes, sb.messages, sb.tasks, sb.launches)
+            );
+            assert_eq!(sa.total_ops.to_bits(), sb.total_ops.to_bits());
+            assert_eq!(a.live_regions(), b.live_regions());
+            for ri in 0..a.regions.len() {
+                assert_eq!(a.valid[ri], b.valid[ri], "region {ri}");
+                assert_eq!(a.sys_valid[ri], b.sys_valid[ri], "region {ri}");
+                assert_eq!(a.somewhere[ri], b.somewhere[ri], "region {ri}");
+            }
+        }
+    }
+
+    /// Replace `old` by a new region holding what it holds (its staging
+    /// copy only when that is the whole region), created before `old` is
+    /// retired — a renewal under another id, as a by-value write-back does.
+    fn renew(rt: &mut Runtime, old: RegionId) -> Result<RegionId, RuntimeError> {
+        let RegionMeta {
+            len, elem_bytes, ..
+        } = *rt.region(old);
+        let new = rt.create_region("renewed", len, elem_bytes);
+        for q in 0..rt.machine().num_procs() {
+            rt.attach(new, q, rt.valid_in(old, q).clone())?;
+        }
+        if rt.sys_valid[old.0 as usize].total_len() == len {
+            rt.attach_sys(new);
+        }
+        rt.retire_region(old);
+        Ok(new)
+    }
+
+    /// Per task a processor and requirements (region index, privilege,
+    /// subset).
+    type Template = Vec<(usize, Vec<(usize, Privilege, IntervalSet)>)>;
+
+    /// The replay oracle: a few named launch templates re-issued between
+    /// random `attach` / `attach_sys` / `evict` / renewal /
+    /// `retire_region` + `create_region` steps, on a runtime that replays
+    /// and on one that costs every launch — one processor per node, four,
+    /// and a memory small enough to run out. After every step both agree
+    /// on every observable ([`Pair::assert_same`]); launches replayed and
+    /// launches costed again both occur.
+    #[test]
+    fn replay_matches_a_runtime_that_costs_every_launch() {
+        const LEN: u64 = 120;
+        let profiles = [
+            MachineProfile::lassen_cpu(),
+            MachineProfile::lassen_gpu(1.0),
+            MachineProfile::test_profile_with_capacity(2000),
+        ];
+        let (mut replayed, mut costed) = (0, 0);
+        for (seed, profile) in (1..=90u64).zip(profiles.iter().cycle()) {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let procs = 1 + rng.below(8) as usize;
+            let mut pair = Pair::new(procs, profile);
+            let mut regions: Vec<RegionId> = (0..3)
+                .map(|k| pair.both(|rt| rt.create_region(&format!("r{k}"), LEN, 8)))
+                .collect();
+            // Three templates of 1–4 tasks with 1–2 requirements each, one
+            // privilege kind per launch for reductions (Legion forbids
+            // mixing them).
+            let templates: Vec<Template> = (0..3)
+                .map(|_| {
+                    let reduce = rng.below(4) == 0;
+                    (0..1 + rng.below(4))
+                        .map(|_| {
+                            let proc = rng.below(procs as u64) as usize;
+                            let reqs = (0..1 + rng.below(2))
+                                .map(|_| {
+                                    let privilege = match (reduce, rng.below(2)) {
+                                        (true, _) => Privilege::Reduce,
+                                        (false, 0) => Privilege::Read,
+                                        (false, _) => Privilege::ReadWrite,
+                                    };
+                                    (rng.below(3) as usize, privilege, rng.subset(LEN))
+                                })
+                                .collect();
+                            (proc, reqs)
+                        })
+                        .collect()
+                })
+                .collect();
+            for step in 0..80 {
+                let k = rng.below(3) as usize;
+                let r = regions[k];
+                let p = rng.below(procs as u64) as usize;
+                match rng.below(12) {
+                    0 => {
+                        let s = rng.subset(LEN);
+                        // An out-of-memory error is an answer too.
+                        let _ = pair.both(|rt| rt.attach(r, p, s.clone()));
+                    }
+                    1 => pair.both(|rt| rt.attach_sys(r)),
+                    2 => {
+                        let s = rng.subset(LEN);
+                        pair.both(|rt| rt.evict(r, p, &s));
+                    }
+                    3 => {
+                        if let Ok(new) = pair.both(|rt| renew(rt, r)) {
+                            regions[k] = new;
+                        }
+                    }
+                    4 if step % 4 == 0 => {
+                        // Sometimes with other element sizes, in the same
+                        // (empty) state.
+                        let elem_bytes = 8 >> rng.below(2);
+                        pair.both(|rt| {
+                            rt.retire_region(r);
+                            assert_eq!(rt.create_region("again", LEN, elem_bytes), r);
+                        })
+                    }
+                    _ => {
+                        // One template, issued one to three times in a row
+                        // with fresh operation counts (not part of the key);
+                        // some runs renew what it reduces into before each
+                        // issue, as a program's per-run output region is.
+                        let t = rng.below(3) as usize;
+                        let fresh_outputs = rng.below(3) == 0;
+                        for _ in 0..1 + rng.below(3) {
+                            for (_, reqs) in &templates[t] {
+                                for (k, privilege, _) in reqs {
+                                    if fresh_outputs && *privilege == Privilege::Reduce {
+                                        let r = regions[*k];
+                                        pair.both(|rt| {
+                                            rt.retire_region(r);
+                                            assert_eq!(rt.create_region("out", LEN, 8), r);
+                                        });
+                                    }
+                                }
+                            }
+                            let mut tasks: Vec<TaskSpec> = templates[t]
+                                .iter()
+                                .map(|(proc, reqs)| TaskSpec {
+                                    proc: *proc,
+                                    ops: rng.below(1000) as f64,
+                                    reqs: reqs
+                                        .iter()
+                                        .map(|(k, privilege, subset)| RegionReq {
+                                            region: regions[*k],
+                                            subset: subset.clone(),
+                                            privilege: *privilege,
+                                        })
+                                        .collect(),
+                                })
+                                .collect();
+                            // A near-hit: one requirement's subset or
+                            // region differs.
+                            if rng.below(4) == 0 {
+                                let task = rng.below(tasks.len() as u64) as usize;
+                                let reqs = &mut tasks[task].reqs;
+                                let k = rng.below(reqs.len() as u64) as usize;
+                                let req = &mut reqs[k];
+                                match (rng.below(3), req.privilege) {
+                                    (0, _) => req.subset = rng.subset(LEN),
+                                    (1, _) => req.region = regions[rng.below(3) as usize],
+                                    (_, Privilege::Read) => req.privilege = Privilege::ReadWrite,
+                                    (_, Privilege::ReadWrite) => req.privilege = Privilege::Read,
+                                    (_, Privilege::Reduce) => {}
+                                }
+                            }
+                            match pair.launch(&format!("t{t}"), &tasks) {
+                                true => replayed += 1,
+                                false => costed += 1,
+                            }
+                        }
+                    }
+                }
+                pair.assert_same();
+            }
+        }
+        assert!(
+            replayed > 100 && costed > 100,
+            "{replayed} replayed, {costed} costed"
+        );
+    }
+
+    /// The near-hits a replay must refuse — a changed residency, an evicted
+    /// run, another processor — and the repeats it must accept: the same
+    /// content in other allocations, a renewed region under another id,
+    /// other operation counts.
+    #[test]
+    fn replay_rejects_near_hits_and_accepts_equal_copies() {
+        let mut pair = Pair::new(2, &MachineProfile::test_profile());
+        let x = pair.both(|rt| rt.create_region("x", 100, 8));
+        let y = pair.both(|rt| rt.create_region("y", 100, 8));
+        let whole = IntervalSet::from_rect(Rect1::new(0, 99));
+        pair.both(|rt| rt.attach(x, 0, whole.clone())).unwrap();
+        let read = |x: RegionId, proc: usize, ops: f64| {
+            let half = IntervalSet::from_rect(Rect1::new(0, 49));
+            vec![TaskSpec::new(proc, ops).with_req(RegionReq::read(x, half))]
+        };
+        // New name; proc 1 has fetched since; then a repeat whose read
+        // subset is a fresh allocation of the same runs.
+        assert!(!pair.launch("r", &read(x, 1, 10.0)));
+        assert!(!pair.launch("r", &read(x, 1, 10.0)));
+        assert!(pair.launch("r", &read(x, 1, 20.0)));
+
+        // Another region's copy changes proc 0's residency: refused once.
+        pair.both(|rt| rt.attach(y, 0, whole.clone())).unwrap();
+        assert!(!pair.launch("r", &read(x, 1, 10.0)));
+        assert!(pair.launch("r", &read(x, 1, 10.0)));
+
+        // A run of x evicted from proc 0: refused once.
+        let tail = IntervalSet::from_rect(Rect1::new(90, 99));
+        pair.both(|rt| rt.evict(x, 0, &tail));
+        assert!(!pair.launch("r", &read(x, 1, 10.0)));
+        assert!(pair.launch("r", &read(x, 1, 10.0)));
+
+        // Re-attaching what proc 1 holds rebuilds its set and `somewhere`
+        // as other allocations of the same runs: still a repeat.
+        let held = pair.0[0].valid_in(x, 1).rects().as_ptr();
+        let half = IntervalSet::from_rect(Rect1::new(0, 49));
+        pair.both(|rt| rt.attach(x, 1, half.clone())).unwrap();
+        assert_ne!(pair.0[0].valid_in(x, 1).rects().as_ptr(), held);
+        assert!(pair.launch("r", &read(x, 1, 10.0)));
+
+        // Renewed under another id, in the same state: a repeat.
+        let renewed = pair.both(|rt| renew(rt, x)).unwrap();
+        assert_ne!(renewed, x);
+        assert!(pair.launch("r", &read(renewed, 1, 10.0)));
+
+        // The same requirement from the other processor: refused.
+        assert!(!pair.launch("r", &read(renewed, 0, 10.0)));
+
+        // Aliased partials combine; a renewed output region in the same
+        // state replays the combine's rendezvous.
+        let z = pair.both(|rt| rt.create_region("z", 100, 8));
+        let reduce = |p: usize, lo: i64, ops: f64| {
+            let part = IntervalSet::from_rect(Rect1::new(lo, lo + 59));
+            TaskSpec::new(p, ops).with_req(RegionReq::reduce(z, part))
+        };
+        for (ops, replays) in [(5.0e5, false), (1.0e3, true), (7.0e4, true)] {
+            pair.both(|rt| {
+                rt.retire_region(z);
+                assert_eq!(rt.create_region("z", 100, 8), z);
+            });
+            let tasks = [reduce(0, 0, ops), reduce(1, 40, 2.0 * ops)];
+            assert_eq!(pair.launch("sum", &tasks), replays);
+        }
+        assert_eq!(pair.0[0].stats().replayed, 7);
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //! overflowing, so a run ending at `i64::MAX` is legal. [`Rect1::len`]
 //! saturates at `u64::MAX` for the one interval (`[i64::MIN, i64::MAX]`)
 //! whose length does not fit.
+//!
+//! ## Sharing
+//!
+//! A set's runs sit behind an [`Arc`]: every constructor wraps the `Vec` it
+//! builds, and no operation writes into an existing set's runs, so a clone
+//! is a reference-count bump and two clones share one allocation. Equality
+//! answers at once for two sets that share one, which is what lets the
+//! machine model keep a launch's coherence state and compare it later
+//! without copying or walking it (`exec.rs`, "Launch replay").
+
+use std::sync::Arc;
 
 /// An inclusive 1-D interval `[lo, hi]`. Empty iff `lo > hi`.
 ///
@@ -106,10 +117,21 @@ impl Rect1 {
 /// [`crate::partition::Partition`]. Subsets of *different* colors may overlap
 /// (partitions in the Legion model are allowed to alias); the invariants here
 /// apply only within a single set.
-#[derive(Clone, PartialEq, Eq, Default)]
+///
+/// The runs are shared and never written in place (see "Sharing" above):
+/// a clone costs a reference-count bump.
+#[derive(Clone, Default)]
 pub struct IntervalSet {
-    rects: Vec<Rect1>,
+    rects: Arc<Vec<Rect1>>,
 }
+
+impl PartialEq for IntervalSet {
+    fn eq(&self, other: &IntervalSet) -> bool {
+        Arc::ptr_eq(&self.rects, &other.rects) || self.rects == other.rects
+    }
+}
+
+impl Eq for IntervalSet {}
 
 impl std::fmt::Debug for IntervalSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -120,7 +142,14 @@ impl std::fmt::Debug for IntervalSet {
 impl IntervalSet {
     /// The empty set.
     pub fn new() -> Self {
-        IntervalSet { rects: Vec::new() }
+        Self::wrap(Vec::new())
+    }
+
+    /// The one way runs become a set: behind a fresh, unshared [`Arc`].
+    fn wrap(rects: Vec<Rect1>) -> Self {
+        IntervalSet {
+            rects: Arc::new(rects),
+        }
     }
 
     /// A set holding exactly the points of `r`.
@@ -128,7 +157,7 @@ impl IntervalSet {
         if r.is_empty() {
             Self::new()
         } else {
-            IntervalSet { rects: vec![r] }
+            Self::wrap(vec![r])
         }
     }
 
@@ -152,7 +181,7 @@ impl IntervalSet {
         // Results of `from_rects` are mostly stored (partition subsets):
         // keep neither the caller's growth slack nor the coalesced-away tail.
         rects.shrink_to_fit();
-        IntervalSet { rects }
+        Self::wrap(rects)
     }
 
     /// A set from runs the caller already produced in canonical form
@@ -168,13 +197,16 @@ impl IntervalSet {
             "runs not canonical: {rects:?}"
         );
         rects.shrink_to_fit();
-        IntervalSet { rects }
+        Self::wrap(rects)
     }
 
     /// Release capacity beyond the stored runs. Sets that live on (coherence
     /// state, partitions) call this so a merge's scratch space is not kept.
+    /// A set that shares its runs with another is left as it is.
     pub fn shrink_to_fit(&mut self) {
-        self.rects.shrink_to_fit();
+        if let Some(rects) = Arc::get_mut(&mut self.rects) {
+            rects.shrink_to_fit();
+        }
     }
 
     /// The normalized intervals of the set.
@@ -245,7 +277,7 @@ impl IntervalSet {
         out.extend_from_slice(&self.rects[..lo]);
         out.push(merged);
         out.extend_from_slice(&self.rects[hi..]);
-        IntervalSet { rects: out }
+        Self::wrap(out)
     }
 
     /// The merge behind [`IntervalSet::union`]: two pointers over the run
@@ -267,7 +299,7 @@ impl IntervalSet {
                 _ => out.push(r),
             }
         }
-        IntervalSet { rects: out }
+        Self::wrap(out)
     }
 
     /// `self ∪= other`, for sets that are stored: the result keeps none of
@@ -288,9 +320,7 @@ impl IntervalSet {
     /// canonical sets intersect to a canonical set and the output is
     /// returned as is.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
-        IntervalSet {
-            rects: pieces(&self.rects, &other.rects).collect(),
-        }
+        Self::wrap(pieces(&self.rects, &other.rects).collect())
     }
 
     /// `(total_len, num_runs)` of `self ∩ other`, counted without building
@@ -345,7 +375,7 @@ impl IntervalSet {
         out.extend_from_slice(before);
         out.extend(pieces.into_iter().flatten());
         out.extend_from_slice(after);
-        IntervalSet { rects: out }
+        Self::wrap(out)
     }
 
     /// The merge behind [`IntervalSet::subtract`]: `self` minus the sorted,
@@ -353,7 +383,7 @@ impl IntervalSet {
     fn subtract_walk(&self, cuts: &[Rect1]) -> IntervalSet {
         let mut out = Vec::with_capacity(self.rects.len() + cuts.len());
         let mut j = 0;
-        for &r in &self.rects {
+        for &r in self.rects.iter() {
             let mut cur = r;
             while j < cuts.len() && cuts[j].hi < cur.lo {
                 j += 1;
@@ -375,7 +405,7 @@ impl IntervalSet {
                 out.push(cur);
             }
         }
-        IntervalSet { rects: out }
+        Self::wrap(out)
     }
 
     /// True iff the two sets share at least one point.

@@ -117,11 +117,6 @@ impl Partition {
         &self.subsets
     }
 
-    /// Replace the subset of one color.
-    pub fn set_subset(&mut self, color: usize, s: IntervalSet) {
-        self.subsets[color] = s;
-    }
-
     /// True iff no point is assigned to two different colors.
     pub fn is_disjoint(&self) -> bool {
         for i in 0..self.subsets.len() {

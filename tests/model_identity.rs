@@ -5,7 +5,8 @@
 //! commit; any change that moves them changed the paper's cost model.
 //!
 //! A second test runs the chain 2 000 times and checks that the runtime's
-//! state is bounded by the program rather than by its age.
+//! state is bounded by the program rather than by its age, and that from
+//! the third iteration on the model replays every launch.
 
 use spdistal_repro::sparse::{convert, dense_matrix, dense_vector, generate};
 use spdistal_repro::spdistal::prelude::*;
@@ -264,7 +265,8 @@ struct Steady {
 /// re-registers its output tensor, and retires what they replace, so the
 /// runtime's region table and residency at iteration 2 000 are those of
 /// iteration 10, and from iteration 3 on (plans cached, schedules settled)
-/// every iteration costs the model the same. `ExecResult::time` is a
+/// every iteration costs the model the same — so from then on the model
+/// replays every launch from its record instead of costing it again. `ExecResult::time` is a
 /// difference of the ever-growing canonical clock, so it repeats to
 /// rounding (last bits move with the clock's magnitude, as they did at the
 /// parent commit — see `CHAIN[4]`), not bit for bit; what it is made of
@@ -293,11 +295,22 @@ fn a_long_lived_program_stays_the_size_of_its_program() {
     // Every iteration from the third on equals the third — so in particular
     // iteration 2 000 equals iteration 10.
     let mut third = None;
+    let counts = |program: &CompiledProgram| {
+        let stats = program.context().runtime().stats();
+        (stats.launches, stats.replayed)
+    };
     for i in 1..=2000 {
+        let (launches, replayed) = counts(&program);
         program.run().unwrap();
         if i < 3 {
             continue;
         }
+        let (launches_now, replayed_now) = counts(&program);
+        assert_eq!(
+            replayed_now - replayed,
+            launches_now - launches,
+            "iteration {i} costed a launch again"
+        );
         let (now, t) = (steady_at(&program), time(&program));
         let (reference, t3) = third.get_or_insert_with(|| (steady_at(&program), t));
         assert_eq!(&now, reference, "iteration {i} differs from iteration 3");
