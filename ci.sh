@@ -63,8 +63,8 @@ if ! git ls-files 'crates/*.rs' | xargs awk '
 fi
 # An output is written back by value into its registration, or re-registered:
 # `plan.rs` calls `replace_tensor_data` from one place, the re-registration
-# arm, and `materialize_output` builds a pattern-aligned output around a copy
-# of the driver's levels, never a clone of the whole driver.
+# arm, and `materialize_output` builds a pattern-aligned output around the
+# driver's shared levels, never a clone of the whole driver.
 calls="$(grep -v '^[[:space:]]*//' crates/core/src/plan.rs | grep -c 'replace_tensor_data(' || true)"
 if [ "$calls" != 1 ]; then
   echo "plan.rs calls replace_tensor_data $calls times: only the re-registration arm may"; exit 1
@@ -72,7 +72,26 @@ fi
 materialize_body="$(awk '/^fn materialize_output\(/ { f = 1 } f { print } f && /^}$/ { exit }' crates/core/src/plan.rs)"
 [ -n "$materialize_body" ] || { echo "materialize_output not found in crates/core/src/plan.rs"; exit 1; }
 if grep -n 'driver\.clone()' <<<"$materialize_body"; then
-  echo "materialize_output clones the driver: take a copy of its levels around the computed values"; exit 1
+  echo "materialize_output clones the driver: put the computed values around its levels (with_vals)"; exit 1
+fi
+# One copy of each tensor: level arrays are shared (`SpTensor::with_vals`),
+# a plain write-back moves the computed buffer into the registration, a
+# merging one copies only the ranges it re-ran, and a re-registered output
+# is moved in, never cloned first.
+if ! git ls-files 'crates/core/src/*.rs' | xargs awk '
+    FNR == 1 { t = 0; p = "" }
+    t { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+    /levels\(\)\.to_vec\(\)/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0; bad = 1 }
+    { p = $0 }
+    END { exit bad }'; then
+  echo "levels().to_vec() in crates/core/src: share the pattern (SpTensor::with_vals)"; exit 1
+fi
+if grep -n 'dst\.copy_from_slice(src)' crates/core/src/plan.rs; then
+  echo "plan.rs copies a whole output buffer: a plain write-back moves it (Context::write_back)"; exit 1
+fi
+if grep -rn 'replace_tensor_data(name, output\.clone())' crates; then
+  echo "an output is cloned to re-register it: hand replace_tensor_data the output by move"; exit 1
 fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a

@@ -8,6 +8,24 @@
 //! build a full coordinate-tree partition, and each color's sub-regions are
 //! attached to the owning processors' memories — the state the paper's
 //! methodology establishes before the timed region.
+//!
+//! | `dist_tensor` owns | `dist_tensor` does not own |
+//! |---|---|
+//! | The tensor table: each name's data, format, regions and initial distribution | Versions and tracked dirty rows: [`streaming`](crate::streaming) |
+//! | The one registration entry (`swap_registration`) behind `add_tensor`, `replace_tensor_data`, `set_tensor_format` and a structural `update_batch` | Locating a batch's deltas and merging them into the stored entries: `streaming::ingest`, [`SpTensor::with_edits`] |
+//! | What a color touches of a tensor ([`TensorRegions::footprint`]) and where the initial distribution places it | The coordinate-tree partitions themselves: [`level_funcs`](crate::level_funcs) |
+//! | Renewing a registration's regions: a write-back attaches beside then retires, a value-only batch retires then attaches | Which write-back arm runs and which ranges a merge copies: [`plan`](crate::plan) |
+//! | Where a registration's values live (the storage rule below) | Costing a requirement, coherence, memory: `spdistal_runtime` |
+//!
+//! **Storage: one copy of each tensor.** A registration owns its values:
+//! the registration entry makes them unique — copying them only if the
+//! caller still shares them ([`SpTensor::vals_mut`] is copy-on-write) — so
+//! a value-only batch writes where they stand and nothing the caller holds
+//! changes. Level arrays are never written, so any clone may share them (an
+//! SDDMM output shares its driver's). A plain write-back moves the computed
+//! buffer in as the values, and the statement's result is a clone sharing
+//! them; a merging write-back copies the ranges it re-ran into them. Any
+//! later write to either side copies first.
 
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
@@ -313,35 +331,50 @@ impl Context {
         self.swap_registration(name, data, format).map(drop)
     }
 
-    /// Write a plan's output into the tensor registered under `name`, by
-    /// value: `write` gets the registered values, and the dims, levels,
-    /// allocation, pattern hash and initial distribution all stay. The
-    /// tensor's regions are renewed under the kept partition so the machine
-    /// model sees a new tensor state, and renewed with the very charges of
-    /// [`Context::replace_tensor_data`]: the new regions are created and
-    /// attached beside the old ones, *then* the old ones are retired. (The
-    /// value-only arm of [`Context::update_batch`] releases first; a
-    /// write-back must not, or a processor's modelled peak residency — and
-    /// with it an out-of-memory fallback of the figures — would move.) The
-    /// version is bumped and any tracked dirty state dropped, as by any
-    /// re-registration. A failed attach leaves the tensor and the runtime as
-    /// they were, and `write` is not called.
+    /// Write a plan's computed values `vals` into the tensor registered
+    /// under `name`, by value, and return the statement's result: the dims,
+    /// levels, pattern hash and initial distribution all stay. A plain pass
+    /// (`merged` is `None`) moves `vals` in as the registration's values
+    /// and the result is a clone sharing them. A merging pass hands
+    /// `merged` the computed buffer and the registered values to copy the
+    /// ranges it re-ran into; the result keeps `vals`, so it stays the only
+    /// owner of the next merge seed. The tensor's regions are renewed under
+    /// the kept partition so the machine model sees a new tensor state, and
+    /// renewed with the very charges of [`Context::replace_tensor_data`]:
+    /// the new regions are created and attached beside the old ones, *then*
+    /// the old ones are retired. (The value-only arm of
+    /// [`Context::update_batch`] releases first; a write-back must not, or a
+    /// processor's modelled peak residency — and with it an out-of-memory
+    /// fallback of the figures — would move.) The version is bumped and any
+    /// tracked dirty state dropped, as by any re-registration. A failed
+    /// attach leaves the tensor and the runtime as they were, and nothing is
+    /// written.
     pub(crate) fn write_back(
         &mut self,
         name: &str,
-        write: impl FnOnce(&mut [f64]),
-    ) -> Result<(), Error> {
+        vals: Vec<f64>,
+        merged: Option<impl FnOnce(&[f64], &mut [f64])>,
+    ) -> Result<SpTensor, Error> {
         let t = self
             .tensors
             .get_mut(name)
             .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
         let regions = attach_beside(&mut self.runtime, name, &t.data, &t.dist_part, &t.dist_spec)?;
-        write(t.data.vals_mut());
+        let output = match merged {
+            None => {
+                t.data = t.data.with_vals(vals);
+                t.data.clone()
+            }
+            Some(copy) => {
+                copy(&vals, t.data.vals_mut());
+                t.data.with_vals(vals)
+            }
+        };
         let old = std::mem::replace(&mut t.regions, regions);
         retire_regions(&mut self.runtime, &old);
         self.streaming.bump_version(name);
         self.streaming.take_dirty(name);
-        Ok(())
+        Ok(output)
     }
 
     /// Apply a batch of coordinate deltas to a registered tensor and track
@@ -536,10 +569,12 @@ impl Context {
     /// is handed back — any (re-)registration is a new tensor state, which
     /// is what makes retained incremental buffers invalid after it;
     /// `update_batch` is the one caller that extends and re-installs it.
+    /// The new registration owns its values (`data`'s levels may stay shared
+    /// with a clone the caller holds; see the module's storage rule).
     fn swap_registration(
         &mut self,
         name: &str,
-        data: SpTensor,
+        mut data: SpTensor,
         format: Format,
     ) -> Result<Option<TensorDirty>, Error> {
         format.validate(data.order())?;
@@ -548,6 +583,9 @@ impl Context {
         let regions = attach_beside(&mut self.runtime, name, &data, &dist_part, &spec)?;
         self.streaming.bump_version(name);
         let dirty = self.streaming.take_dirty(name);
+        // A registration owns its values: copied here if the caller still
+        // shares them, so a value-only batch writes where they stand.
+        data.vals_mut();
         let new = DistTensor {
             name: name.to_string(),
             data,

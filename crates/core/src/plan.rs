@@ -35,21 +35,25 @@
 //!
 //! ## Write-back
 //!
-//! An output is written back one of two ways. **By value**: when a
-//! program statement's plan wrote the output last and nothing has touched
-//! it since — the output version its previous write-back recorded
-//! ([`ExecResult::output_version`]) is still current *at write-back time* —
-//! the computed values are copied into the registration already there
-//! (after a merge, only the ranges of the colors that re-ran), which keeps
-//! its dims, levels, allocation and partition and only renews its regions
-//! ([`Context::write_back`]). **Re-registration**: otherwise — a first run,
-//! a `Context::run`, SpAdd3's assembled pattern, an output mutated or
+//! An output is written back one of two ways, and either way one copy of
+//! it exists. **By value**: when a program statement's plan wrote the
+//! output last and nothing has touched it since — the output version its
+//! previous write-back recorded ([`ExecResult::output_version`]) is still
+//! current *at write-back time* — the registration already there keeps its
+//! dims, levels, pattern hash and partition and only renews its regions
+//! ([`Context::write_back`]). A plain pass moves the computed buffer in as
+//! its values; a merging pass copies only the ranges of the colors that
+//! re-ran into the registered values and keeps its buffer for the next
+//! merge seed. **Re-registration**: otherwise — a first run, a
+//! `Context::run`, SpAdd3's assembled pattern, an output mutated or
 //! re-registered since, a re-keyed plan — [`materialize_output`] builds a
-//! new tensor and `Context::replace_tensor_data` registers a copy of it.
-//! Either way [`ExecResult::output`] takes the computed buffer by move.
-//! The trace's `writeback_ns` histogram times the write-back, and the
-//! counters `writeback.by_value` and `writeback.reregistered` say which
-//! arm ran.
+//! new tensor around the computed buffer and `Context::replace_tensor_data`
+//! takes it by move. [`ExecResult::output`] is a clone of the registration
+//! that shares its storage (after a merge, the registration's pattern
+//! around the merge buffer); a later write to either side copies first
+//! ([`SpTensor::vals_mut`]). The trace's `writeback_ns` histogram times the
+//! write-back, and the counters `writeback.by_value` and
+//! `writeback.reregistered` say which arm ran.
 //!
 //! A launch is described **once**. The requirement list describe builds
 //! (one `Vec<RegionReq>` per color: every input's footprint, then the
@@ -72,7 +76,7 @@
 //! | The requirement lists, from describe through the drain to the model issue | Batching, launch-graph gating (`model_preds`) and the stand-in ids: [`session`](crate::session) |
 //! | The output fold: shared buffer, reduction partials, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
 //! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
-//! | The write-back: which arm (by value or re-registration), the values or ranges it copies, and its launch-granularity claims ([`writeback_reqs`]) | Renewing a registration's regions ([`Context::write_back`]) and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
+//! | The write-back: which arm (by value or re-registration), the ranges a merge copies, and its launch-granularity claims ([`writeback_reqs`]) | Moving values into a registration and renewing its regions ([`Context::write_back`]), and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
 //!
 //! ## Real parallel execution
 //!
@@ -219,6 +223,11 @@ pub struct ExecResult {
     pub sched: ExecReport,
     /// This plan's own span counts, and whether it merged into a seed.
     pub merge: MergeReport,
+    /// The computed output: a clone of the output's registration that
+    /// shares its storage, so a result costs no second copy of the tensor.
+    /// After a merge written back by value it is the registration's pattern
+    /// around the merge buffer, which seeds the statement's next merge by
+    /// move.
     pub output: OutputValue,
     /// The output tensor's version right after this run's write-back. The
     /// next run of the same plan writes by value only while the output
@@ -770,10 +779,10 @@ impl<'a> PreparedPlan<'a> {
 /// that version *now* — checked here, not at pass start, since another
 /// statement of the same pass may have written it since — its registration
 /// holds exactly what that write-back left, so an in-place output is
-/// written into it by value: every value, or on a merge only the ranges of
-/// the colors that re-ran ([`Context::write_back`]). Otherwise (a first
-/// run, SpAdd3, a mutated or re-registered output) the output is
-/// materialized and re-registered.
+/// written into it by value: the computed buffer moved in, or on a merge
+/// only the ranges of the colors that re-ran copied ([`Context::write_back`]).
+/// Otherwise (a first run, SpAdd3, a mutated or re-registered output) the
+/// output is materialized and moved into a new registration.
 pub(crate) fn finish_model(
     ctx: &mut Context,
     plan: &Plan,
@@ -891,16 +900,15 @@ pub(crate) fn finish_model(
     };
     let output = match computed {
         Computed::Vals(vals) if by_value => {
-            ctx.write_back(name, |dst| copy_written(plan, reran.as_deref(), &vals, dst))?;
-            // The registration keeps its dims and levels; the result gets
-            // a copy of them around the computed buffer.
-            let kept = &ctx.tensor(name)?.data;
-            SpTensor::from_parts(kept.dims().to_vec(), kept.levels().to_vec(), vals)
+            let merged = reran.map(|reran| {
+                move |src: &[f64], dst: &mut [f64]| copy_written(plan, &reran, src, dst)
+            });
+            ctx.write_back(name, vals, merged)?
         }
         computed => {
             let output = materialize_output(ctx, plan, computed)?;
-            ctx.replace_tensor_data(name, output.clone())?;
-            output
+            ctx.replace_tensor_data(name, output)?;
+            ctx.tensor(name)?.data.clone()
         }
     };
     trace.observe_ns("writeback_ns", writeback_t0.elapsed().as_nanos() as u64);
@@ -931,15 +939,11 @@ pub(crate) fn finish_model(
     })
 }
 
-/// Copy the computed buffer into the registered output's values: all of
-/// it, or after a merge (`reran` is `Some`) only the output ranges of the
-/// colors that re-ran. Every other element still holds what the previous
-/// write-back copied from the very buffer the merge was seeded with.
-fn copy_written(plan: &Plan, reran: Option<&[bool]>, src: &[f64], dst: &mut [f64]) {
-    let Some(reran) = reran else {
-        dst.copy_from_slice(src);
-        return;
-    };
+/// After a merge, copy the output ranges of the colors that re-ran from the
+/// computed buffer into the registered output's values. Every other element
+/// still holds what the previous write-back left there, which is what the
+/// merge was seeded with.
+fn copy_written(plan: &Plan, reran: &[bool], src: &[f64], dst: &mut [f64]) {
     for color in (0..reran.len()).filter(|&c| reran[c]) {
         for r in out_subset(plan, color).rects() {
             let (lo, hi) = (r.lo.max(0) as usize, (r.hi + 1).max(0) as usize);
@@ -1063,10 +1067,11 @@ pub(crate) enum Computed {
 /// Turn the computed buffers into a new output tensor, for the
 /// re-registration arm of the write-back ([`finish_model`]): the first run
 /// of a plan, SpAdd3's assembled pattern, or an output changed since the
-/// plan last wrote it. The buffer is moved in; a pattern-aligned output
-/// takes a copy of the driver's levels, never a clone of its values. The
-/// by-value arm builds nothing: it keeps the registration's dims and
-/// levels.
+/// plan last wrote it. The buffer is moved in; SDDMM's output shares the
+/// driver's levels ([`SpTensor::with_vals`]) and SpTTV's copies its two
+/// outer levels. The tensor is registered by move and the result shares
+/// it. The by-value arm builds nothing: it keeps the registration's dims
+/// and levels.
 fn materialize_output(ctx: &Context, plan: &Plan, computed: Computed) -> Result<SpTensor, Error> {
     Ok(match (computed, &plan.output.kind) {
         (Computed::Vals(v), OutKind::DenseVec) => dense_vector(v),
@@ -1079,8 +1084,8 @@ fn materialize_output(ctx: &Context, plan: &Plan, computed: Computed) -> Result<
         (Computed::Vals(vals), OutKind::PatternVals { level }) => {
             let driver = &ctx.tensor(&plan.driver)?.data;
             if *level == driver.order() - 1 {
-                // Full pattern reuse (SDDMM).
-                SpTensor::from_parts(driver.dims().to_vec(), driver.levels().to_vec(), vals)
+                // Full pattern reuse (SDDMM): the driver's levels, shared.
+                driver.with_vals(vals)
             } else {
                 // Fiber-level pattern (SpTTV): first two levels.
                 tensor3::spttv_output(driver, vals)

@@ -11,7 +11,7 @@
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use spdistal_runtime::Rect1;
 
@@ -76,11 +76,18 @@ impl Level {
 /// stored dimension. A CSR matrix is `{Dense, Compressed}` over `(rows,
 /// cols)`; CSC is the same formats over `(cols, rows)` (the caller reorders
 /// coordinates when building).
+///
+/// One copy of each array: the levels never change after construction, so
+/// a clone shares them, and the values are copy-on-write — a clone shares
+/// them too until either side asks for [`vals_mut`](SpTensor::vals_mut),
+/// which copies a shared buffer and writes a unique one where it stands.
+/// [`with_vals`](SpTensor::with_vals) puts new values around the same
+/// pattern without copying it.
 #[derive(Clone, Debug)]
 pub struct SpTensor {
     dims: Vec<usize>,
-    levels: Vec<Level>,
-    vals: Vec<f64>,
+    levels: Arc<[Level]>,
+    vals: Arc<Vec<f64>>,
     /// [`SpTensor::pattern_hash`], memoised. `dims` and `levels` never
     /// change after construction (only `vals` is mutable), so the memo
     /// stays valid and clones inherit it.
@@ -115,9 +122,23 @@ impl SpTensor {
         assert_eq!(vals.len(), entries, "vals length == leaf entries");
         SpTensor {
             dims,
-            levels,
-            vals,
+            levels: levels.into(),
+            vals: Arc::new(vals),
             pattern: OnceLock::new(),
+        }
+    }
+
+    /// This tensor's pattern around `vals`: the levels and the memoised
+    /// pattern hash are shared, not copied (only the dims are, one word per
+    /// dimension). `vals` must hold one value per stored entry, as
+    /// [`from_parts`](SpTensor::from_parts) checks.
+    pub fn with_vals(&self, vals: Vec<f64>) -> Self {
+        assert_eq!(vals.len(), self.vals.len(), "vals length == leaf entries");
+        SpTensor {
+            dims: self.dims.clone(),
+            levels: Arc::clone(&self.levels),
+            vals: Arc::new(vals),
+            pattern: self.pattern.clone(),
         }
     }
 
@@ -170,14 +191,17 @@ impl SpTensor {
     }
 
     /// Mutable values (e.g. for output tensors that reuse an input pattern).
+    /// Copy-on-write: values shared with a clone are copied first, so the
+    /// clone keeps its bits; unique values are written where they stand.
     pub fn vals_mut(&mut self) -> &mut [f64] {
-        &mut self.vals
+        Arc::make_mut(&mut self.vals).as_mut_slice()
     }
 
     /// Consume the tensor, keeping only its values array (the allocation a
-    /// merging pass re-uses as the next output buffer).
+    /// merging pass re-uses as the next output buffer): moved out when this
+    /// tensor is its only owner, copied when a clone still shares it.
     pub fn into_vals(self) -> Vec<f64> {
-        self.vals
+        Arc::unwrap_or_clone(self.vals)
     }
 
     /// Number of stored values, counting explicit zeros in trailing dense
@@ -212,7 +236,7 @@ impl SpTensor {
     /// Estimated resident bytes of all arrays (used for OOM modeling).
     pub fn bytes(&self) -> u64 {
         let mut b = (self.vals.len() * std::mem::size_of::<f64>()) as u64;
-        for l in &self.levels {
+        for l in self.levels.iter() {
             match l {
                 Level::Compressed { pos, crd } => {
                     b += (pos.len() * std::mem::size_of::<Rect1>()) as u64;
@@ -375,7 +399,7 @@ impl SpTensor {
             return None;
         }
         match (&self.levels[0], &self.levels[1]) {
-            (Level::Dense { .. }, Level::Compressed { pos, crd }) => Some((pos, crd, &self.vals)),
+            (Level::Dense { .. }, Level::Compressed { pos, crd }) => Some((pos, crd, self.vals())),
             _ => None,
         }
     }
@@ -592,6 +616,71 @@ mod tests {
             ],
             vec![1.0],
         );
+    }
+
+    /// Where `t`'s values and level arrays live.
+    fn addresses(t: &SpTensor) -> (usize, Vec<usize>) {
+        let levels = t.levels().iter().flat_map(|level| match level {
+            Level::Dense { .. } => vec![],
+            Level::Compressed { pos, crd } => vec![pos.as_ptr() as usize, crd.as_ptr() as usize],
+            Level::Singleton { crd } => vec![crd.as_ptr() as usize],
+        });
+        (t.vals().as_ptr() as usize, levels.collect())
+    }
+
+    #[test]
+    fn a_clone_shares_its_levels_and_values() {
+        let a = fig7_matrix();
+        let b = a.clone();
+        assert_eq!(addresses(&a), addresses(&b));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn vals_mut_copies_only_shared_values() {
+        let mut a = fig7_matrix();
+        let b = a.clone();
+        let (vals, levels) = addresses(&a);
+        a.vals_mut()[0] = -1.0;
+        // Shared: copied first, so the clone keeps its bits.
+        assert_eq!(b.vals(), fig7_matrix().vals());
+        assert_eq!(a.vals()[0], -1.0);
+        assert_ne!(addresses(&a).0, vals);
+        assert_eq!(addresses(&a).1, levels, "the levels stay shared");
+        // Unique: written where it stands.
+        let unique = addresses(&a).0;
+        a.vals_mut()[1] = -2.0;
+        assert_eq!(addresses(&a).0, unique);
+        assert_eq!(b.vals()[1], 2.0);
+    }
+
+    #[test]
+    fn into_vals_moves_a_unique_buffer_and_copies_a_shared_one() {
+        let a = fig7_matrix();
+        let at = a.vals().as_ptr();
+        let held = a.clone();
+        let copied = a.into_vals();
+        assert_ne!(copied.as_ptr(), at);
+        assert_eq!(copied, held.vals());
+        let moved = held.into_vals();
+        assert_eq!(moved.as_ptr(), at, "the last owner's own allocation");
+    }
+
+    #[test]
+    fn with_vals_shares_the_pattern_and_its_memo() {
+        let a = fig7_matrix();
+        let hash = a.pattern_hash();
+        let b = a.with_vals(vec![0.5; 8]);
+        assert_eq!(b.pattern_memo(), Some(hash));
+        assert_eq!(addresses(&a).1, addresses(&b).1);
+        assert_eq!(b.vals(), [0.5; 8]);
+        assert_eq!(a.vals(), fig7_matrix().vals());
+    }
+
+    #[test]
+    #[should_panic(expected = "vals length")]
+    fn with_vals_rejects_a_wrong_length() {
+        fig7_matrix().with_vals(vec![1.0; 7]);
     }
 
     #[test]

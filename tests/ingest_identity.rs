@@ -555,6 +555,38 @@ fn a_value_only_batch_keeps_every_allocation_memo_and_region() {
     }
 }
 
+/// A registration owns its values, whichever way it came in and whoever
+/// else holds the tensor it was made from: a value-only batch after it
+/// writes where the registration's values stand, never into the held copy.
+#[test]
+fn a_registration_owns_its_values_whoever_holds_the_tensor() {
+    for (layout, format, data) in layouts() {
+        let ([p, _], [a, _]) = probes(&data);
+        let held = bits(data.vals());
+        let mut c = Context::new(machine());
+        let value_only = |c: &mut Context, v: f64, what: &str| {
+            let at = c.tensor("T").unwrap().data.vals().as_ptr();
+            let report = c.update_batch("T", &[CoordDelta::overwrite(p.clone(), v)]);
+            assert!(!report.unwrap().structural, "{layout}, {what}");
+            let t = &c.tensor("T").unwrap().data;
+            assert_eq!(
+                t.vals().as_ptr(),
+                at,
+                "{layout}, {what}: written where it stood"
+            );
+            assert_eq!(t.vals()[t.locate(&p).unwrap()], v, "{layout}, {what}");
+            assert_eq!(bits(data.vals()), held, "{layout}, {what}: the held tensor");
+        };
+        c.add_tensor("T", data.clone(), format.clone()).unwrap();
+        value_only(&mut c, 6.0, "after add_tensor");
+        c.replace_tensor_data("T", data.clone()).unwrap();
+        value_only(&mut c, 7.0, "after replace_tensor_data");
+        let report = c.update_batch("T", &[CoordDelta::insert(a.clone(), 8.0)]);
+        assert!(report.unwrap().structural, "{layout}");
+        value_only(&mut c, 9.0, "after a structural batch");
+    }
+}
+
 #[test]
 fn ingestion_shows_up_in_the_run_report() {
     let (_, format, data) = layouts().swap_remove(0);

@@ -18,9 +18,14 @@
 //! the driver's nnz, a schedule change that re-keys the plan, two
 //! statements writing one output with a third reading it between them, and
 //! a pass that errors.
+//!
+//! And the value is not a second copy: after a cached pass each statement's
+//! value shares its values buffer with the registration, an SDDMM output
+//! shares its driver's pattern arrays, and a value held across later
+//! passes and writes keeps its bits (copy-on-write).
 
 use spdistal_repro::runtime::RegionId;
-use spdistal_repro::sparse::{dense_matrix, dense_vector, generate, SpTensor};
+use spdistal_repro::sparse::{dense_matrix, dense_vector, generate, Level, SpTensor};
 use spdistal_repro::spdistal::plan::empty_csr;
 use spdistal_repro::spdistal::prelude::*;
 
@@ -399,4 +404,119 @@ fn a_pass_that_errors() {
     p.update_batch("B", &batch).unwrap();
     pass(&mut p, true, 0, "A", "merge after recovery");
     pass(&mut p, true, 1, "z", "merge after recovery, z");
+}
+
+/// The six leaves side by side, each writing its own output: A0 SpMM, a1
+/// SpMV, A2 SDDMM (over B0's pattern), A3 SpMTTKRP, A4 SpTTV, A5 SpAdd3.
+fn sweep() -> CompiledProgram {
+    let b = generate::uniform(96, 80, 1500, 41);
+    let b3 = generate::tensor3_uniform([48, 20, 24], 3000, 42);
+    let (n, m) = (b.dims()[0], b.dims()[1]);
+    let [i3, j3, k3] = [b3.dims()[0], b3.dims()[1], b3.dims()[2]];
+    let matrix =
+        |rows, cols, seed| dense_matrix(rows, cols, generate::dense_buffer(rows, cols, seed));
+    let zeros = |rows, cols| dense_matrix(rows, cols, vec![0.0; rows * cols]);
+    let (csr, dense) = (Format::blocked_csr(), Format::replicated_dense_matrix());
+    let outer = ScheduleSpec::outer_dim;
+    Program::on(machine())
+        .tensor("A0", Format::blocked_dense_matrix(), zeros(n, WIDTH))
+        .tensor(
+            "a1",
+            Format::blocked_dense_vec(),
+            dense_vector(vec![0.0; n]),
+        )
+        .tensor("A2", csr.clone(), empty_csr(n, m))
+        .tensor("A3", Format::blocked_dense_matrix(), zeros(i3, WIDTH))
+        .tensor("A4", csr.clone(), empty_csr(i3, j3))
+        .tensor("A5", csr.clone(), empty_csr(n, m))
+        .tensor("B0", csr.clone(), b.clone())
+        .tensor("B3", Format::blocked_csf3(), b3)
+        .tensor("C0", dense.clone(), matrix(m, WIDTH, 43))
+        .tensor(
+            "c1",
+            Format::replicated_dense_vec(),
+            dense_vector(generate::dense_vec(m, 44)),
+        )
+        .tensor("C2", dense.clone(), matrix(n, WIDTH, 45))
+        .tensor("D2", dense.clone(), matrix(WIDTH, m, 46))
+        .tensor("C3", dense.clone(), matrix(j3, WIDTH, 47))
+        .tensor("D3", dense, matrix(k3, WIDTH, 48))
+        .tensor(
+            "c4",
+            Format::replicated_dense_vec(),
+            dense_vector(generate::dense_vec(k3, 49)),
+        )
+        .tensor("C5", csr.clone(), generate::shift_last_dim(&b, 3))
+        .tensor("D5", csr, generate::shift_last_dim(&b, 11))
+        .stmt("A0(i,j) = B0(i,k) * C0(k,j)")
+        .schedule(outer())
+        .stmt("a1(i) = B0(i,j) * c1(j)")
+        .schedule(outer())
+        .stmt("A2(i,j) = B0(i,j) * C2(i,k) * D2(k,j)")
+        .schedule(outer())
+        .stmt("A3(i,l) = B3(i,j,k) * C3(j,l) * D3(k,l)")
+        .schedule(outer())
+        .stmt("A4(i,j) = B3(i,j,k) * c4(k)")
+        .schedule(outer())
+        .stmt("A5(i,j) = B0(i,j) + C5(i,j) + D5(i,j)")
+        .schedule(outer())
+        .build()
+        .unwrap()
+}
+
+const SWEEP_OUTPUTS: [&str; 6] = ["A0", "a1", "A2", "A3", "A4", "A5"];
+
+fn value(p: &CompiledProgram, k: usize) -> &SpTensor {
+    p.value(k).unwrap().as_tensor().unwrap()
+}
+
+fn bits(t: &SpTensor) -> Vec<u64> {
+    t.vals().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Where a CSR matrix's column coordinates live.
+fn csr_crd(t: &SpTensor) -> *const i64 {
+    let Level::Compressed { crd, .. } = t.level(1) else {
+        panic!("not CSR");
+    };
+    crd.as_ptr()
+}
+
+#[test]
+fn a_cached_pass_leaves_one_copy_of_each_output() {
+    let mut p = sweep();
+    p.run().unwrap();
+    p.run().unwrap();
+    for (k, out) in SWEEP_OUTPUTS.into_iter().enumerate() {
+        assert_registered_is_value(&p, k, out, out);
+        let registered = &p.context().tensor(out).unwrap().data;
+        assert_eq!(
+            value(&p, k).vals().as_ptr(),
+            registered.vals().as_ptr(),
+            "{out}: the value is the registration's buffer"
+        );
+    }
+    let driver = &p.context().tensor("B0").unwrap().data;
+    assert_eq!(csr_crd(value(&p, 2)), csr_crd(driver), "SDDMM: B0's crd");
+
+    // Held across a pass that computes new values, then across a write to
+    // each registration: the held values never move.
+    let held: Vec<SpTensor> = (0..6).map(|k| value(&p, k).clone()).collect();
+    let held_bits: Vec<Vec<u64>> = held.iter().map(bits).collect();
+    for driver in ["B0", "B3"] {
+        let batch: Vec<CoordDelta> = p.context().tensor(driver).unwrap().data.to_coo()[..2]
+            .iter()
+            .map(|(coord, v)| CoordDelta::overwrite(coord.clone(), 2.0 * v + 1.0))
+            .collect();
+        p.update_batch(driver, &batch).unwrap();
+    }
+    p.run().unwrap();
+    let third: Vec<Vec<u64>> = (0..6).map(|k| bits(value(&p, k))).collect();
+    for (k, out) in SWEEP_OUTPUTS.into_iter().enumerate() {
+        assert_eq!(bits(&held[k]), held_bits[k], "{out}: held through pass 3");
+        assert_ne!(third[k], held_bits[k], "{out}: pass 3 computed new values");
+        p.tensor_data_mut(out).unwrap().vals_mut().fill(-7.25);
+        assert_eq!(bits(&held[k]), held_bits[k], "{out}: held through a write");
+        assert_eq!(bits(value(&p, k)), third[k], "{out}: pass 3's value too");
+    }
 }
