@@ -1102,6 +1102,140 @@ mod tests {
         assert_eq!(observe(&c, "B"), before, "after a refresh that cannot fit");
     }
 
+    /// What a row expects of the observed tensor's tracked dirty state.
+    #[derive(Clone, Copy, Debug)]
+    enum Dirty {
+        /// None after the call.
+        Absent,
+        /// Exactly what it was before the call.
+        Kept,
+        /// Extended by a batch: its `from_version` is the one it had (or
+        /// the version before the call if there was none), its
+        /// `tracked_version` the version after, with `rows` dirty rows.
+        Extended { rows: usize, structural: bool },
+    }
+
+    type Call = Box<dyn Fn(&mut crate::CompiledProgram) -> Result<(), Error>>;
+
+    /// Every entry point that changes a registration, one row each, on one
+    /// program's context: the observed tensor's version moves by `bump`
+    /// (1 on success, 0 on a failed call) and its dirty state as the row
+    /// says. A cached `run` writes its output back by value.
+    #[test]
+    fn every_registration_change_moves_version_and_dirty_state() {
+        let machine = Machine::grid1d(4, MachineProfile::lassen_cpu());
+        let b = generate::uniform(64, 64, 400, 1);
+        let stored = b.to_coo();
+        let at_row = |r: i64| stored.iter().find(|(c, _)| c[0] == r).unwrap().0.clone();
+        let absent = (0..64).find(|&j| b.locate(&[2, j]).is_none()).unwrap();
+        let mut p = crate::Program::on(machine)
+            .tensor(
+                "a",
+                Format::blocked_dense_vec(),
+                dense_vector(vec![0.0; 64]),
+            )
+            .tensor("B", Format::blocked_csr(), b.clone())
+            .tensor(
+                "c",
+                Format::replicated_dense_vec(),
+                dense_vector(vec![1.0; 64]),
+            )
+            .stmt("a(i) = B(i,j) * c(j)")
+            .schedule(crate::ScheduleSpec::outer_dim())
+            .trace(crate::Trace::enabled())
+            .build()
+            .unwrap();
+        p.run().unwrap();
+        assert_eq!(p.context().tensor_version("never"), 0, "unregistered");
+
+        let batch = |deltas: Vec<CoordDelta>| -> Call {
+            Box::new(move |p| p.update_batch("B", &deltas).map(drop))
+        };
+        let overwrite = |r: i64| batch(vec![CoordDelta::overwrite(at_row(r), 9.0 + r as f64)]);
+        let z = || dense_vector(vec![1.0; 8]);
+        let b2 = b.clone();
+        use Dirty::*;
+        #[rustfmt::skip]
+        let rows: Vec<(&str, &str, bool, u64, Dirty, Call)> = vec![
+            ("add_tensor, new name", "Z", true, 1, Absent,
+             Box::new(move |p| p.context_mut().add_tensor("Z", z(), Format::blocked_dense_vec()))),
+            ("add_tensor over a registration", "Z", true, 1, Absent,
+             Box::new(move |p| p.context_mut().add_tensor("Z", z(), Format::blocked_dense_vec()))),
+            ("cached run writes its output", "a", true, 1, Absent, Box::new(|p| p.run().map(drop))),
+            ("value-only batch", "B", true, 1, Extended { rows: 1, structural: false }, overwrite(0)),
+            ("cached run reads the driver", "B", true, 0, Absent, Box::new(|p| p.run().map(drop))),
+            ("value-only batch", "B", true, 1, Extended { rows: 1, structural: false }, overwrite(0)),
+            ("second value-only batch", "B", true, 1, Extended { rows: 2, structural: false }, overwrite(1)),
+            ("structural batch", "B", true, 1, Extended { rows: 3, structural: true },
+             batch(vec![CoordDelta::insert(vec![2, absent], 1.5)])),
+            ("tensor_data_mut", "B", true, 1, Kept, Box::new(|p| p.tensor_data_mut("B").map(drop))),
+            ("rejected batch", "B", false, 0, Kept,
+             batch(vec![CoordDelta::overwrite(at_row(3), 1.0), CoordDelta::overwrite(vec![0, 64], 1.0)])),
+            ("failed replace", "B", false, 0, Kept,
+             Box::new(|p| p.context_mut().replace_tensor_data("B", generate::uniform(65, 64, 10, 2)))),
+            ("failed set_tensor_format", "B", false, 0, Kept,
+             Box::new(|p| p.set_tensor_format("B", Format::blocked_dense_vec()))),
+            ("write-back by value", "B", true, 1, Absent, Box::new(|p| {
+                let vals = p.context().tensor("B")?.data.vals().to_vec();
+                p.context_mut().write_back("B", vals, None::<fn(&[f64], &mut [f64])>).map(drop)
+            })),
+            ("value-only batch", "B", true, 1, Extended { rows: 1, structural: false }, overwrite(4)),
+            ("replace_tensor_data", "B", true, 1, Absent,
+             Box::new(move |p| p.context_mut().replace_tensor_data("B", b2.clone()))),
+            ("value-only batch", "B", true, 1, Extended { rows: 1, structural: false }, overwrite(5)),
+            ("set_tensor_format", "B", true, 1, Absent,
+             Box::new(|p| p.set_tensor_format("B", Format::nonzero_csr()))),
+            ("value-only batch", "B", true, 1, Extended { rows: 1, structural: false }, overwrite(6)),
+            ("add_tensor over a tracked registration", "B", true, 1, Absent,
+             Box::new(move |p| p.context_mut().add_tensor("B", b.clone(), Format::blocked_csr()))),
+            ("value-only batch", "B", true, 1, Extended { rows: 1, structural: false }, overwrite(7)),
+            ("clear_all_dirty", "B", true, 0, Absent, Box::new(|p| {
+                p.context_mut().clear_all_dirty();
+                Ok(())
+            })),
+        ];
+        let snapshot = |d: &TensorDirty| {
+            let counts = (d.map.dirty_rows(), d.structural, d.deltas_applied);
+            (d.from_version, d.tracked_version, counts)
+        };
+        for (what, name, ok, bump, dirty, call) in rows {
+            let ctx = p.context();
+            let (version, before) = (
+                ctx.tensor_version(name),
+                ctx.dirty_state(name).map(snapshot),
+            );
+            assert_eq!(call(&mut p).is_ok(), ok, "{what}: outcome");
+            let ctx = p.context();
+            let now = ctx.tensor_version(name);
+            assert_eq!(now, version + bump, "{what}: version");
+            let after = ctx.dirty_state(name);
+            match dirty {
+                Absent => assert!(after.is_none(), "{what}: dirty state kept"),
+                Kept => assert_eq!(after.map(snapshot), before, "{what}: dirty state"),
+                Extended { rows, structural } => {
+                    let d = after.unwrap_or_else(|| panic!("{what}: no dirty state"));
+                    let from = before.map_or(version, |(from, ..)| from);
+                    assert_eq!((d.from_version, d.tracked_version), (from, now), "{what}");
+                    assert_eq!(
+                        (d.map.dirty_rows(), d.structural),
+                        (rows, structural),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        let m = p.trace().metrics().unwrap();
+        let arms = (
+            m.counter("writeback.reregistered").get(),
+            m.counter("writeback.by_value").get(),
+        );
+        assert_eq!(
+            arms,
+            (1, 2),
+            "the first run re-registers, the cached ones write by value"
+        );
+    }
+
     #[test]
     fn replace_tensor_data_checks_dims() {
         let mut c = ctx(2);
