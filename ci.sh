@@ -93,6 +93,30 @@ fi
 if grep -rn 'replace_tensor_data(name, output\.clone())' crates; then
   echo "an output is cloned to re-register it: hand replace_tensor_data the output by move"; exit 1
 fi
+# One copy of each run fact: a registration carries its version and tracked
+# deltas, a flush's counters are one ExecReport (`FlushReport::sched`), a
+# statement's timings stay on its ExecResult, the retention proof keeps its
+# PlanKey typed, and the Context alone sets the exec mode and split policy.
+# The second copies each replaced stay gone.
+if grep -rnE 'StreamingState|fn set_pipelined|plan_key: String' crates/*/src ||
+  grep -nE '^[[:space:]]*streaming:' crates/core/src/dist_tensor.rs ||
+  grep -rnE 'fn set_(exec_mode|split_policy)\(' crates/*/src | grep -v '^crates/core/src/dist_tensor.rs:' ||
+  grep -rn 'fn task_skew' crates/*/src | grep -v '^crates/runtime/src/sched/executor.rs:'; then
+  echo "a second copy of a run fact is back (versions table, rendered plan key, flush skew or a callerless setter)"; exit 1
+fi
+struct_body() { awk -v head="pub struct $1 {" 'index($0, head) { f = 1 } f { print } f && /^}$/ { exit }' "$2"; }
+flush_body="$(struct_body FlushReport crates/core/src/session.rs)"
+stmt_body="$(struct_body StmtReport crates/core/src/program/mod.rs)"
+program_body="$(struct_body ProgramReport crates/core/src/program/mod.rs)"
+[ -n "$flush_body" ] && [ -n "$stmt_body" ] && [ -n "$program_body" ] ||
+  { echo "FlushReport, StmtReport or ProgramReport not found"; exit 1; }
+if grep -nE 'pub (tasks|spans|steals|busy_seconds|critical_task_seconds|threads|wall_seconds|split_tasks):' <<<"$flush_body"; then
+  echo "FlushReport copies an ExecReport counter: read it from FlushReport::sched"; exit 1
+fi
+if grep -nE 'pub (time|wall_time|task_skew|stmt):' <<<"$stmt_body" ||
+  grep -n 'pub launches:' <<<"$program_body"; then
+  echo "a program report copies a statement's result: read it from CompiledProgram::result(k)"; exit 1
+fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const

@@ -11,8 +11,9 @@
 //!
 //! | `dist_tensor` owns | `dist_tensor` does not own |
 //! |---|---|
-//! | The tensor table: each name's data, format, regions and initial distribution | Versions and tracked dirty rows: [`streaming`](crate::streaming) |
-//! | The one registration entry (`swap_registration`) behind `add_tensor`, `replace_tensor_data`, `set_tensor_format` and a structural `update_batch` | Locating a batch's deltas and merging them into the stored entries: `streaming::ingest`, [`SpTensor::with_edits`] |
+//! | The tensor table: each name's data, format, regions and initial distribution | What a dirty map and a batch mean ([`DirtyMap`], [`TensorDirty`], [`UpdateReport`]): [`streaming`](crate::streaming) |
+//! | Versions and tracked dirty rows: each registration carries its own | Locating a batch's deltas and merging them into the stored entries: `streaming::ingest`, [`SpTensor::with_edits`] |
+//! | The one registration entry (`swap_registration`) behind `add_tensor`, `replace_tensor_data`, `set_tensor_format` and a structural `update_batch` | Which statements may merge into their previous output, given those versions: `program::exec`'s `eligibility` |
 //! | What a color touches of a tensor ([`TensorRegions::footprint`]) and where the initial distribution places it | The coordinate-tree partitions themselves: [`level_funcs`](crate::level_funcs) |
 //! | Renewing a registration's regions: a write-back attaches beside then retires, a value-only batch retires then attaches | Which write-back arm runs and which ranges a merge copies: [`plan`](crate::plan) |
 //! | Where a registration's values live (the storage rule below) | Costing a requirement, coherence, memory: `spdistal_runtime` |
@@ -40,7 +41,7 @@ use spdistal_sparse::{CoordDelta, Level, SpTensor};
 use crate::level_funcs::{
     nonzero_tree_partition, outer_dim_partition, replicated_partition, TensorPartition,
 };
-use crate::streaming::{ingest, DirtyMap, StreamingState, TensorDirty, UpdateReport};
+use crate::streaming::{ingest, DirtyMap, TensorDirty, UpdateReport};
 
 /// Bytes per element of each region kind: `pos` stores `(lo, hi)` tuples,
 /// `crd` stores coordinates, `vals` stores doubles.
@@ -175,7 +176,8 @@ impl TensorRegions {
 }
 
 /// A tensor registered with the compiler: data + format + regions +
-/// the initial distribution's coordinate-tree partition.
+/// the initial distribution's coordinate-tree partition, and the run state
+/// that lives with them — as a Legion logical region carries its own.
 #[derive(Debug)]
 pub struct DistTensor {
     pub name: String,
@@ -186,6 +188,12 @@ pub struct DistTensor {
     /// means fully replicated by a distribution with no shared names).
     pub dist_part: TensorPartition,
     pub dist_spec: DistSpec,
+    /// Bumped by every registration under this name (one more than the
+    /// entry it replaced), `tensor_data_mut`, write-back and applied batch.
+    version: u64,
+    /// Rows the batches since the last program run touched; any new
+    /// registration drops them.
+    dirty: Option<TensorDirty>,
 }
 
 /// The compilation context: machine + runtime + tensor table + variables.
@@ -196,9 +204,6 @@ pub struct Context {
     exec_mode: ExecMode,
     split: SplitPolicy,
     trace: Trace,
-    /// Per-tensor versions and streamed dirty state (see
-    /// [`crate::streaming`]).
-    streaming: StreamingState,
 }
 
 impl Context {
@@ -210,7 +215,6 @@ impl Context {
             exec_mode: ExecMode::Serial,
             split: SplitPolicy::Auto,
             trace: Trace::disabled(),
-            streaming: StreamingState::default(),
         }
     }
 
@@ -306,13 +310,15 @@ impl Context {
     /// Counts as an untracked mutation: the tensor's version is bumped, so
     /// retained incremental state keyed to the old version is invalidated.
     pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut SpTensor, Error> {
-        let t = self
-            .tensors
+        let t = self.entry_mut(name)?;
+        t.version += 1;
+        Ok(&mut t.data)
+    }
+
+    fn entry_mut(&mut self, name: &str) -> Result<&mut DistTensor, Error> {
+        self.tensors
             .get_mut(name)
-            .map(|t| &mut t.data)
-            .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
-        self.streaming.bump_version(name);
-        Ok(t)
+            .ok_or_else(|| Error::UnknownTensor(name.to_string()))
     }
 
     /// Replace a tensor's data wholesale (sparse outputs with fresh
@@ -372,8 +378,8 @@ impl Context {
         };
         let old = std::mem::replace(&mut t.regions, regions);
         retire_regions(&mut self.runtime, &old);
-        self.streaming.bump_version(name);
-        self.streaming.take_dirty(name);
+        t.version += 1;
+        t.dirty = None;
         Ok(output)
     }
 
@@ -430,14 +436,14 @@ impl Context {
         }
         if deltas.is_empty() {
             return Ok(UpdateReport {
-                rows_dirty: self.streaming.dirty(name).map_or(0, |d| d.map.dirty_rows()),
+                rows_dirty: t.dirty.as_ref().map_or(0, |d| d.map.dirty_rows()),
                 ..UpdateReport::default()
             });
         }
         let rows = dims[0];
         let batch = ingest::resolve(&t.data, deltas);
         let in_place = batch.value_only();
-        let version = self.streaming.version(name);
+        let version = t.version;
         // Either arm hands back the dirty state the tensor carried (any new
         // tensor state drops it); this batch extends it below.
         let prev = if in_place {
@@ -454,8 +460,8 @@ impl Context {
             t.regions = create_regions(&mut self.runtime, name, &t.data);
             attach_placements(&mut self.runtime, &t.regions, placed)
                 .expect("refresh_fits replayed every charge");
-            self.streaming.bump_version(name);
-            self.streaming.take_dirty(name)
+            t.version += 1;
+            t.dirty.take()
         } else {
             let edits: Vec<_> = batch.edits.iter().map(|e| (e.coord, e.now)).collect();
             let (data, format) = (t.data.with_edits(&edits), t.format.clone());
@@ -470,16 +476,14 @@ impl Context {
         }
         let mut report = batch.report;
         report.rows_dirty = map.dirty_rows();
-        self.streaming.set_dirty(
-            name,
-            TensorDirty {
-                map,
-                structural: report.structural || prev_structural,
-                from_version,
-                tracked_version: self.streaming.version(name),
-                deltas_applied: prev_deltas + report.applied() as u64,
-            },
-        );
+        let t = self.tensors.get_mut(name).expect("registered above");
+        t.dirty = Some(TensorDirty {
+            map,
+            structural: report.structural || prev_structural,
+            from_version,
+            tracked_version: t.version,
+            deltas_applied: prev_deltas + report.applied() as u64,
+        });
         self.trace.ingest_batch(
             deltas.len() as u64,
             report.ignored as u64,
@@ -527,19 +531,19 @@ impl Context {
     /// The tensor's current version: bumped on every registration,
     /// replacement, or mutable-data access. 0 before first registration.
     pub fn tensor_version(&self, name: &str) -> u64 {
-        self.streaming.version(name)
+        self.tensors.get(name).map_or(0, |t| t.version)
     }
 
     /// The tracked dirty state accumulated on a tensor since the last run,
     /// if any.
     pub fn dirty_state(&self, name: &str) -> Option<&TensorDirty> {
-        self.streaming.dirty(name)
+        self.tensors.get(name)?.dirty.as_ref()
     }
 
     /// Drop every tensor's tracked dirty state (a program run brought all
     /// consumers up to date).
     pub fn clear_all_dirty(&mut self) {
-        self.streaming.clear_all_dirty();
+        self.tensors.values_mut().for_each(|t| t.dirty = None);
     }
 
     /// Re-register a tensor under a new format (keeping its data): the old
@@ -581,8 +585,6 @@ impl Context {
         let spec = format.dist.resolve(data.order())?;
         let dist_part = self.initial_partition(&data, &spec)?;
         let regions = attach_beside(&mut self.runtime, name, &data, &dist_part, &spec)?;
-        self.streaming.bump_version(name);
-        let dirty = self.streaming.take_dirty(name);
         // A registration owns its values: copied here if the caller still
         // shares them, so a value-only batch writes where they stand.
         data.vals_mut();
@@ -593,11 +595,14 @@ impl Context {
             regions,
             dist_part,
             dist_spec: spec,
+            version: self.tensor_version(name) + 1,
+            dirty: None,
         };
-        if let Some(old) = self.tensors.insert(name.to_string(), new) {
-            retire_regions(&mut self.runtime, &old.regions);
-        }
-        Ok(dirty)
+        let Some(old) = self.tensors.insert(name.to_string(), new) else {
+            return Ok(None);
+        };
+        retire_regions(&mut self.runtime, &old.regions);
+        Ok(old.dirty)
     }
 
     /// Build the coordinate-tree partition implied by the TDN statement.

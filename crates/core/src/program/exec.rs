@@ -16,14 +16,15 @@
 //!
 //! ## Ownership
 //!
-//! - Owns the four run verbs, the plan-cache key text, the retention
+//! - Owns the four run verbs, the plan-cache key, the retention
 //!   *proof* ([`RetainedOutput`]: versions and key, no values), the typed
 //!   [`Fallback`] reasons, and `ProgramReport`'s cumulative counters.
 //! - Does NOT own the retained *values*: a merging pass takes them out of
 //!   the previous pass's [`ExecResult`], which it replaces anyway.
 //! - Does NOT own the merge mechanism (seeding, zeroing, the per-color
 //!   `rerun` mask — [`crate::plan`]), batching or model replay
-//!   ([`crate::session`]), versions and dirty maps ([`crate::streaming`]),
+//!   ([`crate::session`]), versions and dirty maps (each registration in
+//!   the [`Context`]), a statement's timings (its [`ExecResult`](crate::ExecResult)),
 //!   or schedule choice (`auto`).
 //! - A full run is the degenerate incremental run: `run()` is a pass in
 //!   which every statement's mode is [`Fallback::FullRequested`] — the
@@ -61,7 +62,7 @@ pub(crate) struct RetainedOutput {
     pub driver: Option<String>,
     /// Plan-cache key the statement runs under; a schedule, format or
     /// pattern change re-keys the plan and drops eligibility.
-    pub plan_key: String,
+    pub plan_key: PlanKey,
 }
 
 /// Why a statement ran in full instead of merging into its previous
@@ -311,15 +312,21 @@ impl CompiledProgram {
         self.drift_reselect()?;
         self.ensure_schedules()?;
         let n = self.stmts.len();
-        let plans: Vec<(PlanKey, Arc<Plan>)> = (0..n)
+        let (keys, plans): (Vec<PlanKey>, Vec<Arc<Plan>>) = (0..n)
             .map(|k| self.ensure_plan(k))
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
 
         // Decide every statement's run mode up front, from pre-pass state.
-        let proofs: Vec<RetainedOutput> = (0..n).map(|k| self.proof(k, &plans[k].0)).collect();
+        let proofs: Vec<RetainedOutput> = keys
+            .into_iter()
+            .enumerate()
+            .map(|(k, key)| self.proof(k, key))
+            .collect();
         let mut fallbacks = Vec::with_capacity(n);
         let mut queued = Vec::with_capacity(n);
-        for (k, (_, plan)) in plans.into_iter().enumerate() {
+        for (k, plan) in plans.into_iter().enumerate() {
             let (retained, previous) = (self.retained[k].take(), self.last_results[k].take());
             let tracked = self.tracked(&proofs[k]);
             let mode = eligibility(merge, &proofs, k, retained.as_ref(), tracked);
@@ -361,17 +368,15 @@ impl CompiledProgram {
 
         let r = &mut self.report;
         r.iterations += 1;
-        r.launches.clear();
         for f in flushes {
-            r.wall_seconds += f.wall_seconds;
             r.batches += f.batches;
-            r.tasks += f.tasks;
-            r.spans += f.spans;
-            r.steals += f.steals;
-            r.threads = r.threads.max(f.threads);
+            r.wall_seconds += f.sched.wall_seconds;
+            r.tasks += f.sched.tasks;
+            r.spans += f.sched.spans;
+            r.steals += f.sched.steals;
+            r.threads = r.threads.max(f.sched.threads);
             r.model_seq_sum += f.model_seq_sum();
             r.model_makespan += f.model_makespan();
-            r.launches.extend(f.launches);
         }
         self.update_stmt_reports();
         let trace = self.ctx.trace();
@@ -418,23 +423,14 @@ impl CompiledProgram {
         }
     }
 
-    /// Refresh [`ProgramReport::stmts`] from the current selections and
-    /// `last_results`.
+    /// Refresh [`ProgramReport::stmts`] from the current selections.
     fn update_stmt_reports(&mut self) {
         self.report.stmts = self
             .stmts
             .iter()
-            .zip(&self.last_results)
-            .map(|(ps, result)| {
-                let (chosen, r) = (ps.chosen.as_ref(), result.as_ref());
-                StmtReport {
-                    stmt: ps.stmt.to_string(),
-                    schedule_kind: chosen.map_or("unselected", |c| c.kind.label()),
-                    schedule: ps.schedule_text(),
-                    time: r.map_or(0.0, |r| r.time),
-                    wall_time: r.map_or(0.0, |r| r.wall_time),
-                    task_skew: r.map_or(0.0, |r| r.sched.task_skew()),
-                }
+            .map(|ps| StmtReport {
+                schedule_kind: ps.chosen.as_ref().map_or("unselected", |c| c.kind.label()),
+                schedule: ps.schedule_text(),
             })
             .collect();
     }
@@ -525,7 +521,7 @@ impl CompiledProgram {
 
     /// What statement `k` records for the pass about to run under `key`:
     /// the current version of everything it reads.
-    fn proof(&self, k: usize, key: &PlanKey) -> RetainedOutput {
+    fn proof(&self, k: usize, plan_key: PlanKey) -> RetainedOutput {
         let stmt = &self.stmts[k].stmt;
         let mut reads: Vec<(String, u64)> = Vec::new();
         for a in stmt.rhs.accesses() {
@@ -537,7 +533,7 @@ impl CompiledProgram {
             output: stmt.lhs.tensor.clone(),
             reads,
             driver: self.sparse_driver(stmt),
-            plan_key: key.to_string(),
+            plan_key,
         }
     }
 
@@ -566,7 +562,7 @@ mod tests {
             output: output.to_string(),
             reads: reads.iter().map(|(t, v)| (t.to_string(), *v)).collect(),
             driver: driver.map(str::to_string),
-            plan_key: key.to_string(),
+            plan_key: PlanKey::new(key, "", ""),
         }
     }
 

@@ -17,8 +17,9 @@
 //! - `CompiledProgram` owns the [`Context`], the per-statement results of
 //!   the last pass, and a handle on a (possibly shared) [`PlanCache`].
 //! - It does NOT own the plans (the cache does), the execution of a batch
-//!   ([`Session`](crate::Session) does), or tensor versions and dirty
-//!   state (the context's [`streaming`](crate::streaming) table does).
+//!   ([`Session`](crate::Session) does), a statement's timings (its
+//!   [`ExecResult`] does: [`CompiledProgram::result`]), or tensor versions
+//!   and dirty state (each registration in the [`Context`] does).
 //!
 //! Figure 1's pitch is that a user writes *four declarative things* — a
 //! machine, tensor formats, a tensor index notation statement, and a
@@ -96,8 +97,7 @@ mod exec;
 use std::sync::Arc;
 
 use spdistal_ir::{Assignment, Format};
-use spdistal_runtime::pipeline::LaunchTiming;
-use spdistal_runtime::{ExecMode, SplitPolicy, Trace};
+use spdistal_runtime::Trace;
 use spdistal_sparse::SpTensor;
 
 use crate::dist_tensor::{Context, Error};
@@ -110,21 +110,15 @@ use exec::RetainedOutput;
 pub use auto::{AutoDecision, STATIC_IMBALANCE, SWITCH_IMBALANCE, SWITCH_TASK_SKEW};
 pub use builder::{Program, ScheduleSpec};
 
-/// Per-statement slice of a [`ProgramReport`].
+/// Per-statement slice of a [`ProgramReport`]: the schedule selected now.
+/// What the last execution did (simulated and wall time, launches, task
+/// skew) is its [`ExecResult`]: [`CompiledProgram::result`].
 #[derive(Clone, Debug)]
 pub struct StmtReport {
-    /// The statement, in TIN syntax.
-    pub stmt: String,
     /// Which schedule family is currently selected.
     pub schedule_kind: &'static str,
     /// The concrete schedule, in scheduling-language syntax.
     pub schedule: String,
-    /// Simulated seconds of the last execution.
-    pub time: f64,
-    /// Measured compute wall-clock seconds of the last execution.
-    pub wall_time: f64,
-    /// Measured task skew of the last execution's batch.
-    pub task_skew: f64,
 }
 
 /// What a [`CompiledProgram`]'s runs did, cumulatively.
@@ -152,8 +146,6 @@ pub struct ProgramReport {
     pub model_seq_sum: f64,
     /// Modeled graph-ordered makespan summed over flushes.
     pub model_makespan: f64,
-    /// Per-launch milestones of the most recent iteration.
-    pub launches: Vec<LaunchTiming>,
     /// Per-statement state after the most recent iteration.
     pub stmts: Vec<StmtReport>,
     /// Every auto-scheduler decision taken so far, in order.
@@ -224,21 +216,6 @@ impl CompiledProgram {
     /// Statements in this program.
     pub fn stmt_count(&self) -> usize {
         self.stmts.len()
-    }
-
-    /// Select how leaf kernels execute from the next run on.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.ctx.set_exec_mode(mode);
-    }
-
-    /// Select the span-splitting policy from the next run on.
-    pub fn set_split_policy(&mut self, policy: SplitPolicy) {
-        self.ctx.set_split_policy(policy);
-    }
-
-    /// Toggle whole-iteration overlap (see [`Program::launch_at_a_time`]).
-    pub fn set_pipelined(&mut self, pipelined: bool) {
-        self.pipelined = pipelined;
     }
 
     /// Re-register a tensor under a new format. Cached plans for

@@ -21,7 +21,8 @@
 //! replay in issue order (a topological order of the launch graph), with
 //! write-backs claimed at launch granularity, so:
 //!
-//! * outputs are **bit-identical** to [`ExecMode::Serial`] execution one
+//! * outputs are **bit-identical** to
+//!   [`ExecMode::Serial`](spdistal_runtime::ExecMode::Serial) execution one
 //!   plan per flush, and
 //! * simulated time ([`ExecResult::time`]) is completely unaffected by
 //!   pipelining — only real wall-clock moves.
@@ -47,7 +48,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spdistal_runtime::pipeline::{LaunchTiming, Pipeline};
-use spdistal_runtime::sched::{ExecMode, SplitPolicy};
+use spdistal_runtime::sched::ExecReport;
 use spdistal_runtime::{LaunchId, RegionId};
 use spdistal_sparse::SpTensor;
 
@@ -76,25 +77,10 @@ pub struct FlushReport {
     /// one batch unless a queued plan reads an earlier queued plan's
     /// output).
     pub batches: usize,
-    /// Real wall-clock seconds spent draining compute batches (summed
-    /// over batches; batches themselves never overlap).
-    pub wall_seconds: f64,
-    /// Point tasks executed across all batches.
-    pub tasks: usize,
-    /// Spans executed across all batches (== `tasks` when nothing split;
-    /// more when intra-color splitting chunked dominant colors).
-    pub spans: usize,
-    /// Work-stealing steals across all batches.
-    pub steals: usize,
-    /// Tasks split into more than one span, across all batches.
-    pub split_tasks: usize,
-    /// Summed span-body seconds across all batches (total real compute).
-    pub busy_seconds: f64,
-    /// The heaviest single task's span-body seconds, max over batches —
-    /// the measured critical color of the flush.
-    pub critical_task_seconds: f64,
-    /// Worker threads used (max over batches).
-    pub threads: usize,
+    /// The batches' drains folded into one ([`ExecReport::absorb`]):
+    /// batches never overlap, so wall and busy seconds add, and
+    /// [`ExecReport::task_skew`] is the flush's measured skew.
+    pub sched: ExecReport,
     /// Per-launch issue/start/drain milestones, rebased onto the
     /// session's epoch so overlap across launches is directly readable.
     /// Each entry's [`LaunchTiming::model`] carries the *modeled*
@@ -104,20 +90,6 @@ pub struct FlushReport {
 }
 
 impl FlushReport {
-    /// The measured task skew of the flush: the critical color's seconds
-    /// over the perfectly balanced per-task share (1.0 = balanced). The
-    /// executor-feedback half of the auto-scheduling loop, aggregated over
-    /// the flush's batches like the per-launch
-    /// [`task_skew`](spdistal_runtime::sched::ExecReport::task_skew).
-    /// A flush with no tasks or no measurable compute has no skew:
-    /// 0.0, never NaN or infinity.
-    pub fn task_skew(&self) -> f64 {
-        if self.busy_seconds <= 0.0 || self.tasks == 0 {
-            return 0.0;
-        }
-        self.critical_task_seconds / (self.busy_seconds / self.tasks as f64)
-    }
-
     /// Sum of the launches' modeled *sequential* spans: the simulated time
     /// launch-at-a-time replay charges for this flush's work.
     pub fn model_seq_sum(&self) -> f64 {
@@ -226,17 +198,6 @@ impl<'c> Session<'c> {
         self.queue.len()
     }
 
-    /// Select how flushed batches execute (delegates to the context).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.ctx.set_exec_mode(mode);
-    }
-
-    /// Select how splittable colors chunk into spans (delegates to the
-    /// context); takes effect from the next flush's describe phase.
-    pub fn set_split_policy(&mut self, policy: SplitPolicy) {
-        self.ctx.set_split_policy(policy);
-    }
-
     /// Queue `plan` for deferred execution and return its future. The plan
     /// is captured by value (cloned once, here): later schedule or context
     /// changes do not affect it (tensor *data* changes do — they force a
@@ -298,13 +259,13 @@ impl<'c> Session<'c> {
                 }
                 self.queue.clear();
                 if let Some(id) = flush_id {
-                    trace.flush_end(id, report.batches as u32, report.tasks as u64);
+                    trace.flush_end(id, report.batches as u32, report.sched.tasks as u64);
                 }
                 return Err(e);
             }
         }
         if let Some(id) = flush_id {
-            trace.flush_end(id, report.batches as u32, report.tasks as u64);
+            trace.flush_end(id, report.batches as u32, report.sched.tasks as u64);
         }
         Ok(report)
     }
@@ -466,16 +427,7 @@ impl<'c> Session<'c> {
         trace.add("tasks", exec_report.tasks as u64);
 
         report.batches += 1;
-        report.wall_seconds += exec_report.wall_seconds;
-        report.tasks += exec_report.tasks;
-        report.spans += exec_report.spans;
-        report.steals += exec_report.steals;
-        report.split_tasks += exec_report.split_tasks;
-        report.busy_seconds += exec_report.busy_seconds;
-        report.critical_task_seconds = report
-            .critical_task_seconds
-            .max(exec_report.critical_task_seconds);
-        report.threads = report.threads.max(exec_report.threads);
+        report.sched.absorb(&exec_report);
         Ok(())
     }
 }
@@ -536,7 +488,7 @@ mod tests {
         assert_eq!(session.pending(), 2);
         let report = session.flush().unwrap();
         assert_eq!(report.batches, 1);
-        assert_eq!(report.tasks, 2 * PIECES);
+        assert_eq!(report.sched.tasks, 2 * PIECES);
         assert_eq!(report.launches.len(), 2);
         for got in [session.value(&fy).unwrap(), session.value(&fz).unwrap()] {
             assert!(reference::approx_eq(
@@ -583,9 +535,8 @@ mod tests {
         let report = session.flush().unwrap();
         assert_eq!(report.batches, 0);
         assert!(report.launches.is_empty());
-        assert_eq!(report.tasks, 0);
+        assert_eq!(report.sched.tasks, 0);
         assert_eq!(report.modeled_overlap(), 0.0);
-        assert_eq!(report.task_skew(), 0.0);
         assert_eq!(report.model_seq_sum(), 0.0);
         assert_eq!(report.model_makespan(), 0.0);
         // Flushing an empty queue twice is just as fine.
@@ -594,29 +545,9 @@ mod tests {
 
     #[test]
     fn flush_report_zero_input_ratios_are_zero_not_nan() {
-        // Default (empty) report: every derived ratio must be a finite 0.0.
+        // Default (empty) report: no overlap to speak of, a finite 0.0.
         let report = FlushReport::default();
-        assert_eq!(report.task_skew(), 0.0);
         assert_eq!(report.modeled_overlap(), 0.0);
-
-        // Tasks but no measurable busy time: still no skew to report.
-        let report = FlushReport {
-            tasks: 8,
-            busy_seconds: 0.0,
-            critical_task_seconds: 0.0,
-            ..FlushReport::default()
-        };
-        assert_eq!(report.task_skew(), 0.0);
-        assert!(report.task_skew().is_finite());
-
-        // Busy time but no tasks (degenerate bookkeeping): same story.
-        let report = FlushReport {
-            tasks: 0,
-            busy_seconds: 1.5,
-            critical_task_seconds: 0.5,
-            ..FlushReport::default()
-        };
-        assert_eq!(report.task_skew(), 0.0);
 
         // Multi-launch flush whose modeled makespan collapsed to zero must
         // not divide by it.

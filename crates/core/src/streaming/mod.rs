@@ -11,21 +11,18 @@
 //! and re-executes only the affected colors, merging their output into the
 //! previous pass's output buffer.
 //!
-//! This module owns the *state* — versions, dirty maps, the telemetry
-//! types — and, in `ingest`, what a batch *means*: deltas resolved in
-//! order into report counts and one net edit per coordinate. Where entries
-//! live and how a tensor is re-packed is `spdistal_sparse`'s
-//! (`SpTensor::locate`, `SpTensor::with_edits`); regions and the two arms
-//! are `Context::update_batch`'s. The *rule* that reads the state (which
-//! statements may merge, and why not) is `program::exec`'s `eligibility`
-//! function; the *mechanism* (seeding the output, the per-color `rerun`
-//! mask) is [`plan`](crate::plan)'s.
+//! | `streaming` owns | `streaming` does not own |
+//! |---|---|
+//! | The types of tracked state, [`DirtyMap`] and [`TensorDirty`], and the telemetry types [`UpdateReport`] and [`IncrementalStats`] | Each tensor's version and dirty rows: its registration holds them ([`DistTensor`](crate::DistTensor), read through [`Context::tensor_version`](crate::Context::tensor_version) and [`Context::dirty_state`](crate::Context::dirty_state)) |
+//! | What a batch *means* (`ingest`): deltas resolved in order into report counts and one net edit per coordinate | Where entries live and how a tensor is re-packed: `spdistal_sparse` (`SpTensor::locate`, `SpTensor::with_edits`); regions and the two ingestion arms: [`Context::update_batch`](crate::Context::update_batch) |
+//! | When a merge stops paying: [`FALLBACK_DIRTY_RATIO`] | The *rule* that reads the state (which statements may merge, and why not): `program::exec`'s `eligibility` function |
+//! | The correctness model below | The *mechanism* (seeding the output, the per-color `rerun` mask): [`plan`](crate::plan) |
 //!
 //! ## Correctness model
 //!
 //! The incremental fast path is taken only when *every* observable input of
 //! a statement is provably unchanged except for value-only (`overwrite`)
-//! deltas on the driver, tracked here. Each registered tensor carries a
+//! deltas on the driver, tracked on its registration. Each registered tensor carries a
 //! monotonically increasing **version** (bumped on any registration,
 //! replacement, or mutable-data access); every pass records, per statement,
 //! the versions of all tensors it read. At `run_incremental` time a
@@ -39,8 +36,6 @@
 //! accumulate into a zero-initialized buffer), so each re-run color
 //! reproduces exactly the bits a full run would produce; skipped colors keep
 //! retained bits that a full run would reproduce from their unchanged rows.
-
-use std::collections::BTreeMap;
 
 pub use spdistal_sparse::{CoordDelta, DeltaOp};
 
@@ -210,46 +205,6 @@ pub struct IncrementalStats {
     pub reason: String,
 }
 
-/// Versions and dirty state of a context's tensors — one side table, owned
-/// by [`crate::Context`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct StreamingState {
-    versions: BTreeMap<String, u64>,
-    dirty: BTreeMap<String, TensorDirty>,
-}
-
-impl StreamingState {
-    /// The tensor's current version (0 before first registration).
-    pub fn version(&self, name: &str) -> u64 {
-        self.versions.get(name).copied().unwrap_or(0)
-    }
-
-    /// Bump on any mutation: registration, replacement, data access.
-    pub fn bump_version(&mut self, name: &str) -> u64 {
-        let v = self.versions.entry(name.to_string()).or_insert(0);
-        *v += 1;
-        *v
-    }
-
-    pub fn dirty(&self, name: &str) -> Option<&TensorDirty> {
-        self.dirty.get(name)
-    }
-
-    /// Remove and return tracked dirty state (any re-registration drops
-    /// it; `update_batch` extends what it got back and re-installs it).
-    pub fn take_dirty(&mut self, name: &str) -> Option<TensorDirty> {
-        self.dirty.remove(name)
-    }
-
-    pub fn set_dirty(&mut self, name: &str, state: TensorDirty) {
-        self.dirty.insert(name.to_string(), state);
-    }
-
-    pub fn clear_all_dirty(&mut self) {
-        self.dirty.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,15 +242,5 @@ mod tests {
         assert!(!m.intersects_range(258, 299));
         assert!(!m.intersects_range(10, 5)); // inverted range
         assert!(!m.intersects_range(-10, -1));
-    }
-
-    #[test]
-    fn versions_bump_monotonically() {
-        let mut s = StreamingState::default();
-        assert_eq!(s.version("B"), 0);
-        assert_eq!(s.bump_version("B"), 1);
-        assert_eq!(s.bump_version("B"), 2);
-        assert_eq!(s.version("B"), 2);
-        assert_eq!(s.version("C"), 0);
     }
 }

@@ -188,6 +188,22 @@ impl ExecReport {
         }
         self.steals as f64 / self.spans as f64
     }
+
+    /// Fold another drain into this report, as drains run one after the
+    /// other: counts and seconds add; `threads`, `critical_path` and
+    /// `critical_task_seconds` take the max.
+    pub fn absorb(&mut self, other: &ExecReport) {
+        self.wall_seconds += other.wall_seconds;
+        self.tasks += other.tasks;
+        self.spans += other.spans;
+        self.split_tasks += other.split_tasks;
+        self.edges += other.edges;
+        self.steals += other.steals;
+        self.busy_seconds += other.busy_seconds;
+        self.critical_path = self.critical_path.max(other.critical_path);
+        self.threads = self.threads.max(other.threads);
+        self.critical_task_seconds = self.critical_task_seconds.max(other.critical_task_seconds);
+    }
 }
 
 /// Executes task graphs according to an [`ExecMode`].
@@ -405,6 +421,55 @@ mod tests {
         };
         assert_eq!(stolen.steal_rate(), 0.0);
         assert!(stolen.steal_rate().is_finite());
+    }
+
+    #[test]
+    fn absorb_adds_counts_and_keeps_the_max_of_the_rest() {
+        let a = ExecReport {
+            wall_seconds: 1.0,
+            tasks: 4,
+            spans: 6,
+            split_tasks: 1,
+            edges: 3,
+            critical_path: 2,
+            threads: 2,
+            steals: 5,
+            busy_seconds: 1.5,
+            critical_task_seconds: 0.75,
+        };
+        let b = ExecReport {
+            wall_seconds: 0.5,
+            tasks: 2,
+            spans: 3,
+            split_tasks: 0,
+            edges: 7,
+            critical_path: 5,
+            threads: 1,
+            steals: 1,
+            busy_seconds: 0.25,
+            critical_task_seconds: 1.25,
+        };
+        let fields = |r: &ExecReport| {
+            let counts = (r.tasks, r.spans, r.split_tasks, r.edges, r.steals);
+            let seconds = (r.wall_seconds, r.busy_seconds);
+            (
+                counts,
+                seconds,
+                (r.critical_path, r.threads, r.critical_task_seconds),
+            )
+        };
+        // `default()` is the identity on either side.
+        let mut from_empty = ExecReport::default();
+        from_empty.absorb(&a);
+        assert_eq!(fields(&from_empty), fields(&a));
+        let mut with_empty = a;
+        with_empty.absorb(&ExecReport::default());
+        assert_eq!(fields(&with_empty), fields(&a));
+        // Counts and seconds add; the critical path, the thread count and
+        // the heaviest task take the max.
+        let mut both = a;
+        both.absorb(&b);
+        assert_eq!(fields(&both), ((6, 9, 1, 10, 6), (1.5, 1.75), (5, 2, 1.25)));
     }
 
     #[test]

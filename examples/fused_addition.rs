@@ -63,19 +63,20 @@ fn build(
 }
 
 /// Run both fused additions under `mode`. Returns the two assembled
-/// outputs, the first statement's simulated time, and the program report.
+/// outputs, the first statement's simulated time, and the program: its
+/// report and each statement's result (launch milestones included).
 fn run(
     mode: ExecMode,
     pipelined: bool,
     trace: &Trace,
-) -> Result<(Vec<SpTensor>, f64, ProgramReport), Box<dyn std::error::Error>> {
+) -> Result<(Vec<SpTensor>, f64, CompiledProgram), Box<dyn std::error::Error>> {
     let mut program = build(mode, pipelined, trace)?;
     program.run()?;
     let sim_time = program.result(0).unwrap().time;
     let outputs = (0..program.stmt_count())
         .map(|k| program.value(k).unwrap().as_tensor().unwrap().clone())
         .collect();
-    Ok((outputs, sim_time, program.report().clone()))
+    Ok((outputs, sim_time, program))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -124,10 +125,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let expect_a = reference::spadd3(&b, &c, &d);
     let expect_a2 = reference::spadd3(&c, &d, &e);
 
-    let (outputs, sim_time, report) = run(ExecMode::Serial, true, &trace)?;
+    let (outputs, sim_time, program) = run(ExecMode::Serial, true, &trace)?;
     assert!(reference::tensors_approx_eq(&outputs[0], &expect_a, 1e-12));
     assert!(reference::tensors_approx_eq(&outputs[1], &expect_a2, 1e-12));
-    assert_eq!(report.batches, 1, "independent additions share one batch");
+    assert_eq!(
+        program.report().batches,
+        1,
+        "independent additions share one batch"
+    );
 
     // Baselines: pairwise composition of the first statement.
     let machine = Machine::grid1d(PIECES, MachineProfile::lassen_cpu());
@@ -154,8 +159,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(threads) = pipeline_threads {
         let mode = ExecMode::Parallel(threads);
-        let (lat_outputs, _, lat_report) = run(mode, false, &trace)?;
-        let (pipe_outputs, pipe_sim, pipe_report) = run(mode, true, &trace)?;
+        let (lat_outputs, _, lat) = run(mode, false, &trace)?;
+        let (pipe_outputs, pipe_sim, pipe) = run(mode, true, &trace)?;
+        let (lat_report, pipe_report) = (lat.report(), pipe.report());
         for got in [&lat_outputs, &pipe_outputs] {
             for (serial, other) in outputs.iter().zip(got.iter()) {
                 assert_eq!(serial.levels(), other.levels(), "assembled structure");
@@ -185,7 +191,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pipe_report.batches,
             pipe_report.steals
         );
-        for t in &pipe_report.launches {
+        let results = (0..pipe.stmt_count()).map(|k| pipe.result(k).unwrap());
+        for t in results.flat_map(|r| &r.launches) {
             println!(
                 "    {:<10} issue {:7.3}  start {:7.3}  drain {:7.3} (ms since epoch)",
                 t.name,

@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &expect,
             1e-12
         ));
-        let skew = program.report().stmts[0].task_skew;
+        let skew = result.sched.task_skew();
         report.push((name, skew, result.time, result.comm_bytes));
         last_program = Some(program);
     }

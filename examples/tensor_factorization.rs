@@ -106,12 +106,13 @@ fn build(
     Ok(program.build()?)
 }
 
-/// Final factor values + the cumulative program report of one run.
-type RunOutcome = (Vec<Vec<f64>>, ProgramReport);
+/// Final factor values + the program that computed them: its report is
+/// cumulative, and each statement's result holds its last sweep's timings.
+type RunOutcome = (Vec<Vec<f64>>, CompiledProgram);
 
 /// One full CP-ALS run: `SWEEPS` sweeps of the three-mode program, the
 /// damping step as the between-sweep hook. Returns the final factor values
-/// and the cumulative program report.
+/// and the program.
 fn run(
     mode: ExecMode,
     alpha: f64,
@@ -154,7 +155,7 @@ fn run(
         .iter()
         .map(|n| program.context().tensor(n).unwrap().data.vals().to_vec())
         .collect();
-    Ok((finals, program.report().clone()))
+    Ok((finals, program))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -210,6 +211,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \n  one Program, 3 independent SpMTTKRP mode updates per sweep"
     );
     let (serial_finals, serial) = run(ExecMode::Serial, alpha, false, true, &trace)?;
+    let serial = serial.report();
     println!(
         "serial launch-at-a-time: compute {:8.3} ms wall-clock \
          ({} batches, {} plan compiles + {} cache hits over {} statement runs, \
@@ -228,7 +230,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(threads) = pipeline_threads {
         let mode = ExecMode::Parallel(threads);
         let (lat_finals, lat) = run(mode, alpha, false, false, &trace)?;
-        let (pipe_finals, pipe) = run(mode, alpha, true, false, &trace)?;
+        let (pipe_finals, pipe_program) = run(mode, alpha, true, false, &trace)?;
+        let (lat, pipe) = (lat.report(), pipe_program.report());
         for factors in [&lat_finals, &pipe_finals] {
             assert_eq!(serial_finals.len(), factors.len());
             for (s, p) in serial_finals.iter().zip(factors.iter()) {
@@ -249,7 +252,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!("  outputs bit-identical to the serial path ✔");
         println!("  final sweep launch milestones (wall ms | modeled ms):");
-        for timing in &pipe.launches {
+        let results = (0..pipe_program.stmt_count()).map(|k| pipe_program.result(k).unwrap());
+        for timing in results.flat_map(|r| &r.launches) {
             println!(
                 "    {:<12} issue {:7.3}  start {:7.3}  drain {:7.3} | \
                  issue {:7.3}  start {:7.3}  finish {:7.3}",
