@@ -310,15 +310,12 @@ impl Context {
     /// Counts as an untracked mutation: the tensor's version is bumped, so
     /// retained incremental state keyed to the old version is invalidated.
     pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut SpTensor, Error> {
-        let t = self.entry_mut(name)?;
+        let t = self
+            .tensors
+            .get_mut(name)
+            .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
         t.version += 1;
         Ok(&mut t.data)
-    }
-
-    fn entry_mut(&mut self, name: &str) -> Result<&mut DistTensor, Error> {
-        self.tensors
-            .get_mut(name)
-            .ok_or_else(|| Error::UnknownTensor(name.to_string()))
     }
 
     /// Replace a tensor's data wholesale (sparse outputs with fresh
@@ -529,7 +526,8 @@ impl Context {
     }
 
     /// The tensor's current version: bumped on every registration,
-    /// replacement, or mutable-data access. 0 before first registration.
+    /// replacement, mutable-data access, write-back or applied batch, and
+    /// kept by a failed one. 0 before first registration.
     pub fn tensor_version(&self, name: &str) -> u64 {
         self.tensors.get(name).map_or(0, |t| t.version)
     }
