@@ -312,18 +312,16 @@ impl CompiledProgram {
         self.drift_reselect()?;
         self.ensure_schedules()?;
         let n = self.stmts.len();
-        let (keys, plans): (Vec<PlanKey>, Vec<Arc<Plan>>) = (0..n)
+        let plans: Vec<(PlanKey, Arc<Plan>)> = (0..n)
             .map(|k| self.ensure_plan(k))
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .unzip();
+            .collect::<Result<_, _>>()?;
 
         // Decide every statement's run mode up front, from pre-pass state.
-        let proofs: Vec<RetainedOutput> = keys
+        let (proofs, plans): (Vec<RetainedOutput>, Vec<Arc<Plan>>) = plans
             .into_iter()
             .enumerate()
-            .map(|(k, key)| self.proof(k, key))
-            .collect();
+            .map(|(k, (key, plan))| (self.proof(k, key), plan))
+            .unzip();
         let mut fallbacks = Vec::with_capacity(n);
         let mut queued = Vec::with_capacity(n);
         for (k, plan) in plans.into_iter().enumerate() {

@@ -22,13 +22,14 @@
 //!
 //! The incremental fast path is taken only when *every* observable input of
 //! a statement is provably unchanged except for value-only (`overwrite`)
-//! deltas on the driver, tracked on its registration. Each registered tensor carries a
-//! monotonically increasing **version** (bumped on any registration,
-//! replacement, or mutable-data access); every pass records, per statement,
-//! the versions of all tensors it read. At `run_incremental` time a
-//! statement is eligible only if every non-driver input version matches and
-//! the driver's changes are exactly the tracked dirty set (same version
-//! lineage, no structural inserts/deletes). Anything else — format
+//! deltas on the driver, tracked on its registration. Each registration
+//! carries a monotonically increasing **version** (bumped on any
+//! registration, replacement, mutable-data access, write-back or applied
+//! batch); every pass records, per statement, the versions of all tensors
+//! it read. At `run_incremental` time a statement is eligible only if every
+//! non-driver input version matches and the driver's changes are exactly
+//! the tracked dirty set (same version lineage, no structural
+//! inserts/deletes). Anything else — format
 //! re-registration, untracked mutation, a chained statement rewriting an
 //! operand — falls back to a full run, which is trivially bit-identical.
 //!
