@@ -117,6 +117,17 @@ if grep -nE 'pub (time|wall_time|task_skew|stmt):' <<<"$stmt_body" ||
   grep -n 'pub launches:' <<<"$program_body"; then
   echo "a program report copies a statement's result: read it from CompiledProgram::result(k)"; exit 1
 fi
+# One way to run a leaf: every plan binds a blessed kernel, and a driver
+# layout none is blessed for is refused at compile. The generic walker
+# (`kernels::{matrix,tensor3}::*_color`) is the identity suites' oracle and
+# the benchmark's baseline: plan.rs never names it, no crate counts a
+# fallback, and the callerless MatrixMarket/FROSTT codec stays out of
+# spdistal-sparse until something reads a dataset file.
+if grep -nE '(spmv|spmm|sddmm|spttv|spmttkrp)_color' crates/core/src/plan.rs ||
+  grep -rn '"kernel\.fallback"' crates/*/src ||
+  grep -rn 'pub mod mm' crates/sparse/src; then
+  echo "a second way to run a leaf is back (walker in plan.rs, kernel.fallback or the mm codec)"; exit 1
+fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const
@@ -159,7 +170,7 @@ cargo run --release -q --example quickstart -- --skew 0.95 --trace /tmp/spd_trac
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_trace.json --summary \
   --require steal --require auto-decision \
   --require span --require launch --require cache --require model \
-  --require kernel-dispatch --require kernel-specialized --require-no-drops
+  --require kernel-dispatch --require kernel-specialized --forbid kernel-fallback --require-no-drops
 
 echo "==> leaf smoke: fused_addition --pipeline --trace, every leaf blessed"
 # Both statements are SpAdd3 over CSR, the last leaf to get a blessed
@@ -187,7 +198,7 @@ cargo run --release -q --example streaming -- --trace /tmp/spd_stream_trace.json
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_stream_trace.json \
   --require incremental --require incremental-skip --require incremental-fallback \
   --require ingest-in-place --require ingest-structural \
-  --require-no-drops
+  --forbid kernel-fallback --require-no-drops
 rm -f /tmp/spd_stream_trace.json
 
 echo "==> serving smoke: spd-server on a UDS, two tenants share the plan cache"
@@ -227,7 +238,7 @@ fi
 wait "$spd_pid"
 [ ! -e "$spd_sock" ] || { echo "spd-server left its socket behind"; exit 1; }
 cargo run --release -q -p spdistal-bench --bin trace_check -- "$spd_trace" \
-  --require cache --require auto-decision --require-no-drops
+  --require cache --require auto-decision --forbid kernel-fallback --require-no-drops
 rm -f "$spd_trace" /tmp/spd_server_out_$$.log
 
 echo "==> pool contract, optimised: stress, zero-helper completion, panic containment"

@@ -15,7 +15,7 @@
 //! `ingest-in-place`, `ingest-structural`, ...) and fails unless at least
 //! one such event is present. Each `--forbid` matches the same way and
 //! fails if any such event is present (`--forbid kernel-fallback`: no plan
-//! ran the generic walker).
+//! may dispatch the generic walker).
 //! `--require-no-drops` fails when the trace reports that its recorder
 //! overwrote events (`events_dropped > 0`): whatever was counted from such a
 //! trace undercounts. `--summary`
@@ -168,12 +168,12 @@ mod tests {
     #[test]
     fn forbid_matches_a_present_name_or_category_only() {
         let trace = Trace::enabled();
-        trace.kernel_dispatch("SpTtv", "{Dense,Dense,Compressed}", false);
+        trace.kernel_dispatch("SpTtv", "{Dense,Dense,Compressed}");
         let stats = stats_of(&trace);
         let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let present = forbidden_present(&stats, &names(&["kernel-fallback", "kernel-dispatch"]));
+        let present = forbidden_present(&stats, &names(&["kernel-specialized", "kernel-dispatch"]));
         assert_eq!(present.len(), 2, "{present:?}");
         assert!(present.iter().all(|(_, n)| *n >= 1));
-        assert!(forbidden_present(&stats, &names(&["kernel-specialized", "steal"])).is_empty());
+        assert!(forbidden_present(&stats, &names(&["ingest-in-place", "steal"])).is_empty());
     }
 }

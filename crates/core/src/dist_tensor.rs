@@ -261,11 +261,7 @@ impl Context {
         &self.trace
     }
 
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
-    }
-
-    /// Builder-style variant of [`Context::set_trace`].
+    /// This context, recording into `trace`.
     pub fn with_trace(mut self, trace: Trace) -> Self {
         self.trace = trace;
         self

@@ -4,10 +4,11 @@
 //! distributed-loop iteration) by walking the driver tensor's partitioned
 //! coordinate tree, and returns the modeled operation count that feeds the
 //! machine model. Accumulation into shared outputs happens color-by-color,
-//! mirroring the runtime's reduction semantics. These are the oracle of
-//! the blessed kernels and the path of matrix layouts none blesses; SpAdd3
-//! has no walker — `recognize` admits it over CSR only, whose blessed
-//! merge ([`crate::kernels::specialized`]) is its one implementation.
+//! mirroring the runtime's reduction semantics. No plan runs them: they
+//! are the oracle of the blessed kernels and the benchmark's baseline.
+//! SpAdd3 has no walker — `recognize` admits it over CSR only, whose
+//! blessed merge ([`crate::kernels::specialized`]) is its one
+//! implementation.
 
 use spdistal_sparse::SpTensor;
 

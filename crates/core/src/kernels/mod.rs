@@ -4,10 +4,14 @@
 //! innermost (single-node) computation of *the* statement. This
 //! reproduction stands six hand-bound leaves in for that generator — the
 //! evaluation kernels of Section VI-A — and [`recognize`] is the single
-//! gate in front of them: a statement is one of the six shapes over operand
-//! layouts its leaf reads exactly, or it is refused with a reason and never
-//! compiles. A leaf operates only on the sub-tensor its color owns, by
-//! clamping coordinate-tree iteration to the color's partition.
+//! gate in front of them: a statement is one of the six shapes with its
+//! driver stored in a layout [`specialized::lookup`] blesses for that
+//! shape, or it is refused with a reason and never compiles. Every plan
+//! runs a blessed kernel; the generic walker ([`walk_partitioned_span`],
+//! `matrix::*_color`, `tensor3::*_color`) is their bit-identity oracle and
+//! the benchmark's baseline, never a dispatch path. A leaf operates only on
+//! the sub-tensor its color owns, by clamping coordinate-tree iteration to
+//! the color's partition.
 
 pub mod matrix;
 pub mod specialized;
@@ -46,7 +50,8 @@ pub type TensorInfo = (Vec<LevelFormat>, Vec<usize>);
 /// The statements that compile, as a refusal lists them.
 pub(crate) const SHAPES: &str = "a(i) = B(i,j) * c(j), A(i,j) = B(i,k) * C(k,j), \
      A(i,j) = B(i,j) * C(i,k) * D(k,j), A(i,j) = B(i,j,k) * c(k), \
-     A(i,l) = B(i,j,k) * C(j,l) * D(k,l) with B sparse and the other operands dense, or \
+     A(i,l) = B(i,j,k) * C(j,l) * D(k,l) with B stored in a layout blessed for the kernel \
+     and the other operands dense, or \
      A(i,j) = B(i,j) + C(i,j) + D(i,j) with B, C and D stored {Dense,Compressed}";
 
 /// The index pattern of each shape: the left-hand side, then every operand
@@ -128,25 +133,22 @@ pub fn recognize(
                 ));
             }
         }
-        // The stored layout the leaf reads: the driver through its level
-        // arrays (any layout with a compressed level), every other operand
-        // as one flat row-major `vals` slice — except SpAdd3, which indexes
-        // the level-1 `pos` of all three inputs by row.
-        use LevelFormat::{Compressed, Dense};
-        let (fits, need) = match k {
-            0 => continue,
-            _ if *kernel == LeafKernel::SpAdd3 => (
-                levels[..] == [Dense, Compressed],
-                "stored {Dense,Compressed}",
-            ),
-            1 => (levels.contains(&Compressed), "sparse (a compressed level)"),
-            _ => (levels.iter().all(|l| *l == Dense), "dense at every level"),
-        };
-        if !fits {
+        // The stored layout the leaf reads: the driver — and each of
+        // SpAdd3's three inputs, whose level-1 `pos` it indexes by row —
+        // in a layout blessed for the kernel, every other operand as one
+        // flat row-major `vals` slice.
+        if k == 0 {
+            continue;
+        }
+        let stored = specialized::kinds_signature(&levels);
+        if k == 1 || *kernel == LeafKernel::SpAdd3 {
+            if specialized::lookup(kernel, &stored).is_none() {
+                return Err(specialized::refusal(kernel, &a.tensor, &stored));
+            }
+        } else if levels.iter().any(|l| *l != LevelFormat::Dense) {
             return Err(format!(
-                "operand '{}' must be {need}; it is stored {}",
-                a.tensor,
-                specialized::kinds_signature(&levels)
+                "operand '{}' must be dense at every level; it is stored {stored}",
+                a.tensor
             ));
         }
         if k == 2 {
@@ -320,24 +322,20 @@ impl<'a> OutVals<'a> {
     }
 }
 
-/// The visitor callback of [`walk_partitioned`]:
+/// The visitor callback of [`walk_partitioned_span`]:
 /// `f(coords, level_entries, value)`.
 pub type EntryVisitor<'a> = dyn FnMut(&[i64], &[usize], f64) + 'a;
 
-/// Walk the stored entries of `t` owned by `color` under `part`, calling
-/// `f(coords, level_entries, value)` for each. Iteration at every level is
-/// clamped to the color's entry partition, so aliased partitions (e.g.
-/// boundary rows of a non-zero split) visit exactly the positions the color
-/// owns at the leaf level.
-pub fn walk_partitioned(t: &SpTensor, part: &TensorPartition, color: usize, f: &mut EntryVisitor) {
-    walk_partitioned_span(t, part, color, None, f)
-}
-
-/// [`walk_partitioned`] restricted to one [`KernelSpan`]: the span's level
-/// is additionally clamped to the span's subset, every other level keeps
-/// the color's clamps. Walking every span of a color (chunks of the
-/// color's subset at one level) visits exactly the color's entries, each
-/// exactly once, because every leaf entry descends from exactly one
+/// Walk the stored entries of `t` owned by `color` under `part` — within
+/// one [`KernelSpan`] when given — calling `f(coords, level_entries,
+/// value)` for each: the generic walker behind `matrix::*_color` and
+/// `tensor3::*_color`, the oracle of the blessed kernels. Iteration at
+/// every level is clamped to the color's entry partition, so aliased
+/// partitions (e.g. boundary rows of a non-zero split) visit exactly the
+/// positions the color owns at the leaf level; a span's level is clamped
+/// to the span's subset as well. Walking every span of a color (chunks of
+/// the color's subset at one level) visits exactly the color's entries,
+/// each exactly once, because every leaf entry descends from exactly one
 /// split-level entry.
 pub fn walk_partitioned_span(
     t: &SpTensor,
@@ -525,7 +523,12 @@ mod tests {
             (a.clone(), b("B3") * c("c"), "order 3"),
             (a.clone(), b("B2") * c("ck"), "extent 12 and, in ck(iv1), 14"),
             // Operand layouts the bound leaf does not read.
-            (a.clone(), b("Adense") * c("c"), "'Adense' must be sparse"),
+            (
+                a.clone(),
+                b("Adense") * c("c"),
+                "leaf SpMv: operand 'Adense' must be stored {Dense,Compressed} or \
+                 {Compressed,Compressed} or {Compressed,Singleton}; it is stored {Dense,Dense}",
+            ),
             (a.clone(), b("B2") * c("cs"), "'cs' must be dense"),
             (
                 big_a.clone(),
@@ -552,7 +555,7 @@ mod tests {
         let part = partition_tensor(&t, 1, nonzero_partition(&t, 1, 4));
         let mut seen = vec![0u32; t.num_stored()];
         for c in 0..4 {
-            walk_partitioned(&t, &part, c, &mut |_, entries, _| {
+            walk_partitioned_span(&t, &part, c, None, &mut |_, entries, _| {
                 seen[entries[1]] += 1;
             });
         }
@@ -568,7 +571,7 @@ mod tests {
         let t = generate::tensor3_uniform([8, 8, 8], 100, 6);
         let part = replicated_partition(&t, 2);
         let mut count = 0;
-        walk_partitioned(&t, &part, 1, &mut |_, _, _| count += 1);
+        walk_partitioned_span(&t, &part, 1, None, &mut |_, _, _| count += 1);
         assert_eq!(count, t.nnz());
     }
 
@@ -577,7 +580,9 @@ mod tests {
         let t = generate::tensor3_uniform([6, 7, 8], 60, 7);
         let part = replicated_partition(&t, 1);
         let mut from_walk = Vec::new();
-        walk_partitioned(&t, &part, 0, &mut |c, _, v| from_walk.push((c.to_vec(), v)));
+        walk_partitioned_span(&t, &part, 0, None, &mut |c, _, v| {
+            from_walk.push((c.to_vec(), v))
+        });
         assert_eq!(from_walk, t.to_coo());
     }
 }

@@ -4,12 +4,12 @@
 //!
 //! | | |
 //! |---|---|
-//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` level kinds, and the `(kernel, stored signature)` [`lookup`] |
+//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` and `MidLevel` level kinds, and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
 //! | **Does not own** | when the lookup happens — once per prepared plan in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
 //! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
 //! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
 //! | **Does not own** | output aliasing and assembly — shared buffer vs. per-color partials, and SpAdd3's span buffers into one tensor, are `plan.rs`; a kernel only sees the [`OutVals`] or the buffer it is handed |
-//! | **Does not own** | the generic walker (`kernels::{matrix,tensor3}::*_color`) — the test oracle, and the path of unblessed layouts (`{Dense,Dense,Compressed}`, `{Dense,Compressed,Singleton}`, ...) |
+//! | **Does not own** | the generic walker (`kernels::{matrix,tensor3}::*_color`) — the identity suites' oracle and the benchmark's baseline, no longer a dispatch path: an unblessed layout does not compile |
 //!
 //! ## Kernel bodies × level kinds
 //!
@@ -19,7 +19,12 @@
 //! * **row-keyed** drivers (CSR, DCSR, CSF, doubly-compressed CSF) have a
 //!   compressed level 1 under a dense or compressed level 0. One source
 //!   per kernel, generic over `TopLevel`, driven by `for_rows`; the
-//!   compiler emits the `DenseTop` and `CompressedTop` variants.
+//!   compiler emits the `DenseTop` and `CompressedTop` variants. The
+//!   order-3 sources are generic over a `MidLevel` instead: compressed
+//!   (`CompressedMid<T>`, driven by `for_rows::<T>`) or dense under a
+//!   dense level 0 (`DenseMid`, the patents layout
+//!   `{Dense,Dense,Compressed}`, whose level-1 fibers are a fused dense
+//!   `(i,j)` dimension).
 //! * **COO** drivers (`{Compressed,Singleton,..}`) share one entry index
 //!   across all levels. One source per kernel, driven by
 //!   `for_coo_runs`.
@@ -31,12 +36,13 @@
 //! | `Sddmm`    | `sddmm::<DenseTop>`        | `sddmm::<CompressedTop>`         | `sddmm_coo`                    |
 //!
 //! plus the order-3 analogues for `SpMttkrp` and `SpTtv`:
-//! `spmttkrp::<DenseTop>` / `spttv::<DenseTop>` on CSF
-//! `{Dense,Compressed,Compressed}`, the `CompressedTop` instances on
-//! `{Compressed,Compressed,Compressed}`, and `spmttkrp_coo` / `spttv_coo`
-//! on `{Compressed,Singleton,Singleton}`; and `spadd3` on CSR, the one
-//! layout `recognize` admits SpAdd3 over. Everything else resolves to the
-//! generic walker and counts a `kernel.fallback`.
+//! `spmttkrp::<CompressedMid<DenseTop>>` / `spttv::<..>` on CSF
+//! `{Dense,Compressed,Compressed}`, the `CompressedMid<CompressedTop>`
+//! instances on `{Compressed,Compressed,Compressed}`, the `DenseMid`
+//! instances on `{Dense,Dense,Compressed}`, and `spmttkrp_coo` /
+//! `spttv_coo` on `{Compressed,Singleton,Singleton}`; and `spadd3` on CSR.
+//! That is 18 pairs, and every other `(kernel, stored signature)` is
+//! refused at compile by `recognize`.
 //!
 //! ## Contract
 //!
@@ -223,8 +229,7 @@ fn for_coo_runs(
     n
 }
 
-/// The kernel's name in `kernel-dispatch` trace events (every variant,
-/// blessed or not).
+/// The kernel's name in `kernel-dispatch` trace events and refusals.
 pub fn kernel_name(kernel: &LeafKernel) -> &'static str {
     match kernel {
         LeafKernel::SpMv => "SpMv",
@@ -244,32 +249,66 @@ const COO: &str = "{Compressed,Singleton}";
 const CSF: &str = "{Dense,Compressed,Compressed}";
 const DCSF: &str = "{Compressed,Compressed,Compressed}";
 const COO3: &str = "{Compressed,Singleton,Singleton}";
+const DDC: &str = "{Dense,Dense,Compressed}";
+
+/// The blessed `(kernel name, stored signature, kernel)` triples: the one
+/// table behind [`lookup`] and behind the refusal that lists what a kernel
+/// runs over.
+const BLESSED: [(&str, &str, SpecializedKernel); 18] = {
+    use tensor3::{spmttkrp, spttv, CompressedMid as Mid, DenseMid};
+    use SpecializedKernel as K;
+    [
+        ("SpMv", CSR, K::SpMv(matrix::spmv::<DenseTop>)),
+        ("SpMv", DCSR, K::SpMv(matrix::spmv::<CompressedTop>)),
+        ("SpMv", COO, K::SpMv(matrix::spmv_coo)),
+        ("SpMm", CSR, K::SpMm(matrix::spmm::<DenseTop>)),
+        ("SpMm", DCSR, K::SpMm(matrix::spmm::<CompressedTop>)),
+        ("SpMm", COO, K::SpMm(matrix::spmm_coo)),
+        ("Sddmm", CSR, K::Sddmm(matrix::sddmm::<DenseTop>)),
+        ("Sddmm", DCSR, K::Sddmm(matrix::sddmm::<CompressedTop>)),
+        ("Sddmm", COO, K::Sddmm(matrix::sddmm_coo)),
+        ("SpMttkrp", CSF, K::SpMttkrp(spmttkrp::<Mid<DenseTop>>)),
+        (
+            "SpMttkrp",
+            DCSF,
+            K::SpMttkrp(spmttkrp::<Mid<CompressedTop>>),
+        ),
+        ("SpMttkrp", COO3, K::SpMttkrp(tensor3::spmttkrp_coo)),
+        ("SpMttkrp", DDC, K::SpMttkrp(spmttkrp::<DenseMid>)),
+        ("SpTtv", CSF, K::SpTtv(spttv::<Mid<DenseTop>>)),
+        ("SpTtv", DCSF, K::SpTtv(spttv::<Mid<CompressedTop>>)),
+        ("SpTtv", COO3, K::SpTtv(tensor3::spttv_coo)),
+        ("SpTtv", DDC, K::SpTtv(spttv::<DenseMid>)),
+        ("SpAdd3", CSR, K::SpAdd3(matrix::spadd3)),
+    ]
+};
 
 /// Look up the blessed implementation of `(kernel, levels_signature)`,
 /// where `levels_signature` is the driver's [`storage_signature`] — the
-/// arrays the kernel will read. `None`: not blessed, use the generic walker.
+/// arrays the kernel will read. `None`: not blessed, and nothing runs it
+/// ([`crate::kernels::recognize`] refuses the statement at compile).
 pub fn lookup(kernel: &LeafKernel, levels_signature: &str) -> Option<SpecializedKernel> {
-    use LeafKernel as L;
-    use SpecializedKernel as K;
-    Some(match (kernel, levels_signature) {
-        (L::SpMv, CSR) => K::SpMv(matrix::spmv::<DenseTop>),
-        (L::SpMv, DCSR) => K::SpMv(matrix::spmv::<CompressedTop>),
-        (L::SpMv, COO) => K::SpMv(matrix::spmv_coo),
-        (L::SpMm { .. }, CSR) => K::SpMm(matrix::spmm::<DenseTop>),
-        (L::SpMm { .. }, DCSR) => K::SpMm(matrix::spmm::<CompressedTop>),
-        (L::SpMm { .. }, COO) => K::SpMm(matrix::spmm_coo),
-        (L::Sddmm { .. }, CSR) => K::Sddmm(matrix::sddmm::<DenseTop>),
-        (L::Sddmm { .. }, DCSR) => K::Sddmm(matrix::sddmm::<CompressedTop>),
-        (L::Sddmm { .. }, COO) => K::Sddmm(matrix::sddmm_coo),
-        (L::SpMttkrp { .. }, CSF) => K::SpMttkrp(tensor3::spmttkrp::<DenseTop>),
-        (L::SpMttkrp { .. }, DCSF) => K::SpMttkrp(tensor3::spmttkrp::<CompressedTop>),
-        (L::SpMttkrp { .. }, COO3) => K::SpMttkrp(tensor3::spmttkrp_coo),
-        (L::SpTtv, CSF) => K::SpTtv(tensor3::spttv::<DenseTop>),
-        (L::SpTtv, DCSF) => K::SpTtv(tensor3::spttv::<CompressedTop>),
-        (L::SpTtv, COO3) => K::SpTtv(tensor3::spttv_coo),
-        (L::SpAdd3, CSR) => K::SpAdd3(matrix::spadd3),
-        _ => return None,
-    })
+    let name = kernel_name(kernel);
+    BLESSED
+        .iter()
+        .find(|(k, sig, _)| *k == name && *sig == levels_signature)
+        .map(|&(.., f)| f)
+}
+
+/// Why `kernel` does not run over operand `operand` stored `signature`:
+/// the refusal names the kernel, the stored signature and every signature
+/// the kernel is blessed over.
+pub(crate) fn refusal(kernel: &LeafKernel, operand: &str, signature: &str) -> String {
+    let name = kernel_name(kernel);
+    let blessed: Vec<&str> = BLESSED
+        .iter()
+        .filter(|(k, ..)| *k == name)
+        .map(|&(_, sig, _)| sig)
+        .collect();
+    format!(
+        "leaf {name}: operand '{operand}' must be stored {}; it is stored {signature}",
+        blessed.join(" or ")
+    )
 }
 
 /// Level kinds in the notation of `Format::levels_signature()`.
@@ -325,7 +364,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_blesses_exactly_sixteen_pairs() {
+    fn lookup_blesses_exactly_eighteen_pairs() {
         let kernels = [
             LeafKernel::SpMv,
             LeafKernel::SpMm { jdim: 4 },
@@ -346,7 +385,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(blessed, 16);
+        assert_eq!(blessed, 18);
     }
 
     #[test]
@@ -366,9 +405,20 @@ mod tests {
             lookup(&LeafKernel::SpAdd3, "{Dense,Compressed}"),
             Some(SpecializedKernel::SpAdd3(_))
         ));
-        // Unblessed layouts miss: the walker runs them.
+        assert!(matches!(
+            lookup(&LeafKernel::SpTtv, "{Dense,Dense,Compressed}"),
+            Some(SpecializedKernel::SpTtv(_))
+        ));
+        assert!(matches!(
+            lookup(
+                &LeafKernel::SpMttkrp { ldim: 4 },
+                "{Dense,Dense,Compressed}"
+            ),
+            Some(SpecializedKernel::SpMttkrp(_))
+        ));
+        // Unblessed layouts miss: `recognize` refuses them at compile.
         assert!(lookup(&LeafKernel::SpMv, "{Dense,Dense}").is_none());
-        assert!(lookup(&LeafKernel::SpTtv, "{Dense,Dense,Compressed}").is_none());
+        assert!(lookup(&LeafKernel::SpTtv, "{Compressed,Dense,Compressed}").is_none());
         assert!(lookup(&LeafKernel::SpAdd3, "{Compressed,Compressed}").is_none());
     }
 }

@@ -1,12 +1,11 @@
 //! 3-tensor leaf kernels through the generic walker: SpTTV and SpMTTKRP.
 //!
 //! Both walk the driver tensor's partitioned coordinate tree (any level
-//! formats work through [`walk_partitioned`]). They are the oracle of the
-//! blessed CSF / doubly-compressed CSF / COO kernels
-//! ([`crate::kernels::specialized`]) and the path of every other order-3
-//! layout, such as the patents layout `{Dense, Dense, Compressed}`.
-//!
-//! [`walk_partitioned`]: crate::kernels::walk_partitioned
+//! formats work through [`walk_partitioned_span`]). No plan runs them:
+//! they are the oracle of the blessed CSF / doubly-compressed CSF / COO /
+//! `{Dense,Dense,Compressed}` kernels ([`crate::kernels::specialized`])
+//! and the benchmark's baseline. [`spttv_output`] builds the output every
+//! SpTTV plan answers.
 
 use spdistal_sparse::SpTensor;
 

@@ -143,13 +143,9 @@ pub fn nonzero_partition(t: &SpTensor, k: usize, colors: usize) -> Partition {
     match t.level(k) {
         Level::Compressed { crd, .. } => Partition::equal(crd.len() as u64, colors),
         Level::Singleton { crd } => Partition::equal(crd.len() as u64, colors),
-        Level::Dense { size } => {
-            // A dense level stores every coordinate, so its non-zero
-            // partition coincides with the universe partition of its
-            // entries.
-            let parents: u64 = entry_counts(t)[k] / *size as u64;
-            Partition::equal(parents * *size as u64, colors)
-        }
+        // A dense level stores every coordinate, so its non-zero partition
+        // coincides with the universe partition of its entries.
+        Level::Dense { .. } => Partition::equal(entry_counts(t)[k], colors),
     }
 }
 
@@ -172,7 +168,7 @@ pub fn partition_from_parent(t: &SpTensor, k: usize, parent: &Partition) -> Part
 pub fn partition_from_child(t: &SpTensor, k: usize, child: &Partition) -> Partition {
     match t.level(k) {
         Level::Singleton { .. } => child.clone(),
-        Level::Dense { size } => unscale_partition(child, *size),
+        Level::Dense { size } => unscale_partition(child, *size, entry_counts(t)[k - 1]),
         Level::Compressed { pos, .. } => {
             // P_crd = copy(childPart); P_pos = preimage(pos, P_crd, crd).
             preimage_rects(pos, child)
@@ -197,8 +193,10 @@ fn scale_partition(parent: &Partition, size: usize) -> Partition {
     Partition::new(parent.parent_len() * size as u64, subsets)
 }
 
-/// Contract a partition of a dense level's entries back to parent entries.
-fn unscale_partition(child: &Partition, size: usize) -> Partition {
+/// Contract a partition of a dense level's entries back to its `parents`
+/// parent entries (counted, not divided out: a zero-width level has
+/// parents but no entries).
+fn unscale_partition(child: &Partition, size: usize, parents: u64) -> Partition {
     let s = size as i64;
     let subsets = child
         .subsets()
@@ -210,7 +208,7 @@ fn unscale_partition(child: &Partition, size: usize) -> Partition {
                 .collect()
         })
         .collect();
-    Partition::new(child.parent_len() / size as u64, subsets)
+    Partition::new(parents, subsets)
 }
 
 /// The full coordinate-tree derivation (Section IV-A): given an initial

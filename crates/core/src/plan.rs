@@ -136,7 +136,7 @@ use spdistal_sparse::{dense_vector, CooTensor, Level, SpTensor};
 use crate::codegen::{OutKind, Plan};
 use crate::dist_tensor::{procs_for_color, Context, Error, VAL_BYTES};
 use crate::kernels::specialized::{self, SpAdd3Fn, SpecializedKernel};
-use crate::kernels::{self, matrix, tensor3, KernelSpan, LeafKernel, OutVals};
+use crate::kernels::{self, tensor3, KernelSpan, LeafKernel, OutVals};
 use crate::level_funcs::{entry_counts, TensorPartition};
 use crate::session::Session;
 use crate::streaming::DirtyMap;
@@ -407,76 +407,55 @@ impl<'a> PreparedPlan<'a> {
 
         // Leaf dispatch: look the (kernel, stored driver layout) pair up
         // exactly once — the layout `recognize` admitted and the arrays the
-        // kernel reads — and bind the result, blessed kernel or generic
-        // walker, with its operands into the plan's leaf, so per-span
-        // execution is one indirect call (see docs/kernels.md). Either way
-        // the decision is traced and counted below.
+        // kernel reads — and bind the blessed kernel with its operands into
+        // the plan's leaf, so per-span execution is one indirect call (see
+        // docs/kernels.md). A driver re-registered since compile in a
+        // layout the kernel is not blessed over is refused here.
         let layout = specialized::storage_signature(driver);
-        let blessed = specialized::lookup(&plan.kernel, &layout);
+        let Some(blessed) = specialized::lookup(&plan.kernel, &layout) else {
+            return Err(Error::Unsupported(format!(
+                "plan '{}': {}",
+                plan.name,
+                specialized::refusal(&plan.kernel, &plan.driver, &layout)
+            )));
+        };
         let operand = |k: usize| data(&accesses[k].tensor).map(SpTensor::vals);
-        let (body, out_len): (Body<'a>, usize) = match plan.kernel {
-            LeafKernel::SpMv => {
+        let (body, out_len): (Body<'a>, usize) = match (blessed, &plan.kernel) {
+            (SpecializedKernel::SpMv(f), _) => {
                 let c = operand(1)?;
-                let f = match blessed {
-                    Some(SpecializedKernel::SpMv(f)) => f,
-                    _ => matrix::spmv_color,
-                };
                 let leaf: Leaf = Box::new(move |p, sp, out| f(driver, part, p, sp, c, out));
                 (Body::Dense(leaf), driver.dims()[0])
             }
-            LeafKernel::SpMm { jdim } => {
+            (SpecializedKernel::SpMm(f), &LeafKernel::SpMm { jdim }) => {
                 let c = operand(1)?;
-                let f = match blessed {
-                    Some(SpecializedKernel::SpMm(f)) => f,
-                    _ => matrix::spmm_color,
-                };
                 let leaf: Leaf = Box::new(move |p, sp, out| f(driver, part, p, sp, c, jdim, out));
                 (Body::Dense(leaf), driver.dims()[0] * jdim)
             }
-            LeafKernel::Sddmm { kdim } => {
+            (SpecializedKernel::Sddmm(f), &LeafKernel::Sddmm { kdim }) => {
                 let (c, d, jdim) = (operand(1)?, operand(2)?, driver.dims()[1]);
-                let f = match blessed {
-                    Some(SpecializedKernel::Sddmm(f)) => f,
-                    _ => matrix::sddmm_color,
-                };
                 let leaf: Leaf =
                     Box::new(move |p, sp, out| f(driver, part, p, sp, c, d, kdim, jdim, out));
                 (Body::Dense(leaf), driver.num_stored())
             }
-            LeafKernel::SpTtv => {
+            (SpecializedKernel::SpTtv(f), _) => {
                 let c = operand(1)?;
-                let f = match blessed {
-                    Some(SpecializedKernel::SpTtv(f)) => f,
-                    _ => tensor3::spttv_color,
-                };
                 let leaf: Leaf = Box::new(move |p, sp, out| f(driver, part, p, sp, c, out));
                 (Body::Dense(leaf), entry_counts(driver)[1] as usize)
             }
-            LeafKernel::SpMttkrp { ldim } => {
+            (SpecializedKernel::SpMttkrp(f), &LeafKernel::SpMttkrp { ldim }) => {
                 let (c, d) = (operand(1)?, operand(2)?);
-                let f = match blessed {
-                    Some(SpecializedKernel::SpMttkrp(f)) => f,
-                    _ => tensor3::spmttkrp_color,
-                };
                 let leaf: Leaf =
                     Box::new(move |p, sp, out| f(driver, part, p, sp, c, d, ldim, out));
                 (Body::Dense(leaf), driver.dims()[0] * ldim)
             }
-            LeafKernel::SpAdd3 => {
-                // `recognize` admits SpAdd3 over CSR operands only, and CSR
-                // is blessed: the merge has no walker to fall back to.
-                let Some(SpecializedKernel::SpAdd3(merge)) = blessed else {
-                    return Err(Error::Unsupported(format!(
-                        "SpAdd3 over a driver stored {layout}: only {{Dense,Compressed}} merges"
-                    )));
-                };
+            (SpecializedKernel::SpAdd3(merge), _) => {
                 let (c, d) = (data(&accesses[1].tensor)?, data(&accesses[2].tensor)?);
                 (Body::SpAdd3 { merge, c, d }, 0)
             }
+            _ => unreachable!("lookup answers with the kernel's own variant"),
         };
-        let name = specialized::kernel_name(&plan.kernel);
         ctx.trace()
-            .kernel_dispatch(name, &layout, blessed.is_some());
+            .kernel_dispatch(specialized::kernel_name(&plan.kernel), &layout);
 
         let point_reqs = (0..plan.colors)
             .map(|color| launch_reqs(ctx, plan, out_region, color))

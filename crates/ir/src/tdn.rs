@@ -66,18 +66,6 @@ pub struct DistSpec {
     pub nonzero: Vec<bool>,
 }
 
-impl DistSpec {
-    /// The machine dimension partitioning logical dim `ld`, if any.
-    pub fn machine_dim_of(&self, ld: usize) -> Option<usize> {
-        self.map.iter().position(|m| *m == Some(ld))
-    }
-
-    /// True iff the tensor is fully replicated (no dimension partitioned).
-    pub fn is_replicated(&self) -> bool {
-        self.map.iter().all(Option::is_none)
-    }
-}
-
 /// TDN parse/resolution errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TdnError {
@@ -366,7 +354,6 @@ mod tests {
         let spec = t.dist.resolve(1).unwrap();
         assert_eq!(spec.map, vec![Some(0)]);
         assert_eq!(spec.nonzero, vec![false]);
-        assert!(!spec.is_replicated());
     }
 
     #[test]
@@ -375,7 +362,6 @@ mod tests {
         let t = parse("c x -> y M").unwrap();
         let spec = t.dist.resolve(1).unwrap();
         assert_eq!(spec.map, vec![None]);
-        assert!(spec.is_replicated());
     }
 
     #[test]
@@ -385,8 +371,6 @@ mod tests {
         let spec = t.dist.resolve(2).unwrap();
         assert_eq!(spec.logical_dims, vec![vec![0], vec![1]]);
         assert_eq!(spec.map, vec![Some(0)]);
-        assert_eq!(spec.machine_dim_of(0), Some(0));
-        assert_eq!(spec.machine_dim_of(1), None);
     }
 
     #[test]
@@ -476,7 +460,7 @@ mod tests {
     fn duplicate_machine_dim_rejected() {
         // `xx M` binds machine dimension name `x` twice: the partition
         // mapping would be ambiguous (the old code silently used whichever
-        // binding `machine_dim_of` found first).
+        // binding it found first).
         assert_eq!(
             parse("T xy -> xx M"),
             Err(TdnError::DuplicateMachineDim('x'))

@@ -263,17 +263,9 @@ pub fn chrome_trace_json(recorder: &TraceRecorder) -> String {
                     "",
                 );
             }
-            Event::KernelDispatch {
-                kernel,
-                signature,
-                specialized,
-            } => {
+            Event::KernelDispatch { kernel, signature } => {
                 emit.instant(
-                    if specialized {
-                        "kernel-specialized"
-                    } else {
-                        "kernel-fallback"
-                    },
+                    "kernel-specialized",
                     "kernel-dispatch",
                     ev.ts_ns,
                     PID_MEASURED,
@@ -568,25 +560,17 @@ mod tests {
             },
         );
         rec.record_at(65, 0, Event::ModelFence { name: spmv });
-        let sig = rec.intern("{Dense,Compressed} xy -> x");
-        rec.record_at(
-            70,
-            0,
-            Event::KernelDispatch {
-                kernel: spmv,
-                signature: sig,
-                specialized: true,
-            },
-        );
-        rec.record_at(
-            75,
-            0,
-            Event::KernelDispatch {
-                kernel: spmv,
-                signature: sig,
-                specialized: false,
-            },
-        );
+        for (ts, sig) in [(70, "{Dense,Compressed}"), (75, "{Dense,Dense,Compressed}")] {
+            let signature = rec.intern(sig);
+            rec.record_at(
+                ts,
+                0,
+                Event::KernelDispatch {
+                    kernel: spmv,
+                    signature,
+                },
+            );
+        }
         rec.record_at(
             80,
             0,
@@ -637,8 +621,7 @@ mod tests {
         assert_eq!(stats.count("plan-cache hit"), 1);
         assert_eq!(stats.count("plan-cache miss"), 1);
         assert_eq!(stats.count("auto-decision"), 1);
-        assert_eq!(stats.count("kernel-specialized"), 1);
-        assert_eq!(stats.count("kernel-fallback"), 1);
+        assert_eq!(stats.count("kernel-specialized"), 2);
         assert_eq!(stats.count("ingest-in-place"), 1);
         assert_eq!(stats.count("ingest-structural"), 1);
     }

@@ -75,15 +75,9 @@ pub enum Event {
     /// A model-ordering barrier: the next launches serialize behind
     /// everything already issued on the simulated timeline.
     ModelFence { name: Sym },
-    /// A prepared plan resolved its leaf dispatch against the specialized
-    /// kernel table: `specialized` says whether the (kernel, driver
-    /// format) pair hit a monomorphized kernel or fell back to the generic
-    /// partitioned walker.
-    KernelDispatch {
-        kernel: Sym,
-        signature: Sym,
-        specialized: bool,
-    },
+    /// A prepared plan bound the blessed kernel for `kernel` over the
+    /// driver's stored layout `signature`.
+    KernelDispatch { kernel: Sym, signature: Sym },
     /// One incremental execution of a statement: `rows_dirty` driver rows
     /// were marked by streamed deltas, `spans_reexecuted` leaf spans ran,
     /// `spans_skipped` were served from the retained output. `fallback`

@@ -332,27 +332,14 @@ impl Trace {
         }
     }
 
-    /// A prepared plan resolved its leaf dispatch: `specialized` says
-    /// whether the (kernel, driver-format) pair hit the monomorphized
-    /// kernel table or fell back to the generic partitioned walker. Bumps
-    /// `kernel.specialized` / `kernel.fallback`, so run reports carry the
-    /// dispatch mix.
-    pub fn kernel_dispatch(&self, kernel: &str, signature: &str, specialized: bool) {
+    /// A prepared plan bound its leaf: the blessed kernel for `kernel` over
+    /// the driver's stored `signature`. Bumps `kernel.specialized`, so run
+    /// reports carry the dispatch count.
+    pub fn kernel_dispatch(&self, kernel: &str, signature: &str) {
         if self.is_enabled() {
             let (kernel, signature) = (self.intern(kernel), self.intern(signature));
-            self.record(Event::KernelDispatch {
-                kernel,
-                signature,
-                specialized,
-            });
-            self.add(
-                if specialized {
-                    "kernel.specialized"
-                } else {
-                    "kernel.fallback"
-                },
-                1,
-            );
+            self.record(Event::KernelDispatch { kernel, signature });
+            self.add("kernel.specialized", 1);
         }
     }
 

@@ -86,11 +86,6 @@ impl Rect1 {
         self.lo <= p && p <= self.hi
     }
 
-    /// True iff `other` is entirely inside `self`.
-    pub fn contains_rect(&self, other: &Rect1) -> bool {
-        other.is_empty() || (self.lo <= other.lo && other.hi <= self.hi)
-    }
-
     /// Intersection of two intervals (possibly empty).
     pub fn intersect(&self, other: &Rect1) -> Rect1 {
         Rect1 {
@@ -485,9 +480,6 @@ mod tests {
         assert_eq!(a.intersect(&b), Rect1::new(5, 10));
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&Rect1::new(11, 20)));
-        assert!(a.contains_rect(&Rect1::new(3, 7)));
-        assert!(!a.contains_rect(&b));
-        assert!(a.contains_rect(&Rect1::empty()));
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl Machine {
         self.dims.iter().product()
     }
 
-    /// Number of physical nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.num_procs().div_ceil(self.profile.procs_per_node)
-    }
-
     /// The physical node hosting processor `p`.
     pub fn node_of(&self, p: usize) -> usize {
         p / self.profile.procs_per_node
@@ -234,13 +229,12 @@ mod tests {
         assert_eq!(m.dim(0), 4);
         let m1 = Machine::grid1d(16, MachineProfile::lassen_cpu());
         assert_eq!(m1.num_procs(), 16);
-        assert_eq!(m1.num_nodes(), 16);
+        assert_eq!(m1.node_of(15), 15);
     }
 
     #[test]
     fn gpu_nodes_group_four_procs() {
         let m = Machine::grid1d(8, MachineProfile::lassen_gpu(1.0));
-        assert_eq!(m.num_nodes(), 2);
         assert_eq!(m.node_of(3), 0);
         assert_eq!(m.node_of(4), 1);
         // Intra-node link is faster than inter-node.

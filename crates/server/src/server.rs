@@ -882,13 +882,8 @@ fn run_job(
     // this job's share.
     let base = program.report().clone();
 
-    // Kernel-dispatch counters are engine-wide; stream this job's deltas.
-    let dispatch = |m: &spdistal::obs::MetricsRegistry| {
-        (
-            m.counter("kernel.specialized").get(),
-            m.counter("kernel.fallback").get(),
-        )
-    };
+    // The kernel-dispatch counter is engine-wide; stream this job's delta.
+    let dispatch = |m: &spdistal::obs::MetricsRegistry| m.counter("kernel.specialized").get();
     let dispatched = trace.metrics().map(dispatch);
 
     let mut decisions_sent = base.decisions.len();
@@ -911,11 +906,12 @@ fn run_job(
             steals: report.steals - base.steals,
             wall_seconds: report.wall_seconds - base.wall_seconds,
         });
-        if let (Some(m), Some((s0, f0))) = (trace.metrics(), dispatched) {
-            let (s, f) = dispatch(m);
+        // Every plan runs a blessed kernel: `fallback` keeps the wire
+        // shape and is always 0.
+        if let (Some(m), Some(s0)) = (trace.metrics(), dispatched) {
             send(Event::KernelDispatch {
-                specialized: s.saturating_sub(s0),
-                fallback: f.saturating_sub(f0),
+                specialized: dispatch(m).saturating_sub(s0),
+                fallback: 0,
             });
         }
     };

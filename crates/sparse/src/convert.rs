@@ -48,12 +48,6 @@ pub fn to_dcsr(t: &SpTensor) -> SpTensor {
     with_formats(t, &[LevelFormat::Compressed, LevelFormat::Compressed])
 }
 
-/// Transpose a matrix, keeping CSR-style formats: the result stores
-/// `(cols, rows)` with `result[j][i] = t[i][j]`.
-pub fn transpose(t: &SpTensor) -> SpTensor {
-    to_csc(t)
-}
-
 /// Convert a tensor to TACO's COO layout: `{Compressed, Singleton, ...}` —
 /// the outer compressed level keeps duplicate coordinates (one entry per
 /// stored value) and every inner level is a singleton.
@@ -101,14 +95,6 @@ mod tests {
             }
             _ => panic!(),
         }
-    }
-
-    #[test]
-    fn transpose_flips_coords() {
-        let t = csr_from_triplets(2, 3, &[(0, 2, 5.0), (1, 0, 6.0)]);
-        let tt = transpose(&t);
-        assert_eq!(tt.dims(), &[3, 2]);
-        assert_eq!(tt.to_coo(), vec![(vec![0, 1], 6.0), (vec![2, 0], 5.0)]);
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //!
 //! Also provides: a COO builder for any format combination, format
 //! conversions, seeded synthetic generators (and Table II dataset
-//! stand-ins), MatrixMarket/FROSTT I/O, and serial reference kernels used as
-//! correctness oracles throughout the workspace.
+//! stand-ins), and serial reference kernels used as correctness oracles
+//! throughout the workspace.
 
 pub mod builder;
 pub mod convert;
 pub mod dataset;
 pub mod delta;
 pub mod generate;
-pub mod mm;
 pub mod reference;
 pub mod tensor;
 

@@ -1,9 +1,10 @@
 //! Plan-level dispatch regression tests for the specialized kernel table:
 //! blessed (kernel, stored layout) pairs must dispatch a monomorphized
-//! kernel (counting `kernel.specialized`), and unblessed pairs must fall
-//! back to the generic partitioned walker — running correctly and counting
-//! `kernel.fallback`, with no panic and no silent wrong dispatch.
+//! kernel (counting `kernel.specialized`) that answers the generic
+//! walker's bits, and an unblessed pair must be refused at compile with a
+//! typed error naming the layout — never run.
 
+use spdistal_repro::ir::Assignment;
 use spdistal_repro::sparse::{
     convert, dense_matrix, dense_vector, generate, reference, LevelFormat, SpTensor,
 };
@@ -83,7 +84,6 @@ fn a_driver_dispatches_on_its_stored_layout() {
     let (csr, _) = run_spmv(Format::blocked_csr(), false);
     let (out, trace) = run_spmv_stored(Format::blocked_coo(), SpTensor::clone, false);
     assert_eq!(counter(&trace, "kernel.specialized"), 1);
-    assert_eq!(counter(&trace, "kernel.fallback"), 0);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&out), bits(&csr));
     let json = trace.chrome_trace().expect("trace enabled");
@@ -99,11 +99,6 @@ fn blessed_csr_spmv_dispatches_specialized() {
     assert!(
         counter(&trace, "kernel.specialized") >= 1,
         "CSR SpMV should resolve to the specialized kernel"
-    );
-    assert_eq!(
-        counter(&trace, "kernel.fallback"),
-        0,
-        "CSR SpMV should not fall back"
     );
 }
 
@@ -137,9 +132,9 @@ fn nonzero_schedule_still_dispatches_specialized() {
     );
 }
 
-/// Run SpTTV through the full plan path over driver `b` (outer-dim, two
-/// colors), returning the output tensor and the context's trace.
-fn run_spttv(b: &SpTensor, c: &[f64]) -> (SpTensor, Trace) {
+/// A traced context holding SpTTV's operands over driver `b`, and the
+/// statement.
+fn spttv_ctx(b: &SpTensor, c: &[f64]) -> (Context, Assignment) {
     let mut ctx = traced_ctx();
     let fibers = spttv_output(b, vec![0.0; entry_counts(b)[1] as usize]);
     let fmt = Format::new(b.formats(), Format::blocked_csf3().dist);
@@ -153,6 +148,13 @@ fn run_spttv(b: &SpTensor, c: &[f64]) -> (SpTensor, Trace) {
     .unwrap();
     let [i, j, k] = ctx.fresh_vars(["i", "j", "k"]);
     let stmt = assign("A", &[i, j], access("B", &[i, j, k]) * access("c", &[k]));
+    (ctx, stmt)
+}
+
+/// Run SpTTV through the full plan path over driver `b` (outer-dim, two
+/// colors), returning the output tensor and the context's trace.
+fn run_spttv(b: &SpTensor, c: &[f64]) -> (SpTensor, Trace) {
+    let (mut ctx, stmt) = spttv_ctx(b, c);
     let sched = schedule_outer_dim(&mut ctx, &stmt, 2, ParallelUnit::CpuThread);
     let result = ctx.compile_and_run(&stmt, &sched).unwrap();
     let OutputValue::Tensor(out) = result.output else {
@@ -170,26 +172,17 @@ fn blessed_csf_spttv_dispatches_specialized() {
     let b = generate::tensor3_skewed([24, 18, 20], 900, 0.9, 53);
     let (_, trace) = run_spttv(&b, &generate::dense_vec(20, 54));
     assert_eq!(counter(&trace, "kernel.specialized"), 1);
-    assert_eq!(counter(&trace, "kernel.fallback"), 0);
 }
 
-/// A layout no kernel is blessed for runs the walker, counts a fallback,
-/// and answers the walker's own bits.
+/// The patents layout `{Dense,Dense,Compressed}` dispatches its blessed
+/// kernel and answers the walker's own bits.
 #[test]
-fn unblessed_spttv_falls_back_to_walker() {
+fn ddc_spttv_dispatches_blessed_with_the_walkers_bits() {
     use LevelFormat::{Compressed, Dense};
     let b = generate::tensor3_uniform_fmt([6, 8, 32], 300, 53, &[Dense, Dense, Compressed]);
     let c = generate::dense_vec(32, 54);
     let (out, trace) = run_spttv(&b, &c);
-    assert!(
-        counter(&trace, "kernel.fallback") >= 1,
-        "SpTtv over {{Dense,Dense,Compressed}} has no blessed entry and must count a fallback"
-    );
-    assert_eq!(
-        counter(&trace, "kernel.specialized"),
-        0,
-        "SpTtv over {{Dense,Dense,Compressed}} must not claim a specialized dispatch"
-    );
+    assert_eq!(counter(&trace, "kernel.specialized"), 1);
     let part = partition_tensor(&b, 0, universe_partition(&b, 0, &equal_coord_bounds(6, 2)));
     let mut walker = vec![0.0; entry_counts(&b)[1] as usize];
     for color in 0..2 {
@@ -197,6 +190,47 @@ fn unblessed_spttv_falls_back_to_walker() {
     }
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(out.vals()), bits(&walker));
+}
+
+/// A driver layout no kernel is blessed for is refused at compile, and
+/// the refusal names the kernel, the stored layout and the blessed ones.
+#[test]
+fn unblessed_spttv_is_refused_at_compile() {
+    use LevelFormat::{Compressed, Dense};
+    let b = generate::tensor3_uniform_fmt([6, 8, 32], 300, 53, &[Compressed, Dense, Compressed]);
+    let (mut ctx, stmt) = spttv_ctx(&b, &generate::dense_vec(32, 54));
+    let sched = schedule_outer_dim(&mut ctx, &stmt, 2, ParallelUnit::CpuThread);
+    let Err(Error::Unsupported(msg)) = ctx.compile(&stmt, &sched) else {
+        panic!("SpTTV over {{Compressed,Dense,Compressed}} must be refused at compile");
+    };
+    let want = "leaf SpTtv: operand 'B' must be stored {Dense,Compressed,Compressed} or \
+                {Compressed,Compressed,Compressed} or {Compressed,Singleton,Singleton} or \
+                {Dense,Dense,Compressed}; it is stored {Compressed,Dense,Compressed}";
+    assert!(msg.contains(want), "{msg}");
+    assert_eq!(counter(ctx.trace(), "kernel.specialized"), 0);
+}
+
+/// A plan whose driver was re-registered since compile in a layout its
+/// kernel is not blessed over is refused when it runs — the same typed
+/// refusal, naming the plan — and dispatches nothing.
+#[test]
+fn a_driver_re_registered_unblessed_is_refused_at_run() {
+    use LevelFormat::{Compressed, Dense};
+    let b = generate::tensor3_uniform([6, 8, 32], 300, 53);
+    let (mut ctx, stmt) = spttv_ctx(&b, &generate::dense_vec(32, 54));
+    let sched = schedule_outer_dim(&mut ctx, &stmt, 2, ParallelUnit::CpuThread);
+    let plan = ctx.compile(&stmt, &sched).unwrap();
+    let cdc = convert::with_formats(&b, &[Compressed, Dense, Compressed]);
+    ctx.replace_tensor_data("B", cdc).unwrap();
+    let Err(Error::Unsupported(msg)) = ctx.run(&plan) else {
+        panic!("a plan over a driver now stored {{Compressed,Dense,Compressed}} must be refused");
+    };
+    assert!(
+        msg.starts_with("plan 'A<-B': leaf SpTtv: operand 'B' must be stored ")
+            && msg.ends_with("; it is stored {Compressed,Dense,Compressed}"),
+        "{msg}"
+    );
+    assert_eq!(counter(ctx.trace(), "kernel.specialized"), 0);
 }
 
 /// One program holding all six leaves over the layouts the evaluation uses
@@ -267,7 +301,6 @@ fn all_six_leaves_dispatch_blessed_kernels() {
     let mut p = p.build().unwrap();
     p.run().unwrap();
     assert_eq!(counter(&trace, "kernel.specialized"), 6);
-    assert_eq!(counter(&trace, "kernel.fallback"), 0);
 }
 
 #[test]

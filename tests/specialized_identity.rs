@@ -13,7 +13,7 @@
 //! row-keyed pair runs through one shared row walker and every COO pair
 //! through one shared run walker, so a degenerate-driver sweep (no
 //! entries, no rows, no columns, more colors than rows, empty rows around
-//! color boundaries, width-1 dense operands) covers all 16 pairs too.
+//! color boundaries, width-1 dense operands) covers all 18 pairs too.
 //! Random pattern coverage rides on proptest sweeps at the bottom.
 
 use proptest::prelude::*;
@@ -235,15 +235,17 @@ fn spmttkrp_specialized_matches_walker_all_formats() {
     }
 }
 
-/// The three blessed order-3 layouts of `base` (built in CSF).
+/// The four blessed order-3 layouts of `base` (built in CSF).
 fn tensor3_formats(base: &SpTensor) -> Vec<(&'static str, SpTensor)> {
+    use LevelFormat::{Compressed, Dense};
     vec![
         ("csf", base.clone()),
-        (
-            "dcsf",
-            convert::with_formats(base, &[LevelFormat::Compressed; 3]),
-        ),
+        ("dcsf", convert::with_formats(base, &[Compressed; 3])),
         ("coo3", convert::to_coo_format(base)),
+        (
+            "ddc",
+            convert::with_formats(base, &[Dense, Dense, Compressed]),
+        ),
     ]
 }
 
@@ -582,7 +584,7 @@ fn assert_matrix_pairs_identical(label: &str, base: &SpTensor, jdim: usize, kdim
     }
 }
 
-/// SpMTTKRP and SpTTV × all three blessed order-3 layouts of `base`.
+/// SpMTTKRP and SpTTV × all four blessed order-3 layouts of `base`.
 fn assert_tensor3_pairs_identical(label: &str, base: &SpTensor, ldim: usize) {
     let c = generate::dense_vec(base.dims()[1] * ldim, 41);
     let d = generate::dense_vec(base.dims()[2] * ldim, 43);
@@ -604,7 +606,7 @@ fn assert_tensor3_pairs_identical(label: &str, base: &SpTensor, ldim: usize) {
     }
 }
 
-/// Degenerate drivers through all 16 pairs (× both partition kinds × every
+/// Degenerate drivers through all 18 pairs (× both partition kinds × every
 /// split policy, via `assert_leaf_identical`). `both_partitions` cuts
 /// level 0 into 4 coordinate blocks and the leaf into 3 position blocks,
 /// so "more colors than rows" needs fewer than 3 rows and entries, and the
@@ -739,7 +741,7 @@ proptest! {
         assert_spadd3_identical("random", &base, &c, &d);
     }
 
-    /// Random-pattern sweep of SpTTV across all three blessed order-3
+    /// Random-pattern sweep of SpTTV across all four blessed order-3
     /// layouts, empty slices and fibers included.
     #[test]
     fn spttv_matches_walker_on_random_tensors(base in arb_tensor3()) {
