@@ -128,6 +128,13 @@ if grep -nE '(spmv|spmm|sddmm|spttv|spmttkrp)_color' crates/core/src/plan.rs ||
   grep -rn 'pub mod mm' crates/sparse/src; then
   echo "a second way to run a leaf is back (walker in plan.rs, kernel.fallback or the mm codec)"; exit 1
 fi
+# One trace event per window: a span, a launch and a flush each record once,
+# stamped at the window's start and carrying its `dur_ns`, so the exporter
+# pairs nothing and a full ring cannot leave half a window. The begin/end
+# halves and the helpers that recorded them stay gone.
+if grep -rnE 'SpanBegin|SpanEnd|LaunchStart|LaunchFinish|FlushBegin|FlushEnd|flush_begin|flush_end|launch_start_at|launch_finish_at' crates tests examples; then
+  echo "a trace window is recorded in halves again (begin/end events or their helpers)"; exit 1
+fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const
@@ -162,14 +169,14 @@ grep -q "auto-scheduler picked: outer-dim" <<<"$quickstart_default_out"
 
 echo "==> trace smoke: quickstart --skew 0.95 --trace, validated by trace_check"
 # The skewed parallel run must record ≥1 steal and ≥1 auto-decision event
-# (plus spans, launches, cache traffic, and model-timeline events), and —
+# (plus spans, launches, flushes, cache traffic, and model-timeline events), and —
 # since the quickstart drives SpMV over a CSR tensor, a blessed pair
 # (docs/kernels.md) — a kernel-dispatch event naming the blessed kernel.
 cargo run --release -q --example quickstart -- --skew 0.95 --trace /tmp/spd_trace.json |
   grep "^run_report_json="
 cargo run --release -q -p spdistal-bench --bin trace_check -- /tmp/spd_trace.json --summary \
   --require steal --require auto-decision \
-  --require span --require launch --require cache --require model \
+  --require span --require launch --require flush --require cache --require model \
   --require kernel-dispatch --require kernel-specialized --forbid kernel-fallback --require-no-drops
 
 echo "==> leaf smoke: fused_addition --pipeline --trace, every leaf blessed"

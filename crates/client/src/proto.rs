@@ -65,10 +65,16 @@ fn f64_field(v: &Json, key: &str) -> Result<f64, ProtoError> {
         .ok_or_else(|| shape(format!("'{key}' must be a number")))
 }
 
+/// The most passes one `submit` may ask for: a job holds its worker (and a
+/// `shutdown` drain waits) until every pass ran.
+pub const MAX_ITERS: usize = 1024;
+
+/// A wire integer: a whole JSON number in `0..=2^53`, the range an `f64`
+/// holds exactly (a larger one would saturate the cast).
 fn usize_field(v: &Json, key: &str) -> Result<usize, ProtoError> {
     let n = f64_field(v, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(shape(format!("'{key}' must be a non-negative integer")));
+    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
+        return Err(shape(format!("'{key}' must be an integer in 0..=2^53")));
     }
     Ok(n as usize)
 }
@@ -418,11 +424,17 @@ impl Request {
                     vals,
                 })
             }
-            "submit" => Ok(Request::Submit {
-                stmts: parse_stmts(&v)?,
-                iters: usize_field(&v, "iters")?,
-                pipelined: bool_field(&v, "pipelined")?,
-            }),
+            "submit" => {
+                let iters = usize_field(&v, "iters")?;
+                if iters > MAX_ITERS {
+                    return Err(shape(format!("'iters' must be at most {MAX_ITERS}")));
+                }
+                Ok(Request::Submit {
+                    stmts: parse_stmts(&v)?,
+                    iters,
+                    pipelined: bool_field(&v, "pipelined")?,
+                })
+            }
             "update_batch" => Ok(Request::UpdateBatch {
                 name: str_field(&v, "name")?,
                 deltas: parse_deltas(&v)?,
@@ -915,5 +927,16 @@ mod tests {
         }
         let req = br#"{"type":"register","name":"B","format":"blocked_csr","dims":[2,2],"coords":[[0,0]],"vals":[1.5]}"#;
         assert!(matches!(Request::parse(req), Err(ProtoError::Shape(_))));
+        // A wire integer past 2^53 no longer saturates to usize::MAX, and a
+        // submit may not ask for more than MAX_ITERS passes.
+        for iters in ["1e300", "1025"] {
+            let req = format!(
+                r#"{{"type":"submit","stmts":[{{"tin":"a(i) = B(i,j) * c(j)","schedule":"outer-dim"}}],"iters":{iters},"pipelined":false}}"#
+            );
+            match Request::parse(req.as_bytes()) {
+                Err(ProtoError::Shape(msg)) => assert!(msg.contains("'iters'"), "{msg}"),
+                other => panic!("iters {iters}: expected a shape error, got {other:?}"),
+            }
+        }
     }
 }

@@ -238,18 +238,17 @@ impl<'c> Session<'c> {
     /// batch after their producers' write-backs landed.
     pub fn flush(&mut self) -> Result<FlushReport, Error> {
         let mut report = FlushReport::default();
+        if self.queue.is_empty() {
+            return Ok(report);
+        }
         let trace = self.ctx.trace().clone();
-        let flush_id = if trace.is_enabled() && !self.queue.is_empty() {
-            let id = trace.next_flush_id();
-            trace.flush_begin(id);
-            Some(id)
-        } else {
-            None
-        };
+        let (flush, t0) = (trace.next_flush_id(), trace.now_ns());
+        let mut drained = Ok(());
         while !self.queue.is_empty() {
             let n = self.next_batch_len();
             let mut batch: Vec<Queued> = self.queue.drain(..n).collect();
-            if let Err(e) = self.run_batch(&mut batch, &mut report) {
+            drained = self.run_batch(&mut batch, &mut report);
+            if let Err(e) = &drained {
                 // Poison everything that never completed, drop the queue.
                 let msg = e.to_string();
                 for q in batch.iter().chain(self.queue.iter()) {
@@ -258,16 +257,10 @@ impl<'c> Session<'c> {
                     }
                 }
                 self.queue.clear();
-                if let Some(id) = flush_id {
-                    trace.flush_end(id, report.batches as u32, report.sched.tasks as u64);
-                }
-                return Err(e);
             }
         }
-        if let Some(id) = flush_id {
-            trace.flush_end(id, report.batches as u32, report.sched.tasks as u64);
-        }
-        Ok(report)
+        trace.flush(flush, t0, report.batches as u32, report.sched.tasks as u64);
+        drained.map(|()| report)
     }
 
     /// Force (at most) everything queued, then return the future's result.

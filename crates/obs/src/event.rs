@@ -6,6 +6,10 @@
 //! nanoseconds since the recorder's epoch; model timestamps are the
 //! discrete-event simulator's *simulated seconds* and live on their own
 //! timeline (the Chrome exporter renders them as a separate process).
+//!
+//! A window (a span, a launch, a flush) is one event: stamped when it
+//! opened and carrying its length in `dur_ns`, so it is recorded once and
+//! exported as it is, and a full ring can only evict it whole.
 
 /// An interned string handle. Resolve with
 /// [`crate::recorder::TraceRecorder::resolve`].
@@ -14,7 +18,7 @@ pub struct Sym(pub u32);
 
 /// One recorded occurrence: what happened, when, and on which lane.
 ///
-/// Lane 0 is the control thread (flushes, launch milestones, model
+/// Lane 0 is the control thread (flushes, launch issues and windows, model
 /// events); lane `k >= 1` is worker `k - 1` of the executing pool.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
@@ -28,25 +32,29 @@ pub struct TraceEvent {
 /// Everything the runtime knows how to record.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Event {
-    /// A non-empty `Session::flush` began.
-    FlushBegin { flush: u32 },
-    /// The flush drained; `batches` RAW-cut batches ran `tasks` point tasks.
-    FlushEnd {
+    /// A non-empty `Session::flush`, `dur_ns` long: `batches` RAW-cut
+    /// batches ran `tasks` point tasks.
+    Flush {
         flush: u32,
         batches: u32,
         tasks: u64,
+        dur_ns: u64,
     },
     /// A launch entered a pipeline drain (issued to the combined graph).
     LaunchIssue { launch: u32, name: Sym },
-    /// The launch's first span started executing.
-    LaunchStart { launch: u32, name: Sym },
-    /// The launch's last span completed.
-    LaunchFinish { launch: u32, name: Sym },
-    /// One `(task, span)` leaf body began on this lane's worker. `task` is
-    /// the flat index in the pipeline's combined graph.
-    SpanBegin { launch: u32, task: u32, span: u32 },
-    /// The matching end of a [`Event::SpanBegin`] on the same lane.
-    SpanEnd { launch: u32, task: u32, span: u32 },
+    /// A launch's window: from its first span's start, `dur_ns` to its
+    /// last span's end.
+    Launch { launch: u32, name: Sym, dur_ns: u64 },
+    /// One `(task, span)` leaf body of launch `launch` (named `name`),
+    /// `dur_ns` long on this lane's worker. `task` is the flat index in the
+    /// pipeline's combined graph.
+    Span {
+        launch: u32,
+        name: Sym,
+        task: u32,
+        span: u32,
+        dur_ns: u64,
+    },
     /// This lane's worker took `(task, span)` from `victim`'s deque.
     Steal { victim: u32, task: u32, span: u32 },
     /// This lane's worker scanned every victim and found nothing (recorded
@@ -103,11 +111,9 @@ impl Event {
     /// The Chrome-trace category this event exports under.
     pub fn category(&self) -> &'static str {
         match self {
-            Event::FlushBegin { .. } | Event::FlushEnd { .. } => "flush",
-            Event::LaunchIssue { .. } | Event::LaunchStart { .. } | Event::LaunchFinish { .. } => {
-                "launch"
-            }
-            Event::SpanBegin { .. } | Event::SpanEnd { .. } => "span",
+            Event::Flush { .. } => "flush",
+            Event::LaunchIssue { .. } | Event::Launch { .. } => "launch",
+            Event::Span { .. } => "span",
             Event::Steal { .. } | Event::StealAttempt => "steal",
             Event::PlanCacheHit { .. } | Event::PlanCacheMiss { .. } => "cache",
             Event::AutoDecision { .. } => "auto",

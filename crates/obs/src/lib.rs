@@ -212,19 +212,26 @@ impl Trace {
 
     // ---- one-line instrumentation helpers -------------------------------
 
-    /// One executed span: begin/end events on this thread's lane at the
-    /// caller-measured timestamps, plus the span counter and latency
-    /// histogram.
+    /// One executed span of launch `launch` (named `name`): a window on
+    /// this thread's lane from `t0_ns` to `t1_ns`, plus the span counter
+    /// and latency histogram.
     #[inline]
-    pub fn span(&self, launch: u32, task: u32, span: u32, t0_ns: u64, t1_ns: u64) {
+    pub fn span(&self, launch: u32, name: Sym, task: u32, span: u32, t0_ns: u64, t1_ns: u64) {
         if let Some(i) = &self.0 {
-            let lane = thread_lane();
-            i.recorder
-                .record_at(t0_ns, lane, Event::SpanBegin { launch, task, span });
-            i.recorder
-                .record_at(t1_ns, lane, Event::SpanEnd { launch, task, span });
+            let dur_ns = t1_ns.saturating_sub(t0_ns);
+            i.recorder.record_at(
+                t0_ns,
+                thread_lane(),
+                Event::Span {
+                    launch,
+                    name,
+                    task,
+                    span,
+                    dur_ns,
+                },
+            );
             i.spans.add(1);
-            i.span_ns.observe(t1_ns.saturating_sub(t0_ns));
+            i.span_ns.observe(dur_ns);
         }
     }
 
@@ -276,28 +283,41 @@ impl Trace {
         }
     }
 
-    pub fn flush_begin(&self, flush: u32) {
-        self.record(Event::FlushBegin { flush });
-    }
-
-    pub fn flush_end(&self, flush: u32, batches: u32, tasks: u64) {
-        self.record(Event::FlushEnd {
-            flush,
-            batches,
-            tasks,
-        });
+    /// Flush `flush`, begun at `t0_ns` and over now: `batches` batches ran
+    /// `tasks` point tasks.
+    pub fn flush(&self, flush: u32, t0_ns: u64, batches: u32, tasks: u64) {
+        if let Some(i) = &self.0 {
+            let dur_ns = i.recorder.now_ns().saturating_sub(t0_ns);
+            i.recorder.record_at(
+                t0_ns,
+                thread_lane(),
+                Event::Flush {
+                    flush,
+                    batches,
+                    tasks,
+                    dur_ns,
+                },
+            );
+        }
     }
 
     pub fn launch_issue_at(&self, ts_ns: u64, launch: u32, name: Sym) {
         self.record_at(ts_ns, 0, Event::LaunchIssue { launch, name });
     }
 
-    pub fn launch_start_at(&self, ts_ns: u64, launch: u32, name: Sym) {
-        self.record_at(ts_ns, 0, Event::LaunchStart { launch, name });
-    }
-
-    pub fn launch_finish_at(&self, ts_ns: u64, launch: u32, name: Sym) {
-        self.record_at(ts_ns, 0, Event::LaunchFinish { launch, name });
+    /// Launch `launch`'s window on the control lane: its first span
+    /// started at `t0_ns`, its last ended at `t1_ns`.
+    pub fn launch_window(&self, launch: u32, name: Sym, t0_ns: u64, t1_ns: u64) {
+        let dur_ns = t1_ns.saturating_sub(t0_ns);
+        self.record_at(
+            t0_ns,
+            0,
+            Event::Launch {
+                launch,
+                name,
+                dur_ns,
+            },
+        );
     }
 
     /// One plan-cache lookup with tenant attribution: records the
@@ -520,7 +540,7 @@ mod tests {
     fn disabled_trace_is_inert() {
         let t = Trace::disabled();
         assert!(!t.is_enabled());
-        t.span(0, 0, 0, 10, 20);
+        t.span(0, Sym(0), 0, 0, 10, 20);
         t.steal(1, 2, 3);
         t.steal_attempt(true);
         t.plan_cache_lookup("k", None, true, false);
@@ -538,13 +558,13 @@ mod tests {
     #[test]
     fn enabled_trace_records_counts_and_reports() {
         let t = Trace::enabled();
-        t.span(0, 0, 0, 10, 2_000);
-        t.span(0, 1, 0, 20, 5_000);
+        t.span(0, Sym(0), 0, 0, 10, 2_000);
+        t.span(0, Sym(0), 1, 0, 20, 5_000);
         t.steal(0, 1, 0);
         t.steal_attempt(true);
         t.steal_attempt(false); // counted, not recorded
         let rec = t.recorder().unwrap();
-        assert_eq!(rec.len(), 6, "2 spans x 2 events + 1 steal + 1 attempt");
+        assert_eq!(rec.len(), 4, "one event per span + 1 steal + 1 attempt");
         let m = t.metrics().unwrap();
         assert_eq!(m.counter("spans").get(), 2);
         assert_eq!(m.counter("steals").get(), 1);

@@ -14,8 +14,8 @@ use std::time::Instant;
 
 use crate::event::{Event, Sym, TraceEvent};
 
-/// Default per-lane ring capacity (events). At ~40 bytes per event this
-/// bounds a lane at a few megabytes; rings only grow on demand.
+/// Default per-lane ring capacity (events). At 56 bytes per event this
+/// bounds a lane at 3.5 MiB; rings only grow on demand.
 pub const DEFAULT_LANE_CAPACITY: usize = 1 << 16;
 
 struct Lane {
@@ -188,14 +188,15 @@ mod tests {
     fn records_and_snapshots_in_time_order() {
         let rec = TraceRecorder::new(3, 64);
         rec.record_at(30, 1, Event::StealAttempt);
-        rec.record_at(10, 2, Event::FlushBegin { flush: 0 });
+        rec.record_at(10, 2, Event::ModelFence { name: Sym(0) });
         rec.record_at(
             20,
             0,
-            Event::FlushEnd {
+            Event::Flush {
                 flush: 0,
                 batches: 1,
                 tasks: 4,
+                dur_ns: 5,
             },
         );
         let all = rec.snapshot();
@@ -205,6 +206,13 @@ mod tests {
             vec![10, 20, 30]
         );
         assert_eq!(rec.dropped(), 0);
+    }
+
+    /// The ring's footprint: a window's `dur_ns` rides in the padding the
+    /// widest event (`ModelLaunch`) already pays for.
+    #[test]
+    fn an_event_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 56);
     }
 
     #[test]

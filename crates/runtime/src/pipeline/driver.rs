@@ -20,7 +20,7 @@
 //! span drained, the deferred-execution telemetry callers surface as
 //! [`LaunchTiming`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use spdistal_obs::{Sym, Trace};
@@ -138,10 +138,10 @@ impl Pipeline {
 
     /// [`Pipeline::run`] with an observability sink. Each launch is
     /// assigned a trace-global id; the drain records `LaunchIssue` for
-    /// every launch up front, a `SpanBegin`/`SpanEnd` pair per executed
-    /// span on the running worker's lane, and `LaunchStart`/`LaunchFinish`
-    /// stamped from the *same* clock readings as the span events — so the
-    /// launch window exactly contains its spans on the exported timeline.
+    /// every launch up front, one `Span` window per executed span on the
+    /// running worker's lane, and one `Launch` window per launch. A drain
+    /// reads one clock: the milestones behind [`LaunchTiming`] are the
+    /// launch windows, so each window contains its spans by construction.
     /// A disabled trace makes this identical to [`Pipeline::run`].
     pub fn run_traced(
         &self,
@@ -150,57 +150,40 @@ impl Pipeline {
         body: impl Fn(usize, usize, usize) + Sync,
     ) -> (ExecReport, Vec<LaunchTiming>) {
         let n_launches = self.launches.len();
+        // Per launch: its first span's start and its last span's end, in
+        // nanoseconds since `t0`. The trace reads `t_issue + ns`.
         let starts: Vec<AtomicU64> = (0..n_launches).map(|_| AtomicU64::new(u64::MAX)).collect();
         let drains: Vec<AtomicU64> = (0..n_launches).map(|_| AtomicU64::new(0)).collect();
-        let done: Vec<AtomicUsize> = (0..n_launches).map(|_| AtomicUsize::new(0)).collect();
-        let span_totals: Vec<usize> = self.launches.iter().map(LaunchDesc::num_spans).collect();
 
-        // Trace-side launch milestones, on the trace's own epoch (the
-        // LaunchTiming milestones below keep their run-relative epoch).
         let base = trace.alloc_launch_ids(n_launches as u32);
         let name_syms: Vec<Sym> = self
             .launches
             .iter()
             .map(|l| trace.intern(&l.name))
             .collect();
-        let ev_starts: Vec<AtomicU64> = (0..n_launches).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let ev_drains: Vec<AtomicU64> = (0..n_launches).map(|_| AtomicU64::new(0)).collect();
-        if trace.is_enabled() {
-            let t_issue = trace.now_ns();
-            for (l, &sym) in name_syms.iter().enumerate() {
-                trace.launch_issue_at(t_issue, base + l as u32, sym);
-            }
+        let t_issue = trace.now_ns();
+        for (l, &sym) in name_syms.iter().enumerate() {
+            trace.launch_issue_at(t_issue, base + l as u32, sym);
         }
 
         let t0 = Instant::now();
         let report = Executor::new(mode).run_traced(&self.graph, trace, |flat, span| {
             let (launch, point) = self.locate[flat];
-            starts[launch].fetch_min(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let ts0 = trace.now_ns();
+            let begin = t0.elapsed().as_nanos() as u64;
+            starts[launch].fetch_min(begin, Ordering::Relaxed);
             body(launch, point, span);
-            let finished = done[launch].fetch_add(1, Ordering::AcqRel) + 1;
-            if finished == span_totals[launch] {
-                drains[launch].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            if trace.is_enabled() {
-                let ts1 = trace.now_ns();
-                trace.span(base + launch as u32, flat as u32, span as u32, ts0, ts1);
-                ev_starts[launch].fetch_min(ts0, Ordering::Relaxed);
-                ev_drains[launch].fetch_max(ts1, Ordering::Relaxed);
-            }
+            let end = t0.elapsed().as_nanos() as u64;
+            drains[launch].fetch_max(end, Ordering::Relaxed);
+            let (id, name) = (base + launch as u32, name_syms[launch]);
+            trace.span(
+                id,
+                name,
+                flat as u32,
+                span as u32,
+                t_issue + begin,
+                t_issue + end,
+            );
         });
-
-        if trace.is_enabled() {
-            for l in 0..n_launches {
-                let start = ev_starts[l].load(Ordering::Relaxed);
-                if start == u64::MAX {
-                    continue; // no span executed (empty launch)
-                }
-                let finish = ev_drains[l].load(Ordering::Relaxed).max(start);
-                trace.launch_start_at(start, base + l as u32, name_syms[l]);
-                trace.launch_finish_at(finish, base + l as u32, name_syms[l]);
-            }
-        }
 
         let timings = self
             .launches
@@ -208,12 +191,20 @@ impl Pipeline {
             .enumerate()
             .map(|(l, launch)| {
                 let start = starts[l].load(Ordering::Relaxed);
-                let start = if start == u64::MAX { 0 } else { start };
+                let drain = drains[l].load(Ordering::Relaxed);
+                // A launch that ran no span (an empty one) has no window.
+                let start = if start == u64::MAX {
+                    0
+                } else {
+                    let (t_start, t_drain) = (t_issue + start, t_issue + drain);
+                    trace.launch_window(base + l as u32, name_syms[l], t_start, t_drain);
+                    start
+                };
                 LaunchTiming {
                     name: launch.name.clone(),
                     issue: 0.0,
                     start: start as f64 * 1e-9,
-                    drain: drains[l].load(Ordering::Relaxed) as f64 * 1e-9,
+                    drain: drain as f64 * 1e-9,
                     model: Default::default(),
                 }
             })
@@ -316,37 +307,35 @@ mod tests {
                 Event::LaunchIssue { launch, .. } => {
                     issues.insert(launch, e.ts_ns);
                 }
-                Event::LaunchStart { launch, .. } => {
-                    windows.entry(launch).or_insert((0, 0)).0 = e.ts_ns;
-                }
-                Event::LaunchFinish { launch, .. } => {
-                    windows.entry(launch).or_insert((0, 0)).1 = e.ts_ns;
+                Event::Launch { launch, dur_ns, .. } => {
+                    assert_eq!(e.lane, 0, "launch windows live on the control lane");
+                    windows.insert(launch, (e.ts_ns, e.ts_ns + dur_ns));
                 }
                 _ => {}
             }
         }
         assert_eq!(issues.len(), 2, "every launch records its issue");
-        assert_eq!(windows.len(), 2, "every launch records start and finish");
-        for (launch, &(start, finish)) in &windows {
-            assert!(start <= finish, "launch window is ordered");
+        assert_eq!(windows.len(), 2, "every launch records its window");
+        for (launch, &(start, _)) in &windows {
             assert!(issues[launch] <= start, "issue precedes the first span");
         }
-        // Every span event falls inside its launch's window — the nesting
+        // Every span lies inside its launch's window — the nesting
         // invariant the Chrome export depends on visually.
-        let mut span_events = 0;
+        let mut spans = 0;
         for e in &events {
-            if let Event::SpanBegin { launch, .. } | Event::SpanEnd { launch, .. } = e.event {
-                span_events += 1;
+            if let Event::Span { launch, dur_ns, .. } = e.event {
+                spans += 1;
                 let (start, finish) = windows[&launch];
                 assert!(
-                    e.ts_ns >= start && e.ts_ns <= finish,
-                    "span event at {} outside launch window [{start}, {finish}]",
-                    e.ts_ns
+                    start <= e.ts_ns && e.ts_ns + dur_ns <= finish,
+                    "span [{}, {}] outside launch window [{start}, {finish}]",
+                    e.ts_ns,
+                    e.ts_ns + dur_ns
                 );
                 assert!(e.lane >= 1, "spans run on worker lanes");
             }
         }
-        assert_eq!(span_events, 14, "a begin/end pair per executed span");
+        assert_eq!(spans, 7, "one window per executed span");
     }
 
     #[test]

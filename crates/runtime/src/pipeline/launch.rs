@@ -66,12 +66,6 @@ impl LaunchDesc {
         self.point_reqs.len()
     }
 
-    /// Total spans across all points (the pipeline's work items for this
-    /// launch).
-    pub fn num_spans(&self) -> usize {
-        self.point_widths.iter().sum()
-    }
-
     /// Every requirement the launch names: each point's, then the extras.
     pub fn reqs(&self) -> impl Iterator<Item = &RegionReq> {
         self.point_reqs.iter().flatten().chain(&self.extra_reqs)
@@ -198,9 +192,8 @@ mod tests {
             ],
         );
         assert_eq!(launch.point_widths, vec![1, 1]);
-        assert_eq!(launch.num_spans(), 2);
         let launch = launch.with_point_widths(vec![3, 1]);
-        assert_eq!(launch.num_spans(), 4);
+        assert_eq!(launch.point_widths, vec![3, 1]);
     }
 
     #[test]

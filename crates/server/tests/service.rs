@@ -239,6 +239,47 @@ fn malformed_json_keeps_the_connection_alive() {
     harness.finish();
 }
 
+/// A submit asking for more passes than `MAX_ITERS` (or for a count past
+/// 2^53) is refused before it reaches a worker, and the connection serves
+/// on: one request cannot hold a worker, or a `shutdown` drain, forever.
+#[test]
+fn oversized_iters_are_refused_and_the_connection_serves_on() {
+    let harness = start(spdistal_server::ServerConfig::default());
+
+    let mut raw = harness.raw();
+    let too_many = (spdistal_client::proto::MAX_ITERS + 1).to_string();
+    for iters in [too_many.as_str(), "1e300"] {
+        let submit = format!(
+            r#"{{"type":"submit","stmts":[{{"tin":"{STMT}","schedule":"outer-dim"}}],"iters":{iters},"pipelined":false}}"#
+        );
+        write_frame(&mut raw, submit.as_bytes()).expect("send submit");
+        let frame = read_frame(&mut raw, DEFAULT_MAX_FRAME).expect("error frame");
+        match Event::parse(&frame).expect("parse") {
+            Event::Error { code, message } => {
+                assert_eq!(code, "bad_json");
+                assert!(message.contains("'iters'"), "{message}");
+            }
+            other => panic!("iters {iters}: expected error event, got {other:?}"),
+        }
+    }
+
+    write_frame(
+        &mut raw,
+        spdistal_client::Request::Hello {
+            tenant: "bounded".to_string(),
+        }
+        .to_json()
+        .as_bytes(),
+    )
+    .expect("hello after refusals");
+    let frame = read_frame(&mut raw, DEFAULT_MAX_FRAME).expect("welcome frame");
+    match Event::parse(&frame).expect("parse") {
+        Event::Welcome { tenant, .. } => assert_eq!(tenant, "bounded"),
+        other => panic!("expected welcome, got {other:?}"),
+    }
+    harness.finish();
+}
+
 #[test]
 fn disconnect_mid_flush_does_not_take_the_server_down() {
     let harness = start(spdistal_server::ServerConfig::default());

@@ -1,13 +1,14 @@
 //! Structured-trace integration tests: a traced `Program` run must emit a
 //! well-ordered event stream (launch windows contain their spans, steals
-//! reference live work, flushes bracket their batches), export
-//! well-formed Chrome trace-event JSON, and cost (near) nothing when
-//! tracing is disabled.
+//! reference live work, one flush window per flush), export well-formed
+//! Chrome trace-event JSON with one exported window per recorded window,
+//! and cost (near) nothing when tracing is disabled. Every window (span,
+//! launch, flush) is one event stamped at its start with its `dur_ns`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use spdistal_repro::obs::{validate_chrome_trace, Event, Trace};
+use spdistal_repro::obs::{validate_chrome_trace, Event, Sym, Trace};
 use spdistal_repro::sparse::{dense_vector, generate};
 use spdistal_repro::spdistal::prelude::*;
 
@@ -41,65 +42,56 @@ fn traced_run_orders_and_nests_events() {
     assert_eq!(rec.dropped(), 0, "small run must not evict events");
     let events = rec.snapshot();
 
-    // Launch milestones: issue <= start <= finish per launch id, on the
-    // control lane.
-    let mut issues = std::collections::HashMap::new();
-    let mut starts = std::collections::HashMap::new();
-    let mut finishes = std::collections::HashMap::new();
+    // Launch windows: issue <= start per launch id, both on the control
+    // lane.
+    let mut issues = HashMap::new();
+    let mut windows = HashMap::new();
     for e in &events {
         match e.event {
             Event::LaunchIssue { launch, .. } => {
-                assert_eq!(e.lane, 0, "launch milestones live on the control lane");
+                assert_eq!(e.lane, 0, "launch issues live on the control lane");
                 issues.insert(launch, e.ts_ns);
             }
-            Event::LaunchStart { launch, .. } => {
-                starts.insert(launch, e.ts_ns);
-            }
-            Event::LaunchFinish { launch, .. } => {
-                finishes.insert(launch, e.ts_ns);
+            Event::Launch { launch, dur_ns, .. } => {
+                assert_eq!(e.lane, 0, "launch windows live on the control lane");
+                windows.insert(launch, (e.ts_ns, e.ts_ns + dur_ns));
             }
             _ => {}
         }
     }
     assert!(!issues.is_empty(), "a traced run must issue launches");
-    for (launch, start) in &starts {
+    for (launch, &(start, _)) in &windows {
         let issue = issues[launch];
-        let finish = finishes[launch];
         assert!(
-            issue <= *start && *start <= finish,
-            "launch {launch}: issue {issue} <= start {start} <= finish {finish}"
+            issue <= start,
+            "launch {launch}: issue {issue} <= start {start}"
         );
     }
 
-    // Spans: begin <= end per (lane, launch, task, span), nested within
-    // their launch's [start, finish] window, executed on worker lanes.
-    let mut open = std::collections::HashMap::new();
+    // Spans nest within their launch's window and execute on worker lanes.
     let mut live: HashSet<(u32, u32)> = HashSet::new();
-    let mut span_pairs = 0usize;
+    let mut spans = 0usize;
     for e in &events {
-        match e.event {
-            Event::SpanBegin { launch, task, span } => {
-                assert!(e.lane >= 1, "spans execute on worker lanes");
-                live.insert((task, span));
-                open.insert((e.lane, launch, task, span), e.ts_ns);
-            }
-            Event::SpanEnd { launch, task, span } => {
-                let t0 = open
-                    .remove(&(e.lane, launch, task, span))
-                    .expect("SpanEnd must match an open SpanBegin on the same lane");
-                assert!(t0 <= e.ts_ns, "span begin must not follow its end");
-                assert!(
-                    starts[&launch] <= t0 && e.ts_ns <= finishes[&launch],
-                    "span [{t0}, {}] must nest within launch {launch}'s window",
-                    e.ts_ns
-                );
-                span_pairs += 1;
-            }
-            _ => {}
+        if let Event::Span {
+            launch,
+            task,
+            span,
+            dur_ns,
+            ..
+        } = e.event
+        {
+            assert!(e.lane >= 1, "spans execute on worker lanes");
+            live.insert((task, span));
+            let (t0, t1) = (e.ts_ns, e.ts_ns + dur_ns);
+            let (start, finish) = windows[&launch];
+            assert!(
+                start <= t0 && t1 <= finish,
+                "span [{t0}, {t1}] must nest within launch {launch}'s window [{start}, {finish}]"
+            );
+            spans += 1;
         }
     }
-    assert!(open.is_empty(), "every SpanBegin must be closed");
-    assert!(span_pairs > 0, "a traced run must execute spans");
+    assert!(spans > 0, "a traced run must execute spans");
 
     // Steals reference live work and a real victim, from a different lane.
     for e in &events {
@@ -113,21 +105,16 @@ fn traced_run_orders_and_nests_events() {
         }
     }
 
-    // Flushes bracket their batches; one non-empty flush per iteration.
-    let begins = events
-        .iter()
-        .filter(|e| matches!(e.event, Event::FlushBegin { .. }))
-        .count();
-    let ends: Vec<u64> = events
+    // One flush window per non-empty flush, at least one per iteration.
+    let flushed: Vec<u64> = events
         .iter()
         .filter_map(|e| match e.event {
-            Event::FlushEnd { tasks, .. } => Some(tasks),
+            Event::Flush { tasks, .. } => Some(tasks),
             _ => None,
         })
         .collect();
-    assert_eq!(begins, ends.len(), "every FlushBegin needs its FlushEnd");
-    assert!(begins >= 2, "two iterations flush at least twice");
-    assert!(ends.iter().all(|&t| t > 0), "flushed work has tasks");
+    assert!(flushed.len() >= 2, "two iterations flush at least twice");
+    assert!(flushed.iter().all(|&t| t > 0), "flushed work has tasks");
 
     // The auto-scheduler decision and the plan-cache traffic made it onto
     // the trace, with resolvable interned strings.
@@ -194,6 +181,18 @@ fn chrome_trace_export_is_well_formed() {
             "chrome trace must contain {required} events"
         );
     }
+    // One exported window per recorded window: every span the counter
+    // saw, every flush the recorder holds, and nothing re-paired or lost.
+    let rec = trace.recorder().unwrap();
+    assert_eq!(stats.events_dropped, 0, "small run must not evict events");
+    let spans = trace.metrics().unwrap().counter("spans").get() as usize;
+    assert_eq!(stats.by_cat["span"], spans, "one X event per span");
+    let flushes = rec
+        .snapshot()
+        .iter()
+        .filter(|e| matches!(e.event, Event::Flush { .. }))
+        .count();
+    assert_eq!(stats.by_cat["flush"], flushes, "one X event per flush");
     // One track per participating worker plus the control track — and the
     // model timeline renders as its own process.
     assert!(
@@ -226,11 +225,11 @@ fn disabled_tracing_overhead_is_under_two_percent() {
     let run_seconds = t0.elapsed().as_secs_f64();
 
     // Cost of that many disabled-hot-path calls (span is the widest no-op:
-    // two events plus a counter and a histogram when enabled).
+    // an event, a counter and a histogram when enabled).
     let disabled = Trace::disabled();
     let t0 = Instant::now();
     for k in 0..events {
-        disabled.span(0, k as u32, 0, k, k + 1);
+        disabled.span(0, Sym(0), k as u32, 0, k, k + 1);
         disabled.steal_attempt(false);
     }
     let noop_seconds = t0.elapsed().as_secs_f64();
