@@ -135,6 +135,13 @@ fi
 if grep -rnE 'SpanBegin|SpanEnd|LaunchStart|LaunchFinish|FlushBegin|FlushEnd|flush_begin|flush_end|launch_start_at|launch_finish_at' crates tests examples; then
   echo "a trace window is recorded in halves again (begin/end events or their helpers)"; exit 1
 fi
+# One dependence analysis per drain: `Pipeline::new` decides which launches
+# serialize and puts every edge straight into one flat graph. The launch-level
+# graph and the per-launch graph it copied edges from stay gone.
+if grep -rnE 'LaunchGraph|from_summaries' crates tests examples ||
+  grep -rn 'TaskGraph::from_reqs' crates/runtime/src/pipeline/; then
+  echo "a second dependence analysis is back (LaunchGraph, from_summaries or a per-launch graph in the pipeline)"; exit 1
+fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const

@@ -30,8 +30,9 @@
 //! ## Modeled pipelining
 //!
 //! The model phase is replayed **launch-graph-ordered**: each batch hands
-//! the [`LaunchGraph`](spdistal_runtime::pipeline::LaunchGraph)'s edge set
-//! (which already includes the launch-granularity write-back claims) to
+//! its launch edge set,
+//! [`Pipeline::preds`](spdistal_runtime::pipeline::Pipeline::preds) (which
+//! already includes the launch-granularity write-back claims), to
 //! [`Runtime::index_launch_after`](spdistal_runtime::Runtime::index_launch_after),
 //! so on the simulator's pipelined timeline a launch starts at
 //! `max(predecessor finishes, processor availability)` instead of behind a
@@ -356,9 +357,9 @@ impl<'c> Session<'c> {
             let deps_t0 = Instant::now();
             let pipeline = Pipeline::new(launches);
             trace.observe_ns("deps.analyze_ns", deps_t0.elapsed().as_nanos() as u64);
-            // The inter-launch edge set (WAW/WAR over the summaries,
-            // including write-back claims) also orders the model replay.
-            let pred_sets = pipeline.launch_graph().pred_sets();
+            // The inter-launch edge set (including the write-back claims)
+            // also orders the model replay.
+            let pred_sets = pipeline.preds().to_vec();
             let (exec_report, timings) =
                 pipeline.run_traced(mode, &trace, |launch, point, span| {
                     prepared[launch].run_point(point, span)

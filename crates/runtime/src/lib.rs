@@ -34,7 +34,7 @@ pub use exec::{LaunchId, LaunchRecord, ModelTiming, RegionMeta, RunStats, Runtim
 pub use geometry::{IntervalSet, Rect1};
 pub use machine::{LinkProfile, Machine, MachineProfile, ProcKind, ProcProfile};
 pub use partition::Partition;
-pub use pipeline::{LaunchDesc, LaunchGraph, LaunchTiming, Pipeline};
+pub use pipeline::{LaunchDesc, LaunchTiming, Pipeline};
 pub use sched::{ExecMode, ExecReport, Executor, SplitPolicy, TaskGraph};
 pub use spdistal_obs::Trace;
 pub use task::{Privilege, RegionId, RegionReq, TaskSpec};

@@ -1,13 +1,24 @@
-//! The pipelined launch driver.
+//! The pipelined launch driver: the one dependence analysis of a batch.
 //!
-//! [`Pipeline::new`] flattens a sequence of launches into **one** task
-//! graph: each launch contributes its point tasks with their intra-launch
-//! dependence edges (built by the same [`TaskGraph::from_reqs`] analysis a
-//! single launch would get), and every [`LaunchGraph`] edge `A -> B` adds
-//! cross-launch edges from all of `A`'s points to all of `B`'s points —
-//! launch-granularity serialization, exactly what the summary-level
-//! analysis justifies (and what [`LaunchGraph::from_launches`] decides
-//! without building the summaries).
+//! [`Pipeline::new`] decides which launches of a batch serialize and
+//! flattens them into **one** task graph. Two launches conflict iff their
+//! whole-launch requirement summaries ([`LaunchDesc::summary`]) do, under
+//! the commutativity rules of [`crate::sched::graph`] (Read/Read and
+//! Reduce/Reduce over overlapping subsets commute, everything else
+//! serializes in issue order) — the Legion deferred execution model, where
+//! independent statements overlap and dependent statements pipeline behind
+//! each other. A union overlaps another iff some member does, so the
+//! analysis builds no summary: it indexes the raw requirements
+//! ([`LaunchDesc::reqs`]) by region and runs a set test only where two
+//! launches name one region with a non-commuting privilege pair. A batch of
+//! one launch (every batch of a RAW chain) does no set work at all.
+//!
+//! Each launch contributes its point tasks with their intra-launch edges
+//! (the same pairwise conflict loop a single launch gets,
+//! [`TaskGraphBuilder::add_conflicts`]), and every launch edge `A -> B`
+//! adds cross edges from all of `A`'s points to all of `B`'s points —
+//! launch-granularity serialization. The launch edges are kept as
+//! [`Pipeline::preds`], which orders the model replay after the drain.
 //!
 //! [`Pipeline::run`] then drains the combined graph through the existing
 //! work-stealing [`Executor`] in one pass, so point tasks from *different,
@@ -20,21 +31,25 @@
 //! span drained, the deferred-execution telemetry callers surface as
 //! [`LaunchTiming`].
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use spdistal_obs::{Sym, Trace};
 
-use crate::sched::{ExecMode, ExecReport, Executor, TaskGraph, TaskGraphBuilder};
+use crate::sched::{
+    privileges_commute, ExecMode, ExecReport, Executor, TaskGraph, TaskGraphBuilder,
+};
+use crate::task::{RegionId, RegionReq};
 
-use super::graph::LaunchGraph;
 use super::launch::{LaunchDesc, LaunchTiming};
 
 /// A set of launches compiled into one dependence-respecting task graph.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     launches: Vec<LaunchDesc>,
-    launch_graph: LaunchGraph,
+    /// `preds[b]`: the launches `b` serializes behind, ascending.
+    preds: Vec<Vec<usize>>,
     graph: TaskGraph,
     /// `offsets[l]`: flat index of launch `l`'s first point task.
     offsets: Vec<usize>,
@@ -42,9 +57,47 @@ pub struct Pipeline {
     locate: Vec<(usize, usize)>,
 }
 
+/// The direct predecessors of every launch, in issue order: `a` precedes
+/// `b > a` iff some requirement of `a` and some of `b` name one region with
+/// a non-commuting privilege pair over overlapping subsets.
+fn launch_preds(launches: &[LaunchDesc]) -> Vec<Vec<usize>> {
+    let n = launches.len();
+    let mut preds = vec![Vec::new(); n];
+    if n < 2 {
+        return preds;
+    }
+    // Region first: only requirements naming the same region can conflict,
+    // and only across launches.
+    let mut by_region: HashMap<RegionId, Vec<(usize, &RegionReq)>> = HashMap::new();
+    for (l, launch) in launches.iter().enumerate() {
+        for req in launch.reqs() {
+            by_region.entry(req.region).or_default().push((l, req));
+        }
+    }
+    let mut conflict = vec![false; n * n];
+    for members in by_region.values() {
+        for (k, &(a, ra)) in members.iter().enumerate() {
+            // Members are in issue order, so `b >= a` below.
+            for &(b, rb) in &members[k + 1..] {
+                if a != b
+                    && !conflict[a * n + b]
+                    && !privileges_commute(ra.privilege, rb.privilege)
+                    && ra.subset.overlaps(&rb.subset)
+                {
+                    conflict[a * n + b] = true;
+                }
+            }
+        }
+    }
+    for (b, preds) in preds.iter_mut().enumerate() {
+        preds.extend((0..b).filter(|&a| conflict[a * n + b]));
+    }
+    preds
+}
+
 impl Pipeline {
     pub fn new(launches: Vec<LaunchDesc>) -> Pipeline {
-        let launch_graph = LaunchGraph::from_launches(&launches);
+        let preds = launch_preds(&launches);
 
         let mut offsets = Vec::with_capacity(launches.len());
         let mut locate = Vec::new();
@@ -56,19 +109,14 @@ impl Pipeline {
         }
 
         let mut builder = TaskGraphBuilder::new(locate.len());
-        // Intra-launch edges: the per-launch point analysis, offset into
-        // the flat index space.
-        for (l, launch) in launches.iter().enumerate() {
-            let intra = TaskGraph::from_reqs(&launch.point_reqs);
-            for i in 0..intra.num_tasks() {
-                for &j in intra.successors(i) {
-                    builder.add_edge(offsets[l] + i, offsets[l] + j);
-                }
-            }
+        // Intra-launch edges: each launch's point analysis, offset into the
+        // flat index space.
+        for (launch, &base) in launches.iter().zip(&offsets) {
+            builder.add_conflicts(base, &launch.point_reqs);
         }
         // Cross-launch edges: launch-granularity serialization.
-        for a in 0..launches.len() {
-            for &b in launch_graph.successors(a) {
+        for (b, preds_b) in preds.iter().enumerate() {
+            for &a in preds_b {
                 for i in 0..launches[a].num_points() {
                     for j in 0..launches[b].num_points() {
                         builder.add_edge(offsets[a] + i, offsets[b] + j);
@@ -85,15 +133,21 @@ impl Pipeline {
 
         Pipeline {
             graph: builder.build().with_widths(widths),
-            launch_graph,
+            preds,
             offsets,
             locate,
             launches,
         }
     }
 
-    pub fn launch_graph(&self) -> &LaunchGraph {
-        &self.launch_graph
+    /// `preds()[b]`: the launches `b` serializes behind, ascending — the
+    /// launch-level edge set, handed to drivers that replay the launches
+    /// elsewhere (the model phase's graph-ordered replay through
+    /// [`Runtime::index_launch_after`](crate::Runtime::index_launch_after)).
+    /// Issue order is a topological order, so replaying the launches in
+    /// issue order, each gated behind its preds, realizes the same DAG.
+    pub fn preds(&self) -> &[Vec<usize>] {
+        &self.preds
     }
 
     /// Hand the launch descriptors back once the drain is over, so what
@@ -247,10 +301,10 @@ mod tests {
             launch("w1", 1, 3, Privilege::ReadWrite),
         ]);
         assert_eq!(pipeline.num_tasks(), 10);
-        assert!(pipeline.launch_graph().serialized(0, 1));
-        assert!(pipeline.launch_graph().may_overlap(0, 2));
+        assert_eq!(pipeline.preds(), &[vec![], vec![0], vec![]]);
         // Cross edges: 3 * 4; intra: none (disjoint point subsets).
         assert_eq!(pipeline.task_graph().num_edges(), 12);
+        assert_eq!(pipeline.task_graph().critical_path_len(), 2);
 
         let order = Mutex::new(Vec::new());
         let (report, timings) = pipeline.run(ExecMode::Parallel(4), |l, p, _| {
@@ -272,6 +326,18 @@ mod tests {
         }
         // The dependent launch cannot start before its predecessor drains.
         assert!(timings[1].start >= timings[0].drain);
+    }
+
+    #[test]
+    fn reductions_and_reads_commute_across_launches() {
+        let pipeline = Pipeline::new(vec![
+            launch("r0", 0, 2, Privilege::Reduce),
+            launch("r1", 0, 2, Privilege::Reduce),
+            launch("x0", 1, 2, Privilege::Read),
+            launch("x1", 1, 2, Privilege::Read),
+        ]);
+        assert!(pipeline.preds().iter().all(Vec::is_empty));
+        assert_eq!(pipeline.task_graph().num_edges(), 0);
     }
 
     #[test]

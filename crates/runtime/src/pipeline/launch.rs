@@ -8,17 +8,16 @@
 //! compute, so a later launch touching that tensor serializes behind it).
 //! [`LaunchDesc::summary`] merges everything into one whole-launch
 //! requirement set — per `(region, privilege)`, the union of all point
-//! subsets. The [`LaunchGraph`](super::LaunchGraph) decides the same
+//! subsets. [`Pipeline::new`](super::Pipeline::new) decides the same
 //! conflicts from [`LaunchDesc::reqs`] directly, region first, so no
-//! summary is built on the run path: the summary, with
-//! `LaunchGraph::from_summaries`, is the oracle that analysis is tested
-//! against (`tests/pipeline_props.rs`,
-//! `region_first_analysis_equals_summary_analysis`).
+//! summary is built on the run path: a task graph over the summaries, one
+//! node per launch, is the oracle that analysis is tested against
+//! (`tests/pipeline_props.rs`, `region_first_analysis_equals_summary_analysis`).
 
 use std::collections::BTreeMap;
 
 use crate::geometry::IntervalSet;
-use crate::task::{Privilege, RegionReq};
+use crate::task::{Privilege, RegionId, RegionReq};
 
 /// One deferred launch, as the pipeline driver sees it.
 #[derive(Clone, Debug)]
@@ -76,21 +75,20 @@ impl LaunchDesc {
     /// named subsets, merged run list by run list (no sort). Conflict
     /// analysis over summaries is conservative in exactly the right
     /// direction: two launches conflict iff some pair of their requirements
-    /// would — which is what [`LaunchGraph::from_launches`](super::LaunchGraph)
+    /// would — which is what [`Pipeline::new`](super::Pipeline::new)
     /// decides without building any summary.
     pub fn summary(&self) -> Vec<RegionReq> {
-        let mut merged: BTreeMap<(u32, u8), IntervalSet> = BTreeMap::new();
+        let mut merged: BTreeMap<(RegionId, Privilege), IntervalSet> = BTreeMap::new();
         for req in self.reqs() {
-            let key = (req.region.0, privilege_key(req.privilege));
-            let set = merged.entry(key).or_default();
+            let set = merged.entry((req.region, req.privilege)).or_default();
             *set = set.union(&req.subset);
         }
         merged
             .into_iter()
-            .map(|((region, pk), subset)| RegionReq {
-                region: crate::task::RegionId(region),
+            .map(|((region, privilege), subset)| RegionReq {
+                region,
                 subset,
-                privilege: privilege_from_key(pk),
+                privilege,
             })
             .collect()
     }
@@ -121,27 +119,10 @@ pub struct LaunchTiming {
     pub model: crate::exec::ModelTiming,
 }
 
-fn privilege_key(p: Privilege) -> u8 {
-    match p {
-        Privilege::Read => 0,
-        Privilege::ReadWrite => 1,
-        Privilege::Reduce => 2,
-    }
-}
-
-fn privilege_from_key(k: u8) -> Privilege {
-    match k {
-        0 => Privilege::Read,
-        1 => Privilege::ReadWrite,
-        _ => Privilege::Reduce,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::Rect1;
-    use crate::task::RegionId;
 
     fn req(region: u32, lo: i64, hi: i64, privilege: Privilege) -> RegionReq {
         RegionReq {

@@ -9,13 +9,13 @@
 //! * [`launch`] — [`LaunchDesc`]: a launch's per-point region requirements
 //!   plus its whole-launch requirement summary, and [`LaunchTiming`], the
 //!   issue/start/drain milestones deferred execution makes observable.
-//! * [`graph`] — [`LaunchGraph`]: the inter-launch dependence DAG over
-//!   summaries, using the same Read/Read + Reduce/Reduce commutativity
-//!   rules as `sched::graph`.
-//! * [`driver`] — [`Pipeline`]: flattens the launches into one combined
+//! * [`driver`] — [`Pipeline`]: the one dependence analysis of a batch.
+//!   [`Pipeline::new`] decides which launches serialize (the same
+//!   Read/Read + Reduce/Reduce commutativity rules as `sched::graph`, kept
+//!   as [`Pipeline::preds`]) and flattens the launches into one combined
 //!   task graph (intra-launch point edges + launch-granularity cross
-//!   edges) and drains it through the work-stealing pool in a single pass,
-//!   so point tasks of independent launches interleave.
+//!   edges); [`Pipeline::run`] drains it through the work-stealing pool in
+//!   a single pass, so point tasks of independent launches interleave.
 //!
 //! The contract mirrors the intra-launch one: pipelined execution is
 //! bit-identical to launch-at-a-time execution, because every
@@ -23,9 +23,7 @@
 //! bodies only touch state their requirements name.
 
 pub mod driver;
-pub mod graph;
 pub mod launch;
 
 pub use driver::Pipeline;
-pub use graph::LaunchGraph;
 pub use launch::{LaunchDesc, LaunchTiming};

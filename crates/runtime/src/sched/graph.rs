@@ -63,25 +63,9 @@ pub fn reqs_conflict(a: &[RegionReq], b: &[RegionReq]) -> bool {
 impl TaskGraph {
     /// Build the dependence DAG for one launch's requirement sets.
     pub fn from_reqs(reqs: &[Vec<RegionReq>]) -> TaskGraph {
-        let n = reqs.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![0usize; n];
-        let mut edges = 0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if reqs_conflict(&reqs[i], &reqs[j]) {
-                    succs[i].push(j);
-                    preds[j] += 1;
-                    edges += 1;
-                }
-            }
-        }
-        TaskGraph {
-            succs,
-            preds,
-            edges,
-            widths: vec![1; n],
-        }
+        let mut builder = TaskGraphBuilder::new(reqs.len());
+        builder.add_conflicts(0, reqs);
+        builder.build()
     }
 
     /// A graph of `n` fully independent tasks.
@@ -182,8 +166,9 @@ impl TaskGraph {
 }
 
 /// Incremental constructor for composite DAGs whose edges do not all come
-/// from one launch's requirement sets — e.g. the pipeline subsystem stitches
-/// several launches' intra-launch graphs together with inter-launch edges.
+/// from one launch's requirement sets — e.g. the pipeline subsystem puts
+/// several launches' intra-launch edges and their inter-launch edges into
+/// one graph.
 /// Edges must still point from lower to higher task index (the DAG
 /// invariant every consumer of [`TaskGraph`] relies on).
 #[derive(Clone, Debug)]
@@ -216,6 +201,19 @@ impl TaskGraphBuilder {
         self.succs[from].push(to);
         self.preds[to] += 1;
         self.edges += 1;
+    }
+
+    /// Add one launch's intra-launch edges: its point tasks are
+    /// `base..base + reqs.len()`, and `i -> j` for every `i < j` whose
+    /// requirement sets conflict, in `(i, j)` order.
+    pub fn add_conflicts(&mut self, base: usize, reqs: &[Vec<RegionReq>]) {
+        for i in 0..reqs.len() {
+            for j in (i + 1)..reqs.len() {
+                if reqs_conflict(&reqs[i], &reqs[j]) {
+                    self.add_edge(base + i, base + j);
+                }
+            }
+        }
     }
 
     pub fn build(self) -> TaskGraph {

@@ -13,7 +13,7 @@ use crate::geometry::IntervalSet;
 pub struct RegionId(pub u32);
 
 /// Access privilege a task requests on a region subset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Privilege {
     /// Read-only: the subset is copied to the executing memory if not
     /// already valid there; other copies stay valid.

@@ -6,10 +6,11 @@
 //!    contained in a whole-launch summary entry of the same region and
 //!    privilege, so summary-level analysis can never miss a conflict a
 //!    point pair would have had.
-//! 2. **The launch graph serializes cross-launch conflicts.** RAW, WAR,
+//! 2. **The flat graph serializes cross-launch conflicts.** RAW, WAR,
 //!    WAW, and read-or-write against a reduction between two launches'
-//!    summaries order the earlier launch's drain before the later one's
-//!    start; disjoint and Reduce/Reduce launches stay overlappable.
+//!    summaries order every point of the earlier launch before every point
+//!    of the later one; disjoint and Reduce/Reduce launches get no cross
+//!    edge.
 //! 3. **Pipelined equals serial, bitwise.** Draining randomized multi-
 //!    launch pipelines whose point bodies perform non-commutative updates
 //!    produces bit-identical region contents under `ExecMode::Serial`
@@ -18,8 +19,8 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use spdistal_runtime::pipeline::{LaunchDesc, LaunchGraph, Pipeline};
-use spdistal_runtime::sched::{reqs_conflict, ExecMode};
+use spdistal_runtime::pipeline::{LaunchDesc, Pipeline};
+use spdistal_runtime::sched::{reqs_conflict, ExecMode, TaskGraph};
 use spdistal_runtime::{
     IntervalSet, LaunchId, Machine, MachineProfile, Privilege, Rect1, RegionId, RegionReq, Runtime,
     TaskSpec,
@@ -65,6 +66,21 @@ fn arb_launches() -> impl Strategy<Value = Vec<Vec<Vec<RegionReq>>>> {
             })
             .collect()
     })
+}
+
+/// The summary-level analysis `Pipeline::new` replaced: launch edges from
+/// `TaskGraph::from_reqs` over the whole-launch summaries, as predecessor
+/// lists.
+fn summary_preds(ds: &[LaunchDesc]) -> Vec<Vec<usize>> {
+    let summaries: Vec<_> = ds.iter().map(LaunchDesc::summary).collect();
+    let graph = TaskGraph::from_reqs(&summaries);
+    let mut preds = vec![Vec::new(); ds.len()];
+    for a in 0..ds.len() {
+        for &b in graph.successors(a) {
+            preds[b].push(a);
+        }
+    }
+    preds
 }
 
 fn descs(launches: &[Vec<Vec<RegionReq>>]) -> Vec<LaunchDesc> {
@@ -163,10 +179,11 @@ proptest! {
         }
     }
 
-    /// The region-first launch-level analysis decides exactly what the
-    /// summary-level analysis it replaced decides: same edges, same order
-    /// (so `pred_sets()` — what the model replay is gated on — is equal),
-    /// extras included.
+    /// The region-first launch analysis inside `Pipeline::new` decides
+    /// exactly what the summary-level analysis decides (so `preds()` — what
+    /// the model replay is gated on — is equal), extras included, and the
+    /// flat graph is edge-for-edge the one the per-launch graphs plus the
+    /// launch edges make: every successor list in the same order.
     #[test]
     fn region_first_analysis_equals_summary_analysis(
         launches in arb_launches(),
@@ -182,25 +199,53 @@ proptest! {
                 privilege: privilege(p),
             }]));
         }
-        let summaries: Vec<_> = ds.iter().map(LaunchDesc::summary).collect();
-        let oracle = LaunchGraph::from_summaries(&summaries);
-        let graph = LaunchGraph::from_launches(&ds);
-        prop_assert_eq!(graph.num_launches(), oracle.num_launches());
-        prop_assert_eq!(graph.num_edges(), oracle.num_edges());
-        prop_assert_eq!(graph.pred_sets(), oracle.pred_sets());
-        for a in 0..ds.len() {
-            prop_assert_eq!(graph.successors(a), oracle.successors(a));
+        let preds = summary_preds(&ds);
+        let pipeline = Pipeline::new(ds.clone());
+        prop_assert_eq!(pipeline.preds(), &preds[..]);
+
+        // The oracle: each launch's own point graph, offset, then all point
+        // pairs of every launch edge `a -> b`, `a` then `b` ascending.
+        let offsets: Vec<usize> = ds
+            .iter()
+            .scan(0, |next, d| {
+                let base = *next;
+                *next += d.num_points();
+                Some(base)
+            })
+            .collect();
+        let mut succs = vec![Vec::new(); pipeline.num_tasks()];
+        for (d, &base) in ds.iter().zip(&offsets) {
+            let intra = TaskGraph::from_reqs(&d.point_reqs);
+            for i in 0..d.num_points() {
+                succs[base + i].extend(intra.successors(i).iter().map(|&j| base + j));
+            }
         }
-        // And it is the graph the pipeline drives.
-        prop_assert_eq!(Pipeline::new(ds).launch_graph().pred_sets(), oracle.pred_sets());
+        for a in 0..ds.len() {
+            for b in (a + 1)..ds.len() {
+                if preds[b].contains(&a) {
+                    for i in 0..ds[a].num_points() {
+                        succs[offsets[a] + i].extend((0..ds[b].num_points()).map(|j| offsets[b] + j));
+                    }
+                }
+            }
+        }
+        let graph = pipeline.task_graph();
+        prop_assert_eq!(graph.num_edges(), succs.iter().map(Vec::len).sum::<usize>());
+        for (u, expected) in succs.iter().enumerate() {
+            prop_assert_eq!(graph.successors(u), &expected[..], "successors of task {}", u);
+        }
     }
 
+    /// Point level: a pair of launches whose summaries conflict has every
+    /// point of the earlier one ordered before every point of the later one
+    /// in the flat graph; a pair that commutes has no cross edge at all.
     #[test]
     fn launch_graph_serializes_cross_launch_conflicts(launches in arb_launches()) {
         let ds = descs(&launches);
         let summaries: Vec<_> = ds.iter().map(LaunchDesc::summary).collect();
-        let graph = LaunchGraph::from_summaries(&summaries);
-        prop_assert_eq!(graph.num_launches(), launches.len());
+        let pipeline = Pipeline::new(ds);
+        let graph = pipeline.task_graph();
+        prop_assert_eq!(pipeline.num_launches(), launches.len());
         for i in 0..launches.len() {
             for j in (i + 1)..launches.len() {
                 // Any conflicting cross-launch point pair implies a
@@ -214,17 +259,23 @@ proptest! {
                         "summaries of {i}/{j} miss a point-pair conflict"
                     );
                 }
-                if reqs_conflict(&summaries[i], &summaries[j]) {
-                    prop_assert!(
-                        graph.serialized(i, j),
-                        "conflicting launches {i} and {j} are unordered"
-                    );
-                    prop_assert!(!graph.may_overlap(i, j));
-                } else {
-                    prop_assert!(
-                        !graph.successors(i).contains(&j),
-                        "commuting launches {i} and {j} got an edge"
-                    );
+                let conflict = reqs_conflict(&summaries[i], &summaries[j]);
+                for p in 0..launches[i].len() {
+                    let from = pipeline.flat_index(i, p);
+                    for q in 0..launches[j].len() {
+                        let to = pipeline.flat_index(j, q);
+                        if conflict {
+                            prop_assert!(
+                                graph.path_exists(from, to),
+                                "conflicting launches {i} and {j}: point {p} does not reach point {q}"
+                            );
+                        } else {
+                            prop_assert!(
+                                !graph.successors(from).contains(&to),
+                                "commuting launches {i} and {j} got an edge {p} -> {q}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -329,42 +380,42 @@ fn raw_war_waw_serialize_disjoint_and_reduce_overlap() {
     // Two launches, each two points over [0,19] of region 0.
     let two_points =
         |p: Privilege| -> Vec<Vec<RegionReq>> { vec![vec![req(0, 9, p)], vec![req(10, 19, p)]] };
-    let graph_of = |a: Vec<Vec<RegionReq>>, b: Vec<Vec<RegionReq>>| {
-        let ds = [LaunchDesc::new("a", a), LaunchDesc::new("b", b)];
-        let summaries: Vec<_> = ds.iter().map(LaunchDesc::summary).collect();
-        LaunchGraph::from_summaries(&summaries)
+    // Whether launch `b` serializes behind launch `a`.
+    let serialized = |a: Vec<Vec<RegionReq>>, b: Vec<Vec<RegionReq>>| {
+        let pipeline = Pipeline::new(vec![LaunchDesc::new("a", a), LaunchDesc::new("b", b)]);
+        pipeline.preds()[1] == [0]
     };
 
     // WAW.
-    let g = graph_of(
+    assert!(serialized(
         two_points(Privilege::ReadWrite),
         two_points(Privilege::ReadWrite),
-    );
-    assert!(g.serialized(0, 1) && !g.may_overlap(0, 1));
+    ));
     // RAW.
-    let g = graph_of(
+    assert!(serialized(
         two_points(Privilege::ReadWrite),
         two_points(Privilege::Read),
-    );
-    assert!(g.serialized(0, 1));
+    ));
     // WAR.
-    let g = graph_of(
+    assert!(serialized(
         two_points(Privilege::Read),
         two_points(Privilege::ReadWrite),
-    );
-    assert!(g.serialized(0, 1));
+    ));
     // Disjoint writes overlap.
-    let g = graph_of(
+    assert!(!serialized(
         vec![vec![req(0, 9, Privilege::ReadWrite)]],
         vec![vec![req(10, 19, Privilege::ReadWrite)]],
-    );
-    assert!(g.may_overlap(0, 1));
+    ));
     // Reduce/Reduce over the same subset overlaps.
-    let g = graph_of(two_points(Privilege::Reduce), two_points(Privilege::Reduce));
-    assert!(g.may_overlap(0, 1));
+    assert!(!serialized(
+        two_points(Privilege::Reduce),
+        two_points(Privilege::Reduce)
+    ));
     // Read/Read overlaps.
-    let g = graph_of(two_points(Privilege::Read), two_points(Privilege::Read));
-    assert!(g.may_overlap(0, 1));
+    assert!(!serialized(
+        two_points(Privilege::Read),
+        two_points(Privilege::Read)
+    ));
 }
 
 /// The driver runs every point of every launch exactly once, and fully

@@ -9,7 +9,9 @@
 //! - one **connection thread** per client: polls frames with a read
 //!   timeout (so it can observe shutdown), answers registrations and
 //!   reports inline, and forwards a submission's event stream from its
-//!   executing worker to the socket;
+//!   executing worker to the socket. Every write has a timeout too
+//!   ([`WRITE_TIMEOUT`]): a client that stops reading ends as a
+//!   disconnect, so it cannot hold shutdown;
 //! - `workers` **execution workers**: pop jobs round-robin across tenants
 //!   from the [`AdmissionQueue`] and run them through the Program
 //!   pipeline against the shared plan cache, each job behind a panic
@@ -143,12 +145,27 @@ enum Conn {
     Uds(UnixStream),
 }
 
+/// How long a connection thread waits for a frame before it re-checks
+/// shutdown.
+const READ_POLL: Duration = Duration::from_millis(100);
+
+/// How long one write to a client may block. A client that stops reading
+/// fills its socket buffers; past this its connection ends as a disconnect
+/// instead of holding its thread, and with it shutdown, forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 impl Conn {
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+    fn set_timeouts(&self) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.set_read_timeout(dur),
+            Conn::Tcp(s) => {
+                s.set_read_timeout(Some(READ_POLL))?;
+                s.set_write_timeout(Some(WRITE_TIMEOUT))
+            }
             #[cfg(unix)]
-            Conn::Uds(s) => s.set_read_timeout(dur),
+            Conn::Uds(s) => {
+                s.set_read_timeout(Some(READ_POLL))?;
+                s.set_write_timeout(Some(WRITE_TIMEOUT))
+            }
         }
     }
 }
@@ -570,7 +587,7 @@ fn handle_conn(
     max_frame: usize,
     conn_id: u64,
 ) -> Result<(), ConnError> {
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = conn.set_timeouts();
     let mut reader = FrameReader::new();
     let mut tenant = format!("conn-{conn_id}");
     let mut tensors: Arc<Registered> = Arc::default();

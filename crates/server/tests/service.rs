@@ -321,6 +321,69 @@ fn disconnect_mid_flush_does_not_take_the_server_down() {
     harness.finish();
 }
 
+/// A client that submits and then stops reading cannot hold shutdown
+/// hostage: its result (2^20 values, ~11 MB on the wire) cannot fit in the
+/// socket buffers, so the connection thread's write times out and ends the
+/// connection as a disconnect while a second tenant is served as usual.
+#[test]
+fn a_client_that_stops_reading_cannot_hang_shutdown() {
+    let harness = start(spdistal_server::ServerConfig::default());
+    let rows = 1 << 20;
+    let mut b = spdistal_sparse::CooTensor::new(vec![rows, 1]);
+    b.push(&[0, 0], 1.0);
+    let b_data = b.build(&Format::blocked_csr().levels);
+    let mut stalled = harness.client();
+    stalled.hello("stalled").expect("hello");
+    register_demo(&mut stalled, &b_data, &[2.0]);
+    let submit = spdistal_client::Request::Submit {
+        stmts: vec![spdistal_client::StmtSpec {
+            tin: STMT.to_string(),
+            schedule: "outer-dim".to_string(),
+        }],
+        iters: 1,
+        pipelined: true,
+    };
+    stalled.send_request(&submit).expect("send");
+    // `stalled` stays open and never reads again.
+
+    let (b_data, c_data) = demo_tensors();
+    let mut client = harness.client();
+    client.hello("neighbour").expect("hello");
+    register_demo(&mut client, &b_data, &c_data);
+    let outcome = client
+        .submit(&[(STMT, "outer-dim")], 1, true, |_| {})
+        .expect("the second tenant is served");
+    let vals = &outcome.results.first().expect("result").1;
+    assert!(reference::approx_eq(
+        vals,
+        &reference::spmv(&b_data, &c_data),
+        1e-12
+    ));
+
+    // The server's write timeout is 2 s per write call. A call that moved
+    // some bytes returns them when it times out, and Linux loopback moves
+    // a few hundred KiB more after the buffers first fill, so the frame is
+    // given up on after two or three timeouts (~6 s); the rest is slack for
+    // a debug build on a loaded host. Without the timeout, this never ends.
+    let Harness {
+        engine,
+        handle,
+        thread,
+        ..
+    } = harness;
+    handle.request_shutdown();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(thread.join()));
+    let outcome = joined
+        .recv_timeout(Duration::from_secs(15))
+        .expect("shutdown waits on a client that stopped reading");
+    outcome.expect("join").expect("run");
+    let report = spdistal_obs::json::Json::parse(&engine.trace().run_report_json("service"))
+        .expect("report is json");
+    assert_eq!(counter(&report, "server.client_disconnects"), 1);
+    drop(stalled);
+}
+
 #[test]
 fn unknown_schedules_and_formats_are_typed_server_errors() {
     let harness = start(spdistal_server::ServerConfig::default());

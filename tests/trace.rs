@@ -202,41 +202,53 @@ fn chrome_trace_export_is_well_formed() {
     );
 }
 
-/// The observability satellite's regression: with tracing *disabled*, the
-/// instrumentation must cost under 2% of a run. Measured directly: time
-/// the disabled no-op helpers at the event volume an enabled twin of the
-/// same workload actually records, against the workload's runtime.
+/// With tracing *disabled*, the instrumentation must cost under 2% of a
+/// run. Measured directly: time the disabled no-op helpers at the event
+/// volume an enabled twin of the same workload actually records, against
+/// the workload's runtime. One twin's `steal_attempts` can be inflated by a
+/// spinning helper, and one run can land in a slow moment of the host, so
+/// the (traced twin, untraced run, no-op loop) triple is repeated and each
+/// of its three numbers compared as a median.
 #[test]
 fn disabled_tracing_overhead_is_under_two_percent() {
     const ITERS: usize = 3;
+    const REPS: usize = 5;
 
-    // Event volume of the traced twin.
-    let traced = Trace::enabled();
-    let mut twin = skewed_program(&traced);
-    twin.run_iters(ITERS).unwrap();
-    let events = traced.recorder().unwrap().len() as u64
-        + traced.metrics().unwrap().counter("steal_attempts").get();
+    let (mut events, mut run, mut noop) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        // Event volume of the traced twin.
+        let traced = Trace::enabled();
+        let mut twin = skewed_program(&traced);
+        twin.run_iters(ITERS).unwrap();
+        let n = traced.recorder().unwrap().len() as u64
+            + traced.metrics().unwrap().counter("steal_attempts").get();
+        events.push(n);
 
-    // Runtime of the untraced program (the trace handle defaults to
-    // disabled — same code path every user runs).
-    let mut program = skewed_program(&Trace::disabled());
-    let t0 = Instant::now();
-    program.run_iters(ITERS).unwrap();
-    let run_seconds = t0.elapsed().as_secs_f64();
+        // Runtime of the untraced program (the trace handle defaults to
+        // disabled — same code path every user runs).
+        let mut program = skewed_program(&Trace::disabled());
+        let t0 = Instant::now();
+        program.run_iters(ITERS).unwrap();
+        run.push(t0.elapsed().as_secs_f64());
 
-    // Cost of that many disabled-hot-path calls (span is the widest no-op:
-    // an event, a counter and a histogram when enabled).
-    let disabled = Trace::disabled();
-    let t0 = Instant::now();
-    for k in 0..events {
-        disabled.span(0, Sym(0), k as u32, 0, k, k + 1);
-        disabled.steal_attempt(false);
+        // Cost of that many disabled-hot-path calls (span is the widest
+        // no-op: an event, a counter and a histogram when enabled).
+        let disabled = Trace::disabled();
+        let t0 = Instant::now();
+        for k in 0..n {
+            disabled.span(0, Sym(0), k as u32, 0, k, k + 1);
+            disabled.steal_attempt(false);
+        }
+        noop.push(t0.elapsed().as_secs_f64());
     }
-    let noop_seconds = t0.elapsed().as_secs_f64();
+    events.sort_unstable();
+    run.sort_by(f64::total_cmp);
+    noop.sort_by(f64::total_cmp);
+    let (events, run_seconds, noop_seconds) = (events[REPS / 2], run[REPS / 2], noop[REPS / 2]);
 
     assert!(
         noop_seconds < run_seconds * 0.02,
-        "disabled tracing must cost <2% of the run: {noop_seconds:.6}s \
-         of no-ops vs {run_seconds:.6}s of work ({events} events)"
+        "disabled tracing must cost <2% of the run: median {noop_seconds:.6}s \
+         of no-ops vs {run_seconds:.6}s of work (median {events} events)"
     );
 }
