@@ -128,6 +128,21 @@ if grep -nE '(spmv|spmm|sddmm|spttv|spmttkrp)_color' crates/core/src/plan.rs ||
   grep -rn 'pub mod mm' crates/sparse/src; then
   echo "a second way to run a leaf is back (walker in plan.rs, kernel.fallback or the mm codec)"; exit 1
 fi
+# Row ownership is decided once per row run: the row walkers hand each
+# row-keyed body `owned` from a forward cursor, so an owned row is one slice
+# with no clamp search. `intersect_rect(` stays in the walkers (`for_rows`,
+# `for_coo_runs`) and the one cut-row path (`cut`) in the specialized layer;
+# a body that searches its clamp per row again fails here.
+if ! awk 'FNR == 1 { t = 0; p = ""; f = "" }
+          t { next }
+          /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+          { p = $0 }
+          /^[[:space:]]*\/\// { next }
+          match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+          /intersect_rect\(/ && f !~ /^(for_rows|for_coo_runs|cut)$/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+          END { exit bad }' crates/core/src/kernels/specialized/{mod,matrix,tensor3}.rs; then
+  echo "a row-keyed body searches its clamp per row: take the walker's owned flag (specialized::pieces / cut)"; exit 1
+fi
 # One trace event per window: a span, a launch and a flush each record once,
 # stamped at the window's start and carrying its `dur_ns`, so the exporter
 # pairs nothing and a full ring cannot leave half a window. The begin/end

@@ -11,6 +11,11 @@
 //! per-element accumulation order, and integer op counts are exactly the
 //! generic walker's (the bit-identity contract of the module docs).
 //!
+//! Row ownership is decided by the walker, once per row run: [`for_rows`]
+//! hands each row-keyed body `owned`, and an owned row is one straight
+//! slice loop with no clamp search. Only a row the clamp cuts goes through
+//! [`cut`], which searches the clamp for that row's pieces.
+//!
 //! Row-keyed SpMV (and SpTTV, per fiber) folds each *fully owned* row
 //! into a local accumulator before one `out[i] +=`. That is bitwise
 //! identical to the walker's per-entry adds: when the clamp covers the
@@ -26,31 +31,29 @@
 use spdistal_runtime::{IntervalSet, Rect1};
 use spdistal_sparse::SpTensor;
 
-use super::{compressed, for_coo_runs, for_rows, prefetch_read, singleton, TopLevel};
+use super::{compressed, cut, for_coo_runs, for_rows, pieces, prefetch_read, singleton, TopLevel};
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
 /// One dot-product row — an SpMV row, or an SpTTV fiber: fold the clamped
-/// slice of stored position range `range` into `out[row]`. Fully owned
-/// rows (clamp covers `range`) fold in a local accumulator with a single
-/// store; partially clamped rows keep the walker's per-entry
-/// read-modify-write order (see module docs for why both are
-/// bit-identical to the walker). Returns the entry count.
+/// slice of stored position range `range` into `out[row]`. An `owned` row
+/// (the walker found `range` inside the clamp `cols`) folds in a local
+/// accumulator with a single store; a cut row keeps the walker's per-entry
+/// read-modify-write order (see module docs for why both are bit-identical
+/// to the walker). Returns the entry count.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub(super) fn dot_row(
     row: usize,
     range: Rect1,
+    owned: bool,
     cols: &IntervalSet,
     crd: &[i64],
     vals: &[f64],
     c: &[f64],
     out: &OutVals,
 ) -> u64 {
-    let mut it = cols.intersect_rect(range);
-    let Some(first) = it.next() else {
-        return 0;
-    };
-    if first == range {
+    if owned {
         let (lo, hi) = (range.lo as usize, range.hi as usize);
         let vs = &vals[lo..=hi];
         let js = &crd[lo..=hi];
@@ -62,7 +65,7 @@ pub(super) fn dot_row(
         return vs.len() as u64;
     }
     let mut n = 0u64;
-    for cr in std::iter::once(first).chain(it) {
+    for cr in cut(range, cols) {
         let (lo, hi) = (cr.lo as usize, cr.hi as usize);
         let vs = &vals[lo..=hi];
         let js = &crd[lo..=hi];
@@ -87,8 +90,8 @@ pub(super) fn spmv<T: TopLevel>(
     let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
     let cols = clamps.level(1);
-    for_rows::<T>(b, clamps.level(0), |i, range| {
-        dot_row(i, range, cols, crd, vals, c, out)
+    for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| {
+        dot_row(i, range, owned, cols, crd, vals, c, out)
     }) as f64
 }
 
@@ -135,83 +138,91 @@ struct SpMmRows<'a> {
 
 impl SpMmRows<'_> {
     /// One SpMM row: apply the clamped slice of stored row `range` to
-    /// output row `i`, entry by entry in position order — the walker's
-    /// exact update sequence, so bit-identity holds unconditionally. The
+    /// output row `i` (all of it when the walker found the row `owned`, else
+    /// its [`cut`]), entry by entry in position order — the walker's exact
+    /// update sequence, so bit-identity holds unconditionally. The
     /// row is borrowed once through [`OutVals::row_mut`]: one bounds check
     /// and a noalias `&mut` row the compiler can keep vectorized, instead
-    /// of a checked raw-pointer `add_scaled` per entry. The stored column
-    /// indices are effectively random, so each entry's dense `C` row is a
-    /// likely cache miss — the loop issues a prefetch `PF_DIST` entries
-    /// ahead to overlap those misses with the current row's work. Returns
-    /// the entry count.
+    /// of a checked raw-pointer `add_scaled` per entry. Returns the entry
+    /// count.
     ///
     /// `#[inline(always)]` so [`SpMmRows::row_wide`] recompiles this exact
-    /// body under its widened target features.
+    /// body under its widened target features (both arms call
+    /// [`SpMmRows::slice`] directly, never through a closure, which would
+    /// be compiled without them).
     #[inline(always)]
-    fn row(&self, i: usize, range: Rect1) -> u64 {
-        let SpMmRows {
-            cols,
-            crd,
-            vals,
-            c,
-            jdim,
-            out,
-        } = *self;
+    fn row(&self, i: usize, range: Rect1, owned: bool) -> u64 {
         // SAFETY: the dependence graph serializes tasks whose output rows
         // overlap and concurrent tasks touch disjoint elements (the OutVals
         // contract), so this task is the row's only accessor.
-        let out_row = unsafe { out.row_mut(i * jdim, jdim) };
+        let out_row = unsafe { self.out.row_mut(i * self.jdim, self.jdim) };
+        if owned {
+            return self.slice(out_row, range);
+        }
         let mut n = 0u64;
-        for cr in cols.intersect_rect(range) {
-            let (lo, hi) = (cr.lo as usize, cr.hi as usize);
-            let vs = &vals[lo..=hi];
-            let ks = &crd[lo..=hi];
-            // Four entries per step: `out[j] += a; out[j] += b; ...` is the
-            // element-wise fold `(((out[j] + a) + b) + c) + d`, so keeping
-            // `out[j]` in a register across the chunk preserves the walker's
-            // per-element op order exactly while quartering the output row's
-            // load/store traffic.
-            let mut idx = 0;
-            while idx + CHUNK <= vs.len() {
-                if let Some(&knext) = ks.get(idx + PF_DIST) {
-                    // A dense row spans several cache lines (jdim * 8
-                    // bytes); hint every line, not just the first.
-                    let base = knext as usize * jdim;
-                    let mut off = 0;
-                    while off < jdim {
-                        prefetch_read(c, base + off);
-                        off += FLOATS_PER_LINE;
-                    }
-                }
-                let (v0, v1, v2, v3) = (vs[idx], vs[idx + 1], vs[idx + 2], vs[idx + 3]);
-                let k0 = ks[idx] as usize * jdim;
-                let k1 = ks[idx + 1] as usize * jdim;
-                let k2 = ks[idx + 2] as usize * jdim;
-                let k3 = ks[idx + 3] as usize * jdim;
-                let c0 = &c[k0..k0 + jdim];
-                let c1 = &c[k1..k1 + jdim];
-                let c2 = &c[k2..k2 + jdim];
-                let c3 = &c[k3..k3 + jdim];
-                for j in 0..jdim {
-                    let mut t = out_row[j];
-                    t += v0 * c0[j];
-                    t += v1 * c1[j];
-                    t += v2 * c2[j];
-                    t += v3 * c3[j];
-                    out_row[j] = t;
-                }
-                idx += CHUNK;
-            }
-            for (v, &k) in vs[idx..].iter().zip(&ks[idx..]) {
-                let k = k as usize;
-                let crow = &c[k * jdim..(k + 1) * jdim];
-                for (a, cj) in out_row.iter_mut().zip(crow) {
-                    *a += v * cj;
-                }
-            }
-            n += vs.len() as u64;
+        for cr in cut(range, self.cols) {
+            n += self.slice(out_row, cr);
         }
         n
+    }
+
+    /// Apply stored positions `cr` of one row to `out_row`. The stored
+    /// column indices are effectively random, so each entry's dense `C` row
+    /// is a likely cache miss — the loop issues a prefetch `PF_DIST`
+    /// entries ahead to overlap those misses with the current row's work.
+    /// Returns the entry count.
+    #[inline(always)]
+    fn slice(&self, out_row: &mut [f64], cr: Rect1) -> u64 {
+        let SpMmRows {
+            crd, vals, c, jdim, ..
+        } = *self;
+        let (lo, hi) = (cr.lo as usize, cr.hi as usize);
+        let vs = &vals[lo..=hi];
+        let ks = &crd[lo..=hi];
+        // Four entries per step: `out[j] += a; out[j] += b; ...` is the
+        // element-wise fold `(((out[j] + a) + b) + c) + d`, so keeping
+        // `out[j]` in a register across the chunk preserves the walker's
+        // per-element op order exactly while quartering the output row's
+        // load/store traffic.
+        let mut idx = 0;
+        while idx + CHUNK <= vs.len() {
+            if let Some(&knext) = ks.get(idx + PF_DIST) {
+                // A dense row spans several cache lines (jdim * 8
+                // bytes); hint every line, not just the first.
+                let base = knext as usize * jdim;
+                let mut off = 0;
+                while off < jdim {
+                    prefetch_read(c, base + off);
+                    off += FLOATS_PER_LINE;
+                }
+            }
+            let (v0, v1, v2, v3) = (vs[idx], vs[idx + 1], vs[idx + 2], vs[idx + 3]);
+            let k0 = ks[idx] as usize * jdim;
+            let k1 = ks[idx + 1] as usize * jdim;
+            let k2 = ks[idx + 2] as usize * jdim;
+            let k3 = ks[idx + 3] as usize * jdim;
+            let c0 = &c[k0..k0 + jdim];
+            let c1 = &c[k1..k1 + jdim];
+            let c2 = &c[k2..k2 + jdim];
+            let c3 = &c[k3..k3 + jdim];
+            for j in 0..jdim {
+                let mut t = out_row[j];
+                t += v0 * c0[j];
+                t += v1 * c1[j];
+                t += v2 * c2[j];
+                t += v3 * c3[j];
+                out_row[j] = t;
+            }
+            idx += CHUNK;
+        }
+        for (v, &k) in vs[idx..].iter().zip(&ks[idx..]) {
+            let k = k as usize;
+            let crow = &c[k * jdim..(k + 1) * jdim];
+            for (a, cj) in out_row.iter_mut().zip(crow) {
+                *a += v * cj;
+            }
+        }
+        vs.len() as u64
     }
 
     /// [`SpMmRows::row`] recompiled with 256-bit AVX enabled (the baseline
@@ -223,8 +234,8 @@ impl SpMmRows<'_> {
     /// results stay bit-identical to the scalar walker.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
-    unsafe fn row_wide(&self, i: usize, range: Rect1) -> u64 {
-        self.row(i, range)
+    unsafe fn row_wide(&self, i: usize, range: Rect1, owned: bool) -> u64 {
+        self.row(i, range, owned)
     }
 }
 
@@ -242,8 +253,9 @@ pub(super) fn spmm<T: TopLevel>(
     out: &OutVals,
 ) -> f64 {
     let clamps = LevelClamps::new(part, color, span);
+    let cols = clamps.level(1);
     let rows = SpMmRows {
-        cols: clamps.level(1),
+        cols,
         crd: compressed(b, 1).1,
         vals: b.vals(),
         c,
@@ -253,12 +265,15 @@ pub(super) fn spmm<T: TopLevel>(
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
         // SAFETY: AVX support was detected on the line above.
-        let n = for_rows::<T>(b, clamps.level(0), |i, range| unsafe {
-            rows.row_wide(i, range)
+        let n = for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| unsafe {
+            rows.row_wide(i, range, owned)
         });
         return (jdim as u64 * n) as f64;
     }
-    (jdim as u64 * for_rows::<T>(b, clamps.level(0), |i, range| rows.row(i, range))) as f64
+    let n = for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| {
+        rows.row(i, range, owned)
+    });
+    (jdim as u64 * n) as f64
 }
 
 /// SpMM over a COO driver.
@@ -312,17 +327,15 @@ pub(super) fn sddmm<T: TopLevel>(
     let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
     let cols = clamps.level(1);
-    let n = for_rows::<T>(b, clamps.level(0), |i, range| {
+    let n = for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| {
         let crow = &c[i * kdim..(i + 1) * kdim];
-        let mut n = 0u64;
-        for cr in cols.intersect_rect(range) {
+        pieces(range, owned, cols, |cr| {
             let (lo, hi) = (cr.lo as usize, cr.hi as usize);
             for (q, (v, &j)) in (lo..).zip(vals[lo..=hi].iter().zip(&crd[lo..=hi])) {
                 out_vals.set(q, v * dot_col(crow, d, jdim, j as usize));
             }
-            n += cr.len();
-        }
-        n
+            cr.len()
+        })
     });
     (kdim as u64 * n) as f64
 }

@@ -4,7 +4,7 @@
 //!
 //! | | |
 //! |---|---|
-//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `TopLevel` and `MidLevel` level kinds, and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
+//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `Owner` cursor by which the row walkers decide row ownership once per row run and the one cut-row path (`cut`), the `TopLevel` and `MidLevel` level kinds, and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
 //! | **Does not own** | when the lookup happens — once per prepared plan in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
 //! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
 //! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
@@ -18,13 +18,14 @@
 //!
 //! * **row-keyed** drivers (CSR, DCSR, CSF, doubly-compressed CSF) have a
 //!   compressed level 1 under a dense or compressed level 0. One source
-//!   per kernel, generic over `TopLevel`, driven by `for_rows`; the
-//!   compiler emits the `DenseTop` and `CompressedTop` variants. The
-//!   order-3 sources are generic over a `MidLevel` instead: compressed
-//!   (`CompressedMid<T>`, driven by `for_rows::<T>`) or dense under a
-//!   dense level 0 (`DenseMid`, the patents layout
-//!   `{Dense,Dense,Compressed}`, whose level-1 fibers are a fused dense
-//!   `(i,j)` dimension).
+//!   per kernel, generic over `TopLevel`, driven by `for_rows`, which
+//!   tells the body whether it owns each row whole (a straight slice) or
+//!   the clamp cuts it (`cut`); the compiler emits the `DenseTop` and
+//!   `CompressedTop` variants. The order-3 sources are generic over a
+//!   `MidLevel` instead: compressed (`CompressedMid<T>`, driven by
+//!   `for_rows::<T>`) or dense under a dense level 0 (`DenseMid`, the
+//!   patents layout `{Dense,Dense,Compressed}`, whose level-1 fibers are a
+//!   fused dense `(i,j)` dimension).
 //! * **COO** drivers (`{Compressed,Singleton,..}`) share one entry index
 //!   across all levels. One source per kernel, driven by
 //!   `for_coo_runs`.
@@ -167,8 +168,13 @@ impl TopLevel for CompressedTop {
 /// The row walker every row-keyed kernel shares: visit the level-0
 /// entries of `b` inside the clamp `rows` in ascending order, skip rows
 /// with no stored children, and hand `row(coordinate, level-1 position
-/// range)` to the kernel body. Returns the sum of the body's results (its
-/// stored-entry counts).
+/// range, owned)` to the kernel body. Returns the sum of the body's
+/// results (its stored-entry counts).
+///
+/// Ownership is decided here, once per row run: `owned` says the range
+/// lies inside one run of `cols`, the next level's clamp, and comes from
+/// an [`Owner`] cursor that moves forward with the rows. An owned row is
+/// one straight slice for the body; any other row goes through [`cut`].
 ///
 /// While a row streams, the head of the next row's level-1 `crd` block
 /// (and of its values, when level 1 is the leaf) is prefetched: row-keyed
@@ -178,11 +184,13 @@ impl TopLevel for CompressedTop {
 fn for_rows<T: TopLevel>(
     b: &SpTensor,
     rows: &IntervalSet,
-    mut row: impl FnMut(usize, Rect1) -> u64,
+    cols: &IntervalSet,
+    mut row: impl FnMut(usize, Rect1, bool) -> u64,
 ) -> u64 {
     let (root, crd0) = T::open(b);
     let (pos1, crd1) = compressed(b, 1);
     let leaf_vals = if b.order() == 2 { b.vals() } else { &[] };
+    let mut owner = Owner::new(cols);
     let mut n = 0u64;
     for rr in rows.intersect_rect(root) {
         for e in rr.lo..=rr.hi {
@@ -195,11 +203,70 @@ fn for_rows<T: TopLevel>(
             }
             let children = pos1[e as usize];
             if !children.is_empty() {
-                n += row(T::coord(crd0, e), children);
+                n += row(T::coord(crd0, e), children, owner.owns(children));
             }
         }
     }
     n
+}
+
+/// Whether a position range lies inside one run of a clamp, answered by a
+/// cursor that only moves forward over the clamp's runs: a query skips
+/// the runs that end before it and then compares against one run, with no
+/// binary search and no iterator. Queried in ascending order, as the row
+/// walkers do, it answers exactly "`range` ⊆ clamp" (a canonical set's
+/// runs never touch, so a contiguous subset lies in one of them). A query
+/// behind the cursor answers `false`, which only sends that row through
+/// [`cut`]: correctness never depends on the order.
+struct Owner<'a> {
+    /// The clamp's runs from the first one that may still hold a query.
+    runs: &'a [Rect1],
+}
+
+impl<'a> Owner<'a> {
+    fn new(clamp: &'a IntervalSet) -> Self {
+        Owner {
+            runs: clamp.rects(),
+        }
+    }
+
+    /// Does `range` lie inside one run of the clamp? `false` when `range`
+    /// is empty.
+    #[inline(always)]
+    fn owns(&mut self, range: Rect1) -> bool {
+        while let [run, rest @ ..] = self.runs {
+            if run.hi >= range.lo {
+                return range.hi <= run.hi && run.lo <= range.lo && range.lo <= range.hi;
+            }
+            self.runs = rest;
+        }
+        false
+    }
+}
+
+/// The one cut-row path: the runs of `range ∩ clamp`, ascending (none
+/// for a range outside the clamp). The only per-row clamp search a
+/// row-keyed body makes.
+#[inline(always)]
+fn cut(range: Rect1, clamp: &IntervalSet) -> impl Iterator<Item = Rect1> + '_ {
+    clamp.intersect_rect(range)
+}
+
+/// Sum `piece` over the part of `range` a task computes: `range` whole
+/// when the walker found it `owned`, else each run of its [`cut`] against
+/// `clamp`.
+#[inline(always)]
+fn pieces(
+    range: Rect1,
+    owned: bool,
+    clamp: &IntervalSet,
+    mut piece: impl FnMut(Rect1) -> u64,
+) -> u64 {
+    if owned {
+        piece(range)
+    } else {
+        cut(range, clamp).map(piece).sum()
+    }
 }
 
 /// The run walker every COO kernel shares. Singleton levels reuse the
@@ -361,7 +428,41 @@ fn prefetch_read<T>(slice: &[T], index: usize) {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// `range` ⊆ `clamp`, by the clamp search the cut path makes.
+    fn inside(clamp: &IntervalSet, range: Rect1) -> bool {
+        clamp.intersect_rect(range).next() == Some(range)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Queried with ascending starts, as the walkers query it, the
+        /// cursor's `owned` is exactly "`range` ⊆ clamp" — empty ranges
+        /// and ranges over a gap or across two runs included. Queried in
+        /// any order, it never claims a range the clamp does not hold.
+        #[test]
+        fn owner_answers_range_within_clamp(
+            runs in proptest::collection::vec((0i64..64, 0i64..6), 0..8),
+            queries in proptest::collection::vec((0i64..72, -1i64..8), 0..32),
+        ) {
+            let rect = |&(lo, len): &(i64, i64)| Rect1::new(lo, lo + len);
+            let clamp = IntervalSet::from_rects(runs.iter().map(rect).collect());
+            let mut ascending: Vec<Rect1> = queries.iter().map(rect).collect();
+            ascending.sort_by_key(|r| r.lo);
+            let mut owner = Owner::new(&clamp);
+            for &r in &ascending {
+                prop_assert_eq!(owner.owns(r), inside(&clamp, r), "{r:?} in {clamp:?}");
+            }
+            let mut owner = Owner::new(&clamp);
+            for r in queries.iter().map(rect) {
+                prop_assert!(!owner.owns(r) || inside(&clamp, r), "{r:?} in {clamp:?}");
+            }
+        }
+    }
 
     #[test]
     fn lookup_blesses_exactly_eighteen_pairs() {

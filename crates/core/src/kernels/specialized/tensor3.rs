@@ -15,6 +15,13 @@
 //! fiber in a local accumulator, a partly clamped one per entry, for the
 //! reason the `matrix` module docs give); one op per stored entry, as in
 //! [`crate::kernels::tensor3::spttv_color`].
+//!
+//! Ownership is decided once per row run at both levels: the row walker
+//! ([`MidLevel::for_rows`]) tells a body whether a row's fiber range lies
+//! inside the level-1 clamp, and one [`Owner`] cursor per task, moving
+//! forward with the fibers, tells it whether a fiber's position range lies
+//! inside the level-2 clamp. An owned range is one straight slice loop;
+//! only a cut one goes through [`cut`](super::cut).
 
 use std::marker::PhantomData;
 
@@ -22,7 +29,7 @@ use spdistal_runtime::{IntervalSet, Rect1};
 use spdistal_sparse::SpTensor;
 
 use super::matrix::dot_row;
-use super::{compressed, for_coo_runs, for_rows, singleton, DenseTop, TopLevel};
+use super::{compressed, for_coo_runs, for_rows, pieces, singleton, DenseTop, Owner, TopLevel};
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
@@ -33,10 +40,16 @@ pub(super) trait MidLevel {
     /// Level 1's stored coordinate array (empty when coordinates are
     /// implicit).
     fn open(b: &SpTensor) -> &[i64];
-    /// Hand `row(i, fibers)` the rows of the level-0 clamp `rows` in
-    /// ascending order (a row without fibers may be skipped); returns the
-    /// sum of the results.
-    fn for_rows(b: &SpTensor, rows: &IntervalSet, row: impl FnMut(usize, Rect1) -> u64) -> u64;
+    /// Hand `row(i, fibers, owned)` the rows of the level-0 clamp `rows` in
+    /// ascending order (a row without fibers may be skipped), where `owned`
+    /// says `fibers` lies inside the level-1 clamp `l1` (an [`Owner`]
+    /// query, once per row); returns the sum of the results.
+    fn for_rows(
+        b: &SpTensor,
+        rows: &IntervalSet,
+        l1: &IntervalSet,
+        row: impl FnMut(usize, Rect1, bool) -> u64,
+    ) -> u64;
     /// The coordinate `j` of fiber `q1` in a row whose fibers start at
     /// `first`, given `open`'s array.
     fn coord(crd1: &[i64], first: i64, q1: usize) -> usize;
@@ -56,8 +69,13 @@ impl<T: TopLevel> MidLevel for CompressedMid<T> {
         compressed(b, 1).1
     }
     #[inline(always)]
-    fn for_rows(b: &SpTensor, rows: &IntervalSet, row: impl FnMut(usize, Rect1) -> u64) -> u64 {
-        for_rows::<T>(b, rows, row)
+    fn for_rows(
+        b: &SpTensor,
+        rows: &IntervalSet,
+        l1: &IntervalSet,
+        row: impl FnMut(usize, Rect1, bool) -> u64,
+    ) -> u64 {
+        for_rows::<T>(b, rows, l1, row)
     }
     #[inline(always)]
     fn coord(crd1: &[i64], _: i64, q1: usize) -> usize {
@@ -71,12 +89,19 @@ impl MidLevel for DenseMid {
         &[]
     }
     #[inline(always)]
-    fn for_rows(b: &SpTensor, rows: &IntervalSet, mut row: impl FnMut(usize, Rect1) -> u64) -> u64 {
+    fn for_rows(
+        b: &SpTensor,
+        rows: &IntervalSet,
+        l1: &IntervalSet,
+        mut row: impl FnMut(usize, Rect1, bool) -> u64,
+    ) -> u64 {
         let width = b.dims()[1] as i64;
+        let mut owner = Owner::new(l1);
         let mut n = 0u64;
         for rr in rows.intersect_rect(DenseTop::open(b).0) {
             for i in rr.lo..=rr.hi {
-                n += row(i as usize, Rect1::new(i * width, i * width + width - 1));
+                let fibers = Rect1::new(i * width, i * width + width - 1);
+                n += row(i as usize, fibers, owner.owns(fibers));
             }
         }
         n
@@ -104,24 +129,25 @@ pub(super) fn spmttkrp<M: MidLevel>(
     let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
     let (l1, l2) = (clamps.level(1), clamps.level(2));
-    let n = M::for_rows(b, clamps.level(0), |i, fibers| {
-        let mut n = 0u64;
-        for fr in l1.intersect_rect(fibers) {
+    let mut fiber_owner = Owner::new(l2);
+    let n = M::for_rows(b, clamps.level(0), l1, |i, fibers, owned| {
+        pieces(fibers, owned, l1, |fr| {
             let (first, last) = (fr.lo as usize, fr.hi as usize);
+            let mut n = 0u64;
             for (q1, &fiber) in (first..).zip(&pos2[first..=last]) {
                 let j = M::coord(crd1, fibers.lo, q1);
                 let crow = &c[j * ldim..(j + 1) * ldim];
-                for lr in l2.intersect_rect(fiber) {
+                n += pieces(fiber, fiber_owner.owns(fiber), l2, |lr| {
                     let (lo, hi) = (lr.lo as usize, lr.hi as usize);
                     for (v, &k) in vals[lo..=hi].iter().zip(&crd2[lo..=hi]) {
                         let k = k as usize;
                         out.add_scaled_product(i * ldim, *v, crow, &d[k * ldim..(k + 1) * ldim]);
                     }
-                    n += lr.len();
-                }
+                    lr.len()
+                });
             }
-        }
-        n
+            n
+        })
     });
     (2 * ldim as u64 * n) as f64
 }
@@ -157,7 +183,8 @@ pub(super) fn spmttkrp_coo(
 }
 
 /// SpTTV over a row-keyed driver: every clamped fiber of every row is one
-/// [`dot_row`] into its level-1 slot.
+/// [`dot_row`] into its level-1 slot, owned or cut as the task's level-2
+/// [`Owner`] finds it.
 pub(super) fn spttv<M: MidLevel>(
     b: &SpTensor,
     part: &TensorPartition,
@@ -170,15 +197,16 @@ pub(super) fn spttv<M: MidLevel>(
     let vals = b.vals();
     let clamps = LevelClamps::new(part, color, span);
     let (l1, l2) = (clamps.level(1), clamps.level(2));
-    M::for_rows(b, clamps.level(0), |_, fibers| {
-        let mut n = 0u64;
-        for fr in l1.intersect_rect(fibers) {
+    let mut fiber_owner = Owner::new(l2);
+    M::for_rows(b, clamps.level(0), l1, |_, fibers, owned| {
+        pieces(fibers, owned, l1, |fr| {
             let (lo, hi) = (fr.lo as usize, fr.hi as usize);
+            let mut n = 0u64;
             for (q1, &fiber) in (lo..).zip(&pos2[lo..=hi]) {
-                n += dot_row(q1, fiber, l2, crd2, vals, c, out);
+                n += dot_row(q1, fiber, fiber_owner.owns(fiber), l2, crd2, vals, c, out);
             }
-        }
-        n
+            n
+        })
     }) as f64
 }
 

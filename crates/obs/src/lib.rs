@@ -473,12 +473,16 @@ impl Trace {
         }
     }
 
-    /// A generic single-line JSON run report: every counter value and
+    /// A generic single-line JSON run report: the `host` it ran on (CPU
+    /// model, available parallelism, AVX), then every counter value and
     /// every histogram summary recorded so far. Histograms named `*_ns`
     /// are reported as `*_us` objects in microseconds.
     pub fn run_report_json(&self, name: &str) -> String {
         let Some(inner) = self.0.as_deref() else {
-            return RunReport::new(name).str("trace", "disabled").finish();
+            return RunReport::new(name)
+                .raw("host", report::host_json())
+                .str("trace", "disabled")
+                .finish();
         };
         let counters = inner
             .metrics
@@ -501,6 +505,7 @@ impl Trace {
             .collect::<Vec<_>>()
             .join(",");
         RunReport::new(name)
+            .raw("host", report::host_json())
             .int("events", inner.recorder.len() as u64)
             .int("events_dropped", inner.recorder.dropped())
             .raw("counters", &format!("{{{counters}}}"))
@@ -552,7 +557,8 @@ mod tests {
         assert_eq!(t.now_ns(), 0);
         let report = t.run_report_json("x");
         assert!(report.contains("\"trace\":\"disabled\""));
-        json::Json::parse(&report).unwrap();
+        let v = json::Json::parse(&report).unwrap();
+        assert!(v.get("host").unwrap().get("cpu_model").is_some());
     }
 
     #[test]
@@ -573,6 +579,9 @@ mod tests {
 
         let report = t.run_report_json("unit");
         let v = json::Json::parse(&report).unwrap();
+        let host = v.get("host").unwrap();
+        assert!(host.get("available_parallelism").unwrap().as_f64() >= Some(1.0));
+        assert!(matches!(host.get("avx"), Some(json::Json::Bool(_))));
         assert_eq!(
             v.get("counters").unwrap().get("steals").unwrap().as_f64(),
             Some(1.0)

@@ -1,6 +1,8 @@
 //! Single-line JSON run reports: the machine-readable summary the
 //! examples print as `run_report_json=` and the server returns on `report`.
 
+use std::sync::OnceLock;
+
 use crate::json::{escape, number};
 use crate::metrics::HistSummary;
 
@@ -52,6 +54,34 @@ impl RunReport {
     }
 }
 
+/// The host a report was made on, as a JSON object: the CPU model (from
+/// `/proc/cpuinfo` where it is readable, else `"unknown"`), the
+/// `available_parallelism` the worker pool sizes itself by, and whether AVX
+/// is detected (it picks SpMM's row loop). Read once per process.
+pub(crate) fn host_json() -> &'static str {
+    static HOST: OnceLock<String> = OnceLock::new();
+    HOST.get_or_init(|| {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split(':').nth(1))
+                    .map(|m| m.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        #[cfg(target_arch = "x86_64")]
+        let avx = std::is_x86_feature_detected!("avx");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx = false;
+        format!(
+            "{{\"cpu_model\":\"{}\",\"available_parallelism\":{threads},\"avx\":{avx}}}",
+            escape(&cpu_model)
+        )
+    })
+}
+
 /// Render a histogram summary as a JSON object.
 pub fn hist_json(s: &HistSummary) -> String {
     format!(
@@ -95,5 +125,18 @@ mod tests {
         let h = v.get("iter_us").unwrap();
         assert_eq!(h.get("p50").unwrap().as_f64(), Some(10.0));
         assert_eq!(h.get("p99").unwrap().as_f64(), Some(20.0));
+    }
+
+    #[test]
+    fn host_names_its_cpu_parallelism_and_avx() {
+        let host = Json::parse(host_json()).unwrap();
+        let Json::Obj(fields) = &host else {
+            panic!("host is not an object: {}", host_json());
+        };
+        let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["available_parallelism", "avx", "cpu_model"]);
+        assert!(!host.get("cpu_model").unwrap().as_str().unwrap().is_empty());
+        assert!(host.get("available_parallelism").unwrap().as_f64().unwrap() >= 1.0);
+        assert!(matches!(host.get("avx"), Some(Json::Bool(_))));
     }
 }

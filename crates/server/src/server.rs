@@ -9,9 +9,9 @@
 //! - one **connection thread** per client: polls frames with a read
 //!   timeout (so it can observe shutdown), answers registrations and
 //!   reports inline, and forwards a submission's event stream from its
-//!   executing worker to the socket. Every write has a timeout too
-//!   ([`WRITE_TIMEOUT`]): a client that stops reading ends as a
-//!   disconnect, so it cannot hold shutdown;
+//!   executing worker to the socket. Every frame it writes has a deadline
+//!   ([`FRAME_DEADLINE`]): a client that stops reading, or reads only a
+//!   trickle, ends as a disconnect, so it cannot hold shutdown;
 //! - `workers` **execution workers**: pop jobs round-robin across tenants
 //!   from the [`AdmissionQueue`] and run them through the Program
 //!   pipeline against the shared plan cache, each job behind a panic
@@ -149,25 +149,63 @@ enum Conn {
 /// shutdown.
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// How long one write to a client may block. A client that stops reading
-/// fills its socket buffers; past this its connection ends as a disconnect
-/// instead of holding its thread, and with it shutdown, forever.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long writing one frame to a client may take in all. A client that
+/// stops reading, or reads only a trickle, ends as a disconnect past this
+/// instead of holding its thread, and with it shutdown, for as long as it
+/// keeps the socket open. 5 s moves the largest frame a default client
+/// accepts (32 MiB) at 6.7 MB/s.
+const FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
 impl Conn {
-    fn set_timeouts(&self) -> io::Result<()> {
+    fn set_read_poll(&self) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => {
-                s.set_read_timeout(Some(READ_POLL))?;
-                s.set_write_timeout(Some(WRITE_TIMEOUT))
-            }
+            Conn::Tcp(s) => s.set_read_timeout(Some(READ_POLL)),
             #[cfg(unix)]
-            Conn::Uds(s) => {
-                s.set_read_timeout(Some(READ_POLL))?;
-                s.set_write_timeout(Some(WRITE_TIMEOUT))
-            }
+            Conn::Uds(s) => s.set_read_timeout(Some(READ_POLL)),
         }
     }
+
+    fn set_write_timeout(&self, timeout: Duration) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_write_timeout(Some(timeout)),
+            #[cfg(unix)]
+            Conn::Uds(s) => s.set_write_timeout(Some(timeout)),
+        }
+    }
+}
+
+/// A connection's write side while it writes one frame: each `write` may
+/// block only for the time left until `deadline`, and fails `TimedOut`
+/// once none is left. A write that times out after moving some bytes
+/// returns them and `write_all` retries, so the deadline, not any one
+/// call's timeout, bounds the frame.
+struct FrameWriter<'a> {
+    conn: &'a mut Conn,
+    deadline: Instant,
+}
+
+impl Write for FrameWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "frame write deadline passed",
+            ));
+        }
+        self.conn.set_write_timeout(left)?;
+        self.conn.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.conn.flush()
+    }
+}
+
+/// Write one frame to `conn` within [`FRAME_DEADLINE`].
+fn send_frame(conn: &mut Conn, payload: &[u8]) -> io::Result<()> {
+    let deadline = Instant::now() + FRAME_DEADLINE;
+    write_frame(&mut FrameWriter { conn, deadline }, payload)
 }
 
 impl Read for Conn {
@@ -472,7 +510,7 @@ fn error_event(code: &str, err: &dyn std::fmt::Display) -> Event {
 }
 
 fn send_event(conn: &mut Conn, ev: &Event) -> io::Result<()> {
-    write_frame(conn, ev.to_json().as_bytes())
+    send_frame(conn, ev.to_json().as_bytes())
 }
 
 fn ns(d: Duration) -> u64 {
@@ -587,7 +625,7 @@ fn handle_conn(
     max_frame: usize,
     conn_id: u64,
 ) -> Result<(), ConnError> {
-    let _ = conn.set_timeouts();
+    let _ = conn.set_read_poll();
     let mut reader = FrameReader::new();
     let mut tenant = format!("conn-{conn_id}");
     let mut tensors: Arc<Registered> = Arc::default();
@@ -746,7 +784,7 @@ fn handle_conn(
                             let t0 = Instant::now();
                             let json = ev.to_json();
                             let t1 = Instant::now();
-                            write_frame(&mut conn, json.as_bytes()).map_err(|source| {
+                            send_frame(&mut conn, json.as_bytes()).map_err(|source| {
                                 ConnError::Disconnected {
                                     during: "submission event stream",
                                     source,

@@ -5,7 +5,9 @@
 
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use spdistal::prelude::*;
 use spdistal::OutputValue;
@@ -360,11 +362,8 @@ fn a_client_that_stops_reading_cannot_hang_shutdown() {
         1e-12
     ));
 
-    // The server's write timeout is 2 s per write call. A call that moved
-    // some bytes returns them when it times out, and Linux loopback moves
-    // a few hundred KiB more after the buffers first fill, so the frame is
-    // given up on after two or three timeouts (~6 s); the rest is slack for
-    // a debug build on a loaded host. Without the timeout, this never ends.
+    // The server gives a frame 5 s; the rest is slack for a debug build on
+    // a loaded host. Without the deadline, this never ends.
     let Harness {
         engine,
         handle,
@@ -382,6 +381,108 @@ fn a_client_that_stops_reading_cannot_hang_shutdown() {
         .expect("report is json");
     assert_eq!(counter(&report, "server.client_disconnects"), 1);
     drop(stalled);
+}
+
+/// A client that reads, but only a trickle, cannot hold shutdown either: a
+/// frame has a deadline, not only each write call. A raw client reads
+/// 4 KiB every 50 ms of a 2^20-value result (~11 MB on the wire, over two
+/// minutes' worth), so the connection thread's writes keep making
+/// progress and only the frame's deadline ends the connection. (Loopback
+/// reopens a full receive window one 64 KiB segment at a time, so a
+/// trickle under 64 KiB per 2 s would stall a write for 2 s and be cut
+/// off by a per-call timeout; this one never stalls that long.)
+#[test]
+fn a_client_that_reads_a_trickle_cannot_hang_shutdown() {
+    let harness = start(spdistal_server::ServerConfig::default());
+    let rows = 1 << 20;
+    let mut b = spdistal_sparse::CooTensor::new(vec![rows, 1]);
+    b.push(&[0, 0], 1.0);
+    let b_data = b.build(&Format::blocked_csr().levels);
+    let mut raw = harness.raw();
+    let hello = spdistal_client::Request::Hello {
+        tenant: "trickle".to_string(),
+    };
+    assert!(matches!(
+        exchange(&mut raw, hello.to_json().as_bytes()),
+        Event::Welcome { .. }
+    ));
+    let a = dense_vector(vec![0.0; rows]);
+    let c = dense_vector(vec![2.0]);
+    for (name, format, data) in [
+        ("a", "blocked_dense_vec", &a),
+        ("B", "blocked_csr", &b_data),
+        ("c", "replicated_dense_vec", &c),
+    ] {
+        let (coords, vals) = spdistal_client::tensor_to_wire(data);
+        let register = spdistal_client::Request::Register {
+            name: name.to_string(),
+            format: format.to_string(),
+            dims: data.dims().to_vec(),
+            coords,
+            vals,
+        };
+        let answer = exchange(&mut raw, register.to_json().as_bytes());
+        assert!(matches!(answer, Event::Ok), "register {name}: {answer:?}");
+    }
+    let submit = spdistal_client::Request::Submit {
+        stmts: vec![spdistal_client::StmtSpec {
+            tin: STMT.to_string(),
+            schedule: "outer-dim".to_string(),
+        }],
+        iters: 1,
+        pipelined: true,
+    };
+    write_frame(&mut raw, submit.to_json().as_bytes()).expect("send submit");
+    let stop = Arc::new(AtomicBool::new(false));
+    let (streaming, first_bytes) = std::sync::mpsc::channel();
+    let trickle = std::thread::spawn({
+        let stop = Arc::clone(&stop);
+        move || {
+            let mut buf = [0u8; 4096];
+            while !stop.load(Ordering::Relaxed) {
+                match std::io::Read::read(&mut raw, &mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(_) => {
+                        let _ = streaming.send(());
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    });
+    // Bytes of the submission's events have arrived, so its connection
+    // thread is in the event stream and ends only when the stream does.
+    first_bytes
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the submission streams its events");
+
+    // The frame deadline is 5 s; the rest is slack for a debug build on a
+    // loaded host. A timeout per write call alone never ends this.
+    let asked = Instant::now();
+    let Harness {
+        engine,
+        handle,
+        thread,
+        ..
+    } = harness;
+    handle.request_shutdown();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(thread.join()));
+    let outcome = joined
+        .recv_timeout(Duration::from_secs(15))
+        .expect("shutdown waits on a client that reads a trickle");
+    outcome.expect("join").expect("run");
+    assert!(
+        asked.elapsed() >= Duration::from_secs(3),
+        "the trickle was cut off by its frame's deadline, not sooner"
+    );
+    let report = spdistal_obs::json::Json::parse(&engine.trace().run_report_json("service"))
+        .expect("report is json");
+    assert_eq!(counter(&report, "server.client_disconnects"), 1);
+    // The socket still holds megabytes the trickle would take minutes to
+    // drain: stop reading them.
+    stop.store(true, Ordering::Relaxed);
+    trickle.join().expect("trickle");
 }
 
 #[test]

@@ -15,10 +15,16 @@
 //! entries, no rows, no columns, more colors than rows, empty rows around
 //! color boundaries, width-1 dense operands) covers all 18 pairs too.
 //! Random pattern coverage rides on proptest sweeps at the bottom.
+//!
+//! The row walker decides once per row whether a task owns the row whole
+//! (a straight slice loop) or the clamp cuts it (a per-piece search). The
+//! striped partitions below interleave the two inside one run of the level
+//! above, so every row-keyed body meets owned rows before, between and
+//! after cut ones.
 
 use proptest::prelude::*;
 
-use spdistal_repro::runtime::Rect1;
+use spdistal_repro::runtime::{IntervalSet, Partition, Rect1};
 use spdistal_repro::sparse::{convert, generate, CooTensor, Level, LevelFormat, SpTensor};
 use spdistal_repro::spdistal::kernels::specialized::{self, SpecializedKernel};
 use spdistal_repro::spdistal::kernels::split::color_weight;
@@ -26,8 +32,8 @@ use spdistal_repro::spdistal::kernels::{
     color_spans, matrix, tensor3, KernelSpan, LeafKernel, OutVals,
 };
 use spdistal_repro::spdistal::level_funcs::{
-    entry_counts, equal_coord_bounds, nonzero_partition, partition_tensor, universe_partition,
-    LevelClamps, TensorPartition,
+    entry_counts, equal_coord_bounds, nonzero_partition, partition_from_parent, partition_tensor,
+    universe_partition, LevelClamps, TensorPartition,
 };
 use spdistal_repro::spdistal::prelude::*;
 
@@ -44,7 +50,8 @@ type LeafRun<'a> =
 /// coordinate blocks on level 0 and an equal non-zero position split of
 /// the leaf (the one that cuts mid-row, exercising the partial-row path) —
 /// and for an order-3 driver the split of level 1 too (the fused `(i,j)`
-/// split the auto-scheduler's default depth makes).
+/// split the auto-scheduler's default depth makes). Then a
+/// [`striped_partition`] of every level below the top.
 fn both_partitions(t: &SpTensor) -> Vec<(&'static str, TensorPartition)> {
     let leaf = t.order() - 1;
     let mut parts = vec![
@@ -64,8 +71,46 @@ fn both_partitions(t: &SpTensor) -> Vec<(&'static str, TensorPartition)> {
     if t.order() == 3 {
         let split = partition_tensor(t, 1, nonzero_partition(t, 1, 3));
         parts.push(("non-zero-fibers", split));
+        parts.push(("striped-fibers", striped_partition(t, 1)));
     }
+    parts.push(("striped-leaf", striped_partition(t, leaf)));
     parts
+}
+
+/// Two colors striped over the entries of `level` in fifths: color 0 holds
+/// the first, third and fifth, color 1 the second and fourth. Both colors
+/// see every entry of the levels above, and the levels below follow
+/// `level`. So each color's clamp at `level` is two or three disjoint runs
+/// inside one run of the level above: a row the task owns whole can sit
+/// before, between and after rows a stripe boundary cuts, and rows wholly
+/// inside the other color's stripe are in the task's level-0 clamp but
+/// not in its clamp at `level`.
+fn striped_partition(t: &SpTensor, level: usize) -> TensorPartition {
+    let counts = entry_counts(t);
+    let n = counts[level] as i64;
+    let cut = |k: i64| n * k / 5;
+    let stripe = |ks: &[i64]| {
+        IntervalSet::from_rects(
+            ks.iter()
+                .map(|&k| Rect1::new(cut(k), cut(k + 1) - 1))
+                .collect(),
+        )
+    };
+    let mut entries: Vec<Partition> = counts[..level]
+        .iter()
+        .map(|&len| {
+            let whole = IntervalSet::from_rect(Rect1::new(0, len as i64 - 1));
+            Partition::new(len, vec![whole.clone(), whole])
+        })
+        .collect();
+    entries.push(Partition::new(
+        n as u64,
+        vec![stripe(&[0, 2, 4]), stripe(&[1, 3])],
+    ));
+    for below in level + 1..t.order() {
+        entries.push(partition_from_parent(t, below, &entries[below - 1]));
+    }
+    TensorPartition { entries }
 }
 
 /// Run generic and specialized span-by-span over every color of every
@@ -671,6 +716,59 @@ fn degenerate_drivers_match_walker_all_pairs() {
         &generate::tensor3_uniform([20, 18, 16], 600, 31),
         1,
     );
+}
+
+/// The stripes of [`striped_partition`] on a hand-built driver, where
+/// they fall exactly where the owned/cut split is easiest to get wrong.
+/// The 13×8 matrix stores 20 entries with row lengths
+/// `2 0 2 0 2 3 2 2 0 2 3 2 0`, so the leaf stripes at positions 4, 8, 12
+/// and 16 give color 0 `[0,3] [8,11] [16,19]` and color 1 `[4,7] [12,15]`:
+/// color 0 owns rows 0 and 2 (empty rows 1 and 3 at its first run's ends),
+/// row 6 between cut rows 5 and 7, and row 11 before the empty last row;
+/// color 1 owns rows 4 and 9 and cuts rows 5, 7 and 10 with the other.
+/// CSR, DCSR and COO run it through every matrix pair. The order-3 driver
+/// stacks the same pattern under level 1 (slices of 2, 3 and 1 fibers,
+/// one slice empty) so level 1 and level 2 each carry stripes.
+#[test]
+fn striped_clamps_interleave_owned_and_cut_rows_in_every_row_keyed_body() {
+    let lens = [2, 0, 2, 0, 2, 3, 2, 2, 0, 2, 3, 2, 0];
+    let mut coords: Vec<Vec<i64>> = Vec::new();
+    for (i, &len) in lens.iter().enumerate() {
+        for k in 0..len {
+            coords.push(vec![i as i64, (3 * k + i as i64) % 8]);
+        }
+    }
+    assert_eq!(coords.len(), 20);
+    let entries: Vec<&[i64]> = coords.iter().map(Vec::as_slice).collect();
+    let matrix = driver(&[13, 8], &entries);
+    let part = striped_partition(&matrix, 1);
+    let runs = |c: usize| part.entries[1].subset(c).rects().to_vec();
+    let r = |lo, hi| Rect1::new(lo, hi);
+    assert_eq!(runs(0), [r(0, 3), r(8, 11), r(16, 19)]);
+    assert_eq!(runs(1), [r(4, 7), r(12, 15)]);
+    assert_eq!(part.entries[0].subset(1).rects(), [r(0, 12)]);
+    for width in [1, 4] {
+        assert_matrix_pairs_identical(&format!("striped/w{width}"), &matrix, width, width);
+    }
+    let (c, d) = spadd3_operands(&matrix);
+    assert_spadd3_identical("striped", &matrix, &c, &d);
+
+    // Slice `i` holds fibers `j` of the matrix's rows `slice_rows[i]`, so
+    // the fibers' leaf ranges are the matrix rows' (empty fibers dropped).
+    let slice_rows: [&[usize]; 5] = [&[0, 1, 2], &[3, 4, 5], &[], &[6, 7, 8, 9], &[10, 11, 12]];
+    let mut coords3: Vec<Vec<i64>> = Vec::new();
+    for (i, rows) in slice_rows.iter().enumerate() {
+        for (j, &row) in rows.iter().enumerate() {
+            for k in 0..lens[row] {
+                coords3.push(vec![i as i64, j as i64, (3 * k + row as i64) % 8]);
+            }
+        }
+    }
+    let entries3: Vec<&[i64]> = coords3.iter().map(Vec::as_slice).collect();
+    let tensor = driver(&[5, 4, 8], &entries3);
+    for width in [1, 3] {
+        assert_tensor3_pairs_identical(&format!("striped/w{width}"), &tensor, width);
+    }
 }
 
 /// Strategy: an arbitrary small sparse matrix in CSR (mirrors
