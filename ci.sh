@@ -157,6 +157,24 @@ if grep -rnE 'LaunchGraph|from_summaries' crates tests examples ||
   grep -rn 'TaskGraph::from_reqs' crates/runtime/src/pipeline/; then
   echo "a second dependence analysis is back (LaunchGraph, from_summaries or a per-launch graph in the pipeline)"; exit 1
 fi
+# One describe per record: a program's cached pass rebinds what its last
+# pass described (`plan::Described`, kept in the session's `PassRecord`), so
+# the per-color requirement lists, the span cuts and a batch's dependence
+# graph are each built at one call site under crates/core/src, the record's
+# miss arm. A second describe path beside the record fails here.
+for call in 'launch_reqs(' 'color_spans(' 'Pipeline::new('; do
+  sites="$(git ls-files 'crates/core/src/*.rs' | xargs awk -v call="$call" '
+      FNR == 1 { t = 0; p = "" }
+      t { next }
+      /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+      { p = $0 }
+      /^[[:space:]]*\/\// { next }
+      index($0, call) && !index($0, "fn " call) { n++ }
+      END { print n + 0 }')"
+  if [ "$sites" != 1 ]; then
+    echo "$call has $sites non-test call sites under crates/core/src: only the record's miss arm describes"; exit 1
+  fi
+done
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const

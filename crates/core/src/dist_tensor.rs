@@ -111,7 +111,7 @@ impl From<RuntimeError> for Error {
 }
 
 /// Runtime regions backing one level of a tensor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LevelRegions {
     /// Dense levels are implicit; only their entry space matters.
     Dense,
@@ -122,7 +122,7 @@ pub enum LevelRegions {
 }
 
 /// Regions backing a whole tensor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TensorRegions {
     pub levels: Vec<LevelRegions>,
     pub vals: RegionId,

@@ -20,8 +20,8 @@
 //!   [`Program`](crate::Program) builders.
 //!
 //! Sharing plans across [`Context`](crate::Context)s is sound because a
-//! [`Plan`] holds no runtime region handles — `PreparedPlan::new`
-//! re-resolves every tensor *by name* against the executing context — and
+//! [`Plan`] holds no runtime region handles — a describe resolves every
+//! tensor *by name* against the executing context — and
 //! because the key a [`Program`] builds carries, for every tensor the
 //! statement reads, its dims and a hash of its sparsity pattern (the
 //! [program docs](crate::program)' caching caveat): a cached plan embeds
@@ -57,7 +57,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use spdistal_runtime::{Machine, Trace};
+use spdistal_runtime::{Machine, Tenant, Trace};
 
 use crate::codegen::Plan;
 use crate::program::Program;
@@ -101,6 +101,9 @@ impl fmt::Display for PlanKey {
 
 struct CacheEntry {
     plan: Arc<Plan>,
+    /// The key's `Display` form, rendered once at insert for the trace's
+    /// hit events.
+    text: String,
     /// The tenant whose compile populated this entry (`None` for an
     /// untenanted program) — the attribution source for
     /// `plan_cache.hit.cross_tenant`.
@@ -133,21 +136,25 @@ impl PlanCache {
     }
 
     /// Look `key` up, recording the outcome on `trace` attributed to
-    /// `tenant` (hit/miss events keyed on the legacy key text, the
-    /// namespaced counters, and cross-tenant attribution when the entry
-    /// was compiled by a different tenant).
-    pub fn lookup(&self, key: &PlanKey, trace: &Trace, tenant: Option<&str>) -> Option<Arc<Plan>> {
+    /// `tenant` (hit/miss events keyed on the legacy key text — a hit's
+    /// rendered once, when its entry was inserted — the namespaced
+    /// counters, and cross-tenant attribution when the entry was compiled
+    /// by a different tenant).
+    pub fn lookup(
+        &self,
+        key: &PlanKey,
+        trace: &Trace,
+        tenant: Option<&Tenant>,
+    ) -> Option<Arc<Plan>> {
         let entries = self.entries.read().unwrap_or_else(|e| e.into_inner());
         match entries.get(key) {
             Some(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let cross = entry.owner.as_deref() != tenant;
+                let cross = entry.owner.as_deref() != tenant.map(Tenant::name);
                 if cross {
                     self.cross_tenant_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                if trace.is_enabled() {
-                    trace.plan_cache_lookup(&key.to_string(), tenant, true, cross);
-                }
+                trace.plan_cache_lookup(&entry.text, tenant, true, cross);
                 Some(Arc::clone(&entry.plan))
             }
             None => {
@@ -175,8 +182,10 @@ impl PlanCache {
     /// makes attribution stable.
     pub fn insert(&self, key: PlanKey, plan: Plan, tenant: Option<&str>) -> Arc<Plan> {
         let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
+        let text = key.to_string();
         let entry = entries.entry(key).or_insert_with(|| CacheEntry {
             plan: Arc::new(plan),
+            text,
             owner: tenant.map(str::to_string),
         });
         Arc::clone(&entry.plan)

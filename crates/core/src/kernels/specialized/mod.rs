@@ -5,7 +5,7 @@
 //! | | |
 //! |---|---|
 //! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `Owner` cursor by which the row walkers decide row ownership once per row run and the one cut-row path (`cut`), the `TopLevel` and `MidLevel` level kinds, and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
-//! | **Does not own** | when the lookup happens — once per prepared plan in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
+//! | **Does not own** | when the lookup happens — once per describe (`plan::Described`, reused by a program's cached passes) in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
 //! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
 //! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
 //! | **Does not own** | output aliasing and assembly — shared buffer vs. per-color partials, and SpAdd3's span buffers into one tensor, are `plan.rs`; a kernel only sees the [`OutVals`] or the buffer it is handed |

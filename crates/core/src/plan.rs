@@ -14,12 +14,16 @@
 //! [`Session`](crate::session::Session): [`execute`] (behind
 //! `Context::run`) is a session of one plan.
 //!
-//! * **describe** — [`PreparedPlan::new`] resolves the plan against the
-//!   context's tensor table: the per-color region requirements plus
-//!   borrowed views of every operand the leaf kernels need. Nothing has
-//!   executed yet. An optional `MergeSeed` — the previous output of this
-//!   same plan plus the driver rows that changed since — turns the describe
-//!   into an *incremental* one: the seed's buffer becomes the shared output
+//! * **describe** — two halves. [`Described::new`] resolves the plan
+//!   against the context's tensor table for everything that does not
+//!   depend on tensor *values*: the blessed leaf for the driver's stored
+//!   layout, the per-color region requirements and owner processors, and
+//!   the span cuts. [`PreparedPlan::new`] then binds that describe to the
+//!   operands: borrowed views of every operand the leaf kernels need, the
+//!   leaf closure, and fresh output buffers. Nothing has executed yet. An
+//!   optional `MergeSeed` — the previous output of this same plan plus the
+//!   driver rows that changed since — turns the bind into an
+//!   *incremental* one: the seed's buffer becomes the shared output
 //!   allocation, the colors whose driver rows intersect the dirty set are
 //!   zeroed, and a per-color `rerun` mask records which colors those are. A
 //!   seed the plan cannot honour (reduction or assembled output, or a
@@ -55,25 +59,32 @@
 //! write-back, and the counters `writeback.by_value` and
 //! `writeback.reregistered` say which arm ran.
 //!
-//! A launch is described **once**. The requirement list describe builds
-//! (one `Vec<RegionReq>` per color: every input's footprint, then the
-//! color's slice of the output under a stand-in region id) is *lent* to the
-//! pipeline, which derives the dependence order of the pool drain from it;
-//! it comes back after the drain through [`PreparedPlan::finish`] and
-//! [`finish_model`] issues the very same lists to the machine model, which
-//! derives the data movement from them — the stand-in id re-named to the
-//! output region the compute phase has sized by then, and for an assembled
-//! output one copy for the symbolic launch and the assembled ranges
-//! appended for the numeric one. The lists themselves are moved, and
-//! rebuilt by the next describe (cheaply: their subsets share the cached
-//! plan's runs). What *is* memoised across runs is the model's costing:
-//! the runtime keeps a record of the last launch of each name and replays
-//! a launch that repeats it (`spdistal_runtime::exec`, "Launch replay").
+//! A launch is described **once per record**. The requirement lists a
+//! [`Described`] holds (one `Vec<RegionReq>` per color: every input's
+//! footprint, then the color's slice of the output under a stand-in region
+//! id) feed the pipeline, which derives the dependence order of the pool
+//! drain from them, and [`finish_model`] issues the very same lists to the
+//! machine model, which derives the data movement from them — the
+//! stand-in id re-named to the output region the compute phase has sized
+//! by then, and for an assembled output one copy for the symbolic launch
+//! and the assembled ranges appended for the numeric one. A program keeps
+//! its statements' describes from one pass to the next (the session's
+//! `PassRecord`, as Legion's dynamic tracing records a loop body once and
+//! replays it): [`Described::rebind`] reuses one while its plan, exec mode
+//! and split policy are the same and every tensor the plan names has
+//! regions of the same kinds, renaming the ids a re-registration or a
+//! by-value write-back renewed since — by position, as the model's launch
+//! replay names them — and checking the write-back claims against the
+//! output's region lengths. Anything else is a miss, and the miss path —
+//! the only path of a first run and of `Context::run` — describes afresh.
+//! The model's costing is memoised the same way: the runtime keeps a
+//! record of the last launch of each name and replays a launch that
+//! repeats it (`spdistal_runtime::exec`, "Launch replay").
 //!
 //! | `plan` owns | `plan` does not own |
 //! |---|---|
-//! | Leaf binding: kernel × *stored* driver layout → one lookup and one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
-//! | The requirement lists, from describe through the drain to the model issue | Batching, launch-graph gating (`model_preds`) and the stand-in ids: [`session`](crate::session) |
+//! | Leaf binding: kernel × *stored* driver layout → one lookup per [`Described`], one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
+//! | The requirement lists, from describe through the drain to the model issue, and when a recorded describe still holds ([`Described::rebind`]) | Batching, launch-graph gating (`model_preds`), the stand-in ids and the pass record: [`session`](crate::session) |
 //! | The output fold: shared buffer, reduction partials, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
 //! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
 //! | The write-back: which arm (by value or re-registration), the ranges a merge copies, and its launch-granularity claims ([`writeback_reqs`]) | Moving values into a registration and renewing its regions ([`Context::write_back`]), and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
@@ -123,19 +134,20 @@
 //! (`critical_task_seconds`) next to it, so the gap between the modeled
 //! balance and the achieved schedule is visible under skew.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use spdistal_runtime::pipeline::{LaunchDesc, LaunchTiming};
-use spdistal_runtime::sched::ExecReport;
+use spdistal_runtime::sched::{ExecMode, ExecReport, SplitPolicy};
 use spdistal_runtime::{
     IntervalSet, LaunchId, LaunchRecord, ModelTiming, Rect1, RegionId, RegionReq, TaskSpec,
 };
 use spdistal_sparse::{dense_vector, CooTensor, Level, SpTensor};
 
 use crate::codegen::{OutKind, Plan};
-use crate::dist_tensor::{procs_for_color, Context, Error, VAL_BYTES};
+use crate::dist_tensor::{procs_for_color, Context, Error, TensorRegions, VAL_BYTES};
 use crate::kernels::specialized::{self, SpAdd3Fn, SpecializedKernel};
+use crate::kernels::split::color_weight;
 use crate::kernels::{self, tensor3, KernelSpan, LeafKernel, OutVals};
 use crate::level_funcs::{entry_counts, TensorPartition};
 use crate::session::Session;
@@ -336,30 +348,160 @@ impl SharedOut {
     }
 }
 
-/// A plan resolved against the context — the **describe** half of
-/// execution. Holds everything the compute phase needs (borrowed operand
-/// views, per-point region requirements, sub-task descriptors, result
-/// slots) so any driver that honors the requirements' dependence structure
-/// can run the points — span by span.
-pub(crate) struct PreparedPlan<'a> {
-    plan: &'a Plan,
-    driver: &'a SpTensor,
-    part: &'a TensorPartition,
-    /// The caller's stand-in id for the output region, which exists only
-    /// once the compute phase has sized it.
-    out_region: RegionId,
+/// A plan described against a context before anything runs: the blessed
+/// leaf, the per-color requirement lists and owner processors, and the span
+/// cuts — everything a run needs that does not depend on tensor *values*.
+/// A program's pass records one per statement and the next pass reuses it
+/// while [`Described::rebind`] holds (module docs, "A launch is described
+/// once per record").
+pub(crate) struct Described {
+    plan: Arc<Plan>,
+    mode: ExecMode,
+    policy: SplitPolicy,
+    /// The regions of every tensor the plan names — its inputs in order,
+    /// then its output — under the ids the lists below name.
+    regions: Vec<TensorRegions>,
+    blessed: SpecializedKernel,
+    /// The driver's stored layout the leaf was looked up by.
+    layout: String,
+    /// The output's stand-in region id in `point_reqs`: the output region
+    /// exists only once the compute phase has sized it.
+    stand_in: RegionId,
     /// What each color touches: every input's footprint, then its slice of
-    /// the output under `out_region`. Lent to the pipeline for the drain
-    /// ([`PreparedPlan::take_launch_desc`]), handed back to
-    /// [`PreparedPlan::finish`] and issued to the machine model as is.
+    /// the output under `stand_in`.
     point_reqs: Vec<Vec<RegionReq>>,
-    /// Sub-task descriptors: `spans[point]` are that color's kernel spans
-    /// (`None` = the whole color, unsplit). Split safety was decided per
-    /// statement at describe time; spans of one color write disjoint
-    /// output elements by construction.
+    /// The processor that runs each color.
+    procs: Vec<usize>,
+    /// `spans[point]` are that color's kernel spans (`None` = the whole
+    /// color, unsplit); spans of one color write disjoint output elements.
     spans: Vec<Vec<Option<KernelSpan>>>,
     /// `span_offsets[point]`: flat slot index of the point's first span.
     span_offsets: Vec<usize>,
+    /// The write-back's launch-granularity claims ([`writeback_reqs`]).
+    writeback: Vec<RegionReq>,
+}
+
+impl Described {
+    /// Describe `plan` against `ctx`, its output standing in as
+    /// `stand_in`. A driver re-registered since compile in a layout the
+    /// kernel is not blessed over is refused here.
+    pub(crate) fn new(ctx: &Context, plan: Arc<Plan>, stand_in: RegionId) -> Result<Self, Error> {
+        let driver = &ctx.tensor(&plan.driver)?.data;
+        // Leaf dispatch: look the (kernel, stored driver layout) pair up
+        // exactly once — the layout `recognize` admitted and the arrays the
+        // kernel reads (see docs/kernels.md).
+        let layout = specialized::storage_signature(driver);
+        let Some(blessed) = specialized::lookup(&plan.kernel, &layout) else {
+            return Err(Error::Unsupported(format!(
+                "plan '{}': {}",
+                plan.name,
+                specialized::refusal(&plan.kernel, &plan.driver, &layout)
+            )));
+        };
+        // Every color splits at the kernel's output-keyed level, sized by
+        // the context's policy and mode.
+        let (part, mode, policy) = (driver_part(&plan), ctx.exec_mode(), ctx.split_policy());
+        let total_weight = (0..plan.colors).map(|c| color_weight(part, c)).sum();
+        let (mut point_reqs, mut procs, mut spans, mut offsets) = (vec![], vec![], vec![], vec![]);
+        let kernel = &plan.kernel;
+        for color in 0..plan.colors {
+            point_reqs.push(launch_reqs(ctx, &plan, stand_in, color)?);
+            procs.push(owner_proc(ctx, &plan, color)?);
+            offsets.push(spans.iter().map(Vec::len).sum::<usize>());
+            let cut = kernels::color_spans(driver, part, kernel, color, policy, mode, total_weight);
+            spans.push(cut);
+        }
+        let regions = named(&plan).map(|name| Ok(ctx.tensor(name)?.regions.clone()));
+        Ok(Described {
+            regions: regions.collect::<Result<_, Error>>()?,
+            writeback: writeback_reqs(ctx, &plan)?,
+            plan,
+            mode,
+            policy,
+            blessed,
+            layout,
+            stand_in,
+            point_reqs,
+            procs,
+            spans,
+            span_offsets: offsets,
+        })
+    }
+
+    /// Whether this describe still holds for `plan` in `ctx`: the same
+    /// plan, exec mode and split policy, every tensor the plan names
+    /// registered with regions of the same shape, and the output's regions
+    /// of the lengths its claims cover. Region ids a re-registration or a
+    /// write-back renewed since are renamed in the lists, by position — as
+    /// the model's launch replay names them (`docs/model.md`).
+    pub(crate) fn rebind(&mut self, ctx: &Context, plan: &Arc<Plan>) -> bool {
+        if !Arc::ptr_eq(&self.plan, plan)
+            || self.mode != ctx.exec_mode()
+            || self.policy != ctx.split_policy()
+        {
+            return false;
+        }
+        let mut renamed: Vec<(RegionId, RegionId)> = Vec::new();
+        for (name, then) in named(plan).zip(&mut self.regions) {
+            let Ok(now) = ctx.tensor(name).map(|t| &t.regions) else {
+                return false;
+            };
+            if now != then {
+                // Regions of the same kinds, level by level: the footprints
+                // differ only in their ids.
+                let kinds = |r: &TensorRegions| -> Vec<_> {
+                    r.levels.iter().map(std::mem::discriminant).collect()
+                };
+                if kinds(now) != kinds(then) {
+                    return false;
+                }
+                renamed.extend(then.ids().into_iter().zip(now.ids()));
+                *then = now.clone();
+            }
+        }
+        let reqs = self.point_reqs.iter_mut().flatten();
+        for req in reqs.chain(&mut self.writeback) {
+            if let Some(&(_, now)) = renamed.iter().find(|(was, _)| *was == req.region) {
+                req.region = now;
+            }
+        }
+        // The claims cover whole regions: their lengths must hold too.
+        writeback_reqs(ctx, plan).is_ok_and(|claims| claims == self.writeback)
+    }
+
+    /// The launch descriptor of this plan's compute phase: the per-point
+    /// requirements and span widths, and the write-back claims.
+    pub(crate) fn launch_desc(&self) -> LaunchDesc {
+        let widths = self.spans.iter().map(Vec::len).collect();
+        LaunchDesc::new(self.plan.name.clone(), self.point_reqs.clone())
+            .with_point_widths(widths)
+            .with_extra_reqs(self.writeback.clone())
+    }
+}
+
+/// Every tensor `plan` names: its inputs in order, then its output.
+fn named(plan: &Plan) -> impl Iterator<Item = &String> {
+    plan.inputs
+        .iter()
+        .map(|i| &i.tensor)
+        .chain([&plan.output.tensor])
+}
+
+/// The partition of `plan`'s driver: what its colors and spans cut.
+fn driver_part(plan: &Plan) -> &TensorPartition {
+    let driver = plan.inputs.iter().find(|i| i.tensor == plan.driver);
+    &driver.expect("the driver is an input").part
+}
+
+/// A [`Described`] plan bound to the context's operands and value buffers —
+/// the per-run half of the describe. Holds everything the compute phase
+/// needs (borrowed operand views, the leaf, result slots) so any driver
+/// that honors the requirements' dependence structure can run the points —
+/// span by span.
+pub(crate) struct PreparedPlan<'a> {
+    described: &'a Described,
+    driver: &'a SpTensor,
+    part: &'a TensorPartition,
     body: Body<'a>,
     out_len: usize,
     shared: Option<SharedOut>,
@@ -378,10 +520,9 @@ pub(crate) struct PreparedPlan<'a> {
 }
 
 impl<'a> PreparedPlan<'a> {
-    /// Resolve `plan` against `ctx`. `out_region` is the synthetic region
-    /// id standing in for the (not yet created) output region in the
-    /// compute-phase requirements; drivers coordinating several plans give
-    /// each a distinct id.
+    /// Bind `described` to `ctx`'s operands: the blessed kernel and its
+    /// operand views become the plan's leaf, so per-span execution is one
+    /// indirect call.
     ///
     /// `seed`, when given, makes this an incremental execution: its buffer
     /// becomes the shared output allocation itself (no zero-fill, no copy)
@@ -391,36 +532,16 @@ impl<'a> PreparedPlan<'a> {
     /// fresh buffer, and [`MergeReport::merged`] reports `false`.
     pub(crate) fn new(
         ctx: &'a Context,
-        plan: &'a Plan,
-        out_region: RegionId,
+        described: &'a Described,
         seed: Option<MergeSeed>,
     ) -> Result<Self, Error> {
+        let plan = &*described.plan;
         let accesses = plan.stmt.rhs.accesses();
         let data = |name: &str| ctx.tensor(name).map(|t| &t.data);
         let driver = data(&plan.driver)?;
-        let part = &plan
-            .inputs
-            .iter()
-            .find(|i| i.tensor == plan.driver)
-            .unwrap()
-            .part;
-
-        // Leaf dispatch: look the (kernel, stored driver layout) pair up
-        // exactly once — the layout `recognize` admitted and the arrays the
-        // kernel reads — and bind the blessed kernel with its operands into
-        // the plan's leaf, so per-span execution is one indirect call (see
-        // docs/kernels.md). A driver re-registered since compile in a
-        // layout the kernel is not blessed over is refused here.
-        let layout = specialized::storage_signature(driver);
-        let Some(blessed) = specialized::lookup(&plan.kernel, &layout) else {
-            return Err(Error::Unsupported(format!(
-                "plan '{}': {}",
-                plan.name,
-                specialized::refusal(&plan.kernel, &plan.driver, &layout)
-            )));
-        };
+        let part = driver_part(plan);
         let operand = |k: usize| data(&accesses[k].tensor).map(SpTensor::vals);
-        let (body, out_len): (Body<'a>, usize) = match (blessed, &plan.kernel) {
+        let (body, out_len): (Body<'a>, usize) = match (described.blessed, &plan.kernel) {
             (SpecializedKernel::SpMv(f), _) => {
                 let c = operand(1)?;
                 let leaf: Leaf = Box::new(move |p, sp, out| f(driver, part, p, sp, c, out));
@@ -455,11 +576,7 @@ impl<'a> PreparedPlan<'a> {
             _ => unreachable!("lookup answers with the kernel's own variant"),
         };
         ctx.trace()
-            .kernel_dispatch(specialized::kernel_name(&plan.kernel), &layout);
-
-        let point_reqs = (0..plan.colors)
-            .map(|color| launch_reqs(ctx, plan, out_region, color))
-            .collect::<Result<_, _>>()?;
+            .kernel_dispatch(specialized::kernel_name(&plan.kernel), &described.layout);
 
         let (shared, dirty) = match &plan.kernel {
             LeafKernel::SpAdd3 => (None, None),
@@ -483,41 +600,13 @@ impl<'a> PreparedPlan<'a> {
             Vec::new()
         };
 
-        // Every color splits at the kernel's output-keyed level, sized by
-        // the context's policy and mode.
-        let total_weight: u64 = (0..plan.colors)
-            .map(|c| kernels::split::color_weight(part, c))
-            .sum();
-        let spans: Vec<Vec<Option<KernelSpan>>> = (0..plan.colors)
-            .map(|color| {
-                kernels::color_spans(
-                    driver,
-                    part,
-                    &plan.kernel,
-                    color,
-                    ctx.split_policy(),
-                    ctx.exec_mode(),
-                    total_weight,
-                )
-            })
-            .collect();
-        let mut span_offsets = Vec::with_capacity(spans.len());
-        let mut total_spans = 0;
-        for s in &spans {
-            span_offsets.push(total_spans);
-            total_spans += s.len();
-        }
-
+        let total_spans = described.spans.iter().map(Vec::len).sum();
         let slots = (0..total_spans).map(|_| OnceLock::new()).collect();
         let mut prepared = PreparedPlan {
-            plan,
+            described,
             driver,
             part,
-            out_region,
-            point_reqs,
-            rerun: vec![true; spans.len()],
-            spans,
-            span_offsets,
+            rerun: vec![true; plan.colors],
             body,
             out_len,
             shared,
@@ -543,16 +632,6 @@ impl<'a> PreparedPlan<'a> {
         Ok(prepared)
     }
 
-    /// The launch descriptor of this plan's compute phase: the per-point
-    /// requirements plus the per-point span widths. The requirements are
-    /// lent, not copied: the pipeline holds them for the drain and
-    /// [`PreparedPlan::finish`] takes them back.
-    pub(crate) fn take_launch_desc(&mut self) -> LaunchDesc {
-        let widths = self.spans.iter().map(Vec::len).collect();
-        LaunchDesc::new(self.plan.name.clone(), std::mem::take(&mut self.point_reqs))
-            .with_point_widths(widths)
-    }
-
     /// Run one span of one point task. Must be called exactly once per
     /// (point, span), under a driver that serializes the conflicting point
     /// pairs named by the launch descriptor's requirements; spans of one
@@ -561,7 +640,8 @@ impl<'a> PreparedPlan<'a> {
     /// output elements keep the seeded values and it contributes zero
     /// modeled ops, so the launch bookkeeping stays whole.
     pub(crate) fn run_point(&self, point: usize, span: usize) {
-        let clamp = self.spans[point][span].as_ref();
+        let d = self.described;
+        let clamp = d.spans[point][span].as_ref();
         let result = match &self.body {
             Body::Dense(_) if !self.rerun[point] => PointResult::Ops(0.0),
             Body::Dense(leaf) => {
@@ -587,7 +667,7 @@ impl<'a> PreparedPlan<'a> {
                 PointResult::Assembled { span, sym, num }
             }
         };
-        let written = self.slots[self.span_offsets[point] + span].set(result);
+        let written = self.slots[d.span_offsets[point] + span].set(result);
         assert!(written.is_ok(), "span ({point}, {span}) ran twice");
     }
 
@@ -621,8 +701,10 @@ impl<'a> PreparedPlan<'a> {
         let Some(shared) = &mut self.shared else {
             return;
         };
-        let mut reqs = self.point_reqs[color].iter();
-        let out = reqs.find(|req| req.region == self.out_region);
+        let d = self.described;
+        let out = d.point_reqs[color]
+            .iter()
+            .find(|req| req.region == d.stand_in);
         for r in out.iter().flat_map(|req| req.subset.rects()) {
             let lo = r.lo.max(0) as usize;
             let hi = (r.hi.min(shared.len as i64 - 1)).max(-1);
@@ -634,17 +716,15 @@ impl<'a> PreparedPlan<'a> {
     }
 
     /// Fold the per-span results into the computed output and the
-    /// per-color modeled op counts. Call after every span ran, with the
-    /// requirements [`PreparedPlan::take_launch_desc`] lent out.
-    pub(crate) fn finish(mut self, reqs: Vec<Vec<RegionReq>>) -> Finished {
-        let colors = self.spans.iter().zip(&self.rerun);
+    /// per-color modeled op counts. Call after every span ran.
+    pub(crate) fn finish(mut self) -> Finished {
+        let colors = self.described.spans.iter().zip(&self.rerun);
         let spans_skipped = colors.filter(|(_, r)| !**r).map(|(s, _)| s.len()).sum();
         let merge = MergeReport {
             merged: self.merged,
             spans_reexecuted: self.slots.len() - spans_skipped,
             spans_skipped,
         };
-        let stand_in = self.out_region;
         let reran = self.merged.then(|| std::mem::take(&mut self.rerun));
         let (computed, ops) = self.fold();
         Finished {
@@ -652,8 +732,6 @@ impl<'a> PreparedPlan<'a> {
             ops,
             merge,
             reran,
-            reqs,
-            stand_in,
         }
     }
 
@@ -665,14 +743,16 @@ impl<'a> PreparedPlan<'a> {
             .into_iter()
             .map(|s| s.into_inner().expect("span did not run"))
             .collect();
-        let mut results: Vec<Vec<PointResult>> = Vec::with_capacity(self.spans.len());
-        for point_spans in self.spans.iter().rev() {
+        let spans = &self.described.spans;
+        let mut results: Vec<Vec<PointResult>> = Vec::with_capacity(spans.len());
+        for point_spans in spans.iter().rev() {
             let rest = flat.split_off(flat.len() - point_spans.len());
             results.push(rest);
         }
         results.reverse();
-        let colors = self.plan.colors;
-        match self.plan.kernel {
+        let plan = &*self.described.plan;
+        let colors = plan.colors;
+        match plan.kernel {
             LeafKernel::SpAdd3 => {
                 let mut ops = vec![0.0; colors];
                 let mut all_spans = Vec::with_capacity(results.iter().map(Vec::len).sum());
@@ -764,7 +844,7 @@ impl<'a> PreparedPlan<'a> {
 /// output is materialized and moved into a new registration.
 pub(crate) fn finish_model(
     ctx: &mut Context,
-    plan: &Plan,
+    described: &Described,
     finished: Finished,
     sched: ExecReport,
     mut timing: LaunchTiming,
@@ -776,11 +856,8 @@ pub(crate) fn finish_model(
         ops,
         merge,
         reran,
-        mut reqs,
-        stand_in,
     } = finished;
-    let procs = (0..plan.colors).map(|color| owner_proc(ctx, plan, color));
-    let procs = procs.collect::<Result<Vec<usize>, Error>>()?;
+    let (plan, procs) = (&*described.plan, &described.procs);
     let time0 = ctx.runtime().now();
     let stats0 = ctx.runtime().stats().clone();
 
@@ -793,8 +870,9 @@ pub(crate) fn finish_model(
             .create_region(&format!("{}.out", plan.output.tensor), out_len, VAL_BYTES);
     // The requirements the pool ran under are the ones the model is
     // charged for; only the output's stand-in id becomes the region.
+    let mut reqs = described.point_reqs.clone();
     for req in reqs.iter_mut().flatten() {
-        if req.region == stand_in {
+        if req.region == described.stand_in {
             req.region = out_region;
         }
     }
@@ -939,7 +1017,7 @@ fn copy_written(plan: &Plan, reran: &[bool], src: &[f64], dst: &mut [f64]) {
 /// commuting reads), then the color's slice of the output under the plan's
 /// output partition with the launch's write-or-reduce privilege — aliased
 /// writers serialize in color order, reductions commute. Built once per
-/// prepared plan: the pool derives the dependence order from this list and
+/// [`Described`]: the pool derives the dependence order from this list and
 /// the machine model the data movement, as Legion does from one set of
 /// region requirements.
 fn launch_reqs(
@@ -1016,17 +1094,13 @@ fn scale_set(s: &IntervalSet, width: usize) -> IntervalSet {
 }
 
 /// What [`PreparedPlan::finish`] hands to [`finish_model`]: the computed
-/// output, the per-color modeled op counts, the span accounting, the
-/// colors that re-ran when the plan merged into a seed, and the per-color
-/// requirements the compute phase ran under, the output still named by the
-/// `stand_in` id.
+/// output, the per-color modeled op counts, the span accounting, and the
+/// colors that re-ran when the plan merged into a seed.
 pub(crate) struct Finished {
     computed: Computed,
     ops: Vec<f64>,
     merge: MergeReport,
     reran: Option<Vec<bool>>,
-    reqs: Vec<Vec<RegionReq>>,
-    stand_in: RegionId,
 }
 
 pub(crate) enum Computed {

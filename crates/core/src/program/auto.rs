@@ -141,6 +141,15 @@ impl CompiledProgram {
         });
     }
 
+    /// Assign statement `k`'s selection. Its plan key is rebuilt at the next
+    /// lookup, and its slice of [`ProgramReport::stmts`](super::ProgramReport)
+    /// is refreshed here — the one place a selection changes.
+    pub(super) fn select(&mut self, k: usize, chosen: Chosen) {
+        let ps = &mut self.stmts[k];
+        (ps.chosen, ps.key) = (Some(chosen), None);
+        self.report.stmts[k] = ps.report();
+    }
+
     /// The first sparse tensor on the statement's right-hand side — the
     /// operand that drives iteration and decides skew.
     pub(super) fn sparse_driver(&self, stmt: &Assignment) -> Option<String> {
@@ -210,7 +219,7 @@ impl CompiledProgram {
                 }
                 ScheduleSpec::Auto => self.auto_initial(k, &stmt, default)?,
             };
-            self.stmts[k].chosen = Some(chosen);
+            self.select(k, chosen);
         }
         Ok(())
     }
@@ -263,7 +272,7 @@ impl CompiledProgram {
         let stmt = self.stmts[k].stmt.clone();
         match self.auto_nonzero(&stmt, driver) {
             Ok(chosen) => {
-                self.stmts[k].chosen = Some(chosen);
+                self.select(k, chosen);
                 self.push_decision(k, "non-zero", reason);
             }
             Err(e) => {
@@ -285,7 +294,7 @@ impl CompiledProgram {
                 continue;
             }
             self.stmts[k].tuned = true;
-            let plan = self.cache.peek(&self.cache_key(k));
+            let plan = self.cache.peek(&self.cache_key(k).key);
             let plan_imbalance = plan.map_or(1.0, |p| p.inputs[0].part.vals().imbalance());
             let sched = self.last_results[k].as_ref().map(|r| &r.sched);
             let (task_skew, steals) = sched.map_or((1.0, 0), |s| (s.task_skew(), s.steals));
@@ -343,7 +352,7 @@ impl CompiledProgram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::tests::{spmv_program, PIECES};
     use super::*;
     use spdistal_sparse::{generate, reference, SpTensor};
@@ -430,7 +439,7 @@ mod tests {
     /// A clustered R-MAT whose equal row-block nnz imbalance lands between
     /// [`SWITCH_IMBALANCE`] and [`STATIC_IMBALANCE`] (asserted, so the
     /// warm-up-switch test cannot silently test the wrong regime).
-    fn find_moderate_skew() -> SpTensor {
+    pub(in crate::program) fn find_moderate_skew() -> SpTensor {
         for alpha in [0.45, 0.5, 0.55, 0.6, 0.65, 0.7] {
             let b = generate::rmat_clustered(9, 6000, alpha, 11);
             let imbalance = outer_dim_partition(&b, PIECES).vals().imbalance();

@@ -18,12 +18,13 @@
 use std::sync::Arc;
 
 use spdistal_ir::{parse_tin, tdn, Assignment, Format, ParallelUnit, Schedule, VarCtx};
-use spdistal_runtime::{ExecMode, Machine, SplitPolicy, Trace};
+use spdistal_runtime::{ExecMode, Machine, SplitPolicy, Tenant, Trace};
 use spdistal_sparse::SpTensor;
 
 use super::{CompiledProgram, ProgramReport, ProgramStmt};
 use crate::dist_tensor::{Context, Error};
 use crate::engine::PlanCache;
+use crate::session::PassRecord;
 
 /// How one statement is mapped onto the machine.
 ///
@@ -280,19 +281,26 @@ impl Program {
                 spec: decl.spec,
                 chosen: None,
                 tuned: false,
+                key: None,
             });
         }
         let n = stmts.len();
         Ok(CompiledProgram {
+            report: ProgramReport {
+                stmts: stmts.iter().map(ProgramStmt::report).collect(),
+                ..ProgramReport::default()
+            },
             ctx,
             stmts,
             pipelined: self.pipelined,
             cache: self.cache.unwrap_or_else(PlanCache::shared),
-            tenant: self.tenant,
-            report: ProgramReport::default(),
+            tenant: self.tenant.map(Tenant::new),
             last_results: vec![None; n],
             retained: vec![None; n],
             last_incremental: vec![None; n],
+            record: PassRecord::default(),
+            #[cfg(test)]
+            pass_replay_off: false,
         })
     }
 }

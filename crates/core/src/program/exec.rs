@@ -3,9 +3,9 @@
 //! | Step of [`CompiledProgram::pass`] | Responsibility |
 //! |------|----------------|
 //! | schedules | ask `auto` for drift re-selection and any missing schedule |
-//! | plans | one [`PlanKey`] and one cache lookup (or compile) per statement |
+//! | plans | one cache lookup (or compile) per statement under its [`PlanKey`], memoised ([`KeyMemo`]): the key string is rendered again only when the selection, a named tensor's `Format`, or a read tensor's dims or pattern hash changed; a hit still goes through `PlanCache::lookup`, so hit counts and tenant attribution are unchanged |
 //! | run modes | [`eligibility`]: per statement, merge into the previous output or run full — decided up front from pre-pass state, never during execution |
-//! | session | submit every statement with its merge seed, if any, and — while its plan key is unchanged — the output version its previous write-back left, which lets the write-back go by value; one flush when pipelined, one per statement otherwise |
+//! | session | resume the last pass's record (what its session described: per statement the requirement lists, owner processors, span cuts and leaf, per batch the dependence graph — `session::PassRecord`), submit every statement with its merge seed, if any, and — while its plan key is unchanged — the output version its previous write-back left, which lets the write-back go by value; one flush when pipelined, one per statement otherwise; keep the record for the next pass |
 //! | bookkeeping | move results out of the session, record retention proofs, consume dirty state, fold flush reports — once |
 //!
 //! ```text
@@ -34,10 +34,11 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use spdistal_ir::ParallelUnit;
+use spdistal_ir::{Format, ParallelUnit};
+use spdistal_runtime::Tenant;
 
 use super::auto::{Chosen, ChosenKind};
-use super::{CompiledProgram, ProgramReport, ScheduleSpec, StmtReport};
+use super::{CompiledProgram, ProgramReport, ScheduleSpec};
 use crate::codegen::Plan;
 use crate::dist_tensor::{Context, Error};
 use crate::engine::PlanKey;
@@ -62,7 +63,19 @@ pub(crate) struct RetainedOutput {
     pub driver: Option<String>,
     /// Plan-cache key the statement runs under; a schedule, format or
     /// pattern change re-keys the plan and drops eligibility.
-    pub plan_key: PlanKey,
+    pub plan_key: Arc<PlanKey>,
+}
+
+/// What a plan key is built from, per tensor a statement names: its format
+/// and — for a tensor the statement reads — its dims and pattern hash;
+/// `None` for a name nothing is registered under.
+type KeyInput = Option<(Format, Option<(Vec<usize>, u64)>)>;
+
+/// Statement `k`'s plan key and what it was built from
+/// ([`CompiledProgram::cache_key`]).
+pub(super) struct KeyMemo {
+    pub key: Arc<PlanKey>,
+    inputs: Vec<(String, KeyInput)>,
 }
 
 /// Why a statement ran in full instead of merging into its previous
@@ -307,12 +320,17 @@ impl CompiledProgram {
     /// whose pass fails is left with no result and no retention proof.
     fn pass(&mut self, merge: bool) -> Result<(), Error> {
         let t0 = Instant::now();
+        #[cfg(test)]
+        if self.pass_replay_off {
+            self.record = Default::default();
+            self.stmts.iter_mut().for_each(|ps| ps.key = None);
+        }
         // Accumulated streamed deltas can invalidate an earlier outer-dim
         // pick on either verb.
         self.drift_reselect()?;
         self.ensure_schedules()?;
         let n = self.stmts.len();
-        let plans: Vec<(PlanKey, Arc<Plan>)> = (0..n)
+        let plans: Vec<(Arc<PlanKey>, Arc<Plan>)> = (0..n)
             .map(|k| self.ensure_plan(k))
             .collect::<Result<_, _>>()?;
 
@@ -351,10 +369,11 @@ impl CompiledProgram {
 
         let mut futures = Vec::with_capacity(n);
         let flushes = {
-            let mut session = Session::new(&mut self.ctx);
+            let mut session = Session::resume(&mut self.ctx, std::mem::take(&mut self.record));
             let flushes = drive(&mut session, queued, self.pipelined, &mut futures);
             let mut results = futures.iter().map(|f| session.take(f).ok());
             self.last_results.fill_with(|| results.next().flatten());
+            self.record = session.into_record();
             flushes?
         };
         if merge {
@@ -376,7 +395,6 @@ impl CompiledProgram {
             r.model_seq_sum += f.model_seq_sum();
             r.model_makespan += f.model_makespan();
         }
-        self.update_stmt_reports();
         let trace = self.ctx.trace();
         trace.observe_ns("iter_ns", t0.elapsed().as_nanos() as u64);
         trace.add("iterations", 1);
@@ -421,18 +439,6 @@ impl CompiledProgram {
         }
     }
 
-    /// Refresh [`ProgramReport::stmts`] from the current selections.
-    fn update_stmt_reports(&mut self) {
-        self.report.stmts = self
-            .stmts
-            .iter()
-            .map(|ps| StmtReport {
-                schedule_kind: ps.chosen.as_ref().map_or("unselected", |c| c.kind.label()),
-                schedule: ps.schedule_text(),
-            })
-            .collect();
-    }
-
     // ---- plan cache -----------------------------------------------------
 
     /// The cache key of statement `k`'s current selection: statement text,
@@ -441,47 +447,71 @@ impl CompiledProgram {
     /// [`pattern_hash`](spdistal_sparse::SpTensor::pattern_hash), because the plan
     /// embeds partitions derived from exactly that. A tensor that is only
     /// written contributes no hash, so per-run output write-backs cost
-    /// nothing here.
-    pub(super) fn cache_key(&self, k: usize) -> PlanKey {
+    /// nothing here. The memo keeps what the key was built from.
+    pub(super) fn cache_key(&self, k: usize) -> KeyMemo {
         let ps = &self.stmts[k];
         let reads = ps.stmt.rhs.accesses();
-        let formats: Vec<String> = ps
-            .stmt
-            .tensor_names()
+        let input = |name: String| {
+            let read = reads.iter().any(|a| a.tensor == name);
+            let input = self.ctx.tensor(&name).ok().map(|t| {
+                let read = read.then(|| (t.data.dims().to_vec(), t.data.pattern_hash()));
+                (t.format.clone(), read)
+            });
+            (name, input)
+        };
+        let inputs: Vec<(String, KeyInput)> =
+            ps.stmt.tensor_names().into_iter().map(input).collect();
+        let formats: Vec<String> = inputs
             .iter()
-            .map(|name| match self.ctx.tensor(name) {
-                Ok(t) if reads.iter().any(|a| a.tensor == *name) => {
-                    let (sig, dims, hash) =
-                        (t.format.signature(), t.data.dims(), t.data.pattern_hash());
-                    format!("{name}={sig} @{dims:?}#{hash:016x}")
+            .map(|(name, input)| match input {
+                Some((format, Some((dims, hash)))) => {
+                    format!("{name}={} @{dims:?}#{hash:016x}", format.signature())
                 }
-                Ok(t) => format!("{name}={}", t.format.signature()),
-                Err(_) => format!("{name}=<unknown>"),
+                Some((format, None)) => format!("{name}={}", format.signature()),
+                None => format!("{name}=<unknown>"),
             })
             .collect();
-        PlanKey::new(ps.stmt.to_string(), ps.schedule_text(), formats.join("; "))
+        let key = PlanKey::new(ps.stmt.to_string(), ps.schedule_text(), formats.join("; "));
+        let key = Arc::new(key);
+        KeyMemo { key, inputs }
     }
 
-    /// [`PlanCache::lookup`](crate::PlanCache::lookup) with this program's
-    /// trace and tenant label, folding a hit into the program report.
-    fn lookup_plan(&mut self, key: &PlanKey) -> Option<Arc<Plan>> {
-        let plan = self
-            .cache
-            .lookup(key, self.ctx.trace(), self.tenant.as_deref());
-        if plan.is_some() {
-            self.report.cache_hits += 1;
+    /// Statement `k`'s plan key: the memoised one while every tensor it
+    /// names still has the format, dims and pattern hash it was built from
+    /// (a selection clears the memo), else [`cache_key`](Self::cache_key)
+    /// afresh.
+    fn plan_key(&mut self, k: usize) -> Arc<PlanKey> {
+        let holds = |(name, then): &(String, KeyInput)| match (self.ctx.tensor(name), then) {
+            (Ok(t), Some((format, read))) => {
+                let same = |(dims, hash): &(Vec<usize>, u64)| {
+                    t.data.dims() == dims.as_slice() && t.data.pattern_hash() == *hash
+                };
+                t.format == *format && read.as_ref().is_none_or(same)
+            }
+            (now, then) => now.is_err() && then.is_none(),
+        };
+        match &self.stmts[k].key {
+            Some(memo) if memo.inputs.iter().all(holds) => Arc::clone(&memo.key),
+            _ => {
+                let memo = self.cache_key(k);
+                Arc::clone(&self.stmts[k].key.insert(memo).key)
+            }
         }
-        plan
     }
 
     /// Statement `k`'s plan and the key it is cached under, compiling on a
-    /// miss. An `Auto` non-zero selection that fails to compile falls back
-    /// to the outer-dimension schedule (recorded as a decision). Each
-    /// compile that yields the plan is timed in the trace's `compile_ns`
-    /// histogram, one observation per [`ProgramReport::compiles`].
-    fn ensure_plan(&mut self, k: usize) -> Result<(PlanKey, Arc<Plan>), Error> {
-        let key = self.cache_key(k);
-        if let Some(plan) = self.lookup_plan(&key) {
+    /// miss; a hit is folded into the program report. An `Auto` non-zero
+    /// selection that fails to compile falls back to the outer-dimension
+    /// schedule (recorded as a decision). Each compile that yields the plan
+    /// is timed in the trace's `compile_ns` histogram, one observation per
+    /// [`ProgramReport::compiles`].
+    fn ensure_plan(&mut self, k: usize) -> Result<(Arc<PlanKey>, Arc<Plan>), Error> {
+        let key = self.plan_key(k);
+        let cached = self
+            .cache
+            .lookup(&key, self.ctx.trace(), self.tenant.as_ref());
+        if let Some(plan) = cached {
+            self.report.cache_hits += 1;
             return Ok((key, plan));
         }
         let chosen = self.stmts[k]
@@ -501,7 +531,8 @@ impl CompiledProgram {
                 let reason = format!("non-zero plan failed to compile ({e})");
                 let (stmt, pieces) = (self.stmts[k].stmt.clone(), self.default_pieces());
                 let unit = ParallelUnit::CpuThread;
-                self.stmts[k].chosen = Some(Chosen::outer_dim(&mut self.ctx, &stmt, pieces, unit));
+                let chosen = Chosen::outer_dim(&mut self.ctx, &stmt, pieces, unit);
+                self.select(k, chosen);
                 self.stmts[k].tuned = true;
                 self.push_decision(k, "outer-dim", reason);
                 return self.ensure_plan(k);
@@ -511,7 +542,8 @@ impl CompiledProgram {
         let trace = self.ctx.trace();
         trace.observe_ns("compile_ns", compile_t0.elapsed().as_nanos() as u64);
         self.report.compiles += 1;
-        let plan = self.cache.insert(key.clone(), plan, self.tenant.as_deref());
+        let tenant = self.tenant.as_ref().map(Tenant::name);
+        let plan = self.cache.insert(PlanKey::clone(&key), plan, tenant);
         Ok((key, plan))
     }
 
@@ -519,7 +551,7 @@ impl CompiledProgram {
 
     /// What statement `k` records for the pass about to run under `key`:
     /// the current version of everything it reads.
-    fn proof(&self, k: usize, plan_key: PlanKey) -> RetainedOutput {
+    fn proof(&self, k: usize, plan_key: Arc<PlanKey>) -> RetainedOutput {
         let stmt = &self.stmts[k].stmt;
         let mut reads: Vec<(String, u64)> = Vec::new();
         for a in stmt.rhs.accesses() {
@@ -543,12 +575,11 @@ impl CompiledProgram {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{bits, machine, spmv_program};
+    use super::super::tests::{bits, machine, spmv_program, PIECES};
     use super::super::Program;
     use super::*;
     use crate::streaming::CoordDelta;
-    use spdistal_ir::Format;
-    use spdistal_sparse::{dense_vector, generate};
+    use spdistal_sparse::{dense_vector, generate, SpTensor};
 
     fn proof(
         output: &str,
@@ -560,7 +591,7 @@ mod tests {
             output: output.to_string(),
             reads: reads.iter().map(|(t, v)| (t.to_string(), *v)).collect(),
             driver: driver.map(str::to_string),
-            plan_key: PlanKey::new(key, "", ""),
+            plan_key: Arc::new(PlanKey::new(key, "", "")),
         }
     }
 
@@ -822,5 +853,347 @@ mod tests {
         let mut full = spmv_program(b2, ScheduleSpec::outer_dim()).build().unwrap();
         full.run().unwrap();
         assert_eq!(bits(&p, 0), bits(&full, 0));
+    }
+
+    // ---- the record -------------------------------------------------------
+
+    /// What a pass leaves that a replayed describe could change, as bits:
+    /// every value; per statement its simulated time, ops, traffic, span
+    /// accounting, launch records, and its drain's tasks, spans, edges and
+    /// critical path; the runtime's counters and clock.
+    fn observed(p: &CompiledProgram) -> Vec<u64> {
+        let mut seen = Vec::new();
+        for k in 0..p.stmt_count() {
+            seen.extend(bits(p, k));
+            let r = p.result(k).unwrap();
+            let (s, m) = (&r.sched, &r.merge);
+            seen.extend([r.time.to_bits(), r.ops.to_bits(), r.comm_bytes, r.messages]);
+            let counts = [s.tasks, s.spans, s.edges, s.critical_path];
+            let merged = [m.merged as usize, m.spans_reexecuted, m.spans_skipped];
+            seen.extend(counts.into_iter().chain(merged).map(|c| c as u64));
+            for rec in &r.records {
+                let t = &rec.model;
+                let times = [t.issue, t.start, t.finish, t.seq_span, rec.clock_after];
+                seen.extend(times.map(f64::to_bits));
+                seen.extend([rec.comm_bytes, rec.messages, rec.tasks as u64]);
+            }
+        }
+        let rt = p.context().runtime();
+        let stats = rt.stats();
+        seen.extend([
+            stats.comm_bytes,
+            stats.messages,
+            stats.launches,
+            stats.tasks,
+        ]);
+        seen.extend([
+            stats.total_ops.to_bits(),
+            rt.now().to_bits(),
+            stats.replayed,
+        ]);
+        seen
+    }
+
+    type Step = fn(&mut CompiledProgram);
+
+    /// Runs `steps` on a program that replays its record and on one that
+    /// describes and keys afresh every pass (`pass_replay_off`), comparing
+    /// what each step left and the compiles so far. Returns, per step, the
+    /// describes and batch graphs the replaying program took from its
+    /// record.
+    fn replay_against_fresh(
+        build: impl Fn() -> CompiledProgram,
+        steps: &[Step],
+    ) -> Vec<(usize, usize)> {
+        let (mut on, mut off) = (build(), build());
+        off.pass_replay_off = true;
+        let mut reused = Vec::new();
+        for (i, step) in steps.iter().enumerate() {
+            let before = on.record.reused;
+            step(&mut on);
+            step(&mut off);
+            assert_eq!(observed(&on), observed(&off), "step {i}");
+            assert_eq!(on.report().compiles, off.report().compiles, "step {i}");
+            let after = on.record.reused;
+            reused.push((after.0 - before.0, after.1 - before.1));
+        }
+        assert_eq!(off.record.reused, (0, 0), "the oracle replays nothing");
+        reused
+    }
+
+    const RUN: Step = |p| {
+        p.run().unwrap();
+    };
+
+    /// `iter_small`'s shape: the RAW chain `x1 = B·x0; x2 = B·x1; x3 = B·x2`
+    /// on a skewed driver, two workers, spans split.
+    fn chain() -> CompiledProgram {
+        let b = generate::rmat_default(8, 3000, 3);
+        let n = b.dims()[0];
+        let vector = |v: Vec<f64>| dense_vector(v);
+        let mut p = Program::on(machine())
+            .exec_mode(spdistal_runtime::ExecMode::Parallel(2))
+            .tensor("B", Format::blocked_csr(), b)
+            .tensor(
+                "x0",
+                Format::replicated_dense_vec(),
+                vector(generate::dense_vec(n, 4)),
+            );
+        for (out, input) in [("x1", "x0"), ("x2", "x1"), ("x3", "x2")] {
+            p = p
+                .tensor(out, Format::blocked_dense_vec(), vector(vec![0.0; n]))
+                .stmt(&format!("{out}(i) = B(i,j) * {input}(j)"))
+                .schedule(ScheduleSpec::outer_dim());
+        }
+        p.build().unwrap()
+    }
+
+    /// `iter_heavy`'s shape: the six kernels as independent statements —
+    /// dense, pattern-aligned and assembled outputs — in one batch.
+    fn sweep() -> CompiledProgram {
+        use spdistal_sparse::{convert, dense_matrix};
+        const W: usize = 4;
+        let n = 64;
+        let matrix =
+            |r: usize, c: usize, seed| dense_matrix(r, c, generate::dense_buffer(r, c, seed));
+        let skewed = |seed| generate::rmat_clustered(6, 700, 0.9, seed);
+        let (b0, b1, b2, b5) = (
+            skewed(10),
+            convert::to_dcsr(&skewed(11)),
+            skewed(12),
+            skewed(15),
+        );
+        let b3 = generate::tensor3_uniform([16, 12, 12], 600, 13);
+        let a4 = crate::kernels::tensor3::spttv_output(
+            &b3,
+            vec![0.0; crate::level_funcs::entry_counts(&b3)[1] as usize],
+        );
+        let (csr, dense) = (Format::blocked_csr(), Format::blocked_dense_matrix());
+        let replicated = Format::replicated_dense_matrix();
+        Program::on(machine())
+            .exec_mode(spdistal_runtime::ExecMode::Parallel(2))
+            .tensor("A0", dense.clone(), dense_matrix(n, W, vec![0.0; n * W]))
+            .tensor("B0", csr.clone(), b0)
+            .tensor("C0", replicated.clone(), matrix(n, W, 20))
+            .stmt("A0(i,j) = B0(i,k) * C0(k,j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .tensor(
+                "a1",
+                Format::blocked_dense_vec(),
+                dense_vector(vec![0.0; n]),
+            )
+            .tensor("B1", Format::blocked_dcsr(), b1)
+            .tensor(
+                "c1",
+                Format::replicated_dense_vec(),
+                dense_vector(generate::dense_vec(n, 21)),
+            )
+            .stmt("a1(i) = B1(i,j) * c1(j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .tensor("A2", csr.clone(), b2.clone())
+            .tensor("B2", Format::nonzero_csr(), b2)
+            .tensor("C2", Format::staged_dense_matrix(), matrix(n, W, 22))
+            .tensor("D2", Format::staged_dense_matrix(), matrix(W, n, 23))
+            .stmt("A2(i,j) = B2(i,j) * C2(i,k) * D2(k,j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .tensor("A3", dense, dense_matrix(16, W, vec![0.0; 16 * W]))
+            .tensor("B3", Format::blocked_csf3(), b3)
+            .tensor("C3", replicated.clone(), matrix(12, W, 24))
+            .tensor("D3", replicated, matrix(12, W, 25))
+            .stmt("A3(i,l) = B3(i,j,k) * C3(j,l) * D3(k,l)")
+            .schedule(ScheduleSpec::outer_dim())
+            .tensor("A4", csr.clone(), a4)
+            .tensor(
+                "c4",
+                Format::replicated_dense_vec(),
+                dense_vector(generate::dense_vec(12, 26)),
+            )
+            .stmt("A4(i,j) = B3(i,j,k) * c4(k)")
+            .schedule(ScheduleSpec::outer_dim())
+            .tensor("A5", csr.clone(), crate::plan::empty_csr(n, n))
+            .tensor("C5", csr.clone(), generate::shift_last_dim(&b5, 1))
+            .tensor("D5", csr.clone(), generate::shift_last_dim(&b5, 2))
+            .tensor("B5", csr, b5)
+            .stmt("A5(i,j) = B5(i,j) + C5(i,j) + D5(i,j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .build()
+            .unwrap()
+    }
+
+    /// The record against describing afresh: from the second pass on,
+    /// every statement of the chain and of the sweep rebinds its recorded
+    /// describe and every batch drains its recorded graph, and each pass
+    /// leaves exactly what describing afresh leaves.
+    #[test]
+    fn a_cached_pass_replays_its_record_bit_for_bit() {
+        let reused = replay_against_fresh(chain, &[RUN; 6]);
+        assert_eq!(reused[0], (0, 0), "a first pass describes");
+        assert!(reused[1..].iter().all(|&r| r == (3, 3)), "{reused:?}");
+        // SpAdd3's first write-back registers its assembled pattern: new
+        // region lengths, so its claims are described again once.
+        let reused = replay_against_fresh(sweep, &[RUN; 5]);
+        assert_eq!(reused[..2], [(0, 0), (5, 0)]);
+        assert!(reused[2..].iter().all(|&r| r == (6, 1)), "{reused:?}");
+    }
+
+    /// A `run_incremental` stream: value-only batches (the driver's regions
+    /// renewed, so the record renames them), merges, a structural batch that
+    /// re-keys the plan, and full passes between.
+    #[test]
+    fn an_incremental_stream_replays_its_record_bit_for_bit() {
+        let build = || {
+            spmv_program(generate::banded(96, 5, 3), ScheduleSpec::outer_dim())
+                .build()
+                .unwrap()
+        };
+        let value_only: Step = |p| {
+            let deltas: Vec<CoordDelta> = (0..3)
+                .map(|i| CoordDelta::overwrite(vec![i, i], 2.5 + i as f64))
+                .collect();
+            p.update_batch("B", &deltas).unwrap();
+            p.run_incremental().unwrap();
+        };
+        let structural: Step = |p| {
+            p.update_batch("B", &[CoordDelta::insert(vec![0, 90], 3.25)])
+                .unwrap();
+            p.run_incremental().unwrap();
+        };
+        let merge: Step = |p| {
+            p.run_incremental().unwrap();
+        };
+        let steps = [
+            RUN, value_only, value_only, merge, structural, value_only, RUN,
+        ];
+        let reused = replay_against_fresh(build, &steps);
+        assert_eq!(
+            &reused[1..4],
+            &[(1, 1); 3],
+            "value-only batches rename, not describe"
+        );
+        assert_eq!(
+            reused[4],
+            (0, 0),
+            "a structural batch re-keys: a new plan is described"
+        );
+    }
+
+    /// Every entry point that changes what a plan key is built from re-keys
+    /// the statement — one compile more, as on a program that keys afresh
+    /// every pass — and the passes after it stay bit-identical to that
+    /// program's.
+    #[test]
+    fn every_key_input_change_rekeys_the_statement() {
+        let banded = || generate::banded(128, 7, 9);
+        let skew: Step = |p| {
+            let deltas: Vec<CoordDelta> = (0..32)
+                .flat_map(|i| (64..72).map(move |j| CoordDelta::insert(vec![i, j], 0.5)))
+                .collect();
+            p.update_batch("B", &deltas).unwrap();
+        };
+        type Row = (&'static str, ScheduleSpec, SpTensor, Step);
+        let rows: Vec<Row> = vec![
+            (
+                "set_tensor_format",
+                ScheduleSpec::outer_dim(),
+                banded(),
+                |p| {
+                    p.set_tensor_format("B", Format::nonzero_csr()).unwrap();
+                },
+            ),
+            (
+                "context_mut re-registration",
+                ScheduleSpec::outer_dim(),
+                banded(),
+                |p| {
+                    let b = generate::banded(128, 9, 4);
+                    p.context_mut()
+                        .add_tensor("B", b, Format::blocked_csr())
+                        .unwrap();
+                },
+            ),
+            (
+                "structural update_batch",
+                ScheduleSpec::outer_dim(),
+                banded(),
+                |p| {
+                    let insert = CoordDelta::insert(vec![0, 100], 3.25);
+                    p.update_batch("B", &[insert]).unwrap();
+                },
+            ),
+            (
+                "warm-up re-selection",
+                ScheduleSpec::Auto,
+                super::super::auto::tests::find_moderate_skew(),
+                |_| {},
+            ),
+            ("drift_reselect", ScheduleSpec::Auto, banded(), skew),
+        ];
+        for (what, spec, b, change) in rows {
+            let build = || spmv_program(b.clone(), spec.clone()).build().unwrap();
+            let (mut on, mut off) = (build(), build());
+            off.pass_replay_off = true;
+            let mut compiles = 0;
+            for p in [&mut on, &mut off] {
+                p.run().unwrap();
+                compiles = p.report().compiles;
+                change(p);
+                p.run_incremental().unwrap();
+                p.run().unwrap();
+            }
+            assert!(on.report().compiles > compiles, "{what}: not re-keyed");
+            assert_eq!(on.report().compiles, off.report().compiles, "{what}");
+            assert_eq!(observed(&on), observed(&off), "{what}");
+        }
+    }
+
+    /// The report names the schedule each statement runs under, refreshed
+    /// where a selection is assigned: a warm-up re-selection onto the
+    /// non-zero split, and an auto non-zero pick that does not compile and
+    /// falls back to outer-dim.
+    #[test]
+    fn the_report_names_reselections_and_fallbacks() {
+        let skewed = super::super::auto::tests::find_moderate_skew();
+        let mut p = spmv_program(skewed, ScheduleSpec::Auto).build().unwrap();
+        assert_eq!(p.report().stmts[0].schedule_kind, "unselected");
+        // The first pass runs outer-dim; the warm-up feedback after it
+        // re-selects, and the report names the selection at once.
+        p.run().unwrap();
+        let report = p.report();
+        assert_eq!(
+            report.stmts[0].schedule_kind, "non-zero",
+            "the warm-up re-selection"
+        );
+        assert_eq!(report.stmts[0].schedule, p.stmts[0].schedule_text());
+        assert!(report.decisions[1].reason.starts_with("warm-up"));
+        p.run().unwrap();
+        assert_eq!(p.report().stmts[0].schedule_kind, "non-zero");
+
+        let mut p = spmv_program(generate::banded(64, 5, 2), ScheduleSpec::Auto)
+            .build()
+            .unwrap();
+        p.run().unwrap();
+        // Three pieces on four processors: this non-zero split does not
+        // compile.
+        let stmt = p.stmts[0].stmt.clone();
+        let unit = ParallelUnit::CpuThread;
+        let schedule =
+            crate::api::schedule_nonzero(&mut p.ctx, &stmt, "B", 2, PIECES - 1, unit).unwrap();
+        p.select(
+            0,
+            Chosen {
+                kind: ChosenKind::Nonzero,
+                schedule,
+            },
+        );
+        assert_eq!(p.report().stmts[0].schedule_kind, "non-zero");
+        p.run().unwrap();
+        let report = p.report();
+        assert_eq!(report.stmts[0].schedule_kind, "outer-dim", "the fallback");
+        assert_eq!(report.stmts[0].schedule, p.stmts[0].schedule_text());
+        let last = report.decisions.last().unwrap();
+        assert!(
+            last.reason.starts_with("non-zero plan failed to compile"),
+            "{last}"
+        );
     }
 }

@@ -97,20 +97,22 @@ mod exec;
 use std::sync::Arc;
 
 use spdistal_ir::{Assignment, Format};
-use spdistal_runtime::Trace;
+use spdistal_runtime::{Tenant, Trace};
 use spdistal_sparse::SpTensor;
 
 use crate::dist_tensor::{Context, Error};
 use crate::engine::PlanCache;
 use crate::plan::{ExecResult, OutputValue};
+use crate::session::PassRecord;
 use crate::streaming::IncrementalStats;
 use auto::Chosen;
-use exec::RetainedOutput;
+use exec::{KeyMemo, RetainedOutput};
 
 pub use auto::{AutoDecision, STATIC_IMBALANCE, SWITCH_IMBALANCE, SWITCH_TASK_SKEW};
 pub use builder::{Program, ScheduleSpec};
 
-/// Per-statement slice of a [`ProgramReport`]: the schedule selected now.
+/// Per-statement slice of a [`ProgramReport`]: the schedule selected now
+/// (`"unselected"` before the first pass).
 /// What the last execution did (simulated and wall time, launches, task
 /// skew) is its [`ExecResult`]: [`CompiledProgram::result`].
 #[derive(Clone, Debug)]
@@ -146,7 +148,11 @@ pub struct ProgramReport {
     pub model_seq_sum: f64,
     /// Modeled graph-ordered makespan summed over flushes.
     pub model_makespan: f64,
-    /// Per-statement state after the most recent iteration.
+    /// Per statement, the schedule selected now: refreshed where a
+    /// selection is assigned (first selection, a warm-up or drift
+    /// re-selection, a compile-failure fallback), so after an iteration
+    /// whose warm-up feedback re-selected it names the next iteration's
+    /// schedule.
     pub stmts: Vec<StmtReport>,
     /// Every auto-scheduler decision taken so far, in order.
     pub decisions: Vec<AutoDecision>,
@@ -169,6 +175,9 @@ struct ProgramStmt {
     /// Whether the warm-up feedback pass already ran for this statement
     /// (re-selection happens at most once).
     tuned: bool,
+    /// The plan key of the current selection and what it was built from;
+    /// `None` until the next lookup after a (re)selection.
+    key: Option<KeyMemo>,
 }
 
 impl ProgramStmt {
@@ -176,6 +185,20 @@ impl ProgramStmt {
     fn schedule_text(&self) -> String {
         let chosen = self.chosen.as_ref();
         chosen.map_or_else(|| "<unselected>".to_string(), |c| c.schedule.to_string())
+    }
+
+    /// This statement's slice of the [`ProgramReport`]: refreshed where a
+    /// selection is assigned, never per pass.
+    fn report(&self) -> StmtReport {
+        let schedule_kind = self
+            .chosen
+            .as_ref()
+            .map_or("unselected", |c| c.kind.label());
+        let schedule = self.schedule_text();
+        StmtReport {
+            schedule_kind,
+            schedule,
+        }
     }
 }
 
@@ -186,7 +209,7 @@ pub struct CompiledProgram {
     stmts: Vec<ProgramStmt>,
     pipelined: bool,
     cache: Arc<PlanCache>,
-    tenant: Option<String>,
+    tenant: Option<Tenant>,
     report: ProgramReport,
     /// Per-statement result of the most recent pass; a merging pass moves
     /// the output values out as its seed (and replaces the result).
@@ -197,6 +220,13 @@ pub struct CompiledProgram {
     /// Per-statement telemetry of the most recent
     /// [`run_incremental`](CompiledProgram::run_incremental) pass.
     last_incremental: Vec<Option<IncrementalStats>>,
+    /// What the last pass described, handed to the next pass's session
+    /// ([`PassRecord`]).
+    record: PassRecord,
+    /// Every pass describes afresh, as if nothing were recorded: the
+    /// record's oracle.
+    #[cfg(test)]
+    pass_replay_off: bool,
 }
 
 impl CompiledProgram {
@@ -302,7 +332,7 @@ impl CompiledProgram {
     /// The tenant label attributed to this program's cache traffic, if
     /// any (see [`Program::tenant`]).
     pub fn tenant(&self) -> Option<&str> {
-        self.tenant.as_deref()
+        self.tenant.as_ref().map(Tenant::name)
     }
 
     /// A human-readable dump of the program: statements, current
@@ -325,7 +355,7 @@ impl CompiledProgram {
             match &ps.chosen {
                 Some(c) => {
                     let _ = writeln!(out, "      schedule ({}): {}", c.kind.label(), c.schedule);
-                    let _ = writeln!(out, "      cache key: {}", self.cache_key(k));
+                    let _ = writeln!(out, "      cache key: {}", self.cache_key(k).key);
                 }
                 None => {
                     let _ = writeln!(out, "      schedule: not yet selected");

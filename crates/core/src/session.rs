@@ -43,19 +43,36 @@
 //! [`FlushReport::modeled_overlap`] reports sequential-sum ÷ graph-ordered
 //! makespan: 1.0 for a dependence chain, > 1 when independent launches
 //! with different critical processors genuinely overlap.
+//!
+//! ## The record
+//!
+//! What a batch describes — per plan a [`Described`]: the leaf, the
+//! per-color requirement lists and owner processors, the span cuts and the
+//! write-back claims; per batch the [`Pipeline`] built from them, with its
+//! `preds` — stays in the session's `PassRecord`, by ticket and by the
+//! batch's first ticket. A session starts from an empty record, so
+//! [`Session::new`] (and with it `Context::run`) always describes. A
+//! [`CompiledProgram`](crate::CompiledProgram) hands the record of one pass
+//! to the next pass's session (`Session::resume`, `Session::into_record`),
+//! whose statements have the same tickets: a batch then rebinds each
+//! recorded describe that still holds ([`Described::rebind`]) and, when
+//! every one of them held, drains the recorded graph — only the operand
+//! views and value buffers are bound afresh. Every trace event and counter
+//! of a pass keeps its count either way, `kernel.specialized` included;
+//! the `deps.analyze_ns` histogram times only the graphs that are built.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
 use spdistal_runtime::pipeline::{LaunchTiming, Pipeline};
 use spdistal_runtime::sched::ExecReport;
-use spdistal_runtime::{LaunchId, RegionId};
+use spdistal_runtime::{LaunchId, RegionId, Trace};
 use spdistal_sparse::SpTensor;
 
 use crate::codegen::Plan;
 use crate::dist_tensor::{Context, Error};
-use crate::plan::{finish_model, writeback_reqs, ExecResult, MergeSeed, OutputValue, PreparedPlan};
+use crate::plan::{finish_model, Described, ExecResult, MergeSeed, OutputValue, PreparedPlan};
 
 /// A handle to the (possibly not yet computed) result of one submitted
 /// plan. Force it with [`Session::wait`] or [`Session::value`].
@@ -167,10 +184,69 @@ pub struct Session<'c> {
     /// predecessor set every launch of the next batch gates behind (batch
     /// cuts are RAW cuts, so the dependence is real).
     model_preds: Vec<LaunchId>,
+    record: PassRecord,
+}
+
+/// What a session described, by ticket, and each batch's [`Pipeline`], by
+/// its first ticket. A session starts from an empty record, so every plan
+/// is described; a program hands the record of one pass to the next pass's
+/// session ([`Session::resume`]), whose batches rebind what still holds
+/// ([`Described::rebind`]) and drain the recorded graph when every plan of
+/// the batch held (module docs, "The record").
+#[derive(Default)]
+pub(crate) struct PassRecord {
+    described: BTreeMap<usize, Described>,
+    pipelines: BTreeMap<usize, (usize, Pipeline)>,
+    /// Describes and batch graphs taken from the record, not built.
+    #[cfg(test)]
+    pub(crate) reused: (usize, usize),
+}
+
+impl PassRecord {
+    /// Make the record hold a describe of every plan of `batch` and the
+    /// batch's pipeline, building only what no longer holds.
+    fn describe(&mut self, ctx: &Context, batch: &[Queued], trace: &Trace) -> Result<(), Error> {
+        let mut built = 0;
+        for q in batch {
+            let recorded = self.described.get_mut(&q.ticket);
+            if !recorded.is_some_and(|d| d.rebind(ctx, &q.plan)) {
+                // Distinct per ticket, counting down from the top of the id
+                // space (real ids count up from 0).
+                let stand_in = RegionId(u32::MAX - q.ticket as u32);
+                let described = Described::new(ctx, Arc::clone(&q.plan), stand_in)?;
+                self.described.insert(q.ticket, described);
+                built += 1;
+            }
+        }
+        let first = batch[0].ticket;
+        let recorded = self.pipelines.get(&first);
+        let replay = built == 0 && recorded.is_some_and(|(n, _)| *n == batch.len());
+        #[cfg(test)]
+        {
+            self.reused.0 += batch.len() - built;
+            self.reused.1 += replay as usize;
+        }
+        if !replay {
+            let launches = batch
+                .iter()
+                .map(|q| self.described[&q.ticket].launch_desc());
+            let deps_t0 = Instant::now();
+            let pipeline = Pipeline::new(launches.collect());
+            trace.observe_ns("deps.analyze_ns", deps_t0.elapsed().as_nanos() as u64);
+            self.pipelines.insert(first, (batch.len(), pipeline));
+        }
+        Ok(())
+    }
 }
 
 impl<'c> Session<'c> {
     pub fn new(ctx: &'c mut Context) -> Self {
+        Session::resume(ctx, PassRecord::default())
+    }
+
+    /// A session that starts from `record`, what an earlier session
+    /// described ([`Session::into_record`]).
+    pub(crate) fn resume(ctx: &'c mut Context, record: PassRecord) -> Self {
         // Gate the first batch behind whatever the context already issued
         // on the model timeline (earlier sessions, `Context::run`s), so a
         // session's modeled windows start after preceding work.
@@ -184,7 +260,13 @@ impl<'c> Session<'c> {
             queue: VecDeque::new(),
             slots: Vec::new(),
             model_preds,
+            record,
         }
+    }
+
+    /// What this session described, for the next one to resume from.
+    pub(crate) fn into_record(mut self) -> PassRecord {
+        std::mem::take(&mut self.record)
     }
 
     /// Read-only view of the underlying context (always consistent: reads
@@ -328,50 +410,33 @@ impl<'c> Session<'c> {
         n.max(1)
     }
 
-    /// Describe every plan of the batch, drain all their point tasks in
-    /// one pipelined pass, then replay model phases and write-backs in
-    /// issue order — which is a topological order of the batch's launch
-    /// graph, so gating each launch behind its graph predecessors (plus
-    /// everything the previous batch issued) replays the model phase
-    /// launch-graph-ordered.
+    /// Describe every plan of the batch — or rebind what the record holds
+    /// for its tickets — drain all their point tasks in one pipelined pass,
+    /// then replay model phases and write-backs in issue order — which is a
+    /// topological order of the batch's launch graph, so gating each launch
+    /// behind its graph predecessors (plus everything the previous batch
+    /// issued) replays the model phase launch-graph-ordered.
     fn run_batch(&mut self, batch: &mut [Queued], report: &mut FlushReport) -> Result<(), Error> {
         let mode = self.ctx.exec_mode();
         let trace = self.ctx.trace().clone();
         let batch_t0 = Instant::now();
-        let (exec_report, timings, finished, pred_sets) = {
+        self.record.describe(self.ctx, batch, &trace)?;
+        let record = &self.record;
+        let described: Vec<&Described> =
+            batch.iter().map(|q| &record.described[&q.ticket]).collect();
+        let (_, pipeline) = &record.pipelines[&batch[0].ticket];
+        let (exec_report, timings, finished) = {
             let ctx: &Context = self.ctx;
             let mut prepared = Vec::with_capacity(batch.len());
-            let mut launches = Vec::with_capacity(batch.len());
-            for (k, Queued { plan, seed, .. }) in batch.iter_mut().enumerate() {
-                // The output region exists only once the compute phase has
-                // sized it: a distinct stand-in per plan, counting down from
-                // the top of the id space (real ids count up from 0).
-                let out_region = RegionId(u32::MAX - k as u32);
-                let mut p = PreparedPlan::new(ctx, plan, out_region, seed.take())?;
-                launches.push(
-                    p.take_launch_desc()
-                        .with_extra_reqs(writeback_reqs(ctx, plan)?),
-                );
-                prepared.push(p);
+            for (q, d) in batch.iter_mut().zip(&described) {
+                prepared.push(PreparedPlan::new(ctx, d, q.seed.take())?);
             }
-            let deps_t0 = Instant::now();
-            let pipeline = Pipeline::new(launches);
-            trace.observe_ns("deps.analyze_ns", deps_t0.elapsed().as_nanos() as u64);
-            // The inter-launch edge set (including the write-back claims)
-            // also orders the model replay.
-            let pred_sets = pipeline.preds().to_vec();
             let (exec_report, timings) =
                 pipeline.run_traced(mode, &trace, |launch, point, span| {
                     prepared[launch].run_point(point, span)
                 });
-            // The requirements come back from the drain for the model phase.
-            let lent = pipeline.into_launches().into_iter().map(|l| l.point_reqs);
-            let finished: Vec<_> = prepared
-                .into_iter()
-                .zip(lent)
-                .map(|(p, reqs)| p.finish(reqs))
-                .collect();
-            (exec_report, timings, finished, pred_sets)
+            let finished: Vec<_> = prepared.into_iter().map(PreparedPlan::finish).collect();
+            (exec_report, timings, finished)
         };
 
         // Rebase the driver-relative milestones onto the session epoch and
@@ -399,12 +464,12 @@ impl<'c> Session<'c> {
             .enumerate()
         {
             let mut preds = self.model_preds.clone();
-            for &a in &pred_sets[k] {
+            for &a in &pipeline.preds()[k] {
                 preds.extend_from_slice(&plan_ids[a]);
             }
             let result = finish_model(
                 self.ctx,
-                &q.plan,
+                described[k],
                 finished,
                 exec_report,
                 timing,

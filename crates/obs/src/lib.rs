@@ -83,6 +83,27 @@ struct TraceInner {
     wake_ns: Arc<metrics::LogHistogram>,
 }
 
+/// A tenant label with its plan-cache counter names, spelled once per
+/// tenant (a program holds one) instead of once per lookup.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Tenant {
+    name: String,
+    /// `tenant.<name>.plan_cache.hit`, then `.miss`.
+    counters: [String; 2],
+}
+
+impl Tenant {
+    pub fn new(name: impl Into<String>) -> Tenant {
+        let name = name.into();
+        let counters = ["hit", "miss"].map(|o| format!("tenant.{name}.plan_cache.{o}"));
+        Tenant { name, counters }
+    }
+
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+}
+
 /// A clonable tracing handle: disabled (default) or recording.
 #[derive(Clone, Default)]
 pub struct Trace(Option<Arc<TraceInner>>);
@@ -322,13 +343,13 @@ impl Trace {
 
     /// One plan-cache lookup with tenant attribution: records the
     /// `PlanCacheHit`/`PlanCacheMiss` event and the `plan_cache.{hit,miss}`
-    /// counters, a per-tenant `tenant.<name>.plan_cache.{hit,miss}` counter
-    /// when a tenant label is given, and `plan_cache.hit.cross_tenant` when
-    /// the hit reused a plan some *other* tenant compiled.
+    /// counters, the tenant's `tenant.<name>.plan_cache.{hit,miss}` counter
+    /// when a tenant is given, and `plan_cache.hit.cross_tenant` when the
+    /// hit reused a plan some *other* tenant compiled.
     pub fn plan_cache_lookup(
         &self,
         key: &str,
-        tenant: Option<&str>,
+        tenant: Option<&Tenant>,
         hit: bool,
         cross_tenant: bool,
     ) {
@@ -347,8 +368,7 @@ impl Trace {
             self.add("plan_cache.miss", 1);
         }
         if let Some(t) = tenant {
-            let outcome = if hit { "hit" } else { "miss" };
-            self.add(&format!("tenant.{t}.plan_cache.{outcome}"), 1);
+            self.add(&t.counters[usize::from(!hit)], 1);
         }
     }
 
@@ -596,9 +616,10 @@ mod tests {
     #[test]
     fn plan_cache_lookup_attributes_tenants_and_cross_tenant_hits() {
         let t = Trace::enabled();
-        t.plan_cache_lookup("k", Some("t1"), false, false);
-        t.plan_cache_lookup("k", Some("t2"), true, true);
-        t.plan_cache_lookup("k", Some("t1"), true, false);
+        let (t1, t2) = (Tenant::new("t1"), Tenant::new("t2"));
+        t.plan_cache_lookup("k", Some(&t1), false, false);
+        t.plan_cache_lookup("k", Some(&t2), true, true);
+        t.plan_cache_lookup("k", Some(&t1), true, false);
         t.plan_cache_lookup("k", None, true, false); // untenanted hit
         let m = t.metrics().unwrap();
         // Totals plus cross-tenant attribution.

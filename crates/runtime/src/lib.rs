@@ -36,5 +36,5 @@ pub use machine::{LinkProfile, Machine, MachineProfile, ProcKind, ProcProfile};
 pub use partition::Partition;
 pub use pipeline::{LaunchDesc, LaunchTiming, Pipeline};
 pub use sched::{ExecMode, ExecReport, Executor, SplitPolicy, TaskGraph};
-pub use spdistal_obs::Trace;
+pub use spdistal_obs::{Tenant, Trace};
 pub use task::{Privilege, RegionId, RegionReq, TaskSpec};

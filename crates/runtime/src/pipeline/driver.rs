@@ -150,13 +150,6 @@ impl Pipeline {
         &self.preds
     }
 
-    /// Hand the launch descriptors back once the drain is over, so what
-    /// they describe (the per-point requirements) can be issued again —
-    /// to the machine model — without being rebuilt.
-    pub fn into_launches(self) -> Vec<LaunchDesc> {
-        self.launches
-    }
-
     pub fn num_launches(&self) -> usize {
         self.launches.len()
     }

@@ -28,7 +28,7 @@ pub enum Privilege {
 }
 
 /// One region requirement of a task.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RegionReq {
     pub region: RegionId,
     pub subset: IntervalSet,

@@ -1095,3 +1095,164 @@ fn malformed_registrations_are_typed_and_the_connection_is_kept() {
     assert_eq!(served(&mut neighbour, &spmv, 1), before);
     harness.finish();
 }
+
+// ---- shutdown and admission under pressure ----
+
+/// Two value-only batches over the first stored coordinates of `b`.
+fn value_batches(b: &SpTensor) -> Vec<Vec<spdistal_sparse::CoordDelta>> {
+    let coo = b.to_coo();
+    let batch = |skip: usize, f: fn(f64) -> f64| {
+        let entries = coo.iter().skip(skip).take(4);
+        let deltas = entries.map(|(c, v)| spdistal_sparse::CoordDelta::overwrite(c.clone(), f(*v)));
+        deltas.collect()
+    };
+    vec![batch(0, |v| v * 2.0 + 1.0), batch(2, |v| v - 0.5)]
+}
+
+/// What an in-process program answers for `STMT` after a cold pass and one
+/// incremental pass per batch: the oracle of a served `submit_incremental`.
+fn incremental_in_process(
+    b_data: &SpTensor,
+    c_data: &[f64],
+    batches: &[Vec<spdistal_sparse::CoordDelta>],
+) -> Vec<u64> {
+    let n = b_data.dims()[0];
+    let mut program = Program::on(Machine::grid1d(4, MachineProfile::lassen_cpu()))
+        .tensor("a", Format::blocked_dense_vec(), dense_vector(vec![0.0; n]))
+        .tensor("B", Format::blocked_csr(), b_data.clone())
+        .tensor(
+            "c",
+            Format::replicated_dense_vec(),
+            dense_vector(c_data.to_vec()),
+        )
+        .stmt(STMT)
+        .schedule(ScheduleSpec::outer_dim())
+        .build()
+        .expect("local build");
+    program.run().expect("cold pass");
+    for batch in batches {
+        program.update_batch("B", batch).expect("local batch");
+        program.run_incremental().expect("local incremental pass");
+    }
+    match program.value(0) {
+        Some(OutputValue::Tensor(t)) => bits(t.vals()),
+        other => panic!("unexpected value {other:?}"),
+    }
+}
+
+/// Shutdown asked while a `submit_incremental` is on its way in, or while
+/// it runs: `run` returns within a deadline, and the job's client gets
+/// either the answer an in-process program gives, bit for bit, or a typed
+/// refusal — never a hang or a wrong answer.
+#[test]
+fn shutdown_racing_an_incremental_submit_answers_or_refuses_in_time() {
+    let (b_data, c_data) = demo_tensors();
+    let batches = value_batches(&b_data);
+    let want = incremental_in_process(&b_data, &c_data, &batches);
+    for wait_until_running in [false, true] {
+        let harness = start(spdistal_server::ServerConfig::default());
+        let (ready, submitting) = std::sync::mpsc::channel();
+        let (started, running) = std::sync::mpsc::channel();
+        let mut client = harness.client();
+        let (b, c, batches) = (b_data.clone(), c_data.clone(), batches.clone());
+        let job = std::thread::spawn(move || {
+            client.hello("racer").expect("hello");
+            register_demo(&mut client, &b, &c);
+            for batch in &batches {
+                client.update_batch("B", batch).expect("queue batch");
+            }
+            ready.send(()).expect("main thread waits");
+            client.submit_incremental(&[(STMT, "outer-dim")], |_| {
+                let _ = started.send(());
+            })
+        });
+        submitting
+            .recv()
+            .expect("the client got as far as its submit");
+        if wait_until_running {
+            running.recv().expect("the job streams an event");
+        }
+        let asked = Instant::now();
+        harness.handle.request_shutdown();
+        harness.thread.join().expect("join").expect("run");
+        let took = asked.elapsed();
+        assert!(took < Duration::from_secs(15), "shutdown took {took:?}");
+        match job.join().expect("the client never panics") {
+            Ok(outcome) => {
+                let got = &outcome.results.first().expect("a result").1;
+                assert_eq!(bits(got), want, "a drained job answers bit for bit");
+            }
+            Err(ClientError::Server { code, .. }) => {
+                assert!(!wait_until_running, "a running job is drained, not refused");
+                assert_eq!(code, "server_shutdown");
+            }
+            Err(e) => {
+                assert!(!wait_until_running, "a running job is drained: {e}");
+                assert!(
+                    matches!(e, ClientError::Io(_) | ClientError::Frame(_)),
+                    "{e}"
+                );
+            }
+        }
+    }
+}
+
+/// With the one worker busy and the one queue slot taken, a burst of
+/// submits from eight more connections is refused `queue_full`, each
+/// connection goes on serving — a `hello`, then a full submit once the
+/// queue drains — and the admitted job answers what it answers alone.
+#[test]
+fn a_burst_of_queue_full_refusals_leaves_every_connection_serving() {
+    const BURST: usize = 8;
+    let config = spdistal_server::ServerConfig {
+        capacity: 1,
+        workers: 1,
+        ..spdistal_server::ServerConfig::default()
+    };
+    let harness = start(config);
+    let (b_data, c_data) = demo_tensors();
+    let want = fresh_in_process(&b_data, &c_data, &[(STMT, "outer-dim")], 1);
+
+    // Hold the worker: many passes over a larger matrix, running once its
+    // first flush report arrives.
+    let (started, running) = std::sync::mpsc::channel();
+    let mut holder = harness.client();
+    let holder = std::thread::spawn(move || {
+        let big = generate::banded(30_000, 9, 5);
+        let c = generate::dense_vec(big.dims()[1], 3);
+        holder.hello("holder").expect("hello");
+        register_demo(&mut holder, &big, &c);
+        // About a second either way: far longer than the burst takes.
+        let iters = if cfg!(debug_assertions) { 256 } else { 1024 };
+        holder.submit(&[(STMT, "outer-dim")], iters, true, |_| {
+            let _ = started.send(());
+        })
+    });
+    running.recv().expect("the holder's job runs");
+
+    // Take the queue slot.
+    let mut admitted = harness.client();
+    admitted.hello("admitted").expect("hello");
+    register_demo(&mut admitted, &b_data, &c_data);
+    let admitted = std::thread::spawn(move || served(&mut admitted, &[(STMT, "outer-dim")], 1));
+    std::thread::sleep(Duration::from_millis(100));
+
+    let mut burst: Vec<Client> = (0..BURST).map(|_| harness.client()).collect();
+    for (k, client) in burst.iter_mut().enumerate() {
+        match client.submit(&[(STMT, "outer-dim")], 1, true, |_| {}) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, "queue_full", "burst {k}"),
+            other => panic!("burst {k}: expected queue_full, got {other:?}"),
+        }
+        client
+            .hello(&format!("burst{k}"))
+            .expect("a refused connection serves on");
+    }
+
+    assert_eq!(admitted.join().expect("admitted client"), want);
+    holder.join().expect("holder client").expect("holder job");
+    for client in &mut burst {
+        register_demo(client, &b_data, &c_data);
+        assert_eq!(served(client, &[(STMT, "outer-dim")], 1), want);
+    }
+    harness.finish();
+}
