@@ -143,6 +143,13 @@ if ! awk 'FNR == 1 { t = 0; p = ""; f = "" }
           END { exit bad }' crates/core/src/kernels/specialized/{mod,matrix,tensor3}.rs; then
   echo "a row-keyed body searches its clamp per row: take the walker's owned flag (specialized::pieces / cut)"; exit 1
 fi
+# One output-row borrow per row: SpMM's and SpMTTKRP's blessed bodies borrow
+# their output row once (`OutVals::row_mut`) and keep it in registers across
+# entries. The checked per-entry factor-row write `add_scaled_product`
+# belongs to the walker (`kernels::tensor3`) alone.
+if grep -rn 'add_scaled_product' crates/core/src/kernels/specialized/; then
+  echo "a blessed kernel writes its output per entry again: borrow the row once (OutVals::row_mut)"; exit 1
+fi
 # One trace event per window: a span, a launch and a flush each record once,
 # stamped at the window's start and carrying its `dur_ns`, so the exporter
 # pairs nothing and a full ring cannot leave half a window. The begin/end

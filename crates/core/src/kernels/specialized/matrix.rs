@@ -31,7 +31,9 @@
 use spdistal_runtime::{IntervalSet, Rect1};
 use spdistal_sparse::SpTensor;
 
-use super::{compressed, cut, for_coo_runs, for_rows, pieces, prefetch_read, singleton, TopLevel};
+use super::{
+    compressed, cut, for_coo_runs, for_rows, pieces, prefetch_read, singleton, Avx, TopLevel,
+};
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
@@ -122,8 +124,9 @@ const PF_DIST: usize = 4;
 /// `f64`s per 64-byte cache line, the stride between prefetch hints.
 const FLOATS_PER_LINE: usize = 8;
 
-/// Stored entries folded per unrolled SpMM step (see [`SpMmRows::row`]).
-const CHUNK: usize = 4;
+/// Stored entries folded per unrolled step of SpMM's and SpMTTKRP's row
+/// loops (see [`SpMmRows::slice`]).
+pub(super) const CHUNK: usize = 4;
 
 /// The per-task operands of the row-keyed SpMM update, bundled so the
 /// baseline and AVX-widened row loops share one body.
@@ -252,6 +255,22 @@ pub(super) fn spmm<T: TopLevel>(
     jdim: usize,
     out: &OutVals,
 ) -> f64 {
+    spmm_with::<T>(b, part, color, span, c, jdim, out, Avx::detect())
+}
+
+/// [`spmm`] through [`SpMmRows::row_wide`] when handed an [`Avx`], else
+/// through the baseline [`SpMmRows::row`].
+#[allow(clippy::too_many_arguments)]
+pub(super) fn spmm_with<T: TopLevel>(
+    b: &SpTensor,
+    part: &TensorPartition,
+    color: usize,
+    span: Option<&KernelSpan>,
+    c: &[f64],
+    jdim: usize,
+    out: &OutVals,
+    avx: Option<Avx>,
+) -> f64 {
     let clamps = LevelClamps::new(part, color, span);
     let cols = clamps.level(1);
     let rows = SpMmRows {
@@ -263,13 +282,15 @@ pub(super) fn spmm<T: TopLevel>(
         out,
     };
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX support was detected on the line above.
+    if avx.is_some() {
+        // SAFETY: an `Avx` exists only where AVX support was detected.
         let n = for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| unsafe {
             rows.row_wide(i, range, owned)
         });
         return (jdim as u64 * n) as f64;
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = avx;
     let n = for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| {
         rows.row(i, range, owned)
     });

@@ -4,7 +4,7 @@
 //!
 //! | | |
 //! |---|---|
-//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `Owner` cursor by which the row walkers decide row ownership once per row run and the one cut-row path (`cut`), the `TopLevel` and `MidLevel` level kinds, and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
+//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `Owner` cursor by which the row walkers decide row ownership once per row run and the one cut-row path (`cut`), the `TopLevel` and `MidLevel` level kinds, the `Avx` proof by which SpMM and SpMTTKRP take their AVX-widened row loop, and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
 //! | **Does not own** | when the lookup happens — once per describe (`plan::Described`, reused by a program's cached passes) in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
 //! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
 //! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
@@ -407,6 +407,26 @@ fn singleton(t: &SpTensor, level: usize) -> &[i64] {
     }
 }
 
+/// Proof that the running CPU has 256-bit AVX, made only by
+/// [`Avx::detect`]: a kernel handed one may call its
+/// `#[target_feature(enable = "avx")]` row loop (SpMM's, SpMTTKRP's); a
+/// kernel handed `None` runs the baseline loop, which is how the unit
+/// tests reach it on an AVX host.
+#[derive(Clone, Copy)]
+struct Avx(());
+
+impl Avx {
+    /// `Some` when AVX was detected at run time (never off x86-64).
+    #[inline(always)]
+    fn detect() -> Option<Avx> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            return Some(Avx(()));
+        }
+        None
+    }
+}
+
 /// Hint the prefetcher at `slice[index]` (a pure cache hint: no-op when
 /// out of range, and off x86-64).
 #[inline(always)]
@@ -460,6 +480,122 @@ mod tests {
             let mut owner = Owner::new(&clamp);
             for r in queries.iter().map(rect) {
                 prop_assert!(!owner.owns(r) || inside(&clamp, r), "{r:?} in {clamp:?}");
+            }
+        }
+    }
+
+    /// One `(color, span)` task of a leaf over a fixed driver and operands.
+    type Task<'a> = dyn Fn(&TensorPartition, usize, Option<&KernelSpan>, &OutVals) -> f64 + 'a;
+
+    /// Runs `walker` and `body` span by span over every color of an
+    /// outer-dim, a leaf non-zero and a level-1 non-zero partition of `t`,
+    /// unsplit and in three spans, and asserts equal output bits and op
+    /// counts.
+    fn assert_same_as_walker(
+        label: &str,
+        t: &SpTensor,
+        kernel: &LeafKernel,
+        out_len: usize,
+        walker: &Task<'_>,
+        body: &Task<'_>,
+    ) {
+        use crate::kernels::{color_spans, split::color_weight};
+        use crate::level_funcs::{
+            equal_coord_bounds, nonzero_partition, partition_tensor, universe_partition,
+        };
+        use spdistal_runtime::sched::{ExecMode, SplitPolicy};
+
+        let leaf = t.order() - 1;
+        let rows = universe_partition(t, 0, &equal_coord_bounds(t.dims()[0], 4));
+        let parts = [
+            partition_tensor(t, 0, rows),
+            partition_tensor(t, leaf, nonzero_partition(t, leaf, 3)),
+            partition_tensor(t, 1, nonzero_partition(t, 1, 3)),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (p, part) in parts.iter().enumerate() {
+            for policy in [SplitPolicy::Off, SplitPolicy::Spans(3)] {
+                let colors = part.num_colors();
+                let total = (0..colors).map(|c| color_weight(part, c)).sum();
+                let (mut want, mut got) = (vec![0.0; out_len], vec![0.0; out_len]);
+                let (mut want_ops, mut got_ops) = (0.0f64, 0.0f64);
+                for color in 0..colors {
+                    let mode = ExecMode::Serial;
+                    for span in color_spans(t, part, kernel, color, policy, mode, total) {
+                        let span = span.as_ref();
+                        want_ops += walker(part, color, span, &OutVals::new(&mut want));
+                        got_ops += body(part, color, span, &OutVals::new(&mut got));
+                    }
+                }
+                let at = format!("{label} [partition {p}, {policy:?}]");
+                assert_eq!(got_ops.to_bits(), want_ops.to_bits(), "{at}: ops");
+                assert_eq!(bits(&got), bits(&want), "{at}: values");
+            }
+        }
+    }
+
+    /// The baseline row loops of SpMM and SpMTTKRP — what runs where AVX is
+    /// absent — against the walker, bit for bit, over every blessed
+    /// row-keyed layout. On an AVX host the kernels the table hands out
+    /// take the widened arm, so this is the one place the baseline runs.
+    #[test]
+    fn baseline_row_loops_match_the_walker() {
+        use crate::kernels::{matrix as walk2, tensor3 as walk3};
+        use spdistal_sparse::convert::{to_dcsr, with_formats};
+        use spdistal_sparse::generate;
+        use tensor3::{spmttkrp_with, CompressedMid as Mid, DenseMid};
+        use LevelFormat::{Compressed, Dense};
+
+        let csr = generate::rmat_clustered(6, 520, 0.57, 12);
+        let csf = generate::tensor3_skewed([24, 16, 12], 700, 1.3, 37);
+        let matrices = [("csr", csr.clone()), ("dcsr", to_dcsr(&csr))];
+        let tensors = [
+            ("dcsf", with_formats(&csf, &[Compressed; 3])),
+            ("ddc", with_formats(&csf, &[Dense, Dense, Compressed])),
+            ("csf", csf),
+        ];
+        for width in [1, 4, 33] {
+            for (name, t) in &matrices {
+                let c = generate::dense_vec(t.dims()[1] * width, 17);
+                let spmm: SpMmFn = match *name {
+                    "csr" => |t, p, col, sp, c, w, o| {
+                        matrix::spmm_with::<DenseTop>(t, p, col, sp, c, w, o, None)
+                    },
+                    _ => |t, p, col, sp, c, w, o| {
+                        matrix::spmm_with::<CompressedTop>(t, p, col, sp, c, w, o, None)
+                    },
+                };
+                assert_same_as_walker(
+                    &format!("SpMm {name}/w{width}"),
+                    t,
+                    &LeafKernel::SpMm { jdim: width },
+                    t.dims()[0] * width,
+                    &|p, col, sp, o| walk2::spmm_color(t, p, col, sp, &c, width, o),
+                    &|p, col, sp, o| spmm(t, p, col, sp, &c, width, o),
+                );
+            }
+            for (name, t) in &tensors {
+                let c = generate::dense_vec(t.dims()[1] * width, 41);
+                let d = generate::dense_vec(t.dims()[2] * width, 43);
+                let spmttkrp: SpMttkrpFn = match *name {
+                    "csf" => |t, p, col, sp, c, d, w, o| {
+                        spmttkrp_with::<Mid<DenseTop>>(t, p, col, sp, c, d, w, o, None)
+                    },
+                    "dcsf" => |t, p, col, sp, c, d, w, o| {
+                        spmttkrp_with::<Mid<CompressedTop>>(t, p, col, sp, c, d, w, o, None)
+                    },
+                    _ => |t, p, col, sp, c, d, w, o| {
+                        spmttkrp_with::<DenseMid>(t, p, col, sp, c, d, w, o, None)
+                    },
+                };
+                assert_same_as_walker(
+                    &format!("SpMttkrp {name}/w{width}"),
+                    t,
+                    &LeafKernel::SpMttkrp { ldim: width },
+                    t.dims()[0] * width,
+                    &|p, col, sp, o| walk3::spmttkrp_color(t, p, col, sp, &c, &d, width, o),
+                    &|p, col, sp, o| spmttkrp(t, p, col, sp, &c, &d, width, o),
+                );
             }
         }
     }

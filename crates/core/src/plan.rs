@@ -42,17 +42,21 @@
 //! An output is written back one of two ways, and either way one copy of
 //! it exists. **By value**: when a program statement's plan wrote the
 //! output last and nothing has touched it since — the output version its
-//! previous write-back recorded ([`ExecResult::output_version`]) is still
-//! current *at write-back time* — the registration already there keeps its
-//! dims, levels, pattern hash and partition and only renews its regions
-//! ([`Context::write_back`]). A plain pass moves the computed buffer in as
-//! its values; a merging pass copies only the ranges of the colors that
-//! re-ran into the registered values and keeps its buffer for the next
-//! merge seed. **Re-registration**: otherwise — a first run, a
-//! `Context::run`, SpAdd3's assembled pattern, an output mutated or
-//! re-registered since, a re-keyed plan — [`materialize_output`] builds a
-//! new tensor around the computed buffer and `Context::replace_tensor_data`
-//! takes it by move. [`ExecResult::output`] is a clone of the registration
+//! previous write-back recorded ([`ExecResult::written`]) is still current
+//! *at write-back time* — and, for SpAdd3's assembled output, its inputs
+//! still hold the very pattern arrays that write merged (the merged pattern
+//! is their union, so it cannot have moved), the registration already
+//! there keeps its dims, levels, pattern hash and partition and only renews
+//! its regions ([`Context::write_back`]). A plain pass moves the computed
+//! buffer in as its values (for SpAdd3, its span buffers' values back to
+//! back: no `pos`/`crd` rebuild, no initial partition); a merging pass
+//! copies only the ranges of the colors that re-ran into the registered
+//! values and keeps its buffer for the next merge seed.
+//! **Re-registration**: otherwise — a first run, a `Context::run`, an
+//! SpAdd3 input whose pattern changed, an output mutated or re-registered
+//! since, a re-keyed plan — [`materialize_output`] builds a new tensor
+//! around the computed buffer and `Context::replace_tensor_data` takes it
+//! by move. [`ExecResult::output`] is a clone of the registration
 //! that shares its storage (after a merge, the registration's pattern
 //! around the merge buffer); a later write to either side copies first
 //! ([`SpTensor::vals_mut`]). The trace's `writeback_ns` histogram times the
@@ -241,10 +245,31 @@ pub struct ExecResult {
     /// around the merge buffer, which seeds the statement's next merge by
     /// move.
     pub output: OutputValue,
-    /// The output tensor's version right after this run's write-back. The
-    /// next run of the same plan writes by value only while the output
-    /// still has it ([`finish_model`]).
-    pub(crate) output_version: u64,
+    /// What this run's write-back left. The next run of the same plan
+    /// writes by value only while it still holds ([`finish_model`]).
+    pub(crate) written: LastWrite,
+}
+
+/// What a plan's write-back left, for the next run of the same plan
+/// ([`finish_model`]): the output's version right after it, and for an
+/// assembled output the pattern arrays of the inputs it was merged from —
+/// the merged pattern is their union and never depends on values.
+#[derive(Clone, Debug)]
+pub(crate) struct LastWrite {
+    version: u64,
+    patterns: Vec<Arc<[Level]>>,
+}
+
+impl LastWrite {
+    /// Does the registered output still hold what this write-back left,
+    /// and — for an assembled output — would its inputs, as `patterns`
+    /// now finds them, merge into that very pattern again?
+    fn holds(&self, ctx: &Context, name: &str, patterns: &[Arc<[Level]>]) -> bool {
+        let same = |(a, b): (&Arc<[Level]>, &Arc<[Level]>)| Arc::ptr_eq(a, b);
+        self.version == ctx.tensor_version(name)
+            && self.patterns.len() == patterns.len()
+            && self.patterns.iter().zip(patterns).all(same)
+    }
 }
 
 /// Execute `plan` within `ctx`: a [`Session`] of one plan, forced at once.
@@ -832,16 +857,22 @@ impl<'a> PreparedPlan<'a> {
 /// observe the gating; only the modeled milestones reported in the
 /// returned timings' [`ModelTiming`] do.
 ///
-/// The write-back has two arms. `last_write` is the output version this
-/// plan's previous write-back left ([`ExecResult::output_version`]), passed
-/// only while the plan is the one that wrote it. If the output still has
-/// that version *now* — checked here, not at pass start, since another
-/// statement of the same pass may have written it since — its registration
-/// holds exactly what that write-back left, so an in-place output is
-/// written into it by value: the computed buffer moved in, or on a merge
-/// only the ranges of the colors that re-ran copied ([`Context::write_back`]).
-/// Otherwise (a first run, SpAdd3, a mutated or re-registered output) the
-/// output is materialized and moved into a new registration.
+/// The write-back has two arms. `last_write` is what this plan's previous
+/// write-back left ([`ExecResult::written`]), passed only while the plan is
+/// the one that wrote it. If the output still has the version it recorded
+/// *now* — checked here, not at pass start, since another statement of the
+/// same pass may have written it since — its registration holds exactly
+/// what that write-back left, so an in-place output is written into it by
+/// value: the computed buffer moved in, or on a merge only the ranges of
+/// the colors that re-ran copied ([`Context::write_back`]). SpAdd3's
+/// assembled output goes the same way when, besides, B, C and D still hold
+/// the pattern arrays it recorded (the same level `Arc`s: a value-only
+/// batch keeps them): the union they merge into is then the registered
+/// pattern, so only the span values are concatenated and moved in.
+/// Otherwise (a first run, a mutated or re-registered output, an SpAdd3
+/// input whose pattern changed) the output is materialized and moved into
+/// a new registration. Either arm renews the output's regions with the
+/// same charges.
 pub(crate) fn finish_model(
     ctx: &mut Context,
     described: &Described,
@@ -849,7 +880,7 @@ pub(crate) fn finish_model(
     sched: ExecReport,
     mut timing: LaunchTiming,
     model_preds: &[LaunchId],
-    last_write: Option<u64>,
+    last_write: Option<&LastWrite>,
 ) -> Result<ExecResult, Error> {
     let Finished {
         computed,
@@ -948,25 +979,20 @@ pub(crate) fn finish_model(
     // --- write back ------------------------------------------------------
     let writeback_t0 = Instant::now();
     let name = &plan.output.tensor;
-    let registered = &ctx.tensor(name)?.data;
-    let by_value = match &computed {
-        Computed::Vals(vals) => {
-            last_write == Some(ctx.tensor_version(name)) && registered.num_stored() == vals.len()
-        }
-        Computed::Assembled { .. } => false,
+    let patterns = match &computed {
+        Computed::Assembled { .. } => input_patterns(ctx, plan)?,
+        Computed::Vals(_) => Vec::new(),
     };
-    let output = match computed {
-        Computed::Vals(vals) if by_value => {
-            let merged = reran.map(|reran| {
-                move |src: &[f64], dst: &mut [f64]| copy_written(plan, &reran, src, dst)
-            });
-            ctx.write_back(name, vals, merged)?
-        }
-        computed => {
-            let output = materialize_output(ctx, plan, computed)?;
-            ctx.replace_tensor_data(name, output)?;
-            ctx.tensor(name)?.data.clone()
-        }
+    let by_value = last_write.is_some_and(|w| w.holds(ctx, name, &patterns))
+        && ctx.tensor(name)?.data.num_stored() as u64 == out_len;
+    let output = if by_value {
+        let merged = reran
+            .map(|reran| move |src: &[f64], dst: &mut [f64]| copy_written(plan, &reran, src, dst));
+        ctx.write_back(name, computed.into_vals(), merged)?
+    } else {
+        let output = materialize_output(ctx, plan, computed)?;
+        ctx.replace_tensor_data(name, output)?;
+        ctx.tensor(name)?.data.clone()
     };
     trace.observe_ns("writeback_ns", writeback_t0.elapsed().as_nanos() as u64);
     let arm = if by_value {
@@ -992,8 +1018,17 @@ pub(crate) fn finish_model(
         sched,
         merge,
         output: OutputValue::Tensor(output),
-        output_version: ctx.tensor_version(name),
+        written: LastWrite {
+            version: ctx.tensor_version(name),
+            patterns,
+        },
     })
+}
+
+/// The pattern arrays of every input `plan` reads, in order.
+fn input_patterns(ctx: &Context, plan: &Plan) -> Result<Vec<Arc<[Level]>>, Error> {
+    let levels = |name: &str| Ok(Arc::clone(ctx.tensor(name)?.data.shared_levels()));
+    plan.inputs.iter().map(|i| levels(&i.tensor)).collect()
 }
 
 /// After a merge, copy the output ranges of the colors that re-ran from the
@@ -1117,14 +1152,34 @@ pub(crate) enum Computed {
     },
 }
 
+impl Computed {
+    /// The output's values in storage order: the in-place buffer, or the
+    /// span buffers' values back to back — (color, span) order is row
+    /// order, as [`assemble`] lays them out.
+    fn into_vals(self) -> Vec<f64> {
+        match self {
+            Computed::Vals(vals) => vals,
+            Computed::Assembled {
+                spans, total_nnz, ..
+            } => {
+                let mut vals = Vec::with_capacity(total_nnz);
+                for span in &spans {
+                    vals.extend_from_slice(&span.vals);
+                }
+                vals
+            }
+        }
+    }
+}
+
 /// Turn the computed buffers into a new output tensor, for the
 /// re-registration arm of the write-back ([`finish_model`]): the first run
-/// of a plan, SpAdd3's assembled pattern, or an output changed since the
-/// plan last wrote it. The buffer is moved in; SDDMM's output shares the
-/// driver's levels ([`SpTensor::with_vals`]) and SpTTV's copies its two
-/// outer levels. The tensor is registered by move and the result shares
-/// it. The by-value arm builds nothing: it keeps the registration's dims
-/// and levels.
+/// of a plan, an SpAdd3 input whose pattern changed, or an output changed
+/// since the plan last wrote it. The buffer is moved in; SDDMM's output
+/// shares the driver's levels ([`SpTensor::with_vals`]) and SpTTV's copies
+/// its two outer levels. The tensor is registered by move and the result
+/// shares it. The by-value arm builds nothing: it keeps the registration's
+/// dims and levels.
 fn materialize_output(ctx: &Context, plan: &Plan, computed: Computed) -> Result<SpTensor, Error> {
     Ok(match (computed, &plan.output.kind) {
         (Computed::Vals(v), OutKind::DenseVec) => dense_vector(v),

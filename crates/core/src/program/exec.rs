@@ -5,7 +5,7 @@
 //! | schedules | ask `auto` for drift re-selection and any missing schedule |
 //! | plans | one cache lookup (or compile) per statement under its [`PlanKey`], memoised ([`KeyMemo`]): the key string is rendered again only when the selection, a named tensor's `Format`, or a read tensor's dims or pattern hash changed; a hit still goes through `PlanCache::lookup`, so hit counts and tenant attribution are unchanged |
 //! | run modes | [`eligibility`]: per statement, merge into the previous output or run full — decided up front from pre-pass state, never during execution |
-//! | session | resume the last pass's record (what its session described: per statement the requirement lists, owner processors, span cuts and leaf, per batch the dependence graph — `session::PassRecord`), submit every statement with its merge seed, if any, and — while its plan key is unchanged — the output version its previous write-back left, which lets the write-back go by value; one flush when pipelined, one per statement otherwise; keep the record for the next pass |
+//! | session | resume the last pass's record (what its session described: per statement the requirement lists, owner processors, span cuts and leaf, per batch the dependence graph — `session::PassRecord`), submit every statement with its merge seed, if any, and — while its plan key is unchanged — what its previous write-back left (the output version; for SpAdd3 also the inputs' pattern arrays), which lets the write-back go by value; one flush when pipelined, one per statement otherwise; keep the record for the next pass |
 //! | bookkeeping | move results out of the session, record retention proofs, consume dirty state, fold flush reports — once |
 //!
 //! ```text
@@ -42,7 +42,7 @@ use super::{CompiledProgram, ProgramReport, ScheduleSpec};
 use crate::codegen::Plan;
 use crate::dist_tensor::{Context, Error};
 use crate::engine::PlanKey;
-use crate::plan::MergeSeed;
+use crate::plan::{LastWrite, MergeSeed};
 use crate::session::{FlushReport, Session, TensorFuture};
 use crate::streaming::{DirtyMap, IncrementalStats, TensorDirty, FALLBACK_DIRTY_RATIO};
 
@@ -198,7 +198,7 @@ pub(crate) fn eligibility(
 /// otherwise. On an error `futures` holds what was submitted so far.
 fn drive(
     session: &mut Session<'_>,
-    queued: Vec<(Arc<Plan>, Option<MergeSeed>, Option<u64>)>,
+    queued: Vec<(Arc<Plan>, Option<MergeSeed>, Option<LastWrite>)>,
     pipelined: bool,
     futures: &mut Vec<TensorFuture>,
 ) -> Result<Vec<FlushReport>, Error> {
@@ -346,12 +346,12 @@ impl CompiledProgram {
             let (retained, previous) = (self.retained[k].take(), self.last_results[k].take());
             let tracked = self.tracked(&proofs[k]);
             let mode = eligibility(merge, &proofs, k, retained.as_ref(), tracked);
-            // The version the statement's previous write-back left, while
-            // the plan is the one that wrote it; the write-back itself
-            // compares it with the output's version then.
+            // What the statement's previous write-back left, while the plan
+            // is the one that wrote it; the write-back itself compares it
+            // with the output (and SpAdd3's inputs) then.
             let last_write = match (&retained, &previous) {
                 (Some(ret), Some(prev)) if ret.plan_key == proofs[k].plan_key => {
-                    Some(prev.output_version)
+                    Some(prev.written.clone())
                 }
                 _ => None,
             };
@@ -951,6 +951,11 @@ mod tests {
     /// `iter_heavy`'s shape: the six kernels as independent statements —
     /// dense, pattern-aligned and assembled outputs — in one batch.
     fn sweep() -> CompiledProgram {
+        sweep_program().build().unwrap()
+    }
+
+    /// [`sweep`], not yet built.
+    fn sweep_program() -> Program {
         use spdistal_sparse::{convert, dense_matrix};
         const W: usize = 4;
         let n = 64;
@@ -1016,8 +1021,28 @@ mod tests {
             .tensor("B5", csr, b5)
             .stmt("A5(i,j) = B5(i,j) + C5(i,j) + D5(i,j)")
             .schedule(ScheduleSpec::outer_dim())
+    }
+
+    /// From the second pass of the sweep on, every statement writes its
+    /// output back by value — SpAdd3's assembled output included, its
+    /// inputs' pattern arrays unchanged — and none re-registers.
+    #[test]
+    fn a_cached_sweep_writes_every_output_by_value() {
+        let mut p = sweep_program()
+            .trace(crate::Trace::enabled())
             .build()
-            .unwrap()
+            .unwrap();
+        let arms = |p: &CompiledProgram| {
+            let m = p.trace().metrics().unwrap();
+            let count = |name: &str| m.counter(name).get();
+            (count("writeback.reregistered"), count("writeback.by_value"))
+        };
+        p.run().unwrap();
+        assert_eq!(arms(&p), (6, 0), "a first pass re-registers");
+        for pass in 1..4 {
+            p.run().unwrap();
+            assert_eq!(arms(&p), (6, 6 * pass), "cached pass {pass}");
+        }
     }
 
     /// The record against describing afresh: from the second pass on,

@@ -51,7 +51,10 @@
 //! write-back claims; per batch the [`Pipeline`] built from them, with its
 //! `preds` — stays in the session's `PassRecord`, by ticket and by the
 //! batch's first ticket. A session starts from an empty record, so
-//! [`Session::new`] (and with it `Context::run`) always describes. A
+//! [`Session::new`] (and with it `Context::run`) always describes; and
+//! since nothing resumes a plain session's record, it lets go of a batch's
+//! describes and graph once the batch has run, holding none across a long
+//! stream of submits. A
 //! [`CompiledProgram`](crate::CompiledProgram) hands the record of one pass
 //! to the next pass's session (`Session::resume`, `Session::into_record`),
 //! whose statements have the same tickets: a batch then rebinds each
@@ -72,7 +75,9 @@ use spdistal_sparse::SpTensor;
 
 use crate::codegen::Plan;
 use crate::dist_tensor::{Context, Error};
-use crate::plan::{finish_model, Described, ExecResult, MergeSeed, OutputValue, PreparedPlan};
+use crate::plan::{
+    finish_model, Described, ExecResult, LastWrite, MergeSeed, OutputValue, PreparedPlan,
+};
 
 /// A handle to the (possibly not yet computed) result of one submitted
 /// plan. Force it with [`Session::wait`] or [`Session::value`].
@@ -168,10 +173,10 @@ struct Queued {
     /// The previous output to merge into, if the submitter proved one valid
     /// (see [`Session::submit_merging`]).
     seed: Option<MergeSeed>,
-    /// The output version this plan's previous write-back left, if the
-    /// submitter knows it: the write-back goes by value while the output
-    /// still has it ([`finish_model`]).
-    last_write: Option<u64>,
+    /// What this plan's previous write-back left, if the submitter knows
+    /// it: the write-back goes by value while that still holds
+    /// ([`finish_model`]).
+    last_write: Option<LastWrite>,
 }
 
 /// A deferred-execution context wrapper. See the module docs.
@@ -192,11 +197,14 @@ pub struct Session<'c> {
 /// is described; a program hands the record of one pass to the next pass's
 /// session ([`Session::resume`]), whose batches rebind what still holds
 /// ([`Described::rebind`]) and drain the recorded graph when every plan of
-/// the batch held (module docs, "The record").
+/// the batch held (module docs, "The record"). A plain session's tickets
+/// never come back, so its record is `transient`: it lets go of a batch's
+/// describes and graph once the batch has run.
 #[derive(Default)]
 pub(crate) struct PassRecord {
     described: BTreeMap<usize, Described>,
     pipelines: BTreeMap<usize, (usize, Pipeline)>,
+    transient: bool,
     /// Describes and batch graphs taken from the record, not built.
     #[cfg(test)]
     pub(crate) reused: (usize, usize),
@@ -237,11 +245,25 @@ impl PassRecord {
         }
         Ok(())
     }
+
+    /// Let go of what `batch` recorded, if nothing resumes this record.
+    fn release(&mut self, batch: &[Queued]) {
+        if self.transient {
+            for q in batch {
+                self.described.remove(&q.ticket);
+            }
+            self.pipelines.remove(&batch[0].ticket);
+        }
+    }
 }
 
 impl<'c> Session<'c> {
     pub fn new(ctx: &'c mut Context) -> Self {
-        Session::resume(ctx, PassRecord::default())
+        let record = PassRecord {
+            transient: true,
+            ..PassRecord::default()
+        };
+        Session::resume(ctx, record)
     }
 
     /// A session that starts from `record`, what an earlier session
@@ -293,8 +315,8 @@ impl<'c> Session<'c> {
     /// output and the driver rows that changed since. Only the colors those
     /// rows touch re-run; [`ExecResult::merge`] reports what happened. The
     /// submitter vouches that every other input is unchanged. `last_write`
-    /// is the output version the plan's previous write-back left
-    /// ([`ExecResult::output_version`]), which lets this one write by value.
+    /// is what the plan's previous write-back left ([`ExecResult::written`]),
+    /// which lets this one write by value.
     /// The queue shares the plan (partitions included) with whoever holds
     /// the `Arc` — for a [`Program`](crate::program::Program), its plan
     /// cache.
@@ -302,7 +324,7 @@ impl<'c> Session<'c> {
         &mut self,
         plan: Arc<Plan>,
         seed: Option<MergeSeed>,
-        last_write: Option<u64>,
+        last_write: Option<LastWrite>,
     ) -> TensorFuture {
         let ticket = self.slots.len();
         self.slots.push(Slot::Pending);
@@ -331,6 +353,7 @@ impl<'c> Session<'c> {
             let n = self.next_batch_len();
             let mut batch: Vec<Queued> = self.queue.drain(..n).collect();
             drained = self.run_batch(&mut batch, &mut report);
+            self.record.release(&batch);
             if let Err(e) = &drained {
                 // Poison everything that never completed, drop the queue.
                 let msg = e.to_string();
@@ -474,7 +497,7 @@ impl<'c> Session<'c> {
                 exec_report,
                 timing,
                 &preds,
-                q.last_write,
+                q.last_write.as_ref(),
             )?;
             plan_ids.push(result.records.iter().map(|r| r.id).collect());
             report.launches.extend(result.launches.iter().cloned());
@@ -751,6 +774,35 @@ mod tests {
             "chain overlap ratio must be 1, got {}",
             report.modeled_overlap()
         );
+    }
+
+    /// A plain session's record holds nothing once its batches have run:
+    /// 200 plans submitted and flushed in batches of one, two and many
+    /// leave no describe and no batch graph behind.
+    #[test]
+    fn a_plain_session_lets_go_of_its_describes() {
+        let (mut ctx, _, _) = spmv_ctx();
+        let [i, j] = ctx.fresh_vars(["i", "j"]);
+        let sy = assign("y", &[i], access("B", &[i, j]) * access("x", &[j]));
+        let schedy = schedule_outer_dim(&mut ctx, &sy, PIECES, ParallelUnit::CpuThread);
+        let py = ctx.compile(&sy, &schedy).unwrap();
+        // z = B * y: reads y, so each y-then-z pair cuts a batch.
+        let [i2, j2] = ctx.fresh_vars(["i", "j"]);
+        let sz = assign("z", &[i2], access("B", &[i2, j2]) * access("y", &[j2]));
+        let schedz = schedule_outer_dim(&mut ctx, &sz, PIECES, ParallelUnit::CpuThread);
+        let pz = ctx.compile(&sz, &schedz).unwrap();
+        let mut session = Session::new(&mut ctx);
+        let mut batches = 0;
+        for round in 0..100 {
+            session.submit(&py);
+            session.submit(if round % 2 == 0 { &pz } else { &py });
+            if round % 10 == 9 {
+                batches += session.flush().unwrap().batches;
+            }
+        }
+        assert!(batches > 50, "{batches} batches");
+        assert!(session.record.described.is_empty(), "describes held");
+        assert!(session.record.pipelines.is_empty(), "batch graphs held");
     }
 
     #[test]

@@ -179,6 +179,14 @@ impl SpTensor {
         &self.levels
     }
 
+    /// The stored levels as the one allocation this tensor, its clones and
+    /// its [`with_vals`](SpTensor::with_vals) tensors share: two tensors
+    /// hold the very same pattern arrays exactly when these are
+    /// [`Arc::ptr_eq`] — an identity that costs no hash.
+    pub fn shared_levels(&self) -> &Arc<[Level]> {
+        &self.levels
+    }
+
     /// Storage of level `k`.
     pub fn level(&self, k: usize) -> &Level {
         &self.levels[k]

@@ -731,16 +731,7 @@ fn degenerate_drivers_match_walker_all_pairs() {
 /// one slice empty) so level 1 and level 2 each carry stripes.
 #[test]
 fn striped_clamps_interleave_owned_and_cut_rows_in_every_row_keyed_body() {
-    let lens = [2, 0, 2, 0, 2, 3, 2, 2, 0, 2, 3, 2, 0];
-    let mut coords: Vec<Vec<i64>> = Vec::new();
-    for (i, &len) in lens.iter().enumerate() {
-        for k in 0..len {
-            coords.push(vec![i as i64, (3 * k + i as i64) % 8]);
-        }
-    }
-    assert_eq!(coords.len(), 20);
-    let entries: Vec<&[i64]> = coords.iter().map(Vec::as_slice).collect();
-    let matrix = driver(&[13, 8], &entries);
+    let matrix = striped_matrix();
     let part = striped_partition(&matrix, 1);
     let runs = |c: usize| part.entries[1].subset(c).rects().to_vec();
     let r = |lo, hi| Rect1::new(lo, hi);
@@ -752,23 +743,89 @@ fn striped_clamps_interleave_owned_and_cut_rows_in_every_row_keyed_body() {
     }
     let (c, d) = spadd3_operands(&matrix);
     assert_spadd3_identical("striped", &matrix, &c, &d);
+    let tensor = striped_tensor();
+    for width in [1, 3] {
+        assert_tensor3_pairs_identical(&format!("striped/w{width}"), &tensor, width);
+    }
+}
 
-    // Slice `i` holds fibers `j` of the matrix's rows `slice_rows[i]`, so
-    // the fibers' leaf ranges are the matrix rows' (empty fibers dropped).
+/// Row lengths of [`striped_matrix`], and of the fibers of
+/// [`striped_tensor`].
+const STRIPED_LENS: [i64; 13] = [2, 0, 2, 0, 2, 3, 2, 2, 0, 2, 3, 2, 0];
+
+/// The 13×8 matrix of the striped test: 20 entries, row lengths
+/// [`STRIPED_LENS`].
+fn striped_matrix() -> SpTensor {
+    let mut coords: Vec<Vec<i64>> = Vec::new();
+    for (i, &len) in STRIPED_LENS.iter().enumerate() {
+        for k in 0..len {
+            coords.push(vec![i as i64, (3 * k + i as i64) % 8]);
+        }
+    }
+    assert_eq!(coords.len(), 20);
+    let entries: Vec<&[i64]> = coords.iter().map(Vec::as_slice).collect();
+    driver(&[13, 8], &entries)
+}
+
+/// The striped matrix stacked under level 1: slice `i` holds fibers `j` of
+/// the matrix's rows `slice_rows[i]`, so the fibers' leaf ranges are the
+/// matrix rows' (empty fibers dropped).
+fn striped_tensor() -> SpTensor {
     let slice_rows: [&[usize]; 5] = [&[0, 1, 2], &[3, 4, 5], &[], &[6, 7, 8, 9], &[10, 11, 12]];
     let mut coords3: Vec<Vec<i64>> = Vec::new();
     for (i, rows) in slice_rows.iter().enumerate() {
         for (j, &row) in rows.iter().enumerate() {
-            for k in 0..lens[row] {
+            for k in 0..STRIPED_LENS[row] {
                 coords3.push(vec![i as i64, j as i64, (3 * k + row as i64) % 8]);
             }
         }
     }
     let entries3: Vec<&[i64]> = coords3.iter().map(Vec::as_slice).collect();
-    let tensor = driver(&[5, 4, 8], &entries3);
-    for width in [1, 3] {
-        assert_tensor3_pairs_identical(&format!("striped/w{width}"), &tensor, width);
+    driver(&[5, 4, 8], &entries3)
+}
+
+/// The widths SpMM's and SpMTTKRP's row loops are vectorized over: 4 and
+/// 8 fill whole AVX vectors, 32 is the benchmark's `WIDTH`, and 33 leaves
+/// a one-lane remainder. Each runs every matrix pair and every order-3
+/// pair over ordinary inputs under all partitions (the striped ones
+/// included); then an order-3 driver whose fibers hold 1 to 7 entries, so
+/// SpMTTKRP's 4-entry fold meets every remainder, owned and cut; and at
+/// width 32 the hand-built striped drivers.
+#[test]
+fn row_loops_match_walker_at_lane_widths() {
+    let matrix = generate::rmat_clustered(6, 520, 0.57, 12);
+    let tensors = [
+        ("uniform", generate::tensor3_uniform([20, 18, 16], 600, 31)),
+        (
+            "skewed",
+            generate::tensor3_skewed([24, 16, 12], 700, 1.3, 37),
+        ),
+    ];
+    for width in [4, 8, 32, 33] {
+        assert_matrix_pairs_identical(&format!("rmat/w{width}"), &matrix, width, width);
+        for (name, base) in &tensors {
+            assert_tensor3_pairs_identical(&format!("{name}/w{width}"), base, width);
+        }
     }
+
+    // Fiber (i,j) holds 1 + (8i + j) % 7 entries: every length 1 to 7, in
+    // every slice.
+    let mut coords: Vec<Vec<i64>> = Vec::new();
+    for i in 0..6i64 {
+        for j in 0..8i64 {
+            for t in 0..1 + (8 * i + j) % 7 {
+                coords.push(vec![i, j, (3 * t + j) % 16]);
+            }
+        }
+    }
+    let entries: Vec<&[i64]> = coords.iter().map(Vec::as_slice).collect();
+    let fibers = driver(&[6, 8, 16], &entries);
+    for width in [1, 4, 33] {
+        assert_tensor3_pairs_identical(&format!("fibers-1-to-7/w{width}"), &fibers, width);
+    }
+
+    assert_matrix_pairs_identical("striped/w32", &striped_matrix(), 32, 32);
+    assert_tensor3_pairs_identical("striped/w32", &striped_tensor(), 32);
 }
 
 /// Strategy: an arbitrary small sparse matrix in CSR (mirrors

@@ -520,3 +520,99 @@ fn a_cached_pass_leaves_one_copy_of_each_output() {
         assert_eq!(bits(value(&p, k)), third[k], "{out}: pass 3's value too");
     }
 }
+
+/// `A = B + C + D` over the given operands, outer-dim, traced.
+fn spadd3(b: &SpTensor, c: &SpTensor, d: &SpTensor) -> CompiledProgram {
+    let (n, m) = (b.dims()[0], b.dims()[1]);
+    let csr = Format::blocked_csr();
+    Program::on(machine())
+        .trace(Trace::enabled())
+        .tensor("A", csr.clone(), empty_csr(n, m))
+        .tensor("B", csr.clone(), b.clone())
+        .tensor("C", csr.clone(), c.clone())
+        .tensor("D", csr, d.clone())
+        .stmt("A(i,j) = B(i,j) + C(i,j) + D(i,j)")
+        .schedule(ScheduleSpec::outer_dim())
+        .build()
+        .unwrap()
+}
+
+/// SpAdd3's assembled output is written by value while its pattern cannot
+/// have moved — the registration is what the last write-back left, and B,
+/// C and D still hold the very pattern arrays it merged — and re-registered
+/// otherwise. A cached pass and a value-only batch on C keep the by-value
+/// arm (every region renewed, the value the registration's own buffer); a
+/// structural batch on C that keeps C's nnz and the output's re-registers,
+/// and so does C re-registered around equal but newly built arrays. After
+/// every pass the output is a fresh program's, pattern and bits.
+#[test]
+fn spadd3_writes_an_unchanged_pattern_by_value() {
+    let b = driver("spadd3");
+    let (c, d) = (
+        generate::shift_last_dim(&b, 3),
+        generate::shift_last_dim(&b, 11),
+    );
+    let mut p = spadd3(&b, &c, &d);
+    let arms = |p: &CompiledProgram| {
+        let m = p.trace().metrics().unwrap();
+        let count = |name: &str| m.counter(name).get();
+        (count("writeback.reregistered"), count("writeback.by_value"))
+    };
+    let operand = |p: &CompiledProgram, name: &str| p.context().tensor(name).unwrap().data.clone();
+    let step = |p: &mut CompiledProgram, arms_after: (u64, u64), what: &str| {
+        pass(p, false, 0, "A", what);
+        assert_eq!(arms(p), arms_after, "{what}: write-back arms");
+        let got = value(p, 0);
+        let registered = &p.context().tensor("A").unwrap().data;
+        assert_eq!(got.vals().as_ptr(), registered.vals().as_ptr(), "{what}");
+        let mut fresh = spadd3(&operand(p, "B"), &operand(p, "C"), &operand(p, "D"));
+        fresh.run().unwrap();
+        assert_eq!(got.levels(), value(&fresh, 0).levels(), "{what}: pattern");
+        assert_eq!(bits(got), bits(value(&fresh, 0)), "{what}: values");
+    };
+    step(&mut p, (1, 0), "first run");
+    step(&mut p, (1, 1), "cached run");
+
+    let stored = operand(&p, "C").to_coo();
+    let batch: Vec<CoordDelta> = stored[..2]
+        .iter()
+        .map(|(coord, v)| CoordDelta::overwrite(coord.clone(), 2.0 * v - 1.0))
+        .collect();
+    assert!(!p.update_batch("C", &batch).unwrap().structural);
+    step(&mut p, (1, 2), "value-only batch on C");
+
+    // Move one of C's entries to a column no operand stores in its row: C's
+    // nnz and the output's stay, the output's pattern moves.
+    let present = |t: &SpTensor, at: &[i64]| t.locate(at).is_some();
+    let lone = |at: &[i64]| !present(&b, at) && !present(&d, at);
+    let (gone, _) = stored
+        .iter()
+        .find(|(at, _)| lone(at))
+        .expect("C stores an entry no other operand does");
+    let moved = (0..b.dims()[1] as i64)
+        .map(|col| vec![gone[0], col])
+        .find(|at| lone(at) && !present(&c, at))
+        .expect("a free column in the row");
+    let nnz = value(&p, 0).num_stored();
+    let batch = [
+        CoordDelta::delete(gone.clone()),
+        CoordDelta::insert(moved, 0.75),
+    ];
+    let report = p.update_batch("C", &batch).unwrap();
+    assert!(report.structural && operand(&p, "C").num_stored() == c.num_stored());
+    step(&mut p, (2, 2), "structural batch on C keeping nnz");
+    assert_eq!(value(&p, 0).num_stored(), nnz, "the output's nnz stayed");
+    step(&mut p, (2, 3), "cached run over the new pattern");
+
+    // Equal pattern, new arrays: not the arrays the last write merged.
+    let now = operand(&p, "C");
+    let rebuilt = SpTensor::from_parts(
+        now.dims().to_vec(),
+        now.levels().to_vec(),
+        now.vals().to_vec(),
+    );
+    let ctx = p.context_mut();
+    ctx.add_tensor("C", rebuilt, Format::blocked_csr()).unwrap();
+    step(&mut p, (3, 3), "C re-registered around new arrays");
+    step(&mut p, (3, 4), "cached run after that");
+}
