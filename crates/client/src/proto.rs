@@ -939,4 +939,82 @@ mod tests {
             }
         }
     }
+
+    /// The `result` and `register` frames of every prefix of the values in
+    /// `every_f64_crosses_the_wire_bit_exactly`, byte for byte as the
+    /// one-sextet-at-a-time encoder wrote them: the wire must not move when
+    /// the codec is made faster.
+    const GOLDEN_RESULT_FRAMES: [&str; 11] = [
+        r#"{"type":"result","stmt":2,"vals_b64":""}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8="}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfw=="}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/"}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIA="}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAA=="}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAA"}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAAA="}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAACcdQCIPOQ3fg=="}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAACcdQCIPOQ3fpqZmZmZmbk/"}"#,
+        r#"{"type":"result","stmt":2,"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAACcdQCIPOQ3fpqZmZmZmbk/VVVVVVVV1b8="}"#,
+    ];
+    const GOLDEN_REGISTER_FRAMES: [&str; 11] = [
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[0],"coords":[],"vals_b64":""}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[1],"coords":[[0]],"vals_b64":"AQDvvq3e+H8="}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[2],"coords":[[0],[1]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfw=="}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[3],"coords":[[0],[1],[2]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/"}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[4],"coords":[[0],[1],[2],[3]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIA="}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[5],"coords":[[0],[1],[2],[3],[4]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAA=="}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[6],"coords":[[0],[1],[2],[3],[4],[5]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAA"}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[7],"coords":[[0],[1],[2],[3],[4],[5],[6]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAAA="}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[8],"coords":[[0],[1],[2],[3],[4],[5],[6],[7]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAACcdQCIPOQ3fg=="}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[9],"coords":[[0],[1],[2],[3],[4],[5],[6],[7],[8]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAACcdQCIPOQ3fpqZmZmZmbk/"}"#,
+        r#"{"type":"register","name":"v","format":"blocked_dense_vec","dims":[10],"coords":[[0],[1],[2],[3],[4],[5],[6],[7],[8],[9]],"vals_b64":"AQDvvq3e+H8AAAAAAADwfwAAAAAAAPD/AAAAAAAAAIAAAAAAAAAAAAAAAAAAABAAAwAAAAAAAACcdQCIPOQ3fpqZmZmZmbk/VVVVVVVV1b8="}"#,
+    ];
+
+    #[test]
+    fn golden_frames_pin_the_wire_bytes() {
+        let vals = [
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(3),
+            1.0e300,
+            0.1,
+            -1.0 / 3.0,
+        ];
+        for n in 0..=vals.len() {
+            let vals = &vals[..n];
+            let ev = Event::Result {
+                stmt: 2,
+                vals: vals.to_vec(),
+            };
+            assert_eq!(ev.to_json(), GOLDEN_RESULT_FRAMES[n], "result, {n} values");
+            match Event::parse(GOLDEN_RESULT_FRAMES[n].as_bytes()).unwrap() {
+                Event::Result {
+                    stmt: 2,
+                    vals: back,
+                } => assert_eq!(bits(&back), bits(vals)),
+                other => panic!("wrong event {other:?}"),
+            }
+            let req = Request::Register {
+                name: "v".to_string(),
+                format: "blocked_dense_vec".to_string(),
+                dims: vec![n],
+                coords: (0..n as i64).map(|i| vec![i]).collect(),
+                vals: vals.to_vec(),
+            };
+            assert_eq!(
+                req.to_json(),
+                GOLDEN_REGISTER_FRAMES[n],
+                "register, {n} values"
+            );
+            match Request::parse(GOLDEN_REGISTER_FRAMES[n].as_bytes()).unwrap() {
+                Request::Register { vals: back, .. } => assert_eq!(bits(&back), bits(vals)),
+                other => panic!("wrong request {other:?}"),
+            }
+        }
+    }
 }
