@@ -332,9 +332,12 @@ cargo test -q --release --test specialized_identity --test kernel_dispatch --tes
 
 echo "==> serving suites, optimised"
 # The wire codec, the framing and the service tests again in --release:
-# the TCP submit latency (< 20 ms; it was 88 ms under Nagle) and the 256 KiB
-# JSON string parse (< 20 ms; it was 1.1 s) are bounds on optimised code,
-# and the value block's bit arithmetic is where a release-only bug would be.
+# the TCP submit latency (< 20 ms; it was 88 ms under Nagle), the 256 KiB
+# JSON string parse (< 20 ms; it was 1.1 s) and the `Event::parse` of a
+# 1 MiB `vals_b64` result frame (131 072 values, < 20 ms; ~1.5 ms with the
+# quad codec and the word-wide string scan, ~3.7 ms before them) are bounds
+# on optimised code, and the value block's bit arithmetic is where a
+# release-only bug would be.
 cargo test -q --release -p spdistal-server -p spdistal-client -p spdistal-obs
 
 echo "==> golden tables: the paper's modelled figures, byte for byte"

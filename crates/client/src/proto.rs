@@ -12,8 +12,9 @@
 //! little-endian bytes, 8 per value, in padded standard-alphabet base64.
 //! That is bit-exact for every `f64` — NaN payloads, `±inf`, `-0.0` and
 //! subnormals included — so the server's results are bit for bit the
-//! single-process results, and it costs a table lookup per 6 bits instead
-//! of a decimal print and parse per value. Scalars (`wall_seconds`, a
+//! single-process results, and instead of a decimal print and parse per
+//! value it costs a quad per step (3 bytes to 4 alphabet bytes, or back)
+//! and one validity check per value block. Scalars (`wall_seconds`, a
 //! delta's `val`) stay JSON numbers.
 
 use spdistal_ir::Format;
@@ -106,20 +107,23 @@ fn push_vals_b64(out: &mut String, vals: &[f64]) {
     for v in vals {
         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    // Zero-fill the last group, then write '=' over the sextets that hold
-    // nothing but fill.
+    // Zero-fill the last group, write every group as a quad, then write
+    // '=' over the sextets that hold nothing but fill.
     let pad = (3 - bytes.len() % 3) % 3;
     bytes.resize(bytes.len() + pad, 0);
-    out.reserve(bytes.len() / 3 * 4 + 16);
-    out.push_str(",\"vals_b64\":\"");
-    for g in bytes.chunks_exact(3) {
-        let n = (g[0] as u32) << 16 | (g[1] as u32) << 8 | g[2] as u32;
-        for shift in [18, 12, 6, 0] {
-            out.push(B64_ALPHABET[(n >> shift) as usize & 63] as char);
-        }
+    let mut text = vec![0u8; bytes.len() / 3 * 4];
+    for (g, q) in bytes.chunks_exact(3).zip(text.chunks_exact_mut(4)) {
+        let n = (g[0] as usize) << 16 | (g[1] as usize) << 8 | g[2] as usize;
+        q[0] = B64_ALPHABET[n >> 18];
+        q[1] = B64_ALPHABET[n >> 12 & 63];
+        q[2] = B64_ALPHABET[n >> 6 & 63];
+        q[3] = B64_ALPHABET[n & 63];
     }
-    out.truncate(out.len() - pad);
-    out.push_str(&"=="[..pad]);
+    let end = text.len();
+    text[end - pad..].fill(b'=');
+    out.reserve(text.len() + 16);
+    out.push_str(",\"vals_b64\":\"");
+    out.push_str(std::str::from_utf8(&text).expect("base64 is ASCII"));
     out.push('"');
 }
 
@@ -138,14 +142,34 @@ fn vals_b64_field(v: &Json) -> Result<Vec<f64>, ProtoError> {
             text.len()
         )));
     }
+    let bad_byte = |at: usize| {
+        shape(format!(
+            "'vals_b64' has a byte outside the base64 alphabet at {at}"
+        ))
+    };
+    // Whole quads first, three bytes each. A sextet is below 64 and a
+    // byte outside the alphabet maps to 0xFF, so one OR over every sextet
+    // says whether any was bad; only then is its position looked for.
+    let whole = if pad > 0 { text.len() - 4 } else { text.len() };
     let mut bytes = Vec::with_capacity(text.len() / 4 * 3);
+    bytes.resize(whole / 4 * 3, 0);
+    let mut bad = 0u8;
+    for (q, g) in text[..whole].chunks_exact(4).zip(bytes.chunks_exact_mut(3)) {
+        let s = [q[0], q[1], q[2], q[3]].map(|c| B64_SEXTET[c as usize]);
+        bad |= s[0] | s[1] | s[2] | s[3];
+        let n = (s[0] as u32) << 18 | (s[1] as u32) << 12 | (s[2] as u32) << 6 | s[3] as u32;
+        g.copy_from_slice(&n.to_be_bytes()[1..]);
+    }
+    if bad >= 64 {
+        let at = text.iter().position(|&c| B64_SEXTET[c as usize] == 0xFF);
+        return Err(bad_byte(at.expect("a bad sextet has a position")));
+    }
+    // The padded last quad, a sextet at a time.
     let (mut acc, mut held) = (0u32, 0u32);
-    for (at, &c) in text[..text.len() - pad].iter().enumerate() {
+    for (at, &c) in text[..text.len() - pad].iter().enumerate().skip(whole) {
         let sextet = B64_SEXTET[c as usize];
         if sextet == 0xFF {
-            return Err(shape(format!(
-                "'vals_b64' has a byte outside the base64 alphabet at {at}"
-            )));
+            return Err(bad_byte(at));
         }
         acc = acc << 6 | sextet as u32;
         held += 6;
@@ -686,6 +710,81 @@ pub fn tensor_from_wire(
     coo.build(&format.levels)
 }
 
+/// The codec as it was before it went a quad at a time: the oracle the
+/// property tests hold the one encoder and the one decoder to.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The sextet-at-a-time encoder the quad encoder replaced.
+    pub(super) fn push_vals_b64(out: &mut String, vals: &[f64]) {
+        let mut bytes = Vec::with_capacity(vals.len() * 8 + 2);
+        for v in vals {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        // Zero-fill the last group, then write '=' over the sextets that hold
+        // nothing but fill.
+        let pad = (3 - bytes.len() % 3) % 3;
+        bytes.resize(bytes.len() + pad, 0);
+        out.reserve(bytes.len() / 3 * 4 + 16);
+        out.push_str(",\"vals_b64\":\"");
+        for g in bytes.chunks_exact(3) {
+            let n = (g[0] as u32) << 16 | (g[1] as u32) << 8 | g[2] as u32;
+            for shift in [18, 12, 6, 0] {
+                out.push(B64_ALPHABET[(n >> shift) as usize & 63] as char);
+            }
+        }
+        out.truncate(out.len() - pad);
+        out.push_str(&"=="[..pad]);
+        out.push('"');
+    }
+
+    /// The sextet-at-a-time decoder the quad decoder replaced: every check,
+    /// its text and its order are the contract.
+    pub(super) fn vals_b64_field(v: &Json) -> Result<Vec<f64>, ProtoError> {
+        let text = field(v, "vals_b64")?
+            .as_str()
+            .ok_or_else(|| shape("'vals_b64' must be a string"))?
+            .as_bytes();
+        let pad = text.iter().rev().take_while(|&&b| b == b'=').count();
+        if text.len() % 4 != 0 || pad > 2 {
+            return Err(shape(format!(
+                "'vals_b64' has bad padding ({} characters, {pad} of them '=')",
+                text.len()
+            )));
+        }
+        let mut bytes = Vec::with_capacity(text.len() / 4 * 3);
+        let (mut acc, mut held) = (0u32, 0u32);
+        for (at, &c) in text[..text.len() - pad].iter().enumerate() {
+            let sextet = B64_SEXTET[c as usize];
+            if sextet == 0xFF {
+                return Err(shape(format!(
+                    "'vals_b64' has a byte outside the base64 alphabet at {at}"
+                )));
+            }
+            acc = acc << 6 | sextet as u32;
+            held += 6;
+            if held >= 8 {
+                held -= 8;
+                bytes.push((acc >> held) as u8);
+            }
+        }
+        if acc & ((1 << held) - 1) != 0 {
+            return Err(shape("'vals_b64' has non-zero bits under its padding"));
+        }
+        if bytes.len() % 8 != 0 {
+            return Err(shape(format!(
+                "'vals_b64' holds {} bytes, not a multiple of 8",
+                bytes.len()
+            )));
+        }
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("chunks of 8"))))
+            .collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,6 +1114,130 @@ mod tests {
                 Request::Register { vals: back, .. } => assert_eq!(bits(&back), bits(vals)),
                 other => panic!("wrong request {other:?}"),
             }
+        }
+    }
+
+    /// xorshift64: the property tests' inputs, the same on every run.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// The decoded bits, or the error's text.
+    fn outcome(r: Result<Vec<f64>, ProtoError>) -> Result<Vec<u64>, String> {
+        r.map(|vals| bits(&vals)).map_err(|e| e.to_string())
+    }
+
+    fn result_frame(block: &str) -> String {
+        format!("{{\"type\":\"result\",\"stmt\":0,\"vals_b64\":\"{block}\"}}")
+    }
+
+    #[test]
+    fn the_quad_encoder_writes_the_oracles_text() {
+        let special = [
+            0x7ff8_dead_beef_0001u64,
+            0xfff0_0000_0000_0001,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0,
+            1,
+            0x000f_ffff_ffff_ffff,
+            0x8000_0000_0000_0003,
+        ];
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        for len in 0..=64 {
+            for _ in 0..8 {
+                let vals: Vec<f64> = (0..len)
+                    .map(|_| match rng.next() % 4 {
+                        0 => f64::from_bits(special[rng.next() as usize % special.len()]),
+                        _ => f64::from_bits(rng.next()),
+                    })
+                    .collect();
+                let (mut ours, mut theirs) = (String::new(), String::new());
+                push_vals_b64(&mut ours, &vals);
+                oracle::push_vals_b64(&mut theirs, &vals);
+                assert_eq!(ours, theirs, "{len} values");
+                let v = Json::parse(&format!("{{{}}}", &ours[1..])).unwrap();
+                assert_eq!(outcome(vals_b64_field(&v)), Ok(bits(&vals)));
+                assert_eq!(
+                    outcome(oracle::vals_b64_field(&v)),
+                    Ok(bits(&vals)),
+                    "{len} values"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_quad_decoder_answers_as_the_oracle_on_every_damaged_frame() {
+        // A real 16-value frame (128 bytes: the last quad holds one '=').
+        let vals: Vec<f64> = (0..16).map(|i| (i as f64 - 7.5) / 3.0).collect();
+        let mut block = String::new();
+        push_vals_b64(&mut block, &vals);
+        let block = &block[",\"vals_b64\":\"".len()..block.len() - 1];
+        assert!(block.ends_with('=') && !block.ends_with("=="));
+        let agree = |frame: &str| {
+            let Ok(v) = Json::parse(frame) else {
+                return;
+            };
+            let ours = outcome(vals_b64_field(&v));
+            assert_eq!(ours, outcome(oracle::vals_b64_field(&v)), "{frame}");
+            if let Ok(Event::Result { vals, .. }) = Event::parse(frame.as_bytes()) {
+                assert_eq!(Ok(bits(&vals)), ours, "{frame}");
+            }
+        };
+        // Every truncation of the block, and of the frame itself.
+        for end in 0..=block.len() {
+            agree(&result_frame(&block[..end]));
+        }
+        let frame = result_frame(block);
+        for end in 0..=frame.len() {
+            agree(&frame[..end]);
+        }
+        // Every single-byte substitution: each alphabet byte, '=', '"',
+        // '\\' and U+00E9 (two bytes >= 0x80) at every position.
+        let mut subs: Vec<String> = B64_ALPHABET
+            .iter()
+            .map(|&b| (b as char).to_string())
+            .collect();
+        subs.extend(["=", "\"", "\\", "\u{e9}"].map(String::from));
+        for at in 0..frame.len() {
+            for sub in &subs {
+                agree(&format!("{}{sub}{}", &frame[..at], &frame[at + 1..]));
+            }
+            // A lone byte >= 0x80 is no UTF-8: it never reaches the decoder.
+            let mut raw = frame.clone().into_bytes();
+            raw[at] = 0x80;
+            assert!(matches!(Event::parse(&raw), Err(ProtoError::Utf8)));
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_value_block_parses_in_linear_time() {
+        // 131 072 values: 1 MiB of values, a 1.33 MiB result frame.
+        let vals: Vec<f64> = (0..131_072).map(|i| i as f64 * 0.5 - 1.0e3).collect();
+        let frame = Event::Result {
+            stmt: 0,
+            vals: vals.clone(),
+        }
+        .to_json();
+        let t0 = std::time::Instant::now();
+        let ev = Event::parse(frame.as_bytes()).unwrap();
+        let took = t0.elapsed();
+        match ev {
+            Event::Result { vals: back, .. } => assert_eq!(bits(&back), bits(&vals)),
+            other => panic!("wrong event {other:?}"),
+        }
+        // A bound on optimised code: ci runs this suite in --release.
+        if !cfg!(debug_assertions) {
+            assert!(took.as_millis() < 20, "1 MiB value block took {took:?}");
         }
     }
 }

@@ -50,7 +50,7 @@ impl Json {
     /// Parse `src` as one JSON document (trailing whitespace allowed).
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { src, bytes, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -94,8 +94,37 @@ pub fn number(v: f64) -> String {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+}
+
+/// Length of the run of `bytes` before its first `"` or `\` (all of
+/// `bytes` if it has neither), eight bytes per step: a SWAR zero-byte test
+/// of the word XOR each target. A borrow can flag a byte only above a true
+/// zero, so the lowest flagged byte is exact; a byte >= 0x80 keeps its high
+/// bit under the XOR and is never flagged.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const QUOTES: u64 = u64::from_le_bytes([b'"'; 8]);
+    const BACKSLASHES: u64 = u64::from_le_bytes([b'\\'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut run = 0;
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("chunks of 8"));
+        let (q, b) = (w ^ QUOTES, w ^ BACKSLASHES);
+        let hit = ((q.wrapping_sub(ONES) & !q) | (b.wrapping_sub(ONES) & !b)) & HIGHS;
+        if hit != 0 {
+            return run + hit.trailing_zeros() as usize / 8;
+        }
+        run += 8;
+    }
+    let rest = words.remainder();
+    run + rest
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .unwrap_or(rest.len())
 }
 
 impl Parser<'_> {
@@ -210,14 +239,11 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Copy the whole run up to the next quote or backslash:
-                    // both are ASCII, so the run ends on a char boundary of
-                    // the `&str` this parser was handed.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                    // both are ASCII, and so is the end of every escape, so
+                    // the run starts and ends on char boundaries of the
+                    // `&str` this parser was handed, already valid UTF-8.
+                    let run = plain_run(&self.bytes[self.pos..]);
+                    out.push_str(&self.src[self.pos..self.pos + run]);
                     self.pos += run;
                 }
             }
@@ -345,6 +371,55 @@ mod tests {
         let took = t0.elapsed();
         assert_eq!(v.get("k").unwrap().as_str().map(str::len), Some(256 * 1024));
         assert!(took.as_millis() < 20, "256 KiB string took {took:?}");
+    }
+
+    #[test]
+    fn the_word_scan_stops_at_the_first_quote_or_backslash() {
+        // Fill bytes include 0xA2 and 0xDC: '"' and '\' with the high bit
+        // set, which a scan that ignored bit 7 would stop at.
+        let fills = [b'a', 0xA2, 0xDC, 0xC3, 0xFF, 0x00];
+        for len in 0..=40 {
+            for &fill in &fills {
+                let mut bytes = vec![fill; len];
+                assert_eq!(plain_run(&bytes), len, "{len} x {fill:#x}");
+                for at in 0..len {
+                    for target in [b'"', b'\\'] {
+                        bytes.fill(fill);
+                        bytes[at] = target;
+                        // A second hit later must not move the answer.
+                        if at + 3 < len {
+                            bytes[at + 3] = b'"' ^ b'\\' ^ target;
+                        }
+                        assert_eq!(plain_run(&bytes), at, "{len} x {fill:#x}, hit at {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quotes_and_backslashes_at_every_offset_parse_as_before() {
+        // A '"' and a '\' at every offset 0..=24 of a run, beside 2-, 3- and
+        // 4-byte scalars and beside escapes: the parsed value is the
+        // string that was escaped.
+        let neighbours = ["\u{e9}", "\u{201c}", "\u{1f600}", "\n", "\u{1}", "plain"];
+        for off in 0..=24 {
+            for target in ['"', '\\'] {
+                for n in neighbours {
+                    let before = format!("{}{n}{target}{n}x", "y".repeat(off));
+                    let after = format!("{n}{}{target}{target}{n}", "y".repeat(off));
+                    let spaced =
+                        format!("{}{target}{}{n}", "\u{e9}".repeat(off / 2), "z".repeat(off));
+                    for text in [before, after, spaced] {
+                        let doc = format!("[\"{}\",\"{}\"]", escape(&text), escape(n));
+                        let v = Json::parse(&doc).unwrap();
+                        let items = v.as_arr().unwrap();
+                        assert_eq!(items[0].as_str(), Some(text.as_str()));
+                        assert_eq!(items[1].as_str(), Some(n));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
