@@ -182,6 +182,25 @@ for call in 'launch_reqs(' 'color_spans(' 'Pipeline::new('; do
     echo "$call has $sites non-test call sites under crates/core/src: only the record's miss arm describes"; exit 1
   fi
 done
+# A tensor keeps its regions: a write-back by value and a value-only batch
+# renew coherence under the ids a tensor has (`Runtime::renew`), so a
+# tensor's regions are created only where a registration is built
+# (`attach_beside`), and a recorded describe holds over the very regions it
+# names. Per-pass region creation and the list rename it needed stay gone.
+sites="$(git ls-files 'crates/*.rs' | xargs awk '
+    FNR == 1 { t = 0; p = ""; f = "" }
+    t { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+    { p = $0 }
+    /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    index($0, "create_regions(") && !index($0, "fn create_regions(") { print f }')"
+if [ "$sites" != attach_beside ]; then
+  echo "create_regions( is called from [${sites//$'\n'/, }]: only attach_beside creates a tensor's regions"; exit 1
+fi
+if grep -n 'renamed' crates/core/src/plan.rs; then
+  echo "plan.rs renames a recorded describe's lists again: a describe holds only over the regions it names"; exit 1
+fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const
@@ -298,9 +317,27 @@ rm -f "$spd_trace" /tmp/spd_server_out_$$.log
 echo "==> pool contract, optimised: stress, zero-helper completion, panic containment"
 # `cargo test --workspace` above ran these in debug (where the quiescence
 # debug assertion is live); lifetime-erasure bugs hide without optimisation,
-# and Miri is not installed here (`cargo miri` reports the component
-# missing), so the same files run again in --release (~1 s once built).
+# so the same files run again in --release (~1 s once built). The pool's
+# unit tests run under AddressSanitizer in the next step.
 cargo test -q --release -p spdistal-runtime --test pool_contract --test pool_latency
+
+echo "==> unsafe under AddressSanitizer: the pool and the identity suites"
+# Miri is not installed; ASan is. The pool erases a drain's lifetime and
+# relies on its quiescence wait, and the leaf kernels write through raw
+# views that only the task graph keeps exclusive: ASan (with
+# stack-use-after-return detection, since a drain's job lives on its
+# submitter's stack) fails any access that outlives its drain or leaves its
+# buffer. The sanitizer rebuilds everything, so it gets its own target dir
+# (a few minutes cold, seconds once built).
+if cargo +nightly --version >/dev/null 2>&1; then
+  asan=(env RUSTFLAGS=-Zsanitizer=address ASAN_OPTIONS=detect_stack_use_after_return=1
+    cargo +nightly test -q --offline --target x86_64-unknown-linux-gnu --target-dir target/asan)
+  "${asan[@]}" --test specialized_identity --test writeback_identity --test parallel_identity \
+    --test pipeline_identity
+  "${asan[@]}" -p spdistal-runtime --lib sched::pool
+else
+  echo "SKIPPED: the AddressSanitizer step did not run (no cargo +nightly toolchain)"
+fi
 
 echo "==> coherence oracle sweep, optimised"
 # The counted fetch, the one-run splices of union/subtract and the

@@ -15,7 +15,7 @@
 //! | Versions and tracked dirty rows: each registration carries its own | Locating a batch's deltas and merging them into the stored entries: `streaming::ingest`, [`SpTensor::with_edits`] |
 //! | The one registration entry (`swap_registration`) behind `add_tensor`, `replace_tensor_data`, `set_tensor_format` and a structural `update_batch` | Which statements may merge into their previous output, given those versions: `program::exec`'s `eligibility` |
 //! | What a color touches of a tensor ([`TensorRegions::footprint`]) and where the initial distribution places it | The coordinate-tree partitions themselves: [`level_funcs`](crate::level_funcs) |
-//! | Renewing a registration's regions: a write-back attaches beside then retires, a value-only batch retires then attaches | Which write-back arm runs and which ranges a merge copies: [`plan`](crate::plan) |
+//! | Renewing a registration's coherence under the ids it has ([`Runtime::renew`]): a write-back charges the new copies with the old ones still counted, a value-only batch releases the old ones first | Which write-back arm runs and which ranges a merge copies: [`plan`](crate::plan) |
 //! | Where a registration's values live (the storage rule below) | Costing a requirement, coherence, memory: `spdistal_runtime` |
 //!
 //! **Storage: one copy of each tensor.** A registration owns its values:
@@ -332,22 +332,22 @@ impl Context {
 
     /// Write a plan's computed values `vals` into the tensor registered
     /// under `name`, by value, and return the statement's result: the dims,
-    /// levels, pattern hash and initial distribution all stay. A plain pass
-    /// (`merged` is `None`) moves `vals` in as the registration's values
-    /// and the result is a clone sharing them. A merging pass hands
-    /// `merged` the computed buffer and the registered values to copy the
-    /// ranges it re-ran into; the result keeps `vals`, so it stays the only
-    /// owner of the next merge seed. The tensor's regions are renewed under
-    /// the kept partition so the machine model sees a new tensor state, and
-    /// renewed with the very charges of [`Context::replace_tensor_data`]:
-    /// the new regions are created and attached beside the old ones, *then*
-    /// the old ones are retired. (The value-only arm of
+    /// levels, pattern hash, initial distribution and regions all stay. A
+    /// plain pass (`merged` is `None`) moves `vals` in as the
+    /// registration's values and the result is a clone sharing them. A
+    /// merging pass hands `merged` the computed buffer and the registered
+    /// values to copy the ranges it re-ran into; the result keeps `vals`, so
+    /// it stays the only owner of the next merge seed. The machine model
+    /// sees a new tensor state: the regions are renewed in place
+    /// ([`Runtime::renew`]) to the kept distribution's placement, charged
+    /// as [`Context::replace_tensor_data`] charges — the old copies still
+    /// count while the new ones attach. (The value-only arm of
     /// [`Context::update_batch`] releases first; a write-back must not, or a
     /// processor's modelled peak residency — and with it an out-of-memory
     /// fallback of the figures — would move.) The version is bumped and any
-    /// tracked dirty state dropped, as by any re-registration. A failed
-    /// attach leaves the tensor and the runtime as they were, and nothing is
-    /// written.
+    /// tracked dirty state dropped, as by any re-registration. A renewal
+    /// that does not fit leaves the tensor and the runtime as they were,
+    /// and nothing is written.
     pub(crate) fn write_back(
         &mut self,
         name: &str,
@@ -358,7 +358,7 @@ impl Context {
             .tensors
             .get_mut(name)
             .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
-        let regions = attach_beside(&mut self.runtime, name, &t.data, &t.dist_part, &t.dist_spec)?;
+        renew(&mut self.runtime, t, true)?;
         let output = match merged {
             None => {
                 t.data = t.data.with_vals(vals);
@@ -369,8 +369,6 @@ impl Context {
                 t.data.with_vals(vals)
             }
         };
-        let old = std::mem::replace(&mut t.regions, regions);
-        retire_regions(&mut self.runtime, &old);
         t.version += 1;
         t.dirty = None;
         Ok(output)
@@ -392,12 +390,13 @@ impl Context {
     /// The cost follows the batch, not the tensor: each coordinate is
     /// located by bisection. A batch that nets no insert and no delete
     /// writes the stored values in place — level arrays, the memoised
-    /// pattern hash and the initial distribution stay, and only the
-    /// tensor's regions are renewed, so the machine model sees a new
-    /// tensor state. Unlike [`Context::replace_tensor_data`] and
-    /// [`Context::write_back`], which attach the new regions beside the old
-    /// ones and then retire those, this arm releases the old regions first,
-    /// so a batch needs room for one registration, not two. Any
+    /// pattern hash, the initial distribution and the regions stay, and the
+    /// regions' coherence is renewed in place ([`Runtime::renew`]), so the
+    /// machine model sees a new tensor state. Unlike
+    /// [`Context::replace_tensor_data`] and [`Context::write_back`], which
+    /// charge the new copies with the old ones still counted, this arm
+    /// releases the old copies first, so a batch needs room for one
+    /// registration, not two. Any
     /// other batch is merged into the stored entries in one linear pass
     /// and re-registered. Either way a batch is all or nothing: a rejected
     /// one (bad coordinate, out of memory) leaves the tensor, its version,
@@ -440,19 +439,14 @@ impl Context {
         // Either arm hands back the dirty state the tensor carried (any new
         // tensor state drops it); this batch extends it below.
         let prev = if in_place {
-            let placed = placements(self.machine(), &t.regions, &t.dist_part, &t.dist_spec);
-            self.refresh_fits(t, &placed)?;
             let t = self.tensors.get_mut(name).expect("looked up above");
+            renew(&mut self.runtime, t, false)?;
             let vals = t.data.vals_mut();
             for e in &batch.edits {
                 if let (Some(at), Some(now)) = (e.at, e.now) {
                     vals[at] = now;
                 }
             }
-            retire_regions(&mut self.runtime, &t.regions);
-            t.regions = create_regions(&mut self.runtime, name, &t.data);
-            attach_placements(&mut self.runtime, &t.regions, placed)
-                .expect("refresh_fits replayed every charge");
             t.version += 1;
             t.dirty.take()
         } else {
@@ -484,41 +478,6 @@ impl Context {
             t0.elapsed().as_nanos() as u64,
         );
         Ok(report)
-    }
-
-    /// What could still fail once a value-only batch starts writing: its
-    /// regions are renewed under the kept distribution — the old ones
-    /// release their copies, then the new ones attach `placed` — so replay
-    /// those charges against each processor's memory as the release leaves
-    /// it.
-    fn refresh_fits(
-        &self,
-        t: &DistTensor,
-        placed: &[(usize, usize, IntervalSet)],
-    ) -> Result<(), RuntimeError> {
-        let (rt, machine) = (&self.runtime, self.machine());
-        let capacity = machine.profile().proc.mem_capacity;
-        let ids = t.regions.ids();
-        let bytes = |r: RegionId, set: &IntervalSet| set.total_len() * rt.region(r).elem_bytes;
-        let mut sets = vec![vec![IntervalSet::new(); ids.len()]; machine.num_procs()];
-        for (p, slot, set) in placed {
-            sets[*p][*slot].union_with(set);
-        }
-        for (p, sets) in sets.iter().enumerate() {
-            let held: u64 = ids.iter().map(|&r| bytes(r, rt.valid_in(r, p))).sum();
-            let requested: u64 = ids.iter().zip(sets).map(|(&r, set)| bytes(r, set)).sum();
-            let resident = rt.resident_bytes(p).saturating_sub(held);
-            if resident.saturating_add(requested) > capacity {
-                return Err(RuntimeError::Oom {
-                    proc: p,
-                    region: t.name.clone(),
-                    resident,
-                    requested,
-                    capacity,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// The tensor's current version: bumped on every registration,
@@ -659,6 +618,14 @@ fn attach_beside(
         return Err(e);
     }
     Ok(regions)
+}
+
+/// Renew `t`'s regions in place to what its distribution places where
+/// ([`Runtime::renew`]), with its old copies still charged while the new
+/// ones attach (`old_counted`) or released first.
+fn renew(runtime: &mut Runtime, t: &DistTensor, old_counted: bool) -> Result<(), RuntimeError> {
+    let placed = placements(runtime.machine(), &t.regions, &t.dist_part, &t.dist_spec);
+    runtime.renew(&t.regions.ids(), placed, old_counted)
 }
 
 fn retire_regions(runtime: &mut Runtime, regions: &TensorRegions) {
@@ -1099,6 +1066,48 @@ mod tests {
             .update_batch("B", &[CoordDelta::overwrite(first, 7.0)])
             .map(drop));
         assert_eq!(observe(&c, "B"), before, "after a refresh that cannot fit");
+    }
+
+    #[test]
+    fn write_back_needs_room_for_two_registrations() {
+        let b = generate::uniform(64, 64, 400, 1);
+        let register = |capacity: u64| {
+            let profile = MachineProfile::test_profile_with_capacity(capacity);
+            let mut c = Context::new(Machine::grid1d(4, profile));
+            c.add_tensor("B", b.clone(), Format::blocked_csr()).unwrap();
+            c
+        };
+        // A memory that holds B's largest share of a processor once.
+        let unbounded = register(u64::MAX);
+        let share = (0..4).map(|p| unbounded.runtime().resident_bytes(p)).max();
+        let mut c = register(share.unwrap() * 3 / 2);
+        let coherence = |c: &Context| {
+            let ids = c.tensor("B").unwrap().regions.ids();
+            let sets = ids.iter().flat_map(|&r| (0..4).map(move |p| (r, p)));
+            let sets: Vec<_> = sets
+                .map(|(r, p)| c.runtime().valid_in(r, p).clone())
+                .collect();
+            (ids, sets)
+        };
+
+        // A write-back charges the new copies with the old ones still
+        // counted, as a re-registration does.
+        let (before, held) = (observe(&c, "B"), coherence(&c));
+        let vals = vec![9.0; b.num_stored()];
+        let r = c.write_back("B", vals, None::<fn(&[f64], &mut [f64])>);
+        assert!(matches!(r, Err(Error::Runtime(RuntimeError::Oom { .. }))));
+        assert_eq!(
+            observe(&c, "B"),
+            before,
+            "after a write-back that cannot fit"
+        );
+        assert_eq!(coherence(&c), held, "regions and copies");
+
+        // A value-only batch releases them first, so it fits.
+        let first = b.to_coo().swap_remove(0).0;
+        c.update_batch("B", &[CoordDelta::overwrite(first, 9.0)])
+            .unwrap();
+        assert_eq!(observe(&c, "B").1, before.1 + 1, "version");
     }
 
     /// What a row expects of the observed tensor's tracked dirty state.

@@ -46,12 +46,13 @@
 //! *at write-back time* — and, for SpAdd3's assembled output, its inputs
 //! still hold the very pattern arrays that write merged (the merged pattern
 //! is their union, so it cannot have moved), the registration already
-//! there keeps its dims, levels, pattern hash and partition and only renews
-//! its regions ([`Context::write_back`]). A plain pass moves the computed
-//! buffer in as its values (for SpAdd3, its span buffers' values back to
-//! back: no `pos`/`crd` rebuild, no initial partition); a merging pass
-//! copies only the ranges of the colors that re-ran into the registered
-//! values and keeps its buffer for the next merge seed.
+//! there keeps its dims, levels, pattern hash, partition and regions, and
+//! only renews their coherence ([`Context::write_back`]). A plain pass
+//! moves the computed buffer in as its values (for SpAdd3, its span
+//! buffers' values back to back: no `pos`/`crd` rebuild, no initial
+//! partition); a merging pass copies only the ranges of the colors that
+//! re-ran into the registered values and keeps its buffer for the next
+//! merge seed.
 //! **Re-registration**: otherwise — a first run, a `Context::run`, an
 //! SpAdd3 input whose pattern changed, an output mutated or re-registered
 //! since, a re-keyed plan — [`materialize_output`] builds a new tensor
@@ -74,13 +75,14 @@
 //! and the assembled ranges appended for the numeric one. A program keeps
 //! its statements' describes from one pass to the next (the session's
 //! `PassRecord`, as Legion's dynamic tracing records a loop body once and
-//! replays it): [`Described::rebind`] reuses one while its plan, exec mode
-//! and split policy are the same and every tensor the plan names has
-//! regions of the same kinds, renaming the ids a re-registration or a
-//! by-value write-back renewed since — by position, as the model's launch
-//! replay names them — and checking the write-back claims against the
-//! output's region lengths. Anything else is a miss, and the miss path —
-//! the only path of a first run and of `Context::run` — describes afresh.
+//! replays it over the same region arguments): [`Described::rebind`]
+//! reuses one while its plan, exec mode and split policy are the same,
+//! every tensor the plan names keeps the regions it had — a by-value
+//! write-back and a value-only batch renew coherence under the ids a
+//! tensor has — and the write-back claims still cover the output's region
+//! lengths. Anything else, a re-registration included, is a miss, and the
+//! miss path — the only path of a first run and of `Context::run` —
+//! describes afresh.
 //! The model's costing is memoised the same way: the runtime keeps a
 //! record of the last launch of each name and replays a launch that
 //! repeats it (`spdistal_runtime::exec`, "Launch replay").
@@ -91,7 +93,7 @@
 //! | The requirement lists, from describe through the drain to the model issue, and when a recorded describe still holds ([`Described::rebind`]) | Batching, launch-graph gating (`model_preds`), the stand-in ids and the pass record: [`session`](crate::session) |
 //! | The output fold: shared buffer, reduction partials, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
 //! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
-//! | The write-back: which arm (by value or re-registration), the ranges a merge copies, and its launch-granularity claims ([`writeback_reqs`]) | Moving values into a registration and renewing its regions ([`Context::write_back`]), and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
+//! | The write-back: which arm (by value or re-registration), the ranges a merge copies, and its launch-granularity claims ([`writeback_reqs`]) | Moving values into a registration and renewing its regions' coherence ([`Context::write_back`]), and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
 //!
 //! ## Real parallel execution
 //!
@@ -455,43 +457,21 @@ impl Described {
 
     /// Whether this describe still holds for `plan` in `ctx`: the same
     /// plan, exec mode and split policy, every tensor the plan names
-    /// registered with regions of the same shape, and the output's regions
-    /// of the lengths its claims cover. Region ids a re-registration or a
-    /// write-back renewed since are renamed in the lists, by position — as
-    /// the model's launch replay names them (`docs/model.md`).
-    pub(crate) fn rebind(&mut self, ctx: &Context, plan: &Arc<Plan>) -> bool {
-        if !Arc::ptr_eq(&self.plan, plan)
-            || self.mode != ctx.exec_mode()
-            || self.policy != ctx.split_policy()
-        {
-            return false;
-        }
-        let mut renamed: Vec<(RegionId, RegionId)> = Vec::new();
-        for (name, then) in named(plan).zip(&mut self.regions) {
-            let Ok(now) = ctx.tensor(name).map(|t| &t.regions) else {
-                return false;
-            };
-            if now != then {
-                // Regions of the same kinds, level by level: the footprints
-                // differ only in their ids.
-                let kinds = |r: &TensorRegions| -> Vec<_> {
-                    r.levels.iter().map(std::mem::discriminant).collect()
-                };
-                if kinds(now) != kinds(then) {
-                    return false;
-                }
-                renamed.extend(then.ids().into_iter().zip(now.ids()));
-                *then = now.clone();
-            }
-        }
-        let reqs = self.point_reqs.iter_mut().flatten();
-        for req in reqs.chain(&mut self.writeback) {
-            if let Some(&(_, now)) = renamed.iter().find(|(was, _)| *was == req.region) {
-                req.region = now;
-            }
-        }
-        // The claims cover whole regions: their lengths must hold too.
-        writeback_reqs(ctx, plan).is_ok_and(|claims| claims == self.writeback)
+    /// registered under the very regions the lists name, and the output's
+    /// regions of the lengths its claims cover. A write-back by value and a
+    /// value-only batch keep a tensor's regions, so a cached pass holds; a
+    /// re-registration gives new ones, and the caller describes afresh.
+    pub(crate) fn rebind(&self, ctx: &Context, plan: &Arc<Plan>) -> bool {
+        let same = |(name, then): (&String, &TensorRegions)| {
+            ctx.tensor(name).is_ok_and(|t| t.regions == *then)
+        };
+        Arc::ptr_eq(&self.plan, plan)
+            && self.mode == ctx.exec_mode()
+            && self.policy == ctx.split_policy()
+            && named(plan).zip(&self.regions).all(same)
+            // The claims cover whole regions: their lengths must hold too
+            // (a re-registration may get the recorded ids back).
+            && writeback_reqs(ctx, plan).is_ok_and(|claims| claims == self.writeback)
     }
 
     /// The launch descriptor of this plan's compute phase: the per-point

@@ -216,7 +216,7 @@ impl PassRecord {
     fn describe(&mut self, ctx: &Context, batch: &[Queued], trace: &Trace) -> Result<(), Error> {
         let mut built = 0;
         for q in batch {
-            let recorded = self.described.get_mut(&q.ticket);
+            let recorded = self.described.get(&q.ticket);
             if !recorded.is_some_and(|d| d.rebind(ctx, &q.plan)) {
                 // Distinct per ticket, counting down from the top of the id
                 // space (real ids count up from 0).

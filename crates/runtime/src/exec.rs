@@ -39,8 +39,9 @@
 //! peers only to pick the link — [`Machine::link`] tells nothing else
 //! apart, so a one-processor-per-node machine scans none — and the unions
 //! that record the new copy (a one-run side spliced in, not merged).
-//! `somewhere` only grows, except in [`Runtime::evict`] (rebuilt) and
-//! [`Runtime::retire_region`] (cleared). See `docs/model.md`.
+//! `somewhere` only grows, except in [`Runtime::evict`] (rebuilt),
+//! [`Runtime::renew`] (reset) and [`Runtime::retire_region`] (cleared). See
+//! `docs/model.md`.
 //!
 //! ## Launch-graph-ordered replay
 //!
@@ -85,9 +86,11 @@
 //! Anything else is costed and re-recorded; a failed launch never is.
 //!
 //! **Regions are named by position** — the order in which the requirements
-//! first name them — because a by-value write-back creates an output's
-//! renewed regions before it retires the old ones, so ids rotate from pass
-//! to pass while the state repeats up to that renaming.
+//! first name them — because a run's output region is created for the run
+//! and retired at its end, and a re-registration gives a tensor new
+//! regions, so one state can recur under other ids. A tensor renewed in
+//! place ([`Runtime::renew`]: a write-back by value, a value-only batch)
+//! keeps its ids.
 //!
 //! **A replay is bit-identical**: the slow path's state, residency and
 //! traffic are functions of the key, and the clocks advance by the same
@@ -309,8 +312,9 @@ pub struct Runtime {
     /// Intervals valid in the unbounded staging (system) memory.
     sys_valid: Vec<IntervalSet>,
     /// `somewhere[r.0] == sys_valid[r.0] ∪ ⋃ₚ valid[r.0][p]`, exactly:
-    /// grown wherever a copy appears, rebuilt by `evict`, cleared by
-    /// `retire_region`. What `fetch` intersects instead of every processor.
+    /// grown wherever a copy appears, rebuilt by `evict`, reset by `renew`,
+    /// cleared by `retire_region`. What `fetch` intersects instead of
+    /// every processor.
     somewhere: Vec<IntervalSet>,
     /// Retired region slots, reused by `create_region`.
     free: Vec<RegionId>,
@@ -442,6 +446,63 @@ impl Runtime {
         let all = IntervalSet::from_rect(crate::geometry::Rect1::new(0, len as i64 - 1));
         self.somewhere[r.0 as usize].union_with(&all);
         self.sys_valid[r.0 as usize] = all;
+    }
+
+    /// Put the regions `ids` back in the state a fresh registration has —
+    /// [`Runtime::create_region`], [`Runtime::attach_sys`], then an
+    /// [`Runtime::attach`] of every `(proc, slot, subset)` of `placed` to
+    /// `ids[slot]` — under the ids they have: each processor holds exactly
+    /// its placement, the staging memory the whole region, and
+    /// `resident[p]` trades the old copies' bytes for the new ones'.
+    /// Whether that fits is decided first, per processor, with the old
+    /// copies still charged while the new ones attach (`old_counted`, as
+    /// when a registration is built beside the one it replaces) or released
+    /// first; a refusal is an [`RuntimeError::Oom`] that changes nothing.
+    pub fn renew(
+        &mut self,
+        ids: &[RegionId],
+        placed: Vec<(usize, usize, IntervalSet)>,
+        old_counted: bool,
+    ) -> Result<(), RuntimeError> {
+        let procs = self.machine.num_procs();
+        let mut sets = vec![vec![IntervalSet::new(); procs]; ids.len()];
+        for (p, slot, set) in placed {
+            self.check_proc(p)?;
+            sets[slot][p].union_with(&set);
+        }
+        let bytes = |r: RegionId, set: &IntervalSet| {
+            set.total_len() * self.regions[r.0 as usize].elem_bytes
+        };
+        let capacity = self.machine.profile().proc.mem_capacity;
+        let mut resident = self.resident.clone();
+        for (p, now) in resident.iter_mut().enumerate() {
+            let held: u64 = ids.iter().map(|&r| bytes(r, self.valid_in(r, p))).sum();
+            let requested: u64 = ids.iter().zip(&sets).map(|(&r, s)| bytes(r, &s[p])).sum();
+            let released = now.saturating_sub(held);
+            let charged = if old_counted { *now } else { released };
+            if charged.saturating_add(requested) > capacity {
+                let names: Vec<&str> = ids.iter().map(|&r| self.region(r).name.as_str()).collect();
+                return Err(RuntimeError::Oom {
+                    proc: p,
+                    region: names.join(", "),
+                    resident: charged,
+                    requested,
+                    capacity,
+                });
+            }
+            *now = released + requested;
+        }
+        self.resident = resident;
+        for (&r, sets) in ids.iter().zip(sets) {
+            let ri = r.0 as usize;
+            self.somewhere[ri] = IntervalSet::new();
+            self.attach_sys(r);
+            for set in &sets {
+                self.somewhere[ri].union_with(set);
+            }
+            self.valid[ri] = sets;
+        }
+        Ok(())
     }
 
     /// Drop `proc`'s copy of `subset` of `r`, releasing memory. Used by
@@ -1354,6 +1415,80 @@ mod tests {
         assert_eq!(r.resident_bytes(1), 40);
     }
 
+    /// Every set and count a fresh registration decides, for `ids`.
+    type Coherence = (
+        Vec<Vec<IntervalSet>>,
+        Vec<IntervalSet>,
+        Vec<IntervalSet>,
+        Vec<u64>,
+    );
+
+    fn coherence(rt: &Runtime, ids: &[RegionId]) -> Coherence {
+        let at = |sets: &Vec<IntervalSet>| ids.iter().map(|r| sets[r.0 as usize].clone()).collect();
+        let valid = ids.iter().map(|r| rt.valid[r.0 as usize].clone()).collect();
+        (
+            valid,
+            at(&rt.sys_valid),
+            at(&rt.somewhere),
+            rt.resident.clone(),
+        )
+    }
+
+    /// A renewal in place after copies came and went leaves what a fresh
+    /// registration of the same placement leaves; one that does not fit
+    /// changes nothing, and the old copies count only when asked to.
+    #[test]
+    fn renew_in_place_is_a_fresh_registration() {
+        let profile = MachineProfile::test_profile_with_capacity(1500);
+        let mut r = Runtime::new(Machine::grid1d(2, profile.clone()));
+        let ids = [r.create_region("x", 100, 8), r.create_region("y", 20, 16)];
+        let run = |lo, hi| IntervalSet::from_rect(Rect1::new(lo, hi));
+        r.attach(ids[0], 0, run(0, 49)).unwrap();
+        r.attach(ids[0], 1, run(50, 99)).unwrap();
+        r.attach(ids[1], 1, run(0, 19)).unwrap();
+        r.evict(ids[0], 1, &run(60, 69));
+        let read = TaskSpec::new(1, 0.0).with_req(RegionReq::read(ids[0], run(0, 79)));
+        launch(&mut r, "fetch", vec![read]).unwrap();
+        assert_eq!(r.resident_bytes(1), 8 * 100 + 16 * 20);
+        let placed = vec![
+            (0, 0, run(0, 49)),
+            (1, 0, run(50, 99)),
+            (0, 1, run(0, 9)),
+            (0, 1, run(5, 14)),
+            (1, 1, run(10, 19)),
+        ];
+
+        // Processor 1 holds 1 120 bytes and is placed 560 more: beside its
+        // old copies that is over 1 500, in place of them it fits.
+        let before = coherence(&r, &ids);
+        let refused = r.renew(&ids, placed.clone(), true);
+        assert!(
+            matches!(refused, Err(RuntimeError::Oom { proc: 1, .. })),
+            "{refused:?}"
+        );
+        assert_eq!(
+            coherence(&r, &ids),
+            before,
+            "a refused renewal changes nothing"
+        );
+        r.renew(&ids, placed.clone(), false).unwrap();
+
+        let mut fresh = Runtime::new(Machine::grid1d(2, profile));
+        let made = [
+            fresh.create_region("x", 100, 8),
+            fresh.create_region("y", 20, 16),
+        ];
+        for &m in &made {
+            fresh.attach_sys(m);
+        }
+        for (p, slot, set) in placed {
+            fresh.attach(made[slot], p, set).unwrap();
+        }
+        assert_eq!(coherence(&r, &ids), coherence(&fresh, &made));
+        assert_eq!((r.resident_bytes(0), r.resident_bytes(1)), (640, 560));
+        assert_eq!(r.live_regions(), 2);
+    }
+
     /// xorshift64*: the sweep below needs reproducible choices, not quality.
     struct Rng(u64);
     impl Rng {
@@ -1551,7 +1686,7 @@ mod tests {
 
     /// Replace `old` by a new region holding what it holds (its staging
     /// copy only when that is the whole region), created before `old` is
-    /// retired — a renewal under another id, as a by-value write-back does.
+    /// retired — a renewal under another id, as a re-registration gives.
     fn renew(rt: &mut Runtime, old: RegionId) -> Result<RegionId, RuntimeError> {
         let RegionMeta {
             len, elem_bytes, ..
@@ -1572,8 +1707,8 @@ mod tests {
     type Template = Vec<(usize, Vec<(usize, Privilege, IntervalSet)>)>;
 
     /// The replay oracle: a few named launch templates re-issued between
-    /// random `attach` / `attach_sys` / `evict` / renewal /
-    /// `retire_region` + `create_region` steps, on a runtime that replays
+    /// random `attach` / `attach_sys` / `evict` / renewal (in place, or
+    /// under another id) / `retire_region` + `create_region` steps, on a runtime that replays
     /// and on one that costs every launch — one processor per node, four,
     /// and a memory small enough to run out. After every step both agree
     /// on every observable ([`Pair::assert_same`]); launches replayed and
@@ -1637,6 +1772,15 @@ mod tests {
                         if let Ok(new) = pair.both(|rt| renew(rt, r)) {
                             regions[k] = new;
                         }
+                    }
+                    5 => {
+                        // A renewal in place, beside the old copies or
+                        // instead of them.
+                        let placed: Vec<_> = (0..1 + rng.below(2))
+                            .map(|_| (rng.below(procs as u64) as usize, 0, rng.subset(LEN)))
+                            .collect();
+                        let old_counted = rng.below(2) == 0;
+                        let _ = pair.both(|rt| rt.renew(&[r], placed.clone(), old_counted));
                     }
                     4 if step % 4 == 0 => {
                         // Sometimes with other element sizes, in the same

@@ -443,9 +443,10 @@ impl Pool {
         // under that lock, so none can follow) and returns only once every
         // slot a helper claimed has been released, which is each helper's
         // last access to the job (`Job::leave`). `run_graph_traced` asserts
-        // `Job::quiescent` after the guard in debug builds. Nothing in this
-        // sandbox can run Miri (`cargo miri` reports the component
-        // missing); `ci.sh` runs the pool stress test in debug and release.
+        // `Job::quiescent` after the guard in debug builds. `ci.sh` runs
+        // the pool stress test in debug and release, and this module's
+        // tests under AddressSanitizer (Miri is not installed), which fail
+        // if a helper touches the job after this wait.
         let erased: &'static Job<'static> =
             unsafe { std::mem::transmute::<&'j Job<'j>, &'static Job<'static>>(job) };
         let want = job.slots.len() - 1;

@@ -10,7 +10,8 @@
 //! * a panicking span body costs its own drain and nothing else.
 //!
 //! `ci.sh` runs this file in debug and in `--release`: lifetime-erasure
-//! bugs hide without optimisation, and nothing here can run Miri.
+//! bugs hide without optimisation. Miri is not installed; the pool's unit
+//! tests run under AddressSanitizer instead.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -253,6 +253,9 @@ fn sweep_model_matches_the_parent_commit() {
 #[derive(Debug, PartialEq)]
 struct Steady {
     live_regions: usize,
+    /// Every registered tensor's region ids: a write-back by value renews
+    /// coherence under the ids a tensor has.
+    ids: Vec<Vec<spdistal_repro::runtime::RegionId>>,
     resident: Vec<u64>,
     comm_bytes: u64,
     messages: u64,
@@ -262,9 +265,10 @@ struct Steady {
 }
 
 /// 2 000 iterations of the chain: every run registers an output region and
-/// re-registers its output tensor, and retires what they replace, so the
-/// runtime's region table and residency at iteration 2 000 are those of
-/// iteration 10, and from iteration 3 on (plans cached, schedules settled)
+/// retires it, and writes its output tensor back by value under the
+/// regions it has (the first run re-registers it), so the runtime's region
+/// table, every tensor's region ids and residency at iteration 2 000 are
+/// those of iteration 10, and from iteration 3 on (plans cached, schedules settled)
 /// every iteration costs the model the same — so from then on the model
 /// replays every launch from its record instead of costing it again. `ExecResult::time` is a
 /// difference of the ever-growing canonical clock, so it repeats to
@@ -275,10 +279,16 @@ struct Steady {
 fn a_long_lived_program_stays_the_size_of_its_program() {
     let mut program = chain(8, 2_500);
     let steady_at = |program: &CompiledProgram| {
-        let rt = program.context().runtime();
+        let ctx = program.context();
+        let rt = ctx.runtime();
         let results = (0..program.stmt_count()).map(|k| program.result(k).unwrap());
         Steady {
             live_regions: rt.live_regions(),
+            ids: ctx
+                .tensor_names()
+                .into_iter()
+                .map(|name| ctx.tensor(name).unwrap().regions.ids())
+                .collect(),
             resident: (0..PIECES).map(|p| rt.resident_bytes(p)).collect(),
             comm_bytes: results.clone().map(|r| r.comm_bytes).sum(),
             messages: results.clone().map(|r| r.messages).sum(),

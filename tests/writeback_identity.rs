@@ -8,8 +8,9 @@
 //! `run_incremental` the tensor registered under the output's name must
 //! equal the statement's `value(k)` bit for bit (`to_bits` of the values,
 //! exact dims and levels), and the machine model must see a new tensor
-//! state: the output's `RegionId`s all change and every processor holds
-//! what the initial distribution places there.
+//! state: the output's version goes up, every processor holds what the
+//! initial distribution places there, and a pass written back by value
+//! renews the output's regions in place, under the `RegionId`s it had.
 //!
 //! Covered outputs: dense (SpMV, SpMM), reduction (SpMV under a non-zero
 //! split), pattern-aligned (SDDMM, SpTTV) and assembled (SpAdd3). Covered
@@ -136,17 +137,46 @@ fn assert_registered_is_value(p: &CompiledProgram, k: usize, out: &str, what: &s
     assert_eq!(bits(registered), bits(value), "{what}: values");
 }
 
-/// The model sees a new state of `out`: none of the regions it had before
-/// the pass (`before`) is still its own, and every processor holds what a
-/// fresh registration of the same data under the same format places there.
-fn assert_new_state(p: &CompiledProgram, out: &str, before: &[RegionId], what: &str) {
+/// What a pass starts from: the output's regions and version, and the
+/// write-back arms counted so far (0 on an untraced program).
+struct Before {
+    ids: Vec<RegionId>,
+    version: u64,
+    arms: (u64, u64),
+}
+
+fn before(p: &CompiledProgram, out: &str) -> Before {
+    Before {
+        ids: p.context().tensor(out).unwrap().regions.ids(),
+        version: p.context().tensor_version(out),
+        arms: arms(p),
+    }
+}
+
+/// `(writeback.reregistered, writeback.by_value)` so far.
+fn arms(p: &CompiledProgram) -> (u64, u64) {
+    p.trace().metrics().map_or((0, 0), |m| {
+        let count = |name: &str| m.counter(name).get();
+        (count("writeback.reregistered"), count("writeback.by_value"))
+    })
+}
+
+/// The model sees a new state of `out`: its version went up, a pass that
+/// wrote back by value (and re-registered nothing) kept the regions it had
+/// before the pass, and every processor holds what a fresh registration of
+/// the same data under the same format places there.
+fn assert_new_state(p: &CompiledProgram, out: &str, before: &Before, what: &str) {
     let ctx = p.context();
     let t = ctx.tensor(out).unwrap();
     let ids = t.regions.ids();
     assert!(
-        ids.iter().all(|id| !before.contains(id)),
-        "{what}: regions kept"
+        ctx.tensor_version(out) > before.version,
+        "{what}: version kept"
     );
+    let (reregistered, by_value) = arms(p);
+    if reregistered == before.arms.0 && by_value > before.arms.1 {
+        assert_eq!(ids, before.ids, "{what}: a by-value pass changed the ids");
+    }
     let mut fresh = Context::new(ctx.machine().clone());
     fresh
         .add_tensor(out, t.data.clone(), t.format.clone())
@@ -165,13 +195,9 @@ fn assert_new_state(p: &CompiledProgram, out: &str, before: &[RegionId], what: &
     }
 }
 
-fn ids(p: &CompiledProgram, out: &str) -> Vec<RegionId> {
-    p.context().tensor(out).unwrap().regions.ids()
-}
-
 /// One pass of `p`, then both assertions on statement `k`'s output.
 fn pass(p: &mut CompiledProgram, incremental: bool, k: usize, out: &str, what: &str) {
-    let before = ids(p, out);
+    let before = before(p, out);
     let ran = if incremental {
         p.run_incremental()
     } else {
@@ -380,7 +406,7 @@ fn a_pass_that_errors() {
         Format::blocked_dense_vec(),
     )
     .unwrap();
-    let before = ids(&p, "A");
+    let before = before(&p, "A");
     assert!(
         p.run().is_err(),
         "a write-back into the wrong dims must fail"
