@@ -143,12 +143,35 @@ if ! awk 'FNR == 1 { t = 0; p = ""; f = "" }
           END { exit bad }' crates/core/src/kernels/specialized/{mod,matrix,tensor3}.rs; then
   echo "a row-keyed body searches its clamp per row: take the walker's owned flag (specialized::pieces / cut)"; exit 1
 fi
-# One output-row borrow per row: SpMM's and SpMTTKRP's blessed bodies borrow
-# their output row once (`OutVals::row_mut`) and keep it in registers across
-# entries. The checked per-entry factor-row write `add_scaled_product`
-# belongs to the walker (`kernels::tensor3`) alone.
+# One row fold: SpMM and SpMTTKRP, over every blessed layout (COO
+# included), fold their stored entries into an output row through
+# `specialized::RowFold`, which borrows the row once (`OutVals::row_mut`)
+# and keeps it in registers four entries at a time. The checked per-entry
+# writes `add_scaled` and `add_scaled_product` belong to the walker
+# (`kernels::{matrix,tensor3}`) alone.
 if grep -rn 'add_scaled_product' crates/core/src/kernels/specialized/; then
-  echo "a blessed kernel writes its output per entry again: borrow the row once (OutVals::row_mut)"; exit 1
+  echo "a blessed kernel writes its output per entry again: fold the row through RowFold"; exit 1
+fi
+# The fold is the layer's one output-row borrow and its one AVX entry point:
+# exactly one non-test `row_mut(` call and one `#[target_feature` under
+# kernels/specialized/, and the per-kernel row loops it replaced (`row_wide`
+# twins, `spmm_with` / `spmttkrp_with` dispatch, per-entry `add_scaled`)
+# stay gone.
+for pat in 'row_mut(' '#[target_feature'; do
+  sites="$(awk -v pat="$pat" '
+      FNR == 1 { t = 0; p = "" }
+      t { next }
+      /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+      { p = $0 }
+      /^[[:space:]]*\/\// { next }
+      index($0, pat) { n++ }
+      END { print n + 0 }' crates/core/src/kernels/specialized/*.rs)"
+  if [ "$sites" != 1 ]; then
+    echo "$pat appears $sites times outside tests under kernels/specialized/: only RowFold may"; exit 1
+  fi
+done
+if grep -rnE 'row_wide|spmm_with|spmttkrp_with|add_scaled\(' crates/core/src/kernels/specialized/; then
+  echo "a per-kernel row loop is back (row_wide, *_with or a per-entry add_scaled): fold through RowFold"; exit 1
 fi
 # One trace event per window: a span, a launch and a flush each record once,
 # stamped at the window's start and carrying its `dur_ns`, so the exporter
@@ -321,7 +344,7 @@ echo "==> pool contract, optimised: stress, zero-helper completion, panic contai
 # unit tests run under AddressSanitizer in the next step.
 cargo test -q --release -p spdistal-runtime --test pool_contract --test pool_latency
 
-echo "==> unsafe under AddressSanitizer: the pool and the identity suites"
+echo "==> unsafe under AddressSanitizer: the pool, the identity suites and the server"
 # Miri is not installed; ASan is. The pool erases a drain's lifetime and
 # relies on its quiescence wait, and the leaf kernels write through raw
 # views that only the task graph keeps exclusive: ASan (with
@@ -335,6 +358,13 @@ if cargo +nightly --version >/dev/null 2>&1; then
   "${asan[@]}" --test specialized_identity --test writeback_identity --test parallel_identity \
     --test pipeline_identity
   "${asan[@]}" -p spdistal-runtime --lib sched::pool
+  # The server's suites; `signal.rs` runs the daemon binary, built with
+  # the sanitizer too, and sends it SIGTERM. One test at a time: under the
+  # sanitizer's slowdown, two test threads leave `service.rs`'s
+  # `the_request_explains_itself` waiting for a core outside every stage it
+  # times (it read 0.80-0.82 of a warm request against its 0.9 in 4 of 6
+  # runs); serial, the suite takes ~30 s.
+  "${asan[@]}" -p spdistal-server --test service --test signal -- --test-threads=1
 else
   echo "SKIPPED: the AddressSanitizer step did not run (no cargo +nightly toolchain)"
 fi

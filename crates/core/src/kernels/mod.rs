@@ -188,7 +188,8 @@ pub struct OutVals<'a> {
 // `f64` is `Send`, and moving the view to another thread moves only the
 // pointer + length — validity for `'a` is pinned by the `PhantomData`
 // borrow, so the referent cannot be freed or reallocated while any view
-// (on any thread) is live.
+// (on any thread) is live. Under AddressSanitizer:
+// `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`.
 unsafe impl Send for OutVals<'_> {}
 // SAFETY (`Sync`): sharing `&OutVals` across threads shares write access
 // to the buffer, which is sound only under the aliasing invariant stated
@@ -198,6 +199,8 @@ unsafe impl Send for OutVals<'_> {}
 // never access the same element concurrently — plan execution's task
 // graph serializes overlapping, non-commuting output requirements.
 // Callers constructing views via `from_raw` inherit both obligations.
+// Under AddressSanitizer:
+// `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`.
 unsafe impl Sync for OutVals<'_> {}
 
 impl<'a> OutVals<'a> {
@@ -241,6 +244,8 @@ impl<'a> OutVals<'a> {
             self.len
         );
         // SAFETY: bounds checked; element-disjointness per the type docs.
+        // Under AddressSanitizer:
+        // `tests/specialized_identity.rs::spmv_specialized_matches_walker_all_formats`.
         unsafe { *self.ptr.add(i) += v }
     }
 
@@ -253,6 +258,8 @@ impl<'a> OutVals<'a> {
             self.len
         );
         // SAFETY: bounds checked; element-disjointness per the type docs.
+        // Under AddressSanitizer:
+        // `tests/specialized_identity.rs::sddmm_specialized_matches_walker_all_formats`.
         unsafe { *self.ptr.add(i) = v }
     }
 
@@ -270,7 +277,9 @@ impl<'a> OutVals<'a> {
             self.len
         );
         for (j, s) in src.iter().enumerate() {
-            // SAFETY: start + j < end <= len (checked above).
+            // SAFETY: start + j < end <= len (checked above). Under
+            // AddressSanitizer, through the walker:
+            // `tests/specialized_identity.rs::spmm_specialized_matches_walker_all_formats`.
             unsafe { *self.ptr.add(start + j) += v * s }
         }
     }
@@ -299,6 +308,8 @@ impl<'a> OutVals<'a> {
             self.len
         );
         // SAFETY: bounds checked; exclusivity is the caller's contract.
+        // Under AddressSanitizer, through the row fold:
+        // `tests/specialized_identity.rs::row_loops_match_walker_at_lane_widths`.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
 
@@ -316,7 +327,9 @@ impl<'a> OutVals<'a> {
             self.len
         );
         for (j, (x, y)) in a.iter().zip(b).enumerate() {
-            // SAFETY: start + j < end <= len (checked above).
+            // SAFETY: start + j < end <= len (checked above). Under
+            // AddressSanitizer, through the walker:
+            // `tests/specialized_identity.rs::spmttkrp_specialized_matches_walker_all_formats`.
             unsafe { *self.ptr.add(start + j) += v * x * y }
         }
     }

@@ -27,12 +27,18 @@
 //! may share `out[i]` with another color, where `(P + x1) + x2` and
 //! `P + (x1 + x2)` round differently — those rows keep the walker's
 //! per-entry read-modify-write order.
+//!
+//! SpMM adds `v·C[k,:]` into output row `A(i,:)` for each stored entry,
+//! through the layer's one row fold ([`RowFold`]): a row-keyed row is one
+//! run (cut by the clamp unless the walker found it owned), a COO row one
+//! run of equal `i`.
 
 use spdistal_runtime::{IntervalSet, Rect1};
 use spdistal_sparse::SpTensor;
 
 use super::{
-    compressed, cut, for_coo_runs, for_rows, pieces, prefetch_read, singleton, Avx, TopLevel,
+    compressed, cut, equal_runs, for_coo_runs, for_rows, pieces, singleton, RowFold, Terms,
+    TopLevel,
 };
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
@@ -116,136 +122,35 @@ pub(super) fn spmv_coo(
     }) as f64
 }
 
-/// How many stored entries ahead of the current one to prefetch the
-/// dense `C` row for (far enough to beat a memory round-trip, near
-/// enough to still be resident when the loop arrives).
-const PF_DIST: usize = 4;
-
-/// `f64`s per 64-byte cache line, the stride between prefetch hints.
-const FLOATS_PER_LINE: usize = 8;
-
-/// Stored entries folded per unrolled step of SpMM's and SpMTTKRP's row
-/// loops (see [`SpMmRows::slice`]).
-pub(super) const CHUNK: usize = 4;
-
-/// The per-task operands of the row-keyed SpMM update, bundled so the
-/// baseline and AVX-widened row loops share one body.
-struct SpMmRows<'a> {
-    cols: &'a IntervalSet,
-    crd: &'a [i64],
-    vals: &'a [f64],
+/// SpMM's terms: the entry of value `v` at level-1 coordinate `k` adds
+/// `v·C[k,l]` to `A(i,l)`, with dense row-major `C` of width `jdim`. Its
+/// `C` rows are effectively random, so each is a likely cache miss: the
+/// fold prefetches them ahead.
+#[derive(Clone, Copy)]
+struct Scaled<'a> {
     c: &'a [f64],
     jdim: usize,
-    out: &'a OutVals<'a>,
 }
 
-impl SpMmRows<'_> {
-    /// One SpMM row: apply the clamped slice of stored row `range` to
-    /// output row `i` (all of it when the walker found the row `owned`, else
-    /// its [`cut`]), entry by entry in position order — the walker's exact
-    /// update sequence, so bit-identity holds unconditionally. The
-    /// row is borrowed once through [`OutVals::row_mut`]: one bounds check
-    /// and a noalias `&mut` row the compiler can keep vectorized, instead
-    /// of a checked raw-pointer `add_scaled` per entry. Returns the entry
-    /// count.
-    ///
-    /// `#[inline(always)]` so [`SpMmRows::row_wide`] recompiles this exact
-    /// body under its widened target features (both arms call
-    /// [`SpMmRows::slice`] directly, never through a closure, which would
-    /// be compiled without them).
+impl Terms for Scaled<'_> {
+    const PREFETCH: bool = true;
     #[inline(always)]
-    fn row(&self, i: usize, range: Rect1, owned: bool) -> u64 {
-        // SAFETY: the dependence graph serializes tasks whose output rows
-        // overlap and concurrent tasks touch disjoint elements (the OutVals
-        // contract), so this task is the row's only accessor.
-        let out_row = unsafe { self.out.row_mut(i * self.jdim, self.jdim) };
-        if owned {
-            return self.slice(out_row, range);
-        }
-        let mut n = 0u64;
-        for cr in cut(range, self.cols) {
-            n += self.slice(out_row, cr);
-        }
-        n
+    fn width(&self) -> usize {
+        self.jdim
     }
-
-    /// Apply stored positions `cr` of one row to `out_row`. The stored
-    /// column indices are effectively random, so each entry's dense `C` row
-    /// is a likely cache miss — the loop issues a prefetch `PF_DIST`
-    /// entries ahead to overlap those misses with the current row's work.
-    /// Returns the entry count.
     #[inline(always)]
-    fn slice(&self, out_row: &mut [f64], cr: Rect1) -> u64 {
-        let SpMmRows {
-            crd, vals, c, jdim, ..
-        } = *self;
-        let (lo, hi) = (cr.lo as usize, cr.hi as usize);
-        let vs = &vals[lo..=hi];
-        let ks = &crd[lo..=hi];
-        // Four entries per step: `out[j] += a; out[j] += b; ...` is the
-        // element-wise fold `(((out[j] + a) + b) + c) + d`, so keeping
-        // `out[j]` in a register across the chunk preserves the walker's
-        // per-element op order exactly while quartering the output row's
-        // load/store traffic.
-        let mut idx = 0;
-        while idx + CHUNK <= vs.len() {
-            if let Some(&knext) = ks.get(idx + PF_DIST) {
-                // A dense row spans several cache lines (jdim * 8
-                // bytes); hint every line, not just the first.
-                let base = knext as usize * jdim;
-                let mut off = 0;
-                while off < jdim {
-                    prefetch_read(c, base + off);
-                    off += FLOATS_PER_LINE;
-                }
-            }
-            let (v0, v1, v2, v3) = (vs[idx], vs[idx + 1], vs[idx + 2], vs[idx + 3]);
-            let k0 = ks[idx] as usize * jdim;
-            let k1 = ks[idx + 1] as usize * jdim;
-            let k2 = ks[idx + 2] as usize * jdim;
-            let k3 = ks[idx + 3] as usize * jdim;
-            let c0 = &c[k0..k0 + jdim];
-            let c1 = &c[k1..k1 + jdim];
-            let c2 = &c[k2..k2 + jdim];
-            let c3 = &c[k3..k3 + jdim];
-            for j in 0..jdim {
-                let mut t = out_row[j];
-                t += v0 * c0[j];
-                t += v1 * c1[j];
-                t += v2 * c2[j];
-                t += v3 * c3[j];
-                out_row[j] = t;
-            }
-            idx += CHUNK;
-        }
-        for (v, &k) in vs[idx..].iter().zip(&ks[idx..]) {
-            let k = k as usize;
-            let crow = &c[k * jdim..(k + 1) * jdim];
-            for (a, cj) in out_row.iter_mut().zip(crow) {
-                *a += v * cj;
-            }
-        }
-        vs.len() as u64
+    fn factor(&self) -> &[f64] {
+        self.c
     }
-
-    /// [`SpMmRows::row`] recompiled with 256-bit AVX enabled (the baseline
-    /// x86-64 target is SSE2, two `f64` lanes). The row update is purely
-    /// element-wise — each `out[j] += v * c[j]` is an independent
-    /// mul-then-add with no cross-lane reduction and no FMA contraction
-    /// (`fma` stays disabled) — so widening the lanes changes which
-    /// elements share an instruction, never any element's op sequence:
-    /// results stay bit-identical to the scalar walker.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn row_wide(&self, i: usize, range: Rect1, owned: bool) -> u64 {
-        self.row(i, range, owned)
+    #[inline(always)]
+    fn term(&self, v: f64, _: usize, x: f64) -> f64 {
+        v * x
     }
 }
 
-/// SpMM over a row-keyed driver: `A(i,j) += B(i,k) * C(k,j)`, dense
-/// row-major `C` of width `jdim`. Per-row exclusive output borrow with
-/// per-entry updates in the walker's order (see [`SpMmRows::row`]),
-/// through the AVX-widened loop when the CPU has it.
+/// SpMM over a row-keyed driver: `A(i,j) += B(i,k) * C(k,j)`. Each row's
+/// clamped slice (all of it when the walker found the row `owned`, else
+/// its [`cut`](super::cut)) goes through the one [`RowFold`].
 pub(super) fn spmm<T: TopLevel>(
     b: &SpTensor,
     part: &TensorPartition,
@@ -255,49 +160,18 @@ pub(super) fn spmm<T: TopLevel>(
     jdim: usize,
     out: &OutVals,
 ) -> f64 {
-    spmm_with::<T>(b, part, color, span, c, jdim, out, Avx::detect())
-}
-
-/// [`spmm`] through [`SpMmRows::row_wide`] when handed an [`Avx`], else
-/// through the baseline [`SpMmRows::row`].
-#[allow(clippy::too_many_arguments)]
-pub(super) fn spmm_with<T: TopLevel>(
-    b: &SpTensor,
-    part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-    c: &[f64],
-    jdim: usize,
-    out: &OutVals,
-    avx: Option<Avx>,
-) -> f64 {
     let clamps = LevelClamps::new(part, color, span);
     let cols = clamps.level(1);
-    let rows = SpMmRows {
-        cols,
-        crd: compressed(b, 1).1,
-        vals: b.vals(),
-        c,
-        jdim,
-        out,
-    };
-    #[cfg(target_arch = "x86_64")]
-    if avx.is_some() {
-        // SAFETY: an `Avx` exists only where AVX support was detected.
-        let n = for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| unsafe {
-            rows.row_wide(i, range, owned)
-        });
-        return (jdim as u64 * n) as f64;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = avx;
+    let fold = RowFold::new(b.vals(), compressed(b, 1).1);
+    let terms = Scaled { c, jdim };
     let n = for_rows::<T>(b, clamps.level(0), cols, |i, range, owned| {
-        rows.row(i, range, owned)
+        fold.row(out, i, jdim, [(terms, range, (!owned).then_some(cols))])
     });
     (jdim as u64 * n) as f64
 }
 
-/// SpMM over a COO driver.
+/// SpMM over a COO driver: each run of equal `i` is one row for the
+/// [`RowFold`].
 pub(super) fn spmm_coo(
     b: &SpTensor,
     part: &TensorPartition,
@@ -308,12 +182,11 @@ pub(super) fn spmm_coo(
     out: &OutVals,
 ) -> f64 {
     let (_, crd0) = compressed(b, 0);
-    let crd1 = singleton(b, 1);
-    let vals = b.vals();
+    let fold = RowFold::new(b.vals(), singleton(b, 1));
+    let terms = Scaled { c, jdim };
     let n = for_coo_runs(b, part, color, span, |lo, hi| {
-        for ((v, &i), &k) in vals[lo..=hi].iter().zip(&crd0[lo..=hi]).zip(&crd1[lo..=hi]) {
-            let k = k as usize;
-            out.add_scaled(i as usize * jdim, *v, &c[k * jdim..(k + 1) * jdim]);
+        for (i, run) in equal_runs(crd0, lo, hi) {
+            fold.row(out, i, jdim, [(terms, run, None)]);
         }
     });
     (jdim as u64 * n) as f64

@@ -4,7 +4,7 @@
 //!
 //! | | |
 //! |---|---|
-//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `Owner` cursor by which the row walkers decide row ownership once per row run and the one cut-row path (`cut`), the `TopLevel` and `MidLevel` level kinds, the `Avx` proof by which SpMM and SpMTTKRP take their AVX-widened row loop, and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
+//! | **Owns** | the blessed leaf loops (`matrix`, `tensor3`) — SpAdd3's merge among them, its only implementation — the two walkers they share (`for_rows`, `for_coo_runs`), the `Owner` cursor by which the row walkers decide row ownership once per row run and the one cut-row path (`cut`), the `TopLevel` and `MidLevel` level kinds, the one row fold of SpMM and SpMTTKRP (`RowFold`: the layer's one output-row borrow and its one AVX entry point, taken under the `Avx` proof), and the one table of blessed `(kernel, stored signature)` pairs behind [`lookup`] and the compile-time refusal |
 //! | **Does not own** | when the lookup happens — once per describe (`plan::Described`, reused by a program's cached passes) in `plan.rs`, keyed by the driver's [`storage_signature`] (the arrays the kernel reads), never by its declared format |
 //! | **Does not own** | partition bounds — every loop reads them through [`LevelClamps`](crate::level_funcs::LevelClamps) |
 //! | **Does not own** | span shapes — which level a kernel splits at and how a color is chunked is [`crate::kernels::split`] |
@@ -28,7 +28,24 @@
 //!   fused dense `(i,j)` dimension).
 //! * **COO** drivers (`{Compressed,Singleton,..}`) share one entry index
 //!   across all levels. One source per kernel, driven by
-//!   `for_coo_runs`.
+//!   `for_coo_runs`; a row is a run of equal level-0 coordinates
+//!   (`equal_runs`).
+//!
+//! ## One row fold
+//!
+//! SpMM and SpMTTKRP add dense factor rows into a dense output row, and
+//! every layout of both does it through one primitive, `RowFold::row`: it
+//! borrows output row `i` once (`OutVals::row_mut`) and folds the row's
+//! runs of stored entries into it four entries per step with `out[l]` in a
+//! register (the tail entry by entry). A kernel hands it the runs — each
+//! stored positions with the clamp that cuts them, if any — and their
+//! `Terms`: SpMM's `v·C[k,l]` (`Scaled`, which prefetches `C` rows ahead),
+//! SpMTTKRP's `(v·C[j,l])·D[k,l]` for one fiber's `j` (`Fiber`). Where
+//! the `Avx` proof is present the fold runs under
+//! `#[target_feature(enable = "avx")]` (`RowFold::wide`), the layer's one
+//! such function; with no closure between it and the fold loop, the loop
+//! is compiled with the wider lanes. The update is element-wise with no
+//! FMA, so both arms keep the walker's bits.
 //!
 //! | kernel     | `{Dense,Compressed}` (CSR) | `{Compressed,Compressed}` (DCSR) | `{Compressed,Singleton}` (COO) |
 //! |------------|----------------------------|----------------------------------|--------------------------------|
@@ -273,8 +290,8 @@ fn pieces(
 /// level-0 entry index, so all per-level clamps compose into one set
 /// intersected with the root range: `run(lo, hi)` receives each maximal
 /// contiguous entry run (inclusive), in ascending order — one flat pass
-/// over the stored tuples. COO rows repeat per stored entry, so COO
-/// kernels always update per entry. Returns the entries visited.
+/// over the stored tuples. A COO row is a run of equal level-0
+/// coordinates ([`equal_runs`]). Returns the entries visited.
 #[inline(always)]
 fn for_coo_runs(
     b: &SpTensor,
@@ -294,6 +311,18 @@ fn for_coo_runs(
         n += r.len();
     }
     n
+}
+
+/// The runs of equal coordinate in `crd[lo..=hi]`, ascending: each
+/// coordinate with the stored positions it holds. A COO row (level 0) or a
+/// COO fiber inside a row (level 1) is one such run.
+#[inline(always)]
+fn equal_runs(crd: &[i64], lo: usize, hi: usize) -> impl Iterator<Item = (usize, Rect1)> + '_ {
+    crd[lo..=hi].chunk_by(|a, b| a == b).scan(lo, |at, run| {
+        let positions = Rect1::new(*at as i64, (*at + run.len() - 1) as i64);
+        *at += run.len();
+        Some((run[0] as usize, positions))
+    })
 }
 
 /// The kernel's name in `kernel-dispatch` trace events and refusals.
@@ -408,22 +437,198 @@ fn singleton(t: &SpTensor, level: usize) -> &[i64] {
 }
 
 /// Proof that the running CPU has 256-bit AVX, made only by
-/// [`Avx::detect`]: a kernel handed one may call its
-/// `#[target_feature(enable = "avx")]` row loop (SpMM's, SpMTTKRP's); a
-/// kernel handed `None` runs the baseline loop, which is how the unit
-/// tests reach it on an AVX host.
+/// [`Avx::detect`]: a [`RowFold`] that holds one folds through its
+/// `#[target_feature(enable = "avx")]` arm, [`RowFold::wide`].
 #[derive(Clone, Copy)]
 struct Avx(());
 
 impl Avx {
-    /// `Some` when AVX was detected at run time (never off x86-64).
+    /// `Some` when AVX was detected at run time (never off x86-64, and
+    /// never in a unit test that asked for the baseline arm).
     #[inline(always)]
     fn detect() -> Option<Avx> {
+        #[cfg(test)]
+        if tests::BASELINE.get() {
+            return None;
+        }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx") {
             return Some(Avx(()));
         }
         None
+    }
+}
+
+/// Stored entries folded per unrolled step of [`RowFold::run`].
+const CHUNK: usize = 4;
+
+/// How many stored entries ahead of the current one a fold prefetches the
+/// factor row for (far enough to beat a memory round-trip, near enough to
+/// still be resident when the loop arrives).
+const PF_DIST: usize = 4;
+
+/// `f64`s per 64-byte cache line, the stride between prefetch hints.
+const FLOATS_PER_LINE: usize = 8;
+
+/// Where each stored entry's factor term comes from, for [`RowFold`]: the
+/// entry of value `v` at stored coordinate `k` adds `term(v, l, x)` to
+/// `out[l]`, where `x` is element `l` of row `k` of `factor()`. SpMM's
+/// term is `v·C[k,l]`, SpMTTKRP's `(v·C[j,l])·D[k,l]` for the fiber's `j`.
+trait Terms: Copy {
+    /// Whether the fold hints each entry's factor row `PF_DIST` entries
+    /// ahead.
+    const PREFETCH: bool;
+    /// The width of a factor row, and of the output row.
+    fn width(&self) -> usize;
+    /// The row-major factor a stored coordinate picks its row of.
+    fn factor(&self) -> &[f64];
+    /// Entry `v`'s term at column `l`, `x` being its factor row's `l`-th
+    /// element.
+    fn term(&self, v: f64, l: usize, x: f64) -> f64;
+}
+
+/// A run of stored positions for [`RowFold`], with its terms and the clamp
+/// that cuts it — `None` when the walker found it owned.
+type Run<'c, F> = (F, Rect1, Option<&'c IntervalSet>);
+
+/// The one row fold of SpMM and SpMTTKRP, over every driver layout: a
+/// task's stored values and the coordinate each entry picks its factor row
+/// by (level 1 for SpMM, level 2 for SpMTTKRP), and whether the CPU has AVX.
+#[derive(Clone, Copy)]
+struct RowFold<'a> {
+    vals: &'a [f64],
+    crd: &'a [i64],
+    avx: Option<Avx>,
+}
+
+impl<'a> RowFold<'a> {
+    fn new(vals: &'a [f64], crd: &'a [i64]) -> Self {
+        RowFold {
+            vals,
+            crd,
+            avx: Avx::detect(),
+        }
+    }
+
+    /// Fold every run `runs` yields into output row `i` of `out` (`width`
+    /// wide), in order: a run is stored positions with their terms, taken
+    /// whole when it comes with no clamp (the walker found it owned), else
+    /// each piece of its [`cut`] against the clamp. The row is borrowed
+    /// once, here, through [`OutVals::row_mut`] — one bounds check and a
+    /// noalias `&mut` row the compiler keeps in vector registers. Returns
+    /// the entries folded.
+    #[inline(always)]
+    fn row<F: Terms>(
+        &self,
+        out: &OutVals,
+        i: usize,
+        width: usize,
+        runs: impl IntoIterator<Item = Run<'a, F>>,
+    ) -> u64 {
+        // SAFETY: the dependence graph serializes tasks whose output rows
+        // overlap and concurrent tasks touch disjoint elements (the OutVals
+        // contract; a reduction plan gives each color its own partial), so
+        // this task is the row's only accessor. Under AddressSanitizer:
+        // `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`.
+        let out_row = unsafe { out.row_mut(i * width, width) };
+        #[cfg(target_arch = "x86_64")]
+        if self.avx.is_some() {
+            // SAFETY: an `Avx` exists only where AVX support was detected.
+            // Under AddressSanitizer:
+            // `tests/specialized_identity.rs::row_loops_match_walker_at_lane_widths`.
+            return unsafe { self.wide(out_row, runs) };
+        }
+        self.runs(out_row, runs)
+    }
+
+    /// [`RowFold::runs`] recompiled with 256-bit AVX enabled (the baseline
+    /// x86-64 target is SSE2, two `f64` lanes). The update is purely
+    /// element-wise — each `out[l] += term` is a multiply (two for
+    /// SpMTTKRP) then an add, with no cross-lane reduction and no FMA
+    /// contraction (`fma` stays disabled) — so widening the lanes changes
+    /// which elements share an instruction, never any element's op
+    /// sequence.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    fn wide<F: Terms>(
+        &self,
+        out_row: &mut [f64],
+        runs: impl IntoIterator<Item = Run<'a, F>>,
+    ) -> u64 {
+        self.runs(out_row, runs)
+    }
+
+    /// Fold each of `runs` into `out_row` in turn. No closure stands
+    /// between [`RowFold::wide`] and [`RowFold::run`]: a closure LLVM
+    /// declines to inline is compiled without the widened features.
+    #[inline(always)]
+    fn runs<F: Terms>(
+        &self,
+        out_row: &mut [f64],
+        runs: impl IntoIterator<Item = Run<'a, F>>,
+    ) -> u64 {
+        let mut n = 0;
+        for (f, range, clamp) in runs {
+            match clamp {
+                None => n += self.run(out_row, f, range),
+                Some(clamp) => {
+                    for r in cut(range, clamp) {
+                        n += self.run(out_row, f, r);
+                    }
+                }
+            }
+        }
+        n
+    }
+
+    /// Fold stored positions `r` into `out_row`, four entries per step:
+    /// `out[l] += a; out[l] += b; ...` is the element-wise fold
+    /// `(((out[l] + a) + b) + c) + d`, so keeping `out[l]` in a register
+    /// across the chunk preserves the walker's per-element op sequence
+    /// while quartering the output row's load/store traffic; the tail goes
+    /// entry by entry. Returns the entry count.
+    #[inline(always)]
+    fn run<F: Terms>(&self, out_row: &mut [f64], f: F, r: Rect1) -> u64 {
+        let (w, m) = (f.width(), f.factor());
+        let out_row = &mut out_row[..w];
+        let (lo, hi) = (r.lo as usize, r.hi as usize);
+        let (vs, ks) = (&self.vals[lo..=hi], &self.crd[lo..=hi]);
+        let mut idx = 0;
+        while idx + CHUNK <= vs.len() {
+            if F::PREFETCH {
+                if let Some(&k) = ks.get(idx + PF_DIST) {
+                    // A factor row spans several cache lines (w * 8
+                    // bytes); hint every line, not just the first.
+                    let base = k as usize * w;
+                    let mut off = 0;
+                    while off < w {
+                        prefetch_read(m, base + off);
+                        off += FLOATS_PER_LINE;
+                    }
+                }
+            }
+            let (v0, v1, v2, v3) = (vs[idx], vs[idx + 1], vs[idx + 2], vs[idx + 3]);
+            let r0 = &m[ks[idx] as usize * w..][..w];
+            let r1 = &m[ks[idx + 1] as usize * w..][..w];
+            let r2 = &m[ks[idx + 2] as usize * w..][..w];
+            let r3 = &m[ks[idx + 3] as usize * w..][..w];
+            for l in 0..w {
+                let mut t = out_row[l];
+                t += f.term(v0, l, r0[l]);
+                t += f.term(v1, l, r1[l]);
+                t += f.term(v2, l, r2[l]);
+                t += f.term(v3, l, r3[l]);
+                out_row[l] = t;
+            }
+            idx += CHUNK;
+        }
+        for (&v, &k) in vs[idx..].iter().zip(&ks[idx..]) {
+            let row = &m[k as usize * w..][..w];
+            for l in 0..w {
+                out_row[l] += f.term(v, l, row[l]);
+            }
+        }
+        vs.len() as u64
     }
 }
 
@@ -434,7 +639,9 @@ fn prefetch_read<T>(slice: &[T], index: usize) {
     #[cfg(target_arch = "x86_64")]
     if index < slice.len() {
         // SAFETY: `_mm_prefetch` is a pure cache hint, valid for any
-        // address; the pointer is in-bounds by the check above.
+        // address; the pointer is in-bounds by the check above. Under
+        // AddressSanitizer:
+        // `tests/specialized_identity.rs::specialized_matches_walker_on_random_matrices`.
         unsafe {
             core::arch::x86_64::_mm_prefetch(
                 slice.as_ptr().add(index) as *const i8,
@@ -448,9 +655,17 @@ fn prefetch_read<T>(slice: &[T], index: usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use proptest::prelude::*;
 
     use super::*;
+
+    thread_local! {
+        /// Set by a test that wants the row fold's baseline arm on an AVX
+        /// host: [`Avx::detect`] then answers `None` on that thread.
+        pub(super) static BASELINE: Cell<bool> = const { Cell::new(false) };
+    }
 
     /// `range` ⊆ `clamp`, by the clamp search the cut path makes.
     fn inside(clamp: &IntervalSet, range: Rect1) -> bool {
@@ -534,64 +749,61 @@ mod tests {
         }
     }
 
-    /// The baseline row loops of SpMM and SpMTTKRP — what runs where AVX is
-    /// absent — against the walker, bit for bit, over every blessed
-    /// row-keyed layout. On an AVX host the kernels the table hands out
-    /// take the widened arm, so this is the one place the baseline runs.
+    /// The baseline arm of the row fold — what SpMM and SpMTTKRP run where
+    /// AVX is absent — against the walker, bit for bit, over every blessed
+    /// layout of both kernels, COO included. On an AVX host the kernels
+    /// take the widened arm unless this thread asks for the baseline, so
+    /// this is the one place the baseline runs.
     #[test]
     fn baseline_row_loops_match_the_walker() {
         use crate::kernels::{matrix as walk2, tensor3 as walk3};
         use spdistal_sparse::convert::{to_dcsr, with_formats};
         use spdistal_sparse::generate;
-        use tensor3::{spmttkrp_with, CompressedMid as Mid, DenseMid};
-        use LevelFormat::{Compressed, Dense};
+        use LevelFormat::{Compressed, Dense, Singleton};
 
+        BASELINE.set(true);
         let csr = generate::rmat_clustered(6, 520, 0.57, 12);
         let csf = generate::tensor3_skewed([24, 16, 12], 700, 1.3, 37);
-        let matrices = [("csr", csr.clone()), ("dcsr", to_dcsr(&csr))];
+        let matrices = [
+            to_dcsr(&csr),
+            with_formats(&csr, &[Compressed, Singleton]),
+            csr,
+        ];
         let tensors = [
-            ("dcsf", with_formats(&csf, &[Compressed; 3])),
-            ("ddc", with_formats(&csf, &[Dense, Dense, Compressed])),
-            ("csf", csf),
+            with_formats(&csf, &[Compressed; 3]),
+            with_formats(&csf, &[Dense, Dense, Compressed]),
+            with_formats(&csf, &[Compressed, Singleton, Singleton]),
+            csf,
         ];
         for width in [1, 4, 33] {
-            for (name, t) in &matrices {
+            for t in &matrices {
                 let c = generate::dense_vec(t.dims()[1] * width, 17);
-                let spmm: SpMmFn = match *name {
-                    "csr" => |t, p, col, sp, c, w, o| {
-                        matrix::spmm_with::<DenseTop>(t, p, col, sp, c, w, o, None)
-                    },
-                    _ => |t, p, col, sp, c, w, o| {
-                        matrix::spmm_with::<CompressedTop>(t, p, col, sp, c, w, o, None)
-                    },
+                let kernel = LeafKernel::SpMm { jdim: width };
+                let layout = storage_signature(t);
+                let Some(SpecializedKernel::SpMm(spmm)) = lookup(&kernel, &layout) else {
+                    panic!("SpMm over {layout} is blessed");
                 };
                 assert_same_as_walker(
-                    &format!("SpMm {name}/w{width}"),
+                    &format!("SpMm {layout}/w{width}"),
                     t,
-                    &LeafKernel::SpMm { jdim: width },
+                    &kernel,
                     t.dims()[0] * width,
                     &|p, col, sp, o| walk2::spmm_color(t, p, col, sp, &c, width, o),
                     &|p, col, sp, o| spmm(t, p, col, sp, &c, width, o),
                 );
             }
-            for (name, t) in &tensors {
+            for t in &tensors {
                 let c = generate::dense_vec(t.dims()[1] * width, 41);
                 let d = generate::dense_vec(t.dims()[2] * width, 43);
-                let spmttkrp: SpMttkrpFn = match *name {
-                    "csf" => |t, p, col, sp, c, d, w, o| {
-                        spmttkrp_with::<Mid<DenseTop>>(t, p, col, sp, c, d, w, o, None)
-                    },
-                    "dcsf" => |t, p, col, sp, c, d, w, o| {
-                        spmttkrp_with::<Mid<CompressedTop>>(t, p, col, sp, c, d, w, o, None)
-                    },
-                    _ => |t, p, col, sp, c, d, w, o| {
-                        spmttkrp_with::<DenseMid>(t, p, col, sp, c, d, w, o, None)
-                    },
+                let kernel = LeafKernel::SpMttkrp { ldim: width };
+                let layout = storage_signature(t);
+                let Some(SpecializedKernel::SpMttkrp(spmttkrp)) = lookup(&kernel, &layout) else {
+                    panic!("SpMttkrp over {layout} is blessed");
                 };
                 assert_same_as_walker(
-                    &format!("SpMttkrp {name}/w{width}"),
+                    &format!("SpMttkrp {layout}/w{width}"),
                     t,
-                    &LeafKernel::SpMttkrp { ldim: width },
+                    &kernel,
                     t.dims()[0] * width,
                     &|p, col, sp, o| walk3::spmttkrp_color(t, p, col, sp, &c, &d, width, o),
                     &|p, col, sp, o| spmttkrp(t, p, col, sp, &c, &d, width, o),

@@ -338,13 +338,15 @@ struct SharedOut {
 // re-derives `ptr` afterwards — and the launch's dependence
 // graph guarantees that two concurrently running tasks never touch the
 // same element (overlapping, non-commuting output requirements are
-// serialized into different batches).
+// serialized into different batches). Under AddressSanitizer:
+// `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`.
 unsafe impl Sync for SharedOut {}
 // SAFETY (`Send`): moving `SharedOut` moves `buf` together with the
 // `ptr`/`len` derived from it; `Vec<f64>`'s heap allocation is stable
 // across moves, so the pointer stays valid on the receiving thread, and
 // `f64` has no thread affinity. Sends only happen at flush boundaries,
-// when no writer views are outstanding.
+// when no writer views are outstanding. Under AddressSanitizer:
+// `tests/pipeline_identity.rs::raw_chain_cuts_batches_bit_identically`.
 unsafe impl Send for SharedOut {}
 
 impl SharedOut {
@@ -358,7 +360,9 @@ impl SharedOut {
     fn writer(&self) -> OutVals<'_> {
         // SAFETY: the heap allocation is stable and unaliased by `&mut`
         // references for the view's lifetime; concurrent element
-        // disjointness is the dependence graph's contract.
+        // disjointness is the dependence graph's contract. Under
+        // AddressSanitizer:
+        // `tests/writeback_identity.rs::every_output_kind_through_every_transition`.
         unsafe { OutVals::from_raw(self.ptr, self.len) }
     }
 
@@ -465,13 +469,22 @@ impl Described {
         let same = |(name, then): (&String, &TensorRegions)| {
             ctx.tensor(name).is_ok_and(|t| t.regions == *then)
         };
+        // The claims cover whole regions: their lengths must hold too (a
+        // re-registration may get the recorded ids back at other lengths).
+        // The ids are the output's, which `same` has just matched.
+        let claims_hold = || {
+            let len = |r: RegionId| ctx.runtime().region(r).len;
+            let claim = |c: &RegionReq| (c.region, c.subset.total_len());
+            let output = self.regions.last().expect("a plan names its output");
+            let live = output.ids().into_iter().filter(|&r| len(r) > 0);
+            live.map(|r| (r, len(r)))
+                .eq(self.writeback.iter().map(claim))
+        };
         Arc::ptr_eq(&self.plan, plan)
             && self.mode == ctx.exec_mode()
             && self.policy == ctx.split_policy()
             && named(plan).zip(&self.regions).all(same)
-            // The claims cover whole regions: their lengths must hold too
-            // (a re-registration may get the recorded ids back).
-            && writeback_reqs(ctx, plan).is_ok_and(|claims| claims == self.writeback)
+            && claims_hold()
     }
 
     /// The launch descriptor of this plan's compute phase: the per-point

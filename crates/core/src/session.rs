@@ -551,6 +551,30 @@ mod tests {
         (ctx, b, x)
     }
 
+    /// A recorded describe holds while the output keeps its regions, and
+    /// misses once re-registrations hand the output its recorded ids back
+    /// at another length: the write-back claims cover whole regions.
+    #[test]
+    fn a_describe_misses_when_its_output_ids_come_back_at_another_length() {
+        let (mut ctx, b, _) = spmv_ctx();
+        let [i, j] = ctx.fresh_vars(["i", "j"]);
+        let s = assign("y", &[i], access("B", &[i, j]) * access("x", &[j]));
+        let sched = schedule_outer_dim(&mut ctx, &s, PIECES, ParallelUnit::CpuThread);
+        let plan = Arc::new(ctx.compile(&s, &sched).unwrap());
+        let described = Described::new(&ctx, Arc::clone(&plan), RegionId(u32::MAX)).unwrap();
+        assert!(described.rebind(&ctx, &plan));
+        let ids = ctx.tensor("y").unwrap().regions.clone();
+        // The first re-registration takes fresh ids and frees y's; the
+        // second gets them back, for a longer vector.
+        let n = b.dims()[0];
+        for len in [n, n + 8] {
+            let y = dense_vector(vec![0.0; len]);
+            ctx.add_tensor("y", y, Format::blocked_dense_vec()).unwrap();
+        }
+        assert!(ctx.tensor("y").unwrap().regions == ids, "the ids came back");
+        assert!(!described.rebind(&ctx, &plan), "claims over the old length");
+    }
+
     #[test]
     fn independent_plans_flush_in_one_batch() {
         let (mut ctx, b, x) = spmv_ctx();

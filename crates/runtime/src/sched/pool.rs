@@ -446,7 +446,8 @@ impl Pool {
         // `Job::quiescent` after the guard in debug builds. `ci.sh` runs
         // the pool stress test in debug and release, and this module's
         // tests under AddressSanitizer (Miri is not installed), which fail
-        // if a helper touches the job after this wait.
+        // if a helper touches the job after this wait. Under
+        // AddressSanitizer: `sched::pool::tests::runs_every_span_exactly_once`.
         let erased: &'static Job<'static> =
             unsafe { std::mem::transmute::<&'j Job<'j>, &'static Job<'static>>(job) };
         let want = job.slots.len() - 1;

@@ -38,7 +38,8 @@ pub fn install() {
         let handler = on_signal as extern "C" fn(i32) as usize;
         // SAFETY: the handler only stores to an atomic, which is
         // async-signal-safe; `signal` itself is safe to call with a valid
-        // function pointer for these two signals.
+        // function pointer for these two signals. Under AddressSanitizer:
+        // `tests/signal.rs::sigterm_drains_the_daemon_and_unlinks_its_socket`.
         unsafe {
             signal(SIGINT, handler);
             signal(SIGTERM, handler);

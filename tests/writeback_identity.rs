@@ -329,6 +329,7 @@ fn two_writers_of_one_output_with_a_reader_between() {
     let c = generate::dense_vec(96, 23);
     let zeros = || dense_vector(vec![0.0; 96]);
     let mut p = Program::on(machine())
+        .trace(Trace::enabled())
         .tensor("A", Format::blocked_dense_vec(), zeros())
         .tensor("y", Format::blocked_dense_vec(), zeros())
         .tensor("B", Format::blocked_csr(), b.clone())
@@ -369,6 +370,12 @@ fn two_writers_of_one_output_with_a_reader_between() {
             stats.reason
         );
     }
+    // `y` has one writer and goes by value on every pass after the first.
+    // Each writer of `A` finds the other's write registered, so `A` is
+    // re-registered twice a pass and the by-value id clause of
+    // `assert_new_state` (a pass that re-registered nothing) has no pass
+    // to run on here.
+    assert_eq!(arms(&p).1, 5, "by-value write-backs over six passes");
 }
 
 /// A pass that fails at its second statement's write-back: the first
