@@ -224,6 +224,24 @@ fi
 if grep -n 'renamed' crates/core/src/plan.rs; then
   echo "plan.rs renames a recorded describe's lists again: a describe holds only over the regions it names"; exit 1
 fi
+# Every region a launch names is real: a statement's output region is its
+# pass record's (`session::PassRecord`), created on the first describe and
+# cleared around each run's launches (`Runtime::clear_region`), and a
+# registration is created empty, then renewed (`attach_beside`). Per-pass
+# region creation in plan.rs, the stand-in id it replaced and the
+# attach-by-attach registration stay gone.
+if grep -v '^[[:space:]]*//' crates/core/src/plan.rs | grep -E 'create_region\(|retire_region\(' ||
+  grep -rn 'stand_in' crates/core/src ||
+  grep -n 'attach_placements' crates/core/src/dist_tensor.rs ||
+  ! awk 'FNR == 1 { t = 0; p = "" }
+         t { next }
+         /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+         { p = $0 }
+         /^[[:space:]]*\/\// { next }
+         /\.attach\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+         END { exit bad }' crates/core/src/dist_tensor.rs; then
+  echo "a launch names a stand-in region again, plan.rs creates or retires one, or a registration attaches piece by piece"; exit 1
+fi
 # Code lines (no test modules, blanks or comment lines; shims excluded), so
 # the next simplicity PR starts from a number in the log. A test module is a
 # `mod` line right after `#[cfg(test)]`; a lone gated item (a test-only const

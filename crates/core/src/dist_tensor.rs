@@ -15,7 +15,7 @@
 //! | Versions and tracked dirty rows: each registration carries its own | Locating a batch's deltas and merging them into the stored entries: `streaming::ingest`, [`SpTensor::with_edits`] |
 //! | The one registration entry (`swap_registration`) behind `add_tensor`, `replace_tensor_data`, `set_tensor_format` and a structural `update_batch` | Which statements may merge into their previous output, given those versions: `program::exec`'s `eligibility` |
 //! | What a color touches of a tensor ([`TensorRegions::footprint`]) and where the initial distribution places it | The coordinate-tree partitions themselves: [`level_funcs`](crate::level_funcs) |
-//! | Renewing a registration's coherence under the ids it has ([`Runtime::renew`]): a write-back charges the new copies with the old ones still counted, a value-only batch releases the old ones first | Which write-back arm runs and which ranges a merge copies: [`plan`](crate::plan) |
+//! | Setting a registration's coherence under the ids it has ([`Runtime::renew`]): a new registration's empty regions and a write-back charge the new copies with the old ones still counted, a value-only batch releases the old ones first | Which write-back arm runs and which ranges a merge copies: [`plan`](crate::plan) |
 //! | Where a registration's values live (the storage rule below) | Costing a requirement, coherence, memory: `spdistal_runtime` |
 //!
 //! **Storage: one copy of each tensor.** A registration owns its values:
@@ -600,10 +600,11 @@ impl Context {
     }
 }
 
-/// Create `data`'s regions and attach what the distribution (`part` under
-/// `spec`) places where, beside whatever the runtime already holds — so a
-/// processor briefly holds the old registration and the new one. A failed
-/// attach retires what it created: the runtime is left as it was.
+/// Create `data`'s regions empty and renew them to what the distribution
+/// (`part` under `spec`) places where ([`Runtime::renew`]), beside
+/// whatever the runtime already holds — so a processor briefly holds the
+/// old registration and the new one. A refused renewal retires what it
+/// created: the runtime is left as it was.
 fn attach_beside(
     runtime: &mut Runtime,
     name: &str,
@@ -613,7 +614,7 @@ fn attach_beside(
 ) -> Result<TensorRegions, RuntimeError> {
     let regions = create_regions(runtime, name, data);
     let placed = placements(runtime.machine(), &regions, part, spec);
-    if let Err(e) = attach_placements(runtime, &regions, placed) {
+    if let Err(e) = runtime.renew(&regions.ids(), placed, true) {
         retire_regions(runtime, &regions);
         return Err(e);
     }
@@ -634,6 +635,8 @@ fn retire_regions(runtime: &mut Runtime, regions: &TensorRegions) {
     }
 }
 
+/// Create `data`'s regions, valid nowhere until [`attach_beside`] renews
+/// them.
 fn create_regions(runtime: &mut Runtime, name: &str, data: &SpTensor) -> TensorRegions {
     let mut parent_entries = 1usize;
     let mut levels = Vec::with_capacity(data.order());
@@ -643,7 +646,6 @@ fn create_regions(runtime: &mut Runtime, name: &str, data: &SpTensor) -> TensorR
             Level::Singleton { crd } => {
                 let crd_r =
                     runtime.create_region(&format!("{name}.crd{k}"), crd.len() as u64, CRD_BYTES);
-                runtime.attach_sys(crd_r);
                 levels.push(LevelRegions::Singleton { crd: crd_r });
             }
             Level::Compressed { crd, .. } => {
@@ -654,15 +656,12 @@ fn create_regions(runtime: &mut Runtime, name: &str, data: &SpTensor) -> TensorR
                 );
                 let crd_r =
                     runtime.create_region(&format!("{name}.crd{k}"), crd.len() as u64, CRD_BYTES);
-                runtime.attach_sys(pos);
-                runtime.attach_sys(crd_r);
                 levels.push(LevelRegions::Compressed { pos, crd: crd_r });
             }
         }
         parent_entries = level.num_entries(parent_entries);
     }
     let vals = runtime.create_region(&format!("{name}.vals"), data.num_stored() as u64, VAL_BYTES);
-    runtime.attach_sys(vals);
     TensorRegions { levels, vals }
 }
 
@@ -695,19 +694,6 @@ fn placements(
         }
     }
     placed
-}
-
-/// Attach [`placements`] to the memories of the owning processors.
-fn attach_placements(
-    runtime: &mut Runtime,
-    regions: &TensorRegions,
-    placed: Vec<(usize, usize, IntervalSet)>,
-) -> Result<(), RuntimeError> {
-    let ids = regions.ids();
-    for (p, slot, set) in placed {
-        runtime.attach(ids[slot], p, set)?;
-    }
-    Ok(())
 }
 
 /// The processors owning `color` along machine dimension `md` (all

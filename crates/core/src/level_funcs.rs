@@ -27,11 +27,12 @@ use crate::kernels::split::KernelSpan;
 /// Built once per task: the color's entry subsets, with the span's level
 /// (if any) replaced by the span's subset, borrowed as is. A span lies
 /// inside its color's clamp at that level because
-/// [`crate::kernels::color_spans`] cuts it from there. Both the generic
-/// partitioned walker ([`crate::kernels::walk_partitioned_span`]) and the
-/// monomorphized kernels ([`crate::kernels::specialized`]) resolve their
-/// iteration bounds through this one seam, so the fast path and its
-/// fallback visit identical entries by construction.
+/// [`crate::kernels::color_spans`] cuts it from there. The monomorphized
+/// kernels ([`crate::kernels::specialized`]) and the generic partitioned
+/// walker ([`crate::kernels::walk_partitioned_span`]), which is only their
+/// oracle in the identity suites, resolve their iteration bounds through
+/// this one seam, so a kernel and its oracle visit identical entries by
+/// construction.
 pub struct LevelClamps<'a> {
     part: &'a TensorPartition,
     color: usize,

@@ -66,13 +66,19 @@
 //!
 //! A launch is described **once per record**. The requirement lists a
 //! [`Described`] holds (one `Vec<RegionReq>` per color: every input's
-//! footprint, then the color's slice of the output under a stand-in region
-//! id) feed the pipeline, which derives the dependence order of the pool
-//! drain from them, and [`finish_model`] issues the very same lists to the
-//! machine model, which derives the data movement from them — the
-//! stand-in id re-named to the output region the compute phase has sized
-//! by then, and for an assembled output one copy for the symbolic launch
-//! and the assembled ranges appended for the numeric one. A program keeps
+//! footprint, then the color's slice of the statement's output region)
+//! feed the pipeline, which derives the dependence order of the pool drain
+//! from them, and [`finish_model`] issues the very same lists, borrowed, to
+//! the machine model, which derives the data movement from them — for an
+//! assembled output as they are for the symbolic launch, and in a copy with
+//! each color's assembled range appended for the numeric one. The output
+//! region belongs to the statement: the session's pass record creates it
+//! the first time it describes the statement's ticket and keeps it, and
+//! [`finish_model`] gives it, before the launches, the state
+//! `create_region` gives a region of this run's output length, and drops
+//! its copies after the write-back
+//! ([`Runtime::clear_region`](spdistal_runtime::Runtime::clear_region)), so
+//! a cached pass creates and retires no region. A program keeps
 //! its statements' describes from one pass to the next (the session's
 //! `PassRecord`, as Legion's dynamic tracing records a loop body once and
 //! replays it over the same region arguments): [`Described::rebind`]
@@ -90,9 +96,9 @@
 //! | `plan` owns | `plan` does not own |
 //! |---|---|
 //! | Leaf binding: kernel × *stored* driver layout → one lookup per [`Described`], one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
-//! | The requirement lists, from describe through the drain to the model issue, and when a recorded describe still holds ([`Described::rebind`]) | Batching, launch-graph gating (`model_preds`), the stand-in ids and the pass record: [`session`](crate::session) |
+//! | The requirement lists, from describe through the drain to the model issue, and when a recorded describe still holds ([`Described::rebind`]) | Batching, launch-graph gating (`model_preds`), and the pass record with each statement's output region: [`session`](crate::session) |
 //! | The output fold: shared buffer, reduction partials, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
-//! | The model issue (`index_launch_after`) and the per-run output region | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
+//! | The model issue (`index_launch_after`) and the output region's state around it (`clear_region`) | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
 //! | The write-back: which arm (by value or re-registration), the ranges a merge copies, and its launch-granularity claims ([`writeback_reqs`]) | Moving values into a registration and renewing its regions' coherence ([`Context::write_back`]), and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
 //!
 //! ## Real parallel execution
@@ -140,6 +146,7 @@
 //! (`critical_task_seconds`) next to it, so the gap between the modeled
 //! balance and the achieved schedule is visible under skew.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -151,7 +158,7 @@ use spdistal_runtime::{
 use spdistal_sparse::{dense_vector, CooTensor, Level, SpTensor};
 
 use crate::codegen::{OutKind, Plan};
-use crate::dist_tensor::{procs_for_color, Context, Error, TensorRegions, VAL_BYTES};
+use crate::dist_tensor::{procs_for_color, Context, Error, TensorRegions};
 use crate::kernels::specialized::{self, SpAdd3Fn, SpecializedKernel};
 use crate::kernels::split::color_weight;
 use crate::kernels::{self, tensor3, KernelSpan, LeafKernel, OutVals};
@@ -301,11 +308,11 @@ pub(crate) struct AddSpan {
     vals: Vec<f64>,
 }
 
-/// The leaf of a dense-output plan, bound once at describe time: runs one
+/// The leaf of a dense-output plan, bound once per prepared plan: runs one
 /// `(point, span clamp)` task into the given output view and returns its
-/// modeled op count. Covers both dispatch outcomes — a blessed
-/// [`specialized`] kernel or the generic walker — with the operands
-/// already captured.
+/// modeled op count — the blessed [`specialized`] kernel the describe
+/// looked up, with the operands already captured. (The generic walker is
+/// the identity suites' oracle, never a leaf.)
 type Leaf<'a> = Box<dyn Fn(usize, Option<&KernelSpan>, &OutVals) -> f64 + Send + Sync + 'a>;
 
 /// What one span of a prepared plan executes.
@@ -395,11 +402,11 @@ pub(crate) struct Described {
     blessed: SpecializedKernel,
     /// The driver's stored layout the leaf was looked up by.
     layout: String,
-    /// The output's stand-in region id in `point_reqs`: the output region
-    /// exists only once the compute phase has sized it.
-    stand_in: RegionId,
+    /// The statement's output region, which its pass record keeps from
+    /// one describe to the next; [`finish_model`] sizes it per run.
+    output: RegionId,
     /// What each color touches: every input's footprint, then its slice of
-    /// the output under `stand_in`.
+    /// `output`.
     point_reqs: Vec<Vec<RegionReq>>,
     /// The processor that runs each color.
     procs: Vec<usize>,
@@ -413,10 +420,10 @@ pub(crate) struct Described {
 }
 
 impl Described {
-    /// Describe `plan` against `ctx`, its output standing in as
-    /// `stand_in`. A driver re-registered since compile in a layout the
+    /// Describe `plan` against `ctx`, writing the statement's region
+    /// `output`. A driver re-registered since compile in a layout the
     /// kernel is not blessed over is refused here.
-    pub(crate) fn new(ctx: &Context, plan: Arc<Plan>, stand_in: RegionId) -> Result<Self, Error> {
+    pub(crate) fn new(ctx: &Context, plan: Arc<Plan>, output: RegionId) -> Result<Self, Error> {
         let driver = &ctx.tensor(&plan.driver)?.data;
         // Leaf dispatch: look the (kernel, stored driver layout) pair up
         // exactly once — the layout `recognize` admitted and the arrays the
@@ -436,7 +443,7 @@ impl Described {
         let (mut point_reqs, mut procs, mut spans, mut offsets) = (vec![], vec![], vec![], vec![]);
         let kernel = &plan.kernel;
         for color in 0..plan.colors {
-            point_reqs.push(launch_reqs(ctx, &plan, stand_in, color)?);
+            point_reqs.push(launch_reqs(ctx, &plan, output, color)?);
             procs.push(owner_proc(ctx, &plan, color)?);
             offsets.push(spans.iter().map(Vec::len).sum::<usize>());
             let cut = kernels::color_spans(driver, part, kernel, color, policy, mode, total_weight);
@@ -451,7 +458,7 @@ impl Described {
             policy,
             blessed,
             layout,
-            stand_in,
+            output,
             point_reqs,
             procs,
             spans,
@@ -485,6 +492,19 @@ impl Described {
             && self.policy == ctx.split_policy()
             && named(plan).zip(&self.regions).all(same)
             && claims_hold()
+    }
+
+    /// One task per color, issuing its recorded requirements as they are:
+    /// the ones the pool ran under are the ones the model is charged for.
+    fn tasks(&self, ops: &[f64]) -> Vec<TaskSpec<'_>> {
+        let specs = self.procs.iter().zip(&self.point_reqs).zip(ops);
+        specs
+            .map(|((&proc, reqs), &ops)| TaskSpec {
+                proc,
+                reqs: Cow::Borrowed(reqs),
+                ops,
+            })
+            .collect()
     }
 
     /// The launch descriptor of this plan's compute phase: the per-point
@@ -719,11 +739,7 @@ impl<'a> PreparedPlan<'a> {
         let Some(shared) = &mut self.shared else {
             return;
         };
-        let d = self.described;
-        let out = d.point_reqs[color]
-            .iter()
-            .find(|req| req.region == d.stand_in);
-        for r in out.iter().flat_map(|req| req.subset.rects()) {
+        for r in out_subset(&self.described.plan, color).rects() {
             let lo = r.lo.max(0) as usize;
             let hi = (r.hi.min(shared.len as i64 - 1)).max(-1);
             if hi < 0 {
@@ -881,7 +897,7 @@ pub(crate) fn finish_model(
         merge,
         reran,
     } = finished;
-    let (plan, procs) = (&*described.plan, &described.procs);
+    let plan = &*described.plan;
     let time0 = ctx.runtime().now();
     let stats0 = ctx.runtime().stats().clone();
 
@@ -889,23 +905,10 @@ pub(crate) fn finish_model(
         Computed::Vals(v) => v.len() as u64,
         Computed::Assembled { total_nnz, .. } => *total_nnz as u64,
     };
-    let out_region =
-        ctx.runtime_mut()
-            .create_region(&format!("{}.out", plan.output.tensor), out_len, VAL_BYTES);
-    // The requirements the pool ran under are the ones the model is
-    // charged for; only the output's stand-in id becomes the region.
-    let mut reqs = described.point_reqs.clone();
-    for req in reqs.iter_mut().flatten() {
-        if req.region == described.stand_in {
-            req.region = out_region;
-        }
-    }
-    let tasks = |reqs: Vec<Vec<RegionReq>>, ops: &[f64]| -> Vec<TaskSpec> {
-        let specs = procs.iter().zip(reqs).zip(ops);
-        specs
-            .map(|((&proc, reqs), &ops)| TaskSpec { proc, reqs, ops })
-            .collect()
-    };
+    // The statement's region, as `create_region` gives one of this run's
+    // length: nothing of it is valid anywhere before its launches write it.
+    let out_region = described.output;
+    ctx.runtime_mut().clear_region(out_region, out_len);
 
     let issue_t0 = Instant::now();
     let issued: Vec<LaunchRecord> = match &computed {
@@ -919,27 +922,26 @@ pub(crate) fn finish_model(
             // numeric pass writes values (Chou et al., Section V-B). The
             // numeric pass always chains behind the symbolic one.
             let name = format!("{}:symbolic", plan.name);
-            let t1 = tasks(reqs.clone(), symbolic_ops);
+            let t1 = described.tasks(symbolic_ops);
             let sym = ctx
                 .runtime_mut()
                 .index_launch_after(&name, t1, model_preds)?;
             // Colors own contiguous output ranges in color order.
-            let mut off = 0i64;
-            for (reqs, &n) in reqs.iter_mut().zip(per_color_nnz) {
+            let (mut t2, mut off) = (described.tasks(numeric_ops), 0i64);
+            for (task, &n) in t2.iter_mut().zip(per_color_nnz) {
                 if n > 0 {
-                    let range = Rect1::new(off, off + n as i64 - 1);
-                    reqs.push(RegionReq::write(out_region, IntervalSet::from_rect(range)));
+                    let range = IntervalSet::from_rect(Rect1::new(off, off + n as i64 - 1));
+                    task.reqs.to_mut().push(RegionReq::write(out_region, range));
                 }
                 off += n as i64;
             }
             let name = format!("{}:numeric", plan.name);
-            let t2 = tasks(reqs, numeric_ops);
             let num = ctx.runtime_mut().index_launch_after(&name, t2, &[sym.id])?;
             vec![sym, num]
         }
         Computed::Vals(_) => {
             let runtime = ctx.runtime_mut();
-            vec![runtime.index_launch_after(&plan.name, tasks(reqs, &ops), model_preds)?]
+            vec![runtime.index_launch_after(&plan.name, described.tasks(&ops), model_preds)?]
         }
     };
     // The model timeline's trace events: one modeled launch window per
@@ -995,9 +997,9 @@ pub(crate) fn finish_model(
     };
     trace.add(arm, 1);
 
-    // Nothing reads the per-run output region after its own launch(es):
-    // release it, so the runtime's state is bounded by the program.
-    ctx.runtime_mut().retire_region(out_region);
+    // Nothing reads the output region after its own launch(es): drop its
+    // copies, so no memory holds them between runs.
+    ctx.runtime_mut().clear_region(out_region, out_len);
 
     let stats = ctx.runtime().stats();
     Ok(ExecResult {

@@ -322,7 +322,7 @@ impl CompiledProgram {
         let t0 = Instant::now();
         #[cfg(test)]
         if self.pass_replay_off {
-            self.record = Default::default();
+            self.record.forget();
             self.stmts.iter_mut().for_each(|ps| ps.key = None);
         }
         // Accumulated streamed deltas can invalidate an earlier outer-dim

@@ -50,11 +50,13 @@
 //! per-color requirement lists and owner processors, the span cuts and the
 //! write-back claims; per batch the [`Pipeline`] built from them, with its
 //! `preds` — stays in the session's `PassRecord`, by ticket and by the
-//! batch's first ticket. A session starts from an empty record, so
+//! batch's first ticket, beside each ticket's output region: created the
+//! first time the ticket is described, named by every describe of it, and
+//! kept across describes. A session starts from an empty record, so
 //! [`Session::new`] (and with it `Context::run`) always describes; and
 //! since nothing resumes a plain session's record, it lets go of a batch's
-//! describes and graph once the batch has run, holding none across a long
-//! stream of submits. A
+//! describes, graph and output regions once the batch has run, holding
+//! none across a long stream of submits. A
 //! [`CompiledProgram`](crate::CompiledProgram) hands the record of one pass
 //! to the next pass's session (`Session::resume`, `Session::into_record`),
 //! whose statements have the same tickets: a batch then rebinds each
@@ -70,11 +72,11 @@ use std::time::Instant;
 
 use spdistal_runtime::pipeline::{LaunchTiming, Pipeline};
 use spdistal_runtime::sched::ExecReport;
-use spdistal_runtime::{LaunchId, RegionId, Trace};
+use spdistal_runtime::{LaunchId, RegionId};
 use spdistal_sparse::SpTensor;
 
 use crate::codegen::Plan;
-use crate::dist_tensor::{Context, Error};
+use crate::dist_tensor::{Context, Error, VAL_BYTES};
 use crate::plan::{
     finish_model, Described, ExecResult, LastWrite, MergeSeed, OutputValue, PreparedPlan,
 };
@@ -199,11 +201,14 @@ pub struct Session<'c> {
 /// ([`Described::rebind`]) and drain the recorded graph when every plan of
 /// the batch held (module docs, "The record"). A plain session's tickets
 /// never come back, so its record is `transient`: it lets go of a batch's
-/// describes and graph once the batch has run.
+/// describes, graph and output regions once the batch has run.
 #[derive(Default)]
 pub(crate) struct PassRecord {
     described: BTreeMap<usize, Described>,
     pipelines: BTreeMap<usize, (usize, Pipeline)>,
+    /// Each ticket's output region, which its describes name: created the
+    /// first time the ticket is described and kept across describes.
+    outputs: BTreeMap<usize, RegionId>,
     transient: bool,
     /// Describes and batch graphs taken from the record, not built.
     #[cfg(test)]
@@ -213,18 +218,21 @@ pub(crate) struct PassRecord {
 impl PassRecord {
     /// Make the record hold a describe of every plan of `batch` and the
     /// batch's pipeline, building only what no longer holds.
-    fn describe(&mut self, ctx: &Context, batch: &[Queued], trace: &Trace) -> Result<(), Error> {
+    fn describe(&mut self, ctx: &mut Context, batch: &[Queued]) -> Result<(), Error> {
         let mut built = 0;
         for q in batch {
             let recorded = self.described.get(&q.ticket);
-            if !recorded.is_some_and(|d| d.rebind(ctx, &q.plan)) {
-                // Distinct per ticket, counting down from the top of the id
-                // space (real ids count up from 0).
-                let stand_in = RegionId(u32::MAX - q.ticket as u32);
-                let described = Described::new(ctx, Arc::clone(&q.plan), stand_in)?;
-                self.described.insert(q.ticket, described);
-                built += 1;
+            if recorded.is_some_and(|d| d.rebind(ctx, &q.plan)) {
+                continue;
             }
+            let output = *self.outputs.entry(q.ticket).or_insert_with(|| {
+                let name = format!("{}.out", q.plan.output.tensor);
+                ctx.runtime_mut().create_region(&name, 0, VAL_BYTES)
+            });
+            let described = Described::new(ctx, Arc::clone(&q.plan), output)
+                .inspect_err(|_| self.retire(ctx, q.ticket))?;
+            self.described.insert(q.ticket, described);
+            built += 1;
         }
         let first = batch[0].ticket;
         let recorded = self.pipelines.get(&first);
@@ -240,20 +248,38 @@ impl PassRecord {
                 .map(|q| self.described[&q.ticket].launch_desc());
             let deps_t0 = Instant::now();
             let pipeline = Pipeline::new(launches.collect());
-            trace.observe_ns("deps.analyze_ns", deps_t0.elapsed().as_nanos() as u64);
+            ctx.trace()
+                .observe_ns("deps.analyze_ns", deps_t0.elapsed().as_nanos() as u64);
             self.pipelines.insert(first, (batch.len(), pipeline));
         }
         Ok(())
     }
 
     /// Let go of what `batch` recorded, if nothing resumes this record.
-    fn release(&mut self, batch: &[Queued]) {
+    fn release(&mut self, ctx: &mut Context, batch: &[Queued]) {
         if self.transient {
             for q in batch {
-                self.described.remove(&q.ticket);
+                self.retire(ctx, q.ticket);
             }
             self.pipelines.remove(&batch[0].ticket);
         }
+    }
+
+    /// Let go of `ticket`'s describe and retire its output region.
+    fn retire(&mut self, ctx: &mut Context, ticket: usize) {
+        self.described.remove(&ticket);
+        if let Some(output) = self.outputs.remove(&ticket) {
+            ctx.runtime_mut().retire_region(output);
+        }
+    }
+
+    /// Forget every describe and batch graph, keeping the statements'
+    /// output regions: the next pass describes afresh, as the record's
+    /// oracle does every pass.
+    #[cfg(test)]
+    pub(crate) fn forget(&mut self) {
+        self.described.clear();
+        self.pipelines.clear();
     }
 }
 
@@ -353,7 +379,7 @@ impl<'c> Session<'c> {
             let n = self.next_batch_len();
             let mut batch: Vec<Queued> = self.queue.drain(..n).collect();
             drained = self.run_batch(&mut batch, &mut report);
-            self.record.release(&batch);
+            self.record.release(self.ctx, &batch);
             if let Err(e) = &drained {
                 // Poison everything that never completed, drop the queue.
                 let msg = e.to_string();
@@ -443,7 +469,7 @@ impl<'c> Session<'c> {
         let mode = self.ctx.exec_mode();
         let trace = self.ctx.trace().clone();
         let batch_t0 = Instant::now();
-        self.record.describe(self.ctx, batch, &trace)?;
+        self.record.describe(self.ctx, batch)?;
         let record = &self.record;
         let described: Vec<&Described> =
             batch.iter().map(|q| &record.described[&q.ticket]).collect();
@@ -561,7 +587,8 @@ mod tests {
         let s = assign("y", &[i], access("B", &[i, j]) * access("x", &[j]));
         let sched = schedule_outer_dim(&mut ctx, &s, PIECES, ParallelUnit::CpuThread);
         let plan = Arc::new(ctx.compile(&s, &sched).unwrap());
-        let described = Described::new(&ctx, Arc::clone(&plan), RegionId(u32::MAX)).unwrap();
+        let out = ctx.runtime_mut().create_region("y.out", 0, VAL_BYTES);
+        let described = Described::new(&ctx, Arc::clone(&plan), out).unwrap();
         assert!(described.rebind(&ctx, &plan));
         let ids = ctx.tensor("y").unwrap().regions.clone();
         // The first re-registration takes fresh ids and frees y's; the
@@ -802,7 +829,7 @@ mod tests {
 
     /// A plain session's record holds nothing once its batches have run:
     /// 200 plans submitted and flushed in batches of one, two and many
-    /// leave no describe and no batch graph behind.
+    /// leave no describe, no batch graph and no output region behind.
     #[test]
     fn a_plain_session_lets_go_of_its_describes() {
         let (mut ctx, _, _) = spmv_ctx();
@@ -815,6 +842,7 @@ mod tests {
         let sz = assign("z", &[i2], access("B", &[i2, j2]) * access("y", &[j2]));
         let schedz = schedule_outer_dim(&mut ctx, &sz, PIECES, ParallelUnit::CpuThread);
         let pz = ctx.compile(&sz, &schedz).unwrap();
+        let live = ctx.runtime().live_regions();
         let mut session = Session::new(&mut ctx);
         let mut batches = 0;
         for round in 0..100 {
@@ -827,6 +855,8 @@ mod tests {
         assert!(batches > 50, "{batches} batches");
         assert!(session.record.described.is_empty(), "describes held");
         assert!(session.record.pipelines.is_empty(), "batch graphs held");
+        assert!(session.record.outputs.is_empty(), "output regions held");
+        assert_eq!(session.context().runtime().live_regions(), live);
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //! apart, so a one-processor-per-node machine scans none — and the unions
 //! that record the new copy (a one-run side spliced in, not merged).
 //! `somewhere` only grows, except in [`Runtime::evict`] (rebuilt),
-//! [`Runtime::renew`] (reset) and [`Runtime::retire_region`] (cleared). See
-//! `docs/model.md`.
+//! [`Runtime::renew`] (reset) and [`Runtime::clear_region`] (cleared; also
+//! by [`Runtime::retire_region`]). See `docs/model.md`.
 //!
 //! ## Launch-graph-ordered replay
 //!
@@ -86,11 +86,12 @@
 //! Anything else is costed and re-recorded; a failed launch never is.
 //!
 //! **Regions are named by position** — the order in which the requirements
-//! first name them — because a run's output region is created for the run
-//! and retired at its end, and a re-registration gives a tensor new
-//! regions, so one state can recur under other ids. A tensor renewed in
-//! place ([`Runtime::renew`]: a write-back by value, a value-only batch)
-//! keeps its ids.
+//! first name them — because a re-registration gives a tensor new regions,
+//! so one state can recur under other ids. Every other region a pass names
+//! keeps its id: a tensor renewed in place ([`Runtime::renew`]: a
+//! write-back by value, a value-only batch), and a statement's output
+//! region, which its pass record creates once and the plan clears around
+//! each run's launches ([`Runtime::clear_region`]).
 //!
 //! **A replay is bit-identical**: the slow path's state, residency and
 //! traffic are functions of the key, and the clocks advance by the same
@@ -291,7 +292,7 @@ struct Charged {
 /// names of a [`LaunchMemo`].
 fn named_regions(tasks: &[TaskSpec]) -> Vec<RegionId> {
     let mut named = Vec::new();
-    for req in tasks.iter().flat_map(|t| &t.reqs) {
+    for req in tasks.iter().flat_map(|t| t.reqs.iter()) {
         if !named.contains(&req.region) {
             named.push(req.region);
         }
@@ -313,7 +314,7 @@ pub struct Runtime {
     sys_valid: Vec<IntervalSet>,
     /// `somewhere[r.0] == sys_valid[r.0] ∪ ⋃ₚ valid[r.0][p]`, exactly:
     /// grown wherever a copy appears, rebuilt by `evict`, reset by `renew`,
-    /// cleared by `retire_region`. What `fetch` intersects instead of
+    /// cleared by `clear_region`. What `fetch` intersects instead of
     /// every processor.
     somewhere: Vec<IntervalSet>,
     /// Retired region slots, reused by `create_region`.
@@ -392,14 +393,12 @@ impl Runtime {
         id
     }
 
-    /// Retire region `r`: drop every processor's copy (releasing its
-    /// resident bytes) and the staging copy, and free the sets. Nothing may
-    /// name `r` afterwards — the id is handed out again by a later
-    /// [`Runtime::create_region`]. Retiring twice is a no-op.
-    pub fn retire_region(&mut self, r: RegionId) {
-        if self.free.contains(&r) {
-            return;
-        }
+    /// Put region `r` in the state [`Runtime::create_region`] gives a
+    /// region of `len` elements, under the id and name it has: every
+    /// processor's copy is dropped (releasing its resident bytes), the
+    /// staging copy too, and the sets are freed. A statement's output
+    /// region is cleared this way around each run's launches.
+    pub fn clear_region(&mut self, r: RegionId, len: u64) {
         let ri = r.0 as usize;
         let elem_bytes = self.regions[ri].elem_bytes;
         for (p, v) in self.valid[ri].iter_mut().enumerate() {
@@ -408,6 +407,17 @@ impl Runtime {
         }
         self.sys_valid[ri] = IntervalSet::new();
         self.somewhere[ri] = IntervalSet::new();
+        self.regions[ri].len = len;
+    }
+
+    /// Retire region `r`: clear it ([`Runtime::clear_region`]) and free its
+    /// slot. Nothing may name `r` afterwards — the id is handed out again
+    /// by a later [`Runtime::create_region`]. Retiring twice is a no-op.
+    pub fn retire_region(&mut self, r: RegionId) {
+        if self.free.contains(&r) {
+            return;
+        }
+        self.clear_region(r, self.regions[r.0 as usize].len);
         self.free.push(r);
     }
 
@@ -448,16 +458,18 @@ impl Runtime {
         self.sys_valid[r.0 as usize] = all;
     }
 
-    /// Put the regions `ids` back in the state a fresh registration has —
-    /// [`Runtime::create_region`], [`Runtime::attach_sys`], then an
-    /// [`Runtime::attach`] of every `(proc, slot, subset)` of `placed` to
-    /// `ids[slot]` — under the ids they have: each processor holds exactly
-    /// its placement, the staging memory the whole region, and
-    /// `resident[p]` trades the old copies' bytes for the new ones'.
-    /// Whether that fits is decided first, per processor, with the old
-    /// copies still charged while the new ones attach (`old_counted`, as
-    /// when a registration is built beside the one it replaces) or released
-    /// first; a refusal is an [`RuntimeError::Oom`] that changes nothing.
+    /// Give the regions `ids` the state a registration has, under the ids
+    /// they have: each processor holds exactly its placement — the union
+    /// of the `(proc, slot, subset)`s of `placed` for `ids[slot]` — the
+    /// staging memory the whole region ([`Runtime::attach_sys`]), and
+    /// `resident[p]` trades the old copies' bytes for the new ones'. A
+    /// registration is built through it (its regions created empty, then
+    /// renewed), and a write-back by value or a value-only batch renews a
+    /// tensor's regions through it. Whether the placement fits is decided
+    /// first, per processor, with the old copies still charged while the
+    /// new ones attach (`old_counted`, as when a registration is built
+    /// beside the one it replaces) or released first; a refusal is an
+    /// [`RuntimeError::Oom`] that changes nothing.
     pub fn renew(
         &mut self,
         ids: &[RegionId],
@@ -584,7 +596,7 @@ impl Runtime {
     pub fn index_launch_after(
         &mut self,
         name: &str,
-        mut tasks: Vec<TaskSpec>,
+        mut tasks: Vec<TaskSpec<'_>>,
         preds: &[LaunchId],
     ) -> Result<LaunchRecord, RuntimeError> {
         let mut clock = LaunchClock::new(self.issue_time(preds)?, self.machine.num_procs());
@@ -600,13 +612,14 @@ impl Runtime {
         let begin: Vec<RegionState> = named.iter().map(|&r| self.region_state(r)).collect();
         let resident = self.resident.clone();
         let charged = self.issue_tasks(&tasks, &mut clock)?;
-        for req in tasks.iter_mut().flat_map(|t| &mut t.reqs) {
+        for req in tasks.iter_mut().flat_map(|t| t.reqs.to_mut()) {
             let pos = named.iter().position(|&r| r == req.region);
             req.region = RegionId(pos.expect("every region is named") as u32);
         }
         let record = self.close_launch(name, tasks.len(), clock, traffic0);
+        let tasks = tasks.into_iter().map(|t| (t.proc, t.reqs.into_owned()));
         let memo = LaunchMemo {
-            tasks: tasks.into_iter().map(|t| (t.proc, t.reqs)).collect(),
+            tasks: tasks.collect(),
             begin,
             resident,
             charged,
@@ -655,7 +668,7 @@ impl Runtime {
             self.check_proc(task.proc)?;
             let p = task.proc;
             let mut comm_time = 0.0;
-            for req in &task.reqs {
+            for req in task.reqs.iter() {
                 match req.privilege {
                     Privilege::Read | Privilege::ReadWrite => {
                         comm_time += self.fetch(req, p)?;
@@ -1829,7 +1842,7 @@ mod tests {
                             // region differs.
                             if rng.below(4) == 0 {
                                 let task = rng.below(tasks.len() as u64) as usize;
-                                let reqs = &mut tasks[task].reqs;
+                                let reqs = tasks[task].reqs.to_mut();
                                 let k = rng.below(reqs.len() as u64) as usize;
                                 let req = &mut reqs[k];
                                 match (rng.below(3), req.privilege) {

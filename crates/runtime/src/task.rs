@@ -6,6 +6,8 @@
 //! the named subsets into the executing processor's memory, and keeping the
 //! distributed copies coherent afterwards.
 
+use std::borrow::Cow;
+
 use crate::geometry::IntervalSet;
 
 /// Handle for a logical region registered with the runtime.
@@ -62,28 +64,30 @@ impl RegionReq {
 }
 
 /// One point task of an index launch: where it runs, what it touches, and
-/// how much useful work it performs (in non-zero operations).
+/// how much useful work it performs (in non-zero operations). The
+/// requirements are borrowed where the caller keeps them — a recorded
+/// describe issues its lists as they are — and owned otherwise.
 #[derive(Clone, Debug)]
-pub struct TaskSpec {
+pub struct TaskSpec<'a> {
     /// Linearized machine-grid processor executing the task.
     pub proc: usize,
-    pub reqs: Vec<RegionReq>,
+    pub reqs: Cow<'a, [RegionReq]>,
     /// Modeled work: number of irregular non-zero operations. Execution time
     /// is `task_overhead + ops / proc.throughput`.
     pub ops: f64,
 }
 
-impl TaskSpec {
+impl TaskSpec<'_> {
     pub fn new(proc: usize, ops: f64) -> Self {
         TaskSpec {
             proc,
-            reqs: Vec::new(),
+            reqs: Cow::Owned(Vec::new()),
             ops,
         }
     }
 
     pub fn with_req(mut self, req: RegionReq) -> Self {
-        self.reqs.push(req);
+        self.reqs.to_mut().push(req);
         self
     }
 }

@@ -1002,11 +1002,8 @@ fn run_job(
     }
 
     for k in 0..program.stmt_count() {
-        let vals = match program.value(k) {
-            Some(OutputValue::Dense(v)) => v.clone(),
-            Some(OutputValue::Tensor(t)) => t.vals().to_vec(),
-            None => Vec::new(),
-        };
+        let output = program.value(k).and_then(OutputValue::as_tensor);
+        let vals = output.map_or_else(Vec::new, |t| t.vals().to_vec());
         send(Event::Result { stmt: k, vals });
     }
     let report = program.report();

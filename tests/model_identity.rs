@@ -4,9 +4,10 @@
 //! rewrite produced. The constants below were recorded from that parent
 //! commit; any change that moves them changed the paper's cost model.
 //!
-//! A second test runs the chain 2 000 times and checks that the runtime's
-//! state is bounded by the program rather than by its age, and that from
-//! the third iteration on the model replays every launch.
+//! Two more run the chain 2 000 times and the sweep 100 times and check
+//! that the runtime's state is bounded by the program rather than by its
+//! age, and that from the third iteration on the model replays every
+//! launch and the pass builds no batch graph.
 
 use spdistal_repro::sparse::{convert, dense_matrix, dense_vector, generate};
 use spdistal_repro::spdistal::prelude::*;
@@ -29,6 +30,7 @@ fn chain(scale: u32, nnz: usize) -> CompiledProgram {
     let b = generate::rmat_default(scale, nnz, 31);
     let n = b.dims()[0];
     Program::on(machine())
+        .trace(Trace::enabled())
         .tensor("B", Format::blocked_csr(), b)
         .tensor(
             "x0",
@@ -72,6 +74,7 @@ fn sweep() -> CompiledProgram {
         vec![0.0; spdistal_repro::spdistal::level_funcs::entry_counts(&b3)[1] as usize],
     );
     Program::on(machine())
+        .trace(Trace::enabled())
         .tensor(
             "A0",
             Format::blocked_dense_matrix(),
@@ -262,54 +265,76 @@ struct Steady {
     /// Each statement's `seq_span` (`to_bits`): per-launch serialized task
     /// time from a synchronized start, so it is independent of the clocks.
     seq_spans: Vec<u64>,
+    /// Batch dependence graphs built so far (`deps.analyze_ns` count): a
+    /// cached pass drains the graph its record holds.
+    graphs_built: u64,
 }
 
-/// 2 000 iterations of the chain: every run registers an output region and
-/// retires it, and writes its output tensor back by value under the
-/// regions it has (the first run re-registers it), so the runtime's region
-/// table, every tensor's region ids and residency at iteration 2 000 are
-/// those of iteration 10, and from iteration 3 on (plans cached, schedules settled)
-/// every iteration costs the model the same — so from then on the model
-/// replays every launch from its record instead of costing it again. `ExecResult::time` is a
-/// difference of the ever-growing canonical clock, so it repeats to
-/// rounding (last bits move with the clock's magnitude, as they did at the
-/// parent commit — see `CHAIN[4]`), not bit for bit; what it is made of
-/// (`seq_span`, traffic) does repeat exactly.
-#[test]
-fn a_long_lived_program_stays_the_size_of_its_program() {
-    let mut program = chain(8, 2_500);
-    let steady_at = |program: &CompiledProgram| {
-        let ctx = program.context();
-        let rt = ctx.runtime();
-        let results = (0..program.stmt_count()).map(|k| program.result(k).unwrap());
-        Steady {
-            live_regions: rt.live_regions(),
-            ids: ctx
-                .tensor_names()
-                .into_iter()
-                .map(|name| ctx.tensor(name).unwrap().regions.ids())
-                .collect(),
-            resident: (0..PIECES).map(|p| rt.resident_bytes(p)).collect(),
-            comm_bytes: results.clone().map(|r| r.comm_bytes).sum(),
-            messages: results.clone().map(|r| r.messages).sum(),
-            seq_spans: results
-                .flat_map(|r| r.records.iter().map(|rec| rec.model.seq_span.to_bits()))
-                .collect(),
-        }
-    };
+/// What each processor holds of the registered tensors' regions — all it
+/// holds once a pass has dropped its statements' output copies.
+fn registered_bytes(program: &CompiledProgram) -> Vec<u64> {
+    let (ctx, rt) = (program.context(), program.context().runtime());
+    let ids: Vec<_> = ctx
+        .tensor_names()
+        .into_iter()
+        .flat_map(|name| ctx.tensor(name).unwrap().regions.ids())
+        .collect();
+    let held = |p: usize, r| rt.valid_in(r, p).total_len() * rt.region(r).elem_bytes;
+    (0..PIECES)
+        .map(|p| ids.iter().map(|&r| held(p, r)).sum())
+        .collect()
+}
+
+fn steady_at(program: &CompiledProgram) -> Steady {
+    let ctx = program.context();
+    let rt = ctx.runtime();
+    let results = (0..program.stmt_count()).map(|k| program.result(k).unwrap());
+    let metrics = program.trace().metrics().expect("traced program");
+    Steady {
+        live_regions: rt.live_regions(),
+        ids: ctx
+            .tensor_names()
+            .into_iter()
+            .map(|name| ctx.tensor(name).unwrap().regions.ids())
+            .collect(),
+        resident: (0..PIECES).map(|p| rt.resident_bytes(p)).collect(),
+        comm_bytes: results.clone().map(|r| r.comm_bytes).sum(),
+        messages: results.clone().map(|r| r.messages).sum(),
+        seq_spans: results
+            .flat_map(|r| r.records.iter().map(|rec| rec.model.seq_span.to_bits()))
+            .collect(),
+        graphs_built: metrics.histogram("deps.analyze_ns").count(),
+    }
+}
+
+/// Runs `program` `iters` times: every statement writes its output region,
+/// which its pass record keeps from pass to pass, and writes its output
+/// tensor back by value under the regions it has (the first run
+/// re-registers it), so the runtime's region table, every tensor's region
+/// ids and residency at the last iteration are those of the third (and
+/// every byte held is a registered tensor's: no output region keeps a copy
+/// between runs), and
+/// from iteration 3 on (plans cached, schedules settled) every iteration
+/// costs the model the same — so from then on the model replays every
+/// launch from its record instead of costing it again, and no pass builds
+/// a batch graph. `ExecResult::time` is a difference of the ever-growing
+/// canonical clock, so it repeats to rounding (last bits move with the
+/// clock's magnitude, as they did at the parent commit — see `CHAIN[4]`),
+/// not bit for bit; what it is made of (`seq_span`, traffic) does repeat
+/// exactly.
+fn stays_steady(mut program: CompiledProgram, iters: usize) {
     let time = |program: &CompiledProgram| -> f64 {
         (0..program.stmt_count())
             .map(|k| program.result(k).unwrap().time)
             .sum()
     };
-    // Every iteration from the third on equals the third — so in particular
-    // iteration 2 000 equals iteration 10.
+    // Every iteration from the third on equals the third.
     let mut third = None;
     let counts = |program: &CompiledProgram| {
         let stats = program.context().runtime().stats();
         (stats.launches, stats.replayed)
     };
-    for i in 1..=2000 {
+    for i in 1..=iters {
         let (launches, replayed) = counts(&program);
         program.run().unwrap();
         if i < 3 {
@@ -322,6 +347,7 @@ fn a_long_lived_program_stays_the_size_of_its_program() {
             "iteration {i} costed a launch again"
         );
         let (now, t) = (steady_at(&program), time(&program));
+        assert_eq!(now.resident, registered_bytes(&program), "iteration {i}");
         let (reference, t3) = third.get_or_insert_with(|| (steady_at(&program), t));
         assert_eq!(&now, reference, "iteration {i} differs from iteration 3");
         assert!(
@@ -330,4 +356,18 @@ fn a_long_lived_program_stays_the_size_of_its_program() {
         );
     }
     assert!(third.is_some_and(|(s, _)| s.messages > 0 && s.live_regions > 0));
+}
+
+/// 2 000 iterations of the chain: iteration 2 000 equals iteration 10.
+#[test]
+fn a_long_lived_program_stays_the_size_of_its_program() {
+    stays_steady(chain(8, 2_500), 2000);
+}
+
+/// 100 iterations of the sweep: in-place, reduced and assembled outputs —
+/// SpAdd3's numeric launch sized to its assembled length each run — replay
+/// every launch from the third on, in as many regions as the third had.
+#[test]
+fn a_cached_sweep_replays_every_launch_in_the_same_regions() {
+    stays_steady(sweep(), 100);
 }
