@@ -90,6 +90,14 @@ fi
 if grep -n 'dst\.copy_from_slice(src)' crates/core/src/plan.rs; then
   echo "plan.rs copies a whole output buffer: a plain write-back moves it (Context::write_back)"; exit 1
 fi
+# A reduction partial covers only its color's output window
+# (`plan::out_window`), as a Legion reduction instance covers only the
+# subregion its task names: the one whole-output zero fill in plan.rs is the
+# shared in-place output.
+fills="$(grep -cF 'SharedOut::new(vec![0.0; out_len])' crates/core/src/plan.rs || true)"
+if [ "$fills" -gt 1 ]; then
+  echo "plan.rs zero-fills a whole output $fills times: a reduction partial covers its color's window (out_window)"; exit 1
+fi
 if grep -rn 'replace_tensor_data(name, output\.clone())' crates; then
   echo "an output is cloned to re-register it: hand replace_tensor_data the output by move"; exit 1
 fi

@@ -5,7 +5,10 @@
 //!
 //! 1. creates an **initial level partition** of the driving tensor —
 //!    a universe partition for coordinate-value loops, a non-zero partition
-//!    for coordinate-position loops;
+//!    for coordinate-position loops — or, when the driver's registered
+//!    distribution starts from that very partition (the same kind, level,
+//!    machine dimension and color count), reuses the tree its registration
+//!    already derived (`DistTensor::partition`);
 //! 2. derives the **full coordinate-tree partition** of the driver with
 //!    `partitionFromChild` / `partitionFromParent` (Table I);
 //! 3. partitions all **remaining tensors** from per-index-variable
@@ -30,11 +33,10 @@ use spdistal_ir::{Assignment, IndexVar, IterKind, Schedule};
 use spdistal_runtime::{image_coords, IntervalSet, Partition, Rect1};
 use spdistal_sparse::{Level, SpTensor};
 
-use crate::dist_tensor::{Context, Error};
+use crate::dist_tensor::{Context, Error, Initial};
 use crate::kernels::{self, LeafKernel};
 use crate::level_funcs::{
-    nonzero_tree_partition, outer_dim_partition, partition_tensor, replicated_partition,
-    universe_partition, TensorPartition,
+    partition_tensor, replicated_partition, universe_partition, TensorPartition,
 };
 
 /// How the output tensor is produced.
@@ -124,10 +126,9 @@ pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<
                 .find(|a| &a.tensor == tensor)
                 .ok_or_else(|| Error::UnknownTensor(tensor.clone()))?;
             let level = position_level(&roots, &access.indices)?;
-            (
-                tensor.clone(),
-                nonzero_tree_partition(&t.data, level, colors),
-            )
+            let initial = Initial::NonZero { level };
+            let part = t.partition(machine_dim, initial, colors).into_owned();
+            (tensor.clone(), part)
         }
         IterKind::Value => {
             let [root] = roots.as_slice() else {
@@ -155,7 +156,8 @@ pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<
                     )
                 })?;
             let t = ctx.tensor(&driver.tensor)?;
-            (driver.tensor.clone(), outer_dim_partition(&t.data, colors))
+            let part = t.partition(machine_dim, Initial::Universe, colors);
+            (driver.tensor.clone(), part.into_owned())
         }
     };
 
@@ -445,5 +447,153 @@ fn plan_output(
         kind,
         part,
         reduce,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::borrow::Cow;
+
+    use super::*;
+    use crate::kernels::tensor3::spttv_output;
+    use crate::level_funcs::entry_counts;
+    use crate::{access, assign, schedule_nonzero, schedule_outer_dim};
+    use spdistal_ir::{Format, ParallelUnit};
+    use spdistal_runtime::{Machine, MachineProfile};
+    use spdistal_sparse::{convert, dense_vector, generate, CoordDelta};
+
+    const PIECES: usize = 4;
+
+    /// How a case schedules its statement: the outer-dimension schedule, or
+    /// a non-zero one over the driver's first `depth` index variables.
+    #[derive(Clone, Copy, Debug)]
+    enum Split {
+        OuterDim,
+        NonZero(usize),
+    }
+
+    impl Split {
+        /// The initial partition the schedule starts the driver's tree from.
+        fn initial(self) -> Initial {
+            match self {
+                Split::OuterDim => Initial::Universe,
+                Split::NonZero(depth) => Initial::NonZero { level: depth - 1 },
+            }
+        }
+    }
+
+    /// `a(i) = B(i,j) * c(j)`, or `A(i,j) = B(i,j,k) * c(k)` for a
+    /// 3-tensor `b`, with `B` registered under `format`.
+    fn context(b: SpTensor, format: Format) -> (Context, Assignment) {
+        let machine = Machine::grid1d(PIECES, MachineProfile::lassen_cpu());
+        let mut ctx = Context::new(machine);
+        let (n, last) = (b.dims()[0], b.dims()[b.order() - 1]);
+        let c = dense_vector(generate::dense_vec(last, 5));
+        ctx.add_tensor("c", c, Format::replicated_dense_vec())
+            .unwrap();
+        let stmt = if b.order() == 2 {
+            let a = dense_vector(vec![0.0; n]);
+            ctx.add_tensor("a", a, Format::blocked_dense_vec()).unwrap();
+            let [i, j] = ctx.fresh_vars(["i", "j"]);
+            assign("a", &[i], access("B", &[i, j]) * access("c", &[j]))
+        } else {
+            let fibers = entry_counts(&b)[1] as usize;
+            let a = spttv_output(&b, vec![0.0; fibers]);
+            ctx.add_tensor("A", a, Format::blocked_csr()).unwrap();
+            let [i, j, k] = ctx.fresh_vars(["i", "j", "k"]);
+            assign("A", &[i, j], access("B", &[i, j, k]) * access("c", &[k]))
+        };
+        ctx.add_tensor("B", b, format).unwrap();
+        (ctx, stmt)
+    }
+
+    fn compiled(ctx: &mut Context, stmt: &Assignment, split: Split) -> Plan {
+        let unit = ParallelUnit::CpuThread;
+        let sched = match split {
+            Split::OuterDim => schedule_outer_dim(ctx, stmt, PIECES, unit),
+            Split::NonZero(depth) => schedule_nonzero(ctx, stmt, "B", depth, PIECES, unit).unwrap(),
+        };
+        compile(ctx, stmt, &sched).unwrap()
+    }
+
+    /// The driver partition `plan` carries, level by level.
+    fn driver_entries(plan: &Plan) -> &[Partition] {
+        let driver = plan.inputs.iter().find(|i| i.tensor == "B").unwrap();
+        &driver.part.entries
+    }
+
+    /// For every blessed driver layout under each distribution it is
+    /// registered with, and each schedule over it: the compiled driver
+    /// partition equals one derived afresh from the schedule's initial
+    /// partition, and it is the registration's own exactly when the
+    /// schedule distributes the tensor the way its data already is.
+    #[test]
+    fn a_compiled_driver_partition_is_the_one_its_schedule_derives() {
+        use Split::{NonZero, OuterDim};
+        let matrix = generate::rmat_clustered(7, 900, 0.9, 3);
+        let tensor = generate::tensor3_uniform([24, 20, 18], 700, 4);
+        let data = |layout: &str| match layout {
+            "csr" => matrix.clone(),
+            "dcsr" => convert::to_dcsr(&matrix),
+            "coo" => convert::to_coo_format(&matrix),
+            "csf" => tensor.clone(),
+            _ => convert::to_coo_format(&tensor),
+        };
+        let cases = [
+            ("csr", Format::blocked_csr(), OuterDim, true),
+            // B0's case in the benchmark's sweep: row-blocked data under
+            // the non-zero schedule the auto-scheduler picks for it.
+            ("csr", Format::blocked_csr(), NonZero(2), false),
+            ("csr", Format::nonzero_csr(), OuterDim, false),
+            ("csr", Format::nonzero_csr(), NonZero(2), true),
+            ("dcsr", Format::blocked_dcsr(), OuterDim, true),
+            ("dcsr", Format::blocked_dcsr(), NonZero(2), false),
+            ("coo", Format::blocked_coo(), OuterDim, true),
+            ("coo", Format::blocked_coo(), NonZero(2), false),
+            ("csf", Format::blocked_csf3(), OuterDim, true),
+            ("csf", Format::blocked_csf3(), NonZero(2), false),
+            ("csf", Format::blocked_csf3(), NonZero(3), false),
+            ("csf", Format::nonzero_csf3(), OuterDim, false),
+            ("csf", Format::nonzero_csf3(), NonZero(2), false),
+            ("csf", Format::nonzero_csf3(), NonZero(3), true),
+            ("coo3", Format::blocked_coo3(), OuterDim, true),
+            ("coo3", Format::blocked_coo3(), NonZero(3), false),
+        ];
+        for (layout, format, split, reused) in cases {
+            let what = format!("{layout} under {:?}, {split:?}", format.dist);
+            let (mut ctx, stmt) = context(data(layout), format);
+            let plan = compiled(&mut ctx, &stmt, split);
+            let t = ctx.tensor("B").unwrap();
+            let fresh = split.initial().tree(&t.data, PIECES);
+            assert_eq!(driver_entries(&plan), fresh.entries, "{what}");
+            let part = t.partition(plan.machine_dim, split.initial(), PIECES);
+            assert_eq!(matches!(part, Cow::Borrowed(_)), reused, "{what}");
+            let registered = driver_entries(&plan) == t.dist_part.entries;
+            assert!(registered || !reused, "{what}");
+        }
+    }
+
+    /// A structural batch re-registers the tensor: the plan compiled after
+    /// it carries the new registration's partition, not the old one.
+    #[test]
+    fn a_structural_batch_recompiles_against_the_new_partition() {
+        let matrix = generate::rmat_clustered(7, 900, 0.9, 3);
+        let (mut ctx, stmt) = context(matrix.clone(), Format::blocked_csr());
+        let before = compiled(&mut ctx, &stmt, Split::OuterDim);
+        // One new entry in the first row that has room for it.
+        let absent = (0..matrix.dims()[1] as i64)
+            .map(|j| vec![0, j])
+            .find(|c| !matrix.to_coo().iter().any(|(d, _)| d == c))
+            .unwrap();
+        let report = ctx
+            .update_batch("B", &[CoordDelta::insert(absent, 1.0)])
+            .unwrap();
+        assert_eq!(report.inserted, 1);
+        let after = compiled(&mut ctx, &stmt, Split::OuterDim);
+        let t = ctx.tensor("B").unwrap();
+        assert_eq!(driver_entries(&after), t.dist_part.entries);
+        let fresh = Initial::Universe.tree(&t.data, PIECES);
+        assert_eq!(driver_entries(&after), fresh.entries);
+        assert_ne!(driver_entries(&after), driver_entries(&before));
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! | `dist_tensor` owns | `dist_tensor` does not own |
 //! |---|---|
-//! | The tensor table: each name's data, format, regions and initial distribution | What a dirty map and a batch mean ([`DirtyMap`], [`TensorDirty`], [`UpdateReport`]): [`streaming`](crate::streaming) |
+//! | The tensor table: each name's data, format, regions and initial distribution, and whether a schedule's initial partition is that distribution's (`DistTensor::partition`, which then hands out the registered tree) | What a dirty map and a batch mean ([`DirtyMap`], [`TensorDirty`], [`UpdateReport`]): [`streaming`](crate::streaming) |
 //! | Versions and tracked dirty rows: each registration carries its own | Locating a batch's deltas and merging them into the stored entries: `streaming::ingest`, [`SpTensor::with_edits`] |
 //! | The one registration entry (`swap_registration`) behind `add_tensor`, `replace_tensor_data`, `set_tensor_format` and a structural `update_batch` | Which statements may merge into their previous output, given those versions: `program::exec`'s `eligibility` |
 //! | What a color touches of a tensor ([`TensorRegions::footprint`]) and where the initial distribution places it | The coordinate-tree partitions themselves: [`level_funcs`](crate::level_funcs) |
@@ -28,6 +28,7 @@
 //! them; a merging write-back copies the ranges it re-ran into them. Any
 //! later write to either side copies first.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
@@ -564,39 +565,91 @@ impl Context {
         data: &SpTensor,
         spec: &DistSpec,
     ) -> Result<TensorPartition, Error> {
-        // Find the (at most one supported) partitioned machine dimension.
-        let mapped: Vec<(usize, usize, bool)> = spec
-            .map
-            .iter()
-            .enumerate()
-            .filter_map(|(md, ld)| ld.map(|l| (md, l, spec.nonzero[md])))
-            .collect();
-        match mapped.as_slice() {
-            [] => Ok(replicated_partition(data, self.machine().num_procs())),
-            [(md, ld, nonzero)] => {
-                let colors = self.machine().dim(*md);
-                let group = &spec.logical_dims[*ld];
-                if *nonzero {
-                    // Non-zero partition of the deepest fused level.
-                    Ok(nonzero_tree_partition(data, *group.last().unwrap(), colors))
-                } else {
-                    if group.len() != 1 {
-                        return Err(Error::Unsupported(
-                            "universe partition of a fused dimension group".into(),
-                        ));
-                    }
-                    if group[0] != 0 {
-                        return Err(Error::Unsupported(
-                            "universe data distribution below the outermost dimension".into(),
-                        ));
-                    }
-                    Ok(outer_dim_partition(data, colors))
-                }
-            }
-            _ => Err(Error::Unsupported(
-                "more than one partitioned machine dimension".into(),
-            )),
+        Ok(match distributed_by(spec)? {
+            None => replicated_partition(data, self.machine().num_procs()),
+            Some((md, initial)) => initial.tree(data, self.machine().dim(md)),
+        })
+    }
+}
+
+impl DistTensor {
+    /// The coordinate tree that `initial` into `colors` colors along
+    /// machine dimension `md` derives for this tensor: the registered
+    /// distribution's own partition when it is that very one — a partition
+    /// depends only on the pattern, which a registration keeps — else one
+    /// derived afresh. Every level partition is derived once from an
+    /// initial partition (Table I), so a schedule that distributes a
+    /// tensor the way its data already is pays nothing for it.
+    pub(crate) fn partition(
+        &self,
+        md: usize,
+        initial: Initial,
+        colors: usize,
+    ) -> Cow<'_, TensorPartition> {
+        let registered =
+            matches!(distributed_by(&self.dist_spec), Ok(Some(d)) if d == (md, initial));
+        if registered && self.dist_part.num_colors() == colors {
+            Cow::Borrowed(&self.dist_part)
+        } else {
+            Cow::Owned(initial.tree(&self.data, colors))
         }
+    }
+}
+
+/// An initial level partition, from which every other level partition of
+/// a tensor is derived (Table I): equal coordinate ranges of the outermost
+/// dimension, or equal position ranges of one level.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Initial {
+    Universe,
+    NonZero { level: usize },
+}
+
+impl Initial {
+    /// The full coordinate tree of `t` this initial partition into
+    /// `colors` colors derives.
+    pub(crate) fn tree(self, t: &SpTensor, colors: usize) -> TensorPartition {
+        match self {
+            Initial::Universe => outer_dim_partition(t, colors),
+            Initial::NonZero { level } => nonzero_tree_partition(t, level, colors),
+        }
+    }
+}
+
+/// The one machine dimension `spec` partitions a tensor along, and the
+/// initial partition it distributes by: `None` for a tensor no machine
+/// dimension partitions (replicated or staged).
+fn distributed_by(spec: &DistSpec) -> Result<Option<(usize, Initial)>, Error> {
+    let mapped: Vec<(usize, usize, bool)> = spec
+        .map
+        .iter()
+        .enumerate()
+        .filter_map(|(md, ld)| ld.map(|l| (md, l, spec.nonzero[md])))
+        .collect();
+    match mapped.as_slice() {
+        [] => Ok(None),
+        [(md, ld, nonzero)] => {
+            let group = &spec.logical_dims[*ld];
+            if *nonzero {
+                // Non-zero partition of the deepest fused level.
+                let level = *group.last().unwrap();
+                return Ok(Some((*md, Initial::NonZero { level })));
+            }
+            if group.len() != 1 {
+                return Err(Error::Unsupported(
+                    "universe partition of a fused dimension group".into(),
+                ));
+            }
+            if group[0] != 0 {
+                return Err(Error::Unsupported(
+                    "universe data distribution below the outermost dimension".into(),
+                ));
+            }
+            Ok(Some((*md, Initial::Universe)))
+        }
+        _ => Err(Error::Unsupported(
+            "more than one partitioned machine dimension".into(),
+        )),
     }
 }
 

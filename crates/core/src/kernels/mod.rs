@@ -178,17 +178,24 @@ pub fn recognize(
 /// use under plan execution's guarantee that tasks with overlapping,
 /// non-commuting output requirements are serialized by the task graph —
 /// concurrent calls never touch the same element.
+///
+/// A view may stand for a *window* of the output: elements
+/// `base..base + len`, stored from `ptr` (a reduction plan's color partial
+/// covers only its color's window). Kernels index by output element either
+/// way; an index outside the window fails the bounds check.
 pub struct OutVals<'a> {
     ptr: *mut f64,
+    /// The output element `ptr` points at: 0 for a whole buffer.
+    base: usize,
     len: usize,
     _life: std::marker::PhantomData<&'a mut [f64]>,
 }
 
 // SAFETY (`Send`): `OutVals` is a raw view over `f64`s owned elsewhere;
 // `f64` is `Send`, and moving the view to another thread moves only the
-// pointer + length — validity for `'a` is pinned by the `PhantomData`
-// borrow, so the referent cannot be freed or reallocated while any view
-// (on any thread) is live. Under AddressSanitizer:
+// pointer, base index and length — validity for `'a` is pinned by the
+// `PhantomData` borrow, so the referent cannot be freed or reallocated
+// while any view (on any thread) is live. Under AddressSanitizer:
 // `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`.
 unsafe impl Send for OutVals<'_> {}
 // SAFETY (`Sync`): sharing `&OutVals` across threads shares write access
@@ -208,20 +215,22 @@ impl<'a> OutVals<'a> {
     pub fn new(buf: &'a mut [f64]) -> Self {
         OutVals {
             ptr: buf.as_mut_ptr(),
+            base: 0,
             len: buf.len(),
             _life: std::marker::PhantomData,
         }
     }
 
-    /// View `len` elements starting at `ptr`.
+    /// View output elements `base..base + len`, stored from `ptr`.
     ///
     /// # Safety
     /// `ptr..ptr+len` must stay valid for writes for `'a`, and no `&`/
     /// `&mut` reference to those elements may be used while this view is
     /// live. Concurrent holders must never access the same element.
-    pub unsafe fn from_raw(ptr: *mut f64, len: usize) -> Self {
+    pub unsafe fn from_raw(ptr: *mut f64, base: usize, len: usize) -> Self {
         OutVals {
             ptr,
+            base,
             len,
             _life: std::marker::PhantomData,
         }
@@ -235,32 +244,44 @@ impl<'a> OutVals<'a> {
         self.len == 0
     }
 
+    /// Where output element `i` is stored from `ptr`: `i - base`, wrapping,
+    /// so an index below the window lands past `len` as well and the one
+    /// bounds check the callers make refuses both sides.
+    #[inline]
+    fn offset(&self, i: usize) -> usize {
+        i.wrapping_sub(self.base)
+    }
+
     /// `out[i] += v`.
     #[inline]
     pub fn add(&self, i: usize, v: f64) {
+        let k = self.offset(i);
         assert!(
-            i < self.len,
-            "OutVals::add index {i} out of bounds ({})",
-            self.len
+            k < self.len,
+            "OutVals::add index {i} out of bounds ({}..{})",
+            self.base,
+            self.base + self.len
         );
         // SAFETY: bounds checked; element-disjointness per the type docs.
         // Under AddressSanitizer:
         // `tests/specialized_identity.rs::spmv_specialized_matches_walker_all_formats`.
-        unsafe { *self.ptr.add(i) += v }
+        unsafe { *self.ptr.add(k) += v }
     }
 
     /// `out[i] = v`.
     #[inline]
     pub fn set(&self, i: usize, v: f64) {
+        let k = self.offset(i);
         assert!(
-            i < self.len,
-            "OutVals::set index {i} out of bounds ({})",
-            self.len
+            k < self.len,
+            "OutVals::set index {i} out of bounds ({}..{})",
+            self.base,
+            self.base + self.len
         );
         // SAFETY: bounds checked; element-disjointness per the type docs.
         // Under AddressSanitizer:
         // `tests/specialized_identity.rs::sddmm_specialized_matches_walker_all_formats`.
-        unsafe { *self.ptr.add(i) = v }
+        unsafe { *self.ptr.add(k) = v }
     }
 
     /// `out[start + j] += v * src[j]` for every `j` — the dense row update
@@ -268,20 +289,28 @@ impl<'a> OutVals<'a> {
     /// cheap as the `&mut`-slice iteration it replaced.
     #[inline]
     pub fn add_scaled(&self, start: usize, v: f64, src: &[f64]) {
-        let end = start
-            .checked_add(src.len())
-            .expect("OutVals::add_scaled range overflow");
-        assert!(
-            end <= self.len,
-            "OutVals::add_scaled range {start}..{end} out of bounds ({})",
-            self.len
-        );
+        let k = self.range("add_scaled", start, src.len());
         for (j, s) in src.iter().enumerate() {
-            // SAFETY: start + j < end <= len (checked above). Under
+            // SAFETY: k + j < k + src.len() <= len (checked above). Under
             // AddressSanitizer, through the walker:
             // `tests/specialized_identity.rs::spmm_specialized_matches_walker_all_formats`.
-            unsafe { *self.ptr.add(start + j) += v * s }
+            unsafe { *self.ptr.add(k + j) += v * s }
         }
+    }
+
+    /// Where the output range `start..start + len` is stored from `ptr`;
+    /// panics, naming `what`, when the range leaves the window.
+    #[inline]
+    fn range(&self, what: &str, start: usize, len: usize) -> usize {
+        let k = self.offset(start);
+        assert!(
+            k <= self.len && len <= self.len - k,
+            "OutVals::{what} range {start}..{} out of bounds ({}..{})",
+            start.wrapping_add(len),
+            self.base,
+            self.base + self.len
+        );
+        k
     }
 
     /// Exclusive view of `out[start..start + len]`, for kernels that make
@@ -299,18 +328,14 @@ impl<'a> OutVals<'a> {
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn row_mut(&self, start: usize, len: usize) -> &mut [f64] {
-        let end = start
-            .checked_add(len)
-            .expect("OutVals::row_mut range overflow");
-        assert!(
-            end <= self.len,
-            "OutVals::row_mut range {start}..{end} out of bounds ({})",
-            self.len
-        );
+        let k = self.range("row_mut", start, len);
         // SAFETY: bounds checked; exclusivity is the caller's contract.
         // Under AddressSanitizer, through the row fold:
-        // `tests/specialized_identity.rs::row_loops_match_walker_at_lane_widths`.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+        // `tests/specialized_identity.rs::row_loops_match_walker_at_lane_widths`,
+        // and into a reduction partial's window:
+        // `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`
+        // (`spmm_nonzero`).
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(k), len) }
     }
 
     /// `out[start + j] += v * a[j] * b[j]` for every `j` — the factor-row
@@ -318,19 +343,12 @@ impl<'a> OutVals<'a> {
     #[inline]
     pub fn add_scaled_product(&self, start: usize, v: f64, a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len(), "OutVals::add_scaled_product row widths");
-        let end = start
-            .checked_add(a.len())
-            .expect("OutVals::add_scaled_product range overflow");
-        assert!(
-            end <= self.len,
-            "OutVals::add_scaled_product range {start}..{end} out of bounds ({})",
-            self.len
-        );
+        let k = self.range("add_scaled_product", start, a.len());
         for (j, (x, y)) in a.iter().zip(b).enumerate() {
-            // SAFETY: start + j < end <= len (checked above). Under
+            // SAFETY: k + j < k + a.len() <= len (checked above). Under
             // AddressSanitizer, through the walker:
             // `tests/specialized_identity.rs::spmttkrp_specialized_matches_walker_all_formats`.
-            unsafe { *self.ptr.add(start + j) += v * x * y }
+            unsafe { *self.ptr.add(k + j) += v * x * y }
         }
     }
 }
@@ -597,5 +615,37 @@ mod tests {
             from_walk.push((c.to_vec(), v))
         });
         assert_eq!(from_walk, t.to_coo());
+    }
+
+    /// A view over output elements `4..6` of a two-element window.
+    fn window(buf: &mut [f64; 2]) -> OutVals<'_> {
+        // SAFETY: `buf` outlives the view, and nothing else touches it
+        // while the view is live.
+        unsafe { OutVals::from_raw(buf.as_mut_ptr(), 4, buf.len()) }
+    }
+
+    #[test]
+    fn a_window_is_indexed_by_output_element() {
+        let mut buf = [0.0; 2];
+        let out = window(&mut buf);
+        out.add(4, 1.5);
+        out.set(5, 2.0);
+        // SAFETY: the view's only borrow of the row; it ends before `buf`
+        // is read.
+        unsafe { out.row_mut(4, 2)[1] += 0.25 };
+        assert_eq!(buf, [1.5, 2.25]);
+    }
+
+    #[test]
+    #[should_panic(expected = "OutVals::add index 3 out of bounds (4..6)")]
+    fn an_index_below_the_window_fails_the_bounds_check() {
+        window(&mut [0.0; 2]).add(3, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "OutVals::row_mut range 3..5 out of bounds (4..6)")]
+    fn a_row_that_starts_below_the_window_fails_the_bounds_check() {
+        // SAFETY: never reached: the bounds check refuses the row.
+        unsafe { window(&mut [0.0; 2]).row_mut(3, 2) };
     }
 }

@@ -97,7 +97,7 @@
 //! |---|---|
 //! | Leaf binding: kernel × *stored* driver layout → one lookup per [`Described`], one closure per prepared plan | What a color touches of a tensor — `pos` follows the parent level's entries, the root entry at level 0: [`TensorRegions::footprint`](crate::dist_tensor::TensorRegions::footprint) |
 //! | The requirement lists, from describe through the drain to the model issue, and when a recorded describe still holds ([`Described::rebind`]) | Batching, launch-graph gating (`model_preds`), and the pass record with each statement's output region: [`session`](crate::session) |
-//! | The output fold: shared buffer, reduction partials, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
+//! | The output fold: shared buffer, reduction partials over their colors' windows, SpAdd3's span buffers assembled into one tensor | The partitions a plan carries: [`codegen`](crate::codegen) over [`level_funcs`](crate::level_funcs) |
 //! | The model issue (`index_launch_after`) and the output region's state around it (`clear_region`) | Costing a requirement, coherence, clocks: `spdistal_runtime::exec` (docs/model.md) |
 //! | The write-back: which arm (by value or re-registration), the ranges a merge copies, and its launch-granularity claims ([`writeback_reqs`]) | Moving values into a registration and renewing its regions' coherence ([`Context::write_back`]), and re-registration itself (`Context::replace_tensor_data`): [`dist_tensor`](crate::dist_tensor) |
 //!
@@ -115,8 +115,11 @@
 //!   element has exactly one writer, no `&mut` aliases ever coexist, and
 //!   any conflicting pair the graph finds is serialized in color order;
 //! * aliased output partitions (`reduce == true`) give every color a
-//!   private partial, combined single-threaded in color order afterwards —
-//!   a deterministic floating-point sum regardless of scheduling;
+//!   private partial over the color's output window ([`out_window`]: the
+//!   bounding rect of its output subset), added single-threaded into the
+//!   output in color order afterwards — a deterministic floating-point sum
+//!   regardless of scheduling, with the bits a whole-output partial per
+//!   color would give;
 //! * assembled sparse outputs are built from per-span private buffers,
 //!   copied into one tensor in (color, span) order.
 //!
@@ -133,8 +136,8 @@
 //! * spans of an in-place color write the shared buffer exactly where the
 //!   unsplit color would — disjoint elements, unchanged per-element
 //!   accumulation order;
-//! * spans of a reduction color share the *color's* private partial the
-//!   same way; color partials still combine in color order;
+//! * spans of a reduction color share the *color's* private partial (its
+//!   window) the same way; color partials still combine in color order;
 //! * assembled span buffers concatenate in (color, span) order — the
 //!   color's own ascending row order;
 //! * per-color modeled op counts are exact integer sums over spans, so
@@ -327,14 +330,16 @@ enum Body<'a> {
     },
 }
 
-/// A dense output buffer shared in place by concurrently executing colors.
-/// Writers go through [`OutVals`] raw-pointer views derived once at
-/// construction, so no `&mut` alias of the allocation is ever live while
-/// tasks run; element-disjointness (or serialization) is enforced by the
-/// launch's dependence graph.
+/// A dense output buffer shared in place by concurrently executing colors,
+/// or one reduction color's partial, which holds only the output elements
+/// `base..base + len` (its window). Writers go through [`OutVals`]
+/// raw-pointer views derived once at construction, so no `&mut` alias of
+/// the allocation is ever live while tasks run; element-disjointness (or
+/// serialization) is enforced by the launch's dependence graph.
 struct SharedOut {
     buf: Vec<f64>,
     ptr: *mut f64,
+    base: usize,
     len: usize,
 }
 
@@ -346,21 +351,33 @@ struct SharedOut {
 // graph guarantees that two concurrently running tasks never touch the
 // same element (overlapping, non-commuting output requirements are
 // serialized into different batches). Under AddressSanitizer:
-// `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`.
+// `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`
+// (a reduction partial's window: `spmv_nonzero`, and `spmm_nonzero`'s
+// rows).
 unsafe impl Sync for SharedOut {}
 // SAFETY (`Send`): moving `SharedOut` moves `buf` together with the
-// `ptr`/`len` derived from it; `Vec<f64>`'s heap allocation is stable
-// across moves, so the pointer stays valid on the receiving thread, and
-// `f64` has no thread affinity. Sends only happen at flush boundaries,
+// `ptr`/`len` derived from it (and `base`, a plain index); `Vec<f64>`'s
+// heap allocation is stable across moves, so the pointer stays valid on
+// the receiving thread, and `f64` has no thread affinity. Sends only happen at flush boundaries,
 // when no writer views are outstanding. Under AddressSanitizer:
 // `tests/pipeline_identity.rs::raw_chain_cuts_batches_bit_identically`.
 unsafe impl Send for SharedOut {}
 
 impl SharedOut {
-    fn new(mut buf: Vec<f64>) -> Self {
+    fn new(buf: Vec<f64>) -> Self {
+        SharedOut::window(0, buf)
+    }
+
+    /// A buffer that holds output elements `base..base + buf.len()`.
+    fn window(base: usize, mut buf: Vec<f64>) -> Self {
         let ptr = buf.as_mut_ptr();
         let len = buf.len();
-        SharedOut { buf, ptr, len }
+        SharedOut {
+            buf,
+            ptr,
+            base,
+            len,
+        }
     }
 
     /// A writer view for one task.
@@ -369,8 +386,11 @@ impl SharedOut {
         // references for the view's lifetime; concurrent element
         // disjointness is the dependence graph's contract. Under
         // AddressSanitizer:
-        // `tests/writeback_identity.rs::every_output_kind_through_every_transition`.
-        unsafe { OutVals::from_raw(self.ptr, self.len) }
+        // `tests/writeback_identity.rs::every_output_kind_through_every_transition`,
+        // and over a reduction partial's window:
+        // `tests/parallel_identity.rs::parallel_is_bit_identical_to_serial_on_every_kernel`
+        // (`spmm_nonzero`).
+        unsafe { OutVals::from_raw(self.ptr, self.base, self.len) }
     }
 
     /// Zero the closed element range `[lo, hi]`. Goes through the owning
@@ -626,14 +646,16 @@ impl<'a> PreparedPlan<'a> {
                 _ => (Some(SharedOut::new(vec![0.0; out_len])), None),
             },
         };
-        // Aliased (reduce) outputs: the color partials the unsplit path
-        // allocated per point task, hoisted to describe time so a split
-        // color's spans can share one partial (writing disjoint elements).
+        // Aliased (reduce) outputs: one zeroed partial per color over the
+        // color's output window, shared by the color's spans (they write
+        // disjoint elements).
         let reduce_parts: Vec<SharedOut> = if shared.is_none() && plan.kernel != LeafKernel::SpAdd3
         {
-            (0..plan.colors)
-                .map(|_| SharedOut::new(vec![0.0; out_len]))
-                .collect()
+            let partial = |color| {
+                let (base, len) = out_window(plan, color);
+                SharedOut::window(base, vec![0.0; len])
+            };
+            (0..plan.colors).map(partial).collect()
         } else {
             Vec::new()
         };
@@ -770,6 +792,13 @@ impl<'a> PreparedPlan<'a> {
     }
 
     /// The per-kernel half of [`PreparedPlan::finish`].
+    ///
+    /// A reduction adds each color's partial into its window of the output,
+    /// in color order. That is bit-identical to adding partials the length
+    /// of the whole output: an element outside a color's window would
+    /// receive `+0.0` from it, and the accumulator never holds `-0.0` — it
+    /// starts at `+0.0`, and a round-to-nearest sum is `-0.0` only when both
+    /// addends are — so adding `+0.0` never changes its bits.
     fn fold(self) -> (Computed, Vec<f64>) {
         // Group the flat span results back per point, in span order.
         let mut flat: Vec<PointResult> = self
@@ -840,10 +869,11 @@ impl<'a> PreparedPlan<'a> {
                 let buf = if let Some(shared) = self.shared {
                     shared.into_vec()
                 } else {
-                    // Reduction: combine private partials in color order.
+                    // Reduction: each partial into its window, in color order.
                     let mut out = vec![0.0; self.out_len];
                     for partial in self.reduce_parts {
-                        for (dst, src) in out.iter_mut().zip(partial.into_vec()) {
+                        let window = &mut out[partial.base..partial.base + partial.len];
+                        for (dst, src) in window.iter_mut().zip(partial.into_vec()) {
                             *dst += src;
                         }
                     }
@@ -887,6 +917,37 @@ pub(crate) fn finish_model(
     described: &Described,
     finished: Finished,
     sched: ExecReport,
+    timing: LaunchTiming,
+    model_preds: &[LaunchId],
+    last_write: Option<&LastWrite>,
+) -> Result<ExecResult, Error> {
+    // The statement's region, as `create_region` gives one of this run's
+    // length: nothing of it is valid anywhere before its launches write it.
+    let (out_region, out_len) = (described.output, finished.computed.len());
+    ctx.runtime_mut().clear_region(out_region, out_len);
+    let result = issue_and_write_back(
+        ctx,
+        described,
+        finished,
+        sched,
+        timing,
+        model_preds,
+        last_write,
+    );
+    // Nothing reads the output region after its own launch(es): drop its
+    // copies on every exit, a failed launch or write-back included, so no
+    // memory holds them between runs.
+    ctx.runtime_mut().clear_region(out_region, out_len);
+    result
+}
+
+/// [`finish_model`] between the two clears of the output region: the
+/// launches, then the write-back.
+fn issue_and_write_back(
+    ctx: &mut Context,
+    described: &Described,
+    finished: Finished,
+    sched: ExecReport,
     mut timing: LaunchTiming,
     model_preds: &[LaunchId],
     last_write: Option<&LastWrite>,
@@ -900,15 +961,7 @@ pub(crate) fn finish_model(
     let plan = &*described.plan;
     let time0 = ctx.runtime().now();
     let stats0 = ctx.runtime().stats().clone();
-
-    let out_len = match &computed {
-        Computed::Vals(v) => v.len() as u64,
-        Computed::Assembled { total_nnz, .. } => *total_nnz as u64,
-    };
-    // The statement's region, as `create_region` gives one of this run's
-    // length: nothing of it is valid anywhere before its launches write it.
-    let out_region = described.output;
-    ctx.runtime_mut().clear_region(out_region, out_len);
+    let (out_region, out_len) = (described.output, computed.len());
 
     let issue_t0 = Instant::now();
     let issued: Vec<LaunchRecord> = match &computed {
@@ -996,10 +1049,6 @@ pub(crate) fn finish_model(
         "writeback.reregistered"
     };
     trace.add(arm, 1);
-
-    // Nothing reads the output region after its own launch(es): drop its
-    // copies, so no memory holds them between runs.
-    ctx.runtime_mut().clear_region(out_region, out_len);
 
     let stats = ctx.runtime().stats();
     Ok(ExecResult {
@@ -1112,6 +1161,15 @@ fn out_subset(plan: &Plan, color: usize) -> IntervalSet {
     }
 }
 
+/// The window `(base, len)` of output elements `color` writes: the bounding
+/// rect of its slice of the output partition (`(0, 0)` for an empty one). A
+/// reduction partial covers only this window, as a Legion reduction
+/// instance covers only the subregion its task names.
+fn out_window(plan: &Plan, color: usize) -> (usize, usize) {
+    let r = out_subset(plan, color).bounding_rect();
+    (r.lo as usize, r.len() as usize)
+}
+
 /// Scale a coordinate set by a row width (row-major linearization).
 fn scale_set(s: &IntervalSet, width: usize) -> IntervalSet {
     let w = width as i64;
@@ -1148,6 +1206,15 @@ pub(crate) enum Computed {
 }
 
 impl Computed {
+    /// The output's element count: the in-place buffer's length, or the
+    /// assembled non-zeros.
+    fn len(&self) -> u64 {
+        match self {
+            Computed::Vals(v) => v.len() as u64,
+            Computed::Assembled { total_nnz, .. } => *total_nnz as u64,
+        }
+    }
+
     /// The output's values in storage order: the in-place buffer, or the
     /// span buffers' values back to back — (color, span) order is row
     /// order, as [`assemble`] lays them out.
@@ -1240,4 +1307,120 @@ fn assemble(rows: usize, cols: usize, spans: Vec<AddSpan>, nnz: usize) -> SpTens
 /// given dims.
 pub fn empty_csr(rows: usize, cols: usize) -> SpTensor {
     CooTensor::new(vec![rows, cols]).build(&spdistal_sparse::generate::CSR)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{access, assign, schedule_nonzero};
+    use spdistal_ir::{Format, ParallelUnit};
+    use spdistal_runtime::{Machine, MachineProfile};
+    use spdistal_sparse::{dense_matrix, generate, reference};
+
+    /// Small integers, a third of them `-0.0`: every sum of a few of their
+    /// products is exact, so any association of it has the bits of the
+    /// serial reference's, and the signed zeros test that no window hands a
+    /// `-0.0` to the fold.
+    fn ints(n: usize, seed: usize) -> impl Iterator<Item = f64> {
+        (0..n).map(move |k| match (k * 7 + seed) % 9 {
+            0 | 3 | 6 => -0.0,
+            r => r as f64 - 4.0,
+        })
+    }
+
+    /// `A = B·C` under a non-zero split of `B` into `pieces` colors (SpMV
+    /// for `width` 0), run under `mode` and `split`: checks the computed
+    /// values against the serial reference by `to_bits` and returns the
+    /// plan.
+    fn run(
+        rows: usize,
+        nnz: usize,
+        width: usize,
+        pieces: usize,
+        mode: ExecMode,
+        split: SplitPolicy,
+    ) -> Plan {
+        let mut b = generate::uniform(rows, 40, nnz, 7);
+        let vals: Vec<f64> = ints(b.num_stored(), 1).collect();
+        b.vals_mut().copy_from_slice(&vals);
+        let cols = width.max(1);
+        let c: Vec<f64> = ints(40 * cols, 2).collect();
+        let machine = Machine::grid1d(pieces, MachineProfile::lassen_cpu());
+        let mut ctx = Context::new(machine)
+            .with_exec_mode(mode)
+            .with_split_policy(split);
+        ctx.add_tensor("B", b.clone(), Format::nonzero_csr())
+            .unwrap();
+        let [i, j, k] = ctx.fresh_vars(["i", "j", "k"]);
+        let (stmt, want) = if width == 0 {
+            let zeros = dense_vector(vec![0.0; rows]);
+            ctx.add_tensor("A", zeros, Format::blocked_dense_vec())
+                .unwrap();
+            ctx.add_tensor("C", dense_vector(c.clone()), Format::replicated_dense_vec())
+                .unwrap();
+            let stmt = assign("A", &[i], access("B", &[i, k]) * access("C", &[k]));
+            (stmt, reference::spmv(&b, &c))
+        } else {
+            let zeros = dense_matrix(rows, width, vec![0.0; rows * width]);
+            ctx.add_tensor("A", zeros, Format::blocked_dense_matrix())
+                .unwrap();
+            let dense = dense_matrix(40, width, c.clone());
+            ctx.add_tensor("C", dense, Format::replicated_dense_matrix())
+                .unwrap();
+            let stmt = assign("A", &[i, j], access("B", &[i, k]) * access("C", &[k, j]));
+            (stmt, reference::spmm(&b, &c, width))
+        };
+        let unit = ParallelUnit::CpuThread;
+        let sched = schedule_nonzero(&mut ctx, &stmt, "B", 2, pieces, unit).unwrap();
+        let plan = ctx.compile(&stmt, &sched).unwrap();
+        assert!(plan.output.reduce, "a non-zero split reduces");
+        let got = ctx.run(&plan).unwrap().output.into_vals();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{mode:?} {split:?}");
+        plan
+    }
+
+    /// Every mode a window must be invisible in: serial, and two workers
+    /// with and without colors split into spans sharing one partial.
+    const MODES: [(ExecMode, SplitPolicy); 3] = [
+        (ExecMode::Serial, SplitPolicy::Off),
+        (ExecMode::Parallel(2), SplitPolicy::Auto),
+        (ExecMode::Parallel(2), SplitPolicy::Spans(3)),
+    ];
+
+    #[test]
+    fn more_pieces_than_rows_leaves_empty_windows() {
+        for (mode, split) in MODES {
+            for width in [0, 3] {
+                let plan = run(3, 5, width, 8, mode, split);
+                let out_len = 3 * width.max(1);
+                let windows: Vec<_> = (0..8).map(|c| out_window(&plan, c)).collect();
+                assert!(windows.contains(&(0, 0)), "{windows:?}");
+                assert!(windows.iter().all(|&(base, len)| base + len <= out_len));
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_may_end_at_the_last_row() {
+        for (mode, split) in MODES {
+            for width in [0, 4] {
+                let plan = run(50, 400, width, 6, mode, split);
+                let out_len = 50 * width.max(1);
+                let (base, len) = out_window(&plan, 5);
+                assert_eq!(base + len, out_len, "the last color's window");
+                assert!(len < out_len, "a window, not the whole output");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_fold_to_the_reference_bits() {
+        // Rows of one or two entries: many a row's products are all `-0.0`.
+        for (mode, split) in MODES {
+            for width in [0, 2] {
+                run(60, 70, width, 4, mode, split);
+            }
+        }
+    }
 }

@@ -25,9 +25,8 @@ use spdistal_ir::{Assignment, ParallelUnit, Schedule};
 use super::{CompiledProgram, ScheduleSpec};
 use crate::api::{schedule_nonzero, schedule_outer_dim};
 use crate::codegen;
-use crate::dist_tensor::{Context, Error};
+use crate::dist_tensor::{Context, Error, Initial};
 use crate::kernels::{self, LeafKernel};
-use crate::level_funcs::outer_dim_partition;
 
 /// Static auto-scheduling threshold: if the driver's equal outer-dimension
 /// blocks carry nnz imbalance above this, [`ScheduleSpec::Auto`] picks the
@@ -166,8 +165,11 @@ impl CompiledProgram {
     /// nnz imbalance of equal outer-dimension blocks of `name` — the
     /// static statistic behind the auto-scheduler's first pick.
     fn outer_block_imbalance(&self, name: &str, pieces: usize) -> Result<f64, Error> {
-        let t = &self.ctx.tensor(name)?.data;
-        Ok(outer_dim_partition(t, pieces).vals().imbalance())
+        let part = self
+            .ctx
+            .tensor(name)?
+            .partition(0, Initial::Universe, pieces);
+        Ok(part.vals().imbalance())
     }
 
     pub(super) fn default_pieces(&self) -> usize {
@@ -355,6 +357,7 @@ impl CompiledProgram {
 pub(super) mod tests {
     use super::super::tests::{spmv_program, PIECES};
     use super::*;
+    use crate::level_funcs::outer_dim_partition;
     use spdistal_sparse::{generate, reference, SpTensor};
 
     #[test]

@@ -176,6 +176,44 @@ fn gpu_oom_is_an_error() {
     }
 }
 
+/// A run that fails keeps no copy of its output: after an out-of-memory
+/// write-back, every processor holds exactly what it held before the run,
+/// so the next run is not charged for the failed one's launches.
+#[test]
+fn a_failed_run_leaves_no_output_copies_behind() {
+    let (n, procs) = (64, 4);
+    let b = generate::uniform(n, n, 400, 1);
+    let program = |capacity: u64| {
+        let profile = MachineProfile::test_profile_with_capacity(capacity);
+        let c = dense_vector(generate::dense_vec(n, 2));
+        Program::on(Machine::grid1d(procs, profile))
+            .tensor("B", Format::blocked_csr(), b.clone())
+            .tensor("c", Format::replicated_dense_vec(), c)
+            .tensor("a", Format::blocked_dense_vec(), dense_vector(vec![0.0; n]))
+            .stmt("a(i) = B(i,j) * c(j)")
+            .schedule(ScheduleSpec::outer_dim())
+            .build()
+            .unwrap()
+    };
+    let resident = |p: &CompiledProgram| -> Vec<u64> {
+        let runtime = p.context().runtime();
+        (0..procs).map(|q| runtime.resident_bytes(q)).collect()
+    };
+    // Room for the registrations and the launch's copy of `a`'s rows, but
+    // not for a second registration of `a` beside them: the matched launch
+    // moves nothing else, so the first run fails in its write-back.
+    let registered = resident(&program(u64::MAX));
+    let rows = (n / procs * 8) as u64;
+    let mut p = program(registered.iter().max().unwrap() + rows);
+    let before = resident(&p);
+    assert_eq!(before, registered);
+    match p.run().map(drop) {
+        Err(spdistal_repro::spdistal::Error::Runtime(RuntimeError::Oom { .. })) => {}
+        other => panic!("expected OOM, got {other:?}"),
+    }
+    assert_eq!(resident(&p), before, "resident bytes after the failed run");
+}
+
 /// Invalid schedules are rejected at compile time with typed errors.
 #[test]
 fn bad_schedules_rejected() {

@@ -71,15 +71,23 @@ fn run_kernel(kernel: &str, mode: ExecMode, nodes: usize, split: SplitPolicy) ->
             };
             (stmt, sched)
         }
-        "spmm" => {
+        "spmm" | "spmm_nonzero" => {
+            // Under the non-zero split the output is a reduction: every
+            // color writes its rows into a partial over its own window.
             let b = generate::uniform(200, 160, 2500, 23);
+            let nonzero = kernel == "spmm_nonzero";
+            let fmt = if nonzero {
+                Format::nonzero_csr()
+            } else {
+                Format::blocked_csr()
+            };
             ctx.add_tensor(
                 "A",
                 dense_matrix(200, WIDTH, vec![0.0; 200 * WIDTH]),
                 Format::blocked_dense_matrix(),
             )
             .unwrap();
-            ctx.add_tensor("B", b, Format::blocked_csr()).unwrap();
+            ctx.add_tensor("B", b, fmt).unwrap();
             ctx.add_tensor(
                 "C",
                 dense_matrix(160, WIDTH, generate::dense_buffer(160, WIDTH, 24)),
@@ -88,7 +96,11 @@ fn run_kernel(kernel: &str, mode: ExecMode, nodes: usize, split: SplitPolicy) ->
             .unwrap();
             let [i, j, k] = ctx.fresh_vars(["i", "j", "k"]);
             let stmt = assign("A", &[i, j], access("B", &[i, k]) * access("C", &[k, j]));
-            let sched = schedule_outer_dim(&mut ctx, &stmt, nodes, ParallelUnit::CpuThread);
+            let sched = if nonzero {
+                schedule_nonzero(&mut ctx, &stmt, "B", 2, nodes, ParallelUnit::CpuThread).unwrap()
+            } else {
+                schedule_outer_dim(&mut ctx, &stmt, nodes, ParallelUnit::CpuThread)
+            };
             (stmt, sched)
         }
         "spadd3" => {
@@ -206,10 +218,11 @@ fn run_kernel(kernel: &str, mode: ExecMode, nodes: usize, split: SplitPolicy) ->
     ctx.compile_and_run(&stmt, &sched).unwrap()
 }
 
-const KERNELS: [&str; 8] = [
+const KERNELS: [&str; 9] = [
     "spmv_row",
     "spmv_nonzero",
     "spmm",
+    "spmm_nonzero",
     "spadd3",
     "sddmm",
     "spttv_row",
