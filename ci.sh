@@ -181,6 +181,33 @@ done
 if grep -rnE 'row_wide|spmm_with|spmttkrp_with|add_scaled\(' crates/core/src/kernels/specialized/; then
   echo "a per-kernel row loop is back (row_wide, *_with or a per-entry add_scaled): fold through RowFold"; exit 1
 fi
+# One codec arm per instruction set: the `vals_b64` block loops are the
+# client crate's one `#[target_feature` function (`proto::wide`, taken under
+# the detected `Avx2` proof), and its non-test `unsafe` sites are the three
+# that arm needs (the call under the proof, one load, one store), each with
+# a SAFETY comment naming the test that runs it under AddressSanitizer (the
+# ASan step below runs `-p spdistal-client --lib`).
+if ! counts="$(git ls-files 'crates/client/src/*.rs' | xargs awk '
+    FNR == 1 { t = 0; p = ""; c = "" }
+    t { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+    { p = $0 }
+    /^[[:space:]]*\/\// { c = c $0; next }
+    /#\[target_feature/ { f++ }
+    /unsafe[[:space:]]*(\{|fn|impl)/ {
+      u++
+      if (c !~ /SAFETY:/ || c !~ /AddressSanitizer:[ \/]*`[a-z_]+(::[a-z_]+)+`/) {
+        print FILENAME ":" FNR ": unsafe without a SAFETY comment naming its ASan test" > "/dev/stderr"; bad = 1
+      }
+    }
+    { c = "" }
+    END { print f + 0, u + 0; exit bad }')"; then
+  echo "every unsafe site in crates/client/src names the test that runs it under ASan"; exit 1
+fi
+read -r features unsafes <<<"$counts"
+if [ "$features" != 1 ] || [ "$unsafes" -gt 3 ]; then
+  echo "crates/client/src has $features #[target_feature functions and $unsafes unsafe sites outside tests: one AVX2 codec arm, at most 3 sites"; exit 1
+fi
 # One trace event per window: a span, a launch and a flush each record once,
 # stamped at the window's start and carrying its `dur_ns`, so the exporter
 # pairs nothing and a full ring cannot leave half a window. The begin/end
@@ -370,7 +397,7 @@ echo "==> pool contract, optimised: stress, zero-helper completion, panic contai
 # unit tests run under AddressSanitizer in the next step.
 cargo test -q --release -p spdistal-runtime --test pool_contract --test pool_latency
 
-echo "==> unsafe under AddressSanitizer: the pool, the identity suites and the server"
+echo "==> unsafe under AddressSanitizer: the pool, the identity suites, the wire codec and the server"
 # Miri is not installed; ASan is. The pool erases a drain's lifetime and
 # relies on its quiescence wait, and the leaf kernels write through raw
 # views that only the task graph keeps exclusive: ASan (with
@@ -384,6 +411,9 @@ if cargo +nightly --version >/dev/null 2>&1; then
   "${asan[@]}" --test specialized_identity --test writeback_identity --test parallel_identity \
     --test pipeline_identity
   "${asan[@]}" -p spdistal-runtime --lib sched::pool
+  # The wire codec's AVX2 arm: its loads and stores against the oracle on
+  # every length and every corrupted byte (~20 s).
+  "${asan[@]}" -p spdistal-client --lib
   # The server's suites; `signal.rs` runs the daemon binary, built with
   # the sanitizer too, and sends it SIGTERM. One test at a time: under the
   # sanitizer's slowdown, two test threads leave `service.rs`'s

@@ -9,7 +9,7 @@ use std::path::Path;
 
 use spdistal_sparse::{CoordDelta, SpTensor};
 
-use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
+use crate::frame::{read_frame_into, FrameBuf, FrameError, DEFAULT_MAX_FRAME};
 use crate::proto::{tensor_to_wire, Event, ProtoError, Request, StmtSpec};
 
 /// Why a client call failed.
@@ -81,6 +81,10 @@ impl<T: Read + Write + Send> Stream for T {}
 pub struct Client {
     conn: Box<dyn Stream>,
     max_frame: usize,
+    /// The frame each request is encoded into and sent from.
+    out: FrameBuf,
+    /// The frame each event is read into and decoded from.
+    inbuf: Vec<u8>,
 }
 
 impl Client {
@@ -90,18 +94,21 @@ impl Client {
         // coalescing timer (the server does the same on accept). Failing
         // to set it costs latency, not correctness.
         let _ = stream.set_nodelay(true);
-        Ok(Client {
-            conn: Box::new(stream),
-            max_frame: DEFAULT_MAX_FRAME,
-        })
+        Ok(Client::over(Box::new(stream)))
     }
 
     #[cfg(unix)]
     pub fn connect_uds(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        Ok(Client {
-            conn: Box::new(UnixStream::connect(path)?),
+        Ok(Client::over(Box::new(UnixStream::connect(path)?)))
+    }
+
+    fn over(conn: Box<dyn Stream>) -> Client {
+        Client {
+            conn,
             max_frame: DEFAULT_MAX_FRAME,
-        })
+            out: FrameBuf::default(),
+            inbuf: Vec::new(),
+        }
     }
 
     /// Cap accepted event payloads (default [`DEFAULT_MAX_FRAME`]).
@@ -111,7 +118,8 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.conn, req.to_json().as_bytes())?;
+        req.write_json(self.out.payload());
+        self.out.send(&mut self.conn)?;
         Ok(())
     }
 
@@ -121,9 +129,10 @@ impl Client {
         self.send(req)
     }
 
+    /// Read the next event, decoded straight from the reused frame.
     fn recv(&mut self) -> Result<Event, ClientError> {
-        let payload = read_frame(&mut self.conn, self.max_frame)?;
-        Ok(Event::parse(&payload)?)
+        let payload = read_frame_into(&mut self.conn, self.max_frame, &mut self.inbuf)?;
+        Ok(Event::parse(payload)?)
     }
 
     fn expect_ok(&mut self) -> Result<(), ClientError> {

@@ -1,11 +1,17 @@
 //! Length-prefixed framing: every protocol message is a 4-byte big-endian
 //! payload length followed by that many bytes of UTF-8 JSON.
 //!
-//! Two readers are provided: blocking [`read_frame`] for clients, and the
-//! incremental [`FrameReader`] for servers that poll a shutdown flag —
-//! it accumulates partial reads across timeouts without ever losing frame
-//! sync, and surfaces truncation/oversize as typed [`FrameError`]s
-//! instead of protocol desync.
+//! One send path: a [`FrameBuf`] is a connection's reused frame, the 4
+//! header bytes reserved at its front and the payload encoded straight
+//! behind them, sent with one `write_all` ([`write_frame`] sends a payload
+//! that already exists through one).
+//!
+//! Two readers are provided: blocking [`read_frame_into`] for clients,
+//! which reads each frame into the caller's reused buffer ([`read_frame`]
+//! into a fresh one), and the incremental [`FrameReader`] for servers that
+//! poll a shutdown flag — it accumulates partial reads across timeouts
+//! without ever losing frame sync, and surfaces truncation/oversize as
+//! typed [`FrameError`]s instead of protocol desync.
 
 use std::io::{self, Read, Write};
 
@@ -64,18 +70,56 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame: 4-byte big-endian length, then the payload, flushed.
-/// Header and payload leave in **one** write: on a socket two small writes
-/// per frame are what Nagle's algorithm and the peer's delayed ACK turn
-/// into a 40 ms stall (the streams also set `TCP_NODELAY`).
+/// A reused frame buffer: [`FrameBuf::payload`] starts a frame, the
+/// caller appends the payload, and [`FrameBuf::send`] fills in the header
+/// and writes header and payload in **one** write: on a socket two small
+/// writes per frame are what Nagle's algorithm and the peer's delayed ACK
+/// turn into a 40 ms stall (the streams also set `TCP_NODELAY`). The
+/// buffer keeps its capacity between frames, up to 1 MiB.
+#[derive(Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+}
+
+/// The most a [`FrameBuf`] keeps allocated between frames: a connection
+/// that once sent a larger frame does not hold its size for the rest of
+/// its life.
+const KEEP_CAPACITY: usize = 1 << 20;
+
+impl FrameBuf {
+    /// Start a frame: the buffer, holding only the 4 reserved header bytes,
+    /// for the payload to be appended to (append only).
+    pub fn payload(&mut self) -> &mut Vec<u8> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
+        &mut self.buf
+    }
+
+    /// Fill in the header of the frame started by [`FrameBuf::payload`] and
+    /// write it, flushed: the bytes [`write_frame`] writes for the payload.
+    pub fn send(&mut self, w: &mut impl Write) -> io::Result<()> {
+        let len = self
+            .buf
+            .len()
+            .checked_sub(4)
+            .expect("a frame starts at payload()");
+        let len = u32::try_from(len)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
+        self.buf[..4].copy_from_slice(&len.to_be_bytes());
+        let sent = w.write_all(&self.buf).and_then(|()| w.flush());
+        if self.buf.capacity() > KEEP_CAPACITY {
+            self.buf = Vec::new();
+        }
+        sent
+    }
+}
+
+/// Write one frame: 4-byte big-endian length, then the payload, flushed,
+/// in one write (see [`FrameBuf`], which this copies `payload` into).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
+    let mut frame = FrameBuf::default();
+    frame.payload().extend_from_slice(payload);
+    frame.send(w)
 }
 
 fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameError> {
@@ -91,10 +135,16 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameEr
     Ok(got)
 }
 
-/// Blocking read of one whole frame. Payloads over `max` bytes error
-/// without being read (the connection is no longer in sync after an
-/// `Oversized` error — close it).
-pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameError> {
+/// Blocking read of one whole frame into `buf`, reused across frames: the
+/// payload is the slice returned (`buf` only grows, so a frame no larger
+/// than an earlier one is read without touching the rest). Payloads over
+/// `max` bytes error without being read (the connection is no longer in
+/// sync after an `Oversized` error — close it).
+pub fn read_frame_into<'b>(
+    r: &mut impl Read,
+    max: usize,
+    buf: &'b mut Vec<u8>,
+) -> Result<&'b [u8], FrameError> {
     let mut header = [0u8; 4];
     match read_exact_or_eof(r, &mut header)? {
         0 => return Err(FrameError::Closed),
@@ -105,11 +155,20 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameError> 
     if len > max {
         return Err(FrameError::Oversized { len, max });
     }
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        got if got == len => Ok(payload),
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    match read_exact_or_eof(r, &mut buf[..len])? {
+        got if got == len => Ok(&buf[..len]),
         got => Err(FrameError::Truncated { expected: len, got }),
     }
+}
+
+/// [`read_frame_into`] a fresh buffer.
+pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameError> {
+    let mut payload = Vec::new();
+    read_frame_into(r, max, &mut payload)?;
+    Ok(payload)
 }
 
 /// An incremental frame accumulator for readers with a read timeout.
@@ -227,6 +286,107 @@ mod tests {
         let mut w = CountWrites(Vec::new());
         write_frame(&mut w, b"hello").unwrap();
         assert_eq!(w.0, [9], "header and payload must leave together");
+    }
+
+    /// The wire's own definition of a frame: header, then payload.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = (payload.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(payload);
+        wire
+    }
+
+    #[test]
+    fn a_reused_frame_sends_the_write_frame_bytes_through_short_and_interrupted_writes() {
+        /// Takes at most `max` bytes per call, after `interrupts` calls that
+        /// return `Interrupted`; counts the calls that took bytes.
+        struct Stingy {
+            wire: Vec<u8>,
+            max: usize,
+            interrupts: usize,
+            writes: usize,
+        }
+        impl Write for Stingy {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.interrupts > 0 {
+                    self.interrupts -= 1;
+                    return Err(io::Error::from(io::ErrorKind::Interrupted));
+                }
+                let n = buf.len().min(self.max);
+                self.wire.extend_from_slice(&buf[..n]);
+                self.writes += 1;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let stingy = |max, interrupts| Stingy {
+            wire: Vec::new(),
+            max,
+            interrupts,
+            writes: 0,
+        };
+        // A 4 096-value result frame (43.7 KB), a small one and an empty
+        // one, each sent twice from the one reused buffer.
+        let result = crate::proto::Event::Result {
+            stmt: 0,
+            vals: (0..4096).map(|i| i as f64 * 0.25 - 3.0).collect(),
+        };
+        let payloads = [
+            result.to_json().into_bytes(),
+            b"{\"type\":\"ok\"}".to_vec(),
+            Vec::new(),
+        ];
+        let mut frame = FrameBuf::default();
+        for payload in payloads.iter().chain(&payloads) {
+            let mut old = Vec::new();
+            write_frame(&mut old, payload).unwrap();
+            assert_eq!(old, framed(payload));
+            for (max, interrupts) in [(7, 0), (usize::MAX, 1), (7, 3), (usize::MAX, 0)] {
+                let mut w = stingy(max, interrupts);
+                frame.payload().extend_from_slice(payload);
+                frame.send(&mut w).unwrap();
+                assert_eq!(
+                    w.wire, old,
+                    "at most {max} bytes a call, {interrupts} interrupts"
+                );
+                if max == usize::MAX {
+                    assert_eq!(w.writes, 1, "a writer that takes it all gets one write");
+                }
+            }
+        }
+        // The event encoder writes the payload straight into the frame.
+        let mut w = stingy(usize::MAX, 0);
+        result.write_json(frame.payload());
+        frame.send(&mut w).unwrap();
+        assert_eq!((w.wire, w.writes), (framed(&payloads[0]), 1));
+    }
+
+    #[test]
+    fn a_reused_read_buffer_returns_each_frame_whatever_it_held() {
+        let mut wire = Vec::new();
+        for payload in [
+            &b"a longer first frame"[..],
+            b"short",
+            b"",
+            b"a longer last frame",
+        ] {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        let mut r = Cursor::new(wire);
+        let mut buf = Vec::new();
+        for want in [
+            &b"a longer first frame"[..],
+            b"short",
+            b"",
+            b"a longer last frame",
+        ] {
+            assert_eq!(read_frame_into(&mut r, 64, &mut buf).unwrap(), want);
+        }
+        assert!(matches!(
+            read_frame_into(&mut r, 64, &mut buf),
+            Err(FrameError::Closed)
+        ));
     }
 
     #[test]

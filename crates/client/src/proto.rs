@@ -12,10 +12,25 @@
 //! little-endian bytes, 8 per value, in padded standard-alphabet base64.
 //! That is bit-exact for every `f64` — NaN payloads, `±inf`, `-0.0` and
 //! subnormals included — so the server's results are bit for bit the
-//! single-process results, and instead of a decimal print and parse per
-//! value it costs a quad per step (3 bytes to 4 alphabet bytes, or back)
-//! and one validity check per value block. Scalars (`wall_seconds`, a
-//! delta's `val`) stay JSON numbers.
+//! single-process results. Scalars (`wall_seconds`, a delta's `val`) stay
+//! JSON numbers.
+//!
+//! The codec has two arms and one text. Where AVX2 is detected, whole
+//! blocks of 3 values (24 bytes, 32 characters) go one block per step
+//! (`wide`, after Muła & Lemire, "Faster Base64 Encoding and Decoding
+//! Using AVX2 Instructions", 2018); the remaining values, the padded last
+//! quad and every value on other hosts go a quad per step (3 bytes to 4
+//! alphabet bytes, or back). A block holding a byte outside the alphabet
+//! is handed to the quad loop, which finds and names the byte, so both
+//! arms answer every input with the same values or the same error.
+//!
+//! Encoding writes into a caller's byte buffer ([`Event::write_json`],
+//! [`Request::write_json`]): the server's is the connection's reused frame.
+//! Decoding reads the `"vals_b64"` text where it lies in the payload
+//! ([`Json::parse_lifting`]) straight into the `Vec<f64>`.
+
+use std::borrow::Cow;
+use std::io::Write as _;
 
 use spdistal_ir::Format;
 use spdistal_obs::json::{self, Json};
@@ -100,43 +115,278 @@ const B64_SEXTET: [u8; 256] = {
     table
 };
 
-/// The one encoder of an `f64` array: `,"vals_b64":"<base64>"` (see the
-/// module docs for the layout).
-fn push_vals_b64(out: &mut String, vals: &[f64]) {
-    let mut bytes = Vec::with_capacity(vals.len() * 8 + 2);
-    for v in vals {
+/// Proof that the running CPU has AVX2, made only by [`Avx2::detect`]: the
+/// codec runs its block arm ([`wide`]) only under one.
+#[derive(Clone, Copy)]
+struct Avx2(());
+
+impl Avx2 {
+    /// `Some` when AVX2 was detected at run time (never off x86-64, and
+    /// never on a test thread that asked for the scalar arm).
+    #[inline(always)]
+    fn detect() -> Option<Avx2> {
+        #[cfg(test)]
+        if tests::SCALAR.get() {
+            return None;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(Avx2(()));
+        }
+        None
+    }
+
+    /// Run `job`'s block loop; answers how many blocks it converted.
+    #[cfg(target_arch = "x86_64")]
+    fn blocks(self, job: Blocks<'_>) -> usize {
+        // SAFETY: an `Avx2` exists only where AVX2 support was detected.
+        // Under AddressSanitizer: `proto::tests::both_arms_write_the_oracles_bytes`.
+        unsafe { wide(job) }
+    }
+}
+
+/// One block loop of the codec: 3 values (24 bytes) are 32 characters.
+#[cfg(target_arch = "x86_64")]
+enum Blocks<'a> {
+    /// Append the text of every whole 3-value block of `vals` to `out`.
+    Encode {
+        vals: &'a [f64],
+        out: &'a mut Vec<u8>,
+    },
+    /// Append the values of every whole 32-character block of `text` to
+    /// `out`, stopping in front of the first block that holds a byte
+    /// outside the alphabet.
+    Decode {
+        text: &'a [u8],
+        out: &'a mut Vec<f64>,
+    },
+}
+
+/// A 16-byte table as the two little-endian words of a 128-bit lane.
+#[cfg(target_arch = "x86_64")]
+const fn lane(table: [u8; 16]) -> [i64; 2] {
+    let mut words = [0i64; 2];
+    let mut i = 0;
+    while i < 16 {
+        words[i / 8] |= (table[i] as i64) << (i % 8 * 8);
+        i += 1;
+    }
+    words
+}
+
+/// Encode, per lane: each 3-byte group `a b c` becomes the word `b a c b`,
+/// so that one 16-bit multiply per sextet pair moves every sextet to a
+/// byte of its own (Muła & Lemire, "Faster Base64 Encoding and Decoding
+/// Using AVX2 Instructions", 2018).
+#[cfg(target_arch = "x86_64")]
+const ENC_RESHUFFLE: [u8; 16] = [1, 0, 2, 1, 4, 3, 5, 4, 7, 6, 8, 7, 10, 9, 11, 10];
+
+/// Encode: what to add to a sextet to get its character, by the sextet's
+/// class — 0 for 26..=51, 1..=10 for the digits 52..=61, 11 for 62, 12
+/// for 63 and 13 for 0..=25 (byte values wrap).
+#[cfg(target_arch = "x86_64")]
+const ENC_SHIFT: [u8; 16] = [
+    b'a' - 26,
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'0'.wrapping_sub(52),
+    b'+'.wrapping_sub(62),
+    b'/'.wrapping_sub(63),
+    b'A',
+    0,
+    0,
+];
+
+/// Decode: by a byte's low nibble, the set of high nibbles (bit `h`) that
+/// make it an alphabet byte.
+#[cfg(target_arch = "x86_64")]
+const DEC_VALID_HIGH: [u8; 16] = [
+    0xa8, 0xf8, 0xf8, 0xf8, 0xf8, 0xf8, 0xf8, 0xf8, 0xf8, 0xf8, 0xf0, 0x54, 0x50, 0x50, 0x50, 0x54,
+];
+
+/// Decode: bit `h` for high nibble `h` (none for `h >= 8`, no ASCII byte).
+#[cfg(target_arch = "x86_64")]
+const DEC_HIGH_BIT: [u8; 16] = [1, 2, 4, 8, 16, 32, 64, 128, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// Decode: what to add to an alphabet byte to get its sextet, by its high
+/// nibble ('/' is the one byte whose nibble class disagrees: it adds 16).
+#[cfg(target_arch = "x86_64")]
+const DEC_SHIFT: [u8; 16] = [
+    0,
+    0,
+    62 - b'+',
+    52 - b'0',
+    0u8.wrapping_sub(b'A'),
+    0u8.wrapping_sub(b'A'),
+    26u8.wrapping_sub(b'a'),
+    26u8.wrapping_sub(b'a'),
+    0,
+    0,
+    0,
+    0,
+    0,
+    0,
+    0,
+    0,
+];
+
+/// Decode, per lane: the three bytes of each 24-bit word, most significant
+/// first, packed into the lane's low 12 bytes.
+#[cfg(target_arch = "x86_64")]
+const DEC_PACK: [u8; 16] = [
+    2, 1, 0, 6, 5, 4, 10, 9, 8, 14, 13, 12, 0x80, 0x80, 0x80, 0x80,
+];
+
+/// The codec's block loops, compiled with AVX2; the one `#[target_feature]`
+/// function of this crate. Both loops convert 24 bytes and 32 characters
+/// per step, three whole values, so a block never splits a value.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn wide(job: Blocks<'_>) -> usize {
+    use std::arch::x86_64::*;
+    let table = |t: [u8; 16]| {
+        let [lo, hi] = lane(t);
+        _mm256_setr_epi64x(lo, hi, lo, hi)
+    };
+    match job {
+        Blocks::Encode { vals, out } => {
+            // Bytes 0..12 stay in the low lane, bytes 12..24 go to the high.
+            let split = _mm256_setr_epi32(0, 1, 2, 3, 3, 4, 5, 6);
+            let reshuffle = table(ENC_RESHUFFLE);
+            let shift = table(ENC_SHIFT);
+            let (blocks, _) = vals.as_chunks::<3>();
+            for block in blocks {
+                let [a, b, c] = block.map(|v| v.to_bits() as i64);
+                let v = _mm256_setr_epi64x(a, b, c, 0);
+                let v = _mm256_shuffle_epi8(_mm256_permutevar8x32_epi32(v, split), reshuffle);
+                // Every sextet to a byte of its own, in text order: the
+                // first and third of each word by a high multiply, the
+                // second and fourth by a low one.
+                let ac = _mm256_mulhi_epu16(
+                    _mm256_and_si256(v, _mm256_set1_epi32(0x0fc0_fc00)),
+                    _mm256_set1_epi32(0x0400_0040),
+                );
+                let bd = _mm256_mullo_epi16(
+                    _mm256_and_si256(v, _mm256_set1_epi32(0x003f_03f0)),
+                    _mm256_set1_epi32(0x0100_0010),
+                );
+                let sextets = _mm256_or_si256(ac, bd);
+                let class = _mm256_or_si256(
+                    _mm256_subs_epu8(sextets, _mm256_set1_epi8(51)),
+                    _mm256_and_si256(
+                        _mm256_cmpgt_epi8(_mm256_set1_epi8(26), sextets),
+                        _mm256_set1_epi8(13),
+                    ),
+                );
+                let text = _mm256_add_epi8(sextets, _mm256_shuffle_epi8(shift, class));
+                let mut chars = [0u8; 32];
+                // SAFETY: `chars` is 32 writable bytes, the width of the
+                // unaligned store. Under AddressSanitizer:
+                // `proto::tests::both_arms_write_the_oracles_bytes`.
+                unsafe { _mm256_storeu_si256(chars.as_mut_ptr().cast(), text) };
+                out.extend_from_slice(&chars);
+            }
+            blocks.len()
+        }
+        Blocks::Decode { text, out } => {
+            let valid_high = table(DEC_VALID_HIGH);
+            let high_bit = table(DEC_HIGH_BIT);
+            let shift = table(DEC_SHIFT);
+            let pack = table(DEC_PACK);
+            let nibble = _mm256_set1_epi8(0x0f);
+            let (blocks, _) = text.as_chunks::<32>();
+            for (n, block) in blocks.iter().enumerate() {
+                // SAFETY: `block` is 32 readable bytes, the width of the
+                // unaligned load. Under AddressSanitizer:
+                // `proto::tests::both_arms_answer_the_oracle_on_every_corruption`.
+                let v = unsafe { _mm256_loadu_si256(block.as_ptr().cast()) };
+                let high = _mm256_and_si256(_mm256_srli_epi32::<4>(v), nibble);
+                let low = _mm256_and_si256(v, nibble);
+                let valid = _mm256_and_si256(
+                    _mm256_shuffle_epi8(valid_high, low),
+                    _mm256_shuffle_epi8(high_bit, high),
+                );
+                if _mm256_movemask_epi8(_mm256_cmpeq_epi8(valid, _mm256_setzero_si256())) != 0 {
+                    return n;
+                }
+                let slash = _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'/' as i8));
+                let sextets = _mm256_add_epi8(
+                    v,
+                    _mm256_blendv_epi8(
+                        _mm256_shuffle_epi8(shift, high),
+                        _mm256_set1_epi8(16),
+                        slash,
+                    ),
+                );
+                // Each 4 sextets to one 24-bit word: pairs by a multiply-add
+                // of bytes, then pairs of pairs by one of words.
+                let pairs = _mm256_maddubs_epi16(sextets, _mm256_set1_epi32(0x0140_0140));
+                let words = _mm256_madd_epi16(pairs, _mm256_set1_epi32(0x0001_1000));
+                let bytes = _mm256_permutevar8x32_epi32(
+                    _mm256_shuffle_epi8(words, pack),
+                    _mm256_setr_epi32(0, 1, 2, 4, 5, 6, 7, 7),
+                );
+                out.extend_from_slice(&[
+                    f64::from_bits(_mm256_extract_epi64::<0>(bytes) as u64),
+                    f64::from_bits(_mm256_extract_epi64::<1>(bytes) as u64),
+                    f64::from_bits(_mm256_extract_epi64::<2>(bytes) as u64),
+                ]);
+            }
+            blocks.len()
+        }
+    }
+}
+
+/// The one encoder of an `f64` array: appends `,"vals_b64":"<base64>"` to
+/// `out` (see the module docs for the layout). Whole 3-value blocks go 32
+/// characters per step where AVX2 is present; the rest, and every value
+/// elsewhere, a quad per step.
+fn write_vals_b64(out: &mut Vec<u8>, vals: &[f64]) {
+    out.reserve((vals.len() * 8).div_ceil(3) * 4 + 16);
+    out.extend_from_slice(b",\"vals_b64\":\"");
+    #[allow(unused_mut)]
+    let mut from = 0;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = Avx2::detect() {
+        from = 3 * avx2.blocks(Blocks::Encode { vals, out });
+    }
+    let mut bytes = Vec::with_capacity((vals.len() - from) * 8 + 2);
+    for v in &vals[from..] {
         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     // Zero-fill the last group, write every group as a quad, then write
     // '=' over the sextets that hold nothing but fill.
     let pad = (3 - bytes.len() % 3) % 3;
     bytes.resize(bytes.len() + pad, 0);
-    let mut text = vec![0u8; bytes.len() / 3 * 4];
-    for (g, q) in bytes.chunks_exact(3).zip(text.chunks_exact_mut(4)) {
+    for g in bytes.chunks_exact(3) {
         let n = (g[0] as usize) << 16 | (g[1] as usize) << 8 | g[2] as usize;
-        q[0] = B64_ALPHABET[n >> 18];
-        q[1] = B64_ALPHABET[n >> 12 & 63];
-        q[2] = B64_ALPHABET[n >> 6 & 63];
-        q[3] = B64_ALPHABET[n & 63];
+        out.extend_from_slice(&[
+            B64_ALPHABET[n >> 18],
+            B64_ALPHABET[n >> 12 & 63],
+            B64_ALPHABET[n >> 6 & 63],
+            B64_ALPHABET[n & 63],
+        ]);
     }
-    let end = text.len();
-    text[end - pad..].fill(b'=');
-    out.reserve(text.len() + 16);
-    out.push_str(",\"vals_b64\":\"");
-    out.push_str(std::str::from_utf8(&text).expect("base64 is ASCII"));
-    out.push('"');
+    let end = out.len();
+    out[end - pad..].fill(b'=');
+    out.push(b'"');
 }
 
-/// The one decoder of an `f64` array: the `"vals_b64"` field of `v`.
-/// Anything but canonical padded base64 of a whole number of 8-byte values
-/// is a [`ProtoError::Shape`].
-fn vals_b64_field(v: &Json) -> Result<Vec<f64>, ProtoError> {
-    let text = field(v, "vals_b64")?
-        .as_str()
-        .ok_or_else(|| shape("'vals_b64' must be a string"))?
-        .as_bytes();
+/// The one decoder of an `f64` array, from its base64 text. Anything but
+/// canonical padded base64 of a whole number of 8-byte values is a
+/// [`ProtoError::Shape`]. Whole 32-character blocks go 3 values per step
+/// where AVX2 is present; a block with a bad byte, the rest and the padded
+/// last quad go through the scalar loops, which find and name the byte.
+fn decode_vals_b64(text: &[u8]) -> Result<Vec<f64>, ProtoError> {
     let pad = text.iter().rev().take_while(|&&b| b == b'=').count();
-    if text.len() % 4 != 0 || pad > 2 {
+    if !text.len().is_multiple_of(4) || pad > 2 {
         return Err(shape(format!(
             "'vals_b64' has bad padding ({} characters, {pad} of them '=')",
             text.len()
@@ -147,22 +397,39 @@ fn vals_b64_field(v: &Json) -> Result<Vec<f64>, ProtoError> {
             "'vals_b64' has a byte outside the base64 alphabet at {at}"
         ))
     };
-    // Whole quads first, three bytes each. A sextet is below 64 and a
-    // byte outside the alphabet maps to 0xFF, so one OR over every sextet
-    // says whether any was bad; only then is its position looked for.
     let whole = if pad > 0 { text.len() - 4 } else { text.len() };
-    let mut bytes = Vec::with_capacity(text.len() / 4 * 3);
-    bytes.resize(whole / 4 * 3, 0);
+    let mut vals = Vec::with_capacity(text.len() / 4 * 3 / 8);
+    #[allow(unused_mut)]
+    let mut from = 0;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = Avx2::detect() {
+        from = 32
+            * avx2.blocks(Blocks::Decode {
+                text: &text[..whole],
+                out: &mut vals,
+            });
+    }
+    // The remaining whole quads, three bytes each. A sextet is below 64
+    // and a byte outside the alphabet maps to 0xFF, so one OR over every
+    // sextet says whether any was bad; only then is its position looked
+    // for.
+    let mut bytes = Vec::with_capacity((text.len() - from) / 4 * 3);
+    bytes.resize((whole - from) / 4 * 3, 0);
     let mut bad = 0u8;
-    for (q, g) in text[..whole].chunks_exact(4).zip(bytes.chunks_exact_mut(3)) {
+    for (q, g) in text[from..whole]
+        .chunks_exact(4)
+        .zip(bytes.chunks_exact_mut(3))
+    {
         let s = [q[0], q[1], q[2], q[3]].map(|c| B64_SEXTET[c as usize]);
         bad |= s[0] | s[1] | s[2] | s[3];
         let n = (s[0] as u32) << 18 | (s[1] as u32) << 12 | (s[2] as u32) << 6 | s[3] as u32;
         g.copy_from_slice(&n.to_be_bytes()[1..]);
     }
     if bad >= 64 {
-        let at = text.iter().position(|&c| B64_SEXTET[c as usize] == 0xFF);
-        return Err(bad_byte(at.expect("a bad sextet has a position")));
+        let at = text[from..]
+            .iter()
+            .position(|&c| B64_SEXTET[c as usize] == 0xFF);
+        return Err(bad_byte(from + at.expect("a bad sextet has a position")));
     }
     // The padded last quad, a sextet at a time.
     let (mut acc, mut held) = (0u32, 0u32);
@@ -181,31 +448,75 @@ fn vals_b64_field(v: &Json) -> Result<Vec<f64>, ProtoError> {
     if acc & ((1 << held) - 1) != 0 {
         return Err(shape("'vals_b64' has non-zero bits under its padding"));
     }
-    if bytes.len() % 8 != 0 {
+    if !bytes.len().is_multiple_of(8) {
         return Err(shape(format!(
             "'vals_b64' holds {} bytes, not a multiple of 8",
-            bytes.len()
+            vals.len() * 8 + bytes.len()
         )));
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("chunks of 8"))))
-        .collect())
+    vals.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("chunks of 8")))),
+    );
+    Ok(vals)
 }
 
-fn push_stmts(out: &mut String, stmts: &[StmtSpec]) {
-    out.push('[');
+/// A payload as its JSON tree, with the `"vals_b64"` text lifted out of it
+/// and left where it lies in the payload ([`Json::parse_lifting`]).
+fn parse_payload(payload: &[u8]) -> Result<(Json, Option<Cow<'_, str>>), ProtoError> {
+    let text = std::str::from_utf8(payload).map_err(|_| ProtoError::Utf8)?;
+    Json::parse_lifting(text, "vals_b64").map_err(ProtoError::Json)
+}
+
+/// The values of a payload parsed by [`parse_payload`]: its lifted
+/// `"vals_b64"` text, or, when nothing was lifted, whatever the tree holds
+/// under that name (which is then no string).
+fn vals_b64(v: &Json, lifted: Option<&str>) -> Result<Vec<f64>, ProtoError> {
+    let text = match lifted {
+        Some(text) => text,
+        None => field(v, "vals_b64")?
+            .as_str()
+            .ok_or_else(|| shape("'vals_b64' must be a string"))?,
+    };
+    decode_vals_b64(text.as_bytes())
+}
+
+/// The codec's entry points as the oracle tests call them, on a `String`
+/// and on a parsed tree.
+#[cfg(test)]
+fn push_vals_b64(out: &mut String, vals: &[f64]) {
+    let mut bytes = std::mem::take(out).into_bytes();
+    write_vals_b64(&mut bytes, vals);
+    *out = String::from_utf8(bytes).expect("base64 is ASCII");
+}
+
+#[cfg(test)]
+fn vals_b64_field(v: &Json) -> Result<Vec<f64>, ProtoError> {
+    vals_b64(v, None)
+}
+
+/// `write!` onto a payload buffer: a `Vec<u8>` takes every write.
+macro_rules! put {
+    ($out:expr, $($fmt:tt)*) => {
+        $out.write_fmt(format_args!($($fmt)*)).expect("a Vec<u8> takes every write")
+    };
+}
+
+fn push_stmts(out: &mut Vec<u8>, stmts: &[StmtSpec]) {
+    out.push(b'[');
     for (i, s) in stmts.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push_str(&format!(
+        put!(
+            out,
             "{{\"tin\":\"{}\",\"schedule\":\"{}\"}}",
             json::escape(&s.tin),
             json::escape(&s.schedule)
-        ));
+        );
     }
-    out.push(']');
+    out.push(b']');
 }
 
 fn parse_stmts(v: &Json) -> Result<Vec<StmtSpec>, ProtoError> {
@@ -226,26 +537,27 @@ fn parse_stmts(v: &Json) -> Result<Vec<StmtSpec>, ProtoError> {
     Ok(stmts)
 }
 
-fn push_deltas(out: &mut String, deltas: &[CoordDelta]) {
-    out.push('[');
+fn push_deltas(out: &mut Vec<u8>, deltas: &[CoordDelta]) {
+    out.push(b'[');
     for (i, d) in deltas.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push_str("{\"coord\":[");
+        out.extend_from_slice(b"{\"coord\":[");
         for (j, c) in d.coord.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str(&c.to_string());
+            put!(out, "{c}");
         }
-        out.push_str(&format!(
+        put!(
+            out,
             "],\"val\":{},\"op\":\"{}\"}}",
             json::number(d.val),
             d.op.name()
-        ));
+        );
     }
-    out.push(']');
+    out.push(b']');
 }
 
 fn parse_deltas(v: &Json) -> Result<Vec<CoordDelta>, ProtoError> {
@@ -325,10 +637,20 @@ pub enum Request {
 }
 
 impl Request {
+    /// This request's JSON payload.
     pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        String::from_utf8(out).expect("the encoder writes UTF-8")
+    }
+
+    /// Append this request's JSON payload to `out` (a frame's payload, see
+    /// [`FrameBuf`](crate::frame::FrameBuf)).
+    pub fn write_json(&self, out: &mut Vec<u8>) {
         match self {
             Request::Hello { tenant } => {
-                format!(
+                put!(
+                    out,
                     "{{\"type\":\"hello\",\"tenant\":\"{}\"}}",
                     json::escape(tenant)
                 )
@@ -340,69 +662,66 @@ impl Request {
                 coords,
                 vals,
             } => {
-                let mut out = format!(
+                put!(
+                    out,
                     "{{\"type\":\"register\",\"name\":\"{}\",\"format\":\"{}\",\"dims\":[",
                     json::escape(name),
                     json::escape(format)
                 );
                 for (i, d) in dims.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    out.push_str(&d.to_string());
+                    put!(out, "{d}");
                 }
-                out.push_str("],\"coords\":[");
+                out.extend_from_slice(b"],\"coords\":[");
                 for (i, coord) in coords.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    out.push('[');
+                    out.push(b'[');
                     for (j, c) in coord.iter().enumerate() {
                         if j > 0 {
-                            out.push(',');
+                            out.push(b',');
                         }
-                        out.push_str(&c.to_string());
+                        put!(out, "{c}");
                     }
-                    out.push(']');
+                    out.push(b']');
                 }
-                out.push(']');
-                push_vals_b64(&mut out, vals);
-                out.push('}');
-                out
+                out.push(b']');
+                write_vals_b64(out, vals);
+                out.push(b'}');
             }
             Request::Submit {
                 stmts,
                 iters,
                 pipelined,
             } => {
-                let mut out = String::from("{\"type\":\"submit\",\"stmts\":");
-                push_stmts(&mut out, stmts);
-                out.push_str(&format!(",\"iters\":{iters},\"pipelined\":{pipelined}}}"));
-                out
+                out.extend_from_slice(b"{\"type\":\"submit\",\"stmts\":");
+                push_stmts(out, stmts);
+                put!(out, ",\"iters\":{iters},\"pipelined\":{pipelined}}}");
             }
             Request::UpdateBatch { name, deltas } => {
-                let mut out = format!(
+                put!(
+                    out,
                     "{{\"type\":\"update_batch\",\"name\":\"{}\",\"deltas\":",
                     json::escape(name)
                 );
-                push_deltas(&mut out, deltas);
-                out.push('}');
-                out
+                push_deltas(out, deltas);
+                out.push(b'}');
             }
             Request::RunIncremental { stmts } => {
-                let mut out = String::from("{\"type\":\"run_incremental\",\"stmts\":");
-                push_stmts(&mut out, stmts);
-                out.push('}');
-                out
+                out.extend_from_slice(b"{\"type\":\"run_incremental\",\"stmts\":");
+                push_stmts(out, stmts);
+                out.push(b'}');
             }
-            Request::Report => "{\"type\":\"report\"}".to_string(),
-            Request::Shutdown => "{\"type\":\"shutdown\"}".to_string(),
+            Request::Report => out.extend_from_slice(b"{\"type\":\"report\"}"),
+            Request::Shutdown => out.extend_from_slice(b"{\"type\":\"shutdown\"}"),
         }
     }
 
     pub fn parse(payload: &[u8]) -> Result<Request, ProtoError> {
-        let text = std::str::from_utf8(payload).map_err(|_| ProtoError::Utf8)?;
-        let v = Json::parse(text).map_err(ProtoError::Json)?;
+        let (v, lifted) = parse_payload(payload)?;
         match str_field(&v, "type")?.as_str() {
             "hello" => Ok(Request::Hello {
                 tenant: str_field(&v, "tenant")?,
@@ -436,7 +755,7 @@ impl Request {
                             .collect::<Result<Vec<i64>, _>>()
                     })
                     .collect::<Result<Vec<Vec<i64>>, _>>()?;
-                let vals = vals_b64_field(&v)?;
+                let vals = vals_b64(&v, lifted.as_deref())?;
                 if coords.len() != vals.len() {
                     return Err(shape("'coords' and 'vals' lengths differ"));
                 }
@@ -529,20 +848,32 @@ pub enum Event {
 }
 
 impl Event {
+    /// This event's JSON payload.
     pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        String::from_utf8(out).expect("the encoder writes UTF-8")
+    }
+
+    /// Append this event's JSON payload to `out`: the one event encoder,
+    /// which the server runs straight into a connection's reused frame
+    /// ([`FrameBuf`](crate::frame::FrameBuf)).
+    pub fn write_json(&self, out: &mut Vec<u8>) {
         match self {
-            Event::Welcome { tenant, server } => format!(
+            Event::Welcome { tenant, server } => put!(
+                out,
                 "{{\"type\":\"welcome\",\"tenant\":\"{}\",\"server\":\"{}\"}}",
                 json::escape(tenant),
                 json::escape(server)
             ),
-            Event::Ok => "{\"type\":\"ok\"}".to_string(),
+            Event::Ok => out.extend_from_slice(b"{\"type\":\"ok\"}"),
             Event::AutoDecision {
                 stmt,
                 iteration,
                 choice,
                 reason,
-            } => format!(
+            } => put!(
+                out,
                 "{{\"type\":\"auto_decision\",\"stmt\":{stmt},\"iteration\":{iteration},\
                  \"choice\":\"{}\",\"reason\":\"{}\"}}",
                 json::escape(choice),
@@ -555,7 +886,8 @@ impl Event {
                 spans,
                 steals,
                 wall_seconds,
-            } => format!(
+            } => put!(
+                out,
                 "{{\"type\":\"flush_report\",\"iteration\":{iteration},\"batches\":{batches},\
                  \"tasks\":{tasks},\"spans\":{spans},\"steals\":{steals},\"wall_seconds\":{}}}",
                 json::number(*wall_seconds)
@@ -563,7 +895,8 @@ impl Event {
             Event::KernelDispatch {
                 specialized,
                 fallback,
-            } => format!(
+            } => put!(
+                out,
                 "{{\"type\":\"kernel_dispatch\",\"specialized\":{specialized},\
                  \"fallback\":{fallback}}}"
             ),
@@ -574,32 +907,35 @@ impl Event {
                 spans_reexecuted,
                 spans_skipped,
                 fallback,
-            } => format!(
+            } => put!(
+                out,
                 "{{\"type\":\"incremental_report\",\"iteration\":{iteration},\"stmt\":{stmt},\
                  \"rows_dirty\":{rows_dirty},\"spans_reexecuted\":{spans_reexecuted},\
                  \"spans_skipped\":{spans_skipped},\"fallback\":{fallback}}}"
             ),
             Event::Result { stmt, vals } => {
-                let mut out = format!("{{\"type\":\"result\",\"stmt\":{stmt}");
-                push_vals_b64(&mut out, vals);
-                out.push('}');
-                out
+                put!(out, "{{\"type\":\"result\",\"stmt\":{stmt}");
+                write_vals_b64(out, vals);
+                out.push(b'}');
             }
             Event::Done {
                 iterations,
                 compiles,
                 cache_hits,
                 wall_seconds,
-            } => format!(
+            } => put!(
+                out,
                 "{{\"type\":\"done\",\"iterations\":{iterations},\"compiles\":{compiles},\
                  \"cache_hits\":{cache_hits},\"wall_seconds\":{}}}",
                 json::number(*wall_seconds)
             ),
-            Event::Report { json: report } => format!(
+            Event::Report { json: report } => put!(
+                out,
                 "{{\"type\":\"report\",\"json\":\"{}\"}}",
                 json::escape(report)
             ),
-            Event::Error { code, message } => format!(
+            Event::Error { code, message } => put!(
+                out,
                 "{{\"type\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
                 json::escape(code),
                 json::escape(message)
@@ -607,9 +943,10 @@ impl Event {
         }
     }
 
+    /// Parse one event payload; a result's values are decoded from the
+    /// payload's own bytes.
     pub fn parse(payload: &[u8]) -> Result<Event, ProtoError> {
-        let text = std::str::from_utf8(payload).map_err(|_| ProtoError::Utf8)?;
-        let v = Json::parse(text).map_err(ProtoError::Json)?;
+        let (v, lifted) = parse_payload(payload)?;
         match str_field(&v, "type")?.as_str() {
             "welcome" => Ok(Event::Welcome {
                 tenant: str_field(&v, "tenant")?,
@@ -644,7 +981,7 @@ impl Event {
             }),
             "result" => Ok(Event::Result {
                 stmt: usize_field(&v, "stmt")?,
-                vals: vals_b64_field(&v)?,
+                vals: vals_b64(&v, lifted.as_deref())?,
             }),
             "done" => Ok(Event::Done {
                 iterations: usize_field(&v, "iterations")?,
@@ -787,8 +1124,16 @@ mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use spdistal_sparse::{dense_vector, generate};
+
+    thread_local! {
+        /// Set by a test that wants the codec's scalar arm on an AVX2 host:
+        /// [`Avx2::detect`] then answers `None` on that thread.
+        pub(super) static SCALAR: Cell<bool> = const { Cell::new(false) };
+    }
 
     #[test]
     fn requests_round_trip() {
@@ -1238,6 +1583,107 @@ mod tests {
         // A bound on optimised code: ci runs this suite in --release.
         if !cfg!(debug_assertions) {
             assert!(took.as_millis() < 20, "1 MiB value block took {took:?}");
+        }
+    }
+
+    /// Run `f` once per arm of the codec: the AVX2 block arm (where this
+    /// host has AVX2; the arm being tested is named in every message) and
+    /// the scalar arm.
+    fn on_both_arms(mut f: impl FnMut(&str)) {
+        let wide = Avx2::detect().is_some();
+        assert_eq!(
+            wide,
+            cfg!(target_arch = "x86_64") && std::arch::is_x86_feature_detected!("avx2"),
+            "the block arm is taken exactly where AVX2 is"
+        );
+        if wide {
+            f("avx2");
+        }
+        SCALAR.set(true);
+        assert!(Avx2::detect().is_none());
+        f("scalar");
+        SCALAR.set(false);
+    }
+
+    #[test]
+    fn both_arms_write_the_oracles_bytes() {
+        // Random bit patterns, a quarter of them drawn from the special
+        // values: NaN payloads of both signs, the infinities, the signed
+        // zeros, the largest subnormal and two small ones.
+        let special = [
+            0x7ff8_dead_beef_0001u64,
+            0xfff8_0000_0000_0001,
+            0x7ff0_0000_0000_0001,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0,
+            1,
+            0x000f_ffff_ffff_ffff,
+            0x8000_0000_0000_0003,
+        ];
+        let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
+        on_both_arms(|arm| {
+            for len in 0..=70 {
+                for _ in 0..8 {
+                    let vals: Vec<f64> = (0..len)
+                        .map(|_| match rng.next() % 4 {
+                            0 => f64::from_bits(special[rng.next() as usize % special.len()]),
+                            _ => f64::from_bits(rng.next()),
+                        })
+                        .collect();
+                    let mut ours = b"{\"stmt\":0".to_vec();
+                    write_vals_b64(&mut ours, &vals);
+                    let mut theirs = "{\"stmt\":0".to_string();
+                    oracle::push_vals_b64(&mut theirs, &vals);
+                    assert_eq!(ours, theirs.as_bytes(), "{arm}: {len} values");
+                    let text = &ours["{\"stmt\":0,\"vals_b64\":\"".len()..ours.len() - 1];
+                    assert_eq!(
+                        outcome(decode_vals_b64(text)),
+                        Ok(bits(&vals)),
+                        "{arm}: {len} values"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn both_arms_answer_the_oracle_on_every_corruption() {
+        // 40 values: 320 bytes, 428 characters, 13 whole 32-character
+        // blocks, then 12 quads and a last quad with one '='.
+        let vals: Vec<f64> = (0..40).map(|i| (i as f64 - 19.5) * 1.25e-3).collect();
+        let mut block = Vec::new();
+        write_vals_b64(&mut block, &vals);
+        let text = block[",\"vals_b64\":\"".len()..block.len() - 1].to_vec();
+        assert_eq!(text.len(), 428);
+        // The oracle's answer depends on a byte only through its sextet
+        // (0xFF outside the alphabet) and whether it is '=', so it is asked
+        // once per class and offset. It reads a parsed string, so a byte
+        // >= 0x80 (no UTF-8 on its own) is put to it as 0x7F: another byte
+        // of the same class.
+        let mut bad = text.clone();
+        for at in 0..text.len() {
+            let mut answers = std::collections::BTreeMap::new();
+            for byte in 0..=255u8 {
+                bad[at] = byte;
+                let theirs = answers
+                    .entry((B64_SEXTET[byte as usize], byte == b'='))
+                    .or_insert_with(|| {
+                        let ascii = bad.iter().map(|&b| b.min(0x7f)).collect();
+                        let ascii = String::from_utf8(ascii).expect("ASCII");
+                        let v = Json::Obj([("vals_b64".to_string(), Json::Str(ascii))].into());
+                        outcome(oracle::vals_b64_field(&v))
+                    });
+                on_both_arms(|arm| {
+                    assert_eq!(
+                        &outcome(decode_vals_b64(&bad)),
+                        theirs,
+                        "{arm}: byte {byte:#04x} at {at}"
+                    );
+                });
+            }
+            bad[at] = text[at];
         }
     }
 }

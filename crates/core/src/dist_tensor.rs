@@ -303,16 +303,19 @@ impl Context {
         self.tensors.keys().map(String::as_str).collect()
     }
 
-    /// Mutable access to a tensor's values (e.g. to zero an output).
+    /// Mutable access to a tensor's values (e.g. to zero an output), and
+    /// to nothing else: the pattern stays the one the registration's
+    /// regions and partition describe (change it with
+    /// [`Context::replace_tensor_data`] or [`Context::update_batch`]).
     /// Counts as an untracked mutation: the tensor's version is bumped, so
     /// retained incremental state keyed to the old version is invalidated.
-    pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut SpTensor, Error> {
+    pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut [f64], Error> {
         let t = self
             .tensors
             .get_mut(name)
             .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
         t.version += 1;
-        Ok(&mut t.data)
+        Ok(t.data.vals_mut())
     }
 
     /// Replace a tensor's data wholesale (sparse outputs with fresh

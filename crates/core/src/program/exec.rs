@@ -255,7 +255,7 @@ impl CompiledProgram {
     /// p.run_iters_with(3, |ctx, _iter| {
     ///     // Feed this iteration's output back into the next one's input.
     ///     let a = ctx.tensor("a")?.data.vals().to_vec();
-    ///     ctx.tensor_data_mut("c")?.vals_mut().copy_from_slice(&a);
+    ///     ctx.tensor_data_mut("c")?.copy_from_slice(&a);
     ///     Ok(())
     /// })
     /// .unwrap();
@@ -725,7 +725,7 @@ mod tests {
         p.run_incremental().unwrap();
         assert!(p.last_incremental(0).unwrap().spans_skipped > 0);
         assert_eq!(arms(&p), (1, 2, 3), "then by value, a merge included");
-        p.tensor_data_mut("a").unwrap().vals_mut().fill(-1.0);
+        p.tensor_data_mut("a").unwrap().fill(-1.0);
         p.run().unwrap();
         assert_eq!(arms(&p), (2, 2, 4), "a mutated output re-registers");
         p.run().unwrap();

@@ -82,7 +82,7 @@
 //!
 //! Cache keys capture statements, schedules, formats, and — for every
 //! tensor a statement reads — its dims and a hash of its sparsity
-//! *pattern* (see [`SpTensor::pattern_hash`]),
+//! *pattern* (see [`SpTensor::pattern_hash`](spdistal_sparse::SpTensor::pattern_hash)),
 //! because plans embed partitions derived from exactly that. Tensor
 //! *values* are not part of the key, so dense factor updates and
 //! value-only deltas keep hitting; a pattern change (a structural delta, a
@@ -98,7 +98,6 @@ use std::sync::Arc;
 
 use spdistal_ir::{Assignment, Format};
 use spdistal_runtime::{Tenant, Trace};
-use spdistal_sparse::SpTensor;
 
 use crate::dist_tensor::{Context, Error};
 use crate::engine::PlanCache;
@@ -261,7 +260,7 @@ impl CompiledProgram {
 
     /// Mutable access to a tensor's values (e.g. the CP-ALS factor-damping
     /// step between sweeps).
-    pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut SpTensor, Error> {
+    pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut [f64], Error> {
         self.ctx.tensor_data_mut(name)
     }
 
@@ -382,7 +381,7 @@ mod tests {
     use super::*;
     use crate::streaming::CoordDelta;
     use spdistal_runtime::{Machine, MachineProfile};
-    use spdistal_sparse::{dense_vector, generate, reference};
+    use spdistal_sparse::{dense_vector, generate, reference, SpTensor};
 
     pub(super) const PIECES: usize = 4;
 

@@ -73,7 +73,6 @@ use std::time::Instant;
 use spdistal_runtime::pipeline::{LaunchTiming, Pipeline};
 use spdistal_runtime::sched::ExecReport;
 use spdistal_runtime::{LaunchId, RegionId};
-use spdistal_sparse::SpTensor;
 
 use crate::codegen::Plan;
 use crate::dist_tensor::{Context, Error, VAL_BYTES};
@@ -426,7 +425,7 @@ impl<'c> Session<'c> {
     /// Mutable access to a tensor's values. Flushes first, so the data a
     /// caller overwrites (or reads) reflects every submitted plan — the
     /// deferred queue can never observe out-of-order mutation.
-    pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut SpTensor, Error> {
+    pub fn tensor_data_mut(&mut self, name: &str) -> Result<&mut [f64], Error> {
         self.flush()?;
         self.ctx.tensor_data_mut(name)
     }
@@ -555,7 +554,7 @@ mod tests {
     use crate::api::{access, assign, schedule_outer_dim};
     use spdistal_ir::{Format, ParallelUnit};
     use spdistal_runtime::{Machine, MachineProfile};
-    use spdistal_sparse::{dense_vector, generate, reference};
+    use spdistal_sparse::{dense_vector, generate, reference, SpTensor};
 
     const PIECES: usize = 4;
 

@@ -4,6 +4,7 @@
 //! JSON and this module closes the loop so tests and the `trace_check`
 //! tool can parse what was emitted and validate its shape.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -49,15 +50,21 @@ impl Json {
 
     /// Parse `src` as one JSON document (trailing whitespace allowed).
     pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut p = Parser { src, bytes, pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
+        Parser::new(src, None).document().map(|(v, _)| v)
+    }
+
+    /// [`Json::parse`] for a document whose top-level object carries one
+    /// large string member, `key`: its value stays out of the tree and
+    /// comes back beside it, borrowed from `src` when it holds no escape,
+    /// so a caller decodes it where it lies instead of from a copy.
+    /// Everything else answers as `parse` does: the same errors, and the
+    /// member is lifted only when its last occurrence (the one `get` would
+    /// see) is a string, so a value of another type stays in the tree.
+    pub fn parse_lifting<'a>(
+        src: &'a str,
+        key: &str,
+    ) -> Result<(Json, Option<Cow<'a, str>>), String> {
+        Parser::new(src, Some(key)).document()
     }
 }
 
@@ -93,41 +100,80 @@ pub fn number(v: f64) -> String {
     }
 }
 
-struct Parser<'a> {
+struct Parser<'a, 'k> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The top-level member to lift ([`Json::parse_lifting`]); taken by the
+    /// first value parsed, so no nested object sees it.
+    lift: Option<&'k str>,
+    lifted: Option<Cow<'a, str>>,
 }
 
 /// Length of the run of `bytes` before its first `"` or `\` (all of
-/// `bytes` if it has neither), eight bytes per step: a SWAR zero-byte test
-/// of the word XOR each target. A borrow can flag a byte only above a true
-/// zero, so the lowest flagged byte is exact; a byte >= 0x80 keeps its high
-/// bit under the XOR and is never flagged.
+/// `bytes` if it has neither), 32 bytes per step while no word of the step
+/// holds one, then 8: a SWAR zero-byte test of each word XOR each target. A
+/// borrow can flag a byte only above a true zero, so the lowest flagged
+/// byte is exact; a byte >= 0x80 keeps its high bit under the XOR and is
+/// never flagged.
 fn plain_run(bytes: &[u8]) -> usize {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
     const QUOTES: u64 = u64::from_le_bytes([b'"'; 8]);
     const BACKSLASHES: u64 = u64::from_le_bytes([b'\\'; 8]);
-    let mut words = bytes.chunks_exact(8);
-    let mut run = 0;
-    for w in &mut words {
-        let w = u64::from_le_bytes(w.try_into().expect("chunks of 8"));
+    let hits = |w: &[u8; 8]| {
+        let w = u64::from_le_bytes(*w);
         let (q, b) = (w ^ QUOTES, w ^ BACKSLASHES);
-        let hit = ((q.wrapping_sub(ONES) & !q) | (b.wrapping_sub(ONES) & !b)) & HIGHS;
+        ((q.wrapping_sub(ONES) & !q) | (b.wrapping_sub(ONES) & !b)) & HIGHS
+    };
+    let mut run = 0;
+    for step in bytes.as_chunks::<32>().0 {
+        if step
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .fold(0, |any, w| any | hits(w))
+            != 0
+        {
+            break;
+        }
+        run += 32;
+    }
+    let (words, rest) = bytes[run..].as_chunks::<8>();
+    for w in words {
+        let hit = hits(w);
         if hit != 0 {
             return run + hit.trailing_zeros() as usize / 8;
         }
         run += 8;
     }
-    let rest = words.remainder();
     run + rest
         .iter()
         .position(|&b| b == b'"' || b == b'\\')
         .unwrap_or(rest.len())
 }
 
-impl Parser<'_> {
+impl<'a, 'k> Parser<'a, 'k> {
+    fn new(src: &'a str, lift: Option<&'k str>) -> Parser<'a, 'k> {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            lift,
+            lifted: None,
+        }
+    }
+
+    fn document(mut self) -> Result<(Json, Option<Cow<'a, str>>), String> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing garbage at byte {}", self.pos));
+        }
+        Ok((v, self.lifted))
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -157,10 +203,11 @@ impl Parser<'_> {
     }
 
     fn value(&mut self) -> Result<Json, String> {
+        let lift = self.lift.take();
         match self.peek() {
-            Some(b'{') => self.object(),
+            Some(b'{') => self.object(lift),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -197,15 +244,27 @@ impl Parser<'_> {
             .map_err(|_| format!("bad number '{text}' at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal's value: borrowed from the source when it is one
+    /// plain run (no escape), else unescaped into an owned copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // A run stops only at a quote or a backslash, both ASCII, so it
+        // starts and ends on char boundaries of the `&str` this parser was
+        // handed and is already valid UTF-8.
+        let start = self.pos;
+        self.pos += plain_run(&self.bytes[start..]);
+        let run = &self.src[start..self.pos];
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = run.to_string();
         loop {
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -238,10 +297,8 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy the whole run up to the next quote or backslash:
-                    // both are ASCII, and so is the end of every escape, so
-                    // the run starts and ends on char boundaries of the
-                    // `&str` this parser was handed, already valid UTF-8.
+                    // Copy the whole run up to the next quote or backslash
+                    // (the end of every escape is ASCII too).
                     let run = plain_run(&self.bytes[self.pos..]);
                     out.push_str(&self.src[self.pos..self.pos + run]);
                     self.pos += run;
@@ -279,7 +336,9 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// An object; `lift` names the member to keep out of it (the top-level
+    /// object's only).
+    fn object(&mut self, lift: Option<&str>) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -293,8 +352,18 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
+            let lifting = lift == Some(&*key);
+            if lifting && self.peek() == Some(b'"') {
+                // Whichever occurrence comes last wins, lifted or not.
+                self.lifted = Some(self.string()?);
+                map.remove(&*key);
+            } else {
+                if lifting {
+                    self.lifted = None;
+                }
+                let val = self.value()?;
+                map.insert(key.into_owned(), val);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -420,6 +489,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_lifted_member_answers_what_parse_answers() {
+        let docs = [
+            r#"{"type":"result","stmt":0,"v":"AAAA+D8="}"#,
+            r#"{"v":"plain","v":"esc\"aped"}"#,
+            r#"{"v":"first","v":[1.5]}"#,
+            r#"{"v":[1.5],"v":"last"}"#,
+            r#"{"v":3, "n":{"v":"nested"}}"#,
+            r#"[{"v":"in an array"}]"#,
+            r#""v""#,
+            r#"{ "v" : "spaced" , "w" : "x" }"#,
+            r#"{"v":"unterminated}"#,
+            r#"{"v":"ok" trailing}"#,
+            r#"{"v":"ok"} x"#,
+        ];
+        for doc in docs {
+            let parsed = Json::parse(doc);
+            match Json::parse_lifting(doc, "v") {
+                Err(e) => assert_eq!(parsed, Err(e), "{doc}"),
+                Ok((mut tree, lifted)) => {
+                    if let (Json::Obj(map), Some(text)) = (&mut tree, &lifted) {
+                        assert!(!map.contains_key("v"), "{doc}");
+                        map.insert("v".to_string(), Json::Str(text.to_string()));
+                    }
+                    assert_eq!(Ok(tree), parsed, "{doc}");
+                    // Borrowed from the document unless it had to unescape.
+                    let escaped = lifted.as_deref().is_some_and(|t| t.contains('"'));
+                    assert_eq!(matches!(lifted, Some(Cow::Owned(_))), escaped, "{doc}");
+                }
+            }
+        }
+        // Only the top-level object's member is lifted.
+        let (tree, lifted) = Json::parse_lifting(r#"{"n":{"v":"nested"}}"#, "v").unwrap();
+        assert!(lifted.is_none());
+        assert_eq!(
+            tree.get("n").unwrap().get("v").unwrap().as_str(),
+            Some("nested")
+        );
     }
 
     #[test]

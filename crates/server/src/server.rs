@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use spdistal::prelude::*;
 use spdistal::OutputValue;
-use spdistal_client::frame::{write_frame, FrameError, FrameReader, DEFAULT_MAX_FRAME};
+use spdistal_client::frame::{FrameBuf, FrameError, FrameReader, DEFAULT_MAX_FRAME};
 use spdistal_client::proto::{format_by_name, tensor_from_wire, Event, Request, StmtSpec};
 use spdistal_ir::{parse_tin, VarCtx};
 use spdistal_sparse::{CoordDelta, LevelFormat, SpTensor};
@@ -202,10 +202,10 @@ impl Write for FrameWriter<'_> {
     }
 }
 
-/// Write one frame to `conn` within [`FRAME_DEADLINE`].
-fn send_frame(conn: &mut Conn, payload: &[u8]) -> io::Result<()> {
+/// Write the frame `frame` holds to `conn` within [`FRAME_DEADLINE`].
+fn send_frame(conn: &mut Conn, frame: &mut FrameBuf) -> io::Result<()> {
     let deadline = Instant::now() + FRAME_DEADLINE;
-    write_frame(&mut FrameWriter { conn, deadline }, payload)
+    frame.send(&mut FrameWriter { conn, deadline })
 }
 
 impl Read for Conn {
@@ -509,8 +509,10 @@ fn error_event(code: &str, err: &dyn std::fmt::Display) -> Event {
     }
 }
 
-fn send_event(conn: &mut Conn, ev: &Event) -> io::Result<()> {
-    send_frame(conn, ev.to_json().as_bytes())
+/// Encode `ev` into the connection's reused frame and send it.
+fn send_event(conn: &mut Conn, frame: &mut FrameBuf, ev: &Event) -> io::Result<()> {
+    ev.write_json(frame.payload());
+    send_frame(conn, frame)
 }
 
 fn ns(d: Duration) -> u64 {
@@ -627,6 +629,8 @@ fn handle_conn(
 ) -> Result<(), ConnError> {
     let _ = conn.set_read_poll();
     let mut reader = FrameReader::new();
+    // Every event this connection answers is encoded into this one frame.
+    let mut frame = FrameBuf::default();
     let mut tenant = format!("conn-{conn_id}");
     let mut tensors: Arc<Registered> = Arc::default();
     let mut pending_deltas: Vec<(String, Vec<CoordDelta>)> = Vec::new();
@@ -635,7 +639,7 @@ fn handle_conn(
     // Answer-path sends must reach the peer; a failure is a disconnect.
     macro_rules! answer {
         ($ev:expr) => {
-            send_event(&mut conn, &$ev).map_err(|source| ConnError::Disconnected {
+            send_event(&mut conn, &mut frame, &$ev).map_err(|source| ConnError::Disconnected {
                 during: "response",
                 source,
             })?
@@ -650,11 +654,11 @@ fn handle_conn(
             Ok(None) => continue, // read timeout: re-check shutdown
             Err(FrameError::Closed) => return Ok(()),
             Err(e @ FrameError::Truncated { .. }) => {
-                let _ = send_event(&mut conn, &error_event("truncated_frame", &e));
+                let _ = send_event(&mut conn, &mut frame, &error_event("truncated_frame", &e));
                 return Err(ConnError::Frame(e));
             }
             Err(e @ FrameError::Oversized { .. }) => {
-                let _ = send_event(&mut conn, &error_event("frame_too_large", &e));
+                let _ = send_event(&mut conn, &mut frame, &error_event("frame_too_large", &e));
                 return Err(ConnError::Frame(e));
             }
             Err(e) => return Err(ConnError::Frame(e)),
@@ -782,9 +786,9 @@ fn handle_conn(
                                 }
                             };
                             let t0 = Instant::now();
-                            let json = ev.to_json();
+                            ev.write_json(frame.payload());
                             let t1 = Instant::now();
-                            send_frame(&mut conn, json.as_bytes()).map_err(|source| {
+                            send_frame(&mut conn, &mut frame).map_err(|source| {
                                 ConnError::Disconnected {
                                     during: "submission event stream",
                                     source,
@@ -804,7 +808,7 @@ fn handle_conn(
                 });
             }
             Request::Shutdown => {
-                let _ = send_event(&mut conn, &Event::Ok);
+                let _ = send_event(&mut conn, &mut frame, &Event::Ok);
                 stop.store(true, Ordering::SeqCst);
                 return Ok(());
             }
@@ -1146,7 +1150,7 @@ mod tests {
     #[test]
     fn a_refused_incremental_run_keeps_its_delta_batches() {
         use spdistal_client::proto::tensor_to_wire;
-        use spdistal_client::read_frame;
+        use spdistal_client::{read_frame, write_frame};
 
         let engine = engine();
         let queue = Arc::new(AdmissionQueue::new(1));

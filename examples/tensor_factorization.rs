@@ -145,9 +145,7 @@ fn run(
                 .iter()
                 .map(|v| 0.9 * v + 0.01)
                 .collect();
-            ctx.tensor_data_mut(old)?
-                .vals_mut()
-                .copy_from_slice(&updated);
+            ctx.tensor_data_mut(old)?.copy_from_slice(&updated);
         }
         Ok(())
     })?;

@@ -262,7 +262,7 @@ fn every_output_kind_through_every_transition() {
 
         // Values written behind the plan's back: the merge must not keep
         // them in the colors it skips.
-        p.tensor_data_mut("A").unwrap().vals_mut().fill(-7.25);
+        p.tensor_data_mut("A").unwrap().fill(-7.25);
         let batch = value_batch(&p, 1);
         p.update_batch("B", &batch).unwrap();
         step(&mut p, true, "merge after tensor_data_mut on the output");
@@ -548,7 +548,7 @@ fn a_cached_pass_leaves_one_copy_of_each_output() {
     for (k, out) in SWEEP_OUTPUTS.into_iter().enumerate() {
         assert_eq!(bits(&held[k]), held_bits[k], "{out}: held through pass 3");
         assert_ne!(third[k], held_bits[k], "{out}: pass 3 computed new values");
-        p.tensor_data_mut(out).unwrap().vals_mut().fill(-7.25);
+        p.tensor_data_mut(out).unwrap().fill(-7.25);
         assert_eq!(bits(&held[k]), held_bits[k], "{out}: held through a write");
         assert_eq!(bits(value(&p, k)), third[k], "{out}: pass 3's value too");
     }
