@@ -360,6 +360,12 @@ mod tests {
         result.write_json(frame.payload());
         frame.send(&mut w).unwrap();
         assert_eq!((w.wire, w.writes), (framed(&payloads[0]), 1));
+        // A frame over KEEP_CAPACITY is sent whole, then let go of.
+        let big = vec![b'x'; KEEP_CAPACITY + 1];
+        let mut w = stingy(usize::MAX, 0);
+        frame.payload().extend_from_slice(&big);
+        frame.send(&mut w).unwrap();
+        assert_eq!((w.wire, frame.buf.capacity()), (framed(&big), 0));
     }
 
     #[test]

@@ -185,24 +185,14 @@ const ENC_RESHUFFLE: [u8; 16] = [1, 0, 2, 1, 4, 3, 5, 4, 7, 6, 8, 7, 10, 9, 11, 
 /// class — 0 for 26..=51, 1..=10 for the digits 52..=61, 11 for 62, 12
 /// for 63 and 13 for 0..=25 (byte values wrap).
 #[cfg(target_arch = "x86_64")]
-const ENC_SHIFT: [u8; 16] = [
-    b'a' - 26,
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'0'.wrapping_sub(52),
-    b'+'.wrapping_sub(62),
-    b'/'.wrapping_sub(63),
-    b'A',
-    0,
-    0,
-];
+const ENC_SHIFT: [u8; 16] = {
+    let mut t = [b'0'.wrapping_sub(52); 16];
+    t[0] = b'a' - 26;
+    t[11] = b'+'.wrapping_sub(62);
+    t[12] = b'/'.wrapping_sub(63);
+    t[13] = b'A';
+    t
+};
 
 /// Decode: by a byte's low nibble, the set of high nibbles (bit `h`) that
 /// make it an alphabet byte.
@@ -218,24 +208,16 @@ const DEC_HIGH_BIT: [u8; 16] = [1, 2, 4, 8, 16, 32, 64, 128, 0, 0, 0, 0, 0, 0, 0
 /// Decode: what to add to an alphabet byte to get its sextet, by its high
 /// nibble ('/' is the one byte whose nibble class disagrees: it adds 16).
 #[cfg(target_arch = "x86_64")]
-const DEC_SHIFT: [u8; 16] = [
-    0,
-    0,
-    62 - b'+',
-    52 - b'0',
-    0u8.wrapping_sub(b'A'),
-    0u8.wrapping_sub(b'A'),
-    26u8.wrapping_sub(b'a'),
-    26u8.wrapping_sub(b'a'),
-    0,
-    0,
-    0,
-    0,
-    0,
-    0,
-    0,
-    0,
-];
+const DEC_SHIFT: [u8; 16] = {
+    let mut t = [0; 16];
+    t[2] = 62 - b'+';
+    t[3] = 52 - b'0';
+    t[4] = 0u8.wrapping_sub(b'A');
+    t[5] = t[4];
+    t[6] = 26u8.wrapping_sub(b'a');
+    t[7] = t[6];
+    t
+};
 
 /// Decode, per lane: the three bytes of each 24-bit word, most significant
 /// first, packed into the lane's low 12 bytes.
@@ -351,12 +333,10 @@ fn wide(job: Blocks<'_>) -> usize {
 fn write_vals_b64(out: &mut Vec<u8>, vals: &[f64]) {
     out.reserve((vals.len() * 8).div_ceil(3) * 4 + 16);
     out.extend_from_slice(b",\"vals_b64\":\"");
-    #[allow(unused_mut)]
-    let mut from = 0;
     #[cfg(target_arch = "x86_64")]
-    if let Some(avx2) = Avx2::detect() {
-        from = 3 * avx2.blocks(Blocks::Encode { vals, out });
-    }
+    let from = Avx2::detect().map_or(0, |avx2| 3 * avx2.blocks(Blocks::Encode { vals, out }));
+    #[cfg(not(target_arch = "x86_64"))]
+    let from = 0;
     let mut bytes = Vec::with_capacity((vals.len() - from) * 8 + 2);
     for v in &vals[from..] {
         bytes.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -399,16 +379,15 @@ fn decode_vals_b64(text: &[u8]) -> Result<Vec<f64>, ProtoError> {
     };
     let whole = if pad > 0 { text.len() - 4 } else { text.len() };
     let mut vals = Vec::with_capacity(text.len() / 4 * 3 / 8);
-    #[allow(unused_mut)]
-    let mut from = 0;
     #[cfg(target_arch = "x86_64")]
-    if let Some(avx2) = Avx2::detect() {
-        from = 32
-            * avx2.blocks(Blocks::Decode {
-                text: &text[..whole],
-                out: &mut vals,
-            });
-    }
+    let from = Avx2::detect().map_or(0, |avx2| {
+        32 * avx2.blocks(Blocks::Decode {
+            text: &text[..whole],
+            out: &mut vals,
+        })
+    });
+    #[cfg(not(target_arch = "x86_64"))]
+    let from = 0;
     // The remaining whole quads, three bytes each. A sextet is below 64
     // and a byte outside the alphabet maps to 0xFF, so one OR over every
     // sextet says whether any was bad; only then is its position looked
