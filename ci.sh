@@ -240,11 +240,12 @@ for call in 'launch_reqs(' 'color_spans(' 'Pipeline::new('; do
     echo "$call has $sites non-test call sites under crates/core/src: only the record's miss arm describes"; exit 1
   fi
 done
-# A tensor keeps its regions: a write-back by value and a value-only batch
-# renew coherence under the ids a tensor has (`Runtime::renew`), so a
-# tensor's regions are created only where a registration is built
-# (`attach_beside`), and a recorded describe holds over the very regions it
-# names. Per-pass region creation and the list rename it needed stay gone.
+# A tensor keeps its regions for its life: a write-back, a value-only batch
+# and a re-registration of the same layout renew coherence under the ids a
+# tensor has (`Runtime::renew`), so a tensor's regions are created only
+# where a registration of a new layout is built (`swap_registration`), and
+# a recorded describe holds over the very regions it names. Per-pass region
+# creation and the list rename it needed stay gone.
 sites="$(git ls-files 'crates/*.rs' | xargs awk '
     FNR == 1 { t = 0; p = ""; f = "" }
     t { next }
@@ -253,11 +254,17 @@ sites="$(git ls-files 'crates/*.rs' | xargs awk '
     /^[[:space:]]*\/\// { next }
     match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
     index($0, "create_regions(") && !index($0, "fn create_regions(") { print f }')"
-if [ "$sites" != attach_beside ]; then
-  echo "create_regions( is called from [${sites//$'\n'/, }]: only attach_beside creates a tensor's regions"; exit 1
+if [ "$sites" != swap_registration ]; then
+  echo "create_regions( is called from [${sites//$'\n'/, }]: only swap_registration creates a tensor's regions"; exit 1
 fi
 if grep -n 'renamed' crates/core/src/plan.rs; then
   echo "plan.rs renames a recorded describe's lists again: a describe holds only over the regions it names"; exit 1
+fi
+# The launch memo keys on `RegionId`s as they are (`exec.rs`, "Launch
+# replay"): a record names no region by position, so neither the
+# positional naming nor a rename of the recorded requirements comes back.
+if grep -rnE 'named_regions|position\(\|&?r\| \*?r == req\.region\)|req\.region = RegionId\(' crates/runtime/src; then
+  echo "the launch memo names regions by position again: key it on the RegionIds themselves"; exit 1
 fi
 # Every region a launch names is real: a statement's output region is its
 # pass record's (`session::PassRecord`), created on the first describe and

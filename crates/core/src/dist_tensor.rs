@@ -15,7 +15,7 @@
 //! | Versions and tracked dirty rows: each registration carries its own | Locating a batch's deltas and merging them into the stored entries: `streaming::ingest`, [`SpTensor::with_edits`] |
 //! | The one registration entry (`swap_registration`) behind `add_tensor`, `replace_tensor_data`, `set_tensor_format` and a structural `update_batch` | Which statements may merge into their previous output, given those versions: `program::exec`'s `eligibility` |
 //! | What a color touches of a tensor ([`TensorRegions::footprint`]) and where the initial distribution places it | The coordinate-tree partitions themselves: [`level_funcs`](crate::level_funcs) |
-//! | Setting a registration's coherence under the ids it has ([`Runtime::renew`]): a new registration's empty regions and a write-back charge the new copies with the old ones still counted, a value-only batch releases the old ones first | Which write-back arm runs and which ranges a merge copies: [`plan`](crate::plan) |
+//! | A tensor's regions, for its life: a re-registration of the same region layout keeps the ids (new ones only for a new layout), and every registration, write-back and value-only batch renews them in place ([`Runtime::renew`]) — the first two with the old copies still counted, the batch releasing them first — so a re-registration and a write-back by value leave the model in the same state | Which write-back arm runs (whether the registered pattern is the computed one's) and which ranges a merge copies: [`plan`](crate::plan) |
 //! | Where a registration's values live (the storage rule below) | Costing a requirement, coherence, memory: `spdistal_runtime` |
 //!
 //! **Storage: one copy of each tensor.** A registration owns its values:
@@ -37,7 +37,7 @@ use spdistal_ir::{Format, IndexVar, SchedError, TdnError, VarCtx};
 use spdistal_runtime::{
     ExecMode, IntervalSet, Machine, Rect1, RegionId, Runtime, RuntimeError, SplitPolicy, Trace,
 };
-use spdistal_sparse::{CoordDelta, Level, SpTensor};
+use spdistal_sparse::{CoordDelta, Level, LevelFormat, SpTensor};
 
 use crate::level_funcs::{
     nonzero_tree_partition, outer_dim_partition, replicated_partition, TensorPartition,
@@ -318,11 +318,14 @@ impl Context {
         Ok(t.data.vals_mut())
     }
 
-    /// Replace a tensor's data wholesale (sparse outputs with fresh
-    /// patterns re-register their regions). The replaced registration's
-    /// regions are retired once the new ones are in place, so peak residency
-    /// is what it always was and nothing accumulates across replacements; a
-    /// replacement that fails (e.g. out of memory) leaves the tensor as it was.
+    /// Replace a tensor's data wholesale, under the same dims and format.
+    /// Data of the same region layout keeps the tensor's regions, renewed
+    /// in place at the new lengths; other data gets new ones and the
+    /// replaced registration's are retired once those are in place. Either
+    /// way the new copies are charged beside the old ones, so peak
+    /// residency is what it always was and nothing accumulates across
+    /// replacements; a replacement that fails (e.g. out of memory) leaves
+    /// the tensor as it was.
     pub fn replace_tensor_data(&mut self, name: &str, data: SpTensor) -> Result<(), Error> {
         let t = self.tensor(name)?;
         if t.data.dims() != data.dims() {
@@ -521,45 +524,64 @@ impl Context {
         self.swap_registration(name, data, format).map(drop)
     }
 
-    /// The one way a registration enters the tensor table: build the new
-    /// one beside whatever `name` holds, then swap. A failure (bad format,
-    /// out of memory while attaching) retires the regions it created and
-    /// returns before the table, the version or the dirty state is touched,
-    /// so the old registration stays whole. On success the replaced
-    /// registration's regions are retired and the dirty state it carried
-    /// is handed back — any (re-)registration is a new tensor state, which
-    /// is what makes retained incremental buffers invalid after it;
-    /// `update_batch` is the one caller that extends and re-installs it.
-    /// The new registration owns its values (`data`'s levels may stay shared
-    /// with a clone the caller holds; see the module's storage rule).
+    /// The one way a registration enters the tensor table. A tensor keeps
+    /// its regions for its life: when `name` holds a registration of the
+    /// same region layout (the same level kinds, level by level) the new
+    /// one takes its ids, else it gets new ones and the replaced regions
+    /// are retired. Either way the regions are renewed to the new
+    /// distribution's placement with the old copies still counted, so a
+    /// processor briefly holds both registrations. A failure (bad format,
+    /// out of memory) retires any region it created and returns before the
+    /// table, the version, the dirty state or a kept region is touched, so
+    /// the old registration stays whole. On success the dirty state the
+    /// replaced registration carried is handed back — any (re-)registration
+    /// is a new tensor state, which is what makes retained incremental
+    /// buffers invalid after it; `update_batch` is the one caller that
+    /// extends and re-installs it. The new registration owns its values
+    /// (`data`'s levels may stay shared with a clone the caller holds; see
+    /// the module's storage rule).
     fn swap_registration(
         &mut self,
         name: &str,
-        mut data: SpTensor,
+        data: SpTensor,
         format: Format,
     ) -> Result<Option<TensorDirty>, Error> {
         format.validate(data.order())?;
         let spec = format.dist.resolve(data.order())?;
         let dist_part = self.initial_partition(&data, &spec)?;
-        let regions = attach_beside(&mut self.runtime, name, &data, &dist_part, &spec)?;
-        // A registration owns its values: copied here if the caller still
-        // shares them, so a value-only batch writes where they stand.
-        data.vals_mut();
-        let new = DistTensor {
+        let old = self.tensors.get(name).map(|t| &t.regions);
+        let keep = old.is_some_and(|old| same_layout(old, &data));
+        let regions = match old {
+            Some(old) if keep => old.clone(),
+            _ => create_regions(&mut self.runtime, name, &data),
+        };
+        let mut new = DistTensor {
             name: name.to_string(),
+            regions,
             data,
             format,
-            regions,
             dist_part,
             dist_spec: spec,
             version: self.tensor_version(name) + 1,
             dirty: None,
         };
-        let Some(old) = self.tensors.insert(name.to_string(), new) else {
-            return Ok(None);
-        };
-        retire_regions(&mut self.runtime, &old.regions);
-        Ok(old.dirty)
+        let renewed = renew(&mut self.runtime, &new, true);
+        // Regions created here: retired if they did not fit, else the ones
+        // they replace are.
+        if !keep {
+            let replaced = self.tensors.get(name).map(|t| &t.regions);
+            let failed = renewed.is_err().then_some(&new.regions);
+            let retired = failed.or(replaced).map_or(Vec::new(), TensorRegions::ids);
+            retired
+                .into_iter()
+                .for_each(|r| self.runtime.retire_region(r));
+        }
+        renewed?;
+        // A registration owns its values: copied here if the caller still
+        // shares them, so a value-only batch writes where they stand.
+        new.data.vals_mut();
+        let old = self.tensors.insert(name.to_string(), new);
+        Ok(old.and_then(|old| old.dirty))
     }
 
     /// Build the coordinate-tree partition implied by the TDN statement.
@@ -656,68 +678,64 @@ fn distributed_by(spec: &DistSpec) -> Result<Option<(usize, Initial)>, Error> {
     }
 }
 
-/// Create `data`'s regions empty and renew them to what the distribution
-/// (`part` under `spec`) places where ([`Runtime::renew`]), beside
-/// whatever the runtime already holds — so a processor briefly holds the
-/// old registration and the new one. A refused renewal retires what it
-/// created: the runtime is left as it was.
-fn attach_beside(
-    runtime: &mut Runtime,
-    name: &str,
-    data: &SpTensor,
-    part: &TensorPartition,
-    spec: &DistSpec,
-) -> Result<TensorRegions, RuntimeError> {
-    let regions = create_regions(runtime, name, data);
-    let placed = placements(runtime.machine(), &regions, part, spec);
-    if let Err(e) = runtime.renew(&regions.ids(), placed, true) {
-        retire_regions(runtime, &regions);
-        return Err(e);
-    }
-    Ok(regions)
-}
-
-/// Renew `t`'s regions in place to what its distribution places where
-/// ([`Runtime::renew`]), with its old copies still charged while the new
-/// ones attach (`old_counted`) or released first.
+/// Renew `t`'s regions in place to the lengths its data gives them and
+/// what its distribution places where ([`Runtime::renew`]), with its old
+/// copies still charged while the new ones attach (`old_counted`) or
+/// released first.
 fn renew(runtime: &mut Runtime, t: &DistTensor, old_counted: bool) -> Result<(), RuntimeError> {
     let placed = placements(runtime.machine(), &t.regions, &t.dist_part, &t.dist_spec);
-    runtime.renew(&t.regions.ids(), placed, old_counted)
+    runtime.renew(&sized(&t.regions, &t.data), placed, old_counted)
 }
 
-fn retire_regions(runtime: &mut Runtime, regions: &TensorRegions) {
-    for r in regions.ids() {
-        runtime.retire_region(r);
-    }
+/// Whether `regions` back `data`'s levels: the same kind, level by level.
+fn same_layout(regions: &TensorRegions, data: &SpTensor) -> bool {
+    let kind = |r: &LevelRegions| match r {
+        LevelRegions::Dense => LevelFormat::Dense,
+        LevelRegions::Compressed { .. } => LevelFormat::Compressed,
+        LevelRegions::Singleton { .. } => LevelFormat::Singleton,
+    };
+    let kinds = regions.levels.iter().map(kind);
+    kinds.eq(data.levels().iter().map(Level::format))
 }
 
-/// Create `data`'s regions, valid nowhere until [`attach_beside`] renews
-/// them.
-fn create_regions(runtime: &mut Runtime, name: &str, data: &SpTensor) -> TensorRegions {
-    let mut parent_entries = 1usize;
-    let mut levels = Vec::with_capacity(data.order());
-    for (k, level) in data.levels().iter().enumerate() {
-        match level {
-            Level::Dense { .. } => levels.push(LevelRegions::Dense),
-            Level::Singleton { crd } => {
-                let crd_r =
-                    runtime.create_region(&format!("{name}.crd{k}"), crd.len() as u64, CRD_BYTES);
-                levels.push(LevelRegions::Singleton { crd: crd_r });
-            }
-            Level::Compressed { crd, .. } => {
-                let pos = runtime.create_region(
-                    &format!("{name}.pos{k}"),
-                    parent_entries as u64,
-                    POS_BYTES,
-                );
-                let crd_r =
-                    runtime.create_region(&format!("{name}.crd{k}"), crd.len() as u64, CRD_BYTES);
-                levels.push(LevelRegions::Compressed { pos, crd: crd_r });
+/// Every region of `regions`, which back `data`, with the length `data`
+/// gives it, in [`TensorRegions::ids`] order: a level's `pos` has one
+/// element per parent entry, its `crd` one per entry.
+fn sized(regions: &TensorRegions, data: &SpTensor) -> Vec<(RegionId, u64)> {
+    let (mut out, mut parents) = (Vec::with_capacity(2 * data.order() + 1), 1);
+    for (lr, level) in regions.levels.iter().zip(data.levels()) {
+        let entries = level.num_entries(parents);
+        match *lr {
+            LevelRegions::Dense => {}
+            LevelRegions::Singleton { crd } => out.push((crd, entries as u64)),
+            LevelRegions::Compressed { pos, crd } => {
+                out.extend([(pos, parents as u64), (crd, entries as u64)])
             }
         }
-        parent_entries = level.num_entries(parent_entries);
+        parents = entries;
     }
-    let vals = runtime.create_region(&format!("{name}.vals"), data.num_stored() as u64, VAL_BYTES);
+    out.push((regions.vals, data.num_stored() as u64));
+    out
+}
+
+/// Create `data`'s regions, empty and valid nowhere until
+/// [`Runtime::renew`] sizes and places them.
+fn create_regions(runtime: &mut Runtime, name: &str, data: &SpTensor) -> TensorRegions {
+    let mut create =
+        |what: String, elem_bytes| runtime.create_region(&format!("{name}.{what}"), 0, elem_bytes);
+    let levels = data.levels().iter().enumerate();
+    let levels = levels.map(|(k, level)| match level {
+        Level::Dense { .. } => LevelRegions::Dense,
+        Level::Singleton { .. } => LevelRegions::Singleton {
+            crd: create(format!("crd{k}"), CRD_BYTES),
+        },
+        Level::Compressed { .. } => LevelRegions::Compressed {
+            pos: create(format!("pos{k}"), POS_BYTES),
+            crd: create(format!("crd{k}"), CRD_BYTES),
+        },
+    });
+    let levels = levels.collect();
+    let vals = create("vals".to_string(), VAL_BYTES);
     TensorRegions { levels, vals }
 }
 
@@ -907,12 +925,12 @@ mod tests {
                     }
                 }
                 // `pos` follows the level above, `crd` and `vals` their own
-                // entries: together the colors cover what the partition does.
+                // entries: together the colors cover what the partition does,
+                // and a region is as long as `sized` makes it.
                 let complete = part.entries.iter().all(Partition::is_complete);
                 assert!(complete || family == "non-zero", "{what} must be complete");
-                for (&r, union) in ids.iter().zip(&unions) {
-                    let len = rt.region(r).len as i64;
-                    let whole = IntervalSet::from_rect(Rect1::new(0, len - 1));
+                for (&(r, len), union) in sized(&regions, &t).iter().zip(&unions) {
+                    let whole = IntervalSet::from_rect(Rect1::new(0, len as i64 - 1));
                     assert!(whole.contains_set(union), "{what}: {}", rt.region(r).name);
                     if complete {
                         assert_eq!(union, &whole, "{what}: {}", rt.region(r).name);
@@ -1281,8 +1299,8 @@ mod tests {
         );
         assert_eq!(
             arms,
-            (1, 2),
-            "the first run re-registers, the cached ones write by value"
+            (0, 3),
+            "every run writes into a registered output of the same dims by value"
         );
     }
 

@@ -40,26 +40,33 @@
 //! ## Write-back
 //!
 //! An output is written back one of two ways, and either way one copy of
-//! it exists. **By value**: when a program statement's plan wrote the
-//! output last and nothing has touched it since — the output version its
-//! previous write-back recorded ([`ExecResult::written`]) is still current
-//! *at write-back time* — and, for SpAdd3's assembled output, its inputs
-//! still hold the very pattern arrays that write merged (the merged pattern
-//! is their union, so it cannot have moved), the registration already
-//! there keeps its dims, levels, pattern hash, partition and regions, and
-//! only renews their coherence ([`Context::write_back`]). A plain pass
-//! moves the computed buffer in as its values (for SpAdd3, its span
+//! it exists and the output keeps its regions (a re-registration of the
+//! same region layout renews them in place), so the machine model sees the
+//! same new tensor state and the arm decides host-side cost only.
+//! **By value**, whenever the registered output already has the pattern
+//! the computed one has, judged *at write-back time* (another statement of
+//! the same pass may have written it since): a dense output of the same
+//! dims; SDDMM's output around its driver's very level arrays; SpTTV's
+//! fibers and SpAdd3's union while the output and every input still hold
+//! the level arrays the statement's previous write-back recorded
+//! ([`ExecResult::written`]; a value-only batch keeps them). The
+//! registration keeps its dims, levels, pattern hash and partition, and
+//! only renews its regions' coherence ([`Context::write_back`]). A plain
+//! pass moves the computed buffer in as its values (for SpAdd3, its span
 //! buffers' values back to back: no `pos`/`crd` rebuild, no initial
-//! partition); a merging pass copies only the ranges of the colors that
+//! partition). A merging pass copies only the ranges of the colors that
 //! re-ran into the registered values and keeps its buffer for the next
-//! merge seed.
-//! **Re-registration**: otherwise — a first run, a `Context::run`, an
-//! SpAdd3 input whose pattern changed, an output mutated or re-registered
-//! since, a re-keyed plan — [`materialize_output`] builds a new tensor
-//! around the computed buffer and `Context::replace_tensor_data` takes it
-//! by move. [`ExecResult::output`] is a clone of the registration
-//! that shares its storage (after a merge, the registration's pattern
-//! around the merge buffer); a later write to either side copies first
+//! merge seed — while those values are still its own last write (the
+//! output's version is the one that write recorded); if anything wrote
+//! the output since, the whole merge buffer moves in instead.
+//! **Re-registration**: otherwise — a first run of SpTTV or SpAdd3, an
+//! SpAdd3 input whose pattern changed, an output re-registered around
+//! other arrays, a re-keyed plan of those — [`materialize_output`] builds a
+//! new tensor around the computed buffer and
+//! `Context::replace_tensor_data` takes it by move.
+//! [`ExecResult::output`] is a clone of the registration that shares its
+//! storage (after a merge, the registration's pattern around the merge
+//! buffer); a later write to either side copies first
 //! ([`SpTensor::vals_mut`]). The trace's `writeback_ns` histogram times the
 //! write-back, and the counters `writeback.by_value` and
 //! `writeback.reregistered` say which arm ran.
@@ -83,12 +90,11 @@
 //! `PassRecord`, as Legion's dynamic tracing records a loop body once and
 //! replays it over the same region arguments): [`Described::rebind`]
 //! reuses one while its plan, exec mode and split policy are the same,
-//! every tensor the plan names keeps the regions it had — a by-value
-//! write-back and a value-only batch renew coherence under the ids a
-//! tensor has — and the write-back claims still cover the output's region
-//! lengths. Anything else, a re-registration included, is a miss, and the
-//! miss path — the only path of a first run and of `Context::run` —
-//! describes afresh.
+//! every tensor the plan names keeps the regions it had — a tensor keeps
+//! them for its life unless a re-registration changes its layout — and
+//! the write-back claims still cover the output's region lengths.
+//! Anything else is a miss, and the miss path — the only path of a first
+//! run and of `Context::run` — describes afresh.
 //! The model's costing is memoised the same way: the runtime keeps a
 //! record of the last launch of each name and replays a launch that
 //! repeats it (`spdistal_runtime::exec`, "Launch replay").
@@ -158,7 +164,7 @@ use spdistal_runtime::sched::{ExecMode, ExecReport, SplitPolicy};
 use spdistal_runtime::{
     IntervalSet, LaunchId, LaunchRecord, ModelTiming, Rect1, RegionId, RegionReq, TaskSpec,
 };
-use spdistal_sparse::{dense_vector, CooTensor, Level, SpTensor};
+use spdistal_sparse::{dense_vector, CooTensor, Level, LevelFormat, SpTensor};
 
 use crate::codegen::{OutKind, Plan};
 use crate::dist_tensor::{procs_for_color, Context, Error, TensorRegions};
@@ -257,31 +263,21 @@ pub struct ExecResult {
     /// around the merge buffer, which seeds the statement's next merge by
     /// move.
     pub output: OutputValue,
-    /// What this run's write-back left. The next run of the same plan
-    /// writes by value only while it still holds ([`finish_model`]).
+    /// What this run's write-back left, which the statement's next
+    /// write-back compares with the output and its inputs
+    /// ([`finish_model`]).
     pub(crate) written: LastWrite,
 }
 
-/// What a plan's write-back left, for the next run of the same plan
-/// ([`finish_model`]): the output's version right after it, and for an
-/// assembled output the pattern arrays of the inputs it was merged from —
-/// the merged pattern is their union and never depends on values.
+/// What a write-back left, for the statement's next run ([`finish_model`]):
+/// the output's version right after it — a merge copies only its re-ran
+/// ranges into values that are still this write's — and, for an output
+/// whose pattern the plan derives from its inputs', the level arrays
+/// [`derived_from`] found right after it.
 #[derive(Clone, Debug)]
 pub(crate) struct LastWrite {
     version: u64,
     patterns: Vec<Arc<[Level]>>,
-}
-
-impl LastWrite {
-    /// Does the registered output still hold what this write-back left,
-    /// and — for an assembled output — would its inputs, as `patterns`
-    /// now finds them, merge into that very pattern again?
-    fn holds(&self, ctx: &Context, name: &str, patterns: &[Arc<[Level]>]) -> bool {
-        let same = |(a, b): (&Arc<[Level]>, &Arc<[Level]>)| Arc::ptr_eq(a, b);
-        self.version == ctx.tensor_version(name)
-            && self.patterns.len() == patterns.len()
-            && self.patterns.iter().zip(patterns).all(same)
-    }
 }
 
 /// Execute `plan` within `ctx`: a [`Session`] of one plan, forced at once.
@@ -489,15 +485,20 @@ impl Described {
     /// Whether this describe still holds for `plan` in `ctx`: the same
     /// plan, exec mode and split policy, every tensor the plan names
     /// registered under the very regions the lists name, and the output's
-    /// regions of the lengths its claims cover. A write-back by value and a
-    /// value-only batch keep a tensor's regions, so a cached pass holds; a
-    /// re-registration gives new ones, and the caller describes afresh.
+    /// regions of the lengths its claims cover.
+    ///
+    /// Equal regions do not tell a re-registration apart — one of the same
+    /// layout keeps its ids — so the rest carries the proof. A requirement
+    /// list is a function of the plan's partitions, which follow the read
+    /// tensors' patterns, and of their ids: the plan is the same `Arc` only
+    /// while its key — every format and every read tensor's dims and
+    /// pattern hash — is, so an input re-registered around another pattern
+    /// re-keys it. The output is not read: what the describe holds of it,
+    /// the claims over its whole regions, is checked by length.
     pub(crate) fn rebind(&self, ctx: &Context, plan: &Arc<Plan>) -> bool {
         let same = |(name, then): (&String, &TensorRegions)| {
             ctx.tensor(name).is_ok_and(|t| t.regions == *then)
         };
-        // The claims cover whole regions: their lengths must hold too (a
-        // re-registration may get the recorded ids back at other lengths).
         // The ids are the output's, which `same` has just matched.
         let claims_hold = || {
             let len = |r: RegionId| ctx.runtime().region(r).len;
@@ -896,22 +897,17 @@ impl<'a> PreparedPlan<'a> {
 /// observe the gating; only the modeled milestones reported in the
 /// returned timings' [`ModelTiming`] do.
 ///
-/// The write-back has two arms. `last_write` is what this plan's previous
-/// write-back left ([`ExecResult::written`]), passed only while the plan is
-/// the one that wrote it. If the output still has the version it recorded
-/// *now* — checked here, not at pass start, since another statement of the
-/// same pass may have written it since — its registration holds exactly
-/// what that write-back left, so an in-place output is written into it by
-/// value: the computed buffer moved in, or on a merge only the ranges of
-/// the colors that re-ran copied ([`Context::write_back`]). SpAdd3's
-/// assembled output goes the same way when, besides, B, C and D still hold
-/// the pattern arrays it recorded (the same level `Arc`s: a value-only
-/// batch keeps them): the union they merge into is then the registered
-/// pattern, so only the span values are concatenated and moved in.
-/// Otherwise (a first run, a mutated or re-registered output, an SpAdd3
-/// input whose pattern changed) the output is materialized and moved into
-/// a new registration. Either arm renews the output's regions with the
-/// same charges.
+/// The write-back has two arms (module docs, "Write-back"). `last_write`
+/// is what the statement's previous write-back left
+/// ([`ExecResult::written`]), under this plan or another. The output is
+/// written by value when its registered pattern is the computed one's
+/// *now* — checked here, not at pass start, since another statement of
+/// the same pass may have written it since: the computed buffer moved in,
+/// or on a merge only the ranges of the colors that re-ran copied, while
+/// the output still has the version `last_write` recorded
+/// ([`Context::write_back`]). Otherwise the output is materialized and
+/// moved into a new registration. Either arm renews the output's regions,
+/// under the ids they have, with the same charges.
 pub(crate) fn finish_model(
     ctx: &mut Context,
     described: &Described,
@@ -1027,14 +1023,13 @@ fn issue_and_write_back(
     // --- write back ------------------------------------------------------
     let writeback_t0 = Instant::now();
     let name = &plan.output.tensor;
-    let patterns = match &computed {
-        Computed::Assembled { .. } => input_patterns(ctx, plan)?,
-        Computed::Vals(_) => Vec::new(),
-    };
-    let by_value = last_write.is_some_and(|w| w.holds(ctx, name, &patterns))
-        && ctx.tensor(name)?.data.num_stored() as u64 == out_len;
+    let by_value = pattern_holds(ctx, plan, out_len, last_write)?;
     let output = if by_value {
+        // A merge copies only the ranges it re-ran while the registered
+        // values are still its own last write; else its whole buffer moves.
+        let own = last_write.is_some_and(|w| w.version == ctx.tensor_version(name));
         let merged = reran
+            .filter(|_| own)
             .map(|reran| move |src: &[f64], dst: &mut [f64]| copy_written(plan, &reran, src, dst));
         ctx.write_back(name, computed.into_vals(), merged)?
     } else {
@@ -1064,15 +1059,52 @@ fn issue_and_write_back(
         output: OutputValue::Tensor(output),
         written: LastWrite {
             version: ctx.tensor_version(name),
-            patterns,
+            patterns: derived_from(ctx, plan)?,
         },
     })
 }
 
-/// The pattern arrays of every input `plan` reads, in order.
-fn input_patterns(ctx: &Context, plan: &Plan) -> Result<Vec<Arc<[Level]>>, Error> {
-    let levels = |name: &str| Ok(Arc::clone(ctx.tensor(name)?.data.shared_levels()));
-    plan.inputs.iter().map(|i| levels(&i.tensor)).collect()
+/// Whether the registered output already has the pattern the computed
+/// output (`out_len` values) has, so the write-back keeps it and writes
+/// values only: a dense output of the same dims; SDDMM's output around its
+/// driver's very level arrays; an output whose pattern the plan derives
+/// from its inputs' (SpTTV's fibers, SpAdd3's union) while it and those
+/// inputs still hold the arrays `last_write` recorded ([`derived_from`]).
+fn pattern_holds(
+    ctx: &Context,
+    plan: &Plan,
+    out_len: u64,
+    last_write: Option<&LastWrite>,
+) -> Result<bool, Error> {
+    let registered = &ctx.tensor(&plan.output.tensor)?.data;
+    let levels = registered.levels();
+    let dense = levels.iter().all(|l| l.format() == LevelFormat::Dense);
+    let (ptr, now) = (Arc::as_ptr, derived_from(ctx, plan)?);
+    let holds = match plan.output.kind {
+        OutKind::DenseVec => dense && registered.order() == 1,
+        OutKind::DenseMat { width } => dense && registered.dims().get(1..) == Some(&[width][..]),
+        _ if now.is_empty() => {
+            let driver = &ctx.tensor(&plan.driver)?.data;
+            Arc::ptr_eq(registered.shared_levels(), driver.shared_levels())
+        }
+        _ => last_write.is_some_and(|w| w.patterns.iter().map(ptr).eq(now.iter().map(ptr))),
+    };
+    Ok(holds && registered.num_stored() as u64 == out_len)
+}
+
+/// For an output whose pattern `plan` derives from its inputs' (SpTTV's
+/// fibers, SpAdd3's union), the level arrays of the output, then of each
+/// input; empty for any other output.
+fn derived_from(ctx: &Context, plan: &Plan) -> Result<Vec<Arc<[Level]>>, Error> {
+    let derives = match plan.output.kind {
+        OutKind::SparseAssembled => true,
+        OutKind::PatternVals { level } => level + 1 < ctx.tensor(&plan.driver)?.data.order(),
+        OutKind::DenseVec | OutKind::DenseMat { .. } => false,
+    };
+    let levels = |name: &String| Ok(Arc::clone(ctx.tensor(name)?.data.shared_levels()));
+    let names = [&plan.output.tensor].into_iter();
+    let names = names.chain(plan.inputs.iter().map(|i| &i.tensor));
+    names.filter(|_| derives).map(levels).collect()
 }
 
 /// After a merge, copy the output ranges of the colors that re-ran from the

@@ -346,15 +346,9 @@ impl CompiledProgram {
             let (retained, previous) = (self.retained[k].take(), self.last_results[k].take());
             let tracked = self.tracked(&proofs[k]);
             let mode = eligibility(merge, &proofs, k, retained.as_ref(), tracked);
-            // What the statement's previous write-back left, while the plan
-            // is the one that wrote it; the write-back itself compares it
-            // with the output (and SpAdd3's inputs) then.
-            let last_write = match (&retained, &previous) {
-                (Some(ret), Some(prev)) if ret.plan_key == proofs[k].plan_key => {
-                    Some(prev.written.clone())
-                }
-                _ => None,
-            };
+            // What the statement's previous write-back left; the write-back
+            // itself compares it with the output and the inputs then.
+            let last_write = previous.as_ref().map(|prev| prev.written.clone());
             let (seed, fallback) = match (mode, previous) {
                 (Ok(dirty), Some(previous)) => {
                     let vals = previous.output.into_vals();
@@ -696,12 +690,14 @@ mod tests {
         );
     }
 
-    /// Which arm each write-back took: a first run re-registers, a cached
-    /// plan writes by value from then on — a merge included — and an output
-    /// mutated behind the plan's back re-registers once, then by value
-    /// again. Every write-back is timed.
+    /// Which arm each write-back took: by value whenever the registered
+    /// output has the computed pattern — a first run into the zeros it was
+    /// registered with, a merge, a pass after the output was mutated behind
+    /// the plan's back — and a merge over values the plan did not write
+    /// moves its whole buffer in, so none of them survive. Every write-back
+    /// is timed.
     #[test]
-    fn writeback_goes_by_value_while_the_plan_wrote_the_output_last() {
+    fn writeback_goes_by_value_while_the_pattern_holds() {
         let b = generate::banded(96, 5, 3);
         let mut p = spmv_program(b, ScheduleSpec::outer_dim())
             .trace(crate::Trace::enabled())
@@ -717,22 +713,28 @@ mod tests {
                 timed,
             )
         };
+        let registered = |p: &CompiledProgram| {
+            let vals = p.context().tensor("a").unwrap().data.vals();
+            vals.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+        };
         p.run().unwrap();
-        assert_eq!(arms(&p), (1, 0, 1), "a first run re-registers");
+        assert_eq!(arms(&p), (0, 1, 1), "a first run writes into the zeros");
         p.run().unwrap();
         p.update_batch("B", &[CoordDelta::overwrite(vec![0, 0], 9.0)])
             .unwrap();
         p.run_incremental().unwrap();
         assert!(p.last_incremental(0).unwrap().spans_skipped > 0);
-        assert_eq!(arms(&p), (1, 2, 3), "then by value, a merge included");
+        assert_eq!(arms(&p), (0, 3, 3), "a merge included");
         p.tensor_data_mut("a").unwrap().fill(-1.0);
+        p.update_batch("B", &[CoordDelta::overwrite(vec![1, 1], 8.0)])
+            .unwrap();
+        p.run_incremental().unwrap();
+        assert!(p.last_incremental(0).unwrap().spans_skipped > 0);
+        assert_eq!(arms(&p), (0, 4, 4), "a merge over a mutated output");
+        assert_eq!(registered(&p), bits(&p, 0));
         p.run().unwrap();
-        assert_eq!(arms(&p), (2, 2, 4), "a mutated output re-registers");
-        p.run().unwrap();
-        assert_eq!(arms(&p), (2, 3, 5));
-        let registered = p.context().tensor("a").unwrap().data.vals();
-        let registered: Vec<u64> = registered.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(registered, bits(&p, 0));
+        assert_eq!(arms(&p), (0, 5, 5));
+        assert_eq!(registered(&p), bits(&p, 0));
     }
 
     /// Every compile of a pass is timed, and only a compile: a first run of
@@ -1023,9 +1025,12 @@ mod tests {
             .schedule(ScheduleSpec::outer_dim())
     }
 
-    /// From the second pass of the sweep on, every statement writes its
-    /// output back by value — SpAdd3's assembled output included, its
-    /// inputs' pattern arrays unchanged — and none re-registers.
+    /// A first pass re-registers only the outputs whose pattern it derives
+    /// (SpTTV, SpAdd3): the dense ones and SDDMM's, registered over its
+    /// driver's arrays, already have the computed pattern. From the second
+    /// pass on every statement writes its output back by value — SpAdd3's
+    /// assembled output included, its inputs' pattern arrays unchanged —
+    /// and none re-registers.
     #[test]
     fn a_cached_sweep_writes_every_output_by_value() {
         let mut p = sweep_program()
@@ -1038,26 +1043,31 @@ mod tests {
             (count("writeback.reregistered"), count("writeback.by_value"))
         };
         p.run().unwrap();
-        assert_eq!(arms(&p), (6, 0), "a first pass re-registers");
+        assert_eq!(
+            arms(&p),
+            (2, 4),
+            "a first pass re-registers SpTTV and SpAdd3"
+        );
         for pass in 1..4 {
             p.run().unwrap();
-            assert_eq!(arms(&p), (6, 6 * pass), "cached pass {pass}");
+            assert_eq!(arms(&p), (2, 4 + 6 * pass), "cached pass {pass}");
         }
     }
 
-    /// The record against describing afresh: a first pass re-registers
-    /// every output, so the second describes again; from the third pass
-    /// on, every output keeps its regions, every statement of the chain and
-    /// of the sweep rebinds its recorded describe and every batch drains
-    /// its recorded graph, and each pass leaves exactly what describing
-    /// afresh leaves.
+    /// The record against describing afresh: every output keeps its
+    /// regions — a first pass's re-registrations keep the layout, so the
+    /// ids — and from the second pass on every statement of the chain
+    /// rebinds its recorded describe and every batch drains its recorded
+    /// graph; the sweep's SpAdd3, whose output was registered empty, does
+    /// from the third (its first write-back moved the lengths its claims
+    /// cover). Each pass leaves exactly what describing afresh leaves.
     #[test]
     fn a_cached_pass_replays_its_record_bit_for_bit() {
         let reused = replay_against_fresh(chain, &[RUN; 6]);
-        assert_eq!(reused[..2], [(0, 0), (0, 0)], "a re-registration describes");
-        assert!(reused[2..].iter().all(|&r| r == (3, 3)), "{reused:?}");
+        assert_eq!(reused[0], (0, 0), "a first pass describes");
+        assert!(reused[1..].iter().all(|&r| r == (3, 3)), "{reused:?}");
         let reused = replay_against_fresh(sweep, &[RUN; 5]);
-        assert_eq!(reused[..2], [(0, 0), (0, 0)], "a re-registration describes");
+        assert_eq!(reused[..2], [(0, 0), (5, 0)], "SpAdd3's claims moved");
         assert!(reused[2..].iter().all(|&r| r == (6, 1)), "{reused:?}");
     }
 
@@ -1092,8 +1102,8 @@ mod tests {
         let reused = replay_against_fresh(build, &steps);
         assert_eq!(
             &reused[1..4],
-            &[(0, 0), (1, 1), (1, 1)],
-            "the first run re-registers the output; value-only batches keep every region"
+            &[(1, 1), (1, 1), (1, 1)],
+            "the output and the driver keep every region"
         );
         assert_eq!(
             reused[4],

@@ -340,8 +340,8 @@ impl<'c> Session<'c> {
     /// output and the driver rows that changed since. Only the colors those
     /// rows touch re-run; [`ExecResult::merge`] reports what happened. The
     /// submitter vouches that every other input is unchanged. `last_write`
-    /// is what the plan's previous write-back left ([`ExecResult::written`]),
-    /// which lets this one write by value.
+    /// is what the statement's previous write-back left
+    /// ([`ExecResult::written`]), which a write by value may need.
     /// The queue shares the plan (partitions included) with whoever holds
     /// the `Arc` — for a [`Program`](crate::program::Program), its plan
     /// cache.
@@ -577,8 +577,8 @@ mod tests {
     }
 
     /// A recorded describe holds while the output keeps its regions, and
-    /// misses once re-registrations hand the output its recorded ids back
-    /// at another length: the write-back claims cover whole regions.
+    /// misses once a re-registration keeps the output's ids at another
+    /// length: the write-back claims cover whole regions.
     #[test]
     fn a_describe_misses_when_its_output_ids_come_back_at_another_length() {
         let (mut ctx, b, _) = spmv_ctx();
@@ -590,8 +590,8 @@ mod tests {
         let described = Described::new(&ctx, Arc::clone(&plan), out).unwrap();
         assert!(described.rebind(&ctx, &plan));
         let ids = ctx.tensor("y").unwrap().regions.clone();
-        // The first re-registration takes fresh ids and frees y's; the
-        // second gets them back, for a longer vector.
+        // Both re-registrations keep y's layout, so its ids: the first at
+        // y's length, the second for a longer vector.
         let n = b.dims()[0];
         for len in [n, n + 8] {
             let y = dense_vector(vec![0.0; len]);

@@ -75,23 +75,25 @@
 //! state as the pass before it, so — as Legion's dynamic tracing replays a
 //! recorded loop body — the runtime keeps one record per launch name: what
 //! the last costed launch of that name saw and did. **The key** is every
-//! task's processor, privileges and subsets; every named region's `len`,
-//! `elem_bytes`, `valid[·]`, `sys_valid` and `somewhere` at launch begin;
-//! and the `resident` vector. Neither `ops` nor `preds` is in it: both only
-//! feed the clocks, which a replay charges afresh. A launch whose key
-//! equals the record is **replayed**: each task advances the clocks by its
-//! recorded communication time plus its own compute, through
-//! `run_task`, the code the slow path charges with; the moving combines
-//! rendezvous again; the recorded end state and residency are installed.
-//! Anything else is costed and re-recorded; a failed launch never is.
+//! task's processor and requirements (region, privilege, subset); every
+//! named region's `len`, `elem_bytes`, `valid[·]`, `sys_valid` and
+//! `somewhere` at launch begin; and the `resident` vector. Neither `ops`
+//! nor `preds` is in it: both only feed the clocks, which a replay charges
+//! afresh. A launch whose key equals the record is **replayed**: each task
+//! advances the clocks by its recorded communication time plus its own
+//! compute, through `run_task`, the code the slow path charges with; the
+//! moving combines rendezvous again; the recorded end state and residency
+//! are installed. Anything else is costed and re-recorded; a failed launch
+//! never is.
 //!
-//! **Regions are named by position** — the order in which the requirements
-//! first name them — because a re-registration gives a tensor new regions,
-//! so one state can recur under other ids. Every other region a pass names
-//! keeps its id: a tensor renewed in place ([`Runtime::renew`]: a
-//! write-back by value, a value-only batch), and a statement's output
-//! region, which its pass record creates once and the plan clears around
-//! each run's launches ([`Runtime::clear_region`]).
+//! **Regions are named by id.** A tensor keeps its regions for its life:
+//! a write-back, a value-only batch and a re-registration with the same
+//! region layout renew them in place ([`Runtime::renew`]), and a
+//! statement's output region, which its pass record creates once, is
+//! cleared around each run's launches ([`Runtime::clear_region`]). Only a
+//! layout change creates new ids, and its launches are costed afresh. An id
+//! [`Runtime::create_region`] hands out again can match a record only in a
+//! state equal to the recorded one.
 //!
 //! **A replay is bit-identical**: the slow path's state, residency and
 //! traffic are functions of the key, and the clocks advance by the same
@@ -100,7 +102,7 @@
 //! end state are clones of what the record holds, and equal allocations
 //! compare at once. See `docs/model.md`, "Launch replay".
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::geometry::IntervalSet;
@@ -256,6 +258,7 @@ impl LaunchClock {
 /// One region's size and coherence state, as a [`LaunchMemo`] keeps it:
 /// clones that share the runtime's runs.
 struct RegionState {
+    id: RegionId,
     len: u64,
     elem_bytes: u64,
     valid: Vec<IntervalSet>,
@@ -264,9 +267,8 @@ struct RegionState {
 }
 
 /// What the last costed launch of one name saw and did (module docs,
-/// "Launch replay"). Regions are named by position: `RegionId(k)` in
-/// `tasks` is the `k`-th region the launch's requirements name, and
-/// `begin[k]` / `end[k]` are its state.
+/// "Launch replay"). `begin` and `end` hold every region the requirements
+/// name, once each, in id order.
 struct LaunchMemo {
     /// Each task's processor and requirements.
     tasks: Vec<(usize, Vec<RegionReq>)>,
@@ -286,18 +288,6 @@ struct Charged {
     comm_times: Vec<f64>,
     /// Each combine that moved data: its contributors and duration.
     combines: Vec<(Vec<usize>, f64)>,
-}
-
-/// The regions `tasks` name, in order of first appearance: the positional
-/// names of a [`LaunchMemo`].
-fn named_regions(tasks: &[TaskSpec]) -> Vec<RegionId> {
-    let mut named = Vec::new();
-    for req in tasks.iter().flat_map(|t| t.reqs.iter()) {
-        if !named.contains(&req.region) {
-            named.push(req.region);
-        }
-    }
-    named
 }
 
 /// The staging memory as [`Runtime::find_source`] names it.
@@ -458,26 +448,28 @@ impl Runtime {
         self.sys_valid[r.0 as usize] = all;
     }
 
-    /// Give the regions `ids` the state a registration has, under the ids
-    /// they have: each processor holds exactly its placement — the union
-    /// of the `(proc, slot, subset)`s of `placed` for `ids[slot]` — the
-    /// staging memory the whole region ([`Runtime::attach_sys`]), and
-    /// `resident[p]` trades the old copies' bytes for the new ones'. A
-    /// registration is built through it (its regions created empty, then
-    /// renewed), and a write-back by value or a value-only batch renews a
-    /// tensor's regions through it. Whether the placement fits is decided
-    /// first, per processor, with the old copies still charged while the
-    /// new ones attach (`old_counted`, as when a registration is built
-    /// beside the one it replaces) or released first; a refusal is an
-    /// [`RuntimeError::Oom`] that changes nothing.
+    /// Give each `(region, len)` of `sized` the state a registration has,
+    /// under the id it has: the region becomes `len` elements long, each
+    /// processor holds exactly its placement — the union of the
+    /// `(proc, slot, subset)`s of `placed` for `sized[slot]` — the staging
+    /// memory the whole region ([`Runtime::attach_sys`]), and `resident[p]`
+    /// trades the old copies' bytes for the new ones'. Every registration
+    /// renews its regions through it — a new tensor's created empty, a
+    /// re-registration's kept when the layout is — and so does a
+    /// write-back or a value-only batch. Whether the placement fits is
+    /// decided first, per processor, with the old copies still charged
+    /// while the new ones attach (`old_counted`, as when a registration
+    /// replaces another) or released first; a refusal is an
+    /// [`RuntimeError::Oom`] that changes nothing, the lengths included.
     pub fn renew(
         &mut self,
-        ids: &[RegionId],
+        sized: &[(RegionId, u64)],
         placed: Vec<(usize, usize, IntervalSet)>,
         old_counted: bool,
     ) -> Result<(), RuntimeError> {
+        let ids = || sized.iter().map(|&(r, _)| r);
         let procs = self.machine.num_procs();
-        let mut sets = vec![vec![IntervalSet::new(); procs]; ids.len()];
+        let mut sets = vec![vec![IntervalSet::new(); procs]; sized.len()];
         for (p, slot, set) in placed {
             self.check_proc(p)?;
             sets[slot][p].union_with(&set);
@@ -488,12 +480,12 @@ impl Runtime {
         let capacity = self.machine.profile().proc.mem_capacity;
         let mut resident = self.resident.clone();
         for (p, now) in resident.iter_mut().enumerate() {
-            let held: u64 = ids.iter().map(|&r| bytes(r, self.valid_in(r, p))).sum();
-            let requested: u64 = ids.iter().zip(&sets).map(|(&r, s)| bytes(r, &s[p])).sum();
+            let held: u64 = ids().map(|r| bytes(r, self.valid_in(r, p))).sum();
+            let requested: u64 = ids().zip(&sets).map(|(r, s)| bytes(r, &s[p])).sum();
             let released = now.saturating_sub(held);
             let charged = if old_counted { *now } else { released };
             if charged.saturating_add(requested) > capacity {
-                let names: Vec<&str> = ids.iter().map(|&r| self.region(r).name.as_str()).collect();
+                let names: Vec<&str> = ids().map(|r| self.region(r).name.as_str()).collect();
                 return Err(RuntimeError::Oom {
                     proc: p,
                     region: names.join(", "),
@@ -505,8 +497,9 @@ impl Runtime {
             *now = released + requested;
         }
         self.resident = resident;
-        for (&r, sets) in ids.iter().zip(sets) {
+        for (&(r, len), sets) in sized.iter().zip(sets) {
             let ri = r.0 as usize;
+            self.regions[ri].len = len;
             self.somewhere[ri] = IntervalSet::new();
             self.attach_sys(r);
             for set in &sets {
@@ -596,27 +589,25 @@ impl Runtime {
     pub fn index_launch_after(
         &mut self,
         name: &str,
-        mut tasks: Vec<TaskSpec<'_>>,
+        tasks: Vec<TaskSpec<'_>>,
         preds: &[LaunchId],
     ) -> Result<LaunchRecord, RuntimeError> {
         let mut clock = LaunchClock::new(self.issue_time(preds)?, self.machine.num_procs());
         let traffic0 = (self.stats.comm_bytes, self.stats.messages);
-        let named = named_regions(&tasks);
         let memo = self.memos.get(name);
-        if let Some(memo) = memo.filter(|m| self.repeats(m, &tasks, &named)).cloned() {
-            self.replay(&memo, &tasks, &named, &mut clock);
+        if let Some(memo) = memo.filter(|m| self.repeats(m, &tasks)).cloned() {
+            self.replay(&memo, &tasks, &mut clock);
             return Ok(self.close_launch(name, tasks.len(), clock, traffic0));
         }
 
-        // Not a repeat: cost it, then record it under positional names.
-        let begin: Vec<RegionState> = named.iter().map(|&r| self.region_state(r)).collect();
+        // Not a repeat: cost it, then record it.
+        let reqs = tasks.iter().flat_map(|t| t.reqs.iter());
+        let named: BTreeSet<RegionId> = reqs.map(|r| r.region).collect();
+        let begin: Vec<RegionState> = named.into_iter().map(|r| self.region_state(r)).collect();
         let resident = self.resident.clone();
         let charged = self.issue_tasks(&tasks, &mut clock)?;
-        for req in tasks.iter_mut().flat_map(|t| t.reqs.to_mut()) {
-            let pos = named.iter().position(|&r| r == req.region);
-            req.region = RegionId(pos.expect("every region is named") as u32);
-        }
         let record = self.close_launch(name, tasks.len(), clock, traffic0);
+        let end = begin.iter().map(|s| self.region_state(s.id)).collect();
         let tasks = tasks.into_iter().map(|t| (t.proc, t.reqs.into_owned()));
         let memo = LaunchMemo {
             tasks: tasks.collect(),
@@ -624,7 +615,7 @@ impl Runtime {
             resident,
             charged,
             traffic: (record.comm_bytes, record.messages),
-            end: named.iter().map(|&r| self.region_state(r)).collect(),
+            end,
             end_resident: self.resident.clone(),
         };
         self.memos.insert(name.to_string(), Arc::new(memo));
@@ -751,13 +742,7 @@ impl Runtime {
     /// task's clocks advance by the recorded communication time plus its
     /// own compute, the moving combines rendezvous again, and the coherence
     /// state and residency become the recorded end state.
-    fn replay(
-        &mut self,
-        memo: &LaunchMemo,
-        tasks: &[TaskSpec],
-        named: &[RegionId],
-        clock: &mut LaunchClock,
-    ) {
+    fn replay(&mut self, memo: &LaunchMemo, tasks: &[TaskSpec], clock: &mut LaunchClock) {
         for (task, &comm_time) in tasks.iter().zip(&memo.charged.comm_times) {
             self.run_task(task.proc, comm_time, task.ops, clock);
         }
@@ -766,8 +751,8 @@ impl Runtime {
         }
         self.stats.comm_bytes += memo.traffic.0;
         self.stats.messages += memo.traffic.1;
-        for (&r, end) in named.iter().zip(&memo.end) {
-            let ri = r.0 as usize;
+        for end in &memo.end {
+            let ri = end.id.0 as usize;
             self.valid[ri].clone_from(&end.valid);
             self.sys_valid[ri] = end.sys_valid.clone();
             self.somewhere[ri] = end.somewhere.clone();
@@ -776,40 +761,28 @@ impl Runtime {
         self.stats.replayed += 1;
     }
 
-    /// Whether a launch of `tasks` (naming `named`) would do exactly what
-    /// `memo` recorded: the same tasks on the same processors with the same
-    /// requirements up to the regions' positional names, the same
-    /// residency, and every named region of the same size in the same
-    /// coherence state. Shared runs answer each comparison at once.
-    fn repeats(&self, memo: &LaunchMemo, tasks: &[TaskSpec], named: &[RegionId]) -> bool {
+    /// Whether a launch of `tasks` would do exactly what `memo` recorded:
+    /// the same tasks on the same processors with the same requirements,
+    /// the same residency, and every region they name of the same size in
+    /// the same coherence state. Shared runs answer each comparison at once.
+    fn repeats(&self, memo: &LaunchMemo, tasks: &[TaskSpec]) -> bool {
         #[cfg(test)]
         if self.replay_off {
             return false;
         }
-        let same_req = |now: &RegionReq, then: &RegionReq| {
-            now.privilege == then.privilege
-                && named.get(then.region.0 as usize) == Some(&now.region)
-                && now.subset == then.subset
-        };
         let same_task = |now: &TaskSpec, (proc, reqs): &(usize, Vec<RegionReq>)| {
-            now.proc == *proc
-                && now.reqs.len() == reqs.len()
-                && now.reqs.iter().zip(reqs).all(|(a, b)| same_req(a, b))
+            now.proc == *proc && *now.reqs == **reqs
         };
         tasks.len() == memo.tasks.len()
             && tasks.iter().zip(&memo.tasks).all(|(t, m)| same_task(t, m))
             && self.resident == memo.resident
-            && named.len() == memo.begin.len()
-            && named
-                .iter()
-                .zip(&memo.begin)
-                .all(|(&r, then)| self.holds(r, then))
+            && memo.begin.iter().all(|then| self.holds(then))
     }
 
-    /// Whether region `r` is now of `state`'s size and in its coherence
-    /// state.
-    fn holds(&self, r: RegionId, state: &RegionState) -> bool {
-        let ri = r.0 as usize;
+    /// Whether the region `state` names is now of its size and in its
+    /// coherence state.
+    fn holds(&self, state: &RegionState) -> bool {
+        let ri = state.id.0 as usize;
         let meta = &self.regions[ri];
         meta.len == state.len
             && meta.elem_bytes == state.elem_bytes
@@ -822,6 +795,7 @@ impl Runtime {
     fn region_state(&self, r: RegionId) -> RegionState {
         let ri = r.0 as usize;
         RegionState {
+            id: r,
             len: self.regions[ri].len,
             elem_bytes: self.regions[ri].elem_bytes,
             valid: self.valid[ri].clone(),
@@ -1428,8 +1402,9 @@ mod tests {
         assert_eq!(r.resident_bytes(1), 40);
     }
 
-    /// Every set and count a fresh registration decides, for `ids`.
+    /// Every length, set and count a fresh registration decides, for `ids`.
     type Coherence = (
+        Vec<u64>,
         Vec<Vec<IntervalSet>>,
         Vec<IntervalSet>,
         Vec<IntervalSet>,
@@ -1440,6 +1415,7 @@ mod tests {
         let at = |sets: &Vec<IntervalSet>| ids.iter().map(|r| sets[r.0 as usize].clone()).collect();
         let valid = ids.iter().map(|r| rt.valid[r.0 as usize].clone()).collect();
         (
+            ids.iter().map(|&r| rt.region(r).len).collect(),
             valid,
             at(&rt.sys_valid),
             at(&rt.somewhere),
@@ -1447,9 +1423,10 @@ mod tests {
         )
     }
 
-    /// A renewal in place after copies came and went leaves what a fresh
-    /// registration of the same placement leaves; one that does not fit
-    /// changes nothing, and the old copies count only when asked to.
+    /// A renewal in place at new lengths after copies came and went leaves
+    /// what a fresh registration of the same placement leaves; one that
+    /// does not fit changes nothing, and the old copies count only when
+    /// asked to.
     #[test]
     fn renew_in_place_is_a_fresh_registration() {
         let profile = MachineProfile::test_profile_with_capacity(1500);
@@ -1474,7 +1451,9 @@ mod tests {
         // Processor 1 holds 1 120 bytes and is placed 560 more: beside its
         // old copies that is over 1 500, in place of them it fits.
         let before = coherence(&r, &ids);
-        let refused = r.renew(&ids, placed.clone(), true);
+        let lens = [120, 24];
+        let sized = [(ids[0], lens[0]), (ids[1], lens[1])];
+        let refused = r.renew(&sized, placed.clone(), true);
         assert!(
             matches!(refused, Err(RuntimeError::Oom { proc: 1, .. })),
             "{refused:?}"
@@ -1484,12 +1463,12 @@ mod tests {
             before,
             "a refused renewal changes nothing"
         );
-        r.renew(&ids, placed.clone(), false).unwrap();
+        r.renew(&sized, placed.clone(), false).unwrap();
 
         let mut fresh = Runtime::new(Machine::grid1d(2, profile));
         let made = [
-            fresh.create_region("x", 100, 8),
-            fresh.create_region("y", 20, 16),
+            fresh.create_region("x", lens[0], 8),
+            fresh.create_region("y", lens[1], 16),
         ];
         for &m in &made {
             fresh.attach_sys(m);
@@ -1690,6 +1669,7 @@ mod tests {
             assert_eq!(sa.total_ops.to_bits(), sb.total_ops.to_bits());
             assert_eq!(a.live_regions(), b.live_regions());
             for ri in 0..a.regions.len() {
+                assert_eq!(a.regions[ri].len, b.regions[ri].len, "region {ri}");
                 assert_eq!(a.valid[ri], b.valid[ri], "region {ri}");
                 assert_eq!(a.sys_valid[ri], b.sys_valid[ri], "region {ri}");
                 assert_eq!(a.somewhere[ri], b.somewhere[ri], "region {ri}");
@@ -1699,7 +1679,8 @@ mod tests {
 
     /// Replace `old` by a new region holding what it holds (its staging
     /// copy only when that is the whole region), created before `old` is
-    /// retired — a renewal under another id, as a re-registration gives.
+    /// retired — a renewal under another id, as a re-registration that
+    /// changes the layout gives.
     fn renew(rt: &mut Runtime, old: RegionId) -> Result<RegionId, RuntimeError> {
         let RegionMeta {
             len, elem_bytes, ..
@@ -1720,8 +1701,9 @@ mod tests {
     type Template = Vec<(usize, Vec<(usize, Privilege, IntervalSet)>)>;
 
     /// The replay oracle: a few named launch templates re-issued between
-    /// random `attach` / `attach_sys` / `evict` / renewal (in place, or
-    /// under another id) / `retire_region` + `create_region` steps, on a runtime that replays
+    /// random `attach` / `attach_sys` / `evict` / renewal (in place, at the
+    /// same or a new length, or under another id) / `retire_region` +
+    /// `create_region` steps, on a runtime that replays
     /// and on one that costs every launch — one processor per node, four,
     /// and a memory small enough to run out. After every step both agree
     /// on every observable ([`Pair::assert_same`]); launches replayed and
@@ -1788,12 +1770,14 @@ mod tests {
                     }
                     5 => {
                         // A renewal in place, beside the old copies or
-                        // instead of them.
+                        // instead of them, at the length the region has or
+                        // at another, as a same-layout re-registration.
                         let placed: Vec<_> = (0..1 + rng.below(2))
                             .map(|_| (rng.below(procs as u64) as usize, 0, rng.subset(LEN)))
                             .collect();
                         let old_counted = rng.below(2) == 0;
-                        let _ = pair.both(|rt| rt.renew(&[r], placed.clone(), old_counted));
+                        let len = [LEN, 2 * LEN][rng.below(2) as usize];
+                        let _ = pair.both(|rt| rt.renew(&[(r, len)], placed.clone(), old_counted));
                     }
                     4 if step % 4 == 0 => {
                         // Sometimes with other element sizes, in the same
@@ -1870,9 +1854,9 @@ mod tests {
     }
 
     /// The near-hits a replay must refuse — a changed residency, an evicted
-    /// run, another processor — and the repeats it must accept: the same
-    /// content in other allocations, a renewed region under another id,
-    /// other operation counts.
+    /// run, another processor, another region in the same state — and the
+    /// repeats it must accept: the same content in other allocations, other
+    /// operation counts.
     #[test]
     fn replay_rejects_near_hits_and_accepts_equal_copies() {
         let mut pair = Pair::new(2, &MachineProfile::test_profile());
@@ -1909,9 +1893,11 @@ mod tests {
         assert_ne!(pair.0[0].valid_in(x, 1).rects().as_ptr(), held);
         assert!(pair.launch("r", &read(x, 1, 10.0)));
 
-        // Renewed under another id, in the same state: a repeat.
+        // Renewed under another id, in the same state: another key, costed
+        // once, then a repeat.
         let renewed = pair.both(|rt| renew(rt, x)).unwrap();
         assert_ne!(renewed, x);
+        assert!(!pair.launch("r", &read(renewed, 1, 10.0)));
         assert!(pair.launch("r", &read(renewed, 1, 10.0)));
 
         // The same requirement from the other processor: refused.

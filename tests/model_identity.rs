@@ -6,10 +6,13 @@
 //!
 //! Two more run the chain 2 000 times and the sweep 100 times and check
 //! that the runtime's state is bounded by the program rather than by its
-//! age, and that from the third iteration on the model replays every
-//! launch and the pass builds no batch graph.
+//! age: every tensor keeps its region ids from the second iteration on,
+//! and from the third the model replays every launch and the pass builds
+//! no batch graph. A last one re-registers the chain's matrix at another
+//! nnz and checks that it keeps its ids and that the passes after it are a
+//! freshly built program's.
 
-use spdistal_repro::sparse::{convert, dense_matrix, dense_vector, generate};
+use spdistal_repro::sparse::{convert, dense_matrix, dense_vector, generate, SpTensor};
 use spdistal_repro::spdistal::prelude::*;
 
 const PIECES: usize = 8;
@@ -27,7 +30,11 @@ fn zeros(n: usize) -> spdistal_repro::sparse::SpTensor {
 /// `x1 = B·x0; x2 = B·x1; x3 = B·x2` over an R-MAT matrix on 8 pieces (the
 /// shape of the benchmark's `iter_small`).
 fn chain(scale: u32, nnz: usize) -> CompiledProgram {
-    let b = generate::rmat_default(scale, nnz, 31);
+    chain_over(generate::rmat_default(scale, nnz, 31))
+}
+
+/// The chain over the matrix `b`.
+fn chain_over(b: SpTensor) -> CompiledProgram {
     let n = b.dims()[0];
     Program::on(machine())
         .trace(Trace::enabled())
@@ -307,13 +314,21 @@ fn steady_at(program: &CompiledProgram) -> Steady {
     }
 }
 
+/// The runtime's live regions and every registered tensor's region ids.
+fn regions_at(program: &CompiledProgram) -> (usize, Vec<Vec<spdistal_repro::runtime::RegionId>>) {
+    let ctx = program.context();
+    let ids = ctx.tensor_names().into_iter();
+    let ids = ids.map(|name| ctx.tensor(name).unwrap().regions.ids());
+    (ctx.runtime().live_regions(), ids.collect())
+}
+
 /// Runs `program` `iters` times: every statement writes its output region,
 /// which its pass record keeps from pass to pass, and writes its output
-/// tensor back by value under the regions it has (the first run
-/// re-registers it), so the runtime's region table, every tensor's region
-/// ids and residency at the last iteration are those of the third (and
-/// every byte held is a registered tensor's: no output region keeps a copy
-/// between runs), and
+/// tensor back under the regions it has (a re-registration of the same
+/// layout keeps them), so the runtime's region table and every tensor's
+/// region ids are those of the second iteration, residency at the last
+/// iteration is the third's (and every byte held is a registered tensor's:
+/// no output region keeps a copy between runs), and
 /// from iteration 3 on (plans cached, schedules settled) every iteration
 /// costs the model the same — so from then on the model replays every
 /// launch from its record instead of costing it again, and no pass builds
@@ -329,7 +344,7 @@ fn stays_steady(mut program: CompiledProgram, iters: usize) {
             .sum()
     };
     // Every iteration from the third on equals the third.
-    let mut third = None;
+    let (mut second, mut third) = (None, None);
     let counts = |program: &CompiledProgram| {
         let stats = program.context().runtime().stats();
         (stats.launches, stats.replayed)
@@ -337,6 +352,15 @@ fn stays_steady(mut program: CompiledProgram, iters: usize) {
     for i in 1..=iters {
         let (launches, replayed) = counts(&program);
         program.run().unwrap();
+        if i < 2 {
+            continue;
+        }
+        let regions = regions_at(&program);
+        let reference = second.get_or_insert_with(|| regions.clone());
+        assert_eq!(
+            &regions, reference,
+            "iteration {i}: regions differ from iteration 2"
+        );
         if i < 3 {
             continue;
         }
@@ -370,4 +394,59 @@ fn a_long_lived_program_stays_the_size_of_its_program() {
 #[test]
 fn a_cached_sweep_replays_every_launch_in_the_same_regions() {
     stays_steady(sweep(), 100);
+}
+
+/// The chain's matrix re-registered at another nnz (`replace_tensor_data`)
+/// keeps its region ids — the layout is the same — and every pass after it
+/// leaves what a program built over the new matrix leaves: every value,
+/// and the traffic, serialized spans and residency of the model.
+#[test]
+fn a_same_layout_reregistration_keeps_its_ids() {
+    let view = |program: &CompiledProgram| {
+        let results = (0..program.stmt_count()).map(|k| program.result(k).unwrap());
+        let bits = |k| {
+            let value = program.value(k).unwrap().as_tensor().unwrap();
+            value
+                .vals()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let steady = steady_at(program);
+        (
+            (0..program.stmt_count()).map(bits).collect::<Vec<_>>(),
+            results
+                .map(|r| (r.comm_bytes, r.messages))
+                .collect::<Vec<_>>(),
+            steady.seq_spans,
+            steady.resident,
+        )
+    };
+    let mut program = chain(8, 2_500);
+    for _ in 0..3 {
+        program.run().unwrap();
+    }
+    let b = generate::rmat_default(8, 3_000, 33);
+    let ids = |program: &CompiledProgram| program.context().tensor("B").unwrap().regions.ids();
+    let (before, nnz) = (
+        ids(&program),
+        program.context().tensor("B").unwrap().data.num_stored(),
+    );
+    assert_ne!(b.num_stored(), nnz);
+    program
+        .context_mut()
+        .replace_tensor_data("B", b.clone())
+        .unwrap();
+    assert_eq!(
+        ids(&program),
+        before,
+        "a same-layout re-registration keeps its ids"
+    );
+    let mut fresh = chain_over(b);
+    for i in 0..ITERS {
+        program.run().unwrap();
+        fresh.run().unwrap();
+        assert_eq!(ids(&program), before, "pass {i}");
+        assert_eq!(view(&program), view(&fresh), "pass {i}");
+    }
 }
