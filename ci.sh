@@ -37,6 +37,15 @@ fetch_body="$(awk '/fn fetch\(/ { f = 1 } f { print } f && /^    }$/ { exit }' c
 if grep -n '\.intersect(' <<<"$fetch_body"; then
   echo "Runtime::fetch builds an intersection it only needs to count: use intersect_count"; exit 1
 fi
+# Dependent partitioning walks runs: `image_rects` and `preimage_rects`, and
+# the run walks they call, extend and append runs over `pos`. The per-point
+# walk they replaced is `dependent.rs`'s test oracle only.
+run_walks="$(awk '/^(pub )?fn (image|preimage)_(rects|runs)\(/ { f = 1; n++ } f { print } f && /^}$/ { f = 0 }
+                 END { exit n != 4 }' crates/runtime/src/dependent.rs)" ||
+  { echo "image_rects / preimage_rects or their run walks not found in crates/runtime/src/dependent.rs"; exit 1; }
+if grep -n 'iter_points' <<<"$run_walks"; then
+  echo "image_rects / preimage_rects walk points: extend runs over pos instead"; exit 1
+fi
 # One copy of each plan fact: `lower` returns only the distributed loops, the
 # stored driver layout is the one dispatch key, a span is read as it was cut,
 # and the machine model has one issue path. What each replaced stays gone.

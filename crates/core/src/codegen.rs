@@ -372,16 +372,7 @@ fn dense_operand_partition(
                                 .collect(),
                         )
                     } else if rset.total_len() as usize * cset.num_runs() <= MAX_RECTS {
-                        let mut rects = Vec::new();
-                        for i in rset.iter_points() {
-                            for cr in cset.rects() {
-                                rects.push(Rect1::new(
-                                    i * cols as i64 + cr.lo,
-                                    i * cols as i64 + cr.hi,
-                                ));
-                            }
-                        }
-                        IntervalSet::from_rects(rects)
+                        row_major_product(&rset, &cset, cols)
                     } else {
                         full(rows * cols)
                     }
@@ -393,6 +384,26 @@ fn dense_operand_partition(
     };
     part.entries[t.order() - 1] = touched;
     part
+}
+
+/// The row-major positions of `rows × cols_set` in a matrix `cols` wide:
+/// each row's column runs, shifted to the row, in one vector sized once.
+/// A run ending at the last column joins the next row's run starting at
+/// column 0 in [`IntervalSet::from_rects`], which does not sort them.
+fn row_major_product(rows: &IntervalSet, cols_set: &IntervalSet, cols: usize) -> IntervalSet {
+    let mut rects = Vec::with_capacity(rows.total_len() as usize * cols_set.num_runs());
+    for rr in rows.rects() {
+        for i in rr.lo..=rr.hi {
+            let base = i * cols as i64;
+            rects.extend(
+                cols_set
+                    .rects()
+                    .iter()
+                    .map(|cr| Rect1::new(base + cr.lo, base + cr.hi)),
+            );
+        }
+    }
+    IntervalSet::from_rects(rects)
 }
 
 /// Decide how the output is produced and partitioned.
@@ -460,7 +471,7 @@ mod tests {
     use crate::{access, assign, schedule_nonzero, schedule_outer_dim};
     use spdistal_ir::{Format, ParallelUnit};
     use spdistal_runtime::{Machine, MachineProfile};
-    use spdistal_sparse::{convert, dense_vector, generate, CoordDelta};
+    use spdistal_sparse::{convert, dense_matrix, dense_vector, generate, CoordDelta};
 
     const PIECES: usize = 4;
 
@@ -571,6 +582,38 @@ mod tests {
             let registered = driver_entries(&plan) == t.dist_part.entries;
             assert!(registered || !reused, "{what}");
         }
+    }
+
+    /// A dense operand's leaf partition under partial column sets is the
+    /// per-point product of each color's rows and columns. Color 0's
+    /// column set ends at the last column and starts at column 0, so each
+    /// of its rows' last run joins the next row's first.
+    #[test]
+    fn a_dense_operand_partition_is_the_product_of_its_coordinate_sets() {
+        let (rows, cols) = (6, 5);
+        let d = dense_matrix(rows, cols, vec![0.0; rows * cols]);
+        let (i, j) = (IndexVar(0), IndexVar(1));
+        let set = |runs: &[(i64, i64)]| -> IntervalSet {
+            runs.iter().map(|&(lo, hi)| Rect1::new(lo, hi)).collect()
+        };
+        let row_sets = vec![set(&[(0, 2)]), set(&[(1, 1), (3, 5)]), set(&[(4, 4)])];
+        let col_sets = vec![
+            set(&[(0, 1), (4, 4)]),
+            set(&[(0, 0), (2, 4)]),
+            set(&[(1, 3)]),
+        ];
+        let coord_sets = HashMap::from([(i, row_sets.clone()), (j, col_sets.clone())]);
+        let part = dense_operand_partition(&d, &[i, j], &coord_sets, 3);
+        for c in 0..3 {
+            let expect: IntervalSet = row_sets[c]
+                .iter_points()
+                .flat_map(|r| col_sets[c].iter_points().map(move |q| r * cols as i64 + q))
+                .map(|p| Rect1::new(p, p))
+                .collect();
+            assert_eq!(part.entries[1].subset(c), &expect, "color {c}");
+        }
+        let joined = [(0, 1), (4, 6), (9, 11), (14, 14)].map(|(lo, hi)| Rect1::new(lo, hi));
+        assert_eq!(part.entries[1].subset(0).rects(), &joined);
     }
 
     /// A structural batch re-registers the tensor: the plan compiled after

@@ -203,8 +203,32 @@ fn dot_col(crow: &[f64], d: &[f64], jdim: usize, j: usize) -> f64 {
     dot
 }
 
+/// Eight of [`dot_col`]'s dots at once, for the columns `js`: lane `l`
+/// folds like `dot_col(crow, d, jdim, js[l])` — from `+0.0`, adding the
+/// `k` terms in ascending order — so its bits are that dot's. The eight
+/// chains are independent, so their adds overlap rather than each waiting
+/// on the one before, and `D`'s rows are whole `jdim`-wide chunks, so a
+/// lane's column is checked once, not once per term. A column outside the
+/// width (no compiled plan has one: `recognize` matches the extents)
+/// sends the group through `dot_col`, which reads what it always read.
+#[inline(always)]
+fn dot_cols8(crow: &[f64], d: &[f64], jdim: usize, js: &[i64]) -> [f64; 8] {
+    let js: [usize; 8] = std::array::from_fn(|l| js[l] as usize);
+    if js.iter().any(|&j| j >= jdim) || d.len() < crow.len() * jdim {
+        return js.map(|j| dot_col(crow, d, jdim, j));
+    }
+    let mut dots = [0.0; 8];
+    for (ck, drow) in crow.iter().zip(d.chunks_exact(jdim)) {
+        for (dot, &j) in dots.iter_mut().zip(&js) {
+            *dot += ck * drow[j];
+        }
+    }
+    dots
+}
+
 /// SDDMM over a row-keyed driver: `A(i,j) = B(i,j) * (C(i,:) · D(:,j))`,
-/// position-aligned output values.
+/// position-aligned output values. A row's positions (or a cut piece's)
+/// go 8 at a time through [`dot_cols8`], the rest through [`dot_col`].
 #[allow(clippy::too_many_arguments)]
 pub(super) fn sddmm<T: TopLevel>(
     b: &SpTensor,
@@ -225,8 +249,18 @@ pub(super) fn sddmm<T: TopLevel>(
         let crow = &c[i * kdim..(i + 1) * kdim];
         pieces(range, owned, cols, |cr| {
             let (lo, hi) = (cr.lo as usize, cr.hi as usize);
-            for (q, (v, &j)) in (lo..).zip(vals[lo..=hi].iter().zip(&crd[lo..=hi])) {
+            let (vs, js) = (vals[lo..=hi].chunks_exact(8), crd[lo..=hi].chunks_exact(8));
+            let (v_rest, j_rest) = (vs.remainder(), js.remainder());
+            let mut q = lo;
+            for (v8, j8) in vs.zip(js) {
+                for (v, dot) in v8.iter().zip(dot_cols8(crow, d, jdim, j8)) {
+                    out_vals.set(q, v * dot);
+                    q += 1;
+                }
+            }
+            for (v, &j) in v_rest.iter().zip(j_rest) {
                 out_vals.set(q, v * dot_col(crow, d, jdim, j as usize));
+                q += 1;
             }
             cr.len()
         })

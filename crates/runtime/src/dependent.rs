@@ -17,20 +17,37 @@
 //!
 //! ## Cost
 //!
+//! [`image_rects`] and [`preimage_rects`] work on runs, not points. The
+//! `pos` array of a compressed level holds ascending intervals, and over
+//! those both are linear range walks that allocate one rect per run they
+//! return:
+//!
+//! * `image_rects` walks each color's position runs over their slice of
+//!   `pos` and extends the current destination run while the next
+//!   non-empty interval starts inside it or right after it. One
+//!   destination run per gap in `pos` reaches [`IntervalSet::from_rects`],
+//!   which then only checks that they are ordered (a `pos` array out of
+//!   order or overlapping is sorted and merged there, to the same set).
+//! * `preimage_rects` walks the source once per color with a cursor over
+//!   the target's runs. The cursor moves forward while the intervals' `lo`
+//!   does not decrease and binary-searches when it steps back. Hits are
+//!   appended as runs: O(entries + target runs) per color.
+//!
 //! [`image_coords`] has two arms, chosen per call by comparing the
 //! destination's 64-bit words, `dst_len / 64`, with the points imaged
 //! (`src_part.total_assigned()`). When the words are not more than the
 //! points, each color's in-range coordinates set bits of one bitmap of
 //! `dst_len` bits, allocated once per call, and one scan of the words that
 //! color touched reads its runs off in order and clears them: O(points +
-//! words), with no sort. When the words are more — a hypersparse coordinate
-//! space — each point becomes one rect, sorted by
-//! [`IntervalSet::from_rects`] and clamped to the destination. The rule
+//! words), with no sort. A destination of one word (`dst_len` ≤ 64) is
+//! marked in a register, one run of positions at a time: marked in memory,
+//! every value would read the word the previous value wrote (about 3x the
+//! time over the 47 k points of a 64-wide level). When the words are more
+//! than the points — a hypersparse coordinate space — each in-range point
+//! becomes one rect, sorted by [`IntervalSet::from_rects`]. The rule
 //! bounds the bitmap at one bit per coordinate and one word per point
 //! imaged (plus one): at most 8 bytes per point, under the 16 of the rect
-//! the sort arm allocates for it. [`preimage_rects`] finds, per source
-//! entry and color, the one run of the target that can overlap it by binary
-//! search.
+//! the sort arm allocates for it.
 
 use crate::geometry::{IntervalSet, Rect1};
 use crate::partition::Partition;
@@ -41,18 +58,39 @@ use crate::partition::Partition;
 /// indices `S[i] = [lo, hi]` are added to color `c` of the result. The
 /// result partitions the destination region of length `dst_len`.
 pub fn image_rects(src: &[Rect1], src_part: &Partition, dst_len: u64) -> Partition {
-    let mut subsets = Vec::with_capacity(src_part.num_colors());
-    for c in 0..src_part.num_colors() {
-        let mut rects = Vec::new();
-        for i in src_part.subset(c).iter_points() {
-            let r = src[i as usize];
-            if !r.is_empty() {
-                rects.push(r);
+    let bound = Rect1::new(0, dst_len as i64 - 1);
+    let subsets = src_part
+        .subsets()
+        .iter()
+        .map(|positions| image_runs(src, positions, bound))
+        .collect();
+    Partition::new(dst_len, subsets)
+}
+
+/// The union of the intervals `src` holds at `positions`, clamped to
+/// `bound`. Each interval that starts inside the current run, or right
+/// after it, extends that run; any other starts a new one. Over an
+/// ascending `pos` slice that leaves one run per gap, and
+/// [`IntervalSet::from_rects`] only checks the order. Intervals that are
+/// out of order or overlap an earlier run still end up in the one
+/// canonical set, through its sort and merge.
+fn image_runs(src: &[Rect1], positions: &IntervalSet, bound: Rect1) -> IntervalSet {
+    let mut runs: Vec<Rect1> = Vec::new();
+    for r in positions.rects() {
+        for x in &src[r.lo as usize..=r.hi as usize] {
+            let x = x.intersect(&bound);
+            if x.is_empty() {
+                continue;
+            }
+            match runs.last_mut() {
+                Some(run) if run.lo <= x.lo && x.lo <= run.hi.saturating_add(1) => {
+                    run.hi = run.hi.max(x.hi)
+                }
+                _ => runs.push(x),
             }
         }
-        subsets.push(IntervalSet::from_rects(rects));
     }
-    clamp(Partition::new(dst_len, subsets))
+    IntervalSet::from_rects(runs)
 }
 
 /// `image(S, P_S, D)` for a coordinate-valued source region (e.g. pushing a
@@ -67,11 +105,13 @@ pub fn image_coords(src: &[i64], src_part: &Partition, dst_len: u64) -> Partitio
             let mut rects = Vec::new();
             for i in src_part.subset(c).iter_points() {
                 let v = src[i as usize];
-                rects.push(Rect1::new(v, v));
+                if v >= 0 && (v as u64) < dst_len {
+                    rects.push(Rect1::new(v, v));
+                }
             }
             subsets.push(IntervalSet::from_rects(rects));
         }
-        return clamp(Partition::new(dst_len, subsets));
+        return Partition::new(dst_len, subsets);
     }
     let mut bitmap = vec![0u64; dst_len.div_ceil(64) as usize];
     let subsets = src_part
@@ -95,13 +135,25 @@ fn marked_runs(
     dst_len: u64,
 ) -> IntervalSet {
     let (mut first, mut last) = (usize::MAX, 0);
-    for r in positions.rects() {
-        for &v in &src[r.lo as usize..=r.hi as usize] {
-            if v >= 0 && (v as u64) < dst_len {
-                let word = (v / 64) as usize;
-                bitmap[word] |= 1u64 << (v % 64);
-                first = first.min(word);
-                last = last.max(word);
+    if let [word] = bitmap {
+        // One word: each run's values are marked in a register. Read and
+        // written back once per value, the word is a chain through memory.
+        for r in positions.rects() {
+            *word |= src[r.lo as usize..=r.hi as usize]
+                .iter()
+                .filter(|&&v| v >= 0 && (v as u64) < dst_len)
+                .fold(0, |bits, &v| bits | 1u64 << v);
+        }
+        (first, last) = (0, 0);
+    } else {
+        for r in positions.rects() {
+            for &v in &src[r.lo as usize..=r.hi as usize] {
+                if v >= 0 && (v as u64) < dst_len {
+                    let word = (v / 64) as usize;
+                    bitmap[word] |= 1u64 << (v % 64);
+                    first = first.min(word);
+                    last = last.max(word);
+                }
             }
         }
     }
@@ -133,20 +185,45 @@ fn marked_runs(
 /// `P_D[c]` is added to color `c`. Sources referenced by several colors are
 /// aliased — the runtime keeps the shared copies coherent (Figure 6b).
 pub fn preimage_rects(src: &[Rect1], dst_part: &Partition) -> Partition {
-    let mut subsets = Vec::with_capacity(dst_part.num_colors());
-    for c in 0..dst_part.num_colors() {
-        let target = dst_part.subset(c);
-        let mut rects = Vec::new();
-        if !target.is_empty() {
-            for (i, r) in src.iter().enumerate() {
-                if !r.is_empty() && overlaps_set(r, target) {
-                    rects.push(Rect1::new(i as i64, i as i64));
-                }
+    let subsets = dst_part
+        .subsets()
+        .iter()
+        .map(|target| preimage_runs(src, target.rects()))
+        .collect();
+    Partition::new(src.len() as u64, subsets)
+}
+
+/// The source indices whose non-empty interval meets `target`, as runs.
+/// Only the first run of `target` ending at or after an interval's `lo`
+/// can meet it. A cursor finds that run by moving forward while `lo` does
+/// not decrease from one non-empty interval to the next, and by binary
+/// search when it steps back.
+fn preimage_runs(src: &[Rect1], target: &[Rect1]) -> IntervalSet {
+    if target.is_empty() {
+        return IntervalSet::new();
+    }
+    let mut hits: Vec<Rect1> = Vec::new();
+    let (mut at, mut prev_lo) = (0, i64::MIN);
+    for (i, r) in (0i64..).zip(src) {
+        if r.is_empty() {
+            continue;
+        }
+        if r.lo < prev_lo {
+            at = target.partition_point(|x| x.hi < r.lo);
+        } else {
+            while at < target.len() && target[at].hi < r.lo {
+                at += 1;
             }
         }
-        subsets.push(IntervalSet::from_rects(rects));
+        prev_lo = r.lo;
+        if target.get(at).is_some_and(|x| x.lo <= r.hi) {
+            match hits.last_mut() {
+                Some(run) if run.hi + 1 == i => run.hi = i,
+                _ => hits.push(Rect1::new(i, i)),
+            }
+        }
     }
-    Partition::new(src.len() as u64, subsets)
+    IntervalSet::from_canonical(hits)
 }
 
 /// `preimage` for a coordinate-valued source region: color every source
@@ -176,24 +253,117 @@ pub fn preimage_coords(src: &[i64], dst_part: &Partition) -> Partition {
     Partition::new(src.len() as u64, subsets)
 }
 
-/// Whether the non-empty `r` meets `s`: only the first run of `s` ending at
-/// or after `r.lo` can (one binary search).
-fn overlaps_set(r: &Rect1, s: &IntervalSet) -> bool {
-    let runs = s.rects();
-    let first = runs.partition_point(|x| x.hi < r.lo);
-    runs.get(first).is_some_and(|x| x.lo <= r.hi)
-}
-
-fn clamp(p: Partition) -> Partition {
-    let bound = IntervalSet::from_rect(Rect1::new(0, p.parent_len() as i64 - 1));
-    let n = p.parent_len();
-    let subsets = p.subsets().iter().map(|s| s.intersect(&bound)).collect();
-    Partition::new(n, subsets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-point construction `image_rects` replaced, kept as its
+    /// oracle: one rect per source entry, sorted, then clamped.
+    fn image_points(src: &[Rect1], src_part: &Partition, dst_len: u64) -> Partition {
+        let bound = IntervalSet::from_rect(Rect1::new(0, dst_len as i64 - 1));
+        let subsets = src_part
+            .subsets()
+            .iter()
+            .map(|s| {
+                let rects = s.iter_points().map(|i| src[i as usize]).collect();
+                IntervalSet::from_rects(rects).intersect(&bound)
+            })
+            .collect();
+        Partition::new(dst_len, subsets)
+    }
+
+    /// The per-point construction `preimage_rects` replaced, kept as its
+    /// oracle: every non-empty source entry tested against every color.
+    fn preimage_points(src: &[Rect1], dst_part: &Partition) -> Partition {
+        let subsets = dst_part
+            .subsets()
+            .iter()
+            .map(|target| {
+                (0i64..)
+                    .zip(src)
+                    .filter(|(_, r)| !r.is_empty() && target.overlaps(&IntervalSet::from_rect(**r)))
+                    .map(|(i, _)| Rect1::new(i, i))
+                    .collect()
+            })
+            .collect();
+        Partition::new(src.len() as u64, subsets)
+    }
+
+    /// A `pos` array of up to 24 entries: the contiguous ranges of a
+    /// compressed level (empty rows spelt `[p, p-1]` or `Rect1::empty()`),
+    /// ranges anywhere (out of order, overlapping, empty), or the same
+    /// sorted by `lo` (ascending but overlapping).
+    fn arb_pos() -> impl Strategy<Value = Vec<Rect1>> {
+        let entries = proptest::collection::vec((0i64..48, -2i64..8), 0..24);
+        (entries, 0usize..3).prop_map(|(entries, mode)| {
+            let mut cur = 0;
+            let mut pos: Vec<Rect1> = entries
+                .into_iter()
+                .map(|(lo, len)| match mode {
+                    0 if len == -2 => Rect1::empty(),
+                    0 => {
+                        let r = Rect1::new(cur, cur + len.max(0) - 1);
+                        cur += len.max(0);
+                        r
+                    }
+                    _ => Rect1::new(lo, lo + len),
+                })
+                .collect();
+            if mode == 2 {
+                pos.sort_by_key(|r| r.lo);
+            }
+            pos
+        })
+    }
+
+    /// `colors` subsets of `[0, len)`, each up to three runs; colors may
+    /// overlap each other or be empty.
+    fn arb_subsets(len: i64) -> impl Strategy<Value = Vec<IntervalSet>> {
+        let runs = proptest::collection::vec((0i64..64, 0i64..10), 0..4);
+        proptest::collection::vec(runs, 1..5).prop_map(move |colors| {
+            colors
+                .into_iter()
+                .map(|runs| match len {
+                    0 => IntervalSet::new(),
+                    _ => runs
+                        .into_iter()
+                        .map(|(lo, n)| Rect1::new(lo % len, (lo % len + n).min(len - 1)))
+                        .collect(),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// `image_rects` and `preimage_rects` give the sets their per-point
+        /// constructions give, on any `pos` array and any (aliased)
+        /// partition, with destinations shorter than what `pos` names.
+        #[test]
+        fn run_walks_match_the_per_point_oracles(
+            pos in arb_pos(),
+            src_runs in arb_subsets(24),
+            dst_runs in arb_subsets(60),
+            dst_len in 0u64..60,
+        ) {
+            let n = pos.len() as i64;
+            let src_part = Partition::new(
+                pos.len() as u64,
+                src_runs.iter().map(|s| s.intersect(&IntervalSet::from_rect(Rect1::new(0, n - 1)))).collect(),
+            );
+            let img = image_rects(&pos, &src_part, dst_len);
+            let expect = image_points(&pos, &src_part, dst_len);
+            prop_assert_eq!(img.parent_len(), dst_len);
+            prop_assert_eq!(img.subsets(), expect.subsets(), "image of {:?}", pos);
+            let dst_part = Partition::new(60, dst_runs);
+            let pre = preimage_rects(&pos, &dst_part);
+            let expect = preimage_points(&pos, &dst_part);
+            prop_assert_eq!(pre.parent_len(), pos.len() as u64);
+            prop_assert_eq!(pre.subsets(), expect.subsets(), "preimage of {:?}", pos);
+        }
+    }
 
     /// The pos/crd pair from Figure 7 of the paper (a 4x4 CSR matrix with
     /// rows {a b c | d e | f | g h} and 8 non-zeros).

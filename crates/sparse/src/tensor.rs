@@ -90,7 +90,8 @@ pub struct SpTensor {
     vals: Arc<Vec<f64>>,
     /// [`SpTensor::pattern_hash`], memoised. `dims` and `levels` never
     /// change after construction (only `vals` is mutable), so the memo
-    /// stays valid and clones inherit it.
+    /// stays valid. A clone copies the memo as it stands: clones taken
+    /// after the first hash inherit it, clones taken before it hash again.
     pattern: OnceLock<u64>,
 }
 
@@ -145,8 +146,11 @@ impl SpTensor {
     /// A hash of the stored coordinate tree — dims and every level's
     /// `pos`/`crd` arrays, never the values: equal for two tensors exactly
     /// when (up to hash collisions) they store the same pattern the same
-    /// way. Computed at most once per tensor and its clones; O(1) for
-    /// all-dense tensors.
+    /// way. Computed at most once per tensor, and inherited by the clones
+    /// taken after that (a clone taken before it hashes on its own, since
+    /// the memo is copied by value at clone time). `spd-server` hashes a
+    /// tensor when it registers it, so every request's copy inherits the
+    /// hash. O(1) for all-dense tensors.
     pub fn pattern_hash(&self) -> u64 {
         *self.pattern.get_or_init(|| {
             let mut h = DefaultHasher::new();

@@ -828,6 +828,55 @@ fn row_loops_match_walker_at_lane_widths() {
     assert_tensor3_pairs_identical("striped/w32", &striped_tensor(), 32);
 }
 
+/// SDDMM's row-keyed body takes a row's positions (or a cut piece's) 8 at
+/// a time and the rest one by one. Rows of 1, 7, 8, 9 and 17 entries give
+/// a lone leftover, leftovers without a group, one group, a group and a
+/// leftover, and two groups and a leftover. The 3-color non-zero split
+/// cuts the 8-entry row after 6 entries and the 17-entry row after 3, so
+/// a cut piece meets both arms as well; the striped split cuts the
+/// 17-entry row into 8 and 9.
+#[test]
+fn sddmm_rows_meet_every_arm_of_the_chained_dot() {
+    const LENS: [i64; 5] = [1, 7, 8, 9, 17];
+    let mut coords: Vec<Vec<i64>> = Vec::new();
+    for (i, &len) in LENS.iter().enumerate() {
+        for k in 0..len {
+            coords.push(vec![i as i64, (5 * k + i as i64) % 24]);
+        }
+    }
+    let entries: Vec<&[i64]> = coords.iter().map(Vec::as_slice).collect();
+    let matrix = driver(&[5, 24], &entries);
+    let split = nonzero_partition(&matrix, 1, 3);
+    let r = |lo, hi| Rect1::new(lo, hi);
+    let cuts: Vec<Rect1> = (0..3).map(|c| split.subset(c).bounding_rect()).collect();
+    assert_eq!(cuts, [r(0, 13), r(14, 27), r(28, 41)]);
+    for width in [1, 3, 32] {
+        assert_matrix_pairs_identical(&format!("rows-1-to-17/w{width}"), &matrix, width, width);
+    }
+    // Every term of the 17-entry row's dots is `-0.0`: a lane seeded with
+    // anything but `+0.0` stores `-0.0`·v where the walker stores `+0.0`.
+    let kdim = 3;
+    let mut c = generate::dense_vec(5 * kdim, 7);
+    c[4 * kdim..].fill(-0.0);
+    let d: Vec<f64> = generate::dense_vec(kdim * 24, 9)
+        .iter()
+        .map(|x| x.abs() + 0.5)
+        .collect();
+    for (fname, t) in matrix_formats(&matrix) {
+        let SpecializedKernel::Sddmm(f) = blessed(&LeafKernel::Sddmm { kdim }, &t, fname) else {
+            panic!("Sddmm {fname}: wrong table variant");
+        };
+        assert_leaf_identical(
+            &t,
+            &LeafKernel::Sddmm { kdim },
+            t.num_stored(),
+            &|t, p, col, sp, o| matrix::sddmm_color(t, p, col, sp, &c, &d, kdim, 24, o),
+            &|t, p, col, sp, o| f(t, p, col, sp, &c, &d, kdim, 24, o),
+            &format!("Sddmm negative-zero row/{fname}"),
+        );
+    }
+}
+
 /// Strategy: an arbitrary small sparse matrix in CSR (mirrors
 /// `tests/properties.rs`).
 fn arb_matrix() -> impl Strategy<Value = SpTensor> {
