@@ -217,6 +217,24 @@ read -r features unsafes <<<"$counts"
 if [ "$features" != 1 ] || [ "$unsafes" -gt 3 ]; then
   echo "crates/client/src has $features #[target_feature functions and $unsafes unsafe sites outside tests: one AVX2 codec arm, at most 3 sites"; exit 1
 fi
+# One reader, one socket type: both ends of the wire poll the one
+# `FrameReader` and hold a `Box<dyn Socket>`. The client's blocking reader
+# and its exact-read helper, and the server's TCP/UDS `Conn` enum with its
+# hand-delegated `Read`, stay gone, and no second reader's `poll` appears.
+if grep -rnE 'fn (read_frame_into|read_exact_or_eof)\b' crates/client/src ||
+  grep -rnE 'Conn::(Tcp|Uds)|impl Read for' crates/server/src; then
+  echo "a second frame reader or socket type is back: poll FrameReader over a Box<dyn Socket>"; exit 1
+fi
+polls="$(git ls-files 'crates/*/src/*.rs' | xargs awk '
+    FNR == 1 { t = 0; p = "" }
+    t { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+    { p = $0 }
+    /^[[:space:]]*\/\// { next }
+    /fn poll\(/ { print FILENAME ":" FNR ": " $0 }')"
+if [ "$(grep -c . <<<"$polls")" -gt 1 ]; then
+  echo "$polls"; echo "more than one fn poll( outside tests: frames have one reader (frame::FrameReader)"; exit 1
+fi
 # One trace event per window: a span, a launch and a flush each record once,
 # stamped at the window's start and carrying its `dur_ns`, so the exporter
 # pairs nothing and a full ring cannot leave half a window. The begin/end

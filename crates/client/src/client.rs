@@ -1,15 +1,16 @@
 //! The blocking client: connect, register tensors, stream a submission's
 //! events, fetch reports, request shutdown.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::path::Path;
+use std::time::Duration;
 
 use spdistal_sparse::{CoordDelta, SpTensor};
 
-use crate::frame::{read_frame_into, FrameBuf, FrameError, DEFAULT_MAX_FRAME};
+use crate::frame::{FrameBuf, FrameError, FrameReader, DEFAULT_MAX_FRAME};
 use crate::proto::{tensor_to_wire, Event, ProtoError, Request, StmtSpec};
 
 /// Why a client call failed.
@@ -74,17 +75,40 @@ pub struct SubmitOutcome {
     pub wall_seconds: f64,
 }
 
-trait Stream: Read + Write + Send {}
-impl<T: Read + Write + Send> Stream for T {}
+/// A connected TCP or Unix-domain stream: what both ends of the wire hold,
+/// boxed, whichever endpoint they speak over.
+pub trait Socket: Read + Write + Send {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+impl Socket for TcpStream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, timeout)
+    }
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_write_timeout(self, timeout)
+    }
+}
+
+#[cfg(unix)]
+impl Socket for UnixStream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        UnixStream::set_read_timeout(self, timeout)
+    }
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        UnixStream::set_write_timeout(self, timeout)
+    }
+}
 
 /// A blocking connection to an `spd-server`.
 pub struct Client {
-    conn: Box<dyn Stream>,
+    conn: Box<dyn Socket>,
     max_frame: usize,
     /// The frame each request is encoded into and sent from.
     out: FrameBuf,
-    /// The frame each event is read into and decoded from.
-    inbuf: Vec<u8>,
+    /// The reader each event is read by and decoded from.
+    reader: FrameReader,
 }
 
 impl Client {
@@ -102,12 +126,12 @@ impl Client {
         Ok(Client::over(Box::new(UnixStream::connect(path)?)))
     }
 
-    fn over(conn: Box<dyn Stream>) -> Client {
+    fn over(conn: Box<dyn Socket>) -> Client {
         Client {
             conn,
             max_frame: DEFAULT_MAX_FRAME,
             out: FrameBuf::default(),
-            inbuf: Vec::new(),
+            reader: FrameReader::new(),
         }
     }
 
@@ -129,10 +153,13 @@ impl Client {
         self.send(req)
     }
 
-    /// Read the next event, decoded straight from the reused frame.
+    /// Read the next event, decoded straight from the reader's buffer.
     fn recv(&mut self) -> Result<Event, ClientError> {
-        let payload = read_frame_into(&mut self.conn, self.max_frame, &mut self.inbuf)?;
-        Ok(Event::parse(payload)?)
+        loop {
+            if let Some(payload) = self.reader.poll(&mut self.conn, self.max_frame)? {
+                return Ok(Event::parse(payload)?);
+            }
+        }
     }
 
     fn expect_ok(&mut self) -> Result<(), ClientError> {
@@ -182,43 +209,14 @@ impl Client {
         stmts: &[(&str, &str)],
         iters: usize,
         pipelined: bool,
-        mut on_event: impl FnMut(&Event),
+        on_event: impl FnMut(&Event),
     ) -> Result<SubmitOutcome, ClientError> {
         self.send(&Request::Submit {
-            stmts: stmts
-                .iter()
-                .map(|(tin, schedule)| StmtSpec {
-                    tin: tin.to_string(),
-                    schedule: schedule.to_string(),
-                })
-                .collect(),
+            stmts: stmt_specs(stmts),
             iters,
             pipelined,
         })?;
-        let mut outcome = SubmitOutcome::default();
-        loop {
-            let ev = self.recv()?;
-            on_event(&ev);
-            match ev {
-                Event::Result { stmt, vals } => outcome.results.push((stmt, vals)),
-                Event::Done {
-                    iterations,
-                    compiles,
-                    cache_hits,
-                    wall_seconds,
-                } => {
-                    outcome.iterations = iterations;
-                    outcome.compiles = compiles;
-                    outcome.cache_hits = cache_hits;
-                    outcome.wall_seconds = wall_seconds;
-                    return Ok(outcome);
-                }
-                Event::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                _ => {}
-            }
-        }
+        self.outcome(on_event)
     }
 
     /// Queue a delta batch against a tensor registered on this
@@ -242,17 +240,17 @@ impl Client {
     pub fn submit_incremental(
         &mut self,
         stmts: &[(&str, &str)],
-        mut on_event: impl FnMut(&Event),
+        on_event: impl FnMut(&Event),
     ) -> Result<SubmitOutcome, ClientError> {
         self.send(&Request::RunIncremental {
-            stmts: stmts
-                .iter()
-                .map(|(tin, schedule)| StmtSpec {
-                    tin: tin.to_string(),
-                    schedule: schedule.to_string(),
-                })
-                .collect(),
+            stmts: stmt_specs(stmts),
         })?;
+        self.outcome(on_event)
+    }
+
+    /// Stream a submission's events into `on_event` until its terminal
+    /// `done` or `error`.
+    fn outcome(&mut self, mut on_event: impl FnMut(&Event)) -> Result<SubmitOutcome, ClientError> {
         let mut outcome = SubmitOutcome::default();
         loop {
             let ev = self.recv()?;
@@ -293,5 +291,96 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         self.send(&Request::Shutdown)?;
         self.expect_ok()
+    }
+}
+
+fn stmt_specs(stmts: &[(&str, &str)]) -> Vec<StmtSpec> {
+    stmts
+        .iter()
+        .map(|(tin, schedule)| StmtSpec {
+            tin: tin.to_string(),
+            schedule: schedule.to_string(),
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::write_frame;
+    use std::collections::VecDeque;
+
+    /// A server's side of a connection: each read hands out the next
+    /// scripted chunk whole; what the client writes is dropped.
+    struct Replay(VecDeque<Vec<u8>>);
+
+    impl Read for Replay {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl Write for Replay {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Socket for Replay {
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_write_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_result_and_done_in_one_read_give_the_outcome_of_two_reads() {
+        let frame = |ev: Event| {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, ev.to_json().as_bytes()).unwrap();
+            wire
+        };
+        let result = frame(Event::Result {
+            stmt: 0,
+            vals: vec![1.5, -0.0, f64::NAN, 3.0],
+        });
+        let done = frame(Event::Done {
+            iterations: 2,
+            compiles: 1,
+            cache_hits: 3,
+            wall_seconds: 0.25,
+        });
+        let submit = |chunks: Vec<Vec<u8>>| {
+            let mut events = Vec::new();
+            let outcome = Client::over(Box::new(Replay(chunks.into())))
+                .submit(&[("a(i) = B(i,j) * c(j)", "auto")], 2, true, |ev| {
+                    events.push(ev.to_json())
+                })
+                .unwrap();
+            let values = |(stmt, vals): &(usize, Vec<f64>)| {
+                (*stmt, vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            let summary = (
+                outcome.results.iter().map(values).collect::<Vec<_>>(),
+                outcome.iterations,
+                outcome.compiles,
+                outcome.cache_hits,
+                outcome.wall_seconds.to_bits(),
+            );
+            (summary, events)
+        };
+        let two_reads = submit(vec![result.clone(), done.clone()]);
+        assert_eq!(submit(vec![[result, done].concat()]), two_reads);
+        assert_eq!(two_reads.0 .1, 2);
+        assert_eq!(two_reads.1.len(), 2);
     }
 }

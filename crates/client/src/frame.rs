@@ -6,12 +6,13 @@
 //! behind them, sent with one `write_all` ([`write_frame`] sends a payload
 //! that already exists through one).
 //!
-//! Two readers are provided: blocking [`read_frame_into`] for clients,
-//! which reads each frame into the caller's reused buffer ([`read_frame`]
-//! into a fresh one), and the incremental [`FrameReader`] for servers that
-//! poll a shutdown flag — it accumulates partial reads across timeouts
-//! without ever losing frame sync, and surfaces truncation/oversize as
-//! typed [`FrameError`]s instead of protocol desync.
+//! One reader: a [`FrameReader`] is a connection's reused read buffer,
+//! polled by the client (blocking) and the server (against a read timeout,
+//! so it can check its shutdown flag): it accumulates partial reads across
+//! timeouts without ever losing frame sync, returns each payload borrowed
+//! from its buffer, and surfaces truncation/oversize as typed
+//! [`FrameError`]s instead of protocol desync ([`read_frame`] reads one
+//! frame with a fresh one).
 
 use std::io::{self, Read, Write};
 
@@ -122,122 +123,95 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     frame.send(w)
 }
 
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(got)
-}
-
-/// Blocking read of one whole frame into `buf`, reused across frames: the
-/// payload is the slice returned (`buf` only grows, so a frame no larger
-/// than an earlier one is read without touching the rest). Payloads over
-/// `max` bytes error without being read (the connection is no longer in
-/// sync after an `Oversized` error — close it).
-pub fn read_frame_into<'b>(
-    r: &mut impl Read,
-    max: usize,
-    buf: &'b mut Vec<u8>,
-) -> Result<&'b [u8], FrameError> {
-    let mut header = [0u8; 4];
-    match read_exact_or_eof(r, &mut header)? {
-        0 => return Err(FrameError::Closed),
-        4 => {}
-        got => return Err(FrameError::Truncated { expected: 4, got }),
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > max {
-        return Err(FrameError::Oversized { len, max });
-    }
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    match read_exact_or_eof(r, &mut buf[..len])? {
-        got if got == len => Ok(&buf[..len]),
-        got => Err(FrameError::Truncated { expected: len, got }),
-    }
-}
-
-/// [`read_frame_into`] a fresh buffer.
+/// One frame read by a fresh [`FrameReader`], copied out. A fresh reader
+/// holds no buffer, so it reads exactly the frame's bytes and leaves the
+/// rest of `r` unread: successive calls read successive frames. A read
+/// timeout (`WouldBlock`/`TimedOut`) is returned as [`FrameError::Io`].
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameError> {
-    let mut payload = Vec::new();
-    read_frame_into(r, max, &mut payload)?;
-    Ok(payload)
+    match FrameReader::default().poll(r, max)? {
+        Some(payload) => Ok(payload.to_vec()),
+        None => Err(FrameError::Io(io::ErrorKind::WouldBlock.into())),
+    }
 }
 
-/// An incremental frame accumulator for readers with a read timeout.
+/// The one frame reader, blocking or polled against a read timeout.
 ///
 /// [`FrameReader::poll`] returns `Ok(Some(payload))` once a whole frame
-/// is buffered, `Ok(None)` when the underlying read timed out
-/// (`WouldBlock`/`TimedOut`) mid-frame — the caller checks its shutdown
-/// flag and polls again — and `Err` on EOF, an oversized header, or any
-/// other I/O error.
+/// is buffered, the payload borrowed from the reader until the next poll;
+/// `Ok(None)` when the underlying read timed out (`WouldBlock`/`TimedOut`)
+/// mid-frame, with what arrived kept, so the caller can check its
+/// shutdown flag and poll again without losing frame sync; and `Err` on
+/// EOF, an oversized header (before its payload is read) or any other
+/// I/O error. `Interrupted` reads are retried.
+///
+/// Each read fills the buffer's spare length (16 KiB at least once
+/// [`FrameReader::new`] made it), so a small frame costs one read, and
+/// bytes past a frame wait in the buffer for the next poll. The buffer is
+/// reused across frames; one grown past 1 MiB for a frame is let go of
+/// before the next read, as a [`FrameBuf`] is after its send.
 #[derive(Default)]
 pub struct FrameReader {
+    /// `buf[start..end]` arrived and is not returned yet; `buf[end..]` is
+    /// room for the next read.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
+
+/// The buffer [`FrameReader::new`] starts with.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl FrameReader {
     pub fn new() -> FrameReader {
-        FrameReader::default()
-    }
-
-    /// Bytes expected for the frame currently being accumulated (header
-    /// size until the header is complete).
-    fn expected(&self) -> usize {
-        if self.buf.len() < 4 {
-            4
-        } else {
-            let mut header = [0u8; 4];
-            header.copy_from_slice(&self.buf[..4]);
-            4 + u32::from_be_bytes(header) as usize
+        FrameReader {
+            buf: vec![0; READ_CHUNK],
+            ..FrameReader::default()
         }
-    }
-
-    fn take_frame(&mut self, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let mut header = [0u8; 4];
-        header.copy_from_slice(&self.buf[..4]);
-        let len = u32::from_be_bytes(header) as usize;
-        if len > max {
-            return Err(FrameError::Oversized { len, max });
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some(payload))
     }
 
     /// Pull bytes from `r` until a whole frame is buffered or the read
     /// would block. See the type docs for the return contract.
-    pub fn poll(&mut self, r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
-        let mut chunk = [0u8; 16 * 1024];
+    pub fn poll(&mut self, r: &mut impl Read, max: usize) -> Result<Option<&[u8]>, FrameError> {
         loop {
-            if let Some(frame) = self.take_frame(max)? {
-                return Ok(Some(frame));
-            }
-            match r.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(if self.buf.is_empty() {
-                        FrameError::Closed
-                    } else {
-                        FrameError::Truncated {
-                            expected: self.expected(),
-                            got: self.buf.len(),
-                        }
-                    })
+            let (start, got) = (self.start, self.end - self.start);
+            let want = if got < 4 {
+                4
+            } else {
+                let header = self.buf[start..start + 4].try_into().unwrap();
+                let len = u32::from_be_bytes(header) as usize;
+                if len > max {
+                    return Err(FrameError::Oversized { len, max });
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                if got >= 4 + len {
+                    self.start += 4 + len;
+                    return Ok(Some(&self.buf[start + 4..start + 4 + len]));
+                }
+                4 + len
+            };
+            // Make room for the rest of this frame: what arrived of it
+            // moves to the front, and a buffer grown past KEEP_CAPACITY
+            // for an earlier frame is let go of.
+            self.buf.copy_within(start..self.end, 0);
+            (self.start, self.end) = (0, got);
+            if self.buf.capacity() > KEEP_CAPACITY && want <= KEEP_CAPACITY {
+                self.buf.truncate(want.max(READ_CHUNK));
+                self.buf.shrink_to_fit();
+            }
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            match r.read(&mut self.buf[got..]) {
+                Ok(0) if got == 0 => return Err(FrameError::Closed),
+                Ok(0) => {
+                    // Count the part that came short: the header or the payload.
+                    let (expected, got) = if got < 4 {
+                        (4, got)
+                    } else {
+                        (want - 4, got - 4)
+                    };
+                    return Err(FrameError::Truncated { expected, got });
+                }
+                Ok(n) => self.end += n,
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -246,7 +220,7 @@ impl FrameReader {
                 {
                     return Ok(None)
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }
@@ -256,6 +230,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use std::io::Cursor;
 
     #[test]
@@ -368,6 +343,73 @@ mod tests {
         assert_eq!((w.wire, frame.buf.capacity()), (framed(&big), 0));
     }
 
+    /// A reader that hands out a scripted sequence of reads: each step
+    /// delivers its bytes (as many as fit; the rest are the next step) or
+    /// fails with its error kind. Past the script: EOF. Counts its calls.
+    struct Script {
+        steps: VecDeque<Result<Vec<u8>, io::ErrorKind>>,
+        reads: usize,
+    }
+
+    impl Script {
+        fn new(steps: impl IntoIterator<Item = Result<Vec<u8>, io::ErrorKind>>) -> Script {
+            Script {
+                steps: steps.into_iter().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.steps.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// What a reader makes of a stream: each frame, then the error that
+    /// ended it, as text (timeouts are polled again).
+    type Frames = Vec<Result<Vec<u8>, String>>;
+
+    fn polled(reader: &mut FrameReader, r: &mut impl Read, max: usize) -> Frames {
+        let mut frames = Vec::new();
+        loop {
+            match reader.poll(r, max) {
+                Ok(Some(payload)) => frames.push(Ok(payload.to_vec())),
+                Ok(None) => {}
+                Err(e) => {
+                    frames.push(Err(e.to_string()));
+                    return frames;
+                }
+            }
+        }
+    }
+
+    /// The same, by [`read_frame`] over the bytes in one piece.
+    fn read_frames(mut wire: &[u8], max: usize) -> Frames {
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(&mut wire, max) {
+                Ok(payload) => frames.push(Ok(payload)),
+                Err(e) => {
+                    frames.push(Err(e.to_string()));
+                    return frames;
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_reused_read_buffer_returns_each_frame_whatever_it_held() {
         let mut wire = Vec::new();
@@ -379,20 +421,95 @@ mod tests {
         ] {
             write_frame(&mut wire, payload).unwrap();
         }
-        let mut r = Cursor::new(wire);
-        let mut buf = Vec::new();
-        for want in [
-            &b"a longer first frame"[..],
-            b"short",
-            b"",
-            b"a longer last frame",
+        let frames = polled(&mut FrameReader::new(), &mut Cursor::new(&wire), 64);
+        assert_eq!(frames, read_frames(&wire, 64));
+        assert_eq!(frames.len(), 5);
+        assert_eq!(frames[4], Err(FrameError::Closed.to_string()));
+    }
+
+    #[test]
+    fn two_frames_in_one_read_come_back_in_order_and_are_read_once() {
+        let wire = [framed(b"abc"), framed(b"defg")].concat();
+        let mut r = Script::new([Ok(wire.clone())]);
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.poll(&mut r, 64).unwrap(), Some(&b"abc"[..]));
+        assert_eq!(reader.poll(&mut r, 64).unwrap(), Some(&b"defg"[..]));
+        assert_eq!(r.reads, 1, "the second frame came with the first read");
+        let mut r = Script::new([Ok(wire.clone())]);
+        assert_eq!(
+            polled(&mut FrameReader::new(), &mut r, 64),
+            read_frames(&wire, 64)
+        );
+        assert_eq!(r.reads, 2, "one read for both frames, one for the EOF");
+    }
+
+    #[test]
+    fn a_header_split_across_reads_and_an_interrupted_payload_keep_frame_sync() {
+        let wire = [framed(b"hello"), framed(b"world!")].concat();
+        let split = |cuts: &[usize], interrupt: bool| {
+            let mut steps = Vec::new();
+            let mut at = 0;
+            for &cut in cuts.iter().chain([&wire.len()]) {
+                steps.push(Ok(wire[at..cut].to_vec()));
+                if interrupt {
+                    steps.push(Err(io::ErrorKind::Interrupted));
+                }
+                at = cut;
+            }
+            Script::new(steps)
+        };
+        // 2 + 2 header bytes; then 3 header bytes, an interrupt and the
+        // rest; then interrupts between the payload bytes of both frames.
+        for (cuts, interrupt) in [
+            (&[2, 4][..], false),
+            (&[9, 12][..], true),
+            (&[6, 7, 8, 15, 17][..], true),
         ] {
-            assert_eq!(read_frame_into(&mut r, 64, &mut buf).unwrap(), want);
+            let frames = polled(&mut FrameReader::new(), &mut split(cuts, interrupt), 64);
+            assert_eq!(frames, read_frames(&wire, 64), "cut at {cuts:?}");
         }
-        assert!(matches!(
-            read_frame_into(&mut r, 64, &mut buf),
-            Err(FrameError::Closed)
-        ));
+    }
+
+    #[test]
+    fn a_frame_of_max_bytes_is_read_and_one_over_is_not() {
+        let max = 64;
+        let at_max = framed(&[b'x'; 64]);
+        let frames = polled(&mut FrameReader::new(), &mut Cursor::new(&at_max), max);
+        assert_eq!(frames, read_frames(&at_max, max));
+        assert_eq!(frames[0], Ok(vec![b'x'; 64]));
+        // One over: refused on its header, the payload never read.
+        let over = framed(&[b'x'; 65]);
+        let mut r = Script::new([Ok(over[..4].to_vec()), Ok(over[4..].to_vec())]);
+        let frames = polled(&mut FrameReader::new(), &mut r, max);
+        assert_eq!(frames, read_frames(&over, max));
+        assert_eq!(
+            frames,
+            [Err(FrameError::Oversized { len: 65, max }.to_string())]
+        );
+        assert_eq!((r.reads, r.steps.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_large_frame_is_let_go_of_after_it_is_consumed() {
+        // Just under the cap (a 932 352-byte registration is): kept.
+        let mut reader = FrameReader::new();
+        let small = framed(b"next");
+        let wire = [framed(&vec![b'x'; KEEP_CAPACITY - 4]), small.clone()].concat();
+        let mut r = Cursor::new(&wire);
+        assert_eq!(
+            reader.poll(&mut r, usize::MAX).unwrap().unwrap().len(),
+            KEEP_CAPACITY - 4
+        );
+        assert_eq!(reader.poll(&mut r, usize::MAX).unwrap(), Some(&b"next"[..]));
+        assert!(reader.buf.capacity() >= KEEP_CAPACITY);
+        // Over it: read whole, then let go of before the next read.
+        let mut reader = FrameReader::new();
+        let big = vec![b'x'; KEEP_CAPACITY + 1];
+        let mut r = Script::new([Ok([framed(&big), small].concat())]);
+        assert_eq!(reader.poll(&mut r, usize::MAX).unwrap(), Some(&big[..]));
+        assert!(reader.buf.capacity() > KEEP_CAPACITY);
+        assert_eq!(reader.poll(&mut r, usize::MAX).unwrap(), Some(&b"next"[..]));
+        assert_eq!(reader.buf.capacity(), READ_CHUNK);
     }
 
     #[test]
@@ -470,7 +587,7 @@ mod tests {
         let mut frames = Vec::new();
         loop {
             match fr.poll(&mut r, 64) {
-                Ok(Some(f)) => frames.push(f),
+                Ok(Some(f)) => frames.push(f.to_vec()),
                 Ok(None) => continue, // timeout: caller would check shutdown
                 Err(FrameError::Closed) => break,
                 Err(e) => panic!("unexpected {e}"),
@@ -484,14 +601,17 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"abcdef").unwrap();
         wire.truncate(7); // header + 3 of 6 payload bytes
-        let mut r = Cursor::new(wire);
         let mut fr = FrameReader::new();
         assert!(matches!(
-            fr.poll(&mut r, 64),
+            fr.poll(&mut Cursor::new(&wire), 64),
             Err(FrameError::Truncated {
-                expected: 10,
-                got: 7
+                expected: 6,
+                got: 3
             })
         ));
+        assert_eq!(
+            polled(&mut FrameReader::new(), &mut Cursor::new(&wire), 64),
+            read_frames(&wire, 64)
+        );
     }
 }

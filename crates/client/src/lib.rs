@@ -11,10 +11,8 @@ pub mod client;
 pub mod frame;
 pub mod proto;
 
-pub use client::{Client, ClientError, SubmitOutcome};
-pub use frame::{
-    read_frame, read_frame_into, write_frame, FrameBuf, FrameError, FrameReader, DEFAULT_MAX_FRAME,
-};
+pub use client::{Client, ClientError, Socket, SubmitOutcome};
+pub use frame::{read_frame, write_frame, FrameBuf, FrameError, FrameReader, DEFAULT_MAX_FRAME};
 pub use proto::{
     format_by_name, tensor_from_wire, tensor_to_wire, Event, ProtoError, Request, StmtSpec,
 };

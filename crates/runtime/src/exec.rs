@@ -510,9 +510,10 @@ impl Runtime {
         Ok(())
     }
 
-    /// Drop `proc`'s copy of `subset` of `r`, releasing memory. Used by
-    /// memory-conserving schedules (e.g. SpDISTAL-Batched SpMM) that stream
-    /// data in rounds.
+    /// Drop `proc`'s copy of `subset` of `r`, releasing memory. Only tests
+    /// call it: the coherence and launch-replay oracles, and a
+    /// `dist_tensor` test's setup. (SpDISTAL-Batched SpMM does not: its
+    /// rounds are costed in `BspModel` by `run_spdistal_spmm_batched`.)
     pub fn evict(&mut self, r: RegionId, proc: usize, subset: &IntervalSet) {
         let v = &mut self.valid[r.0 as usize][proc];
         let (dropped, _) = v.intersect_count(subset);

@@ -31,10 +31,10 @@
 //! job, joins all threads, optionally writes the Chrome trace, and — for
 //! a UDS endpoint — unlinks the socket path.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,6 +45,7 @@ use spdistal::prelude::*;
 use spdistal::OutputValue;
 use spdistal_client::frame::{FrameBuf, FrameError, FrameReader, DEFAULT_MAX_FRAME};
 use spdistal_client::proto::{format_by_name, tensor_from_wire, Event, Request, StmtSpec};
+use spdistal_client::Socket;
 use spdistal_ir::{parse_tin, VarCtx};
 use spdistal_sparse::{CoordDelta, LevelFormat, SpTensor};
 
@@ -124,25 +125,19 @@ impl Listener {
         }
     }
 
-    fn accept(&self) -> io::Result<Conn> {
+    fn accept(&self) -> io::Result<Box<dyn Socket>> {
         match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| {
                 // A frame is a whole message: never hold one back for
                 // Nagle's coalescing timer. Failing to set it costs
                 // latency, not correctness.
                 let _ = s.set_nodelay(true);
-                Conn::Tcp(s)
+                Box::new(s) as Box<dyn Socket>
             }),
             #[cfg(unix)]
-            Listener::Uds(l, _) => l.accept().map(|(s, _)| Conn::Uds(s)),
+            Listener::Uds(l, _) => l.accept().map(|(s, _)| Box::new(s) as Box<dyn Socket>),
         }
     }
-}
-
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
 }
 
 /// How long a connection thread waits for a frame before it re-checks
@@ -156,31 +151,13 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// accepts (32 MiB) at 6.7 MB/s.
 const FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
-impl Conn {
-    fn set_read_poll(&self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(READ_POLL)),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.set_read_timeout(Some(READ_POLL)),
-        }
-    }
-
-    fn set_write_timeout(&self, timeout: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_write_timeout(Some(timeout)),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.set_write_timeout(Some(timeout)),
-        }
-    }
-}
-
 /// A connection's write side while it writes one frame: each `write` may
 /// block only for the time left until `deadline`, and fails `TimedOut`
 /// once none is left. A write that times out after moving some bytes
 /// returns them and `write_all` retries, so the deadline, not any one
 /// call's timeout, bounds the frame.
 struct FrameWriter<'a> {
-    conn: &'a mut Conn,
+    conn: &'a mut dyn Socket,
     deadline: Instant,
 }
 
@@ -193,7 +170,7 @@ impl Write for FrameWriter<'_> {
                 "frame write deadline passed",
             ));
         }
-        self.conn.set_write_timeout(left)?;
+        self.conn.set_write_timeout(Some(left))?;
         self.conn.write(buf)
     }
 
@@ -203,37 +180,9 @@ impl Write for FrameWriter<'_> {
 }
 
 /// Write the frame `frame` holds to `conn` within [`FRAME_DEADLINE`].
-fn send_frame(conn: &mut Conn, frame: &mut FrameBuf) -> io::Result<()> {
+fn send_frame(conn: &mut dyn Socket, frame: &mut FrameBuf) -> io::Result<()> {
     let deadline = Instant::now() + FRAME_DEADLINE;
     frame.send(&mut FrameWriter { conn, deadline })
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.flush(),
-        }
-    }
 }
 
 /// Why one connection ended abnormally (the server keeps serving either
@@ -510,7 +459,7 @@ fn error_event(code: &str, err: &dyn std::fmt::Display) -> Event {
 }
 
 /// Encode `ev` into the connection's reused frame and send it.
-fn send_event(conn: &mut Conn, frame: &mut FrameBuf, ev: &Event) -> io::Result<()> {
+fn send_event(conn: &mut dyn Socket, frame: &mut FrameBuf, ev: &Event) -> io::Result<()> {
     ev.write_json(frame.payload());
     send_frame(conn, frame)
 }
@@ -526,6 +475,15 @@ fn schedule_by_name(name: &str) -> Option<ScheduleSpec> {
         "non-zero" => ScheduleSpec::nonzero(),
         _ => return None,
     })
+}
+
+/// Whether `coord` has the arity of `dims` and lies inside them.
+fn inside(coord: &[i64], dims: &[usize]) -> bool {
+    coord.len() == dims.len()
+        && coord
+            .iter()
+            .zip(dims)
+            .all(|(c, d)| (0..*d as i64).contains(c))
 }
 
 /// Validate and materialize one registration into the connection's tensor
@@ -566,12 +524,7 @@ fn register_tensor(
         );
     }
     for coord in coords {
-        if coord.len() != dims.len()
-            || coord
-                .iter()
-                .zip(&dims)
-                .any(|(c, d)| *c < 0 || *c >= *d as i64)
-        {
+        if !inside(coord, &dims) {
             return error_event(
                 "bad_tensor",
                 &format!("coordinate {coord:?} outside dims {dims:?}"),
@@ -603,12 +556,7 @@ fn queue_update_batch(
     };
     let dims = data.dims();
     for d in &deltas {
-        if d.coord.len() != dims.len()
-            || d.coord
-                .iter()
-                .zip(dims)
-                .any(|(c, dim)| *c < 0 || *c >= *dim as i64)
-        {
+        if !inside(&d.coord, dims) {
             return error_event(
                 "bad_tensor",
                 &format!("delta coordinate {:?} outside dims {dims:?}", d.coord),
@@ -620,14 +568,14 @@ fn queue_update_batch(
 }
 
 fn handle_conn(
-    mut conn: Conn,
+    mut conn: Box<dyn Socket>,
     engine: &Engine,
     queue: &Arc<AdmissionQueue<Job>>,
     stop: &Arc<AtomicBool>,
     max_frame: usize,
     conn_id: u64,
 ) -> Result<(), ConnError> {
-    let _ = conn.set_read_poll();
+    let _ = conn.set_read_timeout(Some(READ_POLL));
     let mut reader = FrameReader::new();
     // Every event this connection answers is encoded into this one frame.
     let mut frame = FrameBuf::default();
@@ -639,7 +587,7 @@ fn handle_conn(
     // Answer-path sends must reach the peer; a failure is a disconnect.
     macro_rules! answer {
         ($ev:expr) => {
-            send_event(&mut conn, &mut frame, &$ev).map_err(|source| ConnError::Disconnected {
+            send_event(&mut *conn, &mut frame, &$ev).map_err(|source| ConnError::Disconnected {
                 during: "response",
                 source,
             })?
@@ -654,17 +602,17 @@ fn handle_conn(
             Ok(None) => continue, // read timeout: re-check shutdown
             Err(FrameError::Closed) => return Ok(()),
             Err(e @ FrameError::Truncated { .. }) => {
-                let _ = send_event(&mut conn, &mut frame, &error_event("truncated_frame", &e));
+                let _ = send_event(&mut *conn, &mut frame, &error_event("truncated_frame", &e));
                 return Err(ConnError::Frame(e));
             }
             Err(e @ FrameError::Oversized { .. }) => {
-                let _ = send_event(&mut conn, &mut frame, &error_event("frame_too_large", &e));
+                let _ = send_event(&mut *conn, &mut frame, &error_event("frame_too_large", &e));
                 return Err(ConnError::Frame(e));
             }
             Err(e) => return Err(ConnError::Frame(e)),
         };
         let decode_started = Instant::now();
-        let request = match Request::parse(&payload) {
+        let request = match Request::parse(payload) {
             Ok(r) => r,
             Err(e) => {
                 // Framing is still in sync — report and keep serving this
@@ -788,7 +736,7 @@ fn handle_conn(
                             let t0 = Instant::now();
                             ev.write_json(frame.payload());
                             let t1 = Instant::now();
-                            send_frame(&mut conn, &mut frame).map_err(|source| {
+                            send_frame(&mut *conn, &mut frame).map_err(|source| {
                                 ConnError::Disconnected {
                                     during: "submission event stream",
                                     source,
@@ -808,7 +756,7 @@ fn handle_conn(
                 });
             }
             Request::Shutdown => {
-                let _ = send_event(&mut conn, &mut frame, &Event::Ok);
+                let _ = send_event(&mut *conn, &mut frame, &Event::Ok);
                 stop.store(true, Ordering::SeqCst);
                 return Ok(());
             }
@@ -1151,6 +1099,7 @@ mod tests {
     fn a_refused_incremental_run_keeps_its_delta_batches() {
         use spdistal_client::proto::tensor_to_wire;
         use spdistal_client::{read_frame, write_frame};
+        use std::os::unix::net::UnixStream;
 
         let engine = engine();
         let queue = Arc::new(AdmissionQueue::new(1));
@@ -1160,7 +1109,7 @@ mod tests {
             let (engine, queue, stop) = (engine.clone(), Arc::clone(&queue), Arc::clone(&stop));
             std::thread::spawn(move || {
                 handle_conn(
-                    Conn::Uds(server),
+                    Box::new(server),
                     &engine,
                     &queue,
                     &stop,
