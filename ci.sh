@@ -220,20 +220,15 @@ fi
 # One reader, one socket type: both ends of the wire poll the one
 # `FrameReader` and hold a `Box<dyn Socket>`. The client's blocking reader
 # and its exact-read helper, and the server's TCP/UDS `Conn` enum with its
-# hand-delegated `Read`, stay gone, and no second reader's `poll` appears.
+# hand-delegated `Read`, stay gone, and the serving crates define one
+# `fn poll(`, the reader's.
 if grep -rnE 'fn (read_frame_into|read_exact_or_eof)\b' crates/client/src ||
   grep -rnE 'Conn::(Tcp|Uds)|impl Read for' crates/server/src; then
   echo "a second frame reader or socket type is back: poll FrameReader over a Box<dyn Socket>"; exit 1
 fi
-polls="$(git ls-files 'crates/*/src/*.rs' | xargs awk '
-    FNR == 1 { t = 0; p = "" }
-    t { next }
-    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
-    { p = $0 }
-    /^[[:space:]]*\/\// { next }
-    /fn poll\(/ { print FILENAME ":" FNR ": " $0 }')"
+polls="$(grep -rn 'fn poll(' crates/client/src crates/server/src)"
 if [ "$(grep -c . <<<"$polls")" -gt 1 ]; then
-  echo "$polls"; echo "more than one fn poll( outside tests: frames have one reader (frame::FrameReader)"; exit 1
+  echo "$polls"; echo "more than one fn poll( in the client and server crates: frames have one reader (frame::FrameReader)"; exit 1
 fi
 # One trace event per window: a span, a launch and a flush each record once,
 # stamped at the window's start and carrying its `dur_ns`, so the exporter

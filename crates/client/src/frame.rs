@@ -146,9 +146,12 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, FrameError> 
 ///
 /// Each read fills the buffer's spare length (16 KiB at least once
 /// [`FrameReader::new`] made it), so a small frame costs one read, and
-/// bytes past a frame wait in the buffer for the next poll. The buffer is
-/// reused across frames; one grown past 1 MiB for a frame is let go of
-/// before the next read, as a [`FrameBuf`] is after its send.
+/// bytes past a frame wait in the buffer for the next poll. A frame larger
+/// than the buffer grows it by doubling what has arrived, never past the
+/// frame's end, so memory follows the bytes received rather than the
+/// length a header claims. The buffer is reused across frames; one grown
+/// past 1 MiB for a frame is let go of before the next read, as a
+/// [`FrameBuf`] is after its send.
 #[derive(Default)]
 pub struct FrameReader {
     /// `buf[start..end]` arrived and is not returned yet; `buf[end..]` is
@@ -191,14 +194,20 @@ impl FrameReader {
             // Make room for the rest of this frame: what arrived of it
             // moves to the front, and a buffer grown past KEEP_CAPACITY
             // for an earlier frame is let go of.
-            self.buf.copy_within(start..self.end, 0);
-            (self.start, self.end) = (0, got);
+            if start > 0 {
+                self.buf.copy_within(start..self.end, 0);
+                (self.start, self.end) = (0, got);
+            }
             if self.buf.capacity() > KEEP_CAPACITY && want <= KEEP_CAPACITY {
-                self.buf.truncate(want.max(READ_CHUNK));
+                self.buf.truncate(got.max(READ_CHUNK));
                 self.buf.shrink_to_fit();
             }
-            if self.buf.len() < want {
-                self.buf.resize(want, 0);
+            // The buffer grows with the bytes that arrived, doubling, not
+            // with what the header claims: a peer that sends a header
+            // alone holds one chunk of memory, not the frame's length.
+            let room = want.min(READ_CHUNK.max(2 * got));
+            if self.buf.len() < room {
+                self.buf.resize(room, 0);
             }
             match r.read(&mut self.buf[got..]) {
                 Ok(0) if got == 0 => return Err(FrameError::Closed),
@@ -487,6 +496,32 @@ mod tests {
             [Err(FrameError::Oversized { len: 65, max }.to_string())]
         );
         assert_eq!((r.reads, r.steps.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_header_alone_does_not_size_the_buffer() {
+        // A header claiming the default cap, then nothing: one chunk held.
+        let max = DEFAULT_MAX_FRAME;
+        let header = (max as u32).to_be_bytes().to_vec();
+        for mut reader in [FrameReader::new(), FrameReader::default()] {
+            let mut r = Script::new([Ok(header.clone()), Err(io::ErrorKind::WouldBlock)]);
+            assert_eq!(reader.poll(&mut r, max).unwrap(), None);
+            assert!(reader.buf.len() <= READ_CHUNK, "{}", reader.buf.len());
+        }
+        // As the payload arrives the buffer grows with it, at most twice
+        // what arrived, and the frame still comes back whole.
+        let payload = vec![b'x'; 100_000];
+        let wire = framed(&payload);
+        let mut reader = FrameReader::new();
+        let mut at = 0;
+        for cut in [4, 10_004, 40_004, wire.len()] {
+            let mut r = Script::new([Ok(wire[at..cut].to_vec()), Err(io::ErrorKind::WouldBlock)]);
+            match reader.poll(&mut r, max).unwrap() {
+                Some(frame) => assert_eq!((cut, frame), (wire.len(), &payload[..])),
+                None => assert!(reader.buf.len() <= READ_CHUNK.max(2 * cut)),
+            }
+            at = cut;
+        }
     }
 
     #[test]
