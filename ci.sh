@@ -96,6 +96,18 @@ if ! git ls-files 'crates/core/src/*.rs' | xargs awk '
     END { exit bad }'; then
   echo "levels().to_vec() in crates/core/src: share the pattern (SpTensor::with_vals)"; exit 1
 fi
+# A plan key holds the patterns it reads by reference and matches them by
+# handle, fingerprint or content (`engine::PlanKey`): nothing under
+# crates/core/src hashes a pattern, so a miss reads no array. Tests may.
+if ! git ls-files 'crates/core/src/*.rs' | xargs awk '
+    FNR == 1 { t = 0; p = "" }
+    t { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_0-9]+/ && p ~ /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1; next }
+    /pattern_hash\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0; bad = 1 }
+    { p = $0 }
+    END { exit bad }'; then
+  echo "pattern_hash( in crates/core/src: a plan key carries a fingerprint only if the tensor has one (pattern_memo)"; exit 1
+fi
 if grep -n 'dst\.copy_from_slice(src)' crates/core/src/plan.rs; then
   echo "plan.rs copies a whole output buffer: a plain write-back moves it (Context::write_back)"; exit 1
 fi

@@ -492,8 +492,8 @@ impl Described {
     /// list is a function of the plan's partitions, which follow the read
     /// tensors' patterns, and of their ids: the plan is the same `Arc` only
     /// while its key — every format and every read tensor's dims and
-    /// pattern hash — is, so an input re-registered around another pattern
-    /// re-keys it. The output is not read: what the describe holds of it,
+    /// pattern arrays, compared by handle, fingerprint or content — matches,
+    /// so an input re-registered around another pattern re-keys it. The output is not read: what the describe holds of it,
     /// the claims over its whole regions, is checked by length.
     pub(crate) fn rebind(&self, ctx: &Context, plan: &Arc<Plan>) -> bool {
         let same = |(name, then): (&String, &TensorRegions)| {

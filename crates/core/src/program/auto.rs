@@ -296,7 +296,8 @@ impl CompiledProgram {
                 continue;
             }
             self.stmts[k].tuned = true;
-            let plan = self.cache.peek(&self.cache_key(k).key);
+            let key = self.plan_key(k);
+            let plan = self.cache.peek(&key);
             let plan_imbalance = plan.map_or(1.0, |p| p.inputs[0].part.vals().imbalance());
             let sched = self.last_results[k].as_ref().map(|r| &r.sched);
             let (task_skew, steals) = sched.map_or((1.0, 0), |s| (s.task_skew(), s.steals));

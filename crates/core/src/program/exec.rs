@@ -3,7 +3,7 @@
 //! | Step of [`CompiledProgram::pass`] | Responsibility |
 //! |------|----------------|
 //! | schedules | ask `auto` for drift re-selection and any missing schedule |
-//! | plans | one cache lookup (or compile) per statement under its [`PlanKey`], memoised ([`KeyMemo`]): the key string is rendered again only when the selection, a named tensor's `Format`, or a read tensor's dims or pattern hash changed; a hit still goes through `PlanCache::lookup`, so hit counts and tenant attribution are unchanged |
+//! | plans | one cache lookup (or compile) per statement under its [`PlanKey`], memoised ([`KeyMemo`]): the key is built again only when the selection, a named tensor's `Format`, or a read tensor's pattern arrays changed, and reads no array; a hit keeps the entry's own key, so later lookups match it by handle, and still goes through the cache, so hit counts and tenant attribution are unchanged |
 //! | run modes | [`eligibility`]: per statement, merge into the previous output or run full — decided up front from pre-pass state, never during execution |
 //! | session | resume the last pass's record (what its session described: per statement the requirement lists, owner processors, span cuts and leaf, per batch the dependence graph — `session::PassRecord`), submit every statement with its merge seed, if any, and — while its plan key is unchanged — what its previous write-back left (the output version; for SpAdd3 also the inputs' pattern arrays), which lets the write-back go by value; one flush when pipelined, one per statement otherwise; keep the record for the next pass |
 //! | bookkeeping | move results out of the session, record retention proofs, consume dirty state, fold flush reports — once |
@@ -31,11 +31,12 @@
 //!   simulator must charge every color, which is the paper's cost model.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use spdistal_ir::{Format, ParallelUnit};
 use spdistal_runtime::Tenant;
+use spdistal_sparse::Level;
 
 use super::auto::{Chosen, ChosenKind};
 use super::{CompiledProgram, ProgramReport, ScheduleSpec};
@@ -67,12 +68,15 @@ pub(crate) struct RetainedOutput {
 }
 
 /// What a plan key is built from, per tensor a statement names: its format
-/// and — for a tensor the statement reads — its dims and pattern hash;
-/// `None` for a name nothing is registered under.
-type KeyInput = Option<(Format, Option<(Vec<usize>, u64)>)>;
+/// and — for a tensor the statement reads — its pattern arrays, held by
+/// handle (a tensor's dims change only with its arrays); `None` for a name
+/// nothing is registered under. The handle keeps the allocation, not the
+/// arrays, so no later pattern can stand at its address.
+type KeyInput = Option<(Format, Option<Weak<[Level]>>)>;
 
 /// Statement `k`'s plan key and what it was built from
-/// ([`CompiledProgram::cache_key`]).
+/// ([`CompiledProgram::cache_key`]). After a hit the key is the cache
+/// entry's own, so the next lookup matches it by handle.
 pub(super) struct KeyMemo {
     pub key: Arc<PlanKey>,
     inputs: Vec<(String, KeyInput)>,
@@ -437,48 +441,49 @@ impl CompiledProgram {
 
     /// The cache key of statement `k`'s current selection: statement text,
     /// schedule text, and per referenced tensor its format signature —
-    /// plus, for every tensor the statement *reads*, its dims and
-    /// [`pattern_hash`](spdistal_sparse::SpTensor::pattern_hash), because the plan
-    /// embeds partitions derived from exactly that. A tensor that is only
-    /// written contributes no hash, so per-run output write-backs cost
-    /// nothing here. The memo keeps what the key was built from.
+    /// plus, for every tensor the statement *reads*, its dims and its
+    /// pattern by reference ([`PlanKey::reading`]), because the plan embeds
+    /// partitions derived from exactly that. Building it reads no array: a
+    /// lookup compares patterns only against an entry of the same shape.
+    /// The memo keeps what the key was built from.
     pub(super) fn cache_key(&self, k: usize) -> KeyMemo {
         let ps = &self.stmts[k];
         let reads = ps.stmt.rhs.accesses();
-        let input = |name: String| {
-            let read = reads.iter().any(|a| a.tensor == name);
-            let input = self.ctx.tensor(&name).ok().map(|t| {
-                let read = read.then(|| (t.data.dims().to_vec(), t.data.pattern_hash()));
-                (t.format.clone(), read)
-            });
-            (name, input)
-        };
-        let inputs: Vec<(String, KeyInput)> =
-            ps.stmt.tensor_names().into_iter().map(input).collect();
-        let formats: Vec<String> = inputs
-            .iter()
-            .map(|(name, input)| match input {
-                Some((format, Some((dims, hash)))) => {
-                    format!("{name}={} @{dims:?}#{hash:016x}", format.signature())
+        let mut key = PlanKey::new(ps.stmt.to_string(), ps.schedule_text(), "");
+        let mut formats = Vec::new();
+        let mut inputs: Vec<(String, KeyInput)> = Vec::new();
+        for name in ps.stmt.tensor_names() {
+            let registered = self.ctx.tensor(&name).ok();
+            let read = registered.filter(|_| reads.iter().any(|a| a.tensor == name));
+            formats.push(match (registered, read) {
+                (Some(t), Some(_)) => {
+                    format!("{name}={} @{:?}", t.format.signature(), t.data.dims())
                 }
-                Some((format, None)) => format!("{name}={}", format.signature()),
-                None => format!("{name}=<unknown>"),
-            })
-            .collect();
-        let key = PlanKey::new(ps.stmt.to_string(), ps.schedule_text(), formats.join("; "));
-        let key = Arc::new(key);
-        KeyMemo { key, inputs }
+                (Some(t), None) => format!("{name}={}", t.format.signature()),
+                (None, _) => format!("{name}=<unknown>"),
+            });
+            if let Some(t) = read {
+                key = key.reading(&t.data);
+            }
+            let arrays = read.map(|t| Arc::downgrade(t.data.shared_levels()));
+            inputs.push((name, registered.map(|t| (t.format.clone(), arrays))));
+        }
+        key.format_sig = formats.join("; ");
+        KeyMemo {
+            key: Arc::new(key),
+            inputs,
+        }
     }
 
     /// Statement `k`'s plan key: the memoised one while every tensor it
-    /// names still has the format, dims and pattern hash it was built from
-    /// (a selection clears the memo), else [`cache_key`](Self::cache_key)
-    /// afresh.
-    fn plan_key(&mut self, k: usize) -> Arc<PlanKey> {
+    /// names still has the format and pattern allocation it was built
+    /// from (a selection clears the memo), else
+    /// [`cache_key`](Self::cache_key) afresh.
+    pub(super) fn plan_key(&mut self, k: usize) -> Arc<PlanKey> {
         let holds = |(name, then): &(String, KeyInput)| match (self.ctx.tensor(name), then) {
             (Ok(t), Some((format, read))) => {
-                let same = |(dims, hash): &(Vec<usize>, u64)| {
-                    t.data.dims() == dims.as_slice() && t.data.pattern_hash() == *hash
+                let same = |arrays: &Weak<[Level]>| {
+                    std::ptr::addr_eq(arrays.as_ptr(), Arc::as_ptr(t.data.shared_levels()))
                 };
                 t.format == *format && read.as_ref().is_none_or(same)
             }
@@ -503,9 +508,12 @@ impl CompiledProgram {
         let key = self.plan_key(k);
         let cached = self
             .cache
-            .lookup(&key, self.ctx.trace(), self.tenant.as_ref());
-        if let Some(plan) = cached {
+            .resolve(&key, self.ctx.trace(), self.tenant.as_ref());
+        if let Some((key, plan)) = cached {
             self.report.cache_hits += 1;
+            if let Some(memo) = &mut self.stmts[k].key {
+                memo.key = Arc::clone(&key);
+            }
             return Ok((key, plan));
         }
         let chosen = self.stmts[k]

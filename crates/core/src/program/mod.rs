@@ -81,14 +81,19 @@
 //! ## Caching caveat
 //!
 //! Cache keys capture statements, schedules, formats, and — for every
-//! tensor a statement reads — its dims and a hash of its sparsity
-//! *pattern* (see [`SpTensor::pattern_hash`](spdistal_sparse::SpTensor::pattern_hash)),
-//! because plans embed partitions derived from exactly that. Tensor
-//! *values* are not part of the key, so dense factor updates and
-//! value-only deltas keep hitting; a pattern change (a structural delta, a
-//! tenant with different data) keys a different plan by itself. Entries for
-//! patterns no longer in use stay cached until
-//! [`CompiledProgram::clear_plan_cache`].
+//! tensor a statement reads — its dims and its sparsity *pattern*, held by
+//! reference ([`PlanKey`](crate::PlanKey)), because plans embed partitions
+//! derived from exactly that. A key reads no pattern array to be built:
+//! it matches an entry by the same arrays, by equal fingerprints where both
+//! tensors carry one ([`SpTensor::pattern_hash`](spdistal_sparse::SpTensor::pattern_hash)),
+//! or else by comparing the arrays, and only against an entry of the same
+//! shape. Tensor *values* are not part of the key, so dense factor updates
+//! and value-only deltas keep hitting; a pattern change (a structural
+//! delta, a tenant with different data) keys a different plan by itself.
+//! Entries for patterns no longer in use stay cached until
+//! [`CompiledProgram::clear_plan_cache`], without their arrays: an entry
+//! whose pattern is gone and carries no fingerprint matches only the
+//! programs that already hold its key.
 
 mod auto;
 mod builder;

@@ -533,7 +533,9 @@ fn register_tensor(
     }
     let data = tensor_from_wire(dims, coords, vals, &format);
     // Fingerprint the pattern once per registration: every request's copy
-    // inherits it, so building the plan-cache key stays O(1) per request.
+    // inherits it, and a plan key matches an entry of another tenant by
+    // comparing fingerprints when both sides carry one, so a cross-tenant
+    // match stays O(1) per request instead of comparing the arrays.
     data.pattern_hash();
     match tensors.iter_mut().find(|(n, ..)| *n == name) {
         Some(slot) => *slot = (name, format, data),

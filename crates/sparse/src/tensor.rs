@@ -161,9 +161,9 @@ impl SpTensor {
     }
 
     /// The memoised [`pattern_hash`](SpTensor::pattern_hash) if it has been
-    /// computed — a peek for tests that pin *when* the coordinate tree is
-    /// hashed, never a reason to hash it.
-    #[doc(hidden)]
+    /// computed — never a reason to hash it. A plan key carries it as the
+    /// pattern's fingerprint when it is there, and tests pin *when* the
+    /// coordinate tree is hashed with it.
     pub fn pattern_memo(&self) -> Option<u64> {
         self.pattern.get().copied()
     }
